@@ -5,7 +5,7 @@ solver and a projected-gradient design loop on top.
 
 __version__ = "0.1.0"
 
-from .adjoint import AdjointMode, AdjointSweep, adjoint_seed, adjoint_step, adjoint_sweep
+from .adjoint import AdjointMode, AdjointSweep, adjoint_step, adjoint_sweep
 from .analysis import (ConvergenceStudy, DivergenceDiagnostic, convergence_study,
                        divergence_diagnostic, endpoint_shift_robustness,
                        windowed_average)
@@ -16,8 +16,8 @@ from .models import (AnalyticSignal, AnalyticSignalModel, DesignVector,
                      ForcedOscillator, OutputKind, VanDerPol)
 from .optim import DesignHistory, DesignProblem, DesignRecord, evaluate_design, optimize
 from .primal import (PseudoTimeConfig, TimeGrid, Trajectory, advance_physical_step,
-                     estimate_period, extended_residual, pseudo_time_step,
-                     simulate, step_coefficients)
+                     estimate_period, extended_residual, simulate,
+                     step_coefficients)
 from .tangent import (TangentTrajectory, tangent_step, tangent_sweep,
                       windowed_tangent_sensitivity)
 from .windows import (DiscreteWeights, NormalizationMode, Window,
@@ -25,7 +25,7 @@ from .windows import (DiscreteWeights, NormalizationMode, Window,
 
 __all__ = [
     "__version__",
-    "AdjointMode", "AdjointSweep", "adjoint_seed", "adjoint_step", "adjoint_sweep",
+    "AdjointMode", "AdjointSweep", "adjoint_step", "adjoint_sweep",
     "ConvergenceStudy", "DivergenceDiagnostic", "convergence_study",
     "divergence_diagnostic", "endpoint_shift_robustness", "windowed_average",
     "AdjointDivergenceError", "ConfigError", "DegenerateFitError",
@@ -35,8 +35,7 @@ __all__ = [
     "OutputKind", "VanDerPol",
     "DesignHistory", "DesignProblem", "DesignRecord", "evaluate_design", "optimize",
     "PseudoTimeConfig", "TimeGrid", "Trajectory", "advance_physical_step",
-    "estimate_period", "extended_residual", "pseudo_time_step", "simulate",
-    "step_coefficients",
+    "estimate_period", "extended_residual", "simulate", "step_coefficients",
     "TangentTrajectory", "tangent_step", "tangent_sweep",
     "windowed_tangent_sensitivity",
     "DiscreteWeights", "NormalizationMode", "Window", "bump_normalization",

@@ -9,7 +9,6 @@ below one whenever the primal inner iteration converged.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -17,23 +16,14 @@ import numpy as np
 
 from .errors import AdjointDivergenceError
 from .primal import PseudoTimeConfig, Trajectory, step_coefficients
-from .windows import NormalizationMode, Window, discrete_weights
+from .windows import NamedEnum, NormalizationMode, Window, discrete_weights
 
-__all__ = ["AdjointMode", "AdjointSweep", "adjoint_seed", "adjoint_step",
-           "adjoint_sweep"]
+__all__ = ["AdjointMode", "AdjointSweep", "adjoint_step", "adjoint_sweep"]
 
 
-class AdjointMode(enum.Enum):
+class AdjointMode(NamedEnum, label="adjoint mode"):
     FIXED_POINT = "fixed-point"
     DIRECT = "direct"
-
-    @classmethod
-    def from_name(cls, name: str) -> "AdjointMode":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown adjoint mode {name!r}; expected one of: {valid}") from None
 
 
 @dataclass
@@ -49,63 +39,25 @@ class AdjointSweep:
     contraction_estimates: np.ndarray  # (n_steps + 1,)
 
 
-def adjoint_seed(model, sigma, n: int, u_n, kind: Window, n_transient: int,
-                 n_final: int,
-                 mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL) -> np.ndarray:
-    """Objective seeding of the adjoint equation at step n.
-
-    Zero before the transient cutoff; otherwise the discrete window weight
-    at step n, scaled by the averaging span, times the output gradient.
-    """
-    if n < n_transient:
-        return np.zeros(model.d_u)
-    weights = discrete_weights(kind, n_transient, n_final, mode)
-    omega = weights.values[n - n_transient] / weights.span
-    return omega * model.output_state_gradient(u_n, sigma)
-
-
-def _step_matrices(model, sigma, dt, n, u_n, inv_dtau, t):
-    alpha = step_coefficients(n, dt)[0]
-    a_mat = alpha * np.eye(model.d_u) + model.jacobian_state(u_n, sigma, t)
-    m_mat = a_mat + inv_dtau * np.eye(model.d_u)
-    return a_mat, m_mat
-
-
-def _downstream_rhs(model, sigma, dt, n, n_total, states, ubar_np1, ubar_np2,
-                    inv_dtau, seed):
-    """Right-hand side of the step-n adjoint equation from later steps."""
-    rhs = seed.astype(float).copy()
-    if n + 1 <= n_total:
-        beta_np1 = step_coefficients(n + 1, dt)[1]
-        _, m_np1 = _step_matrices(model, sigma, dt, n + 1, states[n + 1],
-                                  inv_dtau, (n + 1) * dt)
-        rhs -= beta_np1 * np.linalg.solve(m_np1.T, ubar_np1)
-    if n + 2 <= n_total:
-        delta_np2 = step_coefficients(n + 2, dt)[2]
-        _, m_np2 = _step_matrices(model, sigma, dt, n + 2, states[n + 2],
-                                  inv_dtau, (n + 2) * dt)
-        rhs -= delta_np2 * np.linalg.solve(m_np2.T, ubar_np2)
-    return rhs
-
-
-def adjoint_step(model, sigma, dt, n, n_total, states, ubar_guess, ubar_np1,
-                 ubar_np2, seed, inv_dtau, tol, max_inner,
+def adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, inv_dtau, tol, max_inner,
                  mode: AdjointMode = AdjointMode.FIXED_POINT):
-    """Solve the adjoint equation of one physical step.
+    """Solve the adjoint equation of physical step n.
+
+    a_mat is the step matrix A_n = alpha_n I + dR/du, m_mat the pseudo-time
+    matrix M_n = A_n + inv_dtau I, and rhs the step's seed less its
+    downstream coupling.  The fixed-point route iterates
+    ubar <- (I - M_n^{-1} A_n)^T ubar + rhs from ubar_guess; the direct
+    route solves for its limit M_n^T A_n^{-T} rhs.
 
     Returns (ubar_n, iterations, residual norm, contraction estimate).
     """
-    a_mat, m_mat = _step_matrices(model, sigma, dt, n, states[n], inv_dtau, n * dt)
-    rhs = _downstream_rhs(model, sigma, dt, n, n_total, states, ubar_np1,
-                          ubar_np2, inv_dtau, seed)
-
     if inv_dtau == 0.0:
         # Newton limit: the iteration matrix vanishes at the converged state
         ubar = rhs if mode is AdjointMode.FIXED_POINT \
             else m_mat.T @ np.linalg.solve(a_mat.T, rhs)
         return ubar, 1, 0.0, 0.0
 
-    iter_matrix = (np.eye(model.d_u) - np.linalg.solve(m_mat, a_mat)).T
+    iter_matrix = (np.eye(len(rhs)) - np.linalg.solve(m_mat, a_mat)).T
     contraction = float(np.linalg.norm(iter_matrix, 2))
 
     if mode is AdjointMode.DIRECT:
@@ -135,7 +87,12 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     """March the adjoint from the final step to the first and accumulate
     the design derivative of the windowed objective.
 
-    All primal states are held in memory, so no recomputation is needed.
+    Step n's objective seed is omega_n dg/du, omega_n being the window
+    weight over the span, nonzero only from the transient cutoff on.  Each
+    step builds its matrices once and keeps lambda_n = M_n^{-T} ubar_n, which
+    couples it to steps n - 1 and n - 2 and carries its design derivative
+    term.  All primal states are held in memory, so no recomputation is
+    needed.
     """
     cfg = cfg or PseudoTimeConfig()
     tol = cfg.tol if tol is None else tol
@@ -143,39 +100,44 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     n_total = grid.n_steps
     n_tr = grid.n_transient
     dt = grid.dt
-    n_design = model.n_design
+    d_u = model.d_u
     states = traj.states
 
     weights = discrete_weights(kind, n_tr, n_total, normalization)
-    span = weights.span
+    omega = weights.values / weights.span
 
-    ubar = np.zeros((n_total + 1, model.d_u))
-    seeds = np.zeros((n_total + 1, model.d_u))
-    running = np.zeros((n_total + 1, n_design))
+    ubar = np.zeros((n_total + 1, d_u))
+    lam = np.zeros((n_total + 1, d_u))
+    seeds = np.zeros((n_total + 1, d_u))
+    running = np.zeros((n_total + 1, model.n_design))
     inner = np.zeros(n_total + 1, dtype=int)
     norms = np.zeros(n_total + 1)
     contractions = np.zeros(n_total + 1)
 
     for n in range(n_tr, n_total + 1):
-        omega = weights.values[n - n_tr] / span
-        seeds[n] = omega * model.output_state_gradient(states[n], sigma)
+        seeds[n] = omega[n - n_tr] * model.output_state_gradient(states[n], sigma)
 
-    total = np.zeros(n_design)
+    total = np.zeros(model.n_design)
     for n in range(n_total, 0, -1):
-        ubar_np1 = ubar[n + 1] if n + 1 <= n_total else np.zeros(model.d_u)
-        ubar_np2 = ubar[n + 2] if n + 2 <= n_total else np.zeros(model.d_u)
+        t_n = n * dt
+        a_mat = step_coefficients(n, dt)[0] * np.eye(d_u) \
+            + model.jacobian_state(states[n], sigma, t_n)
+        m_mat = a_mat + cfg.inv_dtau * np.eye(d_u)
+        rhs = seeds[n].copy()
+        if n + 1 <= n_total:
+            rhs -= step_coefficients(n + 1, dt)[1] * lam[n + 1]
+        if n + 2 <= n_total:
+            rhs -= step_coefficients(n + 2, dt)[2] * lam[n + 2]
         # warm start from the downstream adjoint state
+        ubar_guess = ubar[n + 1] if n + 1 <= n_total else np.zeros(d_u)
         ubar[n], inner[n], norms[n], contractions[n] = adjoint_step(
-            model, sigma, dt, n, n_total, states, ubar_np1, ubar_np1, ubar_np2,
-            seeds[n], cfg.inv_dtau, tol, cfg.max_inner, mode)
+            n, a_mat, m_mat, rhs, ubar_guess, cfg.inv_dtau, tol, cfg.max_inner,
+            mode)
 
-        _, m_mat = _step_matrices(model, sigma, dt, n, states[n], cfg.inv_dtau,
-                                  n * dt)
-        lam = np.linalg.solve(m_mat.T, ubar[n])
-        total = total - lam @ model.jacobian_design(states[n], sigma, n * dt)
+        lam[n] = np.linalg.solve(m_mat.T, ubar[n])
+        total = total - lam[n] @ model.jacobian_design(states[n], sigma, t_n)
         if n >= n_tr:
-            omega = weights.values[n - n_tr] / span
-            total = total + omega * model.output_design_gradient(states[n], sigma)
+            total = total + omega[n - n_tr] * model.output_design_gradient(states[n], sigma)
         running[n] = total
 
     running[0] = total  # step 0 carries no constraint and zero weight

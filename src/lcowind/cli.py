@@ -31,7 +31,7 @@ from .models import (AnalyticSignal, AnalyticSignalModel, DesignVector,
 from .optim import DesignProblem, optimize
 from .primal import PseudoTimeConfig, TimeGrid, estimate_period, simulate
 from .tangent import tangent_sweep, windowed_tangent_sensitivity
-from .windows import NormalizationMode, Window, discrete_weights, window_value
+from .windows import NormalizationMode, Window, discrete_weights
 
 __all__ = ["main", "console_main"]
 
@@ -117,6 +117,11 @@ class RunConfig:
             raise _fail(
                 f"design has {self.design.n_design} values but the model "
                 f"expects {self.model.n_design}")
+        try:  # a design outside the model's domain fails here, not mid-run
+            self.model.residual(self.model.initial_state(self.design.values),
+                                self.design.values)
+        except ValueError as exc:
+            raise _fail(f"[design] values: {exc}") from None
         self.grid = self._build_grid(parser["grid"])
         self.pseudo = self._build_pseudo(parser["pseudo_time"]
                                          if "pseudo_time" in parser else {})

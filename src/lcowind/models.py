@@ -8,11 +8,12 @@ it the ground truth for convergence and consistency checks.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .windows import NamedEnum
 
 __all__ = [
     "DesignVector",
@@ -38,6 +39,10 @@ class DesignVector:
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if values.shape != lower.shape or values.shape != upper.shape:
             raise ValueError("design values and bounds must have matching shapes")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("design values must be finite")
+        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+            raise ValueError("design bounds must not be NaN")
         if np.any(lower > upper):
             raise ValueError("lower bounds exceed upper bounds")
         if np.any(values < lower) or np.any(values > upper):
@@ -59,19 +64,11 @@ class DesignVector:
                             lower=self.lower, upper=self.upper)
 
 
-class OutputKind(enum.Enum):
+class OutputKind(NamedEnum, label="output"):
     """Instantaneous output recorded along a trajectory."""
 
     FIRST_STATE = "x"
     FIRST_STATE_SQUARED = "x2"
-
-    @classmethod
-    def from_name(cls, name: str) -> "OutputKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(k.value for k in cls)
-            raise ValueError(f"unknown output {name!r}; expected one of: {valid}") from None
 
 
 def _check_state(u, d_u):
@@ -227,8 +224,28 @@ class AnalyticSignalModel:
         return self.signal.mean_design_gradient(sigma)
 
 
+class _FirstStateOutput:
+    """Output x or x^2 of the first state, chosen by the ``output`` field;
+    it does not depend on the design."""
+
+    def output_value(self, u, sigma) -> float:
+        u = _check_state(u, self.d_u)
+        if self.output is OutputKind.FIRST_STATE:
+            return float(u[0])
+        return float(u[0] * u[0])
+
+    def output_state_gradient(self, u, sigma) -> np.ndarray:
+        u = _check_state(u, self.d_u)
+        if self.output is OutputKind.FIRST_STATE:
+            return np.array([1.0, 0.0])
+        return np.array([2.0 * u[0], 0.0])
+
+    def output_design_gradient(self, u, sigma) -> np.ndarray:
+        return np.zeros(self.n_design)
+
+
 @dataclass(frozen=True)
-class VanDerPol:
+class VanDerPol(_FirstStateOutput):
     """Van der Pol oscillator; the single design variable is the damping mu.
 
     Residual convention du/dt + R = 0 with R = (-v, -mu (1 - x^2) v + x),
@@ -265,24 +282,9 @@ class VanDerPol:
         x, v = u
         return np.array([[0.0], [-(1.0 - x * x) * v]])
 
-    def output_value(self, u, sigma) -> float:
-        u = _check_state(u, self.d_u)
-        if self.output is OutputKind.FIRST_STATE:
-            return float(u[0])
-        return float(u[0] * u[0])
-
-    def output_state_gradient(self, u, sigma) -> np.ndarray:
-        u = _check_state(u, self.d_u)
-        if self.output is OutputKind.FIRST_STATE:
-            return np.array([1.0, 0.0])
-        return np.array([2.0 * u[0], 0.0])
-
-    def output_design_gradient(self, u, sigma) -> np.ndarray:
-        return np.zeros(self.n_design)
-
 
 @dataclass(frozen=True)
-class ForcedOscillator:
+class ForcedOscillator(_FirstStateOutput):
     """Damped linear oscillator driven at a fixed angular frequency.
 
     x'' + c x' + k x = forcing * sin(omega t), with stiffness and damping
@@ -326,21 +328,6 @@ class ForcedOscillator:
         u = _check_state(u, self.d_u)
         x, v = u
         return np.array([[0.0], [self.damping0 * v + self.stiffness0 * x]])
-
-    def output_value(self, u, sigma) -> float:
-        u = _check_state(u, self.d_u)
-        if self.output is OutputKind.FIRST_STATE:
-            return float(u[0])
-        return float(u[0] * u[0])
-
-    def output_state_gradient(self, u, sigma) -> np.ndarray:
-        u = _check_state(u, self.d_u)
-        if self.output is OutputKind.FIRST_STATE:
-            return np.array([1.0, 0.0])
-        return np.array([2.0 * u[0], 0.0])
-
-    def output_design_gradient(self, u, sigma) -> np.ndarray:
-        return np.zeros(self.n_design)
 
     # steady-state closed forms, used as ground truth in tests
     def steady_amplitude(self, sigma) -> float:

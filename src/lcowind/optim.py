@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import AdjointMode, adjoint_sweep
+from .analysis import windowed_average
 from .errors import LcoError
 from .models import DesignVector
 from .primal import PseudoTimeConfig, TimeGrid, simulate
-from .windows import NormalizationMode, Window, discrete_weights
+from .windows import NormalizationMode, Window
 
 __all__ = ["DesignProblem", "DesignRecord", "DesignHistory",
            "evaluate_design", "optimize"]
@@ -83,13 +84,6 @@ class DesignHistory:
     message: str
 
 
-def _windowed_value(outputs, problem: DesignProblem) -> float:
-    weights = discrete_weights(problem.kind, problem.grid.n_transient,
-                               problem.grid.n_steps, problem.normalization)
-    tail = outputs[problem.grid.n_transient:problem.grid.n_steps + 1]
-    return float(weights.values @ tail / weights.span)
-
-
 def evaluate_design(problem: DesignProblem, sigma):
     """Objective, constraint, and their relaxed adjoint gradients at sigma.
 
@@ -99,13 +93,15 @@ def evaluate_design(problem: DesignProblem, sigma):
     design attached as a `design_iterate` attribute.
     """
     values = np.asarray(getattr(sigma, "values", sigma), dtype=float)
+    window_args = (problem.kind, problem.grid.n_transient, problem.grid.n_steps,
+                   problem.normalization)
     try:
         traj = simulate(problem.objective_model, values, problem.grid,
                         problem.pseudo)
         sweep = adjoint_sweep(problem.objective_model, values, traj,
                               problem.kind, problem.pseudo,
                               problem.adjoint_mode, problem.normalization)
-        objective = _windowed_value(traj.outputs, problem)
+        objective = windowed_average(traj.outputs, *window_args)
         grad_obj = problem.relaxation * sweep.design_derivative
 
         if problem.constraint_model is None:
@@ -118,7 +114,7 @@ def evaluate_design(problem: DesignProblem, sigma):
         con_sweep = adjoint_sweep(problem.constraint_model, values, traj,
                                   problem.kind, problem.pseudo,
                                   problem.adjoint_mode, problem.normalization)
-        constraint = _windowed_value(con_outputs, problem)
+        constraint = windowed_average(con_outputs, *window_args)
         grad_con = problem.relaxation * con_sweep.design_derivative
         return objective, constraint, grad_obj, grad_con
     except LcoError as exc:

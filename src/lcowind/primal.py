@@ -22,7 +22,6 @@ __all__ = [
     "Trajectory",
     "step_coefficients",
     "extended_residual",
-    "pseudo_time_step",
     "advance_physical_step",
     "simulate",
     "estimate_period",
@@ -116,50 +115,41 @@ def step_coefficients(n: int, dt: float) -> tuple[float, float, float]:
     return 1.5 / dt, -2.0 / dt, 0.5 / dt
 
 
-def extended_residual(model, u_n, u_nm1, u_nm2, sigma, dt, t=0.0) -> np.ndarray:
-    """BDF2 extended residual at the candidate state u_n."""
+def extended_residual(model, u_n, u_nm1, u_nm2, sigma, dt, t=0.0,
+                      coeffs=None) -> np.ndarray:
+    """Extended residual alpha u_n + R(u_n) + beta u_{n-1} + delta u_{n-2}.
+
+    coeffs are the step's (alpha, beta, delta) from step_coefficients; the
+    default is BDF2.
+    """
+    alpha, beta, delta = step_coefficients(2, dt) if coeffs is None else coeffs
     u_n = np.asarray(u_n, dtype=float)
-    return (1.5 / dt) * u_n + model.residual(u_n, sigma, t) \
-        - (2.0 / dt) * np.asarray(u_nm1, dtype=float) \
-        + (0.5 / dt) * np.asarray(u_nm2, dtype=float)
-
-
-def _coefficient_residual(model, u_n, u_nm1, u_nm2, sigma, coeffs, t) -> np.ndarray:
-    alpha, beta, delta = coeffs
-    return alpha * u_n + model.residual(u_n, sigma, t) + beta * u_nm1 + delta * u_nm2
-
-
-def pseudo_time_step(model, u_p, u_nm1, u_nm2, sigma, dt, t=0.0,
-                     dtau=math.inf, coeffs=None) -> np.ndarray:
-    """One linearized implicit-Euler update of the inner iteration."""
-    if coeffs is None:
-        coeffs = (1.5 / dt, -2.0 / dt, 0.5 / dt)
-    u_p = np.asarray(u_p, dtype=float)
-    residual = _coefficient_residual(model, u_p, u_nm1, u_nm2, sigma, coeffs, t)
-    alpha = coeffs[0]
-    system = alpha * np.eye(model.d_u) + model.jacobian_state(u_p, sigma, t)
-    if not math.isinf(dtau):
-        system = system + (1.0 / dtau) * np.eye(model.d_u)
-    return u_p - np.linalg.solve(system, residual)
+    return alpha * u_n + model.residual(u_n, sigma, t) \
+        + beta * np.asarray(u_nm1, dtype=float) + delta * np.asarray(u_nm2, dtype=float)
 
 
 def advance_physical_step(model, u_nm1, u_nm2, sigma, dt, t, cfg: PseudoTimeConfig,
                           coeffs) -> tuple[np.ndarray, int, float, bool]:
     """Drive the inner iteration at one physical step until R* is below tol.
 
-    Returns (state, inner iterations used, final residual norm, converged).
+    Each inner iteration is one linearized implicit-Euler pseudo-time update,
+    u <- u - (alpha I + dR/du + I/dtau)^{-1} R*(u), which at dtau = inf is a
+    Newton step.  Returns (state, inner iterations used, final residual norm,
+    converged).
     """
     u_nm1 = np.asarray(u_nm1, dtype=float)
     u_nm2 = np.asarray(u_nm2, dtype=float)
     u = u_nm1.copy()  # warm start from the previous physical state
-    norm = float(np.linalg.norm(
-        _coefficient_residual(model, u, u_nm1, u_nm2, sigma, coeffs, t)))
+    residual = extended_residual(model, u, u_nm1, u_nm2, sigma, dt, t, coeffs)
+    norm = float(np.linalg.norm(residual))
     iterations = 0
     while norm > cfg.tol and iterations < cfg.max_inner:
-        u = pseudo_time_step(model, u, u_nm1, u_nm2, sigma, dt, t,
-                             dtau=cfg.dtau, coeffs=coeffs)
-        norm = float(np.linalg.norm(
-            _coefficient_residual(model, u, u_nm1, u_nm2, sigma, coeffs, t)))
+        system = coeffs[0] * np.eye(model.d_u) + model.jacobian_state(u, sigma, t)
+        if not math.isinf(cfg.dtau):
+            system = system + (1.0 / cfg.dtau) * np.eye(model.d_u)
+        u = u - np.linalg.solve(system, residual)
+        residual = extended_residual(model, u, u_nm1, u_nm2, sigma, dt, t, coeffs)
+        norm = float(np.linalg.norm(residual))
         iterations += 1
     return u, iterations, norm, norm <= cfg.tol
 

@@ -37,21 +37,34 @@ _ORDER_TABLE = {
 }
 
 
-class Window(enum.Enum):
+class NamedEnum(enum.Enum):
+    """Enum looked up by its value, ignoring case and surrounding blanks.
+
+    Subclasses pass the label that names them in error messages, as in
+    ``class Window(NamedEnum, label="window")``.
+    """
+
+    def __init_subclass__(cls, label: str = "", **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._label = label
+
+    @classmethod
+    def from_name(cls, name: str):
+        try:
+            return cls(name.strip().lower())
+        except ValueError:
+            valid = ", ".join(m.value for m in cls)
+            raise ValueError(
+                f"unknown {cls._label} {name!r}; expected one of: {valid}") from None
+
+
+class Window(NamedEnum, label="window"):
     """Window selector, ordered from least to most smooth."""
 
     SQUARE = "square"
     HANN = "hann"
     HANN_SQUARE = "hann-square"
     BUMP = "bump"
-
-    @classmethod
-    def from_name(cls, name: str) -> "Window":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(w.value for w in cls)
-            raise ValueError(f"unknown window {name!r}; expected one of: {valid}") from None
 
     @property
     def smoothness(self) -> float:
@@ -67,14 +80,8 @@ class Window(enum.Enum):
         """Convergence order of the windowed design sensitivity in period count."""
         return _ORDER_TABLE[self.value][2]
 
-    @property
-    def bump_norm(self) -> float:
-        if self is not Window.BUMP:
-            raise AttributeError("bump_norm is only defined for the bump window")
-        return bump_normalization()
 
-
-class NormalizationMode(enum.Enum):
+class NormalizationMode(NamedEnum, label="normalization"):
     """How discrete weights are scaled over a span of N - n_tr steps.
 
     PAPER_FAITHFUL keeps the raw samples w((n - n_tr)/(N - n_tr)) and the
@@ -85,14 +92,6 @@ class NormalizationMode(enum.Enum):
 
     PAPER_FAITHFUL = "paper-faithful"
     RENORMALIZED = "renormalized"
-
-    @classmethod
-    def from_name(cls, name: str) -> "NormalizationMode":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown normalization {name!r}; expected one of: {valid}") from None
 
 
 def _bump_quadrature(rel_tol: float) -> float:

@@ -1,17 +1,20 @@
 """Tests for the discrete adjoint sweep and its diagnostics."""
 
-from dataclasses import dataclass
+import math
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from lcowind.adjoint import AdjointMode, adjoint_seed, adjoint_sweep
+from lcowind.adjoint import AdjointMode, adjoint_sweep
 from lcowind.analysis import windowed_average
 from lcowind.errors import AdjointDivergenceError
-from lcowind.models import AnalyticSignal, AnalyticSignalModel, OutputKind, VanDerPol
+from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
+                            OutputKind, VanDerPol)
 from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate
 from lcowind.tangent import tangent_sweep, windowed_tangent_sensitivity
-from lcowind.windows import Window, discrete_weights
+from lcowind.windows import NormalizationMode, Window, discrete_weights
 
 
 @dataclass(frozen=True)
@@ -53,11 +56,11 @@ def make_vdp_setup(n_steps=300, n_transient=60, cfg=None):
 
 def test_seed_zero_before_cutoff_and_at_endpoints():
     model, sigma, traj = make_vdp_setup(n_steps=40, n_transient=10)
-    u = traj.states[5]
-    assert np.all(adjoint_seed(model, sigma, 5, u, Window.HANN, 10, 40) == 0.0)
+    seeds = adjoint_sweep(model, sigma, traj, Window.HANN).seeds
+    assert np.all(seeds[5] == 0.0)
     # window endpoints carry zero weight
-    assert np.all(adjoint_seed(model, sigma, 10, traj.states[10], Window.HANN, 10, 40) == 0.0)
-    assert np.all(adjoint_seed(model, sigma, 40, traj.states[40], Window.HANN, 10, 40) == 0.0)
+    assert np.all(seeds[10] == 0.0)
+    assert np.all(seeds[40] == 0.0)
 
 
 def test_seed_interior_value():
@@ -66,19 +69,69 @@ def test_seed_interior_value():
     weights = discrete_weights(Window.HANN, 10, 40)
     omega = weights.values[n - 10] / 30
     expected = omega * model.output_state_gradient(traj.states[n], sigma)
-    assert np.allclose(adjoint_seed(model, sigma, n, traj.states[n], Window.HANN, 10, 40),
+    assert np.allclose(adjoint_sweep(model, sigma, traj, Window.HANN).seeds[n],
                        expected, rtol=1e-15)
 
 
-@pytest.mark.parametrize("window", list(Window))
-def test_adjoint_equals_tangent_sensitivity(window):
+DUALITY_MODELS = {
+    "van-der-pol-x2": (VanDerPol(output=OutputKind.FIRST_STATE_SQUARED),
+                       np.array([1.0])),
+    "forced-oscillator-x2": (ForcedOscillator(output=OutputKind.FIRST_STATE_SQUARED),
+                             np.array([0.1])),
+    "analytic-signal": (AnalyticSignalModel(AnalyticSignal(
+        a0=1.0, a1=np.array([0.5]), amplitude=0.3, quad=0.8,
+        quad_center=np.array([0.1]))), np.array([0.2])),
+}
+DUALITY_SOLVES = [(math.inf, AdjointMode.FIXED_POINT), (1.0, AdjointMode.FIXED_POINT),
+                  (1.0, AdjointMode.DIRECT)]
+
+
+def _duality_cases():
+    cases = []
+    for name in DUALITY_MODELS:
+        for normalization in NormalizationMode:
+            for dtau, mode in DUALITY_SOLVES:
+                for window in Window:
+                    first = (name == "van-der-pol-x2" and math.isinf(dtau)
+                             and normalization is NormalizationMode.PAPER_FAITHFUL)
+                    # the Newton-limit Van der Pol cases keep their original ids
+                    case_id = (str(window) if first else
+                               f"{name}-{normalization.value}-dtau={dtau:g}-"
+                               f"{mode.value}-{window.value}")
+                    cases.append(pytest.param(name, normalization, dtau, mode,
+                                              window, id=case_id))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def duality_run():
+    """One trajectory and tangent per (model, dtau), shared by the cases."""
+    runs = {}
+
+    def run(name, dtau):
+        if (name, dtau) not in runs:
+            model, sigma = DUALITY_MODELS[name]
+            cfg = PseudoTimeConfig(dtau, tol=1e-13, max_inner=200)
+            traj = simulate(model, sigma, TimeGrid(dt=0.05, n_steps=300, n_transient=60),
+                            cfg)
+            runs[name, dtau] = cfg, traj, tangent_sweep(model, sigma, traj)
+        return runs[name, dtau]
+    return run
+
+
+@pytest.mark.parametrize("name, normalization, dtau, mode, window", _duality_cases())
+def test_adjoint_equals_tangent_sensitivity(duality_run, name, normalization,
+                                            dtau, mode, window):
     # discrete duality: both routes differentiate the same finite sum, so
-    # they must agree to roundoff, not merely to discretization error
-    model, sigma, traj = make_vdp_setup()
-    tangent = tangent_sweep(model, sigma, traj)
-    t_val = windowed_tangent_sensitivity(tangent, window, 60, 300)
-    a_val = adjoint_sweep(model, sigma, traj, window).design_derivative
-    assert a_val[0] == pytest.approx(t_val[0], rel=1e-12)
+    # they must agree to roundoff, not merely to discretization error.  At
+    # finite dtau the adjoint is iterated to 5e-15 instead of solved exactly.
+    model, sigma = DUALITY_MODELS[name]
+    cfg, traj, tangent = duality_run(name, dtau)
+    t_val = windowed_tangent_sensitivity(tangent, window, 60, 300, normalization)
+    a_val = adjoint_sweep(model, sigma, traj, window, cfg, mode, normalization,
+                          tol=5e-15).design_derivative
+    rel = 1e-12 if math.isinf(dtau) else 1e-10
+    assert a_val[0] == pytest.approx(t_val[0], rel=rel)
 
 
 def test_adjoint_matches_finite_differences():
@@ -157,6 +210,33 @@ def test_running_derivative_terminates_at_total():
     # tail sums change monotonically in index only where seeds are active;
     # the pre-transient entries still move through the design Jacobian term
     assert sweep.running_design_derivative.shape == (81, 1)
+
+
+@dataclass(frozen=True)
+class CountingVanDerPol(VanDerPol):
+    """Van der Pol that counts its residual and state-Jacobian evaluations."""
+
+    calls: Counter = field(default_factory=Counter, compare=False)
+
+    def residual(self, u, sigma, t=0.0):
+        self.calls["residual"] += 1
+        return super().residual(u, sigma, t)
+
+    def jacobian_state(self, u, sigma, t=0.0):
+        self.calls["jacobian_state"] += 1
+        return super().jacobian_state(u, sigma, t)
+
+
+def test_each_step_evaluates_its_residuals_and_jacobian_once():
+    model = CountingVanDerPol(output=OutputKind.FIRST_STATE_SQUARED)
+    sigma = np.array([1.0])
+    cfg = PseudoTimeConfig(dtau=1.0, tol=1e-12, max_inner=200)
+    traj = simulate(model, sigma, TimeGrid(dt=0.05, n_steps=80, n_transient=20), cfg)
+    # one residual at each step's warm start, then one per inner iterate
+    assert model.calls["residual"] == traj.n_steps + traj.inner_iterations.sum()
+    model.calls.clear()
+    adjoint_sweep(model, sigma, traj, Window.HANN, cfg=cfg)
+    assert model.calls["jacobian_state"] == traj.n_steps
 
 
 def test_mode_from_name():

@@ -123,6 +123,30 @@ def test_design_length_mismatch_exits_2(tmp_path, capsys):
     assert "expects 1" in last_stderr_json(capsys)["message"]
 
 
+def test_design_outside_model_domain_exits_2(tmp_path, capsys):
+    # the analytic signal's period (1 + sigma) T0 is negative at sigma = -1.5
+    cfg = write_config(tmp_path, ANALYTIC_CONFIG.replace(
+        "values = 0.3", "values = -1.5"))
+    outdir = tmp_path / "o"
+    assert main(["simulate", cfg, "--output-dir", str(outdir)]) == 2
+    assert not outdir.exists()
+    record = last_stderr_json(capsys)
+    assert record["error"] == "ConfigError"
+    assert record["exit_code"] == 2
+    assert "period non-positive" in record["message"]
+
+
+def test_nan_design_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, VDP_CONFIG.replace("values = 1.0", "values = nan"))
+    outdir = tmp_path / "o"
+    assert main(["simulate", cfg, "--output-dir", str(outdir)]) == 2
+    assert not outdir.exists()
+    record = last_stderr_json(capsys)
+    assert record["error"] == "ConfigError"
+    assert record["exit_code"] == 2
+    assert "must be finite" in record["message"]
+
+
 def test_simulate_outputs_and_manifest(tmp_path):
     cfg = write_config(tmp_path, ANALYTIC_CONFIG)
     outdir = tmp_path / "out"

@@ -181,6 +181,15 @@ def test_design_vector_validation_and_projection():
         DesignVector(values=np.array([0.0]), lower=np.array([1.0]), upper=np.array([-1.0]))
     with pytest.raises(ValueError, match="violate box"):
         DesignVector(values=np.array([2.0]), lower=np.array([0.0]), upper=np.array([1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            DesignVector(values=np.array([bad]), lower=np.array([-np.inf]),
+                         upper=np.array([np.inf]))
+    with pytest.raises(ValueError, match="must not be NaN"):
+        DesignVector(values=np.array([0.5]), lower=np.array([np.nan]), upper=np.array([1.0]))
+    unbounded = DesignVector(values=np.array([0.5]), lower=np.array([-np.inf]),
+                             upper=np.array([np.inf]))
+    assert unbounded.project(np.array([7.0]))[0] == 7.0
     dv = DesignVector(values=np.array([0.5]), lower=np.array([0.0]), upper=np.array([1.0]))
     assert dv.n_design == 1
     assert np.allclose(dv.project(np.array([7.0])), [1.0])

@@ -11,8 +11,8 @@ from lcowind.errors import (InvalidSpanError, PeriodUndetectableError,
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, OutputKind,
                             VanDerPol)
 from lcowind.primal import (PseudoTimeConfig, TimeGrid, advance_physical_step,
-                            estimate_period, extended_residual,
-                            pseudo_time_step, simulate, step_coefficients)
+                            estimate_period, extended_residual, simulate,
+                            step_coefficients)
 
 # independent reference for the mu = 1 limit-cycle period, computed once with
 # scipy.integrate.solve_ivp (rtol 1e-11) and event-based crossing detection
@@ -82,7 +82,10 @@ def test_newton_step_solves_linear_model_exactly():
     dt = 0.1
     u_nm1 = np.array([1.0, -1.0])
     u_nm2 = np.array([0.9, -0.8])
-    u = pseudo_time_step(model, u_nm1, u_nm1, u_nm2, sigma, dt)
+    u, its, _, _ = advance_physical_step(
+        model, u_nm1, u_nm2, sigma, dt, 0.0, PseudoTimeConfig(max_inner=1),
+        step_coefficients(2, dt))
+    assert its == 1
     # hand solve: (1.5/dt I + A) u = 2/dt u_nm1 - 0.5/dt u_nm2 - c
     lhs = 1.5 / dt * np.eye(2) + model.matrix
     rhs = 2.0 / dt * u_nm1 - 0.5 / dt * u_nm2 - model.offset
