@@ -10,8 +10,8 @@ from .analysis import (ConvergenceStudy, DivergenceDiagnostic, convergence_study
                        divergence_diagnostic, endpoint_shift_robustness,
                        windowed_average)
 from .errors import (AdjointDivergenceError, ConfigError, DegenerateFitError,
-                     InvalidSpanError, LcoError, PeriodUndetectableError,
-                     StepConvergenceError)
+                     DesignDomainError, InvalidSpanError, LcoError,
+                     PeriodUndetectableError, SingularStepError, StepConvergenceError)
 from .models import (AnalyticSignal, AnalyticSignalModel, DesignVector,
                      ForcedOscillator, OutputKind, VanDerPol)
 from .optim import DesignHistory, DesignProblem, DesignRecord, evaluate_design, optimize
@@ -29,8 +29,8 @@ __all__ = [
     "ConvergenceStudy", "DivergenceDiagnostic", "convergence_study",
     "divergence_diagnostic", "endpoint_shift_robustness", "windowed_average",
     "AdjointDivergenceError", "ConfigError", "DegenerateFitError",
-    "InvalidSpanError", "LcoError", "PeriodUndetectableError",
-    "StepConvergenceError",
+    "DesignDomainError", "InvalidSpanError", "LcoError", "PeriodUndetectableError",
+    "SingularStepError", "StepConvergenceError",
     "AnalyticSignal", "AnalyticSignalModel", "DesignVector", "ForcedOscillator",
     "OutputKind", "VanDerPol",
     "DesignHistory", "DesignProblem", "DesignRecord", "evaluate_design", "optimize",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdjointDivergenceError
-from .primal import PseudoTimeConfig, Trajectory, step_coefficients
+from .primal import PseudoTimeConfig, Trajectory, solve_step, step_coefficients
 from .windows import NamedEnum, NormalizationMode, Window, discrete_weights
 
 __all__ = ["AdjointMode", "AdjointSweep", "adjoint_step", "adjoint_sweep"]
@@ -54,14 +54,14 @@ def adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, inv_dtau, tol, max_inner,
     if inv_dtau == 0.0:
         # Newton limit: the iteration matrix vanishes at the converged state
         ubar = rhs if mode is AdjointMode.FIXED_POINT \
-            else m_mat.T @ np.linalg.solve(a_mat.T, rhs)
+            else m_mat.T @ solve_step(a_mat.T, rhs, n)
         return ubar, 1, 0.0, 0.0
 
-    iter_matrix = (np.eye(len(rhs)) - np.linalg.solve(m_mat, a_mat)).T
+    iter_matrix = (np.eye(len(rhs)) - solve_step(m_mat, a_mat, n)).T
     contraction = float(np.linalg.norm(iter_matrix, 2))
 
     if mode is AdjointMode.DIRECT:
-        ubar = m_mat.T @ np.linalg.solve(a_mat.T, rhs)
+        ubar = m_mat.T @ solve_step(a_mat.T, rhs, n)
         residual = float(np.linalg.norm(iter_matrix @ ubar + rhs - ubar))
         return ubar, 0, residual, contraction
 
@@ -134,7 +134,7 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
             n, a_mat, m_mat, rhs, ubar_guess, cfg.inv_dtau, tol, cfg.max_inner,
             mode)
 
-        lam[n] = np.linalg.solve(m_mat.T, ubar[n])
+        lam[n] = solve_step(m_mat.T, ubar[n], n)
         total = total - lam[n] @ model.jacobian_design(states[n], sigma, t_n)
         if n >= n_tr:
             total = total + omega[n - n_tr] * model.output_design_gradient(states[n], sigma)

@@ -645,9 +645,18 @@ def _scipy_version() -> str:
     return scipy.__version__
 
 
+_ERROR_FIELDS = ("step", "iterations", "residual_norm", "contraction",
+                 "design_iterate")
+
+
 def _report_error(exc: Exception, code: int) -> None:
+    """Print one JSON line with the error's type, message, exit code and
+    whichever structured fields the exception carries."""
     record = {"error": type(exc).__name__, "message": str(exc),
               "exit_code": code}
+    for name in _ERROR_FIELDS:
+        if getattr(exc, name, None) is not None:
+            record[name] = _json_ready(getattr(exc, name))
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 

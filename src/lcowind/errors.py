@@ -9,6 +9,19 @@ class InvalidSpanError(LcoError, ValueError):
     """Averaging span is empty, reversed, or otherwise unusable."""
 
 
+class DesignDomainError(LcoError, ValueError):
+    """Design lies outside the set on which the model is defined."""
+
+
+class SingularStepError(LcoError):
+    """A physical step's matrix is singular, so its system has no unique solution."""
+
+    def __init__(self, step=None):
+        self.step = step
+        where = "" if step is None else f"step {step}: "
+        super().__init__(f"{where}step matrix is singular")
+
+
 class StepConvergenceError(LcoError):
     """Inner pseudo-time iteration failed to converge on a physical step."""
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DesignDomainError
 from .windows import NamedEnum
 
 __all__ = [
@@ -139,7 +140,7 @@ class AnalyticSignal:
         sigma = _sigma_values(sigma)
         period = self.base_period * (1.0 + sigma[0])
         if period <= 0.0:
-            raise ValueError("design drives the period non-positive")
+            raise DesignDomainError("design drives the period non-positive")
         return period
 
     def output(self, t, sigma):

@@ -8,6 +8,7 @@ cost per iteration is independent of the number of design variables.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,43 +94,63 @@ def evaluate_design(problem: DesignProblem, sigma):
     design attached as a `design_iterate` attribute.
     """
     values = np.asarray(getattr(sigma, "values", sigma), dtype=float)
-    window_args = (problem.kind, problem.grid.n_transient, problem.grid.n_steps,
-                   problem.normalization)
+    traj, objective, constraint = _primal(problem, values)
+    return (objective, constraint) + _gradients(problem, values, traj)
+
+
+@contextmanager
+def _tagged(values):
+    """Attach the design to any LcoError raised inside as `design_iterate`."""
     try:
-        traj = simulate(problem.objective_model, values, problem.grid,
-                        problem.pseudo)
-        sweep = adjoint_sweep(problem.objective_model, values, traj,
-                              problem.kind, problem.pseudo,
-                              problem.adjoint_mode, problem.normalization)
-        objective = windowed_average(traj.outputs, *window_args)
-        grad_obj = problem.relaxation * sweep.design_derivative
-
-        if problem.constraint_model is None:
-            grad_con = np.zeros_like(grad_obj)
-            return objective, math.inf, grad_obj, grad_con
-
-        con_outputs = np.array([
-            problem.constraint_model.output_value(traj.states[n], values)
-            for n in range(traj.n_steps + 1)])
-        con_sweep = adjoint_sweep(problem.constraint_model, values, traj,
-                                  problem.kind, problem.pseudo,
-                                  problem.adjoint_mode, problem.normalization)
-        constraint = windowed_average(con_outputs, *window_args)
-        grad_con = problem.relaxation * con_sweep.design_derivative
-        return objective, constraint, grad_obj, grad_con
+        yield
     except LcoError as exc:
         exc.design_iterate = values.copy()
         raise
 
 
-def _merit_and_gradient(problem, objective, constraint, grad_obj, grad_con,
-                        penalty):
+def _primal(problem, values):
+    """March the design and return (trajectory, J_w, C_w); C_w is +inf
+    with no constraint model."""
+    window_args = (problem.kind, problem.grid.n_transient, problem.grid.n_steps,
+                   problem.normalization)
+    with _tagged(values):
+        traj = simulate(problem.objective_model, values, problem.grid,
+                        problem.pseudo)
+        objective = windowed_average(traj.outputs, *window_args)
+        if problem.constraint_model is None:
+            return traj, objective, math.inf
+        con_outputs = np.array([
+            problem.constraint_model.output_value(traj.states[n], values)
+            for n in range(traj.n_steps + 1)])
+        return traj, objective, windowed_average(con_outputs, *window_args)
+
+
+def _gradients(problem, values, traj):
+    """Relaxed adjoint gradients (grad_J, grad_C) over traj, the march at
+    values; grad_C is zero with no constraint model."""
+    def relaxed_gradient(model):
+        return problem.relaxation * adjoint_sweep(
+            model, values, traj, problem.kind, problem.pseudo,
+            problem.adjoint_mode, problem.normalization).design_derivative
+
+    with _tagged(values):
+        grad_obj = relaxed_gradient(problem.objective_model)
+        if problem.constraint_model is None:
+            return grad_obj, np.zeros_like(grad_obj)
+        return grad_obj, relaxed_gradient(problem.constraint_model)
+
+
+def _merit(problem, objective, constraint, penalty):
     if problem.constraint_model is None:
-        return objective, grad_obj
+        return objective
+    return objective + penalty * max(0.0, problem.bound - constraint) ** 2
+
+
+def _merit_gradient(problem, constraint, grad_obj, grad_con, penalty):
+    if problem.constraint_model is None:
+        return grad_obj
     violation = max(0.0, problem.bound - constraint)
-    merit = objective + penalty * violation ** 2
-    grad = grad_obj - 2.0 * penalty * violation * grad_con
-    return merit, grad
+    return grad_obj - 2.0 * penalty * violation * grad_con
 
 
 def optimize(problem: DesignProblem, sigma0=None) -> DesignHistory:
@@ -140,7 +161,9 @@ def optimize(problem: DesignProblem, sigma0=None) -> DesignHistory:
     projected-gradient step drops below the tolerance, the iteration
     budget runs out, or the line search stalls (reported as a flag, not
     an exception).  The penalty doubles after three consecutive
-    infeasible iterates.
+    infeasible iterates.  Line-search candidates are only marched; the
+    adjoint gradients are computed once a candidate is accepted, on the
+    trajectory its march left.
     """
     design = problem.design
     sigma = design.project(np.asarray(
@@ -157,10 +180,14 @@ def optimize(problem: DesignProblem, sigma0=None) -> DesignHistory:
 
     objective, constraint, grad_obj, grad_con = evaluate_design(problem, sigma)
     evaluations += 1
+    traj = None  # march of an accepted candidate, owed its gradients
 
     for iteration in range(1, problem.max_iterations + 1):
-        merit, grad = _merit_and_gradient(problem, objective, constraint,
-                                          grad_obj, grad_con, penalty)
+        if traj is not None:
+            grad_obj, grad_con = _gradients(problem, sigma, traj)
+            traj = None
+        merit = _merit(problem, objective, constraint, penalty)
+        grad = _merit_gradient(problem, constraint, grad_obj, grad_con, penalty)
         projected_step = sigma - design.project(sigma - grad)
         grad_norm = float(np.linalg.norm(projected_step))
         feasible = problem.constraint_model is None or constraint >= problem.bound
@@ -189,11 +216,9 @@ def optimize(problem: DesignProblem, sigma0=None) -> DesignHistory:
         accepted = False
         for _ in range(problem.max_backtracks + 1):
             candidate = design.project(sigma - step * grad)
-            cand_eval = evaluate_design(problem, candidate)
+            cand_traj, cand_obj, cand_con = _primal(problem, candidate)
             evaluations += 1
-            cand_merit, _ = _merit_and_gradient(problem, cand_eval[0],
-                                                cand_eval[1], cand_eval[2],
-                                                cand_eval[3], penalty)
+            cand_merit = _merit(problem, cand_obj, cand_con, penalty)
             decrease = float(grad @ (sigma - candidate))
             if cand_merit <= merit - 1e-4 * decrease:
                 accepted = True
@@ -206,7 +231,7 @@ def optimize(problem: DesignProblem, sigma0=None) -> DesignHistory:
 
         record.step_size = step
         sigma = candidate
-        objective, constraint, grad_obj, grad_con = cand_eval
+        objective, constraint, traj = cand_obj, cand_con, cand_traj
 
     return DesignHistory(records=records, final_design=sigma.copy(),
                          converged=converged, line_search_failed=failed,

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpanError, PeriodUndetectableError, StepConvergenceError
+from .errors import (InvalidSpanError, PeriodUndetectableError, SingularStepError,
+                     StepConvergenceError)
 
 __all__ = [
     "TimeGrid",
@@ -22,6 +23,7 @@ __all__ = [
     "Trajectory",
     "step_coefficients",
     "extended_residual",
+    "solve_step",
     "advance_physical_step",
     "simulate",
     "estimate_period",
@@ -128,14 +130,22 @@ def extended_residual(model, u_n, u_nm1, u_nm2, sigma, dt, t=0.0,
         + beta * np.asarray(u_nm1, dtype=float) + delta * np.asarray(u_nm2, dtype=float)
 
 
+def solve_step(matrix, rhs, step=None):
+    """Solve a step's linear system, raising SingularStepError if it has none."""
+    try:
+        return np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularStepError(step) from None
+
+
 def advance_physical_step(model, u_nm1, u_nm2, sigma, dt, t, cfg: PseudoTimeConfig,
-                          coeffs) -> tuple[np.ndarray, int, float, bool]:
+                          coeffs, step=None) -> tuple[np.ndarray, int, float, bool]:
     """Drive the inner iteration at one physical step until R* is below tol.
 
     Each inner iteration is one linearized implicit-Euler pseudo-time update,
     u <- u - (alpha I + dR/du + I/dtau)^{-1} R*(u), which at dtau = inf is a
     Newton step.  Returns (state, inner iterations used, final residual norm,
-    converged).
+    converged).  step only labels a SingularStepError.
     """
     u_nm1 = np.asarray(u_nm1, dtype=float)
     u_nm2 = np.asarray(u_nm2, dtype=float)
@@ -147,7 +157,7 @@ def advance_physical_step(model, u_nm1, u_nm2, sigma, dt, t, cfg: PseudoTimeConf
         system = coeffs[0] * np.eye(model.d_u) + model.jacobian_state(u, sigma, t)
         if not math.isinf(cfg.dtau):
             system = system + (1.0 / cfg.dtau) * np.eye(model.d_u)
-        u = u - np.linalg.solve(system, residual)
+        u = u - solve_step(system, residual, step)
         residual = extended_residual(model, u, u_nm1, u_nm2, sigma, dt, t, coeffs)
         norm = float(np.linalg.norm(residual))
         iterations += 1
@@ -175,7 +185,7 @@ def simulate(model, sigma, grid: TimeGrid,
         u_nm2 = states[n - 2] if n >= 2 else states[0]
         t_n = n * grid.dt
         u, its, norm, ok = advance_physical_step(
-            model, u_nm1, u_nm2, sigma, grid.dt, t_n, cfg, coeffs)
+            model, u_nm1, u_nm2, sigma, grid.dt, t_n, cfg, coeffs, n)
         if not ok:
             if not cfg.allow_unconverged:
                 raise StepConvergenceError(n, its, norm)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primal import Trajectory, step_coefficients
+from .primal import Trajectory, solve_step, step_coefficients
 from .windows import NormalizationMode, Window, discrete_weights
 
 __all__ = ["TangentTrajectory", "tangent_step", "tangent_sweep",
@@ -26,16 +26,16 @@ class TangentTrajectory:
     solve_count: int                   # dense solves spent, one per design column per step
 
 
-def tangent_step(model, u_n, udot_nm1, udot_nm2, sigma, coeffs, t=0.0):
+def tangent_step(model, u_n, udot_nm1, udot_nm2, sigma, coeffs, t=0.0, step=None):
     """Advance the state sensitivity matrix by one physical step.
 
     Returns (udot_n, solves) where solves counts one dense solve per
-    design column.
+    design column.  step only labels a SingularStepError.
     """
     alpha, beta, delta = coeffs
     system = alpha * np.eye(model.d_u) + model.jacobian_state(u_n, sigma, t)
     rhs = -beta * udot_nm1 - delta * udot_nm2 - model.jacobian_design(u_n, sigma, t)
-    return np.linalg.solve(system, rhs), rhs.shape[1]
+    return solve_step(system, rhs, step), rhs.shape[1]
 
 
 def tangent_sweep(model, sigma, traj: Trajectory) -> TangentTrajectory:
@@ -55,7 +55,7 @@ def tangent_sweep(model, sigma, traj: Trajectory) -> TangentTrajectory:
         coeffs = step_coefficients(n, dt)
         udot_nm2 = udot[n - 2] if n >= 2 else udot[0]
         udot[n], used = tangent_step(model, traj.states[n], udot[n - 1], udot_nm2,
-                                     sigma, coeffs, t=n * dt)
+                                     sigma, coeffs, t=n * dt, step=n)
         solves += used
         gdot[n] = model.output_state_gradient(traj.states[n], sigma) @ udot[n] \
             + model.output_design_gradient(traj.states[n], sigma)

@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from lcowind.adjoint import AdjointMode, adjoint_sweep
+from lcowind.adjoint import AdjointMode, adjoint_step, adjoint_sweep
 from lcowind.analysis import windowed_average
-from lcowind.errors import AdjointDivergenceError
+from lcowind.errors import AdjointDivergenceError, SingularStepError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
                             OutputKind, VanDerPol)
 from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate
@@ -244,3 +244,31 @@ def test_mode_from_name():
     assert AdjointMode.from_name(" Fixed-Point ") is AdjointMode.FIXED_POINT
     with pytest.raises(ValueError, match="unknown adjoint mode"):
         AdjointMode.from_name("reverse")
+
+
+def test_singular_step_matrices_raise_with_step():
+    # k = -1, c = 0 and dt = 1 make A_1 = [[1, -1], [-1, 1]] singular; the
+    # BDF2 steps (alpha = 1.5) stay regular, so only step 1 fails
+    singular = ForcedOscillator(omega=1.0, stiffness0=-1.0, damping0=0.0)
+    sigma = np.array([0.0])
+    traj = simulate(ForcedOscillator(), sigma, TimeGrid(dt=1.0, n_steps=4,
+                                                        n_transient=1))
+    for sweep in (lambda: tangent_sweep(singular, sigma, traj),
+                  lambda: adjoint_sweep(singular, sigma, traj, Window.BUMP)):
+        with pytest.raises(SingularStepError) as excinfo:
+            sweep()
+        assert excinfo.value.step == 1
+        assert "step 1" in str(excinfo.value)
+
+    a_singular = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    rhs = np.ones(2)
+    # (a_mat, m_mat, inv_dtau, mode): the Newton-limit direct solve, the
+    # iteration matrix's M_n solve, and the finite-dtau direct solve
+    cases = [(a_singular, a_singular, 0.0, AdjointMode.DIRECT),
+             (-np.eye(2), np.zeros((2, 2)), 1.0, AdjointMode.FIXED_POINT),
+             (a_singular, a_singular + np.eye(2), 1.0, AdjointMode.DIRECT)]
+    for a_mat, m_mat, inv_dtau, mode in cases:
+        with pytest.raises(SingularStepError) as excinfo:
+            adjoint_step(7, a_mat, m_mat, rhs, np.zeros(2), inv_dtau, 1e-12, 50,
+                         mode)
+        assert excinfo.value.step == 7

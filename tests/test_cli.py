@@ -326,6 +326,47 @@ def test_solver_failure_exits_3_with_json(tmp_path, capsys):
     assert record["error"] == "StepConvergenceError"
     assert record["exit_code"] == 3
     assert "stalled" in record["message"]
+    assert record["step"] == 1
+    assert record["iterations"] == 1
+    assert record["residual_norm"] > 1e-14
+
+
+def test_singular_step_matrix_exits_3_with_step(tmp_path, capsys):
+    # k = -1, c = 0 and dt = 1 make A_1 = [[1, -1], [-1, 1]] singular
+    cfg = write_config(tmp_path, """\
+        [model]
+        name = forced-oscillator
+        omega = 1
+        stiffness0 = -1
+        damping0 = 0
+
+        [design]
+        values = 0
+
+        [grid]
+        dt = 1
+        n_steps = 10
+        n_transient = 2
+        """)
+    assert main(["simulate", cfg, "--output-dir", str(tmp_path / "o")]) == 3
+    record = last_stderr_json(capsys)
+    assert record["error"] == "SingularStepError"
+    assert record["exit_code"] == 3
+    assert record["step"] == 1
+    assert "singular" in record["message"]
+
+
+def test_optimizer_leaving_model_domain_exits_3_with_iterate(tmp_path, capsys):
+    # the first full step from 0 projects to -2, where the period is negative
+    text = ANALYTIC_CONFIG.replace("a1 = 0.7", "a1 = 5").replace(
+        "values = 0.3", "values = 0\nlower = -2\nupper = 1")
+    cfg = write_config(tmp_path, text + "\n[optimize]\nrelaxation = 1\n")
+    assert main(["optimize", cfg, "--output-dir", str(tmp_path / "o")]) == 3
+    record = last_stderr_json(capsys)
+    assert record["error"] == "DesignDomainError"
+    assert record["exit_code"] == 3
+    assert record["design_iterate"] == [-2.0]
+    assert "period non-positive" in record["message"]
 
 
 def test_version_flag_reports_and_exits(capsys):

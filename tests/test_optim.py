@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lcowind import optim
 from lcowind.errors import StepConvergenceError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, DesignVector,
                             OutputKind, VanDerPol)
@@ -163,3 +164,47 @@ def test_solver_failure_attaches_design_iterate():
     with pytest.raises(StepConvergenceError) as excinfo:
         evaluate_design(sick, sigma)
     assert np.array_equal(excinfo.value.design_iterate, sigma)
+
+
+def constrained_vdp_problem():
+    # x^2 averages about 2.8 here, so the bound 3 keeps the penalty active
+    # and the line search backtracks many times per iteration
+    design = DesignVector(values=np.array([1.0]), lower=np.array([0.5]),
+                          upper=np.array([2.0]))
+    return DesignProblem(objective_model=VanDerPol(output=OutputKind.FIRST_STATE),
+                         design=design,
+                         grid=TimeGrid(dt=0.05, n_steps=120, n_transient=20),
+                         kind=Window.BUMP,
+                         constraint_model=VanDerPol(
+                             output=OutputKind.FIRST_STATE_SQUARED),
+                         bound=3.0, max_iterations=4)
+
+
+@pytest.mark.parametrize("make_problem, sweeps_per_iterate", [
+    (lambda: quadratic_problem(relaxation=1.0, max_iterations=6), 1),
+    (constrained_vdp_problem, 2),
+], ids=["unconstrained", "constrained"])
+def test_adjoint_runs_only_at_accepted_iterates(monkeypatch, make_problem,
+                                                sweeps_per_iterate):
+    calls = {"simulate": 0, "adjoint_sweep": 0}
+
+    def counting(name):
+        original = getattr(optim, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(optim, name, counting(name))
+    problem = make_problem()
+    history = optimize(problem)
+    monkeypatch.undo()
+
+    # rejected line-search candidates are marched but never differentiated
+    assert history.evaluations > history.iterations
+    assert calls["simulate"] == history.evaluations
+    assert calls["adjoint_sweep"] == sweeps_per_iterate * history.iterations
+    for record in history.records:
+        assert record.objective == evaluate_design(problem, record.sigma)[0]
