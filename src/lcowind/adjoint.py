@@ -14,16 +14,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdjointDivergenceError
-from .primal import PseudoTimeConfig, Trajectory, solve_step, step_coefficients
+from .errors import AdjointDivergenceError, SingularStepError
+from .primal import (PseudoTimeConfig, Trajectory, solve_step, step_coefficients,
+                     step_matrices)
 from .windows import NamedEnum, NormalizationMode, Window, discrete_weights
 
-__all__ = ["AdjointMode", "AdjointSweep", "adjoint_step", "adjoint_sweep"]
+__all__ = ["AdjointMode", "AdjointSweep", "ReverseSteps", "adjoint_step",
+           "adjoint_sweep", "iteration_matrices"]
 
 
 class AdjointMode(NamedEnum, label="adjoint mode"):
     FIXED_POINT = "fixed-point"
     DIRECT = "direct"
+
+
+@dataclass(frozen=True)
+class ReverseSteps:
+    """Every step's matrices of one trajectory, built before a reverse sweep.
+
+    Entry n - 1 belongs to physical step n: the step matrix A_n = alpha_n I
+    + dR/du, the pseudo-time matrix M_n = A_n + inv_dtau I and, at finite
+    dtau, the fixed-point iteration matrix (I - M_n^{-1} A_n)^T with its
+    2-norm, the step's contraction estimate.  In the Newton limit the
+    iteration matrix vanishes at the converged state: its entries are None
+    and the contractions zero.
+
+    singular is the SingularStepError of the latest step whose M_n is
+    singular, if any; a sweep raises it on reaching that step, so a failure
+    at a later step, which the sweep meets first, still wins.
+    """
+
+    a_mats: np.ndarray
+    m_mats: np.ndarray
+    iteration: np.ndarray | list
+    contractions: np.ndarray
+    singular: SingularStepError | None = None
 
 
 @dataclass
@@ -37,28 +62,63 @@ class AdjointSweep:
     inner_iterations: np.ndarray      # (n_steps + 1,) int
     residual_norms: np.ndarray        # (n_steps + 1,)
     contraction_estimates: np.ndarray  # (n_steps + 1,)
+    steps: ReverseSteps               # reusable by another sweep over the trajectory
 
 
-def adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, inv_dtau, tol, max_inner,
-                 mode: AdjointMode = AdjointMode.FIXED_POINT):
+def iteration_matrices(a_mats, m_mats):
+    """Fixed-point iteration matrices (I - M_n^{-1} A_n)^T of the stacked
+    steps n = 1..N and their 2-norms, the steps' contraction estimates.
+
+    A singular M_n raises SingularStepError naming the latest such step,
+    the first one a reverse sweep meets.
+    """
+    try:
+        solved = np.linalg.solve(m_mats, a_mats)
+    except np.linalg.LinAlgError:
+        for n in range(len(m_mats), 0, -1):
+            solve_step(m_mats[n - 1], a_mats[n - 1], n)
+        raise
+    iteration = np.swapaxes(np.eye(a_mats.shape[-1]) - solved, 1, 2)
+    return iteration, np.linalg.norm(iteration, 2, axis=(1, 2))
+
+
+def _reverse_steps(model, sigma, traj: Trajectory,
+                   cfg: PseudoTimeConfig) -> ReverseSteps:
+    """Build the matrices of every step of traj for a reverse sweep."""
+    a_mats = step_matrices(model, sigma, traj)
+    identity = np.eye(model.d_u)
+    m_mats = a_mats + cfg.inv_dtau * identity
+    if cfg.inv_dtau == 0.0:
+        return ReverseSteps(a_mats, m_mats, [None] * len(a_mats), np.zeros(len(a_mats)))
+    try:
+        return ReverseSteps(a_mats, m_mats, *iteration_matrices(a_mats, m_mats))
+    except SingularStepError as exc:
+        # the sweep stops at exc.step; a regular M_n below it changes nothing
+        regular = m_mats.copy()
+        regular[:exc.step] = identity
+        return ReverseSteps(a_mats, m_mats, *iteration_matrices(a_mats, regular),
+                            singular=exc)
+
+
+def adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, tol,
+                 max_inner, mode: AdjointMode = AdjointMode.FIXED_POINT):
     """Solve the adjoint equation of physical step n.
 
     a_mat is the step matrix A_n = alpha_n I + dR/du, m_mat the pseudo-time
     matrix M_n = A_n + inv_dtau I, and rhs the step's seed less its
-    downstream coupling.  The fixed-point route iterates
-    ubar <- (I - M_n^{-1} A_n)^T ubar + rhs from ubar_guess; the direct
-    route solves for its limit M_n^T A_n^{-T} rhs.
+    downstream coupling.  iter_matrix is (I - M_n^{-1} A_n)^T and
+    contraction its 2-norm, from iteration_matrices; iter_matrix is None in
+    the Newton limit.  The fixed-point route iterates
+    ubar <- iter_matrix ubar + rhs from ubar_guess; the direct route solves
+    for its limit M_n^T A_n^{-T} rhs.
 
     Returns (ubar_n, iterations, residual norm, contraction estimate).
     """
-    if inv_dtau == 0.0:
+    if iter_matrix is None:
         # Newton limit: the iteration matrix vanishes at the converged state
         ubar = rhs if mode is AdjointMode.FIXED_POINT \
             else m_mat.T @ solve_step(a_mat.T, rhs, n)
         return ubar, 1, 0.0, 0.0
-
-    iter_matrix = (np.eye(len(rhs)) - solve_step(m_mat, a_mat, n)).T
-    contraction = float(np.linalg.norm(iter_matrix, 2))
 
     if mode is AdjointMode.DIRECT:
         ubar = m_mat.T @ solve_step(a_mat.T, rhs, n)
@@ -83,16 +143,18 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
                   cfg: PseudoTimeConfig | None = None,
                   mode: AdjointMode = AdjointMode.FIXED_POINT,
                   normalization: NormalizationMode = NormalizationMode.PAPER_FAITHFUL,
-                  tol: float | None = None) -> AdjointSweep:
+                  tol: float | None = None,
+                  steps: ReverseSteps | None = None) -> AdjointSweep:
     """March the adjoint from the final step to the first and accumulate
     the design derivative of the windowed objective.
 
     Step n's objective seed is omega_n dg/du, omega_n being the window
-    weight over the span, nonzero only from the transient cutoff on.  Each
-    step builds its matrices once and keeps lambda_n = M_n^{-T} ubar_n, which
-    couples it to steps n - 1 and n - 2 and carries its design derivative
-    term.  All primal states are held in memory, so no recomputation is
-    needed.
+    weight over the span, nonzero only from the transient cutoff on.  The
+    matrices of all steps are built at once, or taken from steps, the
+    `steps` of an earlier sweep with the same dynamics, trajectory and cfg.
+    Each step keeps lambda_n = M_n^{-T} ubar_n, which couples it to steps
+    n - 1 and n - 2 and carries its design derivative term.  All primal
+    states are held in memory, so no recomputation is needed.
     """
     cfg = cfg or PseudoTimeConfig()
     tol = cfg.tol if tol is None else tol
@@ -102,6 +164,9 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     dt = grid.dt
     d_u = model.d_u
     states = traj.states
+    if steps is None:
+        steps = _reverse_steps(model, sigma, traj, cfg)
+    last = 0 if steps.singular is None else steps.singular.step
 
     weights = discrete_weights(kind, n_tr, n_total, normalization)
     omega = weights.values / weights.span
@@ -118,11 +183,8 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
         seeds[n] = omega[n - n_tr] * model.output_state_gradient(states[n], sigma)
 
     total = np.zeros(model.n_design)
-    for n in range(n_total, 0, -1):
-        t_n = n * dt
-        a_mat = step_coefficients(n, dt)[0] * np.eye(d_u) \
-            + model.jacobian_state(states[n], sigma, t_n)
-        m_mat = a_mat + cfg.inv_dtau * np.eye(d_u)
+    for n in range(n_total, last, -1):
+        m_mat = steps.m_mats[n - 1]
         rhs = seeds[n].copy()
         if n + 1 <= n_total:
             rhs -= step_coefficients(n + 1, dt)[1] * lam[n + 1]
@@ -131,16 +193,19 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
         # warm start from the downstream adjoint state
         ubar_guess = ubar[n + 1] if n + 1 <= n_total else np.zeros(d_u)
         ubar[n], inner[n], norms[n], contractions[n] = adjoint_step(
-            n, a_mat, m_mat, rhs, ubar_guess, cfg.inv_dtau, tol, cfg.max_inner,
-            mode)
+            n, steps.a_mats[n - 1], m_mat, rhs, ubar_guess, steps.iteration[n - 1],
+            float(steps.contractions[n - 1]), tol, cfg.max_inner, mode)
 
         lam[n] = solve_step(m_mat.T, ubar[n], n)
-        total = total - lam[n] @ model.jacobian_design(states[n], sigma, t_n)
+        total = total - lam[n] @ model.jacobian_design(states[n], sigma, n * dt)
         if n >= n_tr:
             total = total + omega[n - n_tr] * model.output_design_gradient(states[n], sigma)
         running[n] = total
+    if steps.singular is not None:
+        raise steps.singular
 
     running[0] = total  # step 0 carries no constraint and zero weight
     return AdjointSweep(adjoint_states=ubar, seeds=seeds, design_derivative=total,
                         running_design_derivative=running, inner_iterations=inner,
-                        residual_norms=norms, contraction_estimates=contractions)
+                        residual_norms=norms, contraction_estimates=contractions,
+                        steps=steps)

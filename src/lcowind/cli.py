@@ -17,7 +17,9 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -600,6 +602,24 @@ def _resolve_output_dir(cfg: RunConfig, args) -> Path:
     return Path("lcowind-out")
 
 
+@contextmanager
+def _output_directory(outdir: Path):
+    """Create outdir and its missing parents for the block; if the block
+    fails, remove the ones created here that are still empty."""
+    created = list(takewhile(lambda path: not path.exists(),
+                             (outdir, *outdir.parents)))
+    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for path in created:
+            try:
+                path.rmdir()
+            except OSError:
+                break
+        raise
+
+
 def main(argv=None) -> int:
     args = _build_arg_parser().parse_args(argv)
     started = time.perf_counter()
@@ -607,27 +627,27 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         _apply_overrides(cfg, args)
         outdir = _resolve_output_dir(cfg, args)
-        outdir.mkdir(parents=True, exist_ok=True)
-        files, results, diagnostics = _RUNNERS[args.subcommand](cfg, outdir)
-        manifest = {
-            "subcommand": args.subcommand,
-            "config_path": cfg.path,
-            "config": cfg.echo,
-            "versions": {
-                "lcowind": __version__,
-                "python": sys.version.split()[0],
-                "numpy": np.__version__,
-                "scipy": _scipy_version(),
-            },
-            "wall_time_s": time.perf_counter() - started,
-            "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-            "outputs": files,
-            "diagnostics": _json_ready(diagnostics),
-            "results": _json_ready(results),
-        }
-        with open(outdir / "manifest.json", "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        with _output_directory(outdir):
+            files, results, diagnostics = _RUNNERS[args.subcommand](cfg, outdir)
+            manifest = {
+                "subcommand": args.subcommand,
+                "config_path": cfg.path,
+                "config": cfg.echo,
+                "versions": {
+                    "lcowind": __version__,
+                    "python": sys.version.split()[0],
+                    "numpy": np.__version__,
+                    "scipy": _scipy_version(),
+                },
+                "wall_time_s": time.perf_counter() - started,
+                "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+                "outputs": files,
+                "diagnostics": _json_ready(diagnostics),
+                "results": _json_ready(results),
+            }
+            with open(outdir / "manifest.json", "w", encoding="utf-8") as handle:
+                json.dump(manifest, handle, indent=2, sort_keys=True)
+                handle.write("\n")
         return 0
     except ConfigError as exc:
         _report_error(exc, 2)

@@ -127,17 +127,21 @@ def _primal(problem, values):
 
 def _gradients(problem, values, traj):
     """Relaxed adjoint gradients (grad_J, grad_C) over traj, the march at
-    values; grad_C is zero with no constraint model."""
-    def relaxed_gradient(model):
-        return problem.relaxation * adjoint_sweep(
-            model, values, traj, problem.kind, problem.pseudo,
-            problem.adjoint_mode, problem.normalization).design_derivative
+    values; grad_C is zero with no constraint model.  The constraint model
+    shares the objective's dynamics, so its sweep reuses the objective
+    sweep's step matrices."""
+    def sweep(model, steps=None):
+        return adjoint_sweep(model, values, traj, problem.kind, problem.pseudo,
+                             problem.adjoint_mode, problem.normalization,
+                             steps=steps)
 
     with _tagged(values):
-        grad_obj = relaxed_gradient(problem.objective_model)
+        objective = sweep(problem.objective_model)
+        grad_obj = problem.relaxation * objective.design_derivative
         if problem.constraint_model is None:
             return grad_obj, np.zeros_like(grad_obj)
-        return grad_obj, relaxed_gradient(problem.constraint_model)
+        constraint = sweep(problem.constraint_model, objective.steps)
+        return grad_obj, problem.relaxation * constraint.design_derivative
 
 
 def _merit(problem, objective, constraint, penalty):

@@ -23,6 +23,7 @@ __all__ = [
     "Trajectory",
     "step_coefficients",
     "extended_residual",
+    "step_matrices",
     "solve_step",
     "advance_physical_step",
     "simulate",
@@ -125,9 +126,26 @@ def extended_residual(model, u_n, u_nm1, u_nm2, sigma, dt, t=0.0,
     default is BDF2.
     """
     alpha, beta, delta = step_coefficients(2, dt) if coeffs is None else coeffs
-    u_n = np.asarray(u_n, dtype=float)
-    return alpha * u_n + model.residual(u_n, sigma, t) \
-        + beta * np.asarray(u_nm1, dtype=float) + delta * np.asarray(u_nm2, dtype=float)
+    return _extended_residual(model, np.asarray(u_n, dtype=float), sigma, t, alpha,
+                              beta * np.asarray(u_nm1, dtype=float),
+                              delta * np.asarray(u_nm2, dtype=float))
+
+
+def _extended_residual(model, u_n, sigma, t, alpha, beta_u_nm1, delta_u_nm2):
+    """extended_residual with its history terms beta u_{n-1} and delta u_{n-2}
+    already formed, as they stay fixed over a physical step."""
+    return alpha * u_n + model.residual(u_n, sigma, t) + beta_u_nm1 + delta_u_nm2
+
+
+def step_matrices(model, sigma, traj: Trajectory) -> np.ndarray:
+    """Step matrices A_n = alpha_n I + dR/du(u^n) of the trajectory's steps
+    n = 1..N, stacked with shape (N, d_u, d_u); entry n - 1 is step n."""
+    dt = traj.grid.dt
+    steps = range(1, traj.n_steps + 1)
+    alphas = np.array([step_coefficients(n, dt)[0] for n in steps])
+    jacobians = np.array([model.jacobian_state(traj.states[n], sigma, n * dt)
+                          for n in steps])
+    return alphas[:, None, None] * np.eye(model.d_u) + jacobians
 
 
 def solve_step(matrix, rhs, step=None):
@@ -147,19 +165,24 @@ def advance_physical_step(model, u_nm1, u_nm2, sigma, dt, t, cfg: PseudoTimeConf
     Newton step.  Returns (state, inner iterations used, final residual norm,
     converged).  step only labels a SingularStepError.
     """
+    alpha, beta, delta = coeffs
     u_nm1 = np.asarray(u_nm1, dtype=float)
-    u_nm2 = np.asarray(u_nm2, dtype=float)
+    # fixed over the step: the history terms and the diagonal shifts
+    history = (beta * u_nm1, delta * np.asarray(u_nm2, dtype=float))
+    shift = alpha * np.eye(model.d_u)
+    pseudo_shift = (None if math.isinf(cfg.dtau)
+                    else (1.0 / cfg.dtau) * np.eye(model.d_u))
     u = u_nm1.copy()  # warm start from the previous physical state
-    residual = extended_residual(model, u, u_nm1, u_nm2, sigma, dt, t, coeffs)
-    norm = float(np.linalg.norm(residual))
+    residual = _extended_residual(model, u, sigma, t, alpha, *history)
+    norm = math.sqrt(residual.dot(residual))  # what np.linalg.norm computes
     iterations = 0
     while norm > cfg.tol and iterations < cfg.max_inner:
-        system = coeffs[0] * np.eye(model.d_u) + model.jacobian_state(u, sigma, t)
-        if not math.isinf(cfg.dtau):
-            system = system + (1.0 / cfg.dtau) * np.eye(model.d_u)
+        system = shift + model.jacobian_state(u, sigma, t)
+        if pseudo_shift is not None:
+            system = system + pseudo_shift
         u = u - solve_step(system, residual, step)
-        residual = extended_residual(model, u, u_nm1, u_nm2, sigma, dt, t, coeffs)
-        norm = float(np.linalg.norm(residual))
+        residual = _extended_residual(model, u, sigma, t, alpha, *history)
+        norm = math.sqrt(residual.dot(residual))
         iterations += 1
     return u, iterations, norm, norm <= cfg.tol
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primal import Trajectory, solve_step, step_coefficients
+from .primal import Trajectory, solve_step, step_coefficients, step_matrices
 from .windows import NormalizationMode, Window, discrete_weights
 
 __all__ = ["TangentTrajectory", "tangent_step", "tangent_sweep",
@@ -26,16 +26,16 @@ class TangentTrajectory:
     solve_count: int                   # dense solves spent, one per design column per step
 
 
-def tangent_step(model, u_n, udot_nm1, udot_nm2, sigma, coeffs, t=0.0, step=None):
+def tangent_step(a_mat, b_mat, udot_nm1, udot_nm2, coeffs, step=None):
     """Advance the state sensitivity matrix by one physical step.
 
-    Returns (udot_n, solves) where solves counts one dense solve per
+    a_mat is the step matrix A_n and b_mat the design Jacobian dR/dsigma at
+    u^n.  Returns (udot_n, solves) where solves counts one dense solve per
     design column.  step only labels a SingularStepError.
     """
-    alpha, beta, delta = coeffs
-    system = alpha * np.eye(model.d_u) + model.jacobian_state(u_n, sigma, t)
-    rhs = -beta * udot_nm1 - delta * udot_nm2 - model.jacobian_design(u_n, sigma, t)
-    return solve_step(system, rhs, step), rhs.shape[1]
+    _, beta, delta = coeffs
+    rhs = -beta * udot_nm1 - delta * udot_nm2 - b_mat
+    return solve_step(a_mat, rhs, step), rhs.shape[1]
 
 
 def tangent_sweep(model, sigma, traj: Trajectory) -> TangentTrajectory:
@@ -47,18 +47,21 @@ def tangent_sweep(model, sigma, traj: Trajectory) -> TangentTrajectory:
     n_total = traj.n_steps
     n_design = model.n_design
     dt = traj.grid.dt
+    a_mats = step_matrices(model, sigma, traj)
     udot = np.zeros((n_total + 1, model.d_u, n_design))
     gdot = np.zeros((n_total + 1, n_design))
     gdot[0] = model.output_design_gradient(traj.states[0], sigma)
     solves = 0
     for n in range(1, n_total + 1):
-        coeffs = step_coefficients(n, dt)
+        u_n = traj.states[n]
         udot_nm2 = udot[n - 2] if n >= 2 else udot[0]
-        udot[n], used = tangent_step(model, traj.states[n], udot[n - 1], udot_nm2,
-                                     sigma, coeffs, t=n * dt, step=n)
+        udot[n], used = tangent_step(a_mats[n - 1],
+                                     model.jacobian_design(u_n, sigma, n * dt),
+                                     udot[n - 1], udot_nm2,
+                                     step_coefficients(n, dt), step=n)
         solves += used
-        gdot[n] = model.output_state_gradient(traj.states[n], sigma) @ udot[n] \
-            + model.output_design_gradient(traj.states[n], sigma)
+        gdot[n] = model.output_state_gradient(u_n, sigma) @ udot[n] \
+            + model.output_design_gradient(u_n, sigma)
     return TangentTrajectory(state_sensitivities=udot, output_sensitivities=gdot,
                              solve_count=solves)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from lcowind.adjoint import AdjointMode, adjoint_step, adjoint_sweep
+from lcowind.adjoint import AdjointMode, adjoint_step, adjoint_sweep, iteration_matrices
 from lcowind.analysis import windowed_average
 from lcowind.errors import AdjointDivergenceError, SingularStepError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
@@ -262,13 +262,49 @@ def test_singular_step_matrices_raise_with_step():
 
     a_singular = np.array([[1.0, -1.0], [-1.0, 1.0]])
     rhs = np.ones(2)
-    # (a_mat, m_mat, inv_dtau, mode): the Newton-limit direct solve, the
-    # iteration matrix's M_n solve, and the finite-dtau direct solve
-    cases = [(a_singular, a_singular, 0.0, AdjointMode.DIRECT),
-             (-np.eye(2), np.zeros((2, 2)), 1.0, AdjointMode.FIXED_POINT),
-             (a_singular, a_singular + np.eye(2), 1.0, AdjointMode.DIRECT)]
-    for a_mat, m_mat, inv_dtau, mode in cases:
+    # (a_mat, m_mat, iter_matrix, mode): the Newton-limit direct solve and
+    # the finite-dtau direct solve
+    cases = [(a_singular, a_singular, None, AdjointMode.DIRECT),
+             (a_singular, a_singular + np.eye(2), np.eye(2), AdjointMode.DIRECT)]
+    for a_mat, m_mat, iter_matrix, mode in cases:
         with pytest.raises(SingularStepError) as excinfo:
-            adjoint_step(7, a_mat, m_mat, rhs, np.zeros(2), inv_dtau, 1e-12, 50,
-                         mode)
+            adjoint_step(7, a_mat, m_mat, rhs, np.zeros(2), iter_matrix, 0.5, 1e-12,
+                         50, mode)
         assert excinfo.value.step == 7
+
+    # the iteration matrix's M_n solve, batched over steps 1..8 with M_3 and
+    # M_7 singular: the error names step 7, the first the reverse sweep meets
+    a_mats = np.tile(-np.eye(2), (8, 1, 1))
+    m_mats = np.tile(np.eye(2), (8, 1, 1))
+    m_mats[[2, 6]] = 0.0
+    with pytest.raises(SingularStepError) as excinfo:
+        iteration_matrices(a_mats, m_mats)
+    assert excinfo.value.step == 7
+
+
+@dataclass(frozen=True)
+class SingularFirstStepModel(StiffDecayModel):
+    """StiffDecayModel with Jacobian `first` at t = 1; for dt = 1 and
+    M_1 = 1 + first + 1/dtau, first = -1 - 1/dtau makes M_1 singular."""
+
+    first: float = -6.0
+
+    def jacobian_state(self, u, sigma, t=0.0):
+        return np.array([[self.first if t == 1.0 else -10.0]])
+
+
+@pytest.mark.parametrize("dtau, error, step", [(0.2, AdjointDivergenceError, 3),
+                                               (1.0, SingularStepError, 1)])
+def test_singular_step_surfaces_in_reverse_order(dtau, error, step):
+    # the batched build finds M_1 singular before the sweep starts.  At
+    # dtau = 0.2 the later steps diverge (factor 5 / -3.5) and, being met
+    # first, must win (step 4 has a zero seed, so step 3 fails); at dtau = 1
+    # they converge (factor 1 / -7.5) and the sweep stops at step 1
+    sigma = np.array([0.0])
+    traj = simulate(StiffDecayModel(), sigma, TimeGrid(dt=1.0, n_steps=4,
+                                                       n_transient=1))
+    model = SingularFirstStepModel(first=-1.0 - 1.0 / dtau)
+    cfg = PseudoTimeConfig(dtau=dtau, tol=1e-12, max_inner=40)
+    with pytest.raises(error) as excinfo:
+        adjoint_sweep(model, sigma, traj, Window.HANN, cfg=cfg)
+    assert excinfo.value.step == step

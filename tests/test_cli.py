@@ -65,6 +65,23 @@ n_transient = 80
 max_iterations = 8
 """
 
+# k = -1, c = 0 and dt = 1 make A_1 = [[1, -1], [-1, 1]] singular
+SINGULAR_CONFIG = """\
+[model]
+name = forced-oscillator
+omega = 1
+stiffness0 = -1
+damping0 = 0
+
+[design]
+values = 0
+
+[grid]
+dt = 1
+n_steps = 10
+n_transient = 2
+"""
+
 
 def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
@@ -332,28 +349,29 @@ def test_solver_failure_exits_3_with_json(tmp_path, capsys):
 
 
 def test_singular_step_matrix_exits_3_with_step(tmp_path, capsys):
-    # k = -1, c = 0 and dt = 1 make A_1 = [[1, -1], [-1, 1]] singular
-    cfg = write_config(tmp_path, """\
-        [model]
-        name = forced-oscillator
-        omega = 1
-        stiffness0 = -1
-        damping0 = 0
-
-        [design]
-        values = 0
-
-        [grid]
-        dt = 1
-        n_steps = 10
-        n_transient = 2
-        """)
-    assert main(["simulate", cfg, "--output-dir", str(tmp_path / "o")]) == 3
+    cfg = write_config(tmp_path, SINGULAR_CONFIG)
+    outdir = tmp_path / "o"
+    assert main(["simulate", cfg, "--output-dir", str(outdir)]) == 3
     record = last_stderr_json(capsys)
     assert record["error"] == "SingularStepError"
     assert record["exit_code"] == 3
     assert record["step"] == 1
     assert "singular" in record["message"]
+    # the run created the directory and wrote nothing to it, so it is gone
+    assert not outdir.exists()
+
+
+def test_failed_run_keeps_existing_output_dir(tmp_path, capsys):
+    cfg = write_config(tmp_path, SINGULAR_CONFIG)
+    outdir = tmp_path / "o"
+    outdir.mkdir()
+    assert main(["simulate", cfg, "--output-dir", str(outdir)]) == 3
+    assert last_stderr_json(capsys)["error"] == "SingularStepError"
+    assert outdir.is_dir()
+    # a directory the run created, parents included, is removed
+    nested = tmp_path / "new" / "deeper"
+    assert main(["simulate", cfg, "--output-dir", str(nested)]) == 3
+    assert not (tmp_path / "new").exists()
 
 
 def test_optimizer_leaving_model_domain_exits_3_with_iterate(tmp_path, capsys):
@@ -361,12 +379,14 @@ def test_optimizer_leaving_model_domain_exits_3_with_iterate(tmp_path, capsys):
     text = ANALYTIC_CONFIG.replace("a1 = 0.7", "a1 = 5").replace(
         "values = 0.3", "values = 0\nlower = -2\nupper = 1")
     cfg = write_config(tmp_path, text + "\n[optimize]\nrelaxation = 1\n")
-    assert main(["optimize", cfg, "--output-dir", str(tmp_path / "o")]) == 3
+    outdir = tmp_path / "o"
+    assert main(["optimize", cfg, "--output-dir", str(outdir)]) == 3
     record = last_stderr_json(capsys)
     assert record["error"] == "DesignDomainError"
     assert record["exit_code"] == 3
     assert record["design_iterate"] == [-2.0]
     assert "period non-positive" in record["message"]
+    assert not outdir.exists()
 
 
 def test_version_flag_reports_and_exits(capsys):

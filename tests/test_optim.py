@@ -1,11 +1,14 @@
 """Tests for the projected-gradient design loop."""
 
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from lcowind import optim
+from lcowind.adjoint import adjoint_sweep
 from lcowind.errors import StepConvergenceError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, DesignVector,
                             OutputKind, VanDerPol)
@@ -208,3 +211,36 @@ def test_adjoint_runs_only_at_accepted_iterates(monkeypatch, make_problem,
     assert calls["adjoint_sweep"] == sweeps_per_iterate * history.iterations
     for record in history.records:
         assert record.objective == evaluate_design(problem, record.sigma)[0]
+
+
+@dataclasses.dataclass(frozen=True)
+class JacobianCountingVanDerPol(VanDerPol):
+    """Van der Pol that counts its state-Jacobian evaluations."""
+
+    calls: Counter = dataclasses.field(default_factory=Counter, compare=False)
+
+    def jacobian_state(self, u, sigma, t=0.0):
+        self.calls["jacobian_state"] += 1
+        return super().jacobian_state(u, sigma, t)
+
+
+def test_constrained_gradient_builds_step_matrices_once():
+    # both models share their dynamics, so the constraint sweep reuses the
+    # objective sweep's step matrices: one state Jacobian per step in all
+    calls = Counter()
+    problem = dataclasses.replace(
+        constrained_vdp_problem(),
+        objective_model=JacobianCountingVanDerPol(output=OutputKind.FIRST_STATE,
+                                                  calls=calls),
+        constraint_model=JacobianCountingVanDerPol(
+            output=OutputKind.FIRST_STATE_SQUARED, calls=calls),
+        pseudo=PseudoTimeConfig(dtau=1.0, tol=1e-12, max_inner=200))
+    sigma = problem.design.values
+    traj = optim._primal(problem, sigma)[0]
+    calls.clear()
+    grad_obj, grad_con = optim._gradients(problem, sigma, traj)
+    assert calls["jacobian_state"] == problem.grid.n_steps
+    # and gives the bits of a sweep that builds its own
+    alone = adjoint_sweep(problem.constraint_model, sigma, traj, problem.kind,
+                          problem.pseudo)
+    assert np.array_equal(grad_con, problem.relaxation * alone.design_derivative)

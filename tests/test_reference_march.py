@@ -1,0 +1,154 @@
+"""The sweeps against a plain reference march, compared bit for bit.
+
+The reference builds every matrix where it is used: per inner iterate the
+extended residual, np.eye shifts and np.linalg.norm; per adjoint step one
+np.linalg.solve for the iteration matrix and np.linalg.norm(., 2) for its
+contraction.  The library hoists and batches the same operations, so the
+two must agree exactly, not to a tolerance.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from lcowind.adjoint import AdjointMode, adjoint_sweep
+from lcowind.models import ForcedOscillator, OutputKind, VanDerPol
+from lcowind.primal import (PseudoTimeConfig, TimeGrid, extended_residual, simulate,
+                            step_coefficients)
+from lcowind.tangent import tangent_sweep
+from lcowind.windows import Window, discrete_weights
+
+GRID = TimeGrid(dt=0.05, n_steps=120, n_transient=20)
+MODELS = {
+    "van-der-pol-x2": (VanDerPol(output=OutputKind.FIRST_STATE_SQUARED),
+                       np.array([1.0])),
+    "forced-oscillator-x2": (ForcedOscillator(output=OutputKind.FIRST_STATE_SQUARED),
+                             np.array([0.1])),
+}
+
+
+def reference_simulate(model, sigma, grid, cfg):
+    d_u, dt = model.d_u, grid.dt
+    states = np.empty((grid.n_steps + 1, d_u))
+    outputs = np.empty(grid.n_steps + 1)
+    inner = np.zeros(grid.n_steps + 1, dtype=int)
+    norms = np.zeros(grid.n_steps + 1)
+    states[0] = model.initial_state(sigma)
+    outputs[0] = model.output_value(states[0], sigma)
+    for n in range(1, grid.n_steps + 1):
+        coeffs = step_coefficients(n, dt)
+        u_nm1 = states[n - 1]
+        u_nm2 = states[n - 2] if n >= 2 else states[0]
+        t = n * dt
+        u = u_nm1.copy()
+        residual = extended_residual(model, u, u_nm1, u_nm2, sigma, dt, t, coeffs)
+        norm = float(np.linalg.norm(residual))
+        while norm > cfg.tol and inner[n] < cfg.max_inner:
+            system = coeffs[0] * np.eye(d_u) + model.jacobian_state(u, sigma, t)
+            if not math.isinf(cfg.dtau):
+                system = system + (1.0 / cfg.dtau) * np.eye(d_u)
+            u = u - np.linalg.solve(system, residual)
+            residual = extended_residual(model, u, u_nm1, u_nm2, sigma, dt, t, coeffs)
+            norm = float(np.linalg.norm(residual))
+            inner[n] += 1
+        states[n], outputs[n], norms[n] = u, model.output_value(u, sigma), norm
+    return states, outputs, inner, norms
+
+
+def reference_tangent(model, sigma, states, dt):
+    n_total = len(states) - 1
+    udot = np.zeros((n_total + 1, model.d_u, model.n_design))
+    gdot = np.zeros((n_total + 1, model.n_design))
+    gdot[0] = model.output_design_gradient(states[0], sigma)
+    for n in range(1, n_total + 1):
+        alpha, beta, delta = step_coefficients(n, dt)
+        t = n * dt
+        system = alpha * np.eye(model.d_u) + model.jacobian_state(states[n], sigma, t)
+        udot_nm2 = udot[n - 2] if n >= 2 else udot[0]
+        rhs = -beta * udot[n - 1] - delta * udot_nm2 \
+            - model.jacobian_design(states[n], sigma, t)
+        udot[n] = np.linalg.solve(system, rhs)
+        gdot[n] = model.output_state_gradient(states[n], sigma) @ udot[n] \
+            + model.output_design_gradient(states[n], sigma)
+    return udot, gdot
+
+
+def reference_adjoint(model, sigma, states, grid, kind, cfg, mode):
+    d_u, dt, n_total, n_tr = model.d_u, grid.dt, grid.n_steps, grid.n_transient
+    weights = discrete_weights(kind, n_tr, n_total)
+    omega = weights.values / weights.span
+    ubar = np.zeros((n_total + 1, d_u))
+    lam = np.zeros((n_total + 1, d_u))
+    running = np.zeros((n_total + 1, model.n_design))
+    inner = np.zeros(n_total + 1, dtype=int)
+    norms = np.zeros(n_total + 1)
+    contractions = np.zeros(n_total + 1)
+    seeds = np.zeros((n_total + 1, d_u))
+    for n in range(n_tr, n_total + 1):
+        seeds[n] = omega[n - n_tr] * model.output_state_gradient(states[n], sigma)
+    total = np.zeros(model.n_design)
+    for n in range(n_total, 0, -1):
+        t = n * dt
+        a_mat = step_coefficients(n, dt)[0] * np.eye(d_u) \
+            + model.jacobian_state(states[n], sigma, t)
+        m_mat = a_mat + cfg.inv_dtau * np.eye(d_u)
+        rhs = seeds[n].copy()
+        if n + 1 <= n_total:
+            rhs -= step_coefficients(n + 1, dt)[1] * lam[n + 1]
+        if n + 2 <= n_total:
+            rhs -= step_coefficients(n + 2, dt)[2] * lam[n + 2]
+        if cfg.inv_dtau == 0.0:
+            ubar[n] = rhs if mode is AdjointMode.FIXED_POINT \
+                else m_mat.T @ np.linalg.solve(a_mat.T, rhs)
+            inner[n] = 1
+        else:
+            iter_matrix = (np.eye(d_u) - np.linalg.solve(m_mat, a_mat)).T
+            contractions[n] = float(np.linalg.norm(iter_matrix, 2))
+            if mode is AdjointMode.DIRECT:
+                ubar[n] = m_mat.T @ np.linalg.solve(a_mat.T, rhs)
+                norms[n] = float(np.linalg.norm(iter_matrix @ ubar[n] + rhs - ubar[n]))
+            else:
+                value = ubar[n + 1].copy() if n + 1 <= n_total else np.zeros(d_u)
+                while inner[n] < cfg.max_inner:
+                    updated = iter_matrix @ value + rhs
+                    norms[n] = float(np.linalg.norm(updated - value))
+                    value = updated
+                    inner[n] += 1
+                    if norms[n] <= cfg.tol:
+                        break
+                ubar[n] = value
+        lam[n] = np.linalg.solve(m_mat.T, ubar[n])
+        total = total - lam[n] @ model.jacobian_design(states[n], sigma, t)
+        if n >= n_tr:
+            total = total + omega[n - n_tr] * model.output_design_gradient(states[n], sigma)
+        running[n] = total
+    running[0] = total
+    return ubar, running, inner, norms, contractions
+
+
+@pytest.mark.parametrize("dtau", [math.inf, 1.0], ids=["dtau=inf", "dtau=1"])
+@pytest.mark.parametrize("name", MODELS)
+def test_sweeps_match_reference_march_bit_for_bit(name, dtau):
+    model, sigma = MODELS[name]
+    cfg = PseudoTimeConfig(dtau, tol=1e-12, max_inner=200)
+    traj = simulate(model, sigma, GRID, cfg)
+    states, outputs, inner, norms = reference_simulate(model, sigma, GRID, cfg)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.outputs, outputs)
+    assert np.array_equal(traj.inner_iterations, inner)
+    assert np.array_equal(traj.residual_norms, norms)
+
+    tangent = tangent_sweep(model, sigma, traj)
+    udot, gdot = reference_tangent(model, sigma, states, GRID.dt)
+    assert np.array_equal(tangent.state_sensitivities, udot)
+    assert np.array_equal(tangent.output_sensitivities, gdot)
+
+    for mode in AdjointMode:
+        sweep = adjoint_sweep(model, sigma, traj, Window.BUMP, cfg, mode)
+        expected = reference_adjoint(model, sigma, states, GRID, Window.BUMP, cfg, mode)
+        got = (sweep.adjoint_states, sweep.running_design_derivative,
+               sweep.inner_iterations, sweep.residual_norms,
+               sweep.contraction_estimates)
+        for got_array, expected_array in zip(got, expected):
+            assert np.array_equal(got_array, expected_array), mode
