@@ -21,6 +21,7 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from itertools import takewhile
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,58 +40,147 @@ __all__ = ["main", "console_main"]
 
 SUBCOMMANDS = ("simulate", "tangent", "adjoint", "average", "study", "optimize")
 
-# Allowed keys per section.  Anything else in a config file is an error.
+_MODELS = {"analytic-signal": AnalyticSignal, "van-der-pol": VanDerPol,
+           "forced-oscillator": ForcedOscillator}
+
+
+@contextmanager
+def _blame(where: str):
+    """Report a ValueError raised in the block as a ConfigError about `where`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _real(domain: str, inside=math.isfinite):
+    """Parser of one number that `inside` accepts; `domain` describes it."""
+    def parse(raw: str) -> float:
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"expected a number, got {raw!r}") from None
+        if not inside(value):
+            raise ValueError(f"must be {domain}, got {raw.strip()}")
+        return value
+    return parse
+
+
+def _integer(minimum: int):
+    """Parser of one integer no smaller than `minimum`."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"expected an integer, got {raw!r}") from None
+        if value < minimum:
+            raise ValueError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _listing(item, increasing: bool = False):
+    """Parser of a non-empty comma-separated list of `item` values."""
+    def parse(raw: str) -> list:
+        values = [item(part) for part in raw.split(",") if part.strip()]
+        if not values:
+            raise ValueError("expected a comma-separated list, got nothing")
+        if increasing and any(b <= a for a, b in zip(values, values[1:])):
+            raise ValueError("must be strictly increasing")
+        return values
+    return parse
+
+
+def _one_of(choices: dict):
+    """Parser of a name in `choices`, ignoring case and blanks, to its value."""
+    def parse(raw: str):
+        try:
+            return choices[raw.strip().lower()]
+        except KeyError:
+            raise ValueError(f"expected one of: {', '.join(choices)}, "
+                             f"got {raw!r}") from None
+    return parse
+
+
+def _windows(raw: str) -> list[Window]:
+    if raw.strip().lower() == "all":
+        return list(Window)
+    return _listing(Window.from_name)(raw)
+
+
+_FINITE = _real("finite")
+_FINITES = _listing(_FINITE)
+_POSITIVE = _real("positive and finite", lambda x: 0.0 < x < math.inf)
+_NONNEGATIVE = _real("non-negative and finite", lambda x: 0.0 <= x < math.inf)
+_DTAU = _real("positive (inf selects Newton)", lambda x: x > 0.0)
+_FRACTION = _real("in (0, 1]", lambda x: 0.0 < x <= 1.0)
+_BOUNDS = _listing(_real("a number or +-inf, not nan", lambda x: x == x))
+_BOOLEAN = _one_of(configparser.ConfigParser.BOOLEAN_STATES)
+_QUANTITY = _one_of({"average": "average", "sensitivity": "sensitivity"})
+
+
+class _Key(NamedTuple):
+    parse: Callable[[str], object]  # raw text -> value in the key's domain
+    default: object                 # raw text used when the key is absent
+    attr: str                       # RunConfig attribute that holds the value
+
+
+_REQUIRED = object()  # default of a key every config must set
+
+# Every config key.  A default of None leaves the attribute None when the
+# key is absent.  Attributes named after a dataclass field feed that field.
 _SCHEMA = {
-    "model": {"name", "output", "a0", "a1", "amplitude", "base_period",
-              "growth_rate", "quad", "quad_center", "omega", "stiffness0",
-              "damping0", "forcing"},
-    "design": {"values", "lower", "upper"},
-    "grid": {"dt", "n_steps", "n_transient"},
-    "pseudo_time": {"dtau", "tol", "max_inner", "allow_unconverged"},
-    "window": {"kind", "normalization"},
-    "adjoint": {"mode", "tol"},
-    "study": {"quantity", "windows", "k_list", "span_offset", "reference",
-              "period"},
-    "optimize": {"bound", "constraint_output", "relaxation", "max_iterations",
-                 "penalty", "grad_tolerance", "max_backtracks"},
-    "output": {"directory", "seed"},
+    ("model", "name"): _Key(_one_of(_MODELS), _REQUIRED, "model_class"),
+    ("model", "output"): _Key(OutputKind.from_name, "x", "output"),
+    ("model", "a0"): _Key(_FINITE, "1.0", "a0"),
+    ("model", "a1"): _Key(_FINITES, "0.5", "a1"),
+    ("model", "amplitude"): _Key(_FINITE, "0.5", "amplitude"),
+    ("model", "base_period"): _Key(_POSITIVE, "1.0", "base_period"),
+    ("model", "growth_rate"): _Key(_FINITE, "0.0", "growth_rate"),
+    ("model", "quad"): _Key(_FINITE, "0.0", "quad"),
+    ("model", "quad_center"): _Key(_FINITES, None, "quad_center"),
+    ("model", "omega"): _Key(_POSITIVE, str(2.0 * math.pi), "omega"),
+    ("model", "stiffness0"): _Key(_FINITE, "55.0", "stiffness0"),
+    ("model", "damping0"): _Key(_FINITE, "0.5", "damping0"),
+    ("model", "forcing"): _Key(_FINITE, "10.0", "forcing"),
+    ("design", "values"): _Key(_FINITES, _REQUIRED, "design_values"),
+    ("design", "lower"): _Key(_BOUNDS, None, "design_lower"),
+    ("design", "upper"): _Key(_BOUNDS, None, "design_upper"),
+    ("grid", "dt"): _Key(_POSITIVE, _REQUIRED, "dt"),
+    ("grid", "n_steps"): _Key(_integer(1), _REQUIRED, "n_steps"),
+    ("grid", "n_transient"): _Key(_integer(0), "0", "n_transient"),
+    ("pseudo_time", "dtau"): _Key(_DTAU, "inf", "dtau"),
+    ("pseudo_time", "tol"): _Key(_POSITIVE, "1e-12", "tol"),
+    ("pseudo_time", "max_inner"): _Key(_integer(1), "50", "max_inner"),
+    ("pseudo_time", "allow_unconverged"): _Key(_BOOLEAN, "false", "allow_unconverged"),
+    ("window", "kind"): _Key(Window.from_name, "bump", "window"),
+    ("window", "normalization"): _Key(NormalizationMode.from_name, "paper-faithful",
+                                      "normalization"),
+    ("adjoint", "mode"): _Key(AdjointMode.from_name, "fixed-point", "adjoint_mode"),
+    ("adjoint", "tol"): _Key(_POSITIVE, None, "adjoint_tol"),
+    ("study", "quantity"): _Key(_QUANTITY, "average", "study_quantity"),
+    ("study", "windows"): _Key(_windows, "all", "study_windows"),
+    ("study", "k_list"): _Key(_listing(_POSITIVE, increasing=True), "2,4,8,16,32,64",
+                              "study_k_list"),
+    ("study", "span_offset"): _Key(_NONNEGATIVE, str(DEFAULT_SPAN_OFFSET),
+                                   "study_span_offset"),
+    ("study", "reference"): _Key(_FINITE, None, "study_reference"),
+    ("study", "period"): _Key(_POSITIVE, None, "study_period"),
+    ("optimize", "bound"): _Key(_FINITE, "0.0", "opt_bound"),
+    ("optimize", "constraint_output"): _Key(OutputKind.from_name, None,
+                                            "opt_constraint_output"),
+    ("optimize", "relaxation"): _Key(_FRACTION, "0.1", "opt_relaxation"),
+    ("optimize", "max_iterations"): _Key(_integer(1), "100", "opt_max_iterations"),
+    ("optimize", "penalty"): _Key(_POSITIVE, "100.0", "opt_penalty"),
+    ("optimize", "grad_tolerance"): _Key(_NONNEGATIVE, "1e-8", "opt_grad_tolerance"),
+    ("optimize", "max_backtracks"): _Key(_integer(0), "30", "opt_max_backtracks"),
+    ("output", "directory"): _Key(str.strip, None, "output_directory"),
 }
 
-_MODEL_NAMES = ("analytic-signal", "van-der-pol", "forced-oscillator")
-
-
-def _fail(message: str) -> ConfigError:
-    return ConfigError(message)
-
-
-def _parse_float(raw: str, where: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise _fail(f"{where}: expected a number, got {raw!r}") from None
-
-
-def _parse_int(raw: str, where: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise _fail(f"{where}: expected an integer, got {raw!r}") from None
-
-
-def _parse_floats(raw: str, where: str) -> list[float]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise _fail(f"{where}: expected a comma-separated list of numbers")
-    return [_parse_float(p, where) for p in parts]
-
-
-def _parse_bool(raw: str, where: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise _fail(f"{where}: expected a boolean, got {raw!r}")
+# CLI flag (its argparse dest) -> the config key it overrides
+_FLAGS = {"window": ("window", "kind"), "mode": ("adjoint", "mode"),
+          "quantity": ("study", "quantity"), "windows": ("study", "windows"),
+          "k_list": ("study", "k_list")}
 
 
 class RunConfig:
@@ -100,186 +190,66 @@ class RunConfig:
         self.path = path
         self.echo = {section: dict(parser.items(section))
                      for section in parser.sections()}
+        sections = {section for section, _ in _SCHEMA}
         for section in parser.sections():
-            if section not in _SCHEMA:
-                raise _fail(f"unknown config section [{section}]")
+            if section not in sections:
+                raise ConfigError(f"unknown config section [{section}]")
             for key in parser[section]:
-                if key not in _SCHEMA[section]:
-                    raise _fail(f"unknown key {key!r} in section [{section}]")
-        if "model" not in parser or "name" not in parser["model"]:
-            raise _fail("section [model] with key 'name' is required")
-        if "grid" not in parser:
-            raise _fail("section [grid] is required")
-        if "design" not in parser or "values" not in parser["design"]:
-            raise _fail("section [design] with key 'values' is required")
+                if (section, key) not in _SCHEMA:
+                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
+        for (section, key), spec in _SCHEMA.items():
+            raw = parser.get(section, key, fallback=spec.default)
+            if raw is _REQUIRED:
+                raise ConfigError(f"[{section}] {key}: required key is missing")
+            with _blame(f"[{section}] {key}"):
+                setattr(self, spec.attr, None if raw is None else spec.parse(raw))
 
-        self.model = self._build_model(parser["model"])
-        self.design = self._build_design(parser["design"])
+        with _blame("[model]"):
+            self.model = self._build_model()
+        values = np.array(self.design_values)
+        with _blame("[design]"):
+            self.design = DesignVector(
+                values=values,
+                lower=(np.full_like(values, -math.inf) if self.design_lower is None
+                       else np.array(self.design_lower)),
+                upper=(np.full_like(values, math.inf) if self.design_upper is None
+                       else np.array(self.design_upper)))
         if self.design.n_design != self.model.n_design:
-            raise _fail(
-                f"design has {self.design.n_design} values but the model "
-                f"expects {self.model.n_design}")
-        try:  # a design outside the model's domain fails here, not mid-run
+            raise ConfigError(f"design has {self.design.n_design} values but the "
+                              f"model expects {self.model.n_design}")
+        # a design outside the model's domain fails here, not mid-run
+        with _blame("[design] values"):
             self.model.residual(self.model.initial_state(self.design.values),
                                 self.design.values)
-        except ValueError as exc:
-            raise _fail(f"[design] values: {exc}") from None
-        self.grid = self._build_grid(parser["grid"])
-        self.pseudo = self._build_pseudo(parser["pseudo_time"]
-                                         if "pseudo_time" in parser else {})
-        window = parser["window"] if "window" in parser else {}
-        try:
-            self.window = Window.from_name(window.get("kind", "bump"))
-            self.normalization = NormalizationMode.from_name(
-                window.get("normalization", "paper-faithful"))
-        except ValueError as exc:
-            raise _fail(str(exc)) from None
+        with _blame("[grid]"):
+            self.grid = TimeGrid(**self._fields(TimeGrid))
+        self.pseudo = PseudoTimeConfig(**self._fields(PseudoTimeConfig))
+        if (self.opt_constraint_output is not None
+                and isinstance(self.model, AnalyticSignalModel)):
+            raise ConfigError("[optimize] constraint_output: the analytic-signal "
+                              "model has no constraint output")
 
-        adjoint = parser["adjoint"] if "adjoint" in parser else {}
-        try:
-            self.adjoint_mode = AdjointMode.from_name(
-                adjoint.get("mode", "fixed-point"))
-        except ValueError as exc:
-            raise _fail(str(exc)) from None
-        self.adjoint_tol = (_parse_float(adjoint["tol"], "[adjoint] tol")
-                            if "tol" in adjoint else None)
+    def _fields(self, cls) -> dict:
+        """Keyword arguments for dataclass `cls`, read from same-named attributes."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(cls)}
 
-        study = parser["study"] if "study" in parser else {}
-        self.study_quantity = study.get("quantity", "average").strip().lower()
-        if self.study_quantity not in ("average", "sensitivity"):
-            raise _fail("[study] quantity must be 'average' or 'sensitivity'")
-        self.study_windows = self._parse_windows(study.get("windows", "all"))
-        self.study_k_list = _parse_floats(study.get("k_list", "2,4,8,16,32,64"),
-                                          "[study] k_list")
-        self.study_span_offset = _parse_float(
-            study.get("span_offset", str(DEFAULT_SPAN_OFFSET)),
-            "[study] span_offset")
-        self.study_reference = (_parse_float(study["reference"],
-                                             "[study] reference")
-                                if "reference" in study else None)
-        self.study_period = (_parse_float(study["period"], "[study] period")
-                             if "period" in study else None)
-
-        opt = parser["optimize"] if "optimize" in parser else {}
-        self.opt_constraint_output = opt.get("constraint_output", "").strip()
-        self.opt_bound = _parse_float(opt.get("bound", "0.0"),
-                                      "[optimize] bound")
-        self.opt_relaxation = _parse_float(opt.get("relaxation", "0.1"),
-                                           "[optimize] relaxation")
-        self.opt_max_iterations = _parse_int(opt.get("max_iterations", "100"),
-                                             "[optimize] max_iterations")
-        self.opt_penalty = _parse_float(opt.get("penalty", "100.0"),
-                                        "[optimize] penalty")
-        self.opt_grad_tolerance = _parse_float(
-            opt.get("grad_tolerance", "1e-8"), "[optimize] grad_tolerance")
-        self.opt_max_backtracks = _parse_int(opt.get("max_backtracks", "30"),
-                                             "[optimize] max_backtracks")
-
-        output = parser["output"] if "output" in parser else {}
-        self.output_directory = output.get("directory", "").strip() or None
-        self.seed = _parse_int(output.get("seed", "0"), "[output] seed")
-
-    @staticmethod
-    def _parse_windows(raw: str) -> list[Window]:
-        raw = raw.strip().lower()
-        if raw == "all":
-            return list(Window)
-        try:
-            return [Window.from_name(p) for p in raw.split(",") if p.strip()]
-        except ValueError as exc:
-            raise _fail(str(exc)) from None
-
-    @staticmethod
-    def _build_model(section):
-        name = section["name"].strip().lower()
-        where = "[model]"
-        if name not in _MODEL_NAMES:
-            raise _fail(f"{where} name must be one of: {', '.join(_MODEL_NAMES)}")
-        try:
-            output = OutputKind.from_name(section.get("output", "x"))
-        except ValueError as exc:
-            raise _fail(str(exc)) from None
-        if name == "analytic-signal":
-            center = section.get("quad_center")
-            signal = AnalyticSignal(
-                a0=_parse_float(section.get("a0", "1.0"), where),
-                a1=np.array(_parse_floats(section.get("a1", "0.5"), where)),
-                amplitude=_parse_float(section.get("amplitude", "0.5"), where),
-                base_period=_parse_float(section.get("base_period", "1.0"), where),
-                growth_rate=_parse_float(section.get("growth_rate", "0.0"), where),
-                quad=_parse_float(section.get("quad", "0.0"), where),
-                quad_center=(np.array(_parse_floats(center, where))
-                             if center else None),
-            )
-            return AnalyticSignalModel(signal=signal)
-        if name == "van-der-pol":
-            return VanDerPol(output=output)
-        return ForcedOscillator(
-            omega=_parse_float(section.get("omega", str(2.0 * math.pi)), where),
-            stiffness0=_parse_float(section.get("stiffness0", "55.0"), where),
-            damping0=_parse_float(section.get("damping0", "0.5"), where),
-            forcing=_parse_float(section.get("forcing", "10.0"), where),
-            output=output,
-        )
-
-    @staticmethod
-    def _build_design(section) -> DesignVector:
-        where = "[design]"
-        values = np.array(_parse_floats(section["values"], where))
-        lower = (np.array(_parse_floats(section["lower"], where))
-                 if "lower" in section else np.full_like(values, -math.inf))
-        upper = (np.array(_parse_floats(section["upper"], where))
-                 if "upper" in section else np.full_like(values, math.inf))
-        try:
-            return DesignVector(values=values, lower=lower, upper=upper)
-        except ValueError as exc:
-            raise _fail(f"{where}: {exc}") from None
-
-    @staticmethod
-    def _build_grid(section) -> TimeGrid:
-        where = "[grid]"
-        if "dt" not in section or "n_steps" not in section:
-            raise _fail(f"{where} requires keys 'dt' and 'n_steps'")
-        try:
-            return TimeGrid(
-                dt=_parse_float(section["dt"], where),
-                n_steps=_parse_int(section["n_steps"], where),
-                n_transient=_parse_int(section.get("n_transient", "0"), where),
-            )
-        except (ValueError, LcoError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise _fail(f"{where}: {exc}") from None
-
-    @staticmethod
-    def _build_pseudo(section) -> PseudoTimeConfig:
-        where = "[pseudo_time]"
-        raw_dtau = section.get("dtau", "inf") if section else "inf"
-        try:
-            return PseudoTimeConfig(
-                dtau=_parse_float(raw_dtau, where),
-                tol=_parse_float(section.get("tol", "1e-12"), where) if section else 1e-12,
-                max_inner=_parse_int(section.get("max_inner", "50"), where) if section else 50,
-                allow_unconverged=_parse_bool(section.get("allow_unconverged", "false"),
-                                              where) if section else False,
-            )
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise _fail(f"{where}: {exc}") from None
+    def _build_model(self):
+        model = self.model_class(**self._fields(self.model_class))
+        return (AnalyticSignalModel(model) if isinstance(model, AnalyticSignal)
+                else model)
 
 
 def load_config(path: str) -> RunConfig:
     config_path = Path(path)
     if not config_path.is_file():
-        raise _fail(f"config file not found: {path}")
+        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
     try:
         with open(config_path, encoding="utf-8") as handle:
             parser.read_file(handle)
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise _fail(f"cannot parse {path}: {exc}") from None
+        raise ConfigError(f"cannot parse {path}: {exc}") from None
     return RunConfig(parser, str(path))
 
 
@@ -484,15 +454,9 @@ def _cmd_study(cfg: RunConfig, outdir: Path):
 
 
 def _cmd_optimize(cfg: RunConfig, outdir: Path):
-    constraint_model = None
-    if cfg.opt_constraint_output:
-        try:
-            kind = OutputKind.from_name(cfg.opt_constraint_output)
-        except ValueError as exc:
-            raise _fail(str(exc)) from None
-        if isinstance(cfg.model, AnalyticSignalModel):
-            raise _fail("the analytic-signal model has no constraint output")
-        constraint_model = dataclasses.replace(cfg.model, output=kind)
+    constraint_model = (None if cfg.opt_constraint_output is None
+                        else dataclasses.replace(cfg.model,
+                                                 output=cfg.opt_constraint_output))
     problem = DesignProblem(objective_model=cfg.model, design=cfg.design,
                             grid=cfg.grid, kind=cfg.window,
                             constraint_model=constraint_model,
@@ -576,19 +540,11 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> None:
-    try:
-        if args.window is not None:
-            cfg.window = Window.from_name(args.window)
-        if getattr(args, "mode", None) is not None:
-            cfg.adjoint_mode = AdjointMode.from_name(args.mode)
-        if getattr(args, "quantity", None) is not None:
-            cfg.study_quantity = args.quantity
-        if getattr(args, "windows", None) is not None:
-            cfg.study_windows = RunConfig._parse_windows(args.windows)
-        if getattr(args, "k_list", None) is not None:
-            cfg.study_k_list = _parse_floats(args.k_list, "--k-list")
-    except ValueError as exc:
-        raise _fail(str(exc)) from None
+    for flag, key in _FLAGS.items():
+        raw = getattr(args, flag, None)
+        if raw is not None:
+            with _blame("--" + flag.replace("_", "-")):
+                setattr(cfg, _SCHEMA[key].attr, _SCHEMA[key].parse(raw))
 
 
 def _resolve_output_dir(cfg: RunConfig, args) -> Path:

@@ -57,8 +57,12 @@ class DesignProblem:
             raise ValueError("constraint bound must be finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.penalty <= 0.0:
-            raise ValueError("penalty coefficient must be positive")
+        if not 0.0 < self.penalty < math.inf:
+            raise ValueError("penalty coefficient must be positive and finite")
+        if not self.grad_tolerance >= 0.0:
+            raise ValueError("grad_tolerance must be non-negative")
+        if self.max_backtracks < 0:
+            raise ValueError("max_backtracks must be non-negative")
 
 
 @dataclass

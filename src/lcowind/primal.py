@@ -44,8 +44,8 @@ class TimeGrid:
     n_transient: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         if self.n_steps < 1:
             raise ValueError("need at least one physical step")
         if not 0 <= self.n_transient < self.n_steps:
@@ -80,9 +80,9 @@ class PseudoTimeConfig:
     allow_unconverged: bool = False
 
     def __post_init__(self):
-        if self.dtau <= 0.0:
+        if not self.dtau > 0.0:
             raise ValueError("dtau must be positive (inf selects Newton)")
-        if self.tol <= 0.0 or self.max_inner < 1:
+        if not self.tol > 0.0 or self.max_inner < 1:
             raise ValueError("tolerance and max_inner must be positive")
 
     @property

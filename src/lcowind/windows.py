@@ -87,7 +87,7 @@ class NormalizationMode(NamedEnum, label="normalization"):
     PAPER_FAITHFUL keeps the raw samples w((n - n_tr)/(N - n_tr)) and the
     1/(N - n_tr) divisor, so a constant signal is reproduced only up to an
     O(1/span) bias for the square window.  RENORMALIZED rescales the weight
-    vector so it sums exactly to the span, making constants exact.
+    vector so it sums to the span, which reproduces constants to roundoff.
     """
 
     PAPER_FAITHFUL = "paper-faithful"

@@ -4,13 +4,22 @@ Every test drives `main` in process and inspects exit codes, CSV bodies,
 and the JSON manifest.
 """
 
+import configparser
+import contextlib
 import csv
+import dataclasses
+import io
 import json
+import tempfile
 import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lcowind.cli import main
+from lcowind.cli import _SCHEMA, SUBCOMMANDS, main
+from lcowind.models import AnalyticSignal, ForcedOscillator
 
 ANALYTIC_CONFIG = """\
 [model]
@@ -81,6 +90,19 @@ dt = 1
 n_steps = 10
 n_transient = 2
 """
+
+
+def with_keys(text, edits):
+    """Config text with each (section, key) in `edits` set to its raw value."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(textwrap.dedent(text))
+    for (section, key), raw in edits.items():
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, raw)
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -394,3 +416,170 @@ def test_version_flag_reports_and_exits(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert capsys.readouterr().out.strip()
+
+
+FORCED_CONFIG = VDP_CONFIG.replace("van-der-pol", "forced-oscillator")
+
+# Each config is out of domain in the last key it sets, so the config is at
+# fault; the groups say what the run did before keys were domain-checked.
+OUT_OF_DOMAIN = [
+    # a traceback, exit 1
+    (QUADRATIC_CONFIG, "optimize", {("optimize", "max_iterations"): "0"}),
+    (QUADRATIC_CONFIG, "optimize", {("optimize", "relaxation"): "nan"}),
+    (VDP_CONFIG, "optimize", {("optimize", "constraint_output"): "x",
+                              ("optimize", "bound"): "nan"}),
+    (VDP_CONFIG, "optimize", {("optimize", "constraint_output"): "x",
+                              ("optimize", "bound"): "inf"}),
+    (ANALYTIC_CONFIG, "simulate", {("model", "a1"): "0.5, 0.5",
+                                   ("model", "quad_center"): "1"}),
+    (ANALYTIC_CONFIG, "study", {("study", "k_list"): "0, 1"}),
+    # exit 3, a numerical failure
+    (VDP_CONFIG, "simulate", {("grid", "dt"): "nan"}),
+    (VDP_CONFIG, "simulate", {("pseudo_time", "dtau"): "nan"}),
+    (VDP_CONFIG, "simulate", {("pseudo_time", "tol"): "nan"}),
+    (ANALYTIC_CONFIG, "simulate", {("model", "base_period"): "nan"}),
+    (FORCED_CONFIG, "simulate", {("model", "omega"): "nan"}),
+    (ANALYTIC_CONFIG, "simulate", {("model", "amplitude"): "inf"}),
+    (ANALYTIC_CONFIG, "study", {("study", "k_list"): "4, 2"}),
+    (ANALYTIC_CONFIG, "study", {("study", "span_offset"): "-3"}),
+    (ANALYTIC_CONFIG, "study", {("study", "period"): "-1"}),
+    # exit 0 on nonsense
+    (VDP_CONFIG, "simulate", {("grid", "dt"): "inf"}),
+    (VDP_CONFIG, "adjoint", {("adjoint", "tol"): "nan"}),
+    (VDP_CONFIG, "adjoint", {("adjoint", "tol"): "-1"}),
+    (QUADRATIC_CONFIG, "optimize", {("optimize", "penalty"): "nan"}),
+    (QUADRATIC_CONFIG, "optimize", {("optimize", "grad_tolerance"): "nan"}),
+    (QUADRATIC_CONFIG, "optimize", {("optimize", "max_backtracks"): "-1"}),
+    (ANALYTIC_CONFIG, "simulate", {("model", "a0"): "nan"}),
+    (ANALYTIC_CONFIG, "study", {("study", "windows"): ""}),
+]
+
+
+@pytest.mark.parametrize(
+    "text, subcommand, edits", OUT_OF_DOMAIN,
+    ids=[",".join(f"{s}.{k}={v}" for (s, k), v in edits.items())
+         for _, _, edits in OUT_OF_DOMAIN])
+def test_out_of_domain_key_exits_2(tmp_path, capsys, text, subcommand, edits):
+    cfg = write_config(tmp_path, with_keys(text, edits))
+    outdir = tmp_path / "o"
+    assert main([subcommand, cfg, "--output-dir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    section, key = list(edits)[-1]
+    assert record["message"].startswith(f"[{section}]") and key in record["message"]
+    assert not outdir.exists()
+
+
+def test_schema_rejects_nan_empty_and_text():
+    # only the output directory is free text
+    for key, spec in _SCHEMA.items():
+        if key == ("output", "directory"):
+            continue
+        for raw in ("nan", "", "text"):
+            with pytest.raises(ValueError):
+                spec.parse(raw)
+
+
+def test_flag_override_goes_through_the_key_parser(tmp_path, capsys):
+    cfg = write_config(tmp_path, ANALYTIC_CONFIG)
+    assert main(["study", cfg, "--output-dir", str(tmp_path / "o"),
+                 "--k-list", "4,2"]) == 2
+    assert last_stderr_json(capsys)["message"] == \
+        "--k-list: must be strictly increasing"
+
+
+# Tiny grids keep a run to milliseconds; the optimizer's budget is cut to match.
+FUZZ_BASES = {name: f"""\
+    [model]
+    name = {name}
+
+    [design]
+    values = {values}
+
+    [grid]
+    dt = 0.05
+    n_steps = 40
+    n_transient = 10
+
+    [optimize]
+    max_iterations = 3
+    """ for name, values in (("analytic-signal", 0.2), ("van-der-pol", 1.0),
+                             ("forced-oscillator", 0.1))}
+FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "", "text")
+# in-domain values for the keys that have no default
+FUZZ_VALID = {("model", "quad_center"): "0.1", ("design", "lower"): "-2",
+              ("design", "upper"): "3", ("adjoint", "tol"): "1e-12",
+              ("study", "reference"): "1.5", ("study", "period"): "1.2",
+              ("optimize", "constraint_output"): "x2",
+              ("output", "directory"): "elsewhere"}
+
+
+def in_domain(key, raw):
+    try:
+        _SCHEMA[key].parse(raw)
+    except ValueError:
+        return False
+    return True
+
+
+def check_exit_contract(base, subcommand, edits):
+    """Run one config and assert the exit-code contract on the result."""
+    # hypothesis rejects function-scoped fixtures such as tmp_path, so each
+    # run makes its own directory
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text(with_keys(base, edits))
+        outdir = Path(tmp) / "out" / "run"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([subcommand, str(cfg), "--output-dir", str(outdir)])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert (outdir / "manifest.json").is_file()
+        else:
+            (line,) = err.getvalue().strip().splitlines()
+            assert json.loads(line)["exit_code"] == code
+            assert not (Path(tmp) / "out").exists()
+        if not all(in_domain(key, raw) for key, raw in edits.items()):
+            assert code == 2
+
+
+@st.composite
+def fuzz_edits(draw):
+    """Up to four keys, each set to a valid value or a suspect one."""
+    keys = draw(st.lists(st.sampled_from(list(_SCHEMA)), max_size=4, unique=True))
+    edits = {}
+    for key in keys:
+        default = _SCHEMA[key].default
+        valid = default if isinstance(default, str) else FUZZ_VALID.get(key)
+        edits[key] = draw(st.sampled_from(FUZZ_VALUES if valid is None
+                                          else (valid,) + FUZZ_VALUES))
+    return edits
+
+
+@settings(max_examples=50)
+@given(base=st.sampled_from(sorted(FUZZ_BASES)),
+       subcommand=st.sampled_from(SUBCOMMANDS), edits=fuzz_edits())
+def test_exit_code_contract_holds_on_drawn_configs(base, subcommand, edits):
+    check_exit_contract(FUZZ_BASES[base], subcommand, edits)
+
+
+# [model] keys that one model reads, and the subcommand that reads each section
+ANALYTIC_KEYS = {field.name for field in dataclasses.fields(AnalyticSignal)}
+FORCED_KEYS = {field.name for field in dataclasses.fields(ForcedOscillator)}
+SECTION_RUNS = {"adjoint": "adjoint", "study": "study", "optimize": "optimize"}
+
+
+@pytest.mark.parametrize("key", list(_SCHEMA), ids="{0[0]}.{0[1]}".format)
+def test_exit_code_contract_holds_for_each_suspect_value(key):
+    # every (key, value) pair once, which 50 drawn configs cannot cover
+    section, name = key
+    model = ("analytic-signal" if name in ANALYTIC_KEYS else "forced-oscillator"
+             if name in FORCED_KEYS else "van-der-pol")
+    for raw in FUZZ_VALUES:
+        check_exit_contract(FUZZ_BASES[model], SECTION_RUNS.get(section, "simulate"),
+                            {key: raw})

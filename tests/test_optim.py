@@ -76,6 +76,18 @@ def test_design_problem_validation():
                       grid=base.grid, penalty=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("penalty", math.nan),
+    ("grad_tolerance", math.nan),
+    ("grad_tolerance", -1.0),
+    ("max_backtracks", -1),
+])
+def test_design_problem_rejects_nan_and_negative_settings(field, value):
+    # max_backtracks = -1 would skip the line search altogether
+    with pytest.raises(ValueError, match=field.replace("_", ".")):
+        dataclasses.replace(quadratic_problem(), **{field: value})
+
+
 def test_quadratic_toy_converges_to_center():
     problem = quadratic_problem()
     history = optimize(problem)

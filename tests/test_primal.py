@@ -221,3 +221,15 @@ def test_grid_and_pseudo_config_validation():
     # Newton is the default inner mode
     assert PseudoTimeConfig().inv_dtau == 0.0
     assert PseudoTimeConfig(dtau=2.0).inv_dtau == 0.5
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TimeGrid(dt=math.nan, n_steps=10),
+    lambda: TimeGrid(dt=math.inf, n_steps=10),
+    lambda: PseudoTimeConfig(dtau=math.nan),
+    lambda: PseudoTimeConfig(tol=math.nan),
+], ids=["dt-nan", "dt-inf", "dtau-nan", "tol-nan"])
+def test_grid_and_pseudo_config_reject_nan_and_inf(build):
+    # a `<= 0` check lets NaN through, and an infinite dt makes the time axis NaN
+    with pytest.raises(ValueError, match="must be positive"):
+        build()
