@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdjointDivergenceError, SingularStepError
+from .models import check_inputs
 from .primal import (PseudoTimeConfig, Trajectory, solve_step, step_coefficients,
                      step_matrices)
 from .windows import NamedEnum, NormalizationMode, Window, discrete_weights
@@ -122,14 +123,15 @@ def adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, tol
 
     if mode is AdjointMode.DIRECT:
         ubar = m_mat.T @ solve_step(a_mat.T, rhs, n)
-        residual = float(np.linalg.norm(iter_matrix @ ubar + rhs - ubar))
-        return ubar, 0, residual, contraction
+        change = iter_matrix @ ubar + rhs - ubar
+        return ubar, 0, math.sqrt(change.dot(change)), contraction
 
     ubar = np.asarray(ubar_guess, dtype=float).copy()
     previous_residual = math.inf
     for iteration in range(1, max_inner + 1):
         updated = iter_matrix @ ubar + rhs
-        residual = float(np.linalg.norm(updated - ubar))
+        change = updated - ubar
+        residual = math.sqrt(change.dot(change))  # what np.linalg.norm computes
         ubar = updated
         if residual <= tol:
             return ubar, iteration, residual, contraction
@@ -154,8 +156,10 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     `steps` of an earlier sweep with the same dynamics, trajectory and cfg.
     Each step keeps lambda_n = M_n^{-T} ubar_n, which couples it to steps
     n - 1 and n - 2 and carries its design derivative term.  All primal
-    states are held in memory, so no recomputation is needed.
+    states are held in memory, so no recomputation is needed.  The
+    design's length and the states' shape are checked once, here.
     """
+    sigma = check_inputs(model, sigma, traj.states, traj.n_steps)
     cfg = cfg or PseudoTimeConfig()
     tol = cfg.tol if tol is None else tol
     grid = traj.grid

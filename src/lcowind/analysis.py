@@ -81,6 +81,8 @@ def _end_steps(k_list, n_tr, dt, period, span_offset, length):
     ks = np.asarray(list(k_list), dtype=float)
     if ks.size == 0:
         raise InvalidSpanError("empty span list")
+    if not np.all(np.isfinite(ks) & (ks > 0.0)):
+        raise InvalidSpanError(f"period counts must be positive and finite, got {ks.tolist()}")
     if np.any(np.diff(ks) <= 0.0):
         raise InvalidSpanError("span list must be strictly increasing")
     ends = n_tr + np.rint((ks + span_offset) * period / dt).astype(int)

@@ -2,9 +2,11 @@
 
 Every ODE model describes dynamics in the form du/dt + R(u, sigma, t) = 0
 and exposes the residual R, its state Jacobian, its design derivative, and
-an instantaneous scalar output g(u, sigma).  The analytic signal provides
-exact values for the limit average and its design derivative, which makes
-it the ground truth for convergence and consistency checks.
+an instantaneous scalar output g(u, sigma).  These per-step methods take
+the state and the design as float arrays and check neither: check_inputs
+checks both once, where a march or a sweep starts.  The analytic signal
+provides exact values for the limit average and its design derivative,
+which makes it the ground truth for convergence and consistency checks.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from .errors import DesignDomainError
 from .windows import NamedEnum
 
 __all__ = [
+    "check_inputs",
     "DesignVector",
     "OutputKind",
     "AnalyticSignal",
@@ -72,16 +75,28 @@ class OutputKind(NamedEnum, label="output"):
     FIRST_STATE_SQUARED = "x2"
 
 
-def _check_state(u, d_u):
-    u = np.asarray(u, dtype=float)
-    if u.shape != (d_u,):
-        raise ValueError(f"state must have shape ({d_u},), got {u.shape}")
-    return u
-
-
 def _sigma_values(sigma) -> np.ndarray:
     values = getattr(sigma, "values", sigma)
     return np.atleast_1d(np.asarray(values, dtype=float))
+
+
+def check_inputs(model, sigma, states, n_steps=None) -> np.ndarray:
+    """Check the inputs of a march or a sweep once, where it starts, so the
+    models' per-step methods need not.
+
+    states is the initial state, of shape (d_u,), or with n_steps a
+    trajectory's states, of shape (n_steps + 1, d_u).  Returns the design,
+    given as a DesignVector, an array or a scalar, as a float array of
+    shape (n_design,): the form the model methods read it in.
+    """
+    design = _sigma_values(sigma)
+    if design.shape != (model.n_design,):
+        raise ValueError(f"design must have shape ({model.n_design},), got {design.shape}")
+    shape = (model.d_u,) if n_steps is None else (n_steps + 1, model.d_u)
+    if np.shape(states) != shape:
+        what = "state" if n_steps is None else "trajectory states"
+        raise ValueError(f"{what} must have shape {shape}, got {np.shape(states)}")
+    return design
 
 
 @dataclass(frozen=True)
@@ -180,6 +195,10 @@ class AnalyticSignalModel:
     """
 
     signal: AnalyticSignal = field(default_factory=AnalyticSignal)
+    # the design terms of the last design seen, which every step of a march
+    # reads again: "omega" -> (sigma_1, Omega, dOmega/dsigma_1) and
+    # "mean" -> (design bytes, a(sigma), da/dsigma)
+    _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     name = "analytic-signal"
     d_u = 2
@@ -191,38 +210,53 @@ class AnalyticSignalModel:
     def initial_state(self, sigma=None) -> np.ndarray:
         return np.array([0.0, self.signal.amplitude])
 
-    def _omega(self, sigma) -> float:
-        return 2.0 * np.pi / self.signal.period(sigma)
+    def _omega(self, sigma) -> tuple[float, float]:
+        """Omega and dOmega/dsigma_1 at the design; the period is
+        recomputed, and checked, only when sigma_1 changes."""
+        s = float(sigma[0])
+        last = self._last.get("omega")
+        if last is None or last[0] != s:
+            period = self.signal.period(sigma)
+            # dOmega/dsigma_1 through T(sigma) = T0 (1 + sigma_1)
+            last = (s, float(2.0 * np.pi / period),
+                    float(-2.0 * np.pi * self.signal.base_period / period ** 2))
+            self._last["omega"] = last
+        return last[1], last[2]
+
+    def _mean(self, sigma) -> tuple[float, np.ndarray]:
+        """a(sigma) and its design gradient, recomputed when the design changes."""
+        key = sigma.tobytes()
+        last = self._last.get("mean")
+        if last is None or last[0] != key:
+            last = (key, self.signal.mean(sigma), self.signal.mean_design_gradient(sigma))
+            self._last["mean"] = last
+        return last[1], last[2]
 
     def residual(self, u, sigma, t=0.0) -> np.ndarray:
-        u = _check_state(u, self.d_u)
-        omega = self._omega(sigma)
-        return np.array([-omega * u[1], omega * u[0]])
+        y, z = u.tolist()
+        omega = self._omega(sigma)[0]
+        return np.array([-omega * z, omega * y])
 
     def jacobian_state(self, u, sigma, t=0.0) -> np.ndarray:
-        omega = self._omega(sigma)
+        omega = self._omega(sigma)[0]
         return np.array([[0.0, -omega], [omega, 0.0]])
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
-        u = _check_state(u, self.d_u)
-        sigma = _sigma_values(sigma)
-        period = self.signal.period(sigma)
-        # dOmega/dsigma_1 through T(sigma) = T0 (1 + sigma_1)
-        domega = -2.0 * np.pi * self.signal.base_period / period ** 2
+        y, z = u.tolist()
+        domega = self._omega(sigma)[1]
         jac = np.zeros((self.d_u, len(sigma)))
-        jac[0, 0] = -domega * u[1]
-        jac[1, 0] = domega * u[0]
+        jac[0, 0] = -domega * z
+        jac[1, 0] = domega * y
         return jac
 
     def output_value(self, u, sigma) -> float:
-        u = _check_state(u, self.d_u)
-        return self.signal.mean(sigma) + u[0]
+        return self._mean(sigma)[0] + u.item(0)
 
     def output_state_gradient(self, u, sigma) -> np.ndarray:
         return np.array([1.0, 0.0])
 
     def output_design_gradient(self, u, sigma) -> np.ndarray:
-        return self.signal.mean_design_gradient(sigma)
+        return self._mean(sigma)[1].copy()
 
 
 class _FirstStateOutput:
@@ -230,16 +264,15 @@ class _FirstStateOutput:
     it does not depend on the design."""
 
     def output_value(self, u, sigma) -> float:
-        u = _check_state(u, self.d_u)
+        x = u.item(0)
         if self.output is OutputKind.FIRST_STATE:
-            return float(u[0])
-        return float(u[0] * u[0])
+            return x
+        return x * x
 
     def output_state_gradient(self, u, sigma) -> np.ndarray:
-        u = _check_state(u, self.d_u)
         if self.output is OutputKind.FIRST_STATE:
             return np.array([1.0, 0.0])
-        return np.array([2.0 * u[0], 0.0])
+        return np.array([2.0 * u.item(0), 0.0])
 
     def output_design_gradient(self, u, sigma) -> np.ndarray:
         return np.zeros(self.n_design)
@@ -264,23 +297,20 @@ class VanDerPol(_FirstStateOutput):
         return np.array([2.0, 0.0])
 
     def residual(self, u, sigma, t=0.0) -> np.ndarray:
-        u = _check_state(u, self.d_u)
-        mu = _sigma_values(sigma)[0]
-        x, v = u
+        x, v = u.tolist()
+        mu = float(sigma[0])
         return np.array([-v, -mu * (1.0 - x * x) * v + x])
 
     def jacobian_state(self, u, sigma, t=0.0) -> np.ndarray:
-        u = _check_state(u, self.d_u)
-        mu = _sigma_values(sigma)[0]
-        x, v = u
+        x, v = u.tolist()
+        mu = float(sigma[0])
         return np.array([
             [0.0, -1.0],
             [2.0 * mu * x * v + 1.0, -mu * (1.0 - x * x)],
         ])
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
-        u = _check_state(u, self.d_u)
-        x, v = u
+        x, v = u.tolist()
         return np.array([[0.0], [-(1.0 - x * x) * v]])
 
 
@@ -311,28 +341,26 @@ class ForcedOscillator(_FirstStateOutput):
     def initial_state(self, sigma=None) -> np.ndarray:
         return np.array([0.0, 0.0])
 
-    def _coefficients(self, sigma):
-        s = _sigma_values(sigma)[0]
+    def _coefficients(self, s: float):
+        """Stiffness and damping (k, c) at sigma_1 = s."""
         return self.stiffness0 * (1.0 + s), self.damping0 * (1.0 + s)
 
     def residual(self, u, sigma, t=0.0) -> np.ndarray:
-        u = _check_state(u, self.d_u)
-        k, c = self._coefficients(sigma)
-        x, v = u
+        x, v = u.tolist()
+        k, c = self._coefficients(float(sigma[0]))
         return np.array([-v, c * v + k * x - self.forcing * math.sin(self.omega * t)])
 
     def jacobian_state(self, u, sigma, t=0.0) -> np.ndarray:
-        k, c = self._coefficients(sigma)
+        k, c = self._coefficients(float(sigma[0]))
         return np.array([[0.0, -1.0], [k, c]])
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
-        u = _check_state(u, self.d_u)
-        x, v = u
+        x, v = u.tolist()
         return np.array([[0.0], [self.damping0 * v + self.stiffness0 * x]])
 
     # steady-state closed forms, used as ground truth in tests
     def steady_amplitude(self, sigma) -> float:
-        k, c = self._coefficients(sigma)
+        k, c = self._coefficients(_sigma_values(sigma)[0])
         denom = (k - self.omega ** 2) ** 2 + (c * self.omega) ** 2
         return self.forcing / math.sqrt(denom)
 
@@ -342,7 +370,7 @@ class ForcedOscillator(_FirstStateOutput):
         return 0.5 * amp * amp
 
     def steady_mean_square_design_gradient(self, sigma) -> np.ndarray:
-        k, c = self._coefficients(sigma)
+        k, c = self._coefficients(_sigma_values(sigma)[0])
         denom = (k - self.omega ** 2) ** 2 + (c * self.omega) ** 2
         ddenom = 2.0 * (k - self.omega ** 2) * self.stiffness0 \
             + 2.0 * c * self.omega ** 2 * self.damping0

@@ -13,9 +13,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .errors import (InvalidSpanError, PeriodUndetectableError, SingularStepError,
                      StepConvergenceError)
+from .models import check_inputs
 
 __all__ = [
     "TimeGrid",
@@ -149,11 +151,16 @@ def step_matrices(model, sigma, traj: Trajectory) -> np.ndarray:
 
 
 def solve_step(matrix, rhs, step=None):
-    """Solve a step's linear system, raising SingularStepError if it has none."""
-    try:
-        return np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError:
-        raise SingularStepError(step) from None
+    """Solve a step's linear system, raising SingularStepError if it has none.
+
+    LAPACK dgesv solves it, the routine np.linalg.solve calls, without
+    numpy's generic wrapper; rhs is a vector or a matrix of columns, and
+    neither input is overwritten.
+    """
+    _, _, solution, info = dgesv(matrix, rhs)
+    if info > 0:
+        raise SingularStepError(step)
+    return solution
 
 
 def advance_physical_step(model, u_nm1, u_nm2, sigma, dt, t, cfg: PseudoTimeConfig,
@@ -189,7 +196,11 @@ def advance_physical_step(model, u_nm1, u_nm2, sigma, dt, t, cfg: PseudoTimeConf
 
 def simulate(model, sigma, grid: TimeGrid,
              cfg: PseudoTimeConfig | None = None) -> Trajectory:
-    """March the model over the grid and record states and outputs."""
+    """March the model over the grid and record states and outputs.
+
+    The design's length and the initial state's shape are checked here,
+    once; the model methods each step calls do not check them again.
+    """
     cfg = cfg or PseudoTimeConfig()
     n_total = grid.n_steps
     states = np.empty((n_total + 1, model.d_u))
@@ -198,7 +209,8 @@ def simulate(model, sigma, grid: TimeGrid,
     norms = np.zeros(n_total + 1)
     flags = np.ones(n_total + 1, dtype=bool)
 
-    u0 = model.initial_state(sigma)
+    u0 = np.asarray(model.initial_state(sigma), dtype=float)
+    sigma = check_inputs(model, sigma, u0)
     states[0] = u0
     outputs[0] = model.output_value(u0, sigma)
 

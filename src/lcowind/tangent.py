@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import check_inputs
 from .primal import Trajectory, solve_step, step_coefficients, step_matrices
 from .windows import NormalizationMode, Window, discrete_weights
 
@@ -42,8 +43,10 @@ def tangent_sweep(model, sigma, traj: Trajectory) -> TangentTrajectory:
     """Differentiate a converged trajectory w.r.t. the design variables.
 
     The initial state is design-independent, so the sweep starts from zero
-    sensitivity.
+    sensitivity.  The design's length and the states' shape are checked
+    once, here.
     """
+    sigma = check_inputs(model, sigma, traj.states, traj.n_steps)
     n_total = traj.n_steps
     n_design = model.n_design
     dt = traj.grid.dt

@@ -194,6 +194,19 @@ def test_study_input_validation():
                           reference=MEAN, period=PERIOD, span_offset=0.0)
 
 
+@pytest.mark.parametrize("k_list", [[0, 1], [-2, 4], [np.nan, 4], [2, np.inf]],
+                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("study", [convergence_study, divergence_diagnostic])
+def test_span_lists_reject_non_positive_and_non_finite_counts(study, k_list, capfd):
+    # a zero count once reached a log-log fit of log(0), which raised
+    # LinAlgError and printed LAPACK's DLASCL complaints on the terminal
+    series = signal_series(8)
+    extra = {"reference": MEAN} if study is convergence_study else {}
+    with pytest.raises(InvalidSpanError, match="positive and finite"):
+        study(series, Window.HANN, N_TR, DT, k_list, period=PERIOD, **extra)
+    assert capfd.readouterr() == ("", "")
+
+
 def test_degenerate_fit_raises_and_single_entry_skips():
     constant = np.full(4000, MEAN)
     with pytest.raises(DegenerateFitError, match="noise floor"):

@@ -1,0 +1,212 @@
+"""The models' per-step methods and the step solve, pinned bit for bit.
+
+The reference march in test_reference_march.py calls the models' own
+methods, so it cannot see a change in a model formula.  Here each method
+is compared, on thousands of seeded states, designs and times, with the
+numpy-array form it was first written in: the state and the design read
+through np.asarray, every product taken on numpy scalars.  solve_step is
+compared with np.linalg.solve.  Both must agree in every bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from lcowind.errors import SingularStepError
+from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
+                            OutputKind, VanDerPol)
+from lcowind.primal import solve_step
+
+N_DRAWS = 3000
+
+
+def _state(u):
+    return np.asarray(u, dtype=float)
+
+
+def _design(sigma):
+    return np.atleast_1d(np.asarray(sigma, dtype=float))
+
+
+def first_state_outputs(output):
+    def value(u, sigma):
+        u = _state(u)
+        return float(u[0]) if output is OutputKind.FIRST_STATE else float(u[0] * u[0])
+
+    def state_gradient(u, sigma):
+        u = _state(u)
+        if output is OutputKind.FIRST_STATE:
+            return np.array([1.0, 0.0])
+        return np.array([2.0 * u[0], 0.0])
+
+    def design_gradient(u, sigma):
+        return np.zeros(1)
+
+    return {"output_value": value, "output_state_gradient": state_gradient,
+            "output_design_gradient": design_gradient}
+
+
+def van_der_pol(model):
+    def residual(u, sigma, t):
+        mu = _design(sigma)[0]
+        x, v = _state(u)
+        return np.array([-v, -mu * (1.0 - x * x) * v + x])
+
+    def jacobian_state(u, sigma, t):
+        mu = _design(sigma)[0]
+        x, v = _state(u)
+        return np.array([[0.0, -1.0], [2.0 * mu * x * v + 1.0, -mu * (1.0 - x * x)]])
+
+    def jacobian_design(u, sigma, t):
+        x, v = _state(u)
+        return np.array([[0.0], [-(1.0 - x * x) * v]])
+
+    return {"residual": residual, "jacobian_state": jacobian_state,
+            "jacobian_design": jacobian_design, **first_state_outputs(model.output)}
+
+
+def forced_oscillator(model):
+    def coefficients(sigma):
+        s = _design(sigma)[0]
+        return model.stiffness0 * (1.0 + s), model.damping0 * (1.0 + s)
+
+    def residual(u, sigma, t):
+        k, c = coefficients(sigma)
+        x, v = _state(u)
+        return np.array([-v, c * v + k * x - model.forcing * math.sin(model.omega * t)])
+
+    def jacobian_state(u, sigma, t):
+        k, c = coefficients(sigma)
+        return np.array([[0.0, -1.0], [k, c]])
+
+    def jacobian_design(u, sigma, t):
+        x, v = _state(u)
+        return np.array([[0.0], [model.damping0 * v + model.stiffness0 * x]])
+
+    return {"residual": residual, "jacobian_state": jacobian_state,
+            "jacobian_design": jacobian_design, **first_state_outputs(model.output)}
+
+
+def analytic_signal(model):
+    signal = model.signal
+
+    def omega(sigma):
+        return 2.0 * np.pi / signal.period(sigma)
+
+    def residual(u, sigma, t):
+        u = _state(u)
+        return np.array([-omega(sigma) * u[1], omega(sigma) * u[0]])
+
+    def jacobian_state(u, sigma, t):
+        return np.array([[0.0, -omega(sigma)], [omega(sigma), 0.0]])
+
+    def jacobian_design(u, sigma, t):
+        u, sigma = _state(u), _design(sigma)
+        domega = -2.0 * np.pi * signal.base_period / signal.period(sigma) ** 2
+        jac = np.zeros((2, len(sigma)))
+        jac[0, 0] = -domega * u[1]
+        jac[1, 0] = domega * u[0]
+        return jac
+
+    def output_value(u, sigma):
+        return signal.mean(sigma) + _state(u)[0]
+
+    def output_state_gradient(u, sigma):
+        return np.array([1.0, 0.0])
+
+    def output_design_gradient(u, sigma):
+        return signal.mean_design_gradient(sigma)
+
+    return {"residual": residual, "jacobian_state": jacobian_state,
+            "jacobian_design": jacobian_design, "output_value": output_value,
+            "output_state_gradient": output_state_gradient,
+            "output_design_gradient": output_design_gradient}
+
+
+# (model, reference methods, design range, design length)
+MODELS = {
+    "van-der-pol-x": (VanDerPol(output=OutputKind.FIRST_STATE), van_der_pol, (0.1, 3.0), 1),
+    "van-der-pol-x2": (VanDerPol(output=OutputKind.FIRST_STATE_SQUARED), van_der_pol,
+                       (0.1, 3.0), 1),
+    "forced-oscillator-x": (ForcedOscillator(), forced_oscillator, (-0.5, 0.5), 1),
+    "forced-oscillator-x2": (ForcedOscillator(omega=1.7, stiffness0=3.0, damping0=0.2,
+                                              forcing=2.5,
+                                              output=OutputKind.FIRST_STATE_SQUARED),
+                             forced_oscillator, (-0.5, 0.5), 1),
+    "analytic-signal": (AnalyticSignalModel(AnalyticSignal(
+        a0=1.0, a1=np.array([0.5]), amplitude=0.3, quad=0.8,
+        quad_center=np.array([0.1]))), analytic_signal, (-0.9, 2.0), 1),
+    "analytic-signal-2": (AnalyticSignalModel(AnalyticSignal(
+        a0=-0.4, a1=np.array([0.5, -1.2]), amplitude=0.7, base_period=2.5, quad=3.0,
+        quad_center=np.array([0.1, -0.3]))), analytic_signal, (-0.9, 2.0), 2),
+}
+
+
+def same_bits(got, expected):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_model_methods_match_array_formulas_bit_for_bit(name):
+    model, reference, (low, high), n_design = MODELS[name]
+    expected = reference(model)
+    rng = np.random.default_rng(20240611)
+    # each design serves three states in a row, so a method that keeps
+    # design terms between calls is checked both on reuse and on change
+    for _ in range(N_DRAWS // 3):
+        sigma = rng.uniform(low, high, n_design)
+        for _ in range(3):
+            u = rng.standard_normal(2) * 10.0 ** rng.uniform(-3.0, 3.0, 2)
+            t = float(rng.uniform(0.0, 50.0))
+            for method, formula in expected.items():
+                args = (u, sigma) if method.startswith("output") else (u, sigma, t)
+                assert same_bits(getattr(model, method)(*args), formula(*args)), \
+                    (method, args)
+
+
+def test_model_methods_do_not_write_their_inputs():
+    rng = np.random.default_rng(7)
+    for model, reference, (low, high), n_design in MODELS.values():
+        u = rng.standard_normal(2)
+        sigma = rng.uniform(low, high, n_design)
+        u_before, sigma_before = u.copy(), sigma.copy()
+        for method in reference(model):
+            result = getattr(model, method)(u, sigma) if method.startswith("output") \
+                else getattr(model, method)(u, sigma, 0.3)
+            if isinstance(result, np.ndarray):
+                result[...] = np.nan  # a caller may write the array it is given
+        assert np.array_equal(u, u_before) and np.array_equal(sigma, sigma_before)
+        # and so may not change what the next call returns
+        assert same_bits(model.output_design_gradient(u, sigma),
+                         reference(model)["output_design_gradient"](u, sigma))
+
+
+@pytest.mark.parametrize("n_rhs", [None, 1, 3], ids=["vector", "one-column", "three-columns"])
+@pytest.mark.parametrize("size", [1, 2])
+def test_solve_step_matches_numpy_solve_bit_for_bit(size, n_rhs):
+    rng = np.random.default_rng(size * 10 + (n_rhs or 0))
+    for _ in range(N_DRAWS):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        matrix = rng.standard_normal((size, size)) * scale
+        shape = (size,) if n_rhs is None else (size, n_rhs)
+        rhs = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0)
+        # the adjoint solves with transposed views of stored step matrices
+        for system in (matrix, matrix.T):
+            before = (system.copy(), rhs.copy())
+            assert same_bits(solve_step(system, rhs), np.linalg.solve(system, rhs)), \
+                (system, rhs)
+            assert np.array_equal(system, before[0]) and np.array_equal(rhs, before[1])
+
+
+@pytest.mark.parametrize("rhs", [np.ones(2), np.ones((2, 3))], ids=["vector", "matrix"])
+def test_solve_step_raises_on_singular_matrix(rhs):
+    for matrix in (np.zeros((2, 2)), np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                   np.array([[np.nan, 1.0], [1.0, 1.0]])):
+        # np.linalg.solve refuses each of these too
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(matrix, rhs)
+        with pytest.raises(SingularStepError) as excinfo:
+            solve_step(matrix, rhs, 5)
+        assert excinfo.value.step == 5
