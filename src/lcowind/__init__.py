@@ -18,8 +18,7 @@ from .optim import DesignHistory, DesignProblem, DesignRecord, evaluate_design, 
 from .primal import (PseudoTimeConfig, TimeGrid, Trajectory, advance_physical_step,
                      estimate_period, extended_residual, simulate,
                      step_coefficients)
-from .tangent import (TangentTrajectory, tangent_step, tangent_sweep,
-                      windowed_tangent_sensitivity)
+from .tangent import TangentTrajectory, tangent_sweep, windowed_tangent_sensitivity
 from .windows import (DiscreteWeights, NormalizationMode, Window,
                       bump_normalization, discrete_weights, window_value)
 
@@ -36,8 +35,7 @@ __all__ = [
     "DesignHistory", "DesignProblem", "DesignRecord", "evaluate_design", "optimize",
     "PseudoTimeConfig", "TimeGrid", "Trajectory", "advance_physical_step",
     "estimate_period", "extended_residual", "simulate", "step_coefficients",
-    "TangentTrajectory", "tangent_step", "tangent_sweep",
-    "windowed_tangent_sensitivity",
+    "TangentTrajectory", "tangent_sweep", "windowed_tangent_sensitivity",
     "DiscreteWeights", "NormalizationMode", "Window", "bump_normalization",
     "discrete_weights", "window_value",
 ]

@@ -152,12 +152,14 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
 
     Step n's objective seed is omega_n dg/du, omega_n being the window
     weight over the span, nonzero only from the transient cutoff on.  The
-    matrices of all steps are built at once, or taken from steps, the
+    seeds, the design Jacobians and the output design gradients of all
+    steps are formed before the reverse loop, one model call each.  The
+    matrices of all steps are built at once too, or taken from steps, the
     `steps` of an earlier sweep with the same dynamics, trajectory and cfg.
     Each step keeps lambda_n = M_n^{-T} ubar_n, which couples it to steps
     n - 1 and n - 2 and carries its design derivative term.  All primal
-    states are held in memory, so no recomputation is needed.  The
-    design's length and the states' shape are checked once, here.
+    states are held in memory, so no recomputation is needed.  The design
+    and the states' shape are checked once, here.
     """
     sigma = check_inputs(model, sigma, traj.states, traj.n_steps)
     cfg = cfg or PseudoTimeConfig()
@@ -173,18 +175,18 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     last = 0 if steps.singular is None else steps.singular.step
 
     weights = discrete_weights(kind, n_tr, n_total, normalization)
-    omega = weights.values / weights.span
+    omega = (weights.values / weights.span)[:, None]
+    seeds = np.zeros((n_total + 1, d_u))
+    seeds[n_tr:] = omega * model.output_state_gradient(states[n_tr:], sigma)
+    design_seeds = omega * model.output_design_gradient(states[n_tr:], sigma)
+    b_mats = model.jacobian_design(states[1:], sigma, grid.times()[1:])
 
     ubar = np.zeros((n_total + 1, d_u))
     lam = np.zeros((n_total + 1, d_u))
-    seeds = np.zeros((n_total + 1, d_u))
     running = np.zeros((n_total + 1, model.n_design))
     inner = np.zeros(n_total + 1, dtype=int)
     norms = np.zeros(n_total + 1)
     contractions = np.zeros(n_total + 1)
-
-    for n in range(n_tr, n_total + 1):
-        seeds[n] = omega[n - n_tr] * model.output_state_gradient(states[n], sigma)
 
     total = np.zeros(model.n_design)
     for n in range(n_total, last, -1):
@@ -201,9 +203,9 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
             float(steps.contractions[n - 1]), tol, cfg.max_inner, mode)
 
         lam[n] = solve_step(m_mat.T, ubar[n], n)
-        total = total - lam[n] @ model.jacobian_design(states[n], sigma, n * dt)
+        total = total - lam[n] @ b_mats[n - 1]
         if n >= n_tr:
-            total = total + omega[n - n_tr] * model.output_design_gradient(states[n], sigma)
+            total = total + design_seeds[n - n_tr]
         running[n] = total
     if steps.singular is not None:
         raise steps.singular

@@ -2,11 +2,16 @@
 
 Every ODE model describes dynamics in the form du/dt + R(u, sigma, t) = 0
 and exposes the residual R, its state Jacobian, its design derivative, and
-an instantaneous scalar output g(u, sigma).  These per-step methods take
-the state and the design as float arrays and check neither: check_inputs
-checks both once, where a march or a sweep starts.  The analytic signal
-provides exact values for the limit average and its design derivative,
-which makes it the ground truth for convergence and consistency checks.
+an instantaneous scalar output g(u, sigma) with its state and design
+gradients.  The residual and the state Jacobian take one state of shape
+(d_u,): the march calls them per inner iterate.  The design Jacobian and
+the three output methods take one state or a trajectory's stack of shape
+(N, d_u), and return their result for each state, so a sweep calls each
+once.  All methods take the state and the design as float arrays and check
+neither: check_inputs checks both once, where a march or a sweep starts.
+The analytic signal provides exact values for the limit average and its
+design derivative, which makes it the ground truth for convergence and
+consistency checks.
 """
 from __future__ import annotations
 
@@ -85,13 +90,16 @@ def check_inputs(model, sigma, states, n_steps=None) -> np.ndarray:
     models' per-step methods need not.
 
     states is the initial state, of shape (d_u,), or with n_steps a
-    trajectory's states, of shape (n_steps + 1, d_u).  Returns the design,
-    given as a DesignVector, an array or a scalar, as a float array of
-    shape (n_design,): the form the model methods read it in.
+    trajectory's states, of shape (n_steps + 1, d_u).  A wrong shape raises
+    ValueError and a NaN or infinite design DesignDomainError.  Returns the
+    design, given as a DesignVector, an array or a scalar, as a float array
+    of shape (n_design,): the form the model methods read it in.
     """
     design = _sigma_values(sigma)
     if design.shape != (model.n_design,):
         raise ValueError(f"design must have shape ({model.n_design},), got {design.shape}")
+    if not np.all(np.isfinite(design)):
+        raise DesignDomainError(f"design must be finite, got {design}")
     shape = (model.d_u,) if n_steps is None else (n_steps + 1, model.d_u)
     if np.shape(states) != shape:
         what = "state" if n_steps is None else "trajectory states"
@@ -154,8 +162,8 @@ class AnalyticSignal:
     def period(self, sigma) -> float:
         sigma = _sigma_values(sigma)
         period = self.base_period * (1.0 + sigma[0])
-        if period <= 0.0:
-            raise DesignDomainError("design drives the period non-positive")
+        if not period > 0.0:
+            raise DesignDomainError(f"design drives the period non-positive ({period})")
         return period
 
     def output(self, t, sigma):
@@ -196,8 +204,7 @@ class AnalyticSignalModel:
 
     signal: AnalyticSignal = field(default_factory=AnalyticSignal)
     # the design terms of the last design seen, which every step of a march
-    # reads again: "omega" -> (sigma_1, Omega, dOmega/dsigma_1) and
-    # "mean" -> (design bytes, a(sigma), da/dsigma)
+    # reads again: "omega" -> (sigma_1, Omega, dOmega/dsigma_1)
     _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     name = "analytic-signal"
@@ -223,15 +230,6 @@ class AnalyticSignalModel:
             self._last["omega"] = last
         return last[1], last[2]
 
-    def _mean(self, sigma) -> tuple[float, np.ndarray]:
-        """a(sigma) and its design gradient, recomputed when the design changes."""
-        key = sigma.tobytes()
-        last = self._last.get("mean")
-        if last is None or last[0] != key:
-            last = (key, self.signal.mean(sigma), self.signal.mean_design_gradient(sigma))
-            self._last["mean"] = last
-        return last[1], last[2]
-
     def residual(self, u, sigma, t=0.0) -> np.ndarray:
         y, z = u.tolist()
         omega = self._omega(sigma)[0]
@@ -242,40 +240,43 @@ class AnalyticSignalModel:
         return np.array([[0.0, -omega], [omega, 0.0]])
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
-        y, z = u.tolist()
         domega = self._omega(sigma)[1]
-        jac = np.zeros((self.d_u, len(sigma)))
-        jac[0, 0] = -domega * z
-        jac[1, 0] = domega * y
+        jac = np.zeros(np.shape(u) + (len(sigma),))
+        jac[..., 0, 0] = -domega * u[..., 1]
+        jac[..., 1, 0] = domega * u[..., 0]
         return jac
 
-    def output_value(self, u, sigma) -> float:
-        return self._mean(sigma)[0] + u.item(0)
+    def output_value(self, u, sigma):
+        return self.signal.mean(sigma) + u[..., 0]
 
     def output_state_gradient(self, u, sigma) -> np.ndarray:
-        return np.array([1.0, 0.0])
+        grad = np.zeros(np.shape(u))
+        grad[..., 0] = 1.0
+        return grad
 
     def output_design_gradient(self, u, sigma) -> np.ndarray:
-        return self._mean(sigma)[1].copy()
+        grad = np.empty(np.shape(u)[:-1] + (len(sigma),))
+        grad[...] = self.signal.mean_design_gradient(sigma)
+        return grad
 
 
 class _FirstStateOutput:
     """Output x or x^2 of the first state, chosen by the ``output`` field;
     it does not depend on the design."""
 
-    def output_value(self, u, sigma) -> float:
-        x = u.item(0)
+    def output_value(self, u, sigma):
+        x = u[..., 0]
         if self.output is OutputKind.FIRST_STATE:
-            return x
+            return x.copy()  # not a view: a trajectory's outputs outlive its states
         return x * x
 
     def output_state_gradient(self, u, sigma) -> np.ndarray:
-        if self.output is OutputKind.FIRST_STATE:
-            return np.array([1.0, 0.0])
-        return np.array([2.0 * u.item(0), 0.0])
+        grad = np.zeros(np.shape(u))
+        grad[..., 0] = 1.0 if self.output is OutputKind.FIRST_STATE else 2.0 * u[..., 0]
+        return grad
 
     def output_design_gradient(self, u, sigma) -> np.ndarray:
-        return np.zeros(self.n_design)
+        return np.zeros(np.shape(u)[:-1] + (self.n_design,))
 
 
 @dataclass(frozen=True)
@@ -310,8 +311,10 @@ class VanDerPol(_FirstStateOutput):
         ])
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
-        x, v = u.tolist()
-        return np.array([[0.0], [-(1.0 - x * x) * v]])
+        x, v = u[..., 0], u[..., 1]
+        jac = np.zeros(np.shape(u) + (1,))
+        jac[..., 1, 0] = -(1.0 - x * x) * v
+        return jac
 
 
 @dataclass(frozen=True)
@@ -355,8 +358,10 @@ class ForcedOscillator(_FirstStateOutput):
         return np.array([[0.0, -1.0], [k, c]])
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
-        x, v = u.tolist()
-        return np.array([[0.0], [self.damping0 * v + self.stiffness0 * x]])
+        x, v = u[..., 0], u[..., 1]
+        jac = np.zeros(np.shape(u) + (1,))
+        jac[..., 1, 0] = self.damping0 * v + self.stiffness0 * x
+        return jac
 
     # steady-state closed forms, used as ground truth in tests
     def steady_amplitude(self, sigma) -> float:

@@ -123,9 +123,7 @@ def _primal(problem, values):
         objective = windowed_average(traj.outputs, *window_args)
         if problem.constraint_model is None:
             return traj, objective, math.inf
-        con_outputs = np.array([
-            problem.constraint_model.output_value(traj.states[n], values)
-            for n in range(traj.n_steps + 1)])
+        con_outputs = problem.constraint_model.output_value(traj.states, values)
         return traj, objective, windowed_average(con_outputs, *window_args)
 
 
@@ -167,9 +165,10 @@ def optimize(problem: DesignProblem, sigma0=None) -> DesignHistory:
     Each iteration takes a backtracking step along the negative merit
     gradient, projecting every candidate onto the box.  Stops when the
     projected-gradient step drops below the tolerance, the iteration
-    budget runs out, or the line search stalls (reported as a flag, not
-    an exception).  The penalty doubles after three consecutive
-    infeasible iterates.  Line-search candidates are only marched; the
+    budget runs out, the line search stalls (reported as a flag, not an
+    exception), or the accepted candidate's merit is no lower than the
+    current one (the candidate is not taken).  The penalty doubles after
+    three consecutive infeasible iterates.  Line-search candidates are only marched; the
     adjoint gradients are computed once a candidate is accepted, on the
     trajectory its march left.
     """
@@ -235,6 +234,11 @@ def optimize(problem: DesignProblem, sigma0=None) -> DesignHistory:
         if not accepted:
             failed = True
             message = "line search failed to find descent"
+            break
+        if not cand_merit < merit:
+            # the sufficient-decrease margin rounded away: at the merit's
+            # noise floor the iterates would only alternate
+            message = "merit stopped decreasing"
             break
 
         record.step_size = step

@@ -198,13 +198,13 @@ def simulate(model, sigma, grid: TimeGrid,
              cfg: PseudoTimeConfig | None = None) -> Trajectory:
     """March the model over the grid and record states and outputs.
 
-    The design's length and the initial state's shape are checked here,
-    once; the model methods each step calls do not check them again.
+    The design and the initial state's shape are checked here, once; the
+    model methods each step calls do not check them again.  The outputs
+    are formed in one call once the march is done.
     """
     cfg = cfg or PseudoTimeConfig()
     n_total = grid.n_steps
     states = np.empty((n_total + 1, model.d_u))
-    outputs = np.empty(n_total + 1)
     inner = np.zeros(n_total + 1, dtype=int)
     norms = np.zeros(n_total + 1)
     flags = np.ones(n_total + 1, dtype=bool)
@@ -212,7 +212,6 @@ def simulate(model, sigma, grid: TimeGrid,
     u0 = np.asarray(model.initial_state(sigma), dtype=float)
     sigma = check_inputs(model, sigma, u0)
     states[0] = u0
-    outputs[0] = model.output_value(u0, sigma)
 
     for n in range(1, n_total + 1):
         coeffs = step_coefficients(n, grid.dt)
@@ -227,12 +226,11 @@ def simulate(model, sigma, grid: TimeGrid,
             warnings.warn(f"step {n} left unconverged (residual {norm:.3e})",
                           RuntimeWarning, stacklevel=2)
         states[n] = u
-        outputs[n] = model.output_value(u, sigma)
         inner[n] = its
         norms[n] = norm
         flags[n] = ok
 
-    return Trajectory(grid=grid, states=states, outputs=outputs,
+    return Trajectory(grid=grid, states=states, outputs=model.output_value(states, sigma),
                       inner_iterations=inner, residual_norms=norms, converged=flags)
 
 

@@ -14,8 +14,7 @@ from .models import check_inputs
 from .primal import Trajectory, solve_step, step_coefficients, step_matrices
 from .windows import NormalizationMode, Window, discrete_weights
 
-__all__ = ["TangentTrajectory", "tangent_step", "tangent_sweep",
-           "windowed_tangent_sensitivity"]
+__all__ = ["TangentTrajectory", "tangent_sweep", "windowed_tangent_sensitivity"]
 
 
 @dataclass
@@ -27,46 +26,32 @@ class TangentTrajectory:
     solve_count: int                   # dense solves spent, one per design column per step
 
 
-def tangent_step(a_mat, b_mat, udot_nm1, udot_nm2, coeffs, step=None):
-    """Advance the state sensitivity matrix by one physical step.
-
-    a_mat is the step matrix A_n and b_mat the design Jacobian dR/dsigma at
-    u^n.  Returns (udot_n, solves) where solves counts one dense solve per
-    design column.  step only labels a SingularStepError.
-    """
-    _, beta, delta = coeffs
-    rhs = -beta * udot_nm1 - delta * udot_nm2 - b_mat
-    return solve_step(a_mat, rhs, step), rhs.shape[1]
-
-
 def tangent_sweep(model, sigma, traj: Trajectory) -> TangentTrajectory:
     """Differentiate a converged trajectory w.r.t. the design variables.
 
     The initial state is design-independent, so the sweep starts from zero
-    sensitivity.  The design's length and the states' shape are checked
-    once, here.
+    sensitivity.  Each step solves A_n udot_n = -beta udot_{n-1} - delta
+    udot_{n-2} - dR/dsigma(u^n), one dense solve per design column; the
+    design Jacobians and the output gradients are formed once, for the
+    whole trajectory.  The design and the states' shape are checked once,
+    here.
     """
     sigma = check_inputs(model, sigma, traj.states, traj.n_steps)
     n_total = traj.n_steps
-    n_design = model.n_design
     dt = traj.grid.dt
+    states = traj.states
     a_mats = step_matrices(model, sigma, traj)
-    udot = np.zeros((n_total + 1, model.d_u, n_design))
-    gdot = np.zeros((n_total + 1, n_design))
-    gdot[0] = model.output_design_gradient(traj.states[0], sigma)
-    solves = 0
+    b_mats = model.jacobian_design(states[1:], sigma, traj.grid.times()[1:])
+    udot = np.zeros((n_total + 1, model.d_u, model.n_design))
     for n in range(1, n_total + 1):
-        u_n = traj.states[n]
+        _, beta, delta = step_coefficients(n, dt)
         udot_nm2 = udot[n - 2] if n >= 2 else udot[0]
-        udot[n], used = tangent_step(a_mats[n - 1],
-                                     model.jacobian_design(u_n, sigma, n * dt),
-                                     udot[n - 1], udot_nm2,
-                                     step_coefficients(n, dt), step=n)
-        solves += used
-        gdot[n] = model.output_state_gradient(u_n, sigma) @ udot[n] \
-            + model.output_design_gradient(u_n, sigma)
+        rhs = -beta * udot[n - 1] - delta * udot_nm2 - b_mats[n - 1]
+        udot[n] = solve_step(a_mats[n - 1], rhs, n)
+    gdot = (model.output_state_gradient(states, sigma)[:, None, :] @ udot)[:, 0] \
+        + model.output_design_gradient(states, sigma)
     return TangentTrajectory(state_sensitivities=udot, output_sensitivities=gdot,
-                             solve_count=solves)
+                             solve_count=n_total * model.n_design)
 
 
 def windowed_tangent_sensitivity(tangent: TangentTrajectory, kind: Window,

@@ -154,6 +154,8 @@ class DiscreteWeights:
 def discrete_weights(kind: Window, n_tr: int, n_final: int,
                      mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL) -> DiscreteWeights:
     """Sample a window over steps n_tr..n_final inclusive."""
+    if n_tr < 0:
+        raise InvalidSpanError(f"transient cutoff must be non-negative, got n_tr={n_tr}")
     span = n_final - n_tr
     if span <= 0:
         raise InvalidSpanError(f"averaging span must be positive, got n_tr={n_tr}, N={n_final}")

@@ -35,16 +35,16 @@ class StiffDecayModel:
         return np.array([[-10.0]])
 
     def jacobian_design(self, u, sigma, t=0.0):
-        return np.array([[1.0]])
+        return np.ones(np.shape(u) + (1,))
 
     def output_value(self, u, sigma):
-        return float(u[0])
+        return u[..., 0].copy()
 
     def output_state_gradient(self, u, sigma):
-        return np.array([1.0])
+        return np.ones(np.shape(u))
 
     def output_design_gradient(self, u, sigma):
-        return np.zeros(1)
+        return np.zeros(np.shape(u)[:-1] + (1,))
 
 
 def make_vdp_setup(n_steps=300, n_transient=60, cfg=None):
@@ -214,7 +214,7 @@ def test_running_derivative_terminates_at_total():
 
 @dataclass(frozen=True)
 class CountingVanDerPol(VanDerPol):
-    """Van der Pol that counts its residual and state-Jacobian evaluations."""
+    """Van der Pol that counts the calls of each of its methods."""
 
     calls: Counter = field(default_factory=Counter, compare=False)
 
@@ -226,17 +226,42 @@ class CountingVanDerPol(VanDerPol):
         self.calls["jacobian_state"] += 1
         return super().jacobian_state(u, sigma, t)
 
+    def jacobian_design(self, u, sigma, t=0.0):
+        self.calls["jacobian_design"] += 1
+        return super().jacobian_design(u, sigma, t)
+
+    def output_value(self, u, sigma):
+        self.calls["output_value"] += 1
+        return super().output_value(u, sigma)
+
+    def output_state_gradient(self, u, sigma):
+        self.calls["output_state_gradient"] += 1
+        return super().output_state_gradient(u, sigma)
+
+    def output_design_gradient(self, u, sigma):
+        self.calls["output_design_gradient"] += 1
+        return super().output_design_gradient(u, sigma)
+
 
 def test_each_step_evaluates_its_residuals_and_jacobian_once():
     model = CountingVanDerPol(output=OutputKind.FIRST_STATE_SQUARED)
     sigma = np.array([1.0])
     cfg = PseudoTimeConfig(dtau=1.0, tol=1e-12, max_inner=200)
     traj = simulate(model, sigma, TimeGrid(dt=0.05, n_steps=80, n_transient=20), cfg)
-    # one residual at each step's warm start, then one per inner iterate
-    assert model.calls["residual"] == traj.n_steps + traj.inner_iterations.sum()
-    model.calls.clear()
-    adjoint_sweep(model, sigma, traj, Window.HANN, cfg=cfg)
-    assert model.calls["jacobian_state"] == traj.n_steps
+    # one residual at each step's warm start, then one per inner iterate;
+    # the outputs of all states in one call
+    assert model.calls == Counter(
+        residual=traj.n_steps + traj.inner_iterations.sum(),
+        jacobian_state=traj.inner_iterations.sum(), output_value=1)
+    # each sweep: one state Jacobian per step, and every other method once
+    # for the whole trajectory
+    per_sweep = Counter(jacobian_state=traj.n_steps, jacobian_design=1,
+                        output_state_gradient=1, output_design_gradient=1)
+    for sweep in (lambda: tangent_sweep(model, sigma, traj),
+                  lambda: adjoint_sweep(model, sigma, traj, Window.HANN, cfg=cfg)):
+        model.calls.clear()
+        sweep()
+        assert model.calls == per_sweep
 
 
 def test_mode_from_name():

@@ -4,8 +4,10 @@ The reference march in test_reference_march.py calls the models' own
 methods, so it cannot see a change in a model formula.  Here each method
 is compared, on thousands of seeded states, designs and times, with the
 numpy-array form it was first written in: the state and the design read
-through np.asarray, every product taken on numpy scalars.  solve_step is
-compared with np.linalg.solve.  Both must agree in every bit.
+through np.asarray, every product taken on numpy scalars.  The methods
+that also take a stack of states must return the stack of their
+single-state results.  solve_step is compared with np.linalg.solve.  All
+must agree in every bit.
 """
 
 import math
@@ -16,9 +18,12 @@ import pytest
 from lcowind.errors import SingularStepError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
                             OutputKind, VanDerPol)
-from lcowind.primal import solve_step
+from lcowind.primal import TimeGrid, simulate, solve_step
 
 N_DRAWS = 3000
+# the methods that take one state (d_u,) or a stack of states (N, d_u)
+STACKED = ("jacobian_design", "output_value", "output_state_gradient",
+           "output_design_gradient")
 
 
 def _state(u):
@@ -164,23 +169,41 @@ def test_model_methods_match_array_formulas_bit_for_bit(name):
                 args = (u, sigma) if method.startswith("output") else (u, sigma, t)
                 assert same_bits(getattr(model, method)(*args), formula(*args)), \
                     (method, args)
+        # the three states again, as one stack
+        states = rng.standard_normal((3, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 2))
+        times = rng.uniform(0.0, 50.0, 3)
+        for method in STACKED:
+            call = getattr(model, method)
+            if method.startswith("output"):
+                stacked, single = call(states, sigma), [call(u, sigma) for u in states]
+            else:
+                stacked = call(states, sigma, times)
+                single = [call(u, sigma, t) for u, t in zip(states, times)]
+            assert same_bits(stacked, np.stack(single)), (method, states, sigma)
 
 
 def test_model_methods_do_not_write_their_inputs():
     rng = np.random.default_rng(7)
     for model, reference, (low, high), n_design in MODELS.values():
-        u = rng.standard_normal(2)
+        formulas = reference(model)
         sigma = rng.uniform(low, high, n_design)
-        u_before, sigma_before = u.copy(), sigma.copy()
-        for method in reference(model):
-            result = getattr(model, method)(u, sigma) if method.startswith("output") \
-                else getattr(model, method)(u, sigma, 0.3)
-            if isinstance(result, np.ndarray):
-                result[...] = np.nan  # a caller may write the array it is given
-        assert np.array_equal(u, u_before) and np.array_equal(sigma, sigma_before)
-        # and so may not change what the next call returns
-        assert same_bits(model.output_design_gradient(u, sigma),
-                         reference(model)["output_design_gradient"](u, sigma))
+        for u, t, methods in ((rng.standard_normal(2), 0.3, formulas),
+                              (rng.standard_normal((5, 2)), np.full(5, 0.3), STACKED)):
+            u_before, sigma_before = u.copy(), sigma.copy()
+            for method in methods:
+                result = getattr(model, method)(u, sigma) if method.startswith("output") \
+                    else getattr(model, method)(u, sigma, t)
+                if isinstance(result, np.ndarray):
+                    result[...] = np.nan  # a caller may write the array it is given
+            assert np.array_equal(u, u_before) and np.array_equal(sigma, sigma_before)
+            # and so may not change what the next call returns
+            expected = [formulas["output_design_gradient"](row, sigma)
+                        for row in np.atleast_2d(u)]
+            assert same_bits(model.output_design_gradient(u, sigma),
+                             np.reshape(expected, np.shape(u)[:-1] + (n_design,)))
+        # a trajectory's outputs are its own array, not a view of its states
+        traj = simulate(model, sigma, TimeGrid(dt=0.05, n_steps=10, n_transient=2))
+        assert not np.shares_memory(traj.outputs, traj.states)
 
 
 @pytest.mark.parametrize("n_rhs", [None, 1, 3], ids=["vector", "one-column", "three-columns"])

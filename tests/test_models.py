@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lcowind.errors import DesignDomainError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, DesignVector,
                             ForcedOscillator, OutputKind, VanDerPol)
 
@@ -154,6 +155,8 @@ def test_analytic_signal_period_validation():
     assert sig.period(np.array([0.3])) == pytest.approx(1.3)
     with pytest.raises(ValueError, match="non-positive"):
         sig.period(np.array([-1.0]))
+    with pytest.raises(DesignDomainError, match="non-positive"):
+        sig.period(np.array([np.nan]))
     with pytest.raises(ValueError, match="base_period"):
         AnalyticSignal(base_period=0.0)
     with pytest.raises(ValueError, match="quad_center"):

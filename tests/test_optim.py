@@ -169,6 +169,32 @@ def test_line_search_failure_sets_flag():
     assert history.iterations == 1
 
 
+def test_loop_stops_when_merit_stops_decreasing():
+    # with grad_tolerance = 1e-8 the projected gradient never drops below the
+    # tolerance: from iteration 14 on the Armijo margin rounds away, and an
+    # accepted candidate's merit equals the current one.  Without the stop
+    # the loop alternated between two designs for 48 iterations and 181
+    # evaluations and ended at the same design to 8 digits
+    signal = AnalyticSignal(a0=1.0, a1=np.array([0.0]), amplitude=0.05, quad=5.0,
+                            quad_center=np.array([0.45]))
+    problem = DesignProblem(
+        objective_model=AnalyticSignalModel(signal=signal),
+        design=DesignVector(values=np.array([0.0]), lower=np.array([-0.5]),
+                            upper=np.array([0.9])),
+        grid=TimeGrid(dt=0.02, n_steps=720, n_transient=100),
+        relaxation=1.0, max_iterations=50, grad_tolerance=1e-8)
+    history = optimize(problem)
+    assert history.message == "merit stopped decreasing"
+    assert not history.converged and not history.line_search_failed
+    assert (history.iterations, history.evaluations) == (14, 57)
+    assert history.final_design[0] == pytest.approx(0.45002088, abs=5e-9)
+    # the candidate that did not lower the merit is not taken
+    merits = [r.merit for r in history.records]
+    assert all(b < a for a, b in zip(merits, merits[1:]))
+    assert history.records[-1].step_size == 0.0
+    assert np.array_equal(history.final_design, history.records[-1].sigma)
+
+
 def test_solver_failure_attaches_design_iterate():
     problem = quadratic_problem()
     sick = DesignProblem(objective_model=VanDerPol(), design=problem.design,

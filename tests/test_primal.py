@@ -40,16 +40,18 @@ class LinearModel:
         return self.matrix
 
     def jacobian_design(self, u, sigma, t=0.0):
-        return np.zeros((2, 1))
+        return np.zeros(np.shape(u) + (1,))
 
     def output_value(self, u, sigma):
-        return float(u[0])
+        return u[..., 0].copy()
 
     def output_state_gradient(self, u, sigma):
-        return np.array([1.0, 0.0])
+        grad = np.zeros(np.shape(u))
+        grad[..., 0] = 1.0
+        return grad
 
     def output_design_gradient(self, u, sigma):
-        return np.zeros(1)
+        return np.zeros(np.shape(u)[:-1] + (1,))
 
 
 def test_step_coefficients_values():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lcowind.adjoint import AdjointMode, adjoint_sweep
-from lcowind.errors import SingularStepError
+from lcowind.errors import DesignDomainError, SingularStepError
 from lcowind.models import OutputKind, VanDerPol
 from lcowind.primal import PseudoTimeConfig, TimeGrid, Trajectory, simulate
 from lcowind.tangent import tangent_sweep
@@ -63,6 +63,18 @@ def test_wrong_length_design_is_rejected_before_any_step(sigma):
             sweep(model, sigma, traj)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_design_is_rejected_before_any_step(value):
+    model = UncalledVanDerPol()
+    sigma = np.array([value])
+    with pytest.raises(DesignDomainError, match="design must be finite"):
+        simulate(model, sigma, GRID)
+    traj = simulate(VanDerPol(), SIGMA, GRID)
+    for sweep in SWEEPS.values():
+        with pytest.raises(DesignDomainError, match="design must be finite"):
+            sweep(model, sigma, traj)
+
+
 def test_wrong_shape_initial_state_is_rejected_before_any_step():
     with pytest.raises(ValueError, match=r"state must have shape \(2,\), got \(3,\)"):
         simulate(UncalledVanDerPol(bad_initial_state=True), SIGMA, GRID)
@@ -106,16 +118,16 @@ class SingularAtModel:
         return np.array([[-1.5 if t == self.singular_at else -10.0]])
 
     def jacobian_design(self, u, sigma, t=0.0):
-        return np.array([[u[0]]])
+        return u[..., None].copy()
 
     def output_value(self, u, sigma):
-        return float(u[0])
+        return u[..., 0].copy()
 
     def output_state_gradient(self, u, sigma):
-        return np.array([1.0])
+        return np.ones(np.shape(u))
 
     def output_design_gradient(self, u, sigma):
-        return np.zeros(1)
+        return np.zeros(np.shape(u)[:-1] + (1,))
 
 
 SINGULAR_GRID = TimeGrid(dt=1.0, n_steps=6, n_transient=1)

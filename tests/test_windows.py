@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from lcowind.analysis import windowed_average
 from lcowind.errors import InvalidSpanError
+from lcowind.tangent import TangentTrajectory, windowed_tangent_sensitivity
 from lcowind.windows import (NormalizationMode, Window, bump_normalization,
                              discrete_weights, window_value)
 
@@ -130,6 +132,13 @@ def test_invalid_spans_raise():
     # renormalized mode has nothing to rescale
     with pytest.raises(InvalidSpanError):
         discrete_weights(Window.BUMP, 0, 1, NormalizationMode.RENORMALIZED)
+    # a negative cutoff would slice the series from its end
+    tangent = TangentTrajectory(np.zeros((20, 2, 1)), np.zeros((20, 1)), 0)
+    for average in (lambda: discrete_weights(Window.HANN, -5, 10),
+                    lambda: windowed_average(np.arange(20.0), Window.HANN, -5, 10),
+                    lambda: windowed_tangent_sensitivity(tangent, Window.HANN, -5, 10)):
+        with pytest.raises(InvalidSpanError, match="n_tr=-5"):
+            average()
 
 
 def test_weights_match_window_samples():
