@@ -3,12 +3,15 @@
 Every ODE model describes dynamics in the form du/dt + R(u, sigma, t) = 0
 and exposes the residual R, its state Jacobian, its design derivative, and
 an instantaneous scalar output g(u, sigma) with its state and design
-gradients.  The residual and the state Jacobian take one state of shape
-(d_u,): the march calls them per inner iterate.  The design Jacobian and
-the three output methods take one state or a trajectory's stack of shape
-(N, d_u), and return their result for each state, so a sweep calls each
-once.  All methods take the state and the design as float arrays and check
-neither: check_inputs checks both once, where a march or a sweep starts.
+gradients.  The residual and the state Jacobian take one state as any
+sequence of d_u floats, and the march passes a list: they run per inner
+iterate.  The residual returns a list of floats, the state Jacobian a new
+(d_u, d_u) array.  The design Jacobian and the three output methods take
+one state of shape (d_u,) or a trajectory's stack of shape (N, d_u), as
+float arrays, and return their result for each state, so a sweep calls
+each once.  All methods take the design as a float array and check neither
+it nor the state: check_inputs checks both once, where a march or a sweep
+starts.
 The analytic signal provides exact values for the limit average and its
 design derivative, which makes it the ground truth for convergence and
 consistency checks.
@@ -230,10 +233,10 @@ class AnalyticSignalModel:
             self._last["omega"] = last
         return last[1], last[2]
 
-    def residual(self, u, sigma, t=0.0) -> np.ndarray:
-        y, z = u.tolist()
+    def residual(self, u, sigma, t=0.0) -> list[float]:
+        y, z = u
         omega = self._omega(sigma)[0]
-        return np.array([-omega * z, omega * y])
+        return [-omega * z, omega * y]
 
     def jacobian_state(self, u, sigma, t=0.0) -> np.ndarray:
         omega = self._omega(sigma)[0]
@@ -297,13 +300,13 @@ class VanDerPol(_FirstStateOutput):
         # close to the limit cycle for every mu in the design box
         return np.array([2.0, 0.0])
 
-    def residual(self, u, sigma, t=0.0) -> np.ndarray:
-        x, v = u.tolist()
+    def residual(self, u, sigma, t=0.0) -> list[float]:
+        x, v = u
         mu = float(sigma[0])
-        return np.array([-v, -mu * (1.0 - x * x) * v + x])
+        return [-v, -mu * (1.0 - x * x) * v + x]
 
     def jacobian_state(self, u, sigma, t=0.0) -> np.ndarray:
-        x, v = u.tolist()
+        x, v = u
         mu = float(sigma[0])
         return np.array([
             [0.0, -1.0],
@@ -348,10 +351,10 @@ class ForcedOscillator(_FirstStateOutput):
         """Stiffness and damping (k, c) at sigma_1 = s."""
         return self.stiffness0 * (1.0 + s), self.damping0 * (1.0 + s)
 
-    def residual(self, u, sigma, t=0.0) -> np.ndarray:
-        x, v = u.tolist()
+    def residual(self, u, sigma, t=0.0) -> list[float]:
+        x, v = u
         k, c = self._coefficients(float(sigma[0]))
-        return np.array([-v, c * v + k * x - self.forcing * math.sin(self.omega * t)])
+        return [-v, c * v + k * x - self.forcing * math.sin(self.omega * t)]
 
     def jacobian_state(self, u, sigma, t=0.0) -> np.ndarray:
         k, c = self._coefficients(float(sigma[0]))

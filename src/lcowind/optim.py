@@ -167,8 +167,9 @@ def optimize(problem: DesignProblem, sigma0=None) -> DesignHistory:
     projected-gradient step drops below the tolerance, the iteration
     budget runs out, the line search stalls (reported as a flag, not an
     exception), or the accepted candidate's merit is no lower than the
-    current one (the candidate is not taken).  The penalty doubles after
-    three consecutive infeasible iterates.  Line-search candidates are only marched; the
+    current one (the candidate is not taken).  The penalty doubles at the
+    third infeasible iterate in a row, before that iterate's merit is
+    formed.  Line-search candidates are only marched; the
     adjoint gradients are computed once a candidate is accepted, on the
     trajectory its march left.
     """
@@ -193,11 +194,20 @@ def optimize(problem: DesignProblem, sigma0=None) -> DesignHistory:
         if traj is not None:
             grad_obj, grad_con = _gradients(problem, sigma, traj)
             traj = None
+        # the penalty changes before the merit is formed, so the line search
+        # compares candidates with a reference merit at the same penalty
+        feasible = problem.constraint_model is None or constraint >= problem.bound
+        if not feasible:
+            infeasible_streak += 1
+            if infeasible_streak >= 3:
+                penalty *= 2.0
+                infeasible_streak = 0
+        else:
+            infeasible_streak = 0
         merit = _merit(problem, objective, constraint, penalty)
         grad = _merit_gradient(problem, constraint, grad_obj, grad_con, penalty)
         projected_step = sigma - design.project(sigma - grad)
         grad_norm = float(np.linalg.norm(projected_step))
-        feasible = problem.constraint_model is None or constraint >= problem.bound
 
         record = DesignRecord(iteration=iteration, sigma=sigma.copy(),
                               objective=objective, constraint=constraint,
@@ -210,14 +220,6 @@ def optimize(problem: DesignProblem, sigma0=None) -> DesignHistory:
             converged = True
             message = "projected gradient below tolerance"
             break
-
-        if not feasible:
-            infeasible_streak += 1
-            if infeasible_streak >= 3:
-                penalty *= 2.0
-                infeasible_streak = 0
-        else:
-            infeasible_streak = 0
 
         step = 1.0
         accepted = False

@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.blas import ddot
 from scipy.linalg.lapack import dgesv
 
 from .errors import (InvalidSpanError, PeriodUndetectableError, SingularStepError,
@@ -128,15 +130,19 @@ def extended_residual(model, u_n, u_nm1, u_nm2, sigma, dt, t=0.0,
     default is BDF2.
     """
     alpha, beta, delta = step_coefficients(2, dt) if coeffs is None else coeffs
-    return _extended_residual(model, np.asarray(u_n, dtype=float), sigma, t, alpha,
-                              beta * np.asarray(u_nm1, dtype=float),
-                              delta * np.asarray(u_nm2, dtype=float))
+    u_n, u_nm1, u_nm2 = (np.asarray(u, dtype=float).tolist() for u in (u_n, u_nm1, u_nm2))
+    return _extended_residual(model, u_n, sigma, t, alpha, [beta * x for x in u_nm1],
+                              [delta * x for x in u_nm2])
 
 
-def _extended_residual(model, u_n, sigma, t, alpha, beta_u_nm1, delta_u_nm2):
-    """extended_residual with its history terms beta u_{n-1} and delta u_{n-2}
-    already formed, as they stay fixed over a physical step."""
-    return alpha * u_n + model.residual(u_n, sigma, t) + beta_u_nm1 + delta_u_nm2
+def _extended_residual(model, u_n, sigma, t, alpha, beta_u_nm1, delta_u_nm2) -> np.ndarray:
+    """extended_residual of the float list u_n, with its history terms
+    beta u_{n-1} and delta u_{n-2} already formed as float lists, as they
+    stay fixed over a physical step.  The sums run on Python floats, in the
+    order of the formula; the one array made of them is what the norm and
+    the step solve read."""
+    return np.array([alpha * x + r + b + d for x, r, b, d
+                     in zip(u_n, model.residual(u_n, sigma, t), beta_u_nm1, delta_u_nm2)])
 
 
 def step_matrices(model, sigma, traj: Trajectory) -> np.ndarray:
@@ -145,9 +151,17 @@ def step_matrices(model, sigma, traj: Trajectory) -> np.ndarray:
     dt = traj.grid.dt
     steps = range(1, traj.n_steps + 1)
     alphas = np.array([step_coefficients(n, dt)[0] for n in steps])
-    jacobians = np.array([model.jacobian_state(traj.states[n], sigma, n * dt)
-                          for n in steps])
+    jacobians = np.array([model.jacobian_state(u, sigma, n * dt)
+                          for n, u in zip(steps, traj.states[1:].tolist())])
     return alphas[:, None, None] * np.eye(model.d_u) + jacobians
+
+
+@lru_cache(maxsize=64)
+def _scaled_identity(scale, d_u) -> np.ndarray:
+    """scale * I of size d_u, built once and shared, so read-only."""
+    matrix = scale * np.eye(d_u)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def solve_step(matrix, rhs, step=None):
@@ -164,32 +178,38 @@ def solve_step(matrix, rhs, step=None):
 
 
 def advance_physical_step(model, u_nm1, u_nm2, sigma, dt, t, cfg: PseudoTimeConfig,
-                          coeffs, step=None) -> tuple[np.ndarray, int, float, bool]:
+                          coeffs, step=None) -> tuple[list[float], int, float, bool]:
     """Drive the inner iteration at one physical step until R* is below tol.
 
     Each inner iteration is one linearized implicit-Euler pseudo-time update,
     u <- u - (alpha I + dR/du + I/dtau)^{-1} R*(u), which at dtau = inf is a
-    Newton step.  Returns (state, inner iterations used, final residual norm,
-    converged).  step only labels a SingularStepError.
+    Newton step.  u_nm1 and u_nm2 are sequences of floats, and the iterate
+    is kept as a list of floats; only the residual and the step matrix are
+    arrays, for the norm and the step solve.  Returns (state as a list of
+    floats, inner iterations used, final residual norm, converged).  step
+    only labels a SingularStepError.
     """
     alpha, beta, delta = coeffs
-    u_nm1 = np.asarray(u_nm1, dtype=float)
     # fixed over the step: the history terms and the diagonal shifts
-    history = (beta * u_nm1, delta * np.asarray(u_nm2, dtype=float))
-    shift = alpha * np.eye(model.d_u)
+    history = ([beta * x for x in u_nm1], [delta * x for x in u_nm2])
+    shift = _scaled_identity(alpha, model.d_u)
     pseudo_shift = (None if math.isinf(cfg.dtau)
-                    else (1.0 / cfg.dtau) * np.eye(model.d_u))
-    u = u_nm1.copy()  # warm start from the previous physical state
+                    else _scaled_identity(1.0 / cfg.dtau, model.d_u))
+    u = list(u_nm1)  # warm start from the previous physical state
     residual = _extended_residual(model, u, sigma, t, alpha, *history)
-    norm = math.sqrt(residual.dot(residual))  # what np.linalg.norm computes
+    # BLAS ddot is what residual.dot(residual) and np.linalg.norm compute;
+    # a Python sum of squares rounds differently
+    norm = math.sqrt(ddot(residual, residual))
     iterations = 0
     while norm > cfg.tol and iterations < cfg.max_inner:
+        # a new array: the model's Jacobian may be its own, and is not written
         system = shift + model.jacobian_state(u, sigma, t)
         if pseudo_shift is not None:
-            system = system + pseudo_shift
-        u = u - solve_step(system, residual, step)
+            system += pseudo_shift
+        solution = solve_step(system, residual, step)
+        u = [x - s for x, s in zip(u, solution.tolist())]
         residual = _extended_residual(model, u, sigma, t, alpha, *history)
-        norm = math.sqrt(residual.dot(residual))
+        norm = math.sqrt(ddot(residual, residual))
         iterations += 1
     return u, iterations, norm, norm <= cfg.tol
 
@@ -212,11 +232,11 @@ def simulate(model, sigma, grid: TimeGrid,
     u0 = np.asarray(model.initial_state(sigma), dtype=float)
     sigma = check_inputs(model, sigma, u0)
     states[0] = u0
+    # step 1 has no u^{-1}; its BDF1 coefficients give u^{-1} no weight
+    u_nm1 = u_nm2 = u0.tolist()
 
     for n in range(1, n_total + 1):
         coeffs = step_coefficients(n, grid.dt)
-        u_nm1 = states[n - 1]
-        u_nm2 = states[n - 2] if n >= 2 else states[0]
         t_n = n * grid.dt
         u, its, norm, ok = advance_physical_step(
             model, u_nm1, u_nm2, sigma, grid.dt, t_n, cfg, coeffs, n)
@@ -226,6 +246,7 @@ def simulate(model, sigma, grid: TimeGrid,
             warnings.warn(f"step {n} left unconverged (residual {norm:.3e})",
                           RuntimeWarning, stacklevel=2)
         states[n] = u
+        u_nm1, u_nm2 = u, u_nm1
         inner[n] = its
         norms[n] = norm
         flags[n] = ok

@@ -6,24 +6,31 @@ is compared, on thousands of seeded states, designs and times, with the
 numpy-array form it was first written in: the state and the design read
 through np.asarray, every product taken on numpy scalars.  The methods
 that also take a stack of states must return the stack of their
-single-state results.  solve_step is compared with np.linalg.solve.  All
-must agree in every bit.
+single-state results, and the per-step ones the same result for a list of
+floats as for an array.  solve_step is compared with np.linalg.solve, and
+the BLAS ddot that forms the march's residual norms with ndarray.dot.
+All must agree in every bit.  Both pins hold for a given OpenBLAS build,
+which is why the CI log prints numpy's and scipy's build configurations.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import ddot
 
 from lcowind.errors import SingularStepError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
                             OutputKind, VanDerPol)
-from lcowind.primal import TimeGrid, simulate, solve_step
+from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate, solve_step
 
 N_DRAWS = 3000
 # the methods that take one state (d_u,) or a stack of states (N, d_u)
 STACKED = ("jacobian_design", "output_value", "output_state_gradient",
            "output_design_gradient")
+# the methods the march calls per inner iterate, with the state as a list
+PER_STEP = ("residual", "jacobian_state")
 
 
 def _state(u):
@@ -169,6 +176,10 @@ def test_model_methods_match_array_formulas_bit_for_bit(name):
                 args = (u, sigma) if method.startswith("output") else (u, sigma, t)
                 assert same_bits(getattr(model, method)(*args), formula(*args)), \
                     (method, args)
+            for method in PER_STEP:
+                call = getattr(model, method)
+                assert same_bits(call(u.tolist(), sigma, t), call(u, sigma, t)), \
+                    (method, u, sigma, t)
         # the three states again, as one stack
         states = rng.standard_normal((3, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 2))
         times = rng.uniform(0.0, 50.0, 3)
@@ -233,3 +244,35 @@ def test_solve_step_raises_on_singular_matrix(rhs):
         with pytest.raises(SingularStepError) as excinfo:
             solve_step(matrix, rhs, 5)
         assert excinfo.value.step == 5
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_blas_ddot_matches_ndarray_dot_bit_for_bit(size):
+    # the march's residual norm is sqrt(ddot(r, r)).  The components share a
+    # scale to within 1e3, as a residual's do; on these draws a Python sum of
+    # squares differs from r.dot(r) in about one 2-vector in eight
+    rng = np.random.default_rng(100 + size)
+    for _ in range(10 * N_DRAWS):
+        scale = rng.uniform(-150.0, 150.0) + rng.uniform(-3.0, 3.0, size)
+        r = rng.standard_normal(size) * 10.0 ** scale
+        assert same_bits(ddot(r, r), r.dot(r)), r
+
+
+@dataclass(frozen=True)
+class ReadOnlyJacobianVanDerPol(VanDerPol):
+    """Van der Pol whose state Jacobian comes back read-only, as a model's
+    own stored matrix might."""
+
+    def jacobian_state(self, u, sigma, t=0.0):
+        jacobian = super().jacobian_state(u, sigma, t)
+        jacobian.flags.writeable = False
+        return jacobian
+
+
+@pytest.mark.parametrize("dtau", [math.inf, 0.5], ids=["dtau=inf", "dtau=0.5"])
+def test_march_does_not_write_the_models_jacobian(dtau):
+    sigma = np.array([1.2])
+    grid = TimeGrid(dt=0.05, n_steps=40)
+    cfg = PseudoTimeConfig(dtau=dtau, max_inner=200)
+    traj = simulate(ReadOnlyJacobianVanDerPol(), sigma, grid, cfg)
+    assert np.array_equal(traj.states, simulate(VanDerPol(), sigma, grid, cfg).states)

@@ -17,7 +17,8 @@ def fd_jacobian_state(model, u, sigma, t, h=1e-7):
         up, um = u.copy(), u.copy()
         up[j] += h
         um[j] -= h
-        jac[:, j] = (model.residual(up, sigma, t) - model.residual(um, sigma, t)) / (2 * h)
+        jac[:, j] = (np.asarray(model.residual(up, sigma, t))
+                     - np.asarray(model.residual(um, sigma, t))) / (2 * h)
     return jac
 
 
@@ -28,7 +29,8 @@ def fd_jacobian_design(model, u, sigma, t, h=1e-7):
         sp, sm = sigma.copy(), sigma.copy()
         sp[j] += h
         sm[j] -= h
-        jac[:, j] = (model.residual(u, sp, t) - model.residual(u, sm, t)) / (2 * h)
+        jac[:, j] = (np.asarray(model.residual(u, sp, t))
+                     - np.asarray(model.residual(u, sm, t))) / (2 * h)
     return jac
 
 

@@ -195,6 +195,27 @@ def test_loop_stops_when_merit_stops_decreasing():
     assert np.array_equal(history.final_design, history.records[-1].sigma)
 
 
+def test_penalty_doubles_before_the_merit_is_formed():
+    # the iterate stays infeasible, so the penalty doubles at iterations 3, 6,
+    # 9 and 12.  Doubled after the merit was formed, the line search judged
+    # candidates at 200 against a reference merit at 100, and the loop ended
+    # at iteration 3 with "line search failed to find descent" after 36
+    # evaluations
+    problem = dataclasses.replace(constrained_vdp_problem(), max_iterations=12)
+    history = optimize(problem)
+    assert history.message == "iteration budget exhausted"
+    assert not history.line_search_failed
+    assert (history.iterations, history.evaluations) == (12, 47)
+    assert [r.penalty for r in history.records] == [100.0] * 2 + [200.0] * 3 \
+        + [400.0] * 3 + [800.0] * 3 + [1600.0]
+    third = history.records[2]
+    assert (third.merit, third.step_size) == (pytest.approx(6.5586, abs=1e-4), 0.25)
+    for record in history.records:
+        assert not record.feasible
+        assert record.merit == optim._merit(problem, record.objective,
+                                            record.constraint, record.penalty)
+
+
 def test_solver_failure_attaches_design_iterate():
     problem = quadratic_problem()
     sick = DesignProblem(objective_model=VanDerPol(), design=problem.design,

@@ -1,35 +1,63 @@
 """The sweeps against a plain reference march, compared bit for bit.
 
 The reference builds every matrix where it is used: per inner iterate the
-extended residual, np.eye shifts and np.linalg.norm; per adjoint step one
+extended residual in numpy arrays, np.eye shifts and np.linalg.norm; per
+tangent step the output sensitivity g @ udot; per adjoint step one
 np.linalg.solve for the iteration matrix and np.linalg.norm(., 2) for its
-contraction.  The library hoists and batches the same operations, so the
-two must agree exactly, not to a tolerance.
+contraction.  The library hoists and batches the same operations, and runs
+the primal's vector sums on Python floats, so the two must agree exactly,
+not to a tolerance.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from lcowind.adjoint import AdjointMode, adjoint_sweep
-from lcowind.models import ForcedOscillator, OutputKind, VanDerPol
-from lcowind.primal import (PseudoTimeConfig, TimeGrid, extended_residual, simulate,
-                            step_coefficients)
+from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
+                            OutputKind, VanDerPol)
+from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate, step_coefficients
 from lcowind.tangent import tangent_sweep
 from lcowind.windows import Window, discrete_weights
+
+
+@dataclass(frozen=True)
+class CrossOutputVanDerPol(VanDerPol):
+    """Van der Pol with the output x v.  Its state gradient (v, x) has two
+    nonzero entries, so the order in which the tangent sums dg/du . udot
+    shows in the bits; every library output's gradient has one."""
+
+    def output_value(self, u, sigma):
+        return u[..., 0] * u[..., 1]
+
+    def output_state_gradient(self, u, sigma):
+        return u[..., ::-1].copy()
+
 
 GRID = TimeGrid(dt=0.05, n_steps=120, n_transient=20)
 MODELS = {
     "van-der-pol-x2": (VanDerPol(output=OutputKind.FIRST_STATE_SQUARED),
                        np.array([1.0])),
+    "van-der-pol-xv": (CrossOutputVanDerPol(), np.array([1.4])),
     "forced-oscillator-x2": (ForcedOscillator(output=OutputKind.FIRST_STATE_SQUARED),
                              np.array([0.1])),
+    # the model the signal-design benchmark marches
+    "analytic-signal": (AnalyticSignalModel(AnalyticSignal(
+        a0=1.0, a1=np.array([0.0]), amplitude=0.05, quad=5.0,
+        quad_center=np.array([0.3]))), np.array([0.2])),
 }
 
 
 def reference_simulate(model, sigma, grid, cfg):
     d_u, dt = model.d_u, grid.dt
+
+    def extended_residual(u, u_nm1, u_nm2, t, coeffs):
+        alpha, beta, delta = coeffs
+        return alpha * u + np.asarray(model.residual(u, sigma, t)) \
+            + beta * u_nm1 + delta * u_nm2
+
     states = np.empty((grid.n_steps + 1, d_u))
     outputs = np.empty(grid.n_steps + 1)
     inner = np.zeros(grid.n_steps + 1, dtype=int)
@@ -42,14 +70,14 @@ def reference_simulate(model, sigma, grid, cfg):
         u_nm2 = states[n - 2] if n >= 2 else states[0]
         t = n * dt
         u = u_nm1.copy()
-        residual = extended_residual(model, u, u_nm1, u_nm2, sigma, dt, t, coeffs)
+        residual = extended_residual(u, u_nm1, u_nm2, t, coeffs)
         norm = float(np.linalg.norm(residual))
         while norm > cfg.tol and inner[n] < cfg.max_inner:
             system = coeffs[0] * np.eye(d_u) + model.jacobian_state(u, sigma, t)
             if not math.isinf(cfg.dtau):
                 system = system + (1.0 / cfg.dtau) * np.eye(d_u)
             u = u - np.linalg.solve(system, residual)
-            residual = extended_residual(model, u, u_nm1, u_nm2, sigma, dt, t, coeffs)
+            residual = extended_residual(u, u_nm1, u_nm2, t, coeffs)
             norm = float(np.linalg.norm(residual))
             inner[n] += 1
         states[n], outputs[n], norms[n] = u, model.output_value(u, sigma), norm
@@ -152,3 +180,13 @@ def test_sweeps_match_reference_march_bit_for_bit(name, dtau):
                sweep.contraction_estimates)
         for got_array, expected_array in zip(got, expected):
             assert np.array_equal(got_array, expected_array), mode
+
+    # at tol = 1e-12 a step's last residual often has a component that is
+    # exactly 0, which hides how its norm is rounded; at 1e-6 both components
+    # are far from roundoff and the rounding shows in the recorded norms
+    loose = PseudoTimeConfig(dtau, tol=1e-6, max_inner=200)
+    traj = simulate(model, sigma, GRID, loose)
+    expected = reference_simulate(model, sigma, GRID, loose)
+    got = (traj.states, traj.outputs, traj.inner_iterations, traj.residual_norms)
+    for got_array, expected_array in zip(got, expected):
+        assert np.array_equal(got_array, expected_array)
