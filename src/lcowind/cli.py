@@ -255,6 +255,9 @@ def load_config(path: str) -> RunConfig:
 
 def _fmt(value) -> str:
     """Serialize one CSV cell; floats keep 17 significant digits."""
+    # most cells are floats: test their exact types before the chain
+    if type(value) is float or type(value) is np.float64:
+        return format(float(value), ".17g")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -484,7 +487,10 @@ def _cmd_optimize(cfg: RunConfig, outdir: Path):
                "iterations": history.iterations,
                "evaluations": history.evaluations,
                "message": history.message}
-    return ["history.csv"], results, {"iterations": history.iterations}
+    diagnostics = {"iterations": history.iterations,
+                   "final_penalty": history.records[-1].penalty,
+                   "feasible_iterates": sum(rec.feasible for rec in history.records)}
+    return ["history.csv"], results, diagnostics
 
 
 _RUNNERS = {

@@ -240,7 +240,7 @@ class AnalyticSignalModel:
 
     def jacobian_state(self, u, sigma, t=0.0) -> np.ndarray:
         omega = self._omega(sigma)[0]
-        return np.array([[0.0, -omega], [omega, 0.0]])
+        return np.array([0.0, -omega, omega, 0.0]).reshape(2, 2)
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
         domega = self._omega(sigma)[1]
@@ -308,10 +308,8 @@ class VanDerPol(_FirstStateOutput):
     def jacobian_state(self, u, sigma, t=0.0) -> np.ndarray:
         x, v = u
         mu = float(sigma[0])
-        return np.array([
-            [0.0, -1.0],
-            [2.0 * mu * x * v + 1.0, -mu * (1.0 - x * x)],
-        ])
+        return np.array([0.0, -1.0,
+                         2.0 * mu * x * v + 1.0, -mu * (1.0 - x * x)]).reshape(2, 2)
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
         x, v = u[..., 0], u[..., 1]
@@ -358,7 +356,7 @@ class ForcedOscillator(_FirstStateOutput):
 
     def jacobian_state(self, u, sigma, t=0.0) -> np.ndarray:
         k, c = self._coefficients(float(sigma[0]))
-        return np.array([[0.0, -1.0], [k, c]])
+        return np.array([0.0, -1.0, k, c]).reshape(2, 2)
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
         x, v = u[..., 0], u[..., 1]

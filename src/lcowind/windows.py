@@ -111,6 +111,33 @@ def bump_normalization() -> float:
     return _bump_quadrature(1e-12)
 
 
+def _window_interior(kind: Window, si: np.ndarray, out: np.ndarray) -> None:
+    """Write the window at the samples si, all inside (0, 1), into out.
+
+    Each formula is written once, in place: the same ufuncs in the same
+    order as the textbook expression, so the bits match it exactly.
+    """
+    if kind is Window.SQUARE:
+        out.fill(1.0)
+    elif kind is Window.HANN or kind is Window.HANN_SQUARE:
+        # 1 - cos(2 pi s), then (2/3) (1 - cos(2 pi s))^2 for hann-square
+        np.multiply(si, 2.0 * np.pi, out=out)
+        np.cos(out, out=out)
+        np.subtract(1.0, out, out=out)
+        if kind is Window.HANN_SQUARE:
+            np.square(out, out=out)
+            np.multiply(out, 2.0 / 3.0, out=out)
+    elif kind is Window.BUMP:
+        # exp(-1/(s - s^2)) / a
+        np.multiply(si, si, out=out)
+        np.subtract(si, out, out=out)
+        np.divide(-1.0, out, out=out)
+        np.exp(out, out=out)
+        np.divide(out, bump_normalization(), out=out)
+    else:
+        raise TypeError(f"not a Window: {kind!r}")
+
+
 def window_value(kind: Window, s):
     """Evaluate a window at s (scalar or array).  Zero outside (0, 1)."""
     arr = np.asarray(s, dtype=float)
@@ -119,16 +146,9 @@ def window_value(kind: Window, s):
     out = np.zeros_like(arr)
     inside = (arr > 0.0) & (arr < 1.0)
     si = arr[inside]
-    if kind is Window.SQUARE:
-        out[inside] = 1.0
-    elif kind is Window.HANN:
-        out[inside] = 1.0 - np.cos(2.0 * np.pi * si)
-    elif kind is Window.HANN_SQUARE:
-        out[inside] = (2.0 / 3.0) * (1.0 - np.cos(2.0 * np.pi * si)) ** 2
-    elif kind is Window.BUMP:
-        out[inside] = np.exp(-1.0 / (si - si * si)) / bump_normalization()
-    else:
-        raise TypeError(f"not a Window: {kind!r}")
+    values = np.empty_like(si)
+    _window_interior(kind, si, values)
+    out[inside] = values
     if scalar:
         return float(out[0])
     return out
@@ -159,8 +179,12 @@ def discrete_weights(kind: Window, n_tr: int, n_final: int,
     span = n_final - n_tr
     if span <= 0:
         raise InvalidSpanError(f"averaging span must be positive, got n_tr={n_tr}, N={n_final}")
-    s = np.arange(span + 1, dtype=float) / span
-    values = window_value(kind, s)
+    # i/span lies strictly inside (0, 1) for 0 < i < span, and the two
+    # endpoint weights are zero for every kind
+    values = np.zeros(span + 1)
+    si = np.arange(1, span, dtype=float)
+    si /= span
+    _window_interior(kind, si, values[1:-1])
     if mode is NormalizationMode.RENORMALIZED:
         total = values.sum()
         if total <= 0.0:

@@ -1,7 +1,8 @@
 """End-to-end tests of the command-line front end.
 
-Every test drives `main` in process and inspects exit codes, CSV bodies,
-and the JSON manifest.
+Tests drive `main` in process and inspect exit codes, CSV bodies, and the
+JSON manifest.  The process-boundary tests at the end run `python -m
+lcowind` in a child process instead.
 """
 
 import configparser
@@ -10,15 +11,21 @@ import csv
 import dataclasses
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 import tempfile
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcowind.cli import _SCHEMA, SUBCOMMANDS, main
+import lcowind
+from lcowind.cli import _SCHEMA, SUBCOMMANDS, _fmt, main
 from lcowind.models import AnalyticSignal, ForcedOscillator
 
 ANALYTIC_CONFIG = """\
@@ -316,6 +323,66 @@ def test_optimize_writes_history(tmp_path):
     assert manifest["results"]["message"]
 
 
+UNREACHABLE_CONSTRAINT_CONFIG = """\
+[model]
+name = forced-oscillator
+output = x2
+
+[design]
+values = 0.1
+lower = -0.5
+upper = 0.9
+
+[grid]
+dt = 0.02
+n_steps = 400
+n_transient = 80
+
+[optimize]
+constraint_output = x
+bound = 0.2
+max_iterations = 12
+"""
+
+
+def test_optimize_reports_an_unreachable_constraint(tmp_path):
+    # the x average stays near 5e-4 at every iterate, so the penalty keeps
+    # doubling; the diagnostics say so without reading the history
+    cfg = write_config(tmp_path, UNREACHABLE_CONSTRAINT_CONFIG)
+    outdir = tmp_path / "out"
+    assert main(["optimize", cfg, "--output-dir", str(outdir)]) == 0
+    rows = read_csv(outdir / "history.csv")
+    header, last = rows[0], rows[-1]
+    diagnostics = read_manifest(outdir)["diagnostics"]
+    assert diagnostics["iterations"] == len(rows) - 1 == 12
+    assert diagnostics["feasible_iterates"] == 0
+    assert [row[header.index("feasible")] for row in rows[1:]] == ["false"] * 12
+    assert diagnostics["final_penalty"] == float(last[header.index("penalty")])
+    assert diagnostics["final_penalty"] > 100.0
+
+
+def fmt_chain(value):
+    """The CSV cell format as an isinstance chain, without a fast path."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+def test_fmt_fast_path_matches_the_type_chain():
+    floats = [0.0, -0.0, 1.0, -2.5, 0.1, 1 / 3, 1e300, -1e-300, math.nan,
+              math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 1e-310]
+    cells = [*floats, *map(np.float64, floats), 0, -7, 2**70, np.int64(-3),
+             True, False, np.bool_(True), np.bool_(False), "hann", ""]
+    for cell in cells:
+        assert _fmt(cell) == fmt_chain(cell), repr(cell)
+    assert _fmt(np.float64(-0.0)) == "-0" and _fmt(math.nan) == "nan"
+    assert _fmt(np.bool_(True)) == "true" and _fmt(np.int64(-3)) == "-3"
+
+
 def test_constraint_rejected_for_analytic_signal(tmp_path, capsys):
     text = QUADRATIC_CONFIG.replace("max_iterations = 8",
                                     "max_iterations = 8\nconstraint_output = x2")
@@ -583,3 +650,32 @@ def test_exit_code_contract_holds_for_each_suspect_value(key):
     for raw in FUZZ_VALUES:
         check_exit_contract(FUZZ_BASES[model], SECTION_RUNS.get(section, "simulate"),
                             {key: raw})
+
+
+def run_lcowind(*args, cwd):
+    """Run `python -m lcowind` in a child process on the imported package."""
+    src = str(Path(lcowind.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", "lcowind", *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_reports_its_version(tmp_path):
+    proc = run_lcowind("--version", cwd=tmp_path)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == lcowind.__version__
+
+
+def test_module_entry_point_missing_config_exits_2(tmp_path):
+    outdir = tmp_path / "out"
+    proc = run_lcowind("study", str(tmp_path / "nope.ini"),
+                       "--output-dir", str(outdir), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError" and record["exit_code"] == 2
+    # neither the named directory nor a default one was created
+    assert not any(tmp_path.iterdir())

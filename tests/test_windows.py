@@ -148,3 +148,53 @@ def test_weights_match_window_samples():
         w = discrete_weights(kind, n_tr, n_final, NormalizationMode.PAPER_FAITHFUL)
         s = (np.arange(span + 1)) / span
         assert np.array_equal(w.values, np.asarray(window_value(kind, s)))
+
+
+def textbook_window(kind, s):
+    """Each window's formula as a plain expression with fresh temporaries,
+    masked to the open unit interval; shares no code with the library."""
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    inside = (s > 0.0) & (s < 1.0)
+    si = s[inside]
+    if kind is Window.SQUARE:
+        out[inside] = 1.0
+    elif kind is Window.HANN:
+        out[inside] = 1.0 - np.cos(2.0 * np.pi * si)
+    elif kind is Window.HANN_SQUARE:
+        out[inside] = (2.0 / 3.0) * (1.0 - np.cos(2.0 * np.pi * si)) ** 2
+    else:
+        out[inside] = np.exp(-1.0 / (si - si * si)) / bump_normalization()
+    return out
+
+
+def textbook_weights(kind, span, mode):
+    values = textbook_window(kind, np.arange(span + 1, dtype=float) / span)
+    if mode is NormalizationMode.RENORMALIZED:
+        values = values * (span / values.sum())
+    return values
+
+
+@pytest.mark.parametrize("mode", list(NormalizationMode))
+@pytest.mark.parametrize("kind", ALL_WINDOWS)
+def test_weights_equal_textbook_formulas_bit_for_bit(kind, mode):
+    for span in [*range(1, 2001), 10_007, 16_384, 25_000]:
+        if span == 1 and mode is NormalizationMode.RENORMALIZED:
+            continue  # no interior weight; test_invalid_spans_raise covers it
+        values = discrete_weights(kind, 3, 3 + span, mode).values
+        assert values.tobytes() == textbook_weights(kind, span, mode).tobytes(), span
+
+
+@pytest.mark.parametrize("kind", ALL_WINDOWS)
+def test_window_value_equals_textbook_formula_bit_for_bit(kind):
+    rng = np.random.default_rng(11)
+    tiny = np.finfo(float).tiny
+    points = np.concatenate([
+        rng.random(20_000), rng.uniform(-0.5, 1.5, 2_000),
+        [0.0, -0.0, 1.0, 0.5, 5e-324, 3 * 5e-324, tiny / 4, tiny, -5e-324,
+         1.0 - 2.0 ** -53, np.nextafter(1.0, 2.0), -np.inf, np.inf]])
+    with np.errstate(over="ignore"):
+        expected = textbook_window(kind, points)
+        assert window_value(kind, points).tobytes() == expected.tobytes()
+        assert all(window_value(kind, float(p)) == float(e)
+                   for p, e in zip(points[-13:], expected[-13:]))
