@@ -255,15 +255,14 @@ def load_config(path: str) -> RunConfig:
 
 def _fmt(value) -> str:
     """Serialize one CSV cell; floats keep 17 significant digits."""
-    # most cells are floats: test their exact types before the chain
-    if type(value) is float or type(value) is np.float64:
+    # most cells are floats, so test for them first; bools and integers are
+    # never float instances, so the order does not change any cell
+    if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
     return str(value)
 
 

@@ -362,7 +362,7 @@ def test_optimize_reports_an_unreachable_constraint(tmp_path):
 
 
 def fmt_chain(value):
-    """The CSV cell format as an isinstance chain, without a fast path."""
+    """The CSV cell format as the older chain, with floats tested last."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -372,7 +372,7 @@ def fmt_chain(value):
     return str(value)
 
 
-def test_fmt_fast_path_matches_the_type_chain():
+def test_fmt_floats_first_matches_the_type_chain():
     floats = [0.0, -0.0, 1.0, -2.5, 0.1, 1 / 3, 1e300, -1e-300, math.nan,
               math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 1e-310]
     cells = [*floats, *map(np.float64, floats), 0, -7, 2**70, np.int64(-3),
