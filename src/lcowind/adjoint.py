@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
 from .errors import AdjointDivergenceError, SingularStepError
 from .models import check_inputs
-from .primal import (PseudoTimeConfig, Trajectory, solve_step, step_coefficients,
-                     step_matrices)
+from .primal import (PseudoTimeConfig, Trajectory, _fma, float_kernels, solve_step,
+                     step_coefficients, step_matrices)
 from .windows import NamedEnum, NormalizationMode, Window, discrete_weights
 
 __all__ = ["AdjointMode", "AdjointSweep", "ReverseSteps", "adjoint_step",
@@ -101,38 +102,63 @@ def _reverse_steps(model, sigma, traj: Trajectory,
                             singular=exc)
 
 
+def _fixed_point_iterate(iter_matrix, rhs):
+    """One fixed-point iterate as a function of ubar, a float list:
+    (iter_matrix @ ubar + rhs, the 2-norm of its change), with the bits of
+    numpy's matmul and ndarray.dot.  For the 2x2 transposed (Fortran-
+    ordered) view that iteration_matrices returns it runs on Python floats:
+    BLAS gemv forms row i of the product as 0.0 + fma(v_i1, x_1, v_i0 x_0),
+    so -0.0 becomes 0.0.  Any other size or layout goes through numpy."""
+    if len(rhs) == 2 and iter_matrix.flags.f_contiguous:
+        ((v00, v01), (v10, v11)), (r0, r1) = iter_matrix.tolist(), rhs
+
+        def iterate(ubar):
+            x0, x1 = ubar
+            y0 = (0.0 + _fma(v01, x1, v00 * x0)) + r0
+            y1 = (0.0 + _fma(v11, x1, v10 * x0)) + r1
+            c0, c1 = y0 - x0, y1 - x1
+            return [y0, y1], math.sqrt(_fma(c1, c1, c0 * c0))  # _norm2, written out
+        return iterate
+
+    norm_of = float_kernels(len(rhs))[1]
+
+    def iterate(ubar):
+        updated = (iter_matrix @ np.array(ubar) + rhs).tolist()
+        return updated, norm_of(list(map(sub, updated, ubar)))
+    return iterate
+
+
 def adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, tol,
                  max_inner, mode: AdjointMode = AdjointMode.FIXED_POINT):
     """Solve the adjoint equation of physical step n.
 
     a_mat is the step matrix A_n = alpha_n I + dR/du, m_mat the pseudo-time
     matrix M_n = A_n + inv_dtau I, and rhs the step's seed less its
-    downstream coupling.  iter_matrix is (I - M_n^{-1} A_n)^T and
-    contraction its 2-norm, from iteration_matrices; iter_matrix is None in
-    the Newton limit.  The fixed-point route iterates
-    ubar <- iter_matrix ubar + rhs from ubar_guess; the direct route solves
-    for its limit M_n^T A_n^{-T} rhs.
+    downstream coupling, a sequence of d_u floats.  iter_matrix is (I -
+    M_n^{-1} A_n)^T and contraction its 2-norm, from iteration_matrices;
+    iter_matrix is None in the Newton limit.  The fixed-point route iterates
+    ubar <- iter_matrix ubar + rhs from ubar_guess on float lists, with
+    numpy's bits; the direct route solves for its limit M_n^T A_n^{-T} rhs.
 
-    Returns (ubar_n, iterations, residual norm, contraction estimate).
+    Returns (ubar_n as a list of floats, iterations, residual norm,
+    contraction estimate).
     """
     if iter_matrix is None:
         # Newton limit: the iteration matrix vanishes at the converged state
-        ubar = rhs if mode is AdjointMode.FIXED_POINT \
-            else m_mat.T @ solve_step(a_mat.T, rhs, n)
+        ubar = list(rhs) if mode is AdjointMode.FIXED_POINT \
+            else (m_mat.T @ solve_step(a_mat.T, rhs, n)).tolist()
         return ubar, 1, 0.0, 0.0
 
     if mode is AdjointMode.DIRECT:
         ubar = m_mat.T @ solve_step(a_mat.T, rhs, n)
         change = iter_matrix @ ubar + rhs - ubar
-        return ubar, 0, math.sqrt(change.dot(change)), contraction
+        return ubar.tolist(), 0, math.sqrt(change.dot(change)), contraction
 
-    ubar = np.asarray(ubar_guess, dtype=float).copy()
+    iterate = _fixed_point_iterate(iter_matrix, rhs)
+    ubar = list(ubar_guess)
     previous_residual = math.inf
     for iteration in range(1, max_inner + 1):
-        updated = iter_matrix @ ubar + rhs
-        change = updated - ubar
-        residual = math.sqrt(change.dot(change))  # what np.linalg.norm computes
-        ubar = updated
+        ubar, residual = iterate(ubar)
         if residual <= tol:
             return ubar, iteration, residual, contraction
         if residual > previous_residual * 10.0 and residual > 1.0:
@@ -181,36 +207,51 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     design_seeds = omega * model.output_design_gradient(states[n_tr:], sigma)
     b_mats = model.jacobian_design(states[1:], sigma, grid.times()[1:])
 
-    ubar = np.zeros((n_total + 1, d_u))
-    lam = np.zeros((n_total + 1, d_u))
-    running = np.zeros((n_total + 1, model.n_design))
-    inner = np.zeros(n_total + 1, dtype=int)
-    norms = np.zeros(n_total + 1)
-    contractions = np.zeros(n_total + 1)
-
-    total = np.zeros(model.n_design)
+    # the loop runs on float lists: each step's seed, its M_n^T row-major
+    # for the solve of lambda_n = M_n^{-T} ubar_n, and the lambdas it keeps
+    solve = float_kernels(d_u)[0]
+    seed_rows = seeds.tolist()
+    m_transposed = steps.m_mats.transpose(0, 2, 1).reshape(n_total, d_u * d_u).tolist()
+    step_contractions = steps.contractions.tolist()
+    # row n: step n's (ubar_n, iterations, residual norm, contraction); row 0 stays zero
+    records = [([0.0] * d_u, 0, 0.0, 0.0)] * (n_total + 1)
+    lam = [None] * (n_total + 1)
+    ubar_n = [0.0] * d_u  # the warm start of the last step
+    # steps n + 1 and n + 2, which step n couples to, are BDF2 steps
+    _, beta, delta = step_coefficients(2, dt)
     for n in range(n_total, last, -1):
-        m_mat = steps.m_mats[n - 1]
-        rhs = seeds[n].copy()
-        if n + 1 <= n_total:
-            rhs -= step_coefficients(n + 1, dt)[1] * lam[n + 1]
         if n + 2 <= n_total:
-            rhs -= step_coefficients(n + 2, dt)[2] * lam[n + 2]
+            rhs = [(s - beta * x) - delta * y
+                   for s, x, y in zip(seed_rows[n], lam[n + 1], lam[n + 2])]
+        elif n + 1 <= n_total:
+            rhs = [s - beta * x for s, x in zip(seed_rows[n], lam[n + 1])]
+        else:
+            rhs = seed_rows[n]
         # warm start from the downstream adjoint state
-        ubar_guess = ubar[n + 1] if n + 1 <= n_total else np.zeros(d_u)
-        ubar[n], inner[n], norms[n], contractions[n] = adjoint_step(
-            n, steps.a_mats[n - 1], m_mat, rhs, ubar_guess, steps.iteration[n - 1],
-            float(steps.contractions[n - 1]), tol, cfg.max_inner, mode)
-
-        lam[n] = solve_step(m_mat.T, ubar[n], n)
-        total = total - lam[n] @ b_mats[n - 1]
-        if n >= n_tr:
-            total = total + design_seeds[n - n_tr]
-        running[n] = total
+        records[n] = adjoint_step(
+            n, steps.a_mats[n - 1], steps.m_mats[n - 1], rhs, ubar_n, steps.iteration[n - 1],
+            step_contractions[n - 1], tol, cfg.max_inner, mode)
+        ubar_n = records[n][0]
+        lam[n] = solve(m_transposed[n - 1], ubar_n, n)
     if steps.singular is not None:
         raise steps.singular
+    ubar, inner, norms, contractions = (np.array(column) for column in zip(*records))
 
-    running[0] = total  # step 0 carries no constraint and zero weight
+    # The design derivative runs back from step N: step n subtracts
+    # lambda_n B_n and, from the transient cutoff on, adds its design seed.
+    # The products are one batched matmul, with the bits of one per step,
+    # and the running sums one sequential accumulate over the interleaved
+    # terms; the zero terms of steps before the cutoff change no bit, as
+    # a sum that starts at +0.0 never becomes -0.0.
+    coupling = np.matmul(np.array(lam[1:])[:, None, :], b_mats)[:, 0]
+    terms = np.zeros((2 * n_total + 1, model.n_design))
+    terms[1::2] = -coupling[::-1]
+    first = max(n_tr, 1)
+    terms[2::2][:n_total - first + 1] = design_seeds[first - n_tr:][::-1]
+    sums = np.add.accumulate(terms)
+    running = np.empty((n_total + 1, model.n_design))
+    running[1:] = sums[2::2][::-1]
+    running[0] = total = sums[-1].copy()  # step 0 carries no constraint and zero weight
     return AdjointSweep(adjoint_states=ubar, seeds=seeds, design_derivative=total,
                         running_design_derivative=running, inner_iterations=inner,
                         residual_norms=norms, contraction_estimates=contractions,

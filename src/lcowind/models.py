@@ -6,7 +6,12 @@ an instantaneous scalar output g(u, sigma) with its state and design
 gradients.  The residual and the state Jacobian take one state as any
 sequence of d_u floats, and the march passes a list: they run per inner
 iterate.  The residual returns a list of floats, the state Jacobian a new
-(d_u, d_u) array.  The design Jacobian and the three output methods take
+(d_u, d_u) array.  The models here write their state Jacobian once, as
+row-major floats in jacobian_entries, and jacobian_state wraps that in an
+array; the march and the step matrices read the floats.  A model that
+defines or overrides jacobian_state is read through it instead, flattened
+by .ravel().tolist(), so the override always wins (jacobian_entries_of
+picks the form).  The design Jacobian and the three output methods take
 one state of shape (d_u,) or a trajectory's stack of shape (N, d_u), as
 float arrays, and return their result for each state, so a sweep calls
 each once.  All methods take the design as a float array and check neither
@@ -28,6 +33,7 @@ from .windows import NamedEnum
 
 __all__ = [
     "check_inputs",
+    "jacobian_entries_of",
     "DesignVector",
     "OutputKind",
     "AnalyticSignal",
@@ -71,10 +77,6 @@ class DesignVector:
         """Clip a raw design proposal back into the box."""
         return np.clip(np.asarray(raw, dtype=float), self.lower, self.upper)
 
-    def replace_values(self, values: np.ndarray) -> "DesignVector":
-        return DesignVector(values=np.asarray(values, dtype=float),
-                            lower=self.lower, upper=self.upper)
-
 
 class OutputKind(NamedEnum, label="output"):
     """Instantaneous output recorded along a trajectory."""
@@ -108,6 +110,24 @@ def check_inputs(model, sigma, states, n_steps=None) -> np.ndarray:
         what = "state" if n_steps is None else "trajectory states"
         raise ValueError(f"{what} must have shape {shape}, got {np.shape(states)}")
     return design
+
+
+class _FloatJacobian:
+    """jacobian_state as an array of the model's jacobian_entries, its
+    state Jacobian written once as row-major floats."""
+
+    def jacobian_state(self, u, sigma, t=0.0) -> np.ndarray:
+        return np.array(self.jacobian_entries(u, sigma, t)).reshape(self.d_u, self.d_u)
+
+
+def jacobian_entries_of(model):
+    """The state Jacobian of model as a function (u, sigma, t) -> row-major
+    floats: the model's jacobian_entries when its jacobian_state is the
+    array wrapper of them, else its own jacobian_state flattened."""
+    if type(model).jacobian_state is _FloatJacobian.jacobian_state:
+        return model.jacobian_entries
+    jacobian_state = model.jacobian_state
+    return lambda u, sigma, t: jacobian_state(u, sigma, t).ravel().tolist()
 
 
 @dataclass(frozen=True)
@@ -197,7 +217,7 @@ class AnalyticSignal:
 
 
 @dataclass(frozen=True)
-class AnalyticSignalModel:
+class AnalyticSignalModel(_FloatJacobian):
     """Harmonic-oscillator realization of an AnalyticSignal.
 
     States (y, z) trace y(t) = b sin(Omega t) with Omega = 2 pi / T(sigma);
@@ -238,9 +258,9 @@ class AnalyticSignalModel:
         omega = self._omega(sigma)[0]
         return [-omega * z, omega * y]
 
-    def jacobian_state(self, u, sigma, t=0.0) -> np.ndarray:
+    def jacobian_entries(self, u, sigma, t=0.0) -> list[float]:
         omega = self._omega(sigma)[0]
-        return np.array([0.0, -omega, omega, 0.0]).reshape(2, 2)
+        return [0.0, -omega, omega, 0.0]
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
         domega = self._omega(sigma)[1]
@@ -283,7 +303,7 @@ class _FirstStateOutput:
 
 
 @dataclass(frozen=True)
-class VanDerPol(_FirstStateOutput):
+class VanDerPol(_FloatJacobian, _FirstStateOutput):
     """Van der Pol oscillator; the single design variable is the damping mu.
 
     Residual convention du/dt + R = 0 with R = (-v, -mu (1 - x^2) v + x),
@@ -305,11 +325,10 @@ class VanDerPol(_FirstStateOutput):
         mu = float(sigma[0])
         return [-v, -mu * (1.0 - x * x) * v + x]
 
-    def jacobian_state(self, u, sigma, t=0.0) -> np.ndarray:
+    def jacobian_entries(self, u, sigma, t=0.0) -> list[float]:
         x, v = u
         mu = float(sigma[0])
-        return np.array([0.0, -1.0,
-                         2.0 * mu * x * v + 1.0, -mu * (1.0 - x * x)]).reshape(2, 2)
+        return [0.0, -1.0, 2.0 * mu * x * v + 1.0, -mu * (1.0 - x * x)]
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
         x, v = u[..., 0], u[..., 1]
@@ -319,7 +338,7 @@ class VanDerPol(_FirstStateOutput):
 
 
 @dataclass(frozen=True)
-class ForcedOscillator(_FirstStateOutput):
+class ForcedOscillator(_FloatJacobian, _FirstStateOutput):
     """Damped linear oscillator driven at a fixed angular frequency.
 
     x'' + c x' + k x = forcing * sin(omega t), with stiffness and damping
@@ -354,9 +373,9 @@ class ForcedOscillator(_FirstStateOutput):
         k, c = self._coefficients(float(sigma[0]))
         return [-v, c * v + k * x - self.forcing * math.sin(self.omega * t)]
 
-    def jacobian_state(self, u, sigma, t=0.0) -> np.ndarray:
+    def jacobian_entries(self, u, sigma, t=0.0) -> list[float]:
         k, c = self._coefficients(float(sigma[0]))
-        return np.array([0.0, -1.0, k, c]).reshape(2, 2)
+        return [0.0, -1.0, k, c]
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
         x, v = u[..., 0], u[..., 1]
@@ -369,15 +388,3 @@ class ForcedOscillator(_FirstStateOutput):
         k, c = self._coefficients(_sigma_values(sigma)[0])
         denom = (k - self.omega ** 2) ** 2 + (c * self.omega) ** 2
         return self.forcing / math.sqrt(denom)
-
-    def steady_mean_square(self, sigma) -> float:
-        """Period average of x^2 once the transient has decayed."""
-        amp = self.steady_amplitude(sigma)
-        return 0.5 * amp * amp
-
-    def steady_mean_square_design_gradient(self, sigma) -> np.ndarray:
-        k, c = self._coefficients(_sigma_values(sigma)[0])
-        denom = (k - self.omega ** 2) ** 2 + (c * self.omega) ** 2
-        ddenom = 2.0 * (k - self.omega ** 2) * self.stiffness0 \
-            + 2.0 * c * self.omega ** 2 * self.damping0
-        return np.array([-0.5 * self.forcing ** 2 * ddenom / denom ** 2])

@@ -9,17 +9,18 @@ exists yet.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from math import fsum
+from operator import sub
 
 import numpy as np
-from scipy.linalg.blas import ddot
 from scipy.linalg.lapack import dgesv
 
 from .errors import (InvalidSpanError, PeriodUndetectableError, SingularStepError,
                      StepConvergenceError)
-from .models import check_inputs
+from .models import check_inputs, jacobian_entries_of
 
 __all__ = [
     "TimeGrid",
@@ -59,10 +60,6 @@ class TimeGrid:
     @property
     def span_steps(self) -> int:
         return self.n_steps - self.n_transient
-
-    @property
-    def averaging_span(self) -> float:
-        return self.span_steps * self.dt
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
@@ -131,37 +128,168 @@ def extended_residual(model, u_n, u_nm1, u_nm2, sigma, dt, t=0.0,
     """
     alpha, beta, delta = step_coefficients(2, dt) if coeffs is None else coeffs
     u_n, u_nm1, u_nm2 = (np.asarray(u, dtype=float).tolist() for u in (u_n, u_nm1, u_nm2))
-    return _extended_residual(model, u_n, sigma, t, alpha, [beta * x for x in u_nm1],
-                              [delta * x for x in u_nm2])
+    return np.array(_extended_residual(model, u_n, sigma, t, alpha, [beta * x for x in u_nm1],
+                                       [delta * x for x in u_nm2]))
 
 
-def _extended_residual(model, u_n, sigma, t, alpha, beta_u_nm1, delta_u_nm2) -> np.ndarray:
+def _extended_residual(model, u_n, sigma, t, alpha, beta_u_nm1, delta_u_nm2) -> list[float]:
     """extended_residual of the float list u_n, with its history terms
     beta u_{n-1} and delta u_{n-2} already formed as float lists, as they
     stay fixed over a physical step.  The sums run on Python floats, in the
-    order of the formula; the one array made of them is what the norm and
-    the step solve read."""
-    return np.array([alpha * x + r + b + d for x, r, b, d
-                     in zip(u_n, model.residual(u_n, sigma, t), beta_u_nm1, delta_u_nm2)])
+    order of the formula."""
+    return [alpha * x + r + b + d for x, r, b, d
+            in zip(u_n, model.residual(u_n, sigma, t), beta_u_nm1, delta_u_nm2)]
+
+
+def _step_entries(jacobian, alpha, inv_dtau, d_u) -> list[float]:
+    """Row-major entries of alpha I + J + inv_dtau I, summed as the arrays
+    alpha * np.eye(d_u) + J + inv_dtau * np.eye(d_u) sum them: (alpha +
+    J_ii) + inv_dtau on the diagonal and 0.0 + J_ij off it, which turns a
+    -0.0 into 0.0.  Adding inv_dtau = 0.0 leaves a sum with alpha > 0
+    unchanged, so the Newton limit needs no branch."""
+    entries = [0.0 + j for j in jacobian]
+    for i in range(0, d_u * d_u, d_u + 1):
+        entries[i] = (alpha + jacobian[i]) + inv_dtau
+    return entries
 
 
 def step_matrices(model, sigma, traj: Trajectory) -> np.ndarray:
     """Step matrices A_n = alpha_n I + dR/du(u^n) of the trajectory's steps
     n = 1..N, stacked with shape (N, d_u, d_u); entry n - 1 is step n."""
-    dt = traj.grid.dt
+    dt, d_u = traj.grid.dt, model.d_u
     steps = range(1, traj.n_steps + 1)
     alphas = np.array([step_coefficients(n, dt)[0] for n in steps])
-    jacobians = np.array([model.jacobian_state(u, sigma, n * dt)
+    jacobian = jacobian_entries_of(model)
+    jacobians = np.array([jacobian(u, sigma, n * dt)
                           for n, u in zip(steps, traj.states[1:].tolist())])
-    return alphas[:, None, None] * np.eye(model.d_u) + jacobians
+    return alphas[:, None, None] * np.eye(d_u) + jacobians.reshape(-1, d_u, d_u)
 
 
-@lru_cache(maxsize=64)
-def _scaled_identity(scale, d_u) -> np.ndarray:
-    """scale * I of size d_u, built once and shared, so read-only."""
-    matrix = scale * np.eye(d_u)
-    matrix.flags.writeable = False
-    return matrix
+# Exact fused multiply-adds in Python floats.  The OpenBLAS kernels behind
+# dgesv, ddot and a 2x2 matmul use hardware FMA, and math.fma exists only
+# from Python 3.13, so _fma forms a * b exactly as p + e, p = fl(a * b),
+# with Dekker's TwoProduct (Numer. Math. 18, 1971), splitting each factor
+# by Veltkamp's constant 2**27 + 1, and rounds c + p + e once with
+# math.fsum, which is correctly rounded (Shewchuk 1997).
+_SPLIT = 134217729.0
+# e is exact only when no partial product of the split underflows, which
+# holds for |a * b| >= 2**-969
+_TINY_PRODUCT = 2.0 ** -969
+# getf2 scales by the pivot's reciprocal only at or above the smallest
+# normal double
+_DBL_MIN = sys.float_info.min
+
+
+def _fma(a, b, c):
+    """a * b + c with a single rounding, as IEEE 754 fusedMultiplyAdd."""
+    p = a * b
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = _SPLIT * b
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    # e - e is 0.0 unless the split overflowed to an infinity or a NaN
+    if e - e == 0.0 and not -_TINY_PRODUCT < p < _TINY_PRODUCT:
+        try:
+            return fsum((c, p, e))
+        except OverflowError:  # c + p overflows
+            pass
+    return _fma_rare(a, b, c, p)
+
+
+def _fma_rare(a, b, c, p):
+    """_fma where TwoProduct is not exact: a non-finite or zero factor, a
+    product below 2**-969 or beyond the split's range, or a sum that
+    overflows.  These are rare, so exact rational arithmetic rounds them."""
+    if not (math.isfinite(a) and math.isfinite(b)) or a == 0.0 or b == 0.0:
+        return p + c  # the product is exact: a signed zero, an infinity or NaN
+    if not math.isfinite(c):
+        return c  # a finite product leaves an infinite or NaN addend as it is
+    from fractions import Fraction  # only here, so importing lcowind stays lean
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    try:
+        return float(exact)  # int division rounds correctly, subnormals too
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def _solve1(entries, rhs, step=None) -> list[float]:
+    """dgesv on a 1x1 system: b / a, with no reciprocal."""
+    if entries[0] == 0.0:
+        raise SingularStepError(step)
+    return [rhs[0] / entries[0]]
+
+
+def _solve2(entries, rhs, step=None) -> list[float]:
+    """dgesv on the 2x2 system with row-major entries, bit for bit.
+
+    OpenBLAS's getf2 picks the pivot with idamax, which takes the first of
+    equal magnitudes and never a NaN after the first, so the rows swap only
+    when |a21| > |a11|.  A pivot of at least the smallest normal double is
+    swapped into place and scales the multiplier by its reciprocal (by
+    zero for an infinite pivot, which writes +0.0); a smaller or NaN pivot
+    leaves the first column unswapped and unscaled.  The triangular solves
+    fuse their multiply-adds; the update of a22 does not.  A zero pivot
+    raises SingularStepError where dgesv reports info > 0.
+    """
+    a11, a12, a21, a22 = entries
+    b1, b2 = rhs
+    swap = abs(a21) > abs(a11)
+    pivot = a21 if swap else a11
+    if pivot == 0.0:
+        raise SingularStepError(step)
+    if swap:
+        a12, a22, b1, b2 = a22, a12, b2, b1
+    if abs(pivot) >= _DBL_MIN:
+        inverse = 1.0 / pivot
+        l = (a11 if swap else a21) * inverse if inverse else 0.0
+        u11 = pivot
+    else:
+        u11, l = a11, a21
+    u22 = a22 - l * a12
+    if u22 == 0.0:
+        raise SingularStepError(step)
+    x2 = _fma(-l, b1, b2) / u22
+    y1 = _fma(-a12, x2, b1)
+    try:
+        return [y1 / u11, x2]
+    except ZeroDivisionError:  # u11 = 0 below an unswapped subnormal pivot
+        # IEEE 754 division, where Python raises: +-inf, or NaN for 0 or NaN
+        if y1 != 0.0 and y1 == y1:
+            return [math.copysign(math.inf, y1) * math.copysign(1.0, u11), x2]
+        return [math.nan, x2]
+
+
+def _norm1(r) -> float:
+    return math.sqrt(r[0] * r[0])
+
+
+def _norm2(r) -> float:
+    """The 2-norm as sqrt(ddot(r, r)): ddot fuses the second product."""
+    return math.sqrt(_fma(r[1], r[1], r[0] * r[0]))
+
+
+def _solve_arrays(entries, rhs, step=None) -> list[float]:
+    d_u = len(rhs)
+    return solve_step(np.array(entries).reshape(d_u, d_u), np.array(rhs), step).tolist()
+
+
+def _norm_arrays(r) -> float:
+    r = np.array(r)
+    return math.sqrt(r.dot(r))
+
+
+_FLOAT_KERNELS = {1: (_solve1, _norm1), 2: (_solve2, _norm2)}
+
+
+def float_kernels(d_u):
+    """(solve, norm) of a step system of size d_u on Python floats: the
+    solve takes the row-major matrix entries, the right-hand side and the
+    step, the norm a vector.  Sizes 1 and 2 run in floats with dgesv's and
+    ddot's bits; larger ones go through the arrays and LAPACK."""
+    return _FLOAT_KERNELS.get(d_u, (_solve_arrays, _norm_arrays))
 
 
 def solve_step(matrix, rhs, step=None):
@@ -183,35 +311,59 @@ def advance_physical_step(model, u_nm1, u_nm2, sigma, dt, t, cfg: PseudoTimeConf
 
     Each inner iteration is one linearized implicit-Euler pseudo-time update,
     u <- u - (alpha I + dR/du + I/dtau)^{-1} R*(u), which at dtau = inf is a
-    Newton step.  u_nm1 and u_nm2 are sequences of floats, and the iterate
-    is kept as a list of floats; only the residual and the step matrix are
-    arrays, for the norm and the step solve.  Returns (state as a list of
-    floats, inner iterations used, final residual norm, converged).  step
-    only labels a SingularStepError.
+    Newton step.  u_nm1 and u_nm2 are sequences of floats, and the whole
+    iterate runs on Python floats: the residual, the step matrix's entries
+    (as _step_entries forms them), their solve and the residual norm, with
+    float_kernels' bits.  Returns (state as a list of floats, inner
+    iterations used, final residual norm, converged).  step only labels a
+    SingularStepError.
     """
+    if model.d_u == 2:
+        return _advance_two_states(model, u_nm1, u_nm2, sigma, t, cfg, coeffs, step)
     alpha, beta, delta = coeffs
-    # fixed over the step: the history terms and the diagonal shifts
+    d_u, inv_dtau, tol, max_inner = model.d_u, cfg.inv_dtau, cfg.tol, cfg.max_inner
+    jacobian = jacobian_entries_of(model)
+    solve, norm_of = float_kernels(d_u)
+    # fixed over the step: the history terms
     history = ([beta * x for x in u_nm1], [delta * x for x in u_nm2])
-    shift = _scaled_identity(alpha, model.d_u)
-    pseudo_shift = (None if math.isinf(cfg.dtau)
-                    else _scaled_identity(1.0 / cfg.dtau, model.d_u))
     u = list(u_nm1)  # warm start from the previous physical state
     residual = _extended_residual(model, u, sigma, t, alpha, *history)
-    # BLAS ddot is what residual.dot(residual) and np.linalg.norm compute;
-    # a Python sum of squares rounds differently
-    norm = math.sqrt(ddot(residual, residual))
+    norm = norm_of(residual)
     iterations = 0
-    while norm > cfg.tol and iterations < cfg.max_inner:
-        # a new array: the model's Jacobian may be its own, and is not written
-        system = shift + model.jacobian_state(u, sigma, t)
-        if pseudo_shift is not None:
-            system += pseudo_shift
-        solution = solve_step(system, residual, step)
-        u = [x - s for x, s in zip(u, solution.tolist())]
+    while norm > tol and iterations < max_inner:
+        system = _step_entries(jacobian(u, sigma, t), alpha, inv_dtau, d_u)
+        u = list(map(sub, u, solve(system, residual, step)))
         residual = _extended_residual(model, u, sigma, t, alpha, *history)
-        norm = math.sqrt(ddot(residual, residual))
+        norm = norm_of(residual)
         iterations += 1
-    return u, iterations, norm, norm <= cfg.tol
+    return u, iterations, norm, norm <= tol
+
+
+def _advance_two_states(model, u_nm1, u_nm2, sigma, t, cfg, coeffs, step):
+    """advance_physical_step for d_u = 2, every model in lcowind, with the
+    iterate's components held as float variables: the same operations in
+    the same order as the loop above, without its per-iterate lists and
+    calls."""
+    alpha, beta, delta = coeffs
+    inv_dtau, tol, max_inner = cfg.inv_dtau, cfg.tol, cfg.max_inner
+    residual, jacobian = model.residual, jacobian_entries_of(model)
+    b0, b1 = beta * u_nm1[0], beta * u_nm1[1]
+    d0, d1 = delta * u_nm2[0], delta * u_nm2[1]
+    u0, u1 = u_nm1
+    r0, r1 = residual([u0, u1], sigma, t)
+    r0, r1 = alpha * u0 + r0 + b0 + d0, alpha * u1 + r1 + b1 + d1
+    norm = math.sqrt(_fma(r1, r1, r0 * r0))  # _norm2, written out
+    iterations = 0
+    while norm > tol and iterations < max_inner:
+        j11, j12, j21, j22 = jacobian([u0, u1], sigma, t)
+        s0, s1 = _solve2([(alpha + j11) + inv_dtau, 0.0 + j12, 0.0 + j21,
+                          (alpha + j22) + inv_dtau], (r0, r1), step)
+        u0, u1 = u0 - s0, u1 - s1
+        r0, r1 = residual([u0, u1], sigma, t)
+        r0, r1 = alpha * u0 + r0 + b0 + d0, alpha * u1 + r1 + b1 + d1
+        norm = math.sqrt(_fma(r1, r1, r0 * r0))
+        iterations += 1
+    return [u0, u1], iterations, norm, norm <= tol
 
 
 def simulate(model, sigma, grid: TimeGrid,
@@ -223,36 +375,31 @@ def simulate(model, sigma, grid: TimeGrid,
     are formed in one call once the march is done.
     """
     cfg = cfg or PseudoTimeConfig()
-    n_total = grid.n_steps
-    states = np.empty((n_total + 1, model.d_u))
-    inner = np.zeros(n_total + 1, dtype=int)
-    norms = np.zeros(n_total + 1)
-    flags = np.ones(n_total + 1, dtype=bool)
-
     u0 = np.asarray(model.initial_state(sigma), dtype=float)
     sigma = check_inputs(model, sigma, u0)
-    states[0] = u0
     # step 1 has no u^{-1}; its BDF1 coefficients give u^{-1} no weight
     u_nm1 = u_nm2 = u0.tolist()
-
-    for n in range(1, n_total + 1):
-        coeffs = step_coefficients(n, grid.dt)
-        t_n = n * grid.dt
+    # per step n: the state, inner iterations, residual norm and converged
+    states, inner, norms, flags = [u_nm1], [0], [0.0], [True]
+    bdf1, bdf2 = step_coefficients(1, grid.dt), step_coefficients(2, grid.dt)
+    for n in range(1, grid.n_steps + 1):
         u, its, norm, ok = advance_physical_step(
-            model, u_nm1, u_nm2, sigma, grid.dt, t_n, cfg, coeffs, n)
+            model, u_nm1, u_nm2, sigma, grid.dt, n * grid.dt, cfg, bdf2 if n > 1 else bdf1, n)
         if not ok:
             if not cfg.allow_unconverged:
                 raise StepConvergenceError(n, its, norm)
             warnings.warn(f"step {n} left unconverged (residual {norm:.3e})",
                           RuntimeWarning, stacklevel=2)
-        states[n] = u
         u_nm1, u_nm2 = u, u_nm1
-        inner[n] = its
-        norms[n] = norm
-        flags[n] = ok
+        states.append(u)
+        inner.append(its)
+        norms.append(norm)
+        flags.append(ok)
 
+    states = np.array(states, dtype=float)
     return Trajectory(grid=grid, states=states, outputs=model.output_value(states, sigma),
-                      inner_iterations=inner, residual_norms=norms, converged=flags)
+                      inner_iterations=np.array(inner), residual_norms=np.array(norms, dtype=float),
+                      converged=np.array(flags))
 
 
 def estimate_period(outputs, n_transient: int, dt: float) -> tuple[float, float]:

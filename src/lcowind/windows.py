@@ -27,13 +27,12 @@ __all__ = [
 
 _INF = math.inf
 
-# (smoothness class, average order, sensitivity order) per window.
-# smoothness -1 marks the piecewise-constant case.
+# (average order, sensitivity order) per window
 _ORDER_TABLE = {
-    "square": (-1, 1, 0),
-    "hann": (1, 3, 2),
-    "hann-square": (3, 5, 4),
-    "bump": (_INF, _INF, _INF),
+    "square": (1, 0),
+    "hann": (3, 2),
+    "hann-square": (5, 4),
+    "bump": (_INF, _INF),
 }
 
 
@@ -67,18 +66,14 @@ class Window(NamedEnum, label="window"):
     BUMP = "bump"
 
     @property
-    def smoothness(self) -> float:
-        return _ORDER_TABLE[self.value][0]
-
-    @property
     def order_average(self) -> float:
         """Convergence order of the windowed average in period count."""
-        return _ORDER_TABLE[self.value][1]
+        return _ORDER_TABLE[self.value][0]
 
     @property
     def order_sensitivity(self) -> float:
         """Convergence order of the windowed design sensitivity in period count."""
-        return _ORDER_TABLE[self.value][2]
+        return _ORDER_TABLE[self.value][1]
 
 
 class NormalizationMode(NamedEnum, label="normalization"):

@@ -8,7 +8,8 @@ through np.asarray, every product taken on numpy scalars.  The methods
 that also take a stack of states must return the stack of their
 single-state results, and the per-step ones the same result for a list of
 floats as for an array.  solve_step is compared with np.linalg.solve, and
-the BLAS ddot that forms the march's residual norms with ndarray.dot.
+BLAS ddot, whose bits the march's residual norms reproduce, with
+ndarray.dot; the float step kernels are pinned further down.
 All must agree in every bit.  Both pins hold for a given OpenBLAS build,
 which is why the CI log prints numpy's and scipy's build configurations.
 """
@@ -276,3 +277,366 @@ def test_march_does_not_write_the_models_jacobian(dtau):
     cfg = PseudoTimeConfig(dtau=dtau, max_inner=200)
     traj = simulate(ReadOnlyJacobianVanDerPol(), sigma, grid, cfg)
     assert np.array_equal(traj.states, simulate(VanDerPol(), sigma, grid, cfg).states)
+
+
+# --- the float step kernels ---------------------------------------------
+#
+# The march, the step matrices and the adjoint's fixed-point loop do their
+# 1x1 and 2x2 linear algebra on Python floats: an exact fused multiply-add
+# (_fma), dgesv's pivoting and rounding (_solve1, _solve2), ddot's norm
+# (_norm1, _norm2) and gemv's product (_fixed_point_iterate).  Each is
+# pinned twice: against exact rational arithmetic rounded once per
+# operation, which does not depend on the machine, and against the OpenBLAS
+# routine it stands in for.  A NaN result must be NaN on both sides; its
+# sign bit is not pinned, as IEEE 754 leaves it open and the x86 kernels
+# return the negative default NaN where Python's negation flips a sign.
+
+from fractions import Fraction
+
+from scipy.linalg.lapack import dgesv
+
+from lcowind.adjoint import _fixed_point_iterate
+from lcowind.primal import (_fma, _norm1, _norm2, _solve1, _solve2, step_coefficients,
+                            step_matrices)
+
+N_KERNEL_DRAWS = 100_000
+NAN, INF = math.nan, math.inf
+# NaN, infinities, signed zeros, subnormals, the smallest normal, and
+# magnitudes whose products underflow or overflow
+SPECIAL = (NAN, INF, -INF, 0.0, -0.0, 1.0, -1.5, 5e-324, -3e-310, 2.2250738585072014e-308,
+           1e-160, 3e150, -1e300, 1.7976931348623157e308)
+
+
+def same_float(got, expected):
+    got, expected = float(got), float(expected)
+    if math.isnan(expected):
+        return math.isnan(got)
+    return np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+def same_floats(got, expected):
+    return len(got) == len(expected) and all(map(same_float, got, expected))
+
+
+def fma_exact(a, b, c):
+    """IEEE 754 fusedMultiplyAdd: a * b + c exactly, rounded once to nearest."""
+    if math.isnan(a) or math.isnan(b) or math.isnan(c):
+        return NAN
+    if math.isinf(a) or math.isinf(b):
+        if a == 0.0 or b == 0.0:
+            return NAN
+        product = math.copysign(INF, a) * math.copysign(1.0, b)
+        return NAN if math.isinf(c) and c != product else product
+    if math.isinf(c):
+        return c
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if exact == 0:
+        # an exact zero is -0.0 only as the sum of two negative zeros
+        product_negative = (math.copysign(1.0, a) < 0) != (math.copysign(1.0, b) < 0)
+        zero_product = a == 0.0 or b == 0.0
+        return -0.0 if zero_product and product_negative and math.copysign(1.0, c) < 0 \
+            else 0.0
+    try:
+        return float(exact)  # CPython rounds int / int correctly, subnormals too
+    except OverflowError:
+        return INF if exact > 0 else -INF
+
+
+def rounded(x: Fraction) -> float:
+    return float(x)
+
+
+def dgesv_exact(entries, rhs):
+    """dgesv on a normal, nonsingular 2x2 system, each operation exact and
+    rounded once: the reciprocal pivot and the multiplier, the unfused
+    update of a22, and the fused steps of the two triangular solves."""
+    a11, a12, a21, a22 = map(Fraction, entries)
+    b1, b2 = map(Fraction, rhs)
+    if abs(a21) > abs(a11):
+        a11, a12, a21, a22, b1, b2 = a21, a22, a11, a12, b2, b1
+    l = Fraction(rounded(a21 * Fraction(rounded(1 / a11))))
+    u22 = Fraction(rounded(a22 - Fraction(rounded(l * a12))))
+    x2 = Fraction(rounded(Fraction(rounded(b2 - l * b1)) / u22))
+    x1 = rounded(Fraction(rounded(b1 - a12 * x2)) / a11)
+    return [x1, float(x2)]
+
+
+def kernel_draws(rng, shape):
+    """Normal draws scaled by 10**k, k uniform in [-150, 150]: products
+    span 1e-300 to 1e300."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-150.0, 150.0, shape)
+
+
+def fma_draws(n):
+    rng = np.random.default_rng(2971)
+    a, b, c = (kernel_draws(rng, n) for _ in range(3))
+    # a third of the addends nearly cancel the product, so the low bits count
+    c[::3] = -(a[::3] * b[::3]) * (1.0 + rng.standard_normal(len(c[::3])) * 1e-12)
+    cases = list(zip(a.tolist(), b.tolist(), c.tolist()))
+    # ties of the final rounding: 1 + 2**-53 lies halfway between two doubles
+    cases += [(1.0 + 2.0 ** -52, 1.0 + 2.0 ** -52, -1.0), (1.0, 2.0 ** -53, 1.0),
+              (3.0, 2.0 ** -54, 1.0), (1e-160, 1e-160, 0.0), (1e-160, -1e-160, 1e-320),
+              (1e200, 1e200, -INF), (1e200, 1e200, -1e308), (INF, 1.0, -INF),
+              (1.7e308, 1.5, -1.7e308)]
+    cases += [(a, b, c) for a in SPECIAL for b in SPECIAL for c in SPECIAL]
+    return cases
+
+
+def test_fma_rounds_the_exact_sum_once():
+    for a, b, c in fma_draws(N_KERNEL_DRAWS // 4):  # Fraction arithmetic is slow
+        assert same_float(_fma(a, b, c), fma_exact(a, b, c)), (a, b, c)
+
+
+def test_fma_matches_blas_ddot():
+    # ddot of (c, a) and (1, b) is fma(a, b, c * 1) in OpenBLAS's kernel.  Its
+    # sum starts at +0.0, which turns an addend of -0.0 into +0.0, so those
+    # cases are left to the exact test above
+    for a, b, c in fma_draws(N_KERNEL_DRAWS):
+        if c == 0.0 and math.copysign(1.0, c) < 0:
+            continue
+        hardware = ddot(np.array([c, a]), np.array([1.0, b]))
+        assert same_float(_fma(a, b, c), hardware), (a, b, c)
+
+
+@pytest.mark.skipif(not hasattr(math, "fma"), reason="math.fma needs Python 3.13")
+def test_fma_matches_math_fma():
+    rng = np.random.default_rng(3130)
+    a, b, c = (kernel_draws(rng, N_KERNEL_DRAWS).tolist() for _ in range(3))
+    for x, y, z in zip(a, b, c):
+        assert same_float(_fma(x, y, z), math.fma(x, y, z)), (x, y, z)
+
+
+def test_solves_match_exact_lu():
+    # normal systems whose solutions stay finite: each shares one scale in
+    # 1e-100..1e100 with a spread of 1e3 within it
+    rng = np.random.default_rng(4817)
+    for _ in range(N_KERNEL_DRAWS // 10):
+        entries, rhs = ((rng.standard_normal(size) * 10.0 ** rng.uniform(-100.0, 100.0)
+                         * 10.0 ** rng.uniform(-3.0, 3.0, size)).tolist() for size in (4, 2))
+        assert same_floats(_solve2(entries, rhs), dgesv_exact(entries, rhs)), (entries, rhs)
+        assert same_float(_solve1(entries[:1], rhs[:1])[0],
+                          rounded(Fraction(rhs[0]) / Fraction(entries[0]))), (entries, rhs)
+
+
+def float_solve_or_singular(solve, entries, rhs):
+    try:
+        return solve(entries, rhs, 9)
+    except SingularStepError as exc:
+        assert exc.step == 9
+        return None
+
+
+def check_against_dgesv(matrix, rhs):
+    size = len(rhs)
+    _, _, expected, info = dgesv(matrix, np.array(rhs))
+    got = float_solve_or_singular(_solve2 if size == 2 else _solve1,
+                                  matrix.ravel().tolist(), rhs)
+    if info > 0:
+        assert got is None, (matrix, rhs, got)
+    else:
+        assert got is not None and same_floats(got, expected.tolist()), \
+            (matrix, rhs, got, expected)
+
+
+def solve_draws(size):
+    rng = np.random.default_rng(5233 + size)
+    for _ in range(N_KERNEL_DRAWS):
+        # one scale for the matrix and a spread within it, as a step matrix has
+        scale = 10.0 ** rng.uniform(-150.0, 150.0)
+        matrix = rng.standard_normal((size, size)) * scale * 10.0 ** rng.uniform(-3, 3, (size, size))
+        yield matrix, kernel_draws(rng, size).tolist()
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_solves_match_dgesv_on_random_systems(size):
+    for matrix, rhs in solve_draws(size):
+        # the adjoint solves with the transpose of a stored step matrix
+        for system in (matrix, matrix.T):
+            check_against_dgesv(system, rhs)
+
+
+@np.errstate(all="ignore")
+def test_solves_match_dgesv_on_edge_cases():
+    rhs_cases = ([1.0, -2.0], [NAN, 1.0], [0.0, -0.0], [1e300, 5e-324])
+    # every 1x1 and 2x2 matrix of special values: zero, subnormal and NaN
+    # pivots, infinite pivots whose reciprocal scales by zero, and inf - inf
+    for a in SPECIAL:
+        for b in SPECIAL:
+            check_against_dgesv(np.array([[a]]), [b])
+    for entries in np.array(np.meshgrid(*[SPECIAL] * 4)).reshape(4, -1).T.tolist():
+        matrix = np.array(entries).reshape(2, 2)
+        for rhs in rhs_cases[:2] if np.isnan(matrix).any() else rhs_cases:
+            check_against_dgesv(matrix, rhs)
+    rng = np.random.default_rng(6007)
+    for _ in range(2000):
+        a11, a12, a22, b1, b2 = kernel_draws(rng, 5).tolist()
+        # pivot ties: idamax keeps the first row
+        for a21 in (a11, -a11):
+            check_against_dgesv(np.array([[a11, a12], [a21, a22]]), [b1, b2])
+        # rank one: u22 is exactly zero, or rounds to a tiny remainder
+        check_against_dgesv(np.array([[a11, a12], [2.0 * a11, 2.0 * a12]]), [b1, b2])
+        check_against_dgesv(np.array([[a11, a12], [3.0 * a11, 3.0 * a12]]), [b1, b2])
+        # a zero first column: info = 1
+        check_against_dgesv(np.array([[0.0, a12], [-0.0, a22]]), [b1, b2])
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@np.errstate(all="ignore")
+def test_norms_match_ddot(size):
+    norm = _norm2 if size == 2 else _norm1
+    rng = np.random.default_rng(7411 + size)
+    vectors = [kernel_draws(rng, size) for _ in range(N_KERNEL_DRAWS)]
+    vectors += [np.array(v) for v in np.array(np.meshgrid(*[SPECIAL] * size))
+                .reshape(size, -1).T.tolist()]
+    for r in vectors:
+        assert same_float(norm(r.tolist()), math.sqrt(ddot(r, r))), r
+        assert same_float(norm(r.tolist()), math.sqrt(r.dot(r))), r
+
+
+def check_fixed_point_iterate(iter_matrix, rhs, ubar):
+    updated, norm = _fixed_point_iterate(iter_matrix, rhs)(ubar)
+    expected = iter_matrix @ np.array(ubar) + rhs
+    change = expected - ubar
+    assert same_floats(updated, expected.tolist()), (iter_matrix, rhs, ubar)
+    assert same_float(norm, math.sqrt(change.dot(change))), (iter_matrix, rhs, ubar)
+
+
+@pytest.mark.parametrize("layout", ["transposed", "contiguous"])
+@np.errstate(all="ignore")
+def test_fixed_point_iterate_matches_matmul(layout):
+    # iteration_matrices returns transposed views, which run on floats
+    # with gemv's fused product; a contiguous matrix goes through numpy
+    rng = np.random.default_rng(8101)
+    draws = N_KERNEL_DRAWS if layout == "transposed" else N_KERNEL_DRAWS // 10
+    for _ in range(draws):
+        matrix = kernel_draws(rng, (2, 2))
+        iter_matrix = matrix.T if layout == "transposed" else matrix
+        assert iter_matrix.flags.f_contiguous == (layout == "transposed")
+        check_fixed_point_iterate(iter_matrix, kernel_draws(rng, 2).tolist(),
+                                  kernel_draws(rng, 2).tolist())
+    for entries in np.array(np.meshgrid(*[SPECIAL[:8]] * 4)).reshape(4, -1).T.tolist():
+        matrix = np.array(entries).reshape(2, 2)
+        iter_matrix = matrix.T if layout == "transposed" else matrix
+        for ubar in ([1.0, -2.0], [0.0, -0.0], [-0.0, -0.0], [1e300, 1e-300]):
+            check_fixed_point_iterate(iter_matrix, [-0.0, 0.5], ubar)
+    for v, x in zip(SPECIAL, SPECIAL[::-1]):
+        check_fixed_point_iterate(np.array([[v]]).T, [-0.0], [x])
+
+
+# --- which Jacobian the march reads ---------------------------------------
+
+@dataclass(frozen=True)
+class ScaledJacobianVanDerPol(VanDerPol):
+    """Van der Pol whose state Jacobian is 1.5 times the true one, written
+    only as a jacobian_state override: the march must read it, not the float
+    entries VanDerPol writes, and so converge along another path."""
+
+    def jacobian_state(self, u, sigma, t=0.0):
+        return 1.5 * super().jacobian_state(u, sigma, t)
+
+
+K3 = np.array([[0.2, -1.0, 0.1], [1.0, 0.3, 0.4], [-0.2, -0.4, 0.5]])
+F3 = np.array([0.0, 1.0, 0.5])
+
+
+@dataclass(frozen=True)
+class LinearThreeStateModel:
+    """du/dt + (1 + sigma_1) K u - F sin(t) = 0 with a fixed 3x3 K: a d_u
+    the float kernels do not cover, so its steps go through dgesv."""
+
+    name = "linear-three-state"
+    d_u = 3
+    n_design = 1
+
+    def initial_state(self, sigma=None):
+        return np.array([1.0, 0.0, -0.5])
+
+    def residual(self, u, sigma, t=0.0):
+        return ((1.0 + sigma[0]) * (K3 @ np.asarray(u, dtype=float)) - F3 * math.sin(t)).tolist()
+
+    def jacobian_state(self, u, sigma, t=0.0):
+        return (1.0 + sigma[0]) * K3
+
+    def jacobian_design(self, u, sigma, t=0.0):
+        # K u written out, so one state and a stack of states round alike
+        x, y, z = u[..., 0], u[..., 1], u[..., 2]
+        return np.stack([K3[i, 0] * x + K3[i, 1] * y + K3[i, 2] * z for i in range(3)],
+                        axis=-1)[..., None]
+
+    def output_value(self, u, sigma):
+        return u[..., 0] - u[..., 2]
+
+    def output_state_gradient(self, u, sigma):
+        grad = np.zeros(np.shape(u))
+        grad[..., 0], grad[..., 2] = 1.0, -1.0
+        return grad
+
+    def output_design_gradient(self, u, sigma):
+        return np.zeros(np.shape(u)[:-1] + (1,))
+
+
+def assert_sweeps_match_reference(model, sigma, grid, cfg):
+    from test_reference_march import reference_adjoint, reference_simulate, reference_tangent
+
+    from lcowind.adjoint import AdjointMode, adjoint_sweep
+    from lcowind.tangent import tangent_sweep
+    from lcowind.windows import Window
+
+    traj = simulate(model, sigma, grid, cfg)
+    states, outputs, inner, norms = reference_simulate(model, sigma, grid, cfg)
+    for got, expected in zip((traj.states, traj.outputs, traj.inner_iterations,
+                              traj.residual_norms), (states, outputs, inner, norms)):
+        assert same_bits(got, expected)
+    tangent = tangent_sweep(model, sigma, traj)
+    udot, gdot = reference_tangent(model, sigma, states, grid.dt)
+    assert same_bits(tangent.state_sensitivities, udot)
+    assert same_bits(tangent.output_sensitivities, gdot)
+    for mode in AdjointMode:
+        sweep = adjoint_sweep(model, sigma, traj, Window.HANN, cfg, mode)
+        expected = reference_adjoint(model, sigma, states, grid, Window.HANN, cfg, mode)
+        got = (sweep.adjoint_states, sweep.running_design_derivative, sweep.inner_iterations,
+               sweep.residual_norms, sweep.contraction_estimates)
+        for got_array, expected_array in zip(got, expected):
+            assert same_bits(got_array, expected_array), mode
+    return traj
+
+
+@pytest.mark.parametrize("dtau", [math.inf, 1.0], ids=["dtau=inf", "dtau=1"])
+def test_a_jacobian_state_override_wins(dtau):
+    sigma = np.array([1.2])
+    grid = TimeGrid(dt=0.05, n_steps=120, n_transient=20)
+    cfg = PseudoTimeConfig(dtau=dtau, tol=1e-12, max_inner=200)
+    scaled = assert_sweeps_match_reference(ScaledJacobianVanDerPol(), sigma, grid, cfg)
+    plain = simulate(VanDerPol(), sigma, grid, cfg)
+    assert scaled.inner_iterations.sum() > plain.inner_iterations.sum()
+    assert not np.array_equal(scaled.states, plain.states)
+
+
+@pytest.mark.parametrize("dtau", [math.inf, 1.0], ids=["dtau=inf", "dtau=1"])
+def test_three_state_model_goes_through_dgesv(dtau):
+    cfg = PseudoTimeConfig(dtau=dtau, tol=1e-12, max_inner=200)
+    assert_sweeps_match_reference(LinearThreeStateModel(), np.array([0.3]),
+                                  TimeGrid(dt=0.05, n_steps=120, n_transient=20), cfg)
+
+
+@dataclass(frozen=True)
+class SignedZeroJacobianVanDerPol(VanDerPol):
+    """Van der Pol whose state Jacobian has -0.0 off its diagonal."""
+
+    def jacobian_state(self, u, sigma, t=0.0):
+        jacobian = super().jacobian_state(u, sigma, t)
+        jacobian[0, 1] = -0.0
+        return jacobian
+
+
+@pytest.mark.parametrize("model", [SignedZeroJacobianVanDerPol(), VanDerPol(),
+                                   LinearThreeStateModel()], ids=["signed-zero", "vdp", "d_u=3"])
+def test_step_matrices_equal_the_array_sum(model):
+    # alpha * np.eye(d_u) + J: off the diagonal 0.0 + J_ij, which turns -0.0 into 0.0
+    sigma = np.array([0.4])
+    grid = TimeGrid(dt=0.05, n_steps=40)
+    traj = simulate(model, sigma, grid)
+    expected = [step_coefficients(n, grid.dt)[0] * np.eye(model.d_u)
+                + model.jacobian_state(u, sigma, n * grid.dt)
+                for n, u in enumerate(traj.states[1:], start=1)]
+    assert same_bits(step_matrices(model, sigma, traj), np.stack(expected))

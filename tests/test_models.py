@@ -107,11 +107,6 @@ def test_forced_oscillator_steady_closed_forms():
     c = model.damping0 * 1.2
     amp = model.forcing / math.sqrt((k - model.omega ** 2) ** 2 + (c * model.omega) ** 2)
     assert model.steady_amplitude(sigma) == pytest.approx(amp, rel=1e-14)
-    assert model.steady_mean_square(sigma) == pytest.approx(0.5 * amp * amp, rel=1e-14)
-    # gradient against finite differences of the closed-form mean square
-    h = 1e-7
-    fd = (model.steady_mean_square(sigma + h) - model.steady_mean_square(sigma - h)) / (2 * h)
-    assert model.steady_mean_square_design_gradient(sigma)[0] == pytest.approx(fd, rel=1e-6)
 
 
 def test_forced_oscillator_period_fixed():
@@ -199,8 +194,6 @@ def test_design_vector_validation_and_projection():
     assert dv.n_design == 1
     assert np.allclose(dv.project(np.array([7.0])), [1.0])
     assert np.allclose(dv.project(np.array([-7.0])), [0.0])
-    replaced = dv.replace_values(np.array([0.25]))
-    assert replaced.values[0] == 0.25 and replaced.upper[0] == 1.0
 
 
 def test_output_kind_from_name():

@@ -218,7 +218,6 @@ def test_grid_and_pseudo_config_validation():
         PseudoTimeConfig(tol=-1.0)
     grid = TimeGrid(dt=0.1, n_steps=10, n_transient=4)
     assert grid.span_steps == 6
-    assert grid.averaging_span == pytest.approx(0.6)
     assert np.allclose(grid.times(), np.arange(11) * 0.1)
     # Newton is the default inner mode
     assert PseudoTimeConfig().inv_dtau == 0.0

@@ -68,15 +68,14 @@ def test_window_value_scalar_and_shape():
 
 
 def test_order_table():
-    # (smoothness, average order, sensitivity order) per window
+    # (average order, sensitivity order) per window
     table = {
-        Window.SQUARE: (-1, 1, 0),
-        Window.HANN: (1, 3, 2),
-        Window.HANN_SQUARE: (3, 5, 4),
-        Window.BUMP: (math.inf, math.inf, math.inf),
+        Window.SQUARE: (1, 0),
+        Window.HANN: (3, 2),
+        Window.HANN_SQUARE: (5, 4),
+        Window.BUMP: (math.inf, math.inf),
     }
-    for kind, (sm, p, ps) in table.items():
-        assert kind.smoothness == sm
+    for kind, (p, ps) in table.items():
         assert kind.order_average == p
         assert kind.order_sensitivity == ps
 
