@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import sub
+from operator import add, sub
 
 import numpy as np
 
 from .errors import AdjointDivergenceError, SingularStepError
 from .models import check_inputs
-from .primal import (PseudoTimeConfig, Trajectory, _fma, float_kernels, solve_step,
+from .primal import (PseudoTimeConfig, Trajectory, _fma, _norm2, float_kernels, solve_step,
                      step_coefficients, step_matrices)
 from .windows import NamedEnum, NormalizationMode, Window, discrete_weights
 
@@ -116,11 +116,10 @@ def _fixed_point_iterate(iter_matrix, rhs):
             x0, x1 = ubar
             y0 = (0.0 + _fma(v01, x1, v00 * x0)) + r0
             y1 = (0.0 + _fma(v11, x1, v10 * x0)) + r1
-            c0, c1 = y0 - x0, y1 - x1
-            return [y0, y1], math.sqrt(_fma(c1, c1, c0 * c0))  # _norm2, written out
+            return [y0, y1], _norm2((y0 - x0, y1 - x1))
         return iterate
 
-    norm_of = float_kernels(len(rhs))[1]
+    norm_of = float_kernels(len(rhs)).norm
 
     def iterate(ubar):
         updated = (iter_matrix @ np.array(ubar) + rhs).tolist()
@@ -134,15 +133,26 @@ def adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, tol
 
     a_mat is the step matrix A_n = alpha_n I + dR/du, m_mat the pseudo-time
     matrix M_n = A_n + inv_dtau I, and rhs the step's seed less its
-    downstream coupling, a sequence of d_u floats.  iter_matrix is (I -
-    M_n^{-1} A_n)^T and contraction its 2-norm, from iteration_matrices;
-    iter_matrix is None in the Newton limit.  The fixed-point route iterates
-    ubar <- iter_matrix ubar + rhs from ubar_guess on float lists, with
-    numpy's bits; the direct route solves for its limit M_n^T A_n^{-T} rhs.
+    downstream coupling.  iter_matrix is (I - M_n^{-1} A_n)^T and
+    contraction its 2-norm, from iteration_matrices; iter_matrix is None in
+    the Newton limit.  The fixed-point route iterates
+    ubar <- iter_matrix ubar + rhs from ubar_guess; the direct route solves
+    for its limit M_n^T A_n^{-T} rhs.
 
-    Returns (ubar_n as a list of floats, iterations, residual norm,
-    contraction estimate).
+    Returns (ubar_n, iterations, residual norm, contraction estimate).
     """
+    ubar, *diagnostics = _adjoint_step(
+        n, a_mat, m_mat, np.asarray(rhs, dtype=float).tolist(),
+        np.asarray(ubar_guess, dtype=float).tolist(), iter_matrix, contraction, tol,
+        max_inner, mode)
+    return (np.array(ubar), *diagnostics)
+
+
+def _adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, tol,
+                  max_inner, mode):
+    """adjoint_step with rhs and ubar_guess as float lists, returning ubar_n
+    as one: the fixed-point route iterates on Python floats, with numpy's
+    bits."""
     if iter_matrix is None:
         # Newton limit: the iteration matrix vanishes at the converged state
         ubar = list(rhs) if mode is AdjointMode.FIXED_POINT \
@@ -209,7 +219,7 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
 
     # the loop runs on float lists: each step's seed, its M_n^T row-major
     # for the solve of lambda_n = M_n^{-T} ubar_n, and the lambdas it keeps
-    solve = float_kernels(d_u)[0]
+    solve = float_kernels(d_u).solve
     seed_rows = seeds.tolist()
     m_transposed = steps.m_mats.transpose(0, 2, 1).reshape(n_total, d_u * d_u).tolist()
     step_contractions = steps.contractions.tolist()
@@ -228,7 +238,7 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
         else:
             rhs = seed_rows[n]
         # warm start from the downstream adjoint state
-        records[n] = adjoint_step(
+        records[n] = _adjoint_step(
             n, steps.a_mats[n - 1], steps.m_mats[n - 1], rhs, ubar_n, steps.iteration[n - 1],
             step_contractions[n - 1], tol, cfg.max_inner, mode)
         ubar_n = records[n][0]
@@ -239,20 +249,20 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
 
     # The design derivative runs back from step N: step n subtracts
     # lambda_n B_n and, from the transient cutoff on, adds its design seed.
-    # The products are one batched matmul, with the bits of one per step,
-    # and the running sums one sequential accumulate over the interleaved
-    # terms; the zero terms of steps before the cutoff change no bit, as
-    # a sum that starts at +0.0 never becomes -0.0.
-    coupling = np.matmul(np.array(lam[1:])[:, None, :], b_mats)[:, 0]
-    terms = np.zeros((2 * n_total + 1, model.n_design))
-    terms[1::2] = -coupling[::-1]
-    first = max(n_tr, 1)
-    terms[2::2][:n_total - first + 1] = design_seeds[first - n_tr:][::-1]
-    sums = np.add.accumulate(terms)
-    running = np.empty((n_total + 1, model.n_design))
-    running[1:] = sums[2::2][::-1]
-    running[0] = total = sums[-1].copy()  # step 0 carries no constraint and zero weight
-    return AdjointSweep(adjoint_states=ubar, seeds=seeds, design_derivative=total,
+    # The products are one batched matmul, with the bits of one per step;
+    # the sums run on Python floats, from +0.0 as np.zeros starts them.
+    coupling = np.matmul(np.array(lam[1:])[:, None, :], b_mats)[:, 0].tolist()
+    design_rows = design_seeds.tolist()
+    running = [None] * (n_total + 1)
+    total = [0.0] * model.n_design
+    for n in range(n_total, 0, -1):
+        total = list(map(sub, total, coupling[n - 1]))
+        if n >= n_tr:
+            total = list(map(add, total, design_rows[n - n_tr]))
+        running[n] = total
+    running[0] = total  # step 0 carries no constraint and zero weight
+    running = np.array(running)
+    return AdjointSweep(adjoint_states=ubar, seeds=seeds, design_derivative=running[0].copy(),
                         running_design_derivative=running, inner_iterations=inner,
                         residual_norms=norms, contraction_estimates=contractions,
                         steps=steps)

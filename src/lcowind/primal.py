@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 from math import fsum
 from operator import sub
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
@@ -141,12 +142,20 @@ def _extended_residual(model, u_n, sigma, t, alpha, beta_u_nm1, delta_u_nm2) -> 
             in zip(u_n, model.residual(u_n, sigma, t), beta_u_nm1, delta_u_nm2)]
 
 
-def _step_entries(jacobian, alpha, inv_dtau, d_u) -> list[float]:
-    """Row-major entries of alpha I + J + inv_dtau I, summed as the arrays
-    alpha * np.eye(d_u) + J + inv_dtau * np.eye(d_u) sum them: (alpha +
-    J_ii) + inv_dtau on the diagonal and 0.0 + J_ij off it, which turns a
-    -0.0 into 0.0.  Adding inv_dtau = 0.0 leaves a sum with alpha > 0
-    unchanged, so the Newton limit needs no branch."""
+def _extended_residual2(model, u_n, sigma, t, alpha, beta_u_nm1, delta_u_nm2) -> list[float]:
+    """_extended_residual of two states, written out."""
+    (u0, u1), (b0, b1), (d0, d1) = u_n, beta_u_nm1, delta_u_nm2
+    r0, r1 = model.residual(u_n, sigma, t)
+    return [alpha * u0 + r0 + b0 + d0, alpha * u1 + r1 + b1 + d1]
+
+
+def _step_entries(jacobian, alpha, inv_dtau) -> list[float]:
+    """Row-major entries of alpha I + J + inv_dtau I from J's, summed as
+    the arrays alpha * np.eye(d_u) + J + inv_dtau * np.eye(d_u) sum them:
+    (alpha + J_ii) + inv_dtau on the diagonal and 0.0 + J_ij off it, which
+    turns a -0.0 into 0.0.  Adding inv_dtau = 0.0 leaves a sum with alpha
+    > 0 unchanged, so the Newton limit needs no branch."""
+    d_u = math.isqrt(len(jacobian))
     entries = [0.0 + j for j in jacobian]
     for i in range(0, d_u * d_u, d_u + 1):
         entries[i] = (alpha + jacobian[i]) + inv_dtau
@@ -281,15 +290,48 @@ def _norm_arrays(r) -> float:
     return math.sqrt(r.dot(r))
 
 
-_FLOAT_KERNELS = {1: (_solve1, _norm1), 2: (_solve2, _norm2)}
+def _update(u, jacobian, residual, alpha, inv_dtau, step=None) -> list[float]:
+    """One pseudo-time update of the float list u: u minus the solve of the
+    step system with _step_entries' matrix and the extended residual."""
+    entries = _step_entries(jacobian, alpha, inv_dtau)
+    return list(map(sub, u, float_kernels(len(u)).solve(entries, residual, step)))
 
 
-def float_kernels(d_u):
-    """(solve, norm) of a step system of size d_u on Python floats: the
-    solve takes the row-major matrix entries, the right-hand side and the
-    step, the norm a vector.  Sizes 1 and 2 run in floats with dgesv's and
-    ddot's bits; larger ones go through the arrays and LAPACK."""
-    return _FLOAT_KERNELS.get(d_u, (_solve_arrays, _norm_arrays))
+def _update2(u, jacobian, residual, alpha, inv_dtau, step=None) -> list[float]:
+    """_update of two states, with _step_entries written out."""
+    j11, j12, j21, j22 = jacobian
+    s0, s1 = _solve2([(alpha + j11) + inv_dtau, 0.0 + j12, 0.0 + j21,
+                      (alpha + j22) + inv_dtau], residual, step)
+    return [u[0] - s0, u[1] - s1]
+
+
+class FloatKernels(NamedTuple):
+    """The inner iterate's kernels for one state size, on Python floats.
+
+    extended_residual and update take the arguments of _extended_residual
+    and _update; solve takes a step matrix's row-major entries, the
+    right-hand side and the step; norm a vector.
+    """
+
+    extended_residual: Callable
+    update: Callable
+    solve: Callable
+    norm: Callable
+
+
+_FLOAT_KERNELS = {
+    1: FloatKernels(_extended_residual, _update, _solve1, _norm1),
+    # two states, every model in lcowind: the residual and update written out
+    2: FloatKernels(_extended_residual2, _update2, _solve2, _norm2),
+}
+_ARRAY_KERNELS = FloatKernels(_extended_residual, _update, _solve_arrays, _norm_arrays)
+
+
+def float_kernels(d_u) -> FloatKernels:
+    """The kernels of a step system of size d_u.  Sizes 1 and 2 solve and
+    take norms in floats with dgesv's and ddot's bits; larger ones go
+    through the arrays and LAPACK."""
+    return _FLOAT_KERNELS.get(d_u, _ARRAY_KERNELS)
 
 
 def solve_step(matrix, rhs, step=None):
@@ -312,58 +354,28 @@ def advance_physical_step(model, u_nm1, u_nm2, sigma, dt, t, cfg: PseudoTimeConf
     Each inner iteration is one linearized implicit-Euler pseudo-time update,
     u <- u - (alpha I + dR/du + I/dtau)^{-1} R*(u), which at dtau = inf is a
     Newton step.  u_nm1 and u_nm2 are sequences of floats, and the whole
-    iterate runs on Python floats: the residual, the step matrix's entries
-    (as _step_entries forms them), their solve and the residual norm, with
-    float_kernels' bits.  Returns (state as a list of floats, inner
-    iterations used, final residual norm, converged).  step only labels a
-    SingularStepError.
+    iterate runs on Python floats, with the kernels float_kernels gives for
+    the model's size: the extended residual, the update, which solves the
+    step system, and the residual norm.  Returns (state as a list of
+    floats, inner iterations used, final residual norm, converged).  step
+    only labels a SingularStepError.
     """
-    if model.d_u == 2:
-        return _advance_two_states(model, u_nm1, u_nm2, sigma, t, cfg, coeffs, step)
     alpha, beta, delta = coeffs
-    d_u, inv_dtau, tol, max_inner = model.d_u, cfg.inv_dtau, cfg.tol, cfg.max_inner
+    inv_dtau, tol, max_inner = cfg.inv_dtau, cfg.tol, cfg.max_inner
     jacobian = jacobian_entries_of(model)
-    solve, norm_of = float_kernels(d_u)
+    extended, update, _, norm_of = float_kernels(model.d_u)
     # fixed over the step: the history terms
-    history = ([beta * x for x in u_nm1], [delta * x for x in u_nm2])
+    beta_u_nm1, delta_u_nm2 = [beta * x for x in u_nm1], [delta * x for x in u_nm2]
     u = list(u_nm1)  # warm start from the previous physical state
-    residual = _extended_residual(model, u, sigma, t, alpha, *history)
+    residual = extended(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
     norm = norm_of(residual)
     iterations = 0
     while norm > tol and iterations < max_inner:
-        system = _step_entries(jacobian(u, sigma, t), alpha, inv_dtau, d_u)
-        u = list(map(sub, u, solve(system, residual, step)))
-        residual = _extended_residual(model, u, sigma, t, alpha, *history)
+        u = update(u, jacobian(u, sigma, t), residual, alpha, inv_dtau, step)
+        residual = extended(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
         norm = norm_of(residual)
         iterations += 1
     return u, iterations, norm, norm <= tol
-
-
-def _advance_two_states(model, u_nm1, u_nm2, sigma, t, cfg, coeffs, step):
-    """advance_physical_step for d_u = 2, every model in lcowind, with the
-    iterate's components held as float variables: the same operations in
-    the same order as the loop above, without its per-iterate lists and
-    calls."""
-    alpha, beta, delta = coeffs
-    inv_dtau, tol, max_inner = cfg.inv_dtau, cfg.tol, cfg.max_inner
-    residual, jacobian = model.residual, jacobian_entries_of(model)
-    b0, b1 = beta * u_nm1[0], beta * u_nm1[1]
-    d0, d1 = delta * u_nm2[0], delta * u_nm2[1]
-    u0, u1 = u_nm1
-    r0, r1 = residual([u0, u1], sigma, t)
-    r0, r1 = alpha * u0 + r0 + b0 + d0, alpha * u1 + r1 + b1 + d1
-    norm = math.sqrt(_fma(r1, r1, r0 * r0))  # _norm2, written out
-    iterations = 0
-    while norm > tol and iterations < max_inner:
-        j11, j12, j21, j22 = jacobian([u0, u1], sigma, t)
-        s0, s1 = _solve2([(alpha + j11) + inv_dtau, 0.0 + j12, 0.0 + j21,
-                          (alpha + j22) + inv_dtau], (r0, r1), step)
-        u0, u1 = u0 - s0, u1 - s1
-        r0, r1 = residual([u0, u1], sigma, t)
-        r0, r1 = alpha * u0 + r0 + b0 + d0, alpha * u1 + r1 + b1 + d1
-        norm = math.sqrt(_fma(r1, r1, r0 * r0))
-        iterations += 1
-    return [u0, u1], iterations, norm, norm <= tol
 
 
 def simulate(model, sigma, grid: TimeGrid,

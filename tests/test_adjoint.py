@@ -200,6 +200,27 @@ def test_divergent_fixed_point_raises():
     assert excinfo.value.iterations == 40
 
 
+@pytest.mark.parametrize("mode", list(AdjointMode))
+@pytest.mark.parametrize("dtau", [math.inf, 1.0], ids=["dtau=inf", "dtau=1"])
+def test_adjoint_step_returns_the_sweeps_state_as_an_array(dtau, mode):
+    # the window's zero weight at the last step leaves its adjoint state
+    # zero, so the step before it couples to nothing: its rhs is its seed,
+    # and the sweep warm-starts it from the last step's state
+    cfg = PseudoTimeConfig(dtau=dtau, tol=1e-12, max_inner=200)
+    model, sigma, traj = make_vdp_setup(n_steps=80, n_transient=20, cfg=cfg)
+    sweep = adjoint_sweep(model, sigma, traj, Window.HANN, cfg=cfg, mode=mode)
+    assert not sweep.adjoint_states[-1].any()
+    n, steps = traj.n_steps - 1, sweep.steps
+    ubar, iterations, norm, contraction = adjoint_step(
+        n, steps.a_mats[n - 1], steps.m_mats[n - 1], sweep.seeds[n], sweep.adjoint_states[n + 1],
+        steps.iteration[n - 1], float(steps.contractions[n - 1]), cfg.tol, cfg.max_inner, mode)
+    assert isinstance(ubar, np.ndarray) and ubar.shape == (model.d_u,)
+    assert np.array_equal(ubar, sweep.adjoint_states[n]) and ubar.any()
+    assert (iterations, norm, contraction) == (sweep.inner_iterations[n],
+                                               sweep.residual_norms[n],
+                                               sweep.contraction_estimates[n])
+
+
 def test_running_derivative_terminates_at_total():
     model, sigma, traj = make_vdp_setup(n_steps=80, n_transient=20)
     sweep = adjoint_sweep(model, sigma, traj, Window.BUMP)

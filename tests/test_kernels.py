@@ -640,3 +640,116 @@ def test_step_matrices_equal_the_array_sum(model):
                 + model.jacobian_state(u, sigma, n * grid.dt)
                 for n, u in enumerate(traj.states[1:], start=1)]
     assert same_bits(step_matrices(model, sigma, traj), np.stack(expected))
+
+
+@pytest.mark.parametrize("dtau", [INF, 1.0, 0.3], ids=["dtau=inf", "dtau=1", "dtau=0.3"])
+@np.errstate(all="ignore")
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_step_entries_equal_the_array_sum(size, dtau):
+    # the march's step matrix, alpha I + J + inv_dtau I summed as arrays:
+    # -0.0 off the diagonal becomes 0.0, and any special value passes as
+    # numpy adds it
+    from lcowind.primal import _step_entries
+
+    inv_dtau = PseudoTimeConfig(dtau=dtau).inv_dtau
+    rng = np.random.default_rng(size)
+    entries = np.concatenate([kernel_draws(rng, (500, size * size)),
+                              rng.choice(SPECIAL, (500, size * size))])
+    identity = np.eye(size)
+    for n, dt in ((1, 0.05), (2, 0.05), (2, 0.02), (1, 1e-3)):
+        alpha = step_coefficients(n, dt)[0]
+        for jacobian in entries:
+            expected = (alpha * identity + jacobian.reshape(size, size)
+                        + inv_dtau * identity).ravel().tolist()
+            assert same_floats(_step_entries(jacobian.tolist(), alpha, inv_dtau), expected)
+
+
+def update_or_singular(update, *args):
+    try:
+        return update(*args)
+    except SingularStepError:
+        return "singular"
+
+
+@np.errstate(all="ignore")
+@pytest.mark.parametrize("dtau", [INF, 1.0], ids=["dtau=inf", "dtau=1"])
+def test_two_state_update_matches_the_general_form(dtau):
+    # the size-2 kernel writes _step_entries out; a -0.0 in the residual
+    # shows the sign of a zero off the diagonal, which a march never shows
+    from lcowind.primal import _update, float_kernels
+
+    inv_dtau = PseudoTimeConfig(dtau=dtau).inv_dtau
+    rng = np.random.default_rng(20)
+    draws = np.concatenate([kernel_draws(rng, (3000, 8)), rng.choice(SPECIAL, (3000, 8))])
+    update2 = float_kernels(2).update
+    for n, dt in ((1, 0.05), (2, 0.05)):
+        alpha = step_coefficients(n, dt)[0]
+        for row in draws.tolist():
+            args = (row[:2], row[2:6], row[6:], alpha, inv_dtau, n)
+            got, expected = update_or_singular(update2, *args), update_or_singular(_update, *args)
+            assert got == expected == "singular" or same_floats(got, expected)
+
+
+class FixedResidual:
+    """A stand-in model whose residual is a given list, whatever the state."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def residual(self, u, sigma, t=0.0):
+        return self.values
+
+
+@np.errstate(all="ignore")
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_extended_residuals_match_the_formula(size):
+    # alpha u_n + R + beta u_{n-1} + delta u_{n-2}, summed left to right on
+    # numpy scalars, against the general form and the size's kernel
+    from lcowind.primal import _extended_residual, float_kernels
+
+    rng = np.random.default_rng(10 + size)
+    draws = np.concatenate([kernel_draws(rng, (1000, 4, size)),
+                            rng.choice(SPECIAL, (1000, 4, size))])
+    for n, dt in ((1, 0.05), (2, 0.05), (2, 1e-3)):
+        alpha, beta, delta = step_coefficients(n, dt)
+        for u, r, u_nm1, u_nm2 in draws:
+            beta_u_nm1, delta_u_nm2 = beta * u_nm1, delta * u_nm2
+            expected = (alpha * u + r + beta_u_nm1 + delta_u_nm2).tolist()
+            for extended in (_extended_residual, float_kernels(size).extended_residual):
+                got = extended(FixedResidual(r.tolist()), u.tolist(), None, 0.0, alpha,
+                               beta_u_nm1.tolist(), delta_u_nm2.tolist())
+                assert same_floats(got, expected)
+
+
+@dataclass(frozen=True)
+class SignedZeroDesignVanDerPol(VanDerPol):
+    """Van der Pol whose design enters nothing: its design Jacobian is +0.0
+    and its output's design gradient -0.0, so every design derivative term
+    is a signed zero and the running sums show where they start."""
+
+    def jacobian_design(self, u, sigma, t=0.0):
+        return np.zeros(np.shape(u) + (self.n_design,))
+
+    def output_design_gradient(self, u, sigma):
+        return np.full(np.shape(u)[:-1] + (self.n_design,), -0.0)
+
+
+@pytest.mark.parametrize("dtau", [math.inf, 1.0], ids=["dtau=inf", "dtau=1"])
+def test_running_derivative_starts_at_positive_zero(dtau):
+    # as np.zeros starts the sum: +0.0 - 0.0 + -0.0 stays +0.0, while a sum
+    # started at -0.0 would stay -0.0
+    from test_reference_march import reference_adjoint
+
+    from lcowind.adjoint import AdjointMode, adjoint_sweep
+    from lcowind.windows import Window
+
+    model, sigma = SignedZeroDesignVanDerPol(), np.array([1.2])
+    grid = TimeGrid(dt=0.05, n_steps=60)
+    cfg = PseudoTimeConfig(dtau=dtau, tol=1e-12, max_inner=200)
+    traj = simulate(model, sigma, grid, cfg)
+    for mode in AdjointMode:
+        sweep = adjoint_sweep(model, sigma, traj, Window.HANN, cfg, mode)
+        expected = reference_adjoint(model, sigma, traj.states, grid, Window.HANN, cfg, mode)[1]
+        assert same_bits(sweep.running_design_derivative, expected)
+        assert same_bits(sweep.design_derivative, expected[0])
+        assert not np.signbit(sweep.running_design_derivative).any()
