@@ -19,8 +19,8 @@ from .primal import (PseudoTimeConfig, TimeGrid, Trajectory, advance_physical_st
                      estimate_period, extended_residual, simulate,
                      step_coefficients)
 from .tangent import TangentTrajectory, tangent_sweep, windowed_tangent_sensitivity
-from .windows import (DiscreteWeights, NormalizationMode, Window,
-                      bump_normalization, discrete_weights, window_value)
+from .windows import (NormalizationMode, Window, bump_normalization, discrete_weights,
+                      window_value)
 
 __all__ = [
     "__version__",
@@ -36,6 +36,6 @@ __all__ = [
     "PseudoTimeConfig", "TimeGrid", "Trajectory", "advance_physical_step",
     "estimate_period", "extended_residual", "simulate", "step_coefficients",
     "TangentTrajectory", "tangent_sweep", "windowed_tangent_sensitivity",
-    "DiscreteWeights", "NormalizationMode", "Window", "bump_normalization",
-    "discrete_weights", "window_value",
+    "NormalizationMode", "Window", "bump_normalization", "discrete_weights",
+    "window_value",
 ]

@@ -162,7 +162,7 @@ def _adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, to
     if mode is AdjointMode.DIRECT:
         ubar = m_mat.T @ solve_step(a_mat.T, rhs, n)
         change = iter_matrix @ ubar + rhs - ubar
-        return ubar.tolist(), 0, math.sqrt(change.dot(change)), contraction
+        return ubar.tolist(), 0, float_kernels(len(rhs)).norm(change.tolist()), contraction
 
     iterate = _fixed_point_iterate(iter_matrix, rhs)
     ubar = list(ubar_guess)
@@ -210,8 +210,7 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
         steps = _reverse_steps(model, sigma, traj, cfg)
     last = 0 if steps.singular is None else steps.singular.step
 
-    weights = discrete_weights(kind, n_tr, n_total, normalization)
-    omega = (weights.values / weights.span)[:, None]
+    omega = (discrete_weights(kind, n_tr, n_total, normalization) / (n_total - n_tr))[:, None]
     seeds = np.zeros((n_total + 1, d_u))
     seeds[n_tr:] = omega * model.output_state_gradient(states[n_tr:], sigma)
     design_seeds = omega * model.output_design_gradient(states[n_tr:], sigma)

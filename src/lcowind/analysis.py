@@ -39,11 +39,17 @@ def windowed_average(outputs, kind: Window, n_tr: int, n_final: int,
     series = np.asarray(outputs, dtype=float)
     if series.ndim != 1:
         raise ValueError("outputs must be a one-dimensional series")
-    if n_final > series.size - 1:
+    return float(_windowed_sum(series, kind, n_tr, n_final, mode))
+
+
+def _windowed_sum(series, kind, n_tr, n_final, mode):
+    """(1/span) sum_i w_i series[n_tr + i] over steps n_tr..n_final, the
+    windowed average of every column of a series indexed by step first."""
+    if n_final > len(series) - 1:
         raise InvalidSpanError(
-            f"final step {n_final} exceeds recorded length {series.size - 1}")
-    weights = discrete_weights(kind, n_tr, n_final, mode)
-    return float(weights.values @ series[n_tr:n_final + 1] / weights.span)
+            f"final step {n_final} exceeds recorded length {len(series) - 1}")
+    return discrete_weights(kind, n_tr, n_final, mode) @ series[n_tr:n_final + 1] \
+        / (n_final - n_tr)
 
 
 @dataclass

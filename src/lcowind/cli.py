@@ -38,8 +38,6 @@ from .windows import NormalizationMode, Window, discrete_weights
 
 __all__ = ["main", "console_main"]
 
-SUBCOMMANDS = ("simulate", "tangent", "adjoint", "average", "study", "optimize")
-
 _MODELS = {"analytic-signal": AnalyticSignal, "van-der-pol": VanDerPol,
            "forced-oscillator": ForcedOscillator}
 
@@ -116,7 +114,8 @@ _DTAU = _real("positive (inf selects Newton)", lambda x: x > 0.0)
 _FRACTION = _real("in (0, 1]", lambda x: 0.0 < x <= 1.0)
 _BOUNDS = _listing(_real("a number or +-inf, not nan", lambda x: x == x))
 _BOOLEAN = _one_of(configparser.ConfigParser.BOOLEAN_STATES)
-_QUANTITY = _one_of({"average": "average", "sensitivity": "sensitivity"})
+_QUANTITIES = ("average", "sensitivity")
+_QUANTITY = _one_of({name: name for name in _QUANTITIES})
 
 
 class _Key(NamedTuple):
@@ -177,10 +176,18 @@ _SCHEMA = {
     ("output", "directory"): _Key(str.strip, None, "output_directory"),
 }
 
-# CLI flag (its argparse dest) -> the config key it overrides
-_FLAGS = {"window": ("window", "kind"), "mode": ("adjoint", "mode"),
-          "quantity": ("study", "quantity"), "windows": ("study", "windows"),
-          "k_list": ("study", "k_list")}
+# CLI flag -> (the config key it overrides, the subcommands that take it or
+# None for every one, help).  A flag's value goes through its key's parser.
+_FLAGS = {
+    "--window": (("window", "kind"), None,
+                 f"override the window kind ({', '.join(k.value for k in Window)})"),
+    "--mode": (("adjoint", "mode"), ("adjoint",),
+               f"override the adjoint solve mode ({', '.join(m.value for m in AdjointMode)})"),
+    "--quantity": (("study", "quantity"), ("study",),
+                   f"which windowed quantity to study ({', '.join(_QUANTITIES)})"),
+    "--windows": (("study", "windows"), ("study",), "'all' or comma-separated window kinds"),
+    "--k-list": (("study", "k_list"), ("study",), "comma-separated period counts"),
+}
 
 
 class RunConfig:
@@ -381,9 +388,9 @@ def _cmd_average(cfg: RunConfig, outdir: Path):
     traj = _run_primal(cfg)
     weights = discrete_weights(cfg.window, cfg.grid.n_transient,
                                cfg.grid.n_steps, cfg.normalization)
-    span = weights.span
+    span = len(weights) - 1
     header = ["index", "s", "weight"]
-    rows = [[i, i / span, weights.values[i]] for i in range(span + 1)]
+    rows = [[i, i / span, weights[i]] for i in range(span + 1)]
     _write_csv(outdir / "weights.csv", header, rows)
     value = windowed_average(traj.outputs, cfg.window, cfg.grid.n_transient,
                              cfg.grid.n_steps, cfg.normalization)
@@ -392,7 +399,7 @@ def _cmd_average(cfg: RunConfig, outdir: Path):
                [[cfg.window.value, cfg.normalization.value,
                  cfg.grid.n_transient, cfg.grid.n_steps, value]])
     results = {"windowed_average": value, "window": cfg.window.value,
-               "weight_sum": float(weights.values.sum()), "span": span}
+               "weight_sum": float(weights.sum()), "span": span}
     return ["weights.csv", "average.csv"], results, _primal_diagnostics(traj)
 
 
@@ -492,14 +499,16 @@ def _cmd_optimize(cfg: RunConfig, outdir: Path):
     return ["history.csv"], results, diagnostics
 
 
-_RUNNERS = {
-    "simulate": _cmd_simulate,
-    "tangent": _cmd_tangent,
-    "adjoint": _cmd_adjoint,
-    "average": _cmd_average,
-    "study": _cmd_study,
-    "optimize": _cmd_optimize,
+# subcommand -> (runner, help)
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "march the model and dump the trajectory"),
+    "tangent": (_cmd_tangent, "forward sensitivity sweep along the trajectory"),
+    "adjoint": (_cmd_adjoint, "reverse sweep and design derivative"),
+    "average": (_cmd_average, "windowed average of the recorded output"),
+    "study": (_cmd_study, "convergence study over period counts"),
+    "optimize": (_cmd_optimize, "projected-gradient design loop"),
 }
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -509,46 +518,29 @@ def _build_arg_parser() -> argparse.ArgumentParser:
                     "limit-cycle simulations.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # argparse copies a parent parser's arguments faster than it adds them
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", help="path to an INI run configuration")
-    common.add_argument("--output-dir", default=None,
+    common.add_argument("--output-dir",
                         help="directory for CSV and manifest outputs "
                              "(falls back to [output] directory, then "
                              "LCO_OUTPUT_DIR)")
-    common.add_argument("--window", default=None,
-                        help="override the window kind "
-                             "(square, hann, hann-square, bump)")
-
-    sub.add_parser("simulate", parents=[common],
-                   help="march the model and dump the trajectory")
-    sub.add_parser("tangent", parents=[common],
-                   help="forward sensitivity sweep along the trajectory")
-    adj = sub.add_parser("adjoint", parents=[common],
-                         help="reverse sweep and design derivative")
-    adj.add_argument("--mode", default=None,
-                     choices=[m.value for m in AdjointMode],
-                     help="override the adjoint solve mode")
-    sub.add_parser("average", parents=[common],
-                   help="windowed average of the recorded output")
-    study = sub.add_parser("study", parents=[common],
-                           help="convergence study over period counts")
-    study.add_argument("--quantity", default=None,
-                       choices=["average", "sensitivity"],
-                       help="which windowed quantity to study")
-    study.add_argument("--windows", default=None,
-                       help="'all' or comma-separated window kinds")
-    study.add_argument("--k-list", default=None,
-                       help="comma-separated period counts")
-    sub.add_parser("optimize", parents=[common],
-                   help="projected-gradient design loop")
+    for flag, (_, takers, help_text) in _FLAGS.items():
+        if takers is None:
+            common.add_argument(flag, help=help_text)
+    commands = {name: sub.add_parser(name, parents=[common], help=help_text)
+                for name, (_, help_text) in _COMMANDS.items()}
+    for flag, (_, takers, help_text) in _FLAGS.items():
+        for name in takers or ():
+            commands[name].add_argument(flag, help=help_text)
     return parser
 
 
 def _apply_overrides(cfg: RunConfig, args) -> None:
-    for flag, key in _FLAGS.items():
-        raw = getattr(args, flag, None)
+    for flag, (key, _, _) in _FLAGS.items():
+        raw = getattr(args, flag[2:].replace("-", "_"), None)
         if raw is not None:
-            with _blame("--" + flag.replace("_", "-")):
+            with _blame(flag):
                 setattr(cfg, _SCHEMA[key].attr, _SCHEMA[key].parse(raw))
 
 
@@ -589,7 +581,8 @@ def main(argv=None) -> int:
         _apply_overrides(cfg, args)
         outdir = _resolve_output_dir(cfg, args)
         with _output_directory(outdir):
-            files, results, diagnostics = _RUNNERS[args.subcommand](cfg, outdir)
+            run, _ = _COMMANDS[args.subcommand]
+            files, results, diagnostics = run(cfg, outdir)
             manifest = {
                 "subcommand": args.subcommand,
                 "config_path": cfg.path,

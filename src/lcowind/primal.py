@@ -224,13 +224,6 @@ def _fma_rare(a, b, c, p):
         return math.inf if exact > 0 else -math.inf
 
 
-def _solve1(entries, rhs, step=None) -> list[float]:
-    """dgesv on a 1x1 system: b / a, with no reciprocal."""
-    if entries[0] == 0.0:
-        raise SingularStepError(step)
-    return [rhs[0] / entries[0]]
-
-
 def _solve2(entries, rhs, step=None) -> list[float]:
     """dgesv on the 2x2 system with row-major entries, bit for bit.
 
@@ -271,10 +264,6 @@ def _solve2(entries, rhs, step=None) -> list[float]:
         return [math.nan, x2]
 
 
-def _norm1(r) -> float:
-    return math.sqrt(r[0] * r[0])
-
-
 def _norm2(r) -> float:
     """The 2-norm as sqrt(ddot(r, r)): ddot fuses the second product."""
     return math.sqrt(_fma(r[1], r[1], r[0] * r[0]))
@@ -294,7 +283,7 @@ def _update(u, jacobian, residual, alpha, inv_dtau, step=None) -> list[float]:
     """One pseudo-time update of the float list u: u minus the solve of the
     step system with _step_entries' matrix and the extended residual."""
     entries = _step_entries(jacobian, alpha, inv_dtau)
-    return list(map(sub, u, float_kernels(len(u)).solve(entries, residual, step)))
+    return list(map(sub, u, _solve_arrays(entries, residual, step)))
 
 
 def _update2(u, jacobian, residual, alpha, inv_dtau, step=None) -> list[float]:
@@ -319,19 +308,16 @@ class FloatKernels(NamedTuple):
     norm: Callable
 
 
-_FLOAT_KERNELS = {
-    1: FloatKernels(_extended_residual, _update, _solve1, _norm1),
-    # two states, every model in lcowind: the residual and update written out
-    2: FloatKernels(_extended_residual2, _update2, _solve2, _norm2),
-}
+# two states, every model in lcowind: the residual and update written out
+_TWO_STATE_KERNELS = FloatKernels(_extended_residual2, _update2, _solve2, _norm2)
 _ARRAY_KERNELS = FloatKernels(_extended_residual, _update, _solve_arrays, _norm_arrays)
 
 
 def float_kernels(d_u) -> FloatKernels:
-    """The kernels of a step system of size d_u.  Sizes 1 and 2 solve and
-    take norms in floats with dgesv's and ddot's bits; larger ones go
-    through the arrays and LAPACK."""
-    return _FLOAT_KERNELS.get(d_u, _ARRAY_KERNELS)
+    """The kernels of a step system of size d_u.  Two states solve and take
+    norms on Python floats with the bits of dgesv and ddot; any other size
+    goes through dgesv and ndarray.dot themselves."""
+    return _TWO_STATE_KERNELS if d_u == 2 else _ARRAY_KERNELS
 
 
 def solve_step(matrix, rhs, step=None):

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _windowed_sum
 from .models import check_inputs
 from .primal import Trajectory, solve_step, step_coefficients, step_matrices
-from .windows import NormalizationMode, Window, discrete_weights
+from .windows import NormalizationMode, Window
 
 __all__ = ["TangentTrajectory", "tangent_sweep", "windowed_tangent_sensitivity"]
 
@@ -59,9 +60,4 @@ def windowed_tangent_sensitivity(tangent: TangentTrajectory, kind: Window,
                                  mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL,
                                  ) -> np.ndarray:
     """Windowed average of the output sensitivity over steps n_transient..n_final."""
-    gdot = tangent.output_sensitivities
-    if n_final >= len(gdot):
-        raise ValueError(f"n_final={n_final} exceeds recorded steps {len(gdot) - 1}")
-    weights = discrete_weights(kind, n_transient, n_final, mode).values
-    span = n_final - n_transient
-    return weights @ gdot[n_transient:n_final + 1] / span
+    return _windowed_sum(tangent.output_sensitivities, kind, n_transient, n_final, mode)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -19,7 +18,6 @@ from .errors import InvalidSpanError
 __all__ = [
     "Window",
     "NormalizationMode",
-    "DiscreteWeights",
     "window_value",
     "bump_normalization",
     "discrete_weights",
@@ -149,26 +147,10 @@ def window_value(kind: Window, s):
     return out
 
 
-@dataclass(frozen=True)
-class DiscreteWeights:
-    """Window samples over an averaging span of ``span`` steps.
-
-    ``values[i]`` weights step n_tr + i; the vector has span + 1 entries and
-    both endpoint weights vanish for every window kind.
-    """
-
-    kind: Window
-    mode: NormalizationMode
-    values: np.ndarray
-
-    @property
-    def span(self) -> int:
-        return len(self.values) - 1
-
-
 def discrete_weights(kind: Window, n_tr: int, n_final: int,
-                     mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL) -> DiscreteWeights:
-    """Sample a window over steps n_tr..n_final inclusive."""
+                     mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL) -> np.ndarray:
+    """Sample a window over steps n_tr..n_final inclusive: the weight
+    vector, whose entry i weights step n_tr + i for i = 0..n_final - n_tr."""
     if n_tr < 0:
         raise InvalidSpanError(f"transient cutoff must be non-negative, got n_tr={n_tr}")
     span = n_final - n_tr
@@ -186,4 +168,4 @@ def discrete_weights(kind: Window, n_tr: int, n_final: int,
             raise InvalidSpanError(
                 f"span of {span} steps leaves no interior weight to renormalize")
         values = values * (span / total)
-    return DiscreteWeights(kind=kind, mode=mode, values=values)
+    return values

@@ -66,8 +66,7 @@ def test_seed_zero_before_cutoff_and_at_endpoints():
 def test_seed_interior_value():
     model, sigma, traj = make_vdp_setup(n_steps=40, n_transient=10)
     n = 25
-    weights = discrete_weights(Window.HANN, 10, 40)
-    omega = weights.values[n - 10] / 30
+    omega = discrete_weights(Window.HANN, 10, 40)[n - 10] / 30
     expected = omega * model.output_state_gradient(traj.states[n], sigma)
     assert np.allclose(adjoint_sweep(model, sigma, traj, Window.HANN).seeds[n],
                        expected, rtol=1e-15)

@@ -552,10 +552,21 @@ def test_schema_rejects_nan_empty_and_text():
 
 def test_flag_override_goes_through_the_key_parser(tmp_path, capsys):
     cfg = write_config(tmp_path, ANALYTIC_CONFIG)
-    assert main(["study", cfg, "--output-dir", str(tmp_path / "o"),
-                 "--k-list", "4,2"]) == 2
-    assert last_stderr_json(capsys)["message"] == \
-        "--k-list: must be strictly increasing"
+    outdir = tmp_path / "o"
+    for subcommand, flag, raw, message in (
+            ("study", "--k-list", "4,2", "--k-list: must be strictly increasing"),
+            ("adjoint", "--mode", "bogus",
+             "--mode: unknown adjoint mode 'bogus'; expected one of: fixed-point, direct"),
+            ("study", "--quantity", "bogus",
+             "--quantity: expected one of: average, sensitivity, got 'bogus'")):
+        assert main([subcommand, cfg, "--output-dir", str(outdir), flag, raw]) == 2
+        assert last_stderr_json(capsys)["message"] == message
+    # the key parsers ignore case, so the flags do too
+    assert main(["adjoint", cfg, "--output-dir", str(outdir), "--mode", "DIRECT"]) == 0
+    assert read_manifest(outdir)["results"]["mode"] == "direct"
+    assert main(["study", cfg, "--output-dir", str(outdir), "--quantity", "Sensitivity",
+                 "--windows", "hann", "--k-list", "2,4"]) == 0
+    assert read_manifest(outdir)["results"]["quantity"] == "sensitivity"
 
 
 # Tiny grids keep a run to milliseconds; the optimizer's budget is cut to match.

@@ -282,22 +282,23 @@ def test_march_does_not_write_the_models_jacobian(dtau):
 # --- the float step kernels ---------------------------------------------
 #
 # The march, the step matrices and the adjoint's fixed-point loop do their
-# 1x1 and 2x2 linear algebra on Python floats: an exact fused multiply-add
-# (_fma), dgesv's pivoting and rounding (_solve1, _solve2), ddot's norm
-# (_norm1, _norm2) and gemv's product (_fixed_point_iterate).  Each is
-# pinned twice: against exact rational arithmetic rounded once per
-# operation, which does not depend on the machine, and against the OpenBLAS
-# routine it stands in for.  A NaN result must be NaN on both sides; its
-# sign bit is not pinned, as IEEE 754 leaves it open and the x86 kernels
-# return the negative default NaN where Python's negation flips a sign.
+# 2x2 linear algebra on Python floats: an exact fused multiply-add (_fma),
+# dgesv's pivoting and rounding (_solve2), ddot's norm (_norm2) and gemv's
+# product (_fixed_point_iterate).  Each is pinned twice: against exact
+# rational arithmetic rounded once per operation, which does not depend on
+# the machine, and against the OpenBLAS routine it stands in for.  The
+# solves and norms are reached through float_kernels(size), so sizes 1 and
+# 3, which go through dgesv and ndarray.dot themselves, pin its dispatch.
+# A NaN result must be NaN on both sides; its sign bit is not pinned, as
+# IEEE 754 leaves it open and the x86 kernels return the negative default
+# NaN where Python's negation flips a sign.
 
 from fractions import Fraction
 
 from scipy.linalg.lapack import dgesv
 
 from lcowind.adjoint import _fixed_point_iterate
-from lcowind.primal import (_fma, _norm1, _norm2, _solve1, _solve2, step_coefficients,
-                            step_matrices)
+from lcowind.primal import _fma, float_kernels, step_coefficients, step_matrices
 
 N_KERNEL_DRAWS = 100_000
 NAN, INF = math.nan, math.inf
@@ -413,8 +414,10 @@ def test_solves_match_exact_lu():
     for _ in range(N_KERNEL_DRAWS // 10):
         entries, rhs = ((rng.standard_normal(size) * 10.0 ** rng.uniform(-100.0, 100.0)
                          * 10.0 ** rng.uniform(-3.0, 3.0, size)).tolist() for size in (4, 2))
-        assert same_floats(_solve2(entries, rhs), dgesv_exact(entries, rhs)), (entries, rhs)
-        assert same_float(_solve1(entries[:1], rhs[:1])[0],
+        assert same_floats(float_kernels(2).solve(entries, rhs), dgesv_exact(entries, rhs)), \
+            (entries, rhs)
+        # dgesv's 1x1 solve is b / a, correctly rounded
+        assert same_float(float_kernels(1).solve(entries[:1], rhs[:1])[0],
                           rounded(Fraction(rhs[0]) / Fraction(entries[0]))), (entries, rhs)
 
 
@@ -429,8 +432,7 @@ def float_solve_or_singular(solve, entries, rhs):
 def check_against_dgesv(matrix, rhs):
     size = len(rhs)
     _, _, expected, info = dgesv(matrix, np.array(rhs))
-    got = float_solve_or_singular(_solve2 if size == 2 else _solve1,
-                                  matrix.ravel().tolist(), rhs)
+    got = float_solve_or_singular(float_kernels(size).solve, matrix.ravel().tolist(), rhs)
     if info > 0:
         assert got is None, (matrix, rhs, got)
     else:
@@ -440,14 +442,15 @@ def check_against_dgesv(matrix, rhs):
 
 def solve_draws(size):
     rng = np.random.default_rng(5233 + size)
-    for _ in range(N_KERNEL_DRAWS):
+    # three states reach dgesv itself, so fewer draws pin that dispatch
+    for _ in range(N_KERNEL_DRAWS if size < 3 else N_KERNEL_DRAWS // 10):
         # one scale for the matrix and a spread within it, as a step matrix has
         scale = 10.0 ** rng.uniform(-150.0, 150.0)
         matrix = rng.standard_normal((size, size)) * scale * 10.0 ** rng.uniform(-3, 3, (size, size))
         yield matrix, kernel_draws(rng, size).tolist()
 
 
-@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("size", [1, 2, 3])
 def test_solves_match_dgesv_on_random_systems(size):
     for matrix, rhs in solve_draws(size):
         # the adjoint solves with the transpose of a stored step matrix
@@ -478,12 +481,17 @@ def test_solves_match_dgesv_on_edge_cases():
         check_against_dgesv(np.array([[a11, a12], [3.0 * a11, 3.0 * a12]]), [b1, b2])
         # a zero first column: info = 1
         check_against_dgesv(np.array([[0.0, a12], [-0.0, a22]]), [b1, b2])
+    # three states: systems drawn from the special values, and a zero column
+    for entries in rng.choice(SPECIAL, (2000, 12)).tolist():
+        check_against_dgesv(np.array(entries[:9]).reshape(3, 3), entries[9:])
+    check_against_dgesv(np.array([[0.0, 1.0, 2.0], [-0.0, 3.0, 4.0], [0.0, 5.0, 6.0]]),
+                        [1.0, -2.0, 3.0])
 
 
-@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("size", [1, 2, 3])
 @np.errstate(all="ignore")
 def test_norms_match_ddot(size):
-    norm = _norm2 if size == 2 else _norm1
+    norm = float_kernels(size).norm
     rng = np.random.default_rng(7411 + size)
     vectors = [kernel_draws(rng, size) for _ in range(N_KERNEL_DRAWS)]
     vectors += [np.array(v) for v in np.array(np.meshgrid(*[SPECIAL] * size))

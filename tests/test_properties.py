@@ -124,7 +124,7 @@ def test_window_weight_endpoints_symmetry_and_sums(kind, mode, span):
     # - paper-faithful hann and hann-square sums missed it by at most
     #   2.7 eps relative, except hann-square at span 2, whose single
     #   interior sample w(1/2) = 8/3 is 4/3 of the span.
-    w = discrete_weights(kind, 7, 7 + span, mode).values
+    w = discrete_weights(kind, 7, 7 + span, mode)
     assert w[0] == 0.0 and w[-1] == 0.0
     assert np.max(np.abs(w - w[::-1])) <= 8 * EPS * np.max(w)
     if mode is NormalizationMode.RENORMALIZED:

@@ -104,8 +104,7 @@ def reference_tangent(model, sigma, states, dt):
 
 def reference_adjoint(model, sigma, states, grid, kind, cfg, mode):
     d_u, dt, n_total, n_tr = model.d_u, grid.dt, grid.n_steps, grid.n_transient
-    weights = discrete_weights(kind, n_tr, n_total)
-    omega = weights.values / weights.span
+    omega = discrete_weights(kind, n_tr, n_total) / (n_total - n_tr)
     ubar = np.zeros((n_total + 1, d_u))
     lam = np.zeros((n_total + 1, d_u))
     running = np.zeros((n_total + 1, model.n_design))

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from lcowind.errors import InvalidSpanError
 from lcowind.models import AnalyticSignal, AnalyticSignalModel, OutputKind, VanDerPol
 from lcowind.primal import TimeGrid, simulate
 from lcowind.tangent import tangent_sweep, windowed_tangent_sensitivity
@@ -128,5 +129,5 @@ def test_windowed_sensitivity_span_overrun():
     sigma = np.array([0.0])
     grid = TimeGrid(dt=0.1, n_steps=30, n_transient=0)
     tangent = tangent_sweep(model, sigma, simulate(model, sigma, grid))
-    with pytest.raises(ValueError, match="exceeds recorded steps"):
+    with pytest.raises(InvalidSpanError, match="exceeds recorded length"):
         windowed_tangent_sensitivity(tangent, Window.HANN, 0, 31)
