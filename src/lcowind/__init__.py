@@ -5,7 +5,7 @@ solver and a projected-gradient design loop on top.
 
 __version__ = "0.1.0"
 
-from .adjoint import AdjointMode, AdjointSweep, adjoint_step, adjoint_sweep
+from .adjoint import AdjointMode, AdjointSweep, adjoint_sweep
 from .analysis import (ConvergenceStudy, DivergenceDiagnostic, convergence_study,
                        divergence_diagnostic, endpoint_shift_robustness,
                        windowed_average)
@@ -15,8 +15,7 @@ from .errors import (AdjointDivergenceError, ConfigError, DegenerateFitError,
 from .models import (AnalyticSignal, AnalyticSignalModel, DesignVector,
                      ForcedOscillator, OutputKind, VanDerPol)
 from .optim import DesignHistory, DesignProblem, DesignRecord, evaluate_design, optimize
-from .primal import (PseudoTimeConfig, TimeGrid, Trajectory, advance_physical_step,
-                     estimate_period, extended_residual, simulate,
+from .primal import (PseudoTimeConfig, TimeGrid, Trajectory, estimate_period, simulate,
                      step_coefficients)
 from .tangent import TangentTrajectory, tangent_sweep, windowed_tangent_sensitivity
 from .windows import (NormalizationMode, Window, bump_normalization, discrete_weights,
@@ -24,7 +23,7 @@ from .windows import (NormalizationMode, Window, bump_normalization, discrete_we
 
 __all__ = [
     "__version__",
-    "AdjointMode", "AdjointSweep", "adjoint_step", "adjoint_sweep",
+    "AdjointMode", "AdjointSweep", "adjoint_sweep",
     "ConvergenceStudy", "DivergenceDiagnostic", "convergence_study",
     "divergence_diagnostic", "endpoint_shift_robustness", "windowed_average",
     "AdjointDivergenceError", "ConfigError", "DegenerateFitError",
@@ -33,8 +32,8 @@ __all__ = [
     "AnalyticSignal", "AnalyticSignalModel", "DesignVector", "ForcedOscillator",
     "OutputKind", "VanDerPol",
     "DesignHistory", "DesignProblem", "DesignRecord", "evaluate_design", "optimize",
-    "PseudoTimeConfig", "TimeGrid", "Trajectory", "advance_physical_step",
-    "estimate_period", "extended_residual", "simulate", "step_coefficients",
+    "PseudoTimeConfig", "TimeGrid", "Trajectory", "estimate_period", "simulate",
+    "step_coefficients",
     "TangentTrajectory", "tangent_sweep", "windowed_tangent_sensitivity",
     "NormalizationMode", "Window", "bump_normalization", "discrete_weights",
     "window_value",

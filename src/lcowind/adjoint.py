@@ -21,8 +21,8 @@ from .primal import (PseudoTimeConfig, Trajectory, _fma, _norm2, float_kernels, 
                      step_coefficients, step_matrices)
 from .windows import NamedEnum, NormalizationMode, Window, discrete_weights
 
-__all__ = ["AdjointMode", "AdjointSweep", "ReverseSteps", "adjoint_step",
-           "adjoint_sweep", "iteration_matrices"]
+__all__ = ["AdjointMode", "AdjointSweep", "ReverseSteps", "adjoint_sweep",
+           "iteration_matrices"]
 
 
 class AdjointMode(NamedEnum, label="adjoint mode"):
@@ -127,32 +127,22 @@ def _fixed_point_iterate(iter_matrix, rhs):
     return iterate
 
 
-def adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, tol,
-                 max_inner, mode: AdjointMode = AdjointMode.FIXED_POINT):
+def _adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, tol,
+                  max_inner, mode):
     """Solve the adjoint equation of physical step n.
 
     a_mat is the step matrix A_n = alpha_n I + dR/du, m_mat the pseudo-time
-    matrix M_n = A_n + inv_dtau I, and rhs the step's seed less its
-    downstream coupling.  iter_matrix is (I - M_n^{-1} A_n)^T and
+    matrix M_n = A_n + inv_dtau I, and rhs, a float list, the step's seed
+    less its downstream coupling.  iter_matrix is (I - M_n^{-1} A_n)^T and
     contraction its 2-norm, from iteration_matrices; iter_matrix is None in
     the Newton limit.  The fixed-point route iterates
-    ubar <- iter_matrix ubar + rhs from ubar_guess; the direct route solves
-    for its limit M_n^T A_n^{-T} rhs.
+    ubar <- iter_matrix ubar + rhs from the float list ubar_guess, on Python
+    floats with numpy's bits; the direct route solves for its limit
+    M_n^T A_n^{-T} rhs.
 
-    Returns (ubar_n, iterations, residual norm, contraction estimate).
+    Returns (ubar_n as a float list, iterations, residual norm,
+    contraction estimate).
     """
-    ubar, *diagnostics = _adjoint_step(
-        n, a_mat, m_mat, np.asarray(rhs, dtype=float).tolist(),
-        np.asarray(ubar_guess, dtype=float).tolist(), iter_matrix, contraction, tol,
-        max_inner, mode)
-    return (np.array(ubar), *diagnostics)
-
-
-def _adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, tol,
-                  max_inner, mode):
-    """adjoint_step with rhs and ubar_guess as float lists, returning ubar_n
-    as one: the fixed-point route iterates on Python floats, with numpy's
-    bits."""
     if iter_matrix is None:
         # Newton limit: the iteration matrix vanishes at the converged state
         ubar = list(rhs) if mode is AdjointMode.FIXED_POINT \

@@ -91,15 +91,30 @@ def _end_steps(k_list, n_tr, dt, period, span_offset, length):
         raise InvalidSpanError(f"period counts must be positive and finite, got {ks.tolist()}")
     if np.any(np.diff(ks) <= 0.0):
         raise InvalidSpanError("span list must be strictly increasing")
-    ends = n_tr + np.rint((ks + span_offset) * period / dt).astype(int)
-    if ends[-1] > length - 1:
+    # checked as floats, so an end step beyond the int range or NaN cannot
+    # wrap in the cast
+    ends = n_tr + np.rint((ks + span_offset) * period / dt)
+    if not ends[-1] <= length - 1:
         raise InvalidSpanError(
             f"series of length {length} too short for {ks[-1]:g} periods "
-            f"(needs step {ends[-1]})")
-    if ends[0] <= n_tr:
+            f"(needs step {ends[-1]:.17g})")
+    if not ends[0] > n_tr:
         raise InvalidSpanError("smallest span rounds to zero steps")
+    ends = ends.astype(int)
     realized = (ends - n_tr) * dt / period
     return ks, ends, realized
+
+
+def _span_values(series, kind, n_tr, dt, k_list, period, span_offset, mode):
+    """The series as floats, its period (estimated from it unless given),
+    and the requested period counts, end steps, realized spans and windowed
+    averages of the spans in k_list."""
+    data = np.asarray(series, dtype=float)
+    if period is None:
+        period, _ = estimate_period(data, n_tr, dt)
+    ks, ends, realized = _end_steps(k_list, n_tr, dt, period, span_offset, data.size)
+    values = np.array([windowed_average(data, kind, n_tr, int(end), mode) for end in ends])
+    return data, period, ks, ends, realized, values
 
 
 def _fit_loglog(requested_k, errors, noise_floor):
@@ -126,12 +141,8 @@ def convergence_study(series, kind: Window, n_tr: int, dt: float, k_list,
     whose spans all sit at that floor has no fittable order and raises;
     single-entry studies skip the fit instead.
     """
-    data = np.asarray(series, dtype=float)
-    if period is None:
-        period, _ = estimate_period(data, n_tr, dt)
-    ks, ends, realized = _end_steps(k_list, n_tr, dt, period, span_offset,
-                                    data.size)
-
+    data, period, ks, ends, realized, values = _span_values(
+        series, kind, n_tr, dt, k_list, period, span_offset, mode)
     if reference is None:
         ref_end = n_tr + int(round((REFERENCE_PERIOD_COUNT + span_offset)
                                    * period / dt))
@@ -145,9 +156,6 @@ def convergence_study(series, kind: Window, n_tr: int, dt: float, k_list,
     else:
         reference = float(reference)
         reference_source = "closed-form"
-
-    values = np.array([windowed_average(data, kind, n_tr, int(end), mode)
-                       for end in ends])
     errors = np.abs(values - reference)
 
     scale = abs(reference)
@@ -197,13 +205,8 @@ def divergence_diagnostic(series, kind: Window, n_tr: int, dt: float, k_list,
     all earlier entries by more than the growth margin, the signature of a
     diverging windowed quantity.
     """
-    data = np.asarray(series, dtype=float)
-    if period is None:
-        period, _ = estimate_period(data, n_tr, dt)
-    ks, ends, _ = _end_steps(k_list, n_tr, dt, period, span_offset, data.size)
-
-    values = np.array([windowed_average(data, kind, n_tr, int(end), mode)
-                       for end in ends])
+    _, _, ks, ends, _, values = _span_values(series, kind, n_tr, dt, k_list, period,
+                                             span_offset, mode)
     flags = np.zeros(ks.size, dtype=bool)
     running = abs(values[0])
     for i in range(1, ks.size):

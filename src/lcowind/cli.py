@@ -103,7 +103,10 @@ def _one_of(choices: dict):
 def _windows(raw: str) -> list[Window]:
     if raw.strip().lower() == "all":
         return list(Window)
-    return _listing(Window.from_name)(raw)
+    kinds = _listing(Window.from_name)(raw)
+    if len(set(kinds)) < len(kinds):
+        raise ValueError("must not repeat a window")
+    return kinds
 
 
 _FINITE = _real("finite")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import fsum
 from operator import sub
 from typing import Callable, NamedTuple
@@ -28,10 +28,8 @@ __all__ = [
     "PseudoTimeConfig",
     "Trajectory",
     "step_coefficients",
-    "extended_residual",
     "step_matrices",
     "solve_step",
-    "advance_physical_step",
     "simulate",
     "estimate_period",
 ]
@@ -120,24 +118,12 @@ def step_coefficients(n: int, dt: float) -> tuple[float, float, float]:
     return 1.5 / dt, -2.0 / dt, 0.5 / dt
 
 
-def extended_residual(model, u_n, u_nm1, u_nm2, sigma, dt, t=0.0,
-                      coeffs=None) -> np.ndarray:
-    """Extended residual alpha u_n + R(u_n) + beta u_{n-1} + delta u_{n-2}.
-
-    coeffs are the step's (alpha, beta, delta) from step_coefficients; the
-    default is BDF2.
-    """
-    alpha, beta, delta = step_coefficients(2, dt) if coeffs is None else coeffs
-    u_n, u_nm1, u_nm2 = (np.asarray(u, dtype=float).tolist() for u in (u_n, u_nm1, u_nm2))
-    return np.array(_extended_residual(model, u_n, sigma, t, alpha, [beta * x for x in u_nm1],
-                                       [delta * x for x in u_nm2]))
-
-
 def _extended_residual(model, u_n, sigma, t, alpha, beta_u_nm1, delta_u_nm2) -> list[float]:
-    """extended_residual of the float list u_n, with its history terms
-    beta u_{n-1} and delta u_{n-2} already formed as float lists, as they
-    stay fixed over a physical step.  The sums run on Python floats, in the
-    order of the formula."""
+    """Extended residual alpha u_n + R(u_n) + beta u_{n-1} + delta u_{n-2}
+    of the float list u_n, with its history terms beta u_{n-1} and delta
+    u_{n-2} already formed as float lists, as they stay fixed over a
+    physical step.  The sums run on Python floats, in the order of the
+    formula."""
     return [alpha * x + r + b + d for x, r, b, d
             in zip(u_n, model.residual(u_n, sigma, t), beta_u_nm1, delta_u_nm2)]
 
@@ -333,56 +319,50 @@ def solve_step(matrix, rhs, step=None):
     return solution
 
 
-def advance_physical_step(model, u_nm1, u_nm2, sigma, dt, t, cfg: PseudoTimeConfig,
-                          coeffs, step=None) -> tuple[list[float], int, float, bool]:
-    """Drive the inner iteration at one physical step until R* is below tol.
-
-    Each inner iteration is one linearized implicit-Euler pseudo-time update,
-    u <- u - (alpha I + dR/du + I/dtau)^{-1} R*(u), which at dtau = inf is a
-    Newton step.  u_nm1 and u_nm2 are sequences of floats, and the whole
-    iterate runs on Python floats, with the kernels float_kernels gives for
-    the model's size: the extended residual, the update, which solves the
-    step system, and the residual norm.  Returns (state as a list of
-    floats, inner iterations used, final residual norm, converged).  step
-    only labels a SingularStepError.
-    """
-    alpha, beta, delta = coeffs
-    inv_dtau, tol, max_inner = cfg.inv_dtau, cfg.tol, cfg.max_inner
-    jacobian = jacobian_entries_of(model)
-    extended, update, _, norm_of = float_kernels(model.d_u)
-    # fixed over the step: the history terms
-    beta_u_nm1, delta_u_nm2 = [beta * x for x in u_nm1], [delta * x for x in u_nm2]
-    u = list(u_nm1)  # warm start from the previous physical state
-    residual = extended(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
-    norm = norm_of(residual)
-    iterations = 0
-    while norm > tol and iterations < max_inner:
-        u = update(u, jacobian(u, sigma, t), residual, alpha, inv_dtau, step)
-        residual = extended(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
-        norm = norm_of(residual)
-        iterations += 1
-    return u, iterations, norm, norm <= tol
-
-
 def simulate(model, sigma, grid: TimeGrid,
              cfg: PseudoTimeConfig | None = None) -> Trajectory:
     """March the model over the grid and record states and outputs.
 
-    The design and the initial state's shape are checked here, once; the
-    model methods each step calls do not check them again.  The outputs
-    are formed in one call once the march is done.
+    Each physical step drives the inner iteration until the extended
+    residual R* is below cfg.tol.  Each inner iteration is one linearized
+    implicit-Euler pseudo-time update, u <- u - (alpha I + dR/du +
+    I/dtau)^{-1} R*(u), which at dtau = inf is a Newton step, warm-started
+    from the previous physical state.  The iterate runs on Python floats,
+    with the kernels float_kernels gives for the model's size: the extended
+    residual, the update, which solves the step system, and the residual
+    norm.  The design and the initial state's shape are checked once, and
+    the pseudo-time constants, the Jacobian reader and the kernels are
+    resolved once per march; the model methods each step calls do not check
+    their inputs again.  The outputs are formed in one call once the march
+    is done.
     """
     cfg = cfg or PseudoTimeConfig()
     u0 = np.asarray(model.initial_state(sigma), dtype=float)
     sigma = check_inputs(model, sigma, u0)
+    inv_dtau, tol, max_inner = cfg.inv_dtau, cfg.tol, cfg.max_inner
+    jacobian = jacobian_entries_of(model)
+    extended, update, _, norm_of = float_kernels(model.d_u)
+    dt = grid.dt
     # step 1 has no u^{-1}; its BDF1 coefficients give u^{-1} no weight
     u_nm1 = u_nm2 = u0.tolist()
     # per step n: the state, inner iterations, residual norm and converged
     states, inner, norms, flags = [u_nm1], [0], [0.0], [True]
-    bdf1, bdf2 = step_coefficients(1, grid.dt), step_coefficients(2, grid.dt)
+    bdf1, bdf2 = step_coefficients(1, dt), step_coefficients(2, dt)
     for n in range(1, grid.n_steps + 1):
-        u, its, norm, ok = advance_physical_step(
-            model, u_nm1, u_nm2, sigma, grid.dt, n * grid.dt, cfg, bdf2 if n > 1 else bdf1, n)
+        alpha, beta, delta = bdf2 if n > 1 else bdf1
+        t = n * dt
+        # fixed over the step: the history terms
+        beta_u_nm1, delta_u_nm2 = [beta * x for x in u_nm1], [delta * x for x in u_nm2]
+        u = list(u_nm1)
+        residual = extended(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
+        norm = norm_of(residual)
+        its = 0
+        while norm > tol and its < max_inner:
+            u = update(u, jacobian(u, sigma, t), residual, alpha, inv_dtau, n)
+            residual = extended(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
+            norm = norm_of(residual)
+            its += 1
+        ok = norm <= tol
         if not ok:
             if not cfg.allow_unconverged:
                 raise StepConvergenceError(n, its, norm)

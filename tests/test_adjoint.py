@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from lcowind.adjoint import AdjointMode, adjoint_step, adjoint_sweep, iteration_matrices
+from lcowind.adjoint import AdjointMode, _adjoint_step, adjoint_sweep, iteration_matrices
 from lcowind.analysis import windowed_average
 from lcowind.errors import AdjointDivergenceError, SingularStepError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
@@ -201,7 +201,7 @@ def test_divergent_fixed_point_raises():
 
 @pytest.mark.parametrize("mode", list(AdjointMode))
 @pytest.mark.parametrize("dtau", [math.inf, 1.0], ids=["dtau=inf", "dtau=1"])
-def test_adjoint_step_returns_the_sweeps_state_as_an_array(dtau, mode):
+def test_adjoint_step_reproduces_the_sweeps_state(dtau, mode):
     # the window's zero weight at the last step leaves its adjoint state
     # zero, so the step before it couples to nothing: its rhs is its seed,
     # and the sweep warm-starts it from the last step's state
@@ -210,11 +210,12 @@ def test_adjoint_step_returns_the_sweeps_state_as_an_array(dtau, mode):
     sweep = adjoint_sweep(model, sigma, traj, Window.HANN, cfg=cfg, mode=mode)
     assert not sweep.adjoint_states[-1].any()
     n, steps = traj.n_steps - 1, sweep.steps
-    ubar, iterations, norm, contraction = adjoint_step(
-        n, steps.a_mats[n - 1], steps.m_mats[n - 1], sweep.seeds[n], sweep.adjoint_states[n + 1],
-        steps.iteration[n - 1], float(steps.contractions[n - 1]), cfg.tol, cfg.max_inner, mode)
-    assert isinstance(ubar, np.ndarray) and ubar.shape == (model.d_u,)
-    assert np.array_equal(ubar, sweep.adjoint_states[n]) and ubar.any()
+    ubar, iterations, norm, contraction = _adjoint_step(
+        n, steps.a_mats[n - 1], steps.m_mats[n - 1], sweep.seeds[n].tolist(),
+        sweep.adjoint_states[n + 1].tolist(), steps.iteration[n - 1],
+        float(steps.contractions[n - 1]), cfg.tol, cfg.max_inner, mode)
+    assert isinstance(ubar, list) and len(ubar) == model.d_u
+    assert np.array_equal(np.array(ubar), sweep.adjoint_states[n]) and any(ubar)
     assert (iterations, norm, contraction) == (sweep.inner_iterations[n],
                                                sweep.residual_norms[n],
                                                sweep.contraction_estimates[n])
@@ -306,15 +307,15 @@ def test_singular_step_matrices_raise_with_step():
         assert "step 1" in str(excinfo.value)
 
     a_singular = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    rhs = np.ones(2)
+    rhs = [1.0, 1.0]
     # (a_mat, m_mat, iter_matrix, mode): the Newton-limit direct solve and
     # the finite-dtau direct solve
     cases = [(a_singular, a_singular, None, AdjointMode.DIRECT),
              (a_singular, a_singular + np.eye(2), np.eye(2), AdjointMode.DIRECT)]
     for a_mat, m_mat, iter_matrix, mode in cases:
         with pytest.raises(SingularStepError) as excinfo:
-            adjoint_step(7, a_mat, m_mat, rhs, np.zeros(2), iter_matrix, 0.5, 1e-12,
-                         50, mode)
+            _adjoint_step(7, a_mat, m_mat, rhs, [0.0, 0.0], iter_matrix, 0.5, 1e-12,
+                          50, mode)
         assert excinfo.value.step == 7
 
     # the iteration matrix's M_n solve, batched over steps 1..8 with M_3 and

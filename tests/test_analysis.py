@@ -1,5 +1,7 @@
 """Tests for windowed averaging, convergence studies, and diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,14 @@ def test_study_input_validation():
     with pytest.raises(InvalidSpanError, match="rounds to zero"):
         convergence_study(series, Window.HANN, N_TR, DT, [0.0001],
                           reference=MEAN, period=PERIOD, span_offset=0.0)
+    # an end step past the int range once wrapped to a negative one in the
+    # cast, with numpy's "invalid value" warning on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for study, extra in ((convergence_study, {"reference": MEAN}),
+                             (divergence_diagnostic, {})):
+            with pytest.raises(InvalidSpanError, match="too short"):
+                study(series, Window.HANN, N_TR, DT, [2, 1e300], period=PERIOD, **extra)
 
 
 @pytest.mark.parametrize("k_list", [[0, 1], [-2, 4], [np.nan, 4], [2, np.inf]],

@@ -519,6 +519,9 @@ OUT_OF_DOMAIN = [
     (QUADRATIC_CONFIG, "optimize", {("optimize", "max_backtracks"): "-1"}),
     (ANALYTIC_CONFIG, "simulate", {("model", "a0"): "nan"}),
     (ANALYTIC_CONFIG, "study", {("study", "windows"): ""}),
+    # exit 0, with every hann row of study.csv written twice
+    (ANALYTIC_CONFIG, "study", {("study", "k_list"): "2, 4",
+                                ("study", "windows"): "hann, HANN, bump"}),
 ]
 
 
@@ -558,7 +561,8 @@ def test_flag_override_goes_through_the_key_parser(tmp_path, capsys):
             ("adjoint", "--mode", "bogus",
              "--mode: unknown adjoint mode 'bogus'; expected one of: fixed-point, direct"),
             ("study", "--quantity", "bogus",
-             "--quantity: expected one of: average, sensitivity, got 'bogus'")):
+             "--quantity: expected one of: average, sensitivity, got 'bogus'"),
+            ("study", "--windows", "hann,hann", "--windows: must not repeat a window")):
         assert main([subcommand, cfg, "--output-dir", str(outdir), flag, raw]) == 2
         assert last_stderr_json(capsys)["message"] == message
     # the key parsers ignore case, so the flags do too

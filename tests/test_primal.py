@@ -10,9 +10,8 @@ from lcowind.errors import (InvalidSpanError, PeriodUndetectableError,
                             StepConvergenceError)
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, OutputKind,
                             VanDerPol)
-from lcowind.primal import (PseudoTimeConfig, TimeGrid, advance_physical_step,
-                            estimate_period, extended_residual, simulate,
-                            step_coefficients)
+from lcowind.primal import (PseudoTimeConfig, TimeGrid, _extended_residual,
+                            estimate_period, simulate, step_coefficients)
 
 # independent reference for the mu = 1 limit-cycle period, computed once with
 # scipy.integrate.solve_ivp (rtol 1e-11) and event-based crossing detection
@@ -72,8 +71,14 @@ def test_extended_residual_hand_reference():
     u_nm2 = np.array([0.2, -0.4])
     expected = 1.5 / dt * u_n + model.residual(u_n, sigma) \
         - 2.0 / dt * u_nm1 + 0.5 / dt * u_nm2
-    got = extended_residual(model, u_n, u_nm1, u_nm2, sigma, dt)
+    got = _extended_residual(model, u_n.tolist(), sigma, 0.0, 1.5 / dt,
+                             (-2.0 / dt * u_nm1).tolist(), (0.5 / dt * u_nm2).tolist())
     assert np.allclose(got, expected, rtol=1e-14, atol=1e-14)
+
+
+def bdf2_residual(model, u, u_nm1, u_nm2, sigma, dt, t=0.0):
+    """The BDF2 relation 1.5/dt u + R(u) - 2/dt u_nm1 + 0.5/dt u_nm2 by hand."""
+    return 1.5 / dt * u + model.residual(u, sigma, t) - 2.0 / dt * u_nm1 + 0.5 / dt * u_nm2
 
 
 def test_newton_step_solves_linear_model_exactly():
@@ -82,17 +87,14 @@ def test_newton_step_solves_linear_model_exactly():
                         offset=np.array([0.2, -0.4]))
     sigma = np.array([0.0])
     dt = 0.1
-    u_nm1 = np.array([1.0, -1.0])
-    u_nm2 = np.array([0.9, -0.8])
-    u, its, _, _ = advance_physical_step(
-        model, u_nm1, u_nm2, sigma, dt, 0.0, PseudoTimeConfig(max_inner=1),
-        step_coefficients(2, dt))
-    assert its == 1
-    # hand solve: (1.5/dt I + A) u = 2/dt u_nm1 - 0.5/dt u_nm2 - c
+    traj = simulate(model, sigma, TimeGrid(dt=dt, n_steps=2), PseudoTimeConfig(max_inner=1))
+    u_nm2, u_nm1, u = traj.states
+    assert traj.inner_iterations[2] == 1
+    # hand solve of step 2: (1.5/dt I + A) u = 2/dt u_nm1 - 0.5/dt u_nm2 - c
     lhs = 1.5 / dt * np.eye(2) + model.matrix
     rhs = 2.0 / dt * u_nm1 - 0.5 / dt * u_nm2 - model.offset
     assert np.allclose(u, np.linalg.solve(lhs, rhs), rtol=1e-13, atol=1e-13)
-    assert np.linalg.norm(extended_residual(model, u, u_nm1, u_nm2, sigma, dt)) < 1e-12
+    assert np.linalg.norm(bdf2_residual(model, u, u_nm1, u_nm2, sigma, dt)) < 1e-12
 
 
 def test_finite_dtau_converges_to_same_root():
@@ -100,14 +102,12 @@ def test_finite_dtau_converges_to_same_root():
                         offset=np.array([0.2, -0.4]))
     sigma = np.array([0.0])
     dt = 0.1
-    coeffs = step_coefficients(2, dt)
     cfg = PseudoTimeConfig(dtau=0.5, tol=1e-13, max_inner=200)
-    u, its, norm, ok = advance_physical_step(
-        model, np.array([1.0, -1.0]), np.array([0.9, -0.8]), sigma, dt, 0.2,
-        cfg, coeffs)
-    assert ok and its > 1
+    traj = simulate(model, sigma, TimeGrid(dt=dt, n_steps=2), cfg)
+    u_nm2, u_nm1, u = traj.states
+    assert traj.converged[2] and traj.inner_iterations[2] > 1
     lhs = 1.5 / dt * np.eye(2) + model.matrix
-    rhs = 2.0 / dt * np.array([1.0, -1.0]) - 0.5 / dt * np.array([0.9, -0.8]) - model.offset
+    rhs = 2.0 / dt * u_nm1 - 0.5 / dt * u_nm2 - model.offset
     assert np.allclose(u, np.linalg.solve(lhs, rhs), rtol=1e-11, atol=1e-11)
 
 
@@ -123,8 +123,8 @@ def test_bdf_recurrence_holds_along_trajectory():
     assert np.linalg.norm(r1) < 1e-11
     # every later step satisfies the BDF2 relation at its own time
     for n in range(2, grid.n_steps + 1):
-        r = extended_residual(model, traj.states[n], traj.states[n - 1],
-                              traj.states[n - 2], sigma, grid.dt, n * grid.dt)
+        r = bdf2_residual(model, traj.states[n], traj.states[n - 1],
+                          traj.states[n - 2], sigma, grid.dt, n * grid.dt)
         assert np.linalg.norm(r) < 1e-11
     assert traj.converged.all()
     assert traj.n_steps == 60
