@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, InvalidSpanError
 from .primal import estimate_period
-from .windows import NormalizationMode, Window, discrete_weights
+from .windows import NormalizationMode, Window, span_weights
 
 __all__ = ["ConvergenceStudy", "DivergenceDiagnostic", "windowed_average",
            "convergence_study", "endpoint_shift_robustness",
@@ -39,17 +39,19 @@ def windowed_average(outputs, kind: Window, n_tr: int, n_final: int,
     series = np.asarray(outputs, dtype=float)
     if series.ndim != 1:
         raise ValueError("outputs must be a one-dimensional series")
-    return float(_windowed_sum(series, kind, n_tr, n_final, mode))
+    return float(_windowed_sums(series, (kind,), n_tr, n_final, mode)[0])
 
 
-def _windowed_sum(series, kind, n_tr, n_final, mode):
-    """(1/span) sum_i w_i series[n_tr + i] over steps n_tr..n_final, the
-    windowed average of every column of a series indexed by step first."""
+def _windowed_sums(series, kinds, n_tr, n_final, mode):
+    """(1/span) sum_i w_i series[n_tr + i] over steps n_tr..n_final, one per
+    window in kinds: the windowed average of every column of a series
+    indexed by step first."""
     if n_final > len(series) - 1:
         raise InvalidSpanError(
             f"final step {n_final} exceeds recorded length {len(series) - 1}")
-    return discrete_weights(kind, n_tr, n_final, mode) @ series[n_tr:n_final + 1] \
-        / (n_final - n_tr)
+    window = series[n_tr:n_final + 1]
+    return [weights @ window / (n_final - n_tr)
+            for weights in span_weights(kinds, n_tr, n_final, mode)]
 
 
 @dataclass
@@ -105,15 +107,19 @@ def _end_steps(k_list, n_tr, dt, period, span_offset, length):
     return ks, ends, realized
 
 
-def _span_values(series, kind, n_tr, dt, k_list, period, span_offset, mode):
+def _span_values(series, kinds, n_tr, dt, k_list, period, span_offset, mode):
     """The series as floats, its period (estimated from it unless given),
-    and the requested period counts, end steps, realized spans and windowed
-    averages of the spans in k_list."""
+    the requested period counts, end steps and realized spans of the spans
+    in k_list, and per window in kinds, in order, its windowed averages
+    over those spans.  Each end step is visited once for all the windows."""
     data = np.asarray(series, dtype=float)
     if period is None:
         period, _ = estimate_period(data, n_tr, dt)
     ks, ends, realized = _end_steps(k_list, n_tr, dt, period, span_offset, data.size)
-    values = np.array([windowed_average(data, kind, n_tr, int(end), mode) for end in ends])
+    if data.ndim != 1:
+        raise ValueError("outputs must be a one-dimensional series")
+    per_end = [_windowed_sums(data, kinds, n_tr, int(end), mode) for end in ends]
+    values = [np.array(column, dtype=float) for column in zip(*per_end)]
     return data, period, ks, ends, realized, values
 
 
@@ -128,21 +134,26 @@ def _fit_loglog(requested_k, errors, noise_floor):
     return float(-coeffs[0]), rms, mask
 
 
-def convergence_study(series, kind: Window, n_tr: int, dt: float, k_list,
+def convergence_study(series, kinds, n_tr: int, dt: float, k_list,
                       reference: float | None = None,
                       period: float | None = None,
                       span_offset: float = DEFAULT_SPAN_OFFSET,
-                      mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL) -> ConvergenceStudy:
-    """Windowed averages against span length, with a fitted decay order.
+                      mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL,
+                      ) -> list[ConvergenceStudy]:
+    """Windowed averages against span length, with a fitted decay order,
+    one study per window in kinds, in order.
 
     The positive `slope` means the error shrinks like span^(-slope).  The
     fit uses the requested period counts and drops entries whose error
     sits at the floating-point noise floor of the reference.  A study
-    whose spans all sit at that floor has no fittable order and raises;
-    single-entry studies skip the fit instead.
+    whose spans all sit at that floor has no fittable order and raises,
+    naming the first such window; single-entry studies skip the fit
+    instead.  Without a closed-form reference, one bump average over a
+    long span serves every window.  The studies share their span arrays.
     """
+    kinds = tuple(kinds)
     data, period, ks, ends, realized, values = _span_values(
-        series, kind, n_tr, dt, k_list, period, span_offset, mode)
+        series, kinds, n_tr, dt, k_list, period, span_offset, mode)
     if reference is None:
         ref_end = n_tr + int(round((REFERENCE_PERIOD_COUNT + span_offset)
                                    * period / dt))
@@ -156,25 +167,26 @@ def convergence_study(series, kind: Window, n_tr: int, dt: float, k_list,
     else:
         reference = float(reference)
         reference_source = "closed-form"
-    errors = np.abs(values - reference)
 
-    scale = abs(reference)
-    if scale == 0.0:
-        scale = float(np.max(np.abs(values))) or 1.0
-    noise_floor = NOISE_FLOOR_FACTOR * np.finfo(float).eps * scale
+    studies = []
+    for kind, kind_values in zip(kinds, values):
+        errors = np.abs(kind_values - reference)
+        scale = abs(reference)
+        if scale == 0.0:
+            scale = float(np.max(np.abs(kind_values))) or 1.0
+        noise_floor = NOISE_FLOOR_FACTOR * np.finfo(float).eps * scale
 
-    slope, fit_residual, fit_mask = _fit_loglog(ks, errors, noise_floor)
-    if slope is None and ks.size >= 2:
-        raise DegenerateFitError(
-            f"{kind.value}: fewer than two spans above the noise floor "
-            f"{noise_floor:.3e}; nothing to fit")
-
-    return ConvergenceStudy(kind=kind, requested_k=ks, realized_k=realized,
-                            end_steps=ends, values=values, errors=errors,
-                            reference=reference,
-                            reference_source=reference_source, period=period,
-                            slope=slope, fit_residual=fit_residual,
-                            fit_mask=fit_mask, noise_floor=noise_floor)
+        slope, fit_residual, fit_mask = _fit_loglog(ks, errors, noise_floor)
+        if slope is None and ks.size >= 2:
+            raise DegenerateFitError(
+                f"{kind.value}: fewer than two spans above the noise floor "
+                f"{noise_floor:.3e}; nothing to fit")
+        studies.append(ConvergenceStudy(
+            kind=kind, requested_k=ks, realized_k=realized, end_steps=ends,
+            values=kind_values, errors=errors, reference=reference,
+            reference_source=reference_source, period=period, slope=slope,
+            fit_residual=fit_residual, fit_mask=fit_mask, noise_floor=noise_floor))
+    return studies
 
 
 def endpoint_shift_robustness(sensitivity_fn, kind: Window, n_tr: int,
@@ -194,25 +206,31 @@ def endpoint_shift_robustness(sensitivity_fn, kind: Window, n_tr: int,
     return float(np.linalg.norm(shifted - baseline) / norm)
 
 
-def divergence_diagnostic(series, kind: Window, n_tr: int, dt: float, k_list,
+def divergence_diagnostic(series, kinds, n_tr: int, dt: float, k_list,
                           period: float | None = None,
                           span_offset: float = DEFAULT_SPAN_OFFSET,
                           growth_margin: float = 1e-3,
-                          mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL) -> DivergenceDiagnostic:
-    """Windowed values over growing spans without any convergence claim.
+                          mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL,
+                          ) -> list[DivergenceDiagnostic]:
+    """Windowed values over growing spans without any convergence claim,
+    one diagnostic per window in kinds, in order.
 
     An entry is flagged when its magnitude exceeds the running maximum of
     all earlier entries by more than the growth margin, the signature of a
-    diverging windowed quantity.
+    diverging windowed quantity.  The diagnostics share their span arrays.
     """
-    _, _, ks, ends, _, values = _span_values(series, kind, n_tr, dt, k_list, period,
+    kinds = tuple(kinds)
+    _, _, ks, ends, _, values = _span_values(series, kinds, n_tr, dt, k_list, period,
                                              span_offset, mode)
-    flags = np.zeros(ks.size, dtype=bool)
-    running = abs(values[0])
-    for i in range(1, ks.size):
-        magnitude = abs(values[i])
-        flags[i] = magnitude > running * (1.0 + growth_margin)
-        running = max(running, magnitude)
-    return DivergenceDiagnostic(kind=kind, requested_k=ks, end_steps=ends,
-                                values=values, growth_flags=flags,
-                                any_growth=bool(flags.any()))
+    diagnostics = []
+    for kind, kind_values in zip(kinds, values):
+        flags = np.zeros(ks.size, dtype=bool)
+        running = abs(kind_values[0])
+        for i in range(1, ks.size):
+            magnitude = abs(kind_values[i])
+            flags[i] = magnitude > running * (1.0 + growth_margin)
+            running = max(running, magnitude)
+        diagnostics.append(DivergenceDiagnostic(
+            kind=kind, requested_k=ks, end_steps=ends, values=kind_values,
+            growth_flags=flags, any_growth=bool(flags.any())))
+    return diagnostics

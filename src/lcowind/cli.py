@@ -442,17 +442,16 @@ def _cmd_study(cfg: RunConfig, outdir: Path):
     series, reference, period = _study_series(cfg)
     rows = []
     summary = {}
-    for kind in cfg.study_windows:
-        study = convergence_study(series, kind, cfg.grid.n_transient,
-                                  cfg.grid.dt, cfg.study_k_list,
-                                  reference=reference, period=period,
-                                  span_offset=cfg.study_span_offset,
-                                  mode=cfg.normalization)
+    for study in convergence_study(series, cfg.study_windows, cfg.grid.n_transient,
+                                   cfg.grid.dt, cfg.study_k_list,
+                                   reference=reference, period=period,
+                                   span_offset=cfg.study_span_offset,
+                                   mode=cfg.normalization):
         slope = study.slope if study.slope is not None else math.nan
         for i, k in enumerate(study.requested_k):
-            rows.append([kind.value, k, int(study.end_steps[i]),
+            rows.append([study.kind.value, k, int(study.end_steps[i]),
                          study.values[i], study.errors[i], slope])
-        summary[kind.value] = {
+        summary[study.kind.value] = {
             "slope": study.slope,
             "fit_residual": study.fit_residual,
             "reference": study.reference,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _windowed_sum
+from .analysis import _windowed_sums
 from .models import check_inputs
 from .primal import Trajectory, solve_step, step_coefficients, step_matrices
 from .windows import NormalizationMode, Window
@@ -60,4 +60,5 @@ def windowed_tangent_sensitivity(tangent: TangentTrajectory, kind: Window,
                                  mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL,
                                  ) -> np.ndarray:
     """Windowed average of the output sensitivity over steps n_transient..n_final."""
-    return _windowed_sum(tangent.output_sensitivities, kind, n_transient, n_final, mode)
+    return _windowed_sums(tangent.output_sensitivities, (kind,), n_transient, n_final,
+                          mode)[0]

@@ -21,6 +21,7 @@ __all__ = [
     "window_value",
     "bump_normalization",
     "discrete_weights",
+    "span_weights",
 ]
 
 _INF = math.inf
@@ -104,6 +105,12 @@ def bump_normalization() -> float:
     return _bump_quadrature(1e-12)
 
 
+def _hann_square_from_hann(hann: np.ndarray, out: np.ndarray) -> None:
+    """Write (2/3) hann^2, the hann-square window, from hann's samples."""
+    np.square(hann, out=out)
+    np.multiply(out, 2.0 / 3.0, out=out)
+
+
 def _window_interior(kind: Window, si: np.ndarray, out: np.ndarray) -> None:
     """Write the window at the samples si, all inside (0, 1), into out.
 
@@ -118,8 +125,7 @@ def _window_interior(kind: Window, si: np.ndarray, out: np.ndarray) -> None:
         np.cos(out, out=out)
         np.subtract(1.0, out, out=out)
         if kind is Window.HANN_SQUARE:
-            np.square(out, out=out)
-            np.multiply(out, 2.0 / 3.0, out=out)
+            _hann_square_from_hann(out, out)
     elif kind is Window.BUMP:
         # exp(-1/(s - s^2)) / a
         np.multiply(si, si, out=out)
@@ -151,21 +157,48 @@ def discrete_weights(kind: Window, n_tr: int, n_final: int,
                      mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL) -> np.ndarray:
     """Sample a window over steps n_tr..n_final inclusive: the weight
     vector, whose entry i weights step n_tr + i for i = 0..n_final - n_tr."""
+    return span_weights((kind,), n_tr, n_final, mode)[0]
+
+
+def span_weights(kinds, n_tr: int, n_final: int,
+                 mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL) -> list[np.ndarray]:
+    """Sample each window in kinds over steps n_tr..n_final inclusive: one
+    weight vector per kind, in the order given, as `discrete_weights`
+    returns it.
+
+    The grid i/span is built once.  When hann is among the kinds,
+    hann-square is made from hann's unscaled samples, the same ufuncs in
+    the same order as its own kernel, so the bits are the same.
+    """
+    kinds = tuple(kinds)
     if n_tr < 0:
         raise InvalidSpanError(f"transient cutoff must be non-negative, got n_tr={n_tr}")
     span = n_final - n_tr
     if span <= 0:
         raise InvalidSpanError(f"averaging span must be positive, got n_tr={n_tr}, N={n_final}")
+    for kind in kinds:
+        if not isinstance(kind, Window):
+            raise TypeError(f"not a Window: {kind!r}")
     # i/span lies strictly inside (0, 1) for 0 < i < span, and the two
     # endpoint weights are zero for every kind
-    values = np.zeros(span + 1)
     si = np.arange(1, span, dtype=float)
     si /= span
-    _window_interior(kind, si, values[1:-1])
+    sampled = {}
+    # in Window's order, so hann is sampled before hann-square
+    for kind in Window:
+        if kind not in kinds:
+            continue
+        values = sampled[kind] = np.zeros(span + 1)
+        hann = sampled.get(Window.HANN)
+        if kind is Window.HANN_SQUARE and hann is not None:
+            _hann_square_from_hann(hann[1:-1], values[1:-1])
+        else:
+            _window_interior(kind, si, values[1:-1])
     if mode is NormalizationMode.RENORMALIZED:
-        total = values.sum()
-        if total <= 0.0:
-            raise InvalidSpanError(
-                f"span of {span} steps leaves no interior weight to renormalize")
-        values = values * (span / total)
-    return values
+        for kind, values in sampled.items():
+            total = values.sum()
+            if total <= 0.0:
+                raise InvalidSpanError(
+                    f"span of {span} steps leaves no interior weight to renormalize")
+            sampled[kind] = values * (span / total)
+    return [sampled[kind] for kind in kinds]

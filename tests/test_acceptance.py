@@ -88,9 +88,9 @@ def _bump_shape(s):
 def test_criterion_02_average_convergence_orders():
     started = time.perf_counter()
     series = closed_form_series(64)
-    studies = {kind: convergence_study(series, kind, N_TR, DT, K_LIST,
-                                       reference=MEAN, period=PERIOD)
-               for kind in Window}
+    studies = {study.kind: study
+               for study in convergence_study(series, Window, N_TR, DT, K_LIST,
+                                              reference=MEAN, period=PERIOD)}
     slopes = {kind: study.slope for kind, study in studies.items()}
     print(f"criterion 2: average slopes square={slopes[Window.SQUARE]:.3f} "
           f"hann={slopes[Window.HANN]:.3f} "
@@ -154,9 +154,10 @@ def test_criterion_02_average_convergence_orders():
 def test_criterion_03_sensitivity_convergence_orders():
     started = time.perf_counter()
     sens = closed_form_series(64, derivative=True)
-    studies = {kind: convergence_study(sens, kind, N_TR, DT, K_LIST,
-                                       reference=MEAN_GRADIENT, period=PERIOD)
-               for kind in (Window.SQUARE, Window.HANN, Window.HANN_SQUARE)}
+    studies = {study.kind: study
+               for study in convergence_study(
+                   sens, (Window.SQUARE, Window.HANN, Window.HANN_SQUARE), N_TR, DT,
+                   K_LIST, reference=MEAN_GRADIENT, period=PERIOD)}
     square = studies[Window.SQUARE]
     floor_ratio = square.errors.min() / square.errors.max()
     print(f"criterion 3: sensitivity slopes square={square.slope:.3f} "
@@ -260,10 +261,10 @@ def test_criterion_07_fixed_period_slopes_match():
     grid = TimeGrid(dt=DT, n_steps=n_steps, n_transient=n_tr)
     traj = simulate(model, sigma, grid)
     tangent = tangent_sweep(model, sigma, traj)
-    avg = convergence_study(traj.outputs, Window.SQUARE, n_tr, DT, K_LIST,
-                            period=period)
-    sens = convergence_study(tangent.output_sensitivities[:, 0], Window.SQUARE,
-                             n_tr, DT, K_LIST, period=period)
+    avg, = convergence_study(traj.outputs, [Window.SQUARE], n_tr, DT, K_LIST,
+                             period=period)
+    sens, = convergence_study(tangent.output_sensitivities[:, 0], [Window.SQUARE],
+                              n_tr, DT, K_LIST, period=period)
     diff = abs(avg.slope - sens.slope)
     elapsed = time.perf_counter() - started
     print(f"criterion 7: square slopes average={avg.slope:.4f} "
@@ -305,10 +306,8 @@ def test_criterion_09_divergence_diagnostic():
                           base_period=1.0, growth_rate=0.12)
     ks = list(range(2, 17, 2))
     sens = closed_form_series(16, signal=grow, derivative=True)
-    square = divergence_diagnostic(sens, Window.SQUARE, N_TR, DT, ks,
-                                   period=PERIOD)
-    bump = divergence_diagnostic(sens, Window.BUMP, N_TR, DT, ks,
-                                 period=PERIOD)
+    square, bump = divergence_diagnostic(sens, [Window.SQUARE, Window.BUMP], N_TR, DT,
+                                         ks, period=PERIOD)
     mag_square = np.abs(square.values)
     mag_bump = np.abs(bump.values)
     print(f"criterion 9: square magnitudes {np.round(mag_square, 3)}")

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lcowind import windows
 from lcowind.analysis import (DEFAULT_SPAN_OFFSET, convergence_study,
                               divergence_diagnostic,
                               endpoint_shift_robustness, windowed_average)
@@ -73,10 +74,9 @@ def test_convergence_slopes_with_closed_form_reference():
     series = signal_series(64)
     ks = [2, 4, 8, 16, 32, 64]
     slopes = {}
-    for kind in Window:
-        study = convergence_study(series, kind, N_TR, DT, ks,
-                                  reference=MEAN, period=PERIOD)
-        slopes[kind] = study.slope
+    for study in convergence_study(series, Window, N_TR, DT, ks,
+                                   reference=MEAN, period=PERIOD):
+        slopes[study.kind] = study.slope
         assert study.reference_source == "closed-form"
         assert study.fit_mask.sum() >= 2
         assert np.all(study.errors > 0)
@@ -92,10 +92,12 @@ def test_convergence_slopes_with_closed_form_reference():
 def test_self_reference_matches_closed_form():
     series = signal_series(300)
     ks = [2, 4, 8, 16, 32, 64]
-    for kind in (Window.SQUARE, Window.HANN, Window.HANN_SQUARE):
-        explicit = convergence_study(series, kind, N_TR, DT, ks,
-                                     reference=MEAN, period=PERIOD)
-        inferred = convergence_study(series, kind, N_TR, DT, ks, period=PERIOD)
+    kinds = (Window.SQUARE, Window.HANN, Window.HANN_SQUARE)
+    explicits = convergence_study(series, kinds, N_TR, DT, ks,
+                                  reference=MEAN, period=PERIOD)
+    inferreds = convergence_study(series, kinds, N_TR, DT, ks, period=PERIOD)
+    for kind, explicit, inferred in zip(kinds, explicits, inferreds):
+        assert explicit.kind is kind and inferred.kind is kind
         assert inferred.reference_source.startswith("bump@k=")
         assert inferred.reference == pytest.approx(MEAN, rel=1e-8)
         assert inferred.slope == pytest.approx(explicit.slope, abs=0.05)
@@ -103,8 +105,8 @@ def test_self_reference_matches_closed_form():
 
 def test_period_is_estimated_when_not_given():
     series = signal_series(16)
-    study = convergence_study(series, Window.HANN, N_TR, DT, [2, 4, 8, 16],
-                              reference=MEAN)
+    study, = convergence_study(series, [Window.HANN], N_TR, DT, [2, 4, 8, 16],
+                               reference=MEAN)
     assert study.period == pytest.approx(PERIOD, rel=1e-3)
 
 
@@ -138,8 +140,8 @@ def test_divergence_diagnostic_flags_growth():
     n_steps = N_TR + round(16.25 * PERIOD / DT) + 5
     t = np.arange(n_steps + 1) * DT
     sens = grow.output_design_derivative(t, SIGMA)[:, 0]
-    square = divergence_diagnostic(sens, Window.SQUARE, N_TR, DT, ks, period=PERIOD)
-    bump = divergence_diagnostic(sens, Window.BUMP, N_TR, DT, ks, period=PERIOD)
+    square, bump = divergence_diagnostic(sens, [Window.SQUARE, Window.BUMP], N_TR, DT, ks,
+                                         period=PERIOD)
     assert square.any_growth
     assert np.all(square.growth_flags[1:])
     assert not bump.any_growth
@@ -151,7 +153,7 @@ def test_divergence_diagnostic_flags_growth():
 def test_divergence_diagnostic_clean_when_bounded():
     sens = SIG.output_design_derivative(np.arange(2500) * DT, SIGMA)[:, 0]
     ks = list(range(2, 17, 2))
-    diag = divergence_diagnostic(sens, Window.HANN, N_TR, DT, ks, period=PERIOD)
+    diag, = divergence_diagnostic(sens, [Window.HANN], N_TR, DT, ks, period=PERIOD)
     assert not diag.any_growth
 
 
@@ -183,16 +185,16 @@ def test_endpoint_shift_trivials():
 def test_study_input_validation():
     series = signal_series(8)
     with pytest.raises(InvalidSpanError, match="empty span list"):
-        convergence_study(series, Window.HANN, N_TR, DT, [], reference=MEAN,
+        convergence_study(series, [Window.HANN], N_TR, DT, [], reference=MEAN,
                           period=PERIOD)
     with pytest.raises(InvalidSpanError, match="strictly increasing"):
-        convergence_study(series, Window.HANN, N_TR, DT, [4, 4], reference=MEAN,
+        convergence_study(series, [Window.HANN], N_TR, DT, [4, 4], reference=MEAN,
                           period=PERIOD)
     with pytest.raises(InvalidSpanError, match="too short"):
-        convergence_study(series, Window.HANN, N_TR, DT, [2, 400],
+        convergence_study(series, [Window.HANN], N_TR, DT, [2, 400],
                           reference=MEAN, period=PERIOD)
     with pytest.raises(InvalidSpanError, match="rounds to zero"):
-        convergence_study(series, Window.HANN, N_TR, DT, [0.0001],
+        convergence_study(series, [Window.HANN], N_TR, DT, [0.0001],
                           reference=MEAN, period=PERIOD, span_offset=0.0)
     # an end step past the int range once wrapped to a negative one in the
     # cast, with numpy's "invalid value" warning on stderr
@@ -201,7 +203,7 @@ def test_study_input_validation():
         for study, extra in ((convergence_study, {"reference": MEAN}),
                              (divergence_diagnostic, {})):
             with pytest.raises(InvalidSpanError, match="too short"):
-                study(series, Window.HANN, N_TR, DT, [2, 1e300], period=PERIOD, **extra)
+                study(series, [Window.HANN], N_TR, DT, [2, 1e300], period=PERIOD, **extra)
 
 
 @pytest.mark.parametrize("k_list", [[0, 1], [-2, 4], [np.nan, 4], [2, np.inf]],
@@ -213,17 +215,58 @@ def test_span_lists_reject_non_positive_and_non_finite_counts(study, k_list, cap
     series = signal_series(8)
     extra = {"reference": MEAN} if study is convergence_study else {}
     with pytest.raises(InvalidSpanError, match="positive and finite"):
-        study(series, Window.HANN, N_TR, DT, k_list, period=PERIOD, **extra)
+        study(series, [Window.HANN], N_TR, DT, k_list, period=PERIOD, **extra)
     assert capfd.readouterr() == ("", "")
 
 
 def test_degenerate_fit_raises_and_single_entry_skips():
     constant = np.full(4000, MEAN)
     with pytest.raises(DegenerateFitError, match="noise floor"):
-        convergence_study(constant, Window.HANN, N_TR, DT, [2, 4],
+        convergence_study(constant, [Window.HANN], N_TR, DT, [2, 4],
                           reference=MEAN, period=PERIOD)
     series = signal_series(4)
-    single = convergence_study(series, Window.HANN, N_TR, DT, [4],
-                               reference=MEAN, period=PERIOD)
+    single, = convergence_study(series, [Window.HANN], N_TR, DT, [4],
+                                reference=MEAN, period=PERIOD)
     assert single.slope is None
     assert single.fit_residual is None
+
+
+def count_window_samples(monkeypatch):
+    """Per window, the calls that sample it through its own kernel."""
+    calls = {kind: 0 for kind in Window}
+    interior = windows._window_interior
+
+    def counted(kind, si, out):
+        calls[kind] += 1
+        interior(kind, si, out)
+
+    monkeypatch.setattr(windows, "_window_interior", counted)
+    return calls
+
+
+def test_study_samples_each_window_once_per_span(monkeypatch):
+    # hann's cosine serves hann-square too: m evaluations over m spans, not 2m
+    series = signal_series(16)
+    ks = [2, 3, 4, 8, 16]
+    calls = count_window_samples(monkeypatch)
+    studies = convergence_study(series, Window, N_TR, DT, ks, reference=MEAN,
+                                period=PERIOD)
+    assert [study.kind for study in studies] == list(Window)
+    assert calls == {Window.SQUARE: 5, Window.HANN: 5, Window.HANN_SQUARE: 0,
+                     Window.BUMP: 5}
+    calls.update(dict.fromkeys(Window, 0))
+    divergence_diagnostic(series, Window, N_TR, DT, ks, period=PERIOD)
+    assert calls[Window.HANN] == 5 and calls[Window.HANN_SQUARE] == 0
+
+
+def test_study_computes_its_bump_reference_once(monkeypatch):
+    series = signal_series(300)
+    ks = [2, 4, 8]
+    calls = count_window_samples(monkeypatch)
+    studies = convergence_study(series, [Window.SQUARE, Window.HANN, Window.HANN_SQUARE],
+                                N_TR, DT, ks, period=PERIOD)
+    assert calls[Window.BUMP] == 1
+    assert len({study.reference for study in studies}) == 1
+    calls.update(dict.fromkeys(Window, 0))
+    convergence_study(series, Window, N_TR, DT, ks, period=PERIOD)
+    assert calls[Window.BUMP] == len(ks) + 1

@@ -294,6 +294,27 @@ def test_study_window_and_k_overrides(tmp_path):
     assert read_manifest(outdir)["results"]["quantity"] == "sensitivity"
 
 
+def test_degenerate_study_window_exits_3_without_outputs(tmp_path, capsys):
+    # whole-period spans of a period the series really has leave hann's
+    # errors at the noise floor; square comes first and fits, and bump,
+    # after hann, is never reported
+    text = with_keys(ANALYTIC_CONFIG.replace("values = 0.3", "values = 0.31")
+                     .replace("n_steps = 1500", "n_steps = 2400"),
+                     {("study", "span_offset"): "0", ("study", "period"): "1.31",
+                      ("study", "k_list"): "2, 4, 8, 16",
+                      ("study", "windows"): "square, hann, bump"})
+    cfg = write_config(tmp_path, text)
+    outdir = tmp_path / "out"
+    assert main(["study", cfg, "--output-dir", str(outdir)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "DegenerateFitError", "exit_code": 3,
+        "message": "hann: fewer than two spans above the noise floor 4.923e-14; "
+                   "nothing to fit"}
+    assert not outdir.exists()
+
+
 def test_average_emits_weights_and_value(tmp_path):
     text = ANALYTIC_CONFIG + "\n[window]\nkind = hann\n"
     cfg = write_config(tmp_path, text)

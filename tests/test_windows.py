@@ -1,5 +1,6 @@
 """Tests for window functions and discrete averaging weights."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from lcowind.analysis import windowed_average
 from lcowind.errors import InvalidSpanError
 from lcowind.tangent import TangentTrajectory, windowed_tangent_sensitivity
 from lcowind.windows import (NormalizationMode, Window, bump_normalization,
-                             discrete_weights, window_value)
+                             discrete_weights, span_weights, window_value)
 
 ALL_WINDOWS = list(Window)
 
@@ -197,3 +198,47 @@ def test_window_value_equals_textbook_formula_bit_for_bit(kind):
         assert window_value(kind, points).tobytes() == expected.tobytes()
         assert all(window_value(kind, float(p)) == float(e)
                    for p, e in zip(points[-13:], expected[-13:]))
+
+
+# every ordered subset of the four windows, hann-square alone and listed
+# before hann among them
+KIND_ORDERS = [order for size in range(1, len(ALL_WINDOWS) + 1)
+               for order in itertools.permutations(ALL_WINDOWS, size)]
+
+
+def assert_span_weights_equal_discrete_weights(orders, span, mode):
+    expected = {kind: discrete_weights(kind, 3, 3 + span, mode).tobytes()
+                for kind in ALL_WINDOWS}
+    for kinds in orders:
+        got = span_weights(kinds, 3, 3 + span, mode)
+        assert len(got) == len(kinds)
+        for kind, values in zip(kinds, got):
+            assert values.tobytes() == expected[kind], (kinds, span)
+
+
+@pytest.mark.parametrize("mode", list(NormalizationMode))
+def test_span_weights_equal_discrete_weights_bit_for_bit(mode):
+    # hann-square made from hann's samples must keep its own kernel's bits
+    for span in [*range(1, 5001), 9731, 19350]:
+        if span == 1 and mode is NormalizationMode.RENORMALIZED:
+            continue  # no interior weight; the next test covers it
+        orders = KIND_ORDERS if span <= 12 or span > 5000 else (
+            tuple(ALL_WINDOWS), (Window.HANN_SQUARE, Window.HANN))
+        assert_span_weights_equal_discrete_weights(orders, span, mode)
+
+
+def test_span_weights_keep_the_span_checks():
+    with pytest.raises(InvalidSpanError) as single:
+        discrete_weights(Window.HANN, 0, 1, NormalizationMode.RENORMALIZED)
+    assert str(single.value) == "span of 1 steps leaves no interior weight to renormalize"
+    for kinds in KIND_ORDERS:
+        with pytest.raises(InvalidSpanError) as several:
+            span_weights(kinds, 0, 1, NormalizationMode.RENORMALIZED)
+        assert str(several.value) == str(single.value)
+    with pytest.raises(InvalidSpanError, match="n_tr=-5"):
+        span_weights(ALL_WINDOWS, -5, 10)
+    with pytest.raises(InvalidSpanError, match="must be positive"):
+        span_weights(ALL_WINDOWS, 10, 10)
+    with pytest.raises(TypeError, match="not a Window"):
+        span_weights([Window.HANN, "hann"], 0, 10)
+    assert span_weights([], 0, 10) == []
