@@ -9,15 +9,15 @@ below one whenever the primal inner iteration converged.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import inf
 from operator import add, sub
 
 import numpy as np
 
 from .errors import AdjointDivergenceError, SingularStepError
 from .models import check_inputs
-from .primal import (PseudoTimeConfig, Trajectory, _fma, _norm2, float_kernels, solve_step,
+from .primal import (PseudoTimeConfig, Trajectory, _fma, _screen, float_kernels, solve_step,
                      step_coefficients, step_matrices)
 from .windows import NamedEnum, NormalizationMode, Window, discrete_weights
 
@@ -102,13 +102,13 @@ def _reverse_steps(model, sigma, traj: Trajectory,
                             singular=exc)
 
 
-def _fixed_point_iterate(iter_matrix, rhs):
+def _fixed_point_map(iter_matrix, rhs):
     """One fixed-point iterate as a function of ubar, a float list:
-    (iter_matrix @ ubar + rhs, the 2-norm of its change), with the bits of
-    numpy's matmul and ndarray.dot.  For the 2x2 transposed (Fortran-
-    ordered) view that iteration_matrices returns it runs on Python floats:
-    BLAS gemv forms row i of the product as 0.0 + fma(v_i1, x_1, v_i0 x_0),
-    so -0.0 becomes 0.0.  Any other size or layout goes through numpy."""
+    (iter_matrix @ ubar + rhs, its change from ubar), with the bits of
+    numpy's matmul.  For the 2x2 transposed (Fortran-ordered) view that
+    iteration_matrices returns it runs on Python floats: BLAS gemv forms
+    row i of the product as 0.0 + fma(v_i1, x_1, v_i0 x_0), so -0.0 becomes
+    0.0.  Any other size or layout goes through numpy."""
     if len(rhs) == 2 and iter_matrix.flags.f_contiguous:
         ((v00, v01), (v10, v11)), (r0, r1) = iter_matrix.tolist(), rhs
 
@@ -116,18 +116,31 @@ def _fixed_point_iterate(iter_matrix, rhs):
             x0, x1 = ubar
             y0 = (0.0 + _fma(v01, x1, v00 * x0)) + r0
             y1 = (0.0 + _fma(v11, x1, v10 * x0)) + r1
-            return [y0, y1], _norm2((y0 - x0, y1 - x1))
+            return [y0, y1], (y0 - x0, y1 - x1)
         return iterate
-
-    norm_of = float_kernels(len(rhs)).norm
 
     def iterate(ubar):
         updated = (iter_matrix @ np.array(ubar) + rhs).tolist()
-        return updated, norm_of(list(map(sub, updated, ubar)))
+        return updated, list(map(sub, updated, ubar))
     return iterate
 
 
-def _adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, tol,
+def _fixed_point_iterate(iter_matrix, rhs):
+    """_fixed_point_map with the change's 2-norm, with ndarray.dot's bits,
+    in place of the change."""
+    step, norm_of = _fixed_point_map(iter_matrix, rhs), float_kernels(len(rhs)).norm
+
+    def iterate(ubar):
+        updated, change = step(ubar)
+        return updated, norm_of(change)
+    return iterate
+
+
+# the screen of the divergence test's residual > 1.0
+_ONE_BELOW = _screen(1.0).below
+
+
+def _adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, screen,
                   max_inner, mode):
     """Solve the adjoint equation of physical step n.
 
@@ -137,8 +150,10 @@ def _adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, to
     contraction its 2-norm, from iteration_matrices; iter_matrix is None in
     the Newton limit.  The fixed-point route iterates
     ubar <- iter_matrix ubar + rhs from the float list ubar_guess, on Python
-    floats with numpy's bits; the direct route solves for its limit
-    M_n^T A_n^{-T} rhs.
+    floats with numpy's bits, until the norm of the change is at most the
+    tolerance of screen, a primal._screen; the screen decides each test as
+    the norm would, so the norm is taken only where it is recorded.  The
+    direct route solves for its limit M_n^T A_n^{-T} rhs.
 
     Returns (ubar_n as a float list, iterations, residual norm,
     contraction estimate).
@@ -150,21 +165,27 @@ def _adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, to
         return ubar, 1, 0.0, 0.0
 
     if mode is AdjointMode.DIRECT:
-        ubar = m_mat.T @ solve_step(a_mat.T, rhs, n)
-        change = iter_matrix @ ubar + rhs - ubar
-        return ubar.tolist(), 0, float_kernels(len(rhs)).norm(change.tolist()), contraction
+        ubar = (m_mat.T @ solve_step(a_mat.T, rhs, n)).tolist()
+        return ubar, 0, _fixed_point_iterate(iter_matrix, rhs)(ubar)[1], contraction
 
-    iterate = _fixed_point_iterate(iter_matrix, rhs)
+    tol, below, above = screen
+    iterate = _fixed_point_map(iter_matrix, rhs)
+    kernels = float_kernels(len(rhs))
+    norm_of, square = kernels.norm, kernels.square
     ubar = list(ubar_guess)
-    previous_residual = math.inf
+    previous = None  # the change of the previous iterate
     for iteration in range(1, max_inner + 1):
-        ubar, residual = iterate(ubar)
-        if residual <= tol:
-            return ubar, iteration, residual, contraction
-        if residual > previous_residual * 10.0 and residual > 1.0:
-            raise AdjointDivergenceError(n, iteration, residual, contraction)
-        previous_residual = residual
-    raise AdjointDivergenceError(n, max_inner, previous_residual, contraction)
+        ubar, change = iterate(ubar)
+        s = square(change)
+        if s < below or (not above < s < inf and norm_of(change) <= tol):
+            return ubar, iteration, norm_of(change), contraction
+        if not s < _ONE_BELOW:  # the residual may exceed 1.0
+            residual = norm_of(change)
+            if residual > 1.0 and previous is not None \
+                    and residual > norm_of(previous) * 10.0:
+                raise AdjointDivergenceError(n, iteration, residual, contraction)
+        previous = change
+    raise AdjointDivergenceError(n, max_inner, norm_of(previous), contraction)
 
 
 def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
@@ -189,7 +210,7 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     """
     sigma = check_inputs(model, sigma, traj.states, traj.n_steps)
     cfg = cfg or PseudoTimeConfig()
-    tol = cfg.tol if tol is None else tol
+    screen = _screen(cfg.tol if tol is None else tol)
     grid = traj.grid
     n_total = grid.n_steps
     n_tr = grid.n_transient
@@ -229,7 +250,7 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
         # warm start from the downstream adjoint state
         records[n] = _adjoint_step(
             n, steps.a_mats[n - 1], steps.m_mats[n - 1], rhs, ubar_n, steps.iteration[n - 1],
-            step_contractions[n - 1], tol, cfg.max_inner, mode)
+            step_contractions[n - 1], screen, cfg.max_inner, mode)
         ubar_n = records[n][0]
         lam[n] = solve(m_transposed[n - 1], ubar_n, n)
     if steps.singular is not None:

@@ -32,7 +32,7 @@ from .errors import ConfigError, LcoError, PeriodUndetectableError
 from .models import (AnalyticSignal, AnalyticSignalModel, DesignVector,
                      ForcedOscillator, OutputKind, VanDerPol)
 from .optim import DesignProblem, optimize
-from .primal import PseudoTimeConfig, TimeGrid, estimate_period, simulate
+from .primal import PseudoTimeConfig, TimeGrid, estimate_period, float_kernels, simulate
 from .tangent import tangent_sweep, windowed_tangent_sensitivity
 from .windows import NormalizationMode, Window, discrete_weights
 
@@ -367,11 +367,11 @@ def _cmd_adjoint(cfg: RunConfig, outdir: Path):
     header = (["step", "time", "adjoint_norm", "seed_norm",
                "inner_iterations", "residual_norm", "contraction"]
               + [f"running_derivative_{i}" for i in range(n_design)])
+    norm = float_kernels(cfg.model.d_u).norm
+    adjoint_rows, seed_rows = sweep.adjoint_states.tolist(), sweep.seeds.tolist()
     rows = []
     for n in range(traj.n_steps + 1):
-        rows.append([n, times[n],
-                     float(np.linalg.norm(sweep.adjoint_states[n])),
-                     float(np.linalg.norm(sweep.seeds[n])),
+        rows.append([n, times[n], norm(adjoint_rows[n]), norm(seed_rows[n]),
                      sweep.inner_iterations[n], sweep.residual_norms[n],
                      sweep.contraction_estimates[n],
                      *sweep.running_design_derivative[n]])

@@ -12,7 +12,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, inf
 from operator import sub
 from typing import Callable, NamedTuple
 
@@ -255,14 +255,25 @@ def _norm2(r) -> float:
     return math.sqrt(_fma(r[1], r[1], r[0] * r[0]))
 
 
+def _square2(r) -> float:
+    """r[0]**2 + r[1]**2 with both products rounded: within a few ulps of
+    the fused sum _norm2 takes the root of."""
+    r0, r1 = r
+    return r0 * r0 + r1 * r1
+
+
 def _solve_arrays(entries, rhs, step=None) -> list[float]:
     d_u = len(rhs)
     return solve_step(np.array(entries).reshape(d_u, d_u), np.array(rhs), step).tolist()
 
 
-def _norm_arrays(r) -> float:
+def _square_arrays(r) -> float:
     r = np.array(r)
-    return math.sqrt(r.dot(r))
+    return r.dot(r)
+
+
+def _norm_arrays(r) -> float:
+    return math.sqrt(_square_arrays(r))
 
 
 def _update(u, jacobian, residual, alpha, inv_dtau, step=None) -> list[float]:
@@ -285,18 +296,21 @@ class FloatKernels(NamedTuple):
 
     extended_residual and update take the arguments of _extended_residual
     and _update; solve takes a step matrix's row-major entries, the
-    right-hand side and the step; norm a vector.
+    right-hand side and the step; norm a vector, with the bits of ddot, and
+    square the vector's sum of squares, which screen decisions read.
     """
 
     extended_residual: Callable
     update: Callable
     solve: Callable
     norm: Callable
+    square: Callable
 
 
 # two states, every model in lcowind: the residual and update written out
-_TWO_STATE_KERNELS = FloatKernels(_extended_residual2, _update2, _solve2, _norm2)
-_ARRAY_KERNELS = FloatKernels(_extended_residual, _update, _solve_arrays, _norm_arrays)
+_TWO_STATE_KERNELS = FloatKernels(_extended_residual2, _update2, _solve2, _norm2, _square2)
+_ARRAY_KERNELS = FloatKernels(_extended_residual, _update, _solve_arrays, _norm_arrays,
+                              _square_arrays)
 
 
 def float_kernels(d_u) -> FloatKernels:
@@ -304,6 +318,35 @@ def float_kernels(d_u) -> FloatKernels:
     norms on Python floats with the bits of dgesv and ddot; any other size
     goes through dgesv and ndarray.dot themselves."""
     return _TWO_STATE_KERNELS if d_u == 2 else _ARRAY_KERNELS
+
+
+# A stopping test norm(r) > tol reads the unfused sum of squares s =
+# square(r) first.  For two states s and the fused sum _norm2 takes the
+# root of both lie within 2**-52 relative of the exact sum of squares (each
+# product that underflows adds at most 2**-1075, 2**-53 of a normal
+# tol**2); any other size squares with ddot itself.  So with tol**2 a
+# normal double, s below tol**2 (1 - 2**-40) certifies norm(r) <= tol and a
+# finite s above tol**2 (1 + 2**-40) certifies norm(r) > tol: the band
+# covers the rounding of tol * tol, of the sums and of the root with room
+# to spare.  A NaN or infinite s, or one inside the band, leaves the test
+# to the exact norm, and so does every s when tol**2 is not a normal double
+# (tol below about 1e-154 or above about 1e154).
+_SCREEN_BAND = 2.0 ** -40
+
+
+class _Screen(NamedTuple):
+    """A tolerance with the bounds its screen compares sums of squares to."""
+
+    tol: float
+    below: float  # square(r) < below certifies norm(r) <= tol
+    above: float  # above < square(r) < inf certifies norm(r) > tol
+
+
+def _screen(tol) -> _Screen:
+    square = tol * tol
+    if not _DBL_MIN <= square < inf:
+        return _Screen(tol, -inf, inf)  # every test goes to the exact norm
+    return _Screen(tol, square * (1.0 - _SCREEN_BAND), square * (1.0 + _SCREEN_BAND))
 
 
 def solve_step(matrix, rhs, step=None):
@@ -329,19 +372,23 @@ def simulate(model, sigma, grid: TimeGrid,
     I/dtau)^{-1} R*(u), which at dtau = inf is a Newton step, warm-started
     from the previous physical state.  The iterate runs on Python floats,
     with the kernels float_kernels gives for the model's size: the extended
-    residual, the update, which solves the step system, and the residual
-    norm.  The design and the initial state's shape are checked once, and
-    the pseudo-time constants, the Jacobian reader and the kernels are
-    resolved once per march; the model methods each step calls do not check
-    their inputs again.  The outputs are formed in one call once the march
-    is done.
+    residual and the update, which solves the step system.  Whether the
+    residual norm exceeds cfg.tol is decided by the screen on its sum of
+    squares, exactly as the norm would decide it; the norm itself, which
+    the trajectory records, is taken once per step, when the step ends.
+    The design and the initial state's shape are checked once, and the
+    pseudo-time constants, the tolerance's screen, the Jacobian reader and
+    the kernels are resolved once per march; the model methods each step
+    calls do not check their inputs again.  The outputs are formed in one
+    call once the march is done.
     """
     cfg = cfg or PseudoTimeConfig()
     u0 = np.asarray(model.initial_state(sigma), dtype=float)
     sigma = check_inputs(model, sigma, u0)
-    inv_dtau, tol, max_inner = cfg.inv_dtau, cfg.tol, cfg.max_inner
+    inv_dtau, max_inner = cfg.inv_dtau, cfg.max_inner
+    tol, below, above = _screen(cfg.tol)
     jacobian = jacobian_entries_of(model)
-    extended, update, _, norm_of = float_kernels(model.d_u)
+    extended, update, _, norm_of, square = float_kernels(model.d_u)
     dt = grid.dt
     # step 1 has no u^{-1}; its BDF1 coefficients give u^{-1} no weight
     u_nm1 = u_nm2 = u0.tolist()
@@ -355,13 +402,16 @@ def simulate(model, sigma, grid: TimeGrid,
         beta_u_nm1, delta_u_nm2 = [beta * x for x in u_nm1], [delta * x for x in u_nm2]
         u = list(u_nm1)
         residual = extended(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
-        norm = norm_of(residual)
         its = 0
-        while norm > tol and its < max_inner:
+        while its < max_inner:
+            # stop unless norm_of(residual) > tol, which the screen decides
+            s = square(residual)
+            if s < below or not (above < s < inf or norm_of(residual) > tol):
+                break
             u = update(u, jacobian(u, sigma, t), residual, alpha, inv_dtau, n)
             residual = extended(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
-            norm = norm_of(residual)
             its += 1
+        norm = norm_of(residual)
         ok = norm <= tol
         if not ok:
             if not cfg.allow_unconverged:

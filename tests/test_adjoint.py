@@ -12,7 +12,7 @@ from lcowind.analysis import windowed_average
 from lcowind.errors import AdjointDivergenceError, SingularStepError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
                             OutputKind, VanDerPol)
-from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate
+from lcowind.primal import PseudoTimeConfig, TimeGrid, _screen, simulate
 from lcowind.tangent import tangent_sweep, windowed_tangent_sensitivity
 from lcowind.windows import NormalizationMode, Window, discrete_weights
 
@@ -197,6 +197,25 @@ def test_divergent_fixed_point_raises():
         adjoint_sweep(model, sigma, traj, Window.HANN, cfg=bad)
     assert excinfo.value.contraction > 1.0
     assert excinfo.value.iterations == 40
+    # the budget's error carries the last exact residual, bit for bit
+    error = excinfo.value
+    assert (error.step, error.iterations, error.residual_norm, error.contraction) \
+        == (3, 40, 549726.2098820913, 1.4285714285714284)
+
+
+def test_growing_fixed_point_raises_before_the_budget():
+    # with 1/dtau = 9.4 the shifted matrix is 0.9 and the iteration factor
+    # about 10.44: the second residual is more than ten times the first and
+    # above 1, which stops the sweep at its second iteration
+    model = StiffDecayModel()
+    sigma = np.array([0.0])
+    traj = simulate(model, sigma, TimeGrid(dt=1.0, n_steps=4, n_transient=1))
+    growing = PseudoTimeConfig(dtau=1.0 / 9.4, tol=1e-12, max_inner=40)
+    with pytest.raises(AdjointDivergenceError) as excinfo:
+        adjoint_sweep(model, sigma, traj, Window.HANN, cfg=growing)
+    error = excinfo.value
+    assert (error.step, error.iterations, error.residual_norm, error.contraction) \
+        == (3, 2, 5.222222222222221, 10.444444444444441)
 
 
 @pytest.mark.parametrize("mode", list(AdjointMode))
@@ -213,7 +232,7 @@ def test_adjoint_step_reproduces_the_sweeps_state(dtau, mode):
     ubar, iterations, norm, contraction = _adjoint_step(
         n, steps.a_mats[n - 1], steps.m_mats[n - 1], sweep.seeds[n].tolist(),
         sweep.adjoint_states[n + 1].tolist(), steps.iteration[n - 1],
-        float(steps.contractions[n - 1]), cfg.tol, cfg.max_inner, mode)
+        float(steps.contractions[n - 1]), _screen(cfg.tol), cfg.max_inner, mode)
     assert isinstance(ubar, list) and len(ubar) == model.d_u
     assert np.array_equal(np.array(ubar), sweep.adjoint_states[n]) and any(ubar)
     assert (iterations, norm, contraction) == (sweep.inner_iterations[n],
@@ -314,7 +333,7 @@ def test_singular_step_matrices_raise_with_step():
              (a_singular, a_singular + np.eye(2), np.eye(2), AdjointMode.DIRECT)]
     for a_mat, m_mat, iter_matrix, mode in cases:
         with pytest.raises(SingularStepError) as excinfo:
-            _adjoint_step(7, a_mat, m_mat, rhs, [0.0, 0.0], iter_matrix, 0.5, 1e-12,
+            _adjoint_step(7, a_mat, m_mat, rhs, [0.0, 0.0], iter_matrix, 0.5, _screen(1e-12),
                           50, mode)
         assert excinfo.value.step == 7
 
