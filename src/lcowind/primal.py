@@ -9,10 +9,8 @@ exists yet.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
-from math import fsum, inf
 from operator import sub
 from typing import Callable, NamedTuple
 
@@ -160,106 +158,31 @@ def step_matrices(model, sigma, traj: Trajectory) -> np.ndarray:
     return alphas[:, None, None] * np.eye(d_u) + jacobians.reshape(-1, d_u, d_u)
 
 
-# Exact fused multiply-adds in Python floats.  The OpenBLAS kernels behind
-# dgesv, ddot and a 2x2 matmul use hardware FMA, and math.fma exists only
-# from Python 3.13, so _fma forms a * b exactly as p + e, p = fl(a * b),
-# with Dekker's TwoProduct (Numer. Math. 18, 1971), splitting each factor
-# by Veltkamp's constant 2**27 + 1, and rounds c + p + e once with
-# math.fsum, which is correctly rounded (Shewchuk 1997).
-_SPLIT = 134217729.0
-# e is exact only when no partial product of the split underflows, which
-# holds for |a * b| >= 2**-969
-_TINY_PRODUCT = 2.0 ** -969
-# getf2 scales by the pivot's reciprocal only at or above the smallest
-# normal double
-_DBL_MIN = sys.float_info.min
-
-
-def _fma(a, b, c):
-    """a * b + c with a single rounding, as IEEE 754 fusedMultiplyAdd."""
-    p = a * b
-    t = _SPLIT * a
-    a_hi = t - (t - a)
-    a_lo = a - a_hi
-    t = _SPLIT * b
-    b_hi = t - (t - b)
-    b_lo = b - b_hi
-    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    # e - e is 0.0 unless the split overflowed to an infinity or a NaN
-    if e - e == 0.0 and not -_TINY_PRODUCT < p < _TINY_PRODUCT:
-        try:
-            return fsum((c, p, e))
-        except OverflowError:  # c + p overflows
-            pass
-    return _fma_rare(a, b, c, p)
-
-
-def _fma_rare(a, b, c, p):
-    """_fma where TwoProduct is not exact: a non-finite or zero factor, a
-    product below 2**-969 or beyond the split's range, or a sum that
-    overflows.  These are rare, so exact rational arithmetic rounds them."""
-    if not (math.isfinite(a) and math.isfinite(b)) or a == 0.0 or b == 0.0:
-        return p + c  # the product is exact: a signed zero, an infinity or NaN
-    if not math.isfinite(c):
-        return c  # a finite product leaves an infinite or NaN addend as it is
-    from fractions import Fraction  # only here, so importing lcowind stays lean
-    exact = Fraction(a) * Fraction(b) + Fraction(c)
-    try:
-        return float(exact)  # int division rounds correctly, subnormals too
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
-
-
 def _solve2(entries, rhs, step=None) -> list[float]:
-    """dgesv on the 2x2 system with row-major entries, bit for bit.
-
-    OpenBLAS's getf2 picks the pivot with idamax, which takes the first of
-    equal magnitudes and never a NaN after the first, so the rows swap only
-    when |a21| > |a11|.  A pivot of at least the smallest normal double is
-    swapped into place and scales the multiplier by its reciprocal (by
-    zero for an infinite pivot, which writes +0.0); a smaller or NaN pivot
-    leaves the first column unswapped and unscaled.  The triangular solves
-    fuse their multiply-adds; the update of a22 does not.  A zero pivot
-    raises SingularStepError where dgesv reports info > 0.
+    """Solve the 2x2 system with row-major entries by Gaussian elimination
+    with partial pivoting, each operation one rounding of Python floats:
+    the rows swap when |a21| > |a11|, then l = a21 / a11, u22 = a22 - l a12,
+    x2 = (b2 - l b1) / u22 and x1 = (b1 - a12 x2) / a11.  A zero pivot or
+    u22 raises SingularStepError, where dgesv would report info > 0.
     """
     a11, a12, a21, a22 = entries
     b1, b2 = rhs
-    swap = abs(a21) > abs(a11)
-    pivot = a21 if swap else a11
-    if pivot == 0.0:
+    if abs(a21) > abs(a11):
+        a11, a12, a21, a22, b1, b2 = a21, a22, a11, a12, b2, b1
+    if a11 == 0.0:
         raise SingularStepError(step)
-    if swap:
-        a12, a22, b1, b2 = a22, a12, b2, b1
-    if abs(pivot) >= _DBL_MIN:
-        inverse = 1.0 / pivot
-        l = (a11 if swap else a21) * inverse if inverse else 0.0
-        u11 = pivot
-    else:
-        u11, l = a11, a21
+    l = a21 / a11
     u22 = a22 - l * a12
     if u22 == 0.0:
         raise SingularStepError(step)
-    x2 = _fma(-l, b1, b2) / u22
-    y1 = _fma(-a12, x2, b1)
-    try:
-        return [y1 / u11, x2]
-    except ZeroDivisionError:  # u11 = 0 below an unswapped subnormal pivot
-        # IEEE 754 division, where Python raises: +-inf, or NaN for 0 or NaN
-        if y1 != 0.0 and y1 == y1:
-            return [math.copysign(math.inf, y1) * math.copysign(1.0, u11), x2]
-        return [math.nan, x2]
+    x2 = (b2 - l * b1) / u22
+    return [(b1 - a12 * x2) / a11, x2]
 
 
 def _norm2(r) -> float:
-    """The 2-norm as sqrt(ddot(r, r)): ddot fuses the second product."""
-    return math.sqrt(_fma(r[1], r[1], r[0] * r[0]))
-
-
-def _square2(r) -> float:
-    """r[0]**2 + r[1]**2 with both products rounded: within a few ulps of
-    the fused sum _norm2 takes the root of."""
+    """The 2-norm sqrt(r0 r0 + r1 r1)."""
     r0, r1 = r
-    return r0 * r0 + r1 * r1
+    return math.sqrt(r0 * r0 + r1 * r1)
 
 
 def _solve_arrays(entries, rhs, step=None) -> list[float]:
@@ -267,13 +190,14 @@ def _solve_arrays(entries, rhs, step=None) -> list[float]:
     return solve_step(np.array(entries).reshape(d_u, d_u), np.array(rhs), step).tolist()
 
 
-def _square_arrays(r) -> float:
-    r = np.array(r)
-    return r.dot(r)
-
-
 def _norm_arrays(r) -> float:
-    return math.sqrt(_square_arrays(r))
+    """The 2-norm of a vector of any length, its squares summed left to
+    right from 0.0.  The loop is written out: sum() compensates float sums
+    from Python 3.12 on, which would round otherwise than _norm2."""
+    square = 0.0
+    for x in r:
+        square += x * x
+    return math.sqrt(square)
 
 
 def _update(u, jacobian, residual, alpha, inv_dtau, step=None) -> list[float]:
@@ -296,57 +220,25 @@ class FloatKernels(NamedTuple):
 
     extended_residual and update take the arguments of _extended_residual
     and _update; solve takes a step matrix's row-major entries, the
-    right-hand side and the step; norm a vector, with the bits of ddot, and
-    square the vector's sum of squares, which screen decisions read.
+    right-hand side and the step; norm takes a vector.
     """
 
     extended_residual: Callable
     update: Callable
     solve: Callable
     norm: Callable
-    square: Callable
 
 
 # two states, every model in lcowind: the residual and update written out
-_TWO_STATE_KERNELS = FloatKernels(_extended_residual2, _update2, _solve2, _norm2, _square2)
-_ARRAY_KERNELS = FloatKernels(_extended_residual, _update, _solve_arrays, _norm_arrays,
-                              _square_arrays)
+_TWO_STATE_KERNELS = FloatKernels(_extended_residual2, _update2, _solve2, _norm2)
+_ARRAY_KERNELS = FloatKernels(_extended_residual, _update, _solve_arrays, _norm_arrays)
 
 
 def float_kernels(d_u) -> FloatKernels:
-    """The kernels of a step system of size d_u.  Two states solve and take
-    norms on Python floats with the bits of dgesv and ddot; any other size
-    goes through dgesv and ndarray.dot themselves."""
+    """The kernels of a step system of size d_u.  Two states solve on
+    Python floats; any other size goes through dgesv.  Every size takes
+    its norms on Python floats."""
     return _TWO_STATE_KERNELS if d_u == 2 else _ARRAY_KERNELS
-
-
-# A stopping test norm(r) > tol reads the unfused sum of squares s =
-# square(r) first.  For two states s and the fused sum _norm2 takes the
-# root of both lie within 2**-52 relative of the exact sum of squares (each
-# product that underflows adds at most 2**-1075, 2**-53 of a normal
-# tol**2); any other size squares with ddot itself.  So with tol**2 a
-# normal double, s below tol**2 (1 - 2**-40) certifies norm(r) <= tol and a
-# finite s above tol**2 (1 + 2**-40) certifies norm(r) > tol: the band
-# covers the rounding of tol * tol, of the sums and of the root with room
-# to spare.  A NaN or infinite s, or one inside the band, leaves the test
-# to the exact norm, and so does every s when tol**2 is not a normal double
-# (tol below about 1e-154 or above about 1e154).
-_SCREEN_BAND = 2.0 ** -40
-
-
-class _Screen(NamedTuple):
-    """A tolerance with the bounds its screen compares sums of squares to."""
-
-    tol: float
-    below: float  # square(r) < below certifies norm(r) <= tol
-    above: float  # above < square(r) < inf certifies norm(r) > tol
-
-
-def _screen(tol) -> _Screen:
-    square = tol * tol
-    if not _DBL_MIN <= square < inf:
-        return _Screen(tol, -inf, inf)  # every test goes to the exact norm
-    return _Screen(tol, square * (1.0 - _SCREEN_BAND), square * (1.0 + _SCREEN_BAND))
 
 
 def solve_step(matrix, rhs, step=None):
@@ -372,23 +264,20 @@ def simulate(model, sigma, grid: TimeGrid,
     I/dtau)^{-1} R*(u), which at dtau = inf is a Newton step, warm-started
     from the previous physical state.  The iterate runs on Python floats,
     with the kernels float_kernels gives for the model's size: the extended
-    residual and the update, which solves the step system.  Whether the
-    residual norm exceeds cfg.tol is decided by the screen on its sum of
-    squares, exactly as the norm would decide it; the norm itself, which
-    the trajectory records, is taken once per step, when the step ends.
-    The design and the initial state's shape are checked once, and the
-    pseudo-time constants, the tolerance's screen, the Jacobian reader and
-    the kernels are resolved once per march; the model methods each step
-    calls do not check their inputs again.  The outputs are formed in one
-    call once the march is done.
+    residual, the update, which solves the step system, and the norm.  The
+    norm is taken of every iterate's residual, and the norm that stops the
+    step is the one the trajectory records.  The design and the initial
+    state's shape are checked once, and the pseudo-time constants, the
+    Jacobian reader and the kernels are resolved once per march; the model
+    methods each step calls do not check their inputs again.  The outputs
+    are formed in one call once the march is done.
     """
     cfg = cfg or PseudoTimeConfig()
     u0 = np.asarray(model.initial_state(sigma), dtype=float)
     sigma = check_inputs(model, sigma, u0)
-    inv_dtau, max_inner = cfg.inv_dtau, cfg.max_inner
-    tol, below, above = _screen(cfg.tol)
+    inv_dtau, tol, max_inner = cfg.inv_dtau, cfg.tol, cfg.max_inner
     jacobian = jacobian_entries_of(model)
-    extended, update, _, norm_of, square = float_kernels(model.d_u)
+    extended, update, _, norm_of = float_kernels(model.d_u)
     dt = grid.dt
     # step 1 has no u^{-1}; its BDF1 coefficients give u^{-1} no weight
     u_nm1 = u_nm2 = u0.tolist()
@@ -402,16 +291,13 @@ def simulate(model, sigma, grid: TimeGrid,
         beta_u_nm1, delta_u_nm2 = [beta * x for x in u_nm1], [delta * x for x in u_nm2]
         u = list(u_nm1)
         residual = extended(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
+        norm = norm_of(residual)
         its = 0
-        while its < max_inner:
-            # stop unless norm_of(residual) > tol, which the screen decides
-            s = square(residual)
-            if s < below or not (above < s < inf or norm_of(residual) > tol):
-                break
+        while norm > tol and its < max_inner:
             u = update(u, jacobian(u, sigma, t), residual, alpha, inv_dtau, n)
             residual = extended(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
+            norm = norm_of(residual)
             its += 1
-        norm = norm_of(residual)
         ok = norm <= tol
         if not ok:
             if not cfg.allow_unconverged:

@@ -12,23 +12,10 @@ import numpy as np
 
 from .analysis import _windowed_sums
 from .models import check_inputs
-from .primal import Trajectory, float_kernels, solve_step, step_coefficients, step_matrices
+from .primal import Trajectory, float_kernels, step_coefficients, step_matrices
 from .windows import NormalizationMode, Window
 
 __all__ = ["TangentTrajectory", "tangent_sweep", "windowed_tangent_sensitivity"]
-
-
-def _column_solver(d_u, n_design):
-    """A solve of a step system, given row-major, for n_design right-hand
-    side columns, each a float list, with the bits of dgesv on the matrix
-    of the columns.  One column goes through float_kernels(d_u).solve; dgesv
-    rounds several columns solved together otherwise than one at a time, so
-    several go through dgesv itself."""
-    if n_design == 1:
-        solve = float_kernels(d_u).solve
-        return lambda entries, columns, step: [solve(entries, columns[0], step)]
-    return lambda entries, columns, step: solve_step(
-        np.array(entries).reshape(d_u, d_u), np.array(columns).T, step).T.tolist()
 
 
 @dataclass
@@ -45,17 +32,17 @@ def tangent_sweep(model, sigma, traj: Trajectory) -> TangentTrajectory:
 
     The initial state is design-independent, so the sweep starts from zero
     sensitivity.  Each step solves A_n udot_n = -beta udot_{n-1} - delta
-    udot_{n-2} - dR/dsigma(u^n) on float lists, through _column_solver;
-    the design Jacobians and the output gradients are formed once, for the
-    whole trajectory.  The design and the states' shape are checked once,
-    here.
+    udot_{n-2} - dR/dsigma(u^n) on float lists, one design column at a
+    time through float_kernels(d_u).solve; the design Jacobians and the
+    output gradients are formed once, for the whole trajectory.  The
+    design and the states' shape are checked once, here.
     """
     sigma = check_inputs(model, sigma, traj.states, traj.n_steps)
     n_total = traj.n_steps
     dt = traj.grid.dt
     states = traj.states
     d_u, n_design = model.d_u, model.n_design
-    solve = _column_solver(d_u, n_design)
+    solve = float_kernels(d_u).solve
     # the loop runs on float lists: each step's matrix row-major, and per
     # design column the design Jacobian's and the sensitivities' columns
     a_rows = step_matrices(model, sigma, traj).reshape(n_total, d_u * d_u).tolist()
@@ -65,9 +52,9 @@ def tangent_sweep(model, sigma, traj: Trajectory) -> TangentTrajectory:
     for n in range(1, n_total + 1):
         _, beta, delta = step_coefficients(n, dt)
         udot_nm2 = udot[n - 2] if n >= 2 else udot[0]
-        udot.append(solve(a_rows[n - 1],
-                          [[(-beta * x - delta * y) - b for x, y, b in zip(*columns)]
-                           for columns in zip(udot[n - 1], udot_nm2, b_columns[n - 1])], n))
+        udot.append([solve(a_rows[n - 1], [(-beta * x - delta * y) - b
+                                           for x, y, b in zip(*columns)], n)
+                     for columns in zip(udot[n - 1], udot_nm2, b_columns[n - 1])])
     udot = np.ascontiguousarray(np.array(udot).transpose(0, 2, 1))
     gdot = (model.output_state_gradient(states, sigma)[:, None, :] @ udot)[:, 0] \
         + model.output_design_gradient(states, sigma)

@@ -1,12 +1,14 @@
 """The sweeps against a plain reference march, compared bit for bit.
 
 The reference builds every matrix where it is used: per inner iterate the
-extended residual in numpy arrays, np.eye shifts and np.linalg.norm; per
-tangent step the output sensitivity g @ udot; per adjoint step one
-np.linalg.solve for the iteration matrix and np.linalg.norm(., 2) for its
-contraction.  The library hoists and batches the same operations, and runs
-the primal's vector sums on Python floats, so the two must agree exactly,
-not to a tolerance.
+extended residual in numpy arrays and np.eye shifts; per tangent step the
+output sensitivity g @ udot; per adjoint step one np.linalg.solve for the
+iteration matrix and np.linalg.norm(., 2) for its contraction.  Its 2x2
+solve, its norm and its 2x2 fixed-point product are transcribed here from
+the operation order README states, and systems of other sizes go to
+np.linalg.solve.  The library hoists and batches the same operations and
+runs them on Python floats, so the two must agree exactly, not to a
+tolerance.
 """
 
 import math
@@ -47,7 +49,48 @@ MODELS = {
     "analytic-signal": (AnalyticSignalModel(AnalyticSignal(
         a0=1.0, a1=np.array([0.0]), amplitude=0.05, quad=5.0,
         quad_center=np.array([0.3]))), np.array([0.2])),
+    # two design columns, which the tangent solves one at a time
+    "analytic-signal-2": (AnalyticSignalModel(AnalyticSignal(
+        a0=-0.4, a1=np.array([0.5, -1.2]), amplitude=0.7, base_period=2.5, quad=3.0,
+        quad_center=np.array([0.1, -0.3]))), np.array([0.2, -0.1])),
 }
+
+
+def solve(matrix, rhs):
+    """Solve matrix x = rhs: np.linalg.solve, except that a 2x2 system is
+    solved column by column in the stated order, each operation one
+    rounding: the rows swap when |a21| > |a11|, then l = a21 / a11,
+    u22 = a22 - l a12, x2 = (b2 - l b1) / u22 and x1 = (b1 - a12 x2) / a11."""
+    if matrix.shape != (2, 2):
+        return np.linalg.solve(matrix, rhs)
+    if rhs.ndim == 2:
+        return np.stack([solve(matrix, column) for column in rhs.T], axis=1)
+    (a11, a12), (a21, a22) = matrix.tolist()
+    b1, b2 = rhs.tolist()
+    if abs(a21) > abs(a11):
+        a11, a12, b1, a21, a22, b2 = a21, a22, b2, a11, a12, b1
+    l = a21 / a11
+    u22 = a22 - l * a12
+    x2 = (b2 - l * b1) / u22
+    return np.array([(b1 - a12 * x2) / a11, x2])
+
+
+def norm(r):
+    """The 2-norm, sqrt of the squares summed left to right from 0.0."""
+    square = 0.0
+    for x in np.asarray(r).tolist():
+        square = square + x * x
+    return math.sqrt(square)
+
+
+def fixed_point_product(iter_matrix, value, rhs):
+    """iter_matrix @ value + rhs, row i of a 2x2 product as
+    (v_i0 x0 + v_i1 x1) + r_i."""
+    if iter_matrix.shape != (2, 2):
+        return iter_matrix @ value + rhs
+    (v00, v01), (v10, v11) = iter_matrix.tolist()
+    (x0, x1), (r0, r1) = value.tolist(), rhs.tolist()
+    return np.array([(v00 * x0 + v01 * x1) + r0, (v10 * x0 + v11 * x1) + r1])
 
 
 def reference_simulate(model, sigma, grid, cfg):
@@ -71,16 +114,16 @@ def reference_simulate(model, sigma, grid, cfg):
         t = n * dt
         u = u_nm1.copy()
         residual = extended_residual(u, u_nm1, u_nm2, t, coeffs)
-        norm = float(np.linalg.norm(residual))
-        while norm > cfg.tol and inner[n] < cfg.max_inner:
+        residual_norm = norm(residual)
+        while residual_norm > cfg.tol and inner[n] < cfg.max_inner:
             system = coeffs[0] * np.eye(d_u) + model.jacobian_state(u, sigma, t)
             if not math.isinf(cfg.dtau):
                 system = system + (1.0 / cfg.dtau) * np.eye(d_u)
-            u = u - np.linalg.solve(system, residual)
+            u = u - solve(system, residual)
             residual = extended_residual(u, u_nm1, u_nm2, t, coeffs)
-            norm = float(np.linalg.norm(residual))
+            residual_norm = norm(residual)
             inner[n] += 1
-        states[n], outputs[n], norms[n] = u, model.output_value(u, sigma), norm
+        states[n], outputs[n], norms[n] = u, model.output_value(u, sigma), residual_norm
     return states, outputs, inner, norms
 
 
@@ -96,7 +139,7 @@ def reference_tangent(model, sigma, states, dt):
         udot_nm2 = udot[n - 2] if n >= 2 else udot[0]
         rhs = -beta * udot[n - 1] - delta * udot_nm2 \
             - model.jacobian_design(states[n], sigma, t)
-        udot[n] = np.linalg.solve(system, rhs)
+        udot[n] = solve(system, rhs)
         gdot[n] = model.output_state_gradient(states[n], sigma) @ udot[n] \
             + model.output_design_gradient(states[n], sigma)
     return udot, gdot
@@ -134,18 +177,18 @@ def reference_adjoint(model, sigma, states, grid, kind, cfg, mode):
             contractions[n] = float(np.linalg.norm(iter_matrix, 2))
             if mode is AdjointMode.DIRECT:
                 ubar[n] = m_mat.T @ np.linalg.solve(a_mat.T, rhs)
-                norms[n] = float(np.linalg.norm(iter_matrix @ ubar[n] + rhs - ubar[n]))
+                norms[n] = norm(fixed_point_product(iter_matrix, ubar[n], rhs) - ubar[n])
             else:
                 value = ubar[n + 1].copy() if n + 1 <= n_total else np.zeros(d_u)
                 while inner[n] < cfg.max_inner:
-                    updated = iter_matrix @ value + rhs
-                    norms[n] = float(np.linalg.norm(updated - value))
+                    updated = fixed_point_product(iter_matrix, value, rhs)
+                    norms[n] = norm(updated - value)
                     value = updated
                     inner[n] += 1
                     if norms[n] <= cfg.tol:
                         break
                 ubar[n] = value
-        lam[n] = np.linalg.solve(m_mat.T, ubar[n])
+        lam[n] = solve(m_mat.T, ubar[n])
         total = total - lam[n] @ model.jacobian_design(states[n], sigma, t)
         if n >= n_tr:
             total = total + omega[n - n_tr] * model.output_design_gradient(states[n], sigma)
