@@ -10,6 +10,7 @@ below one whenever the primal inner iteration converged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 from operator import add, sub
 
 import numpy as np
@@ -103,24 +104,48 @@ def _reverse_steps(model, sigma, traj: Trajectory,
 
 def _fixed_point_iterate(iter_matrix, rhs):
     """One fixed-point iterate as a function of ubar, a float list:
-    (iter_matrix @ ubar + rhs, the 2-norm of its change from ubar).  Two
-    states run on Python floats, row i as (v_i0 x0 + v_i1 x1) + r_i; any
-    other size goes through numpy's matmul."""
+    (iter_matrix @ ubar + rhs, the 2-norm of its change from ubar), through
+    numpy's matmul.  Two states iterate in _fixed_point2 instead."""
     norm_of = float_kernels(len(rhs)).norm
-    if len(rhs) == 2:
-        ((v00, v01), (v10, v11)), (r0, r1) = iter_matrix.tolist(), rhs
-
-        def iterate(ubar):
-            x0, x1 = ubar
-            y0 = (v00 * x0 + v01 * x1) + r0
-            y1 = (v10 * x0 + v11 * x1) + r1
-            return [y0, y1], norm_of((y0 - x0, y1 - x1))
-        return iterate
 
     def iterate(ubar):
         updated = (iter_matrix @ np.array(ubar) + rhs).tolist()
         return updated, norm_of(list(map(sub, updated, ubar)))
     return iterate
+
+
+def _fixed_point(iterate, ubar, tol, max_inner):
+    """The fixed-point loop of one step: from the float list ubar, apply
+    iterate until the norm of the change is at most tol, exceeds both 1 and
+    ten times the previous change's norm, or max_inner iterates ran.
+    Returns (ubar as a float list, iterations, the last change's norm)."""
+    previous = None  # the change norm of the previous iterate
+    for iteration in range(1, max_inner + 1):
+        ubar, norm = iterate(ubar)
+        if norm <= tol or norm > 1.0 and previous is not None and norm > previous * 10.0:
+            break
+        previous = norm
+    return ubar, iteration, norm
+
+
+def _fixed_point2(rows, rhs, ubar, tol, max_inner):
+    """_fixed_point of two states on local floats, for the iteration
+    matrix's row-major entries rows: row i of the iterate is (v_i0 x0 +
+    v_i1 x1) + r_i, and its change's norm sqrt(c0 c0 + c1 c1)."""
+    v00, v01, v10, v11 = rows
+    r0, r1 = rhs
+    x0, x1 = ubar
+    previous = None
+    for iteration in range(1, max_inner + 1):
+        y0 = (v00 * x0 + v01 * x1) + r0
+        y1 = (v10 * x0 + v11 * x1) + r1
+        c0, c1 = y0 - x0, y1 - x1
+        norm = sqrt(c0 * c0 + c1 * c1)
+        x0, x1 = y0, y1
+        if norm <= tol or norm > 1.0 and previous is not None and norm > previous * 10.0:
+            break
+        previous = norm
+    return [x0, x1], iteration, norm
 
 
 def _adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, tol,
@@ -131,11 +156,11 @@ def _adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, to
     matrix M_n = A_n + inv_dtau I, and rhs, a float list, the step's seed
     less its downstream coupling.  iter_matrix is (I - M_n^{-1} A_n)^T and
     contraction its 2-norm, from iteration_matrices; iter_matrix is None in
-    the Newton limit.  The fixed-point route iterates
-    ubar <- iter_matrix ubar + rhs from the float list ubar_guess, on Python
-    floats, until the norm of the change is at most tol; that norm is the
-    one recorded.  The direct route solves for its limit
-    M_n^T A_n^{-T} rhs.
+    the Newton limit, and for two states its row-major float entries.  The
+    fixed-point route iterates ubar <- iter_matrix ubar + rhs from the float
+    list ubar_guess until the norm of the change is at most tol; that norm
+    is the one recorded.  The direct route solves for its limit
+    M_n^T A_n^{-T} rhs and records the norm of one iterate's change from it.
 
     Returns (ubar_n as a float list, iterations, residual norm,
     contraction estimate).
@@ -146,21 +171,18 @@ def _adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, to
             else (m_mat.T @ solve_step(a_mat.T, rhs, n)).tolist()
         return ubar, 1, 0.0, 0.0
 
-    iterate = _fixed_point_iterate(iter_matrix, rhs)
     if mode is AdjointMode.DIRECT:
         ubar = (m_mat.T @ solve_step(a_mat.T, rhs, n)).tolist()
-        return ubar, 0, iterate(ubar)[1], contraction
+        norm = _fixed_point2(iter_matrix, rhs, ubar, tol, 1)[2] if len(rhs) == 2 \
+            else _fixed_point_iterate(iter_matrix, rhs)(ubar)[1]
+        return ubar, 0, norm, contraction
 
-    ubar = list(ubar_guess)
-    previous = None  # the change norm of the previous iterate
-    for iteration in range(1, max_inner + 1):
-        ubar, residual = iterate(ubar)
-        if residual <= tol:
-            return ubar, iteration, residual, contraction
-        if residual > 1.0 and previous is not None and residual > previous * 10.0:
-            raise AdjointDivergenceError(n, iteration, residual, contraction)
-        previous = residual
-    raise AdjointDivergenceError(n, max_inner, previous, contraction)
+    ubar, iterations, norm = \
+        _fixed_point2(iter_matrix, rhs, ubar_guess, tol, max_inner) if len(rhs) == 2 \
+        else _fixed_point(_fixed_point_iterate(iter_matrix, rhs), ubar_guess, tol, max_inner)
+    if not norm <= tol:
+        raise AdjointDivergenceError(n, iterations, norm, contraction)
+    return ubar, iterations, norm, contraction
 
 
 def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
@@ -203,11 +225,18 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     b_mats = model.jacobian_design(states[1:], sigma, grid.times()[1:])
 
     # the loop runs on float lists: each step's seed, its M_n^T row-major
-    # for the solve of lambda_n = M_n^{-T} ubar_n, and the lambdas it keeps
+    # for the solve of lambda_n = M_n^{-T} ubar_n, and the lambdas it keeps;
+    # two states take their iteration matrices row-major too
     solve = float_kernels(d_u).solve
     seed_rows = seeds.tolist()
     m_transposed = steps.m_mats.transpose(0, 2, 1).reshape(n_total, d_u * d_u).tolist()
+    iteration = steps.iteration
+    if d_u == 2 and cfg.inv_dtau != 0.0:
+        iteration = iteration.reshape(n_total, 4).tolist()
     step_contractions = steps.contractions.tolist()
+    max_inner = cfg.max_inner
+    newton_copy = cfg.inv_dtau == 0.0 and mode is AdjointMode.FIXED_POINT
+    fixed_point2 = d_u == 2 and cfg.inv_dtau != 0.0 and mode is AdjointMode.FIXED_POINT
     # row n: step n's (ubar_n, iterations, residual norm, contraction); row 0 stays zero
     records = [([0.0] * d_u, 0, 0.0, 0.0)] * (n_total + 1)
     lam = [None] * (n_total + 1)
@@ -223,13 +252,25 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
         else:
             rhs = seed_rows[n]
         # warm start from the downstream adjoint state
-        records[n] = _adjoint_step(
-            n, steps.a_mats[n - 1], steps.m_mats[n - 1], rhs, ubar_n, steps.iteration[n - 1],
-            step_contractions[n - 1], tol, cfg.max_inner, mode)
-        ubar_n = records[n][0]
+        if newton_copy:
+            ubar_n = rhs
+            records[n] = rhs, 1, 0.0, 0.0
+        elif fixed_point2:
+            ubar_n, its, norm = _fixed_point2(iteration[n - 1], rhs, ubar_n, tol, max_inner)
+            if not norm <= tol:
+                raise AdjointDivergenceError(n, its, norm, step_contractions[n - 1])
+            records[n] = ubar_n, its, norm, step_contractions[n - 1]
+        else:
+            records[n] = _adjoint_step(
+                n, steps.a_mats[n - 1], steps.m_mats[n - 1], rhs, ubar_n, iteration[n - 1],
+                step_contractions[n - 1], tol, max_inner, mode)
+            ubar_n = records[n][0]
         lam[n] = solve(m_transposed[n - 1], ubar_n, n)
     if steps.singular is not None:
         raise steps.singular
+    # the loop's float lists go before the design sum builds its own, so the
+    # iteration matrices' rows add nothing to the sweep's peak memory
+    del iteration, m_transposed, seed_rows
     ubar, inner, norms, contractions = (np.array(column) for column in zip(*records))
 
     # The design derivative runs back from step N: step n subtracts

@@ -621,7 +621,7 @@ def _scipy_version() -> str:
     return scipy.__version__
 
 
-_ERROR_FIELDS = ("step", "iterations", "residual_norm", "contraction",
+_ERROR_FIELDS = ("step", "iterations", "residual_norm", "floor", "contraction",
                  "design_iterate")
 
 

@@ -23,16 +23,24 @@ class SingularStepError(LcoError):
 
 
 class StepConvergenceError(LcoError):
-    """Inner pseudo-time iteration failed to converge on a physical step."""
+    """Inner pseudo-time iteration failed to converge on a physical step.
 
-    def __init__(self, step, iterations, residual_norm):
+    floor is the extended residual's roundoff floor at the step's last
+    iterate, if known; a tolerance below it cannot be met, and the message
+    says so.
+    """
+
+    def __init__(self, step, iterations, residual_norm, floor=None, tol=None):
         self.step = step
         self.iterations = iterations
         self.residual_norm = residual_norm
-        super().__init__(
-            f"step {step}: inner iteration stalled after {iterations} iterations "
-            f"(residual norm {residual_norm:.3e})"
-        )
+        self.floor = floor
+        message = (f"step {step}: inner iteration stalled after {iterations} iterations "
+                   f"(residual norm {residual_norm:.3e})")
+        if floor is not None and tol is not None and tol < floor:
+            message += (f"; the tolerance {tol:.3e} lies below the residual's roundoff "
+                        f"floor {floor:.3e}")
+        super().__init__(message)
 
 
 class AdjointDivergenceError(LcoError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from math import sqrt
 from operator import sub
 from typing import Callable, NamedTuple
 
@@ -126,13 +127,6 @@ def _extended_residual(model, u_n, sigma, t, alpha, beta_u_nm1, delta_u_nm2) -> 
             in zip(u_n, model.residual(u_n, sigma, t), beta_u_nm1, delta_u_nm2)]
 
 
-def _extended_residual2(model, u_n, sigma, t, alpha, beta_u_nm1, delta_u_nm2) -> list[float]:
-    """_extended_residual of two states, written out."""
-    (u0, u1), (b0, b1), (d0, d1) = u_n, beta_u_nm1, delta_u_nm2
-    r0, r1 = model.residual(u_n, sigma, t)
-    return [alpha * u0 + r0 + b0 + d0, alpha * u1 + r1 + b1 + d1]
-
-
 def _step_entries(jacobian, alpha, inv_dtau) -> list[float]:
     """Row-major entries of alpha I + J + inv_dtau I from J's, summed as
     the arrays alpha * np.eye(d_u) + J + inv_dtau * np.eye(d_u) sum them:
@@ -207,31 +201,95 @@ def _update(u, jacobian, residual, alpha, inv_dtau, step=None) -> list[float]:
     return list(map(sub, u, _solve_arrays(entries, residual, step)))
 
 
-def _update2(u, jacobian, residual, alpha, inv_dtau, step=None) -> list[float]:
-    """_update of two states, with _step_entries written out."""
-    j11, j12, j21, j22 = jacobian
-    s0, s1 = _solve2([(alpha + j11) + inv_dtau, 0.0 + j12, 0.0 + j21,
-                      (alpha + j22) + inv_dtau], residual, step)
-    return [u[0] - s0, u[1] - s1]
+def _step(model, jacobian, sigma, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau, tol,
+          max_inner, n):
+    """The inner iteration of physical step n at time t, from the float
+    lists u_{n-1} and u_{n-2}, with the BDF coefficients alpha, beta and
+    delta: the history terms beta u_{n-1} and delta u_{n-2} once, then from
+    u = u_{n-1} the extended residual, its norm and, while norm > tol and
+    fewer than max_inner iterations ran, one _update.  Returns (u as a float
+    list, iterations, the norm of u's extended residual)."""
+    beta_u_nm1, delta_u_nm2 = [beta * x for x in u_nm1], [delta * x for x in u_nm2]
+    u = list(u_nm1)
+    residual = _extended_residual(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
+    norm = _norm_arrays(residual)
+    its = 0
+    while norm > tol and its < max_inner:
+        u = _update(u, jacobian(u, sigma, t), residual, alpha, inv_dtau, n)
+        residual = _extended_residual(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
+        norm = _norm_arrays(residual)
+        its += 1
+    return u, its, norm
+
+
+def _step2(model, jacobian, sigma, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau, tol,
+           max_inner, n):
+    """_step of two states on local floats, with the extended residual,
+    _step_entries, _solve2 and _norm2 written out in their order.  The
+    model's residual and the Jacobian reader are called once per
+    evaluation, with the iterate as a float list."""
+    residual = model.residual
+    h0, h1, g0, g1 = beta * u_nm1[0], beta * u_nm1[1], delta * u_nm2[0], delta * u_nm2[1]
+    x0, x1 = u = u_nm1
+    r0, r1 = residual(u, sigma, t)
+    e0 = alpha * x0 + r0 + h0 + g0
+    e1 = alpha * x1 + r1 + h1 + g1
+    norm = sqrt(e0 * e0 + e1 * e1)
+    its = 0
+    while norm > tol and its < max_inner:
+        j11, j12, j21, j22 = jacobian(u, sigma, t)
+        a11 = (alpha + j11) + inv_dtau
+        a12 = 0.0 + j12
+        a21 = 0.0 + j21
+        a22 = (alpha + j22) + inv_dtau
+        b1 = e0
+        b2 = e1
+        if abs(a21) > abs(a11):
+            a11, a12, a21, a22, b1, b2 = a21, a22, a11, a12, b2, b1
+        if a11 == 0.0:
+            raise SingularStepError(n)
+        l = a21 / a11
+        u22 = a22 - l * a12
+        if u22 == 0.0:
+            raise SingularStepError(n)
+        s1 = (b2 - l * b1) / u22
+        x0 -= (b1 - a12 * s1) / a11
+        x1 -= s1
+        u = [x0, x1]
+        r0, r1 = residual(u, sigma, t)
+        e0 = alpha * x0 + r0 + h0 + g0
+        e1 = alpha * x1 + r1 + h1 + g1
+        norm = sqrt(e0 * e0 + e1 * e1)
+        its += 1
+    return u, its, norm
+
+
+def _roundoff_floor(model, u, sigma, t, alpha, beta, delta, u_nm1, u_nm2) -> float:
+    """The extended residual's roundoff floor at u: eps times the norm of
+    |alpha u| + |R(u)| + |beta u_{n-1}| + |delta u_{n-2}|, the size of the
+    rounding error its four terms can carry, so a tolerance below it may
+    not be met.  One more residual evaluation, taken only for the error."""
+    terms = [abs(alpha * x) + abs(r) + abs(beta * y) + abs(delta * z)
+             for x, r, y, z in zip(u, model.residual(u, sigma, t), u_nm1, u_nm2)]
+    return math.ulp(1.0) * _norm_arrays(terms)
 
 
 class FloatKernels(NamedTuple):
-    """The inner iterate's kernels for one state size, on Python floats.
+    """The kernels of one state size, on Python floats.
 
-    extended_residual and update take the arguments of _extended_residual
-    and _update; solve takes a step matrix's row-major entries, the
+    step takes the arguments of _step and runs one physical step's whole
+    inner iteration; solve takes a step matrix's row-major entries, the
     right-hand side and the step; norm takes a vector.
     """
 
-    extended_residual: Callable
-    update: Callable
+    step: Callable
     solve: Callable
     norm: Callable
 
 
-# two states, every model in lcowind: the residual and update written out
-_TWO_STATE_KERNELS = FloatKernels(_extended_residual2, _update2, _solve2, _norm2)
-_ARRAY_KERNELS = FloatKernels(_extended_residual, _update, _solve_arrays, _norm_arrays)
+# two states, every model in lcowind: the physical step written out
+_TWO_STATE_KERNELS = FloatKernels(_step2, _solve2, _norm2)
+_ARRAY_KERNELS = FloatKernels(_step, _solve_arrays, _norm_arrays)
 
 
 def float_kernels(d_u) -> FloatKernels:
@@ -262,22 +320,24 @@ def simulate(model, sigma, grid: TimeGrid,
     residual R* is below cfg.tol.  Each inner iteration is one linearized
     implicit-Euler pseudo-time update, u <- u - (alpha I + dR/du +
     I/dtau)^{-1} R*(u), which at dtau = inf is a Newton step, warm-started
-    from the previous physical state.  The iterate runs on Python floats,
-    with the kernels float_kernels gives for the model's size: the extended
-    residual, the update, which solves the step system, and the norm.  The
-    norm is taken of every iterate's residual, and the norm that stops the
-    step is the one the trajectory records.  The design and the initial
-    state's shape are checked once, and the pseudo-time constants, the
-    Jacobian reader and the kernels are resolved once per march; the model
-    methods each step calls do not check their inputs again.  The outputs
-    are formed in one call once the march is done.
+    from the previous physical state.  One call of the step kernel that
+    float_kernels gives for the model's size runs a physical step's whole
+    inner iteration on Python floats.  The norm is taken of every iterate's
+    residual, and the norm that stops the step is the one the trajectory
+    records.  A step that stops unconverged raises StepConvergenceError
+    with the extended residual's roundoff floor at its last iterate.  The
+    design and the initial state's shape are checked once, and the
+    pseudo-time constants, the Jacobian reader and the kernels are resolved
+    once per march; the model methods each step calls do not check their
+    inputs again.  The outputs are formed in one call once the march is
+    done.
     """
     cfg = cfg or PseudoTimeConfig()
     u0 = np.asarray(model.initial_state(sigma), dtype=float)
     sigma = check_inputs(model, sigma, u0)
     inv_dtau, tol, max_inner = cfg.inv_dtau, cfg.tol, cfg.max_inner
     jacobian = jacobian_entries_of(model)
-    extended, update, _, norm_of = float_kernels(model.d_u)
+    step = float_kernels(model.d_u).step
     dt = grid.dt
     # step 1 has no u^{-1}; its BDF1 coefficients give u^{-1} no weight
     u_nm1 = u_nm2 = u0.tolist()
@@ -286,22 +346,14 @@ def simulate(model, sigma, grid: TimeGrid,
     bdf1, bdf2 = step_coefficients(1, dt), step_coefficients(2, dt)
     for n in range(1, grid.n_steps + 1):
         alpha, beta, delta = bdf2 if n > 1 else bdf1
-        t = n * dt
-        # fixed over the step: the history terms
-        beta_u_nm1, delta_u_nm2 = [beta * x for x in u_nm1], [delta * x for x in u_nm2]
-        u = list(u_nm1)
-        residual = extended(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
-        norm = norm_of(residual)
-        its = 0
-        while norm > tol and its < max_inner:
-            u = update(u, jacobian(u, sigma, t), residual, alpha, inv_dtau, n)
-            residual = extended(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
-            norm = norm_of(residual)
-            its += 1
+        u, its, norm = step(model, jacobian, sigma, n * dt, u_nm1, u_nm2, alpha, beta, delta,
+                            inv_dtau, tol, max_inner, n)
         ok = norm <= tol
         if not ok:
             if not cfg.allow_unconverged:
-                raise StepConvergenceError(n, its, norm)
+                floor = _roundoff_floor(model, u, sigma, n * dt, alpha, beta, delta,
+                                        u_nm1, u_nm2)
+                raise StepConvergenceError(n, its, norm, floor, tol)
             warnings.warn(f"step {n} left unconverged (residual {norm:.3e})",
                           RuntimeWarning, stacklevel=2)
         u_nm1, u_nm2 = u, u_nm1

@@ -456,6 +456,7 @@ def test_solver_failure_exits_3_with_json(tmp_path, capsys):
     assert record["step"] == 1
     assert record["iterations"] == 1
     assert record["residual_norm"] > 1e-14
+    assert 0.0 < record["floor"] < record["residual_norm"]
 
 
 def test_singular_step_matrix_exits_3_with_step(tmp_path, capsys):

@@ -1,0 +1,159 @@
+"""The two-state kernels against the any-size ones, over whole sweeps.
+
+The march runs a physical step of two states in one written-out kernel,
+_step2, and the fixed-point adjoint iterates a two-state step in
+_fixed_point2; every other size runs _step, a loop over _extended_residual,
+_update and _norm_arrays, and the loop _fixed_point over one iterate
+function.  Here each sweep runs twice, once through the two-state kernels
+and once through the any-size ones, and the two must agree in every bit:
+every array, and on failure the error's type, message and fields.
+
+The any-size kernels solve through dgesv, which rounds a 2x2 system
+otherwise than the stated order, so the any-size run solves with _solve2.
+Their iterate is numpy's matmul, which rounds a 2x2 product otherwise
+too, so the any-size loop iterates the stated order, (v_i0 x0 + v_i1 x1) +
+r_i, transcribed here.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from test_kernels import same_bits
+from test_primal import LinearModel
+
+from lcowind import adjoint, primal
+from lcowind.adjoint import AdjointMode, adjoint_sweep
+from lcowind.errors import (AdjointDivergenceError, LcoError, SingularStepError,
+                            StepConvergenceError)
+from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator, OutputKind,
+                            VanDerPol)
+from lcowind.primal import PseudoTimeConfig, TimeGrid, _solve2, simulate
+from lcowind.windows import Window
+
+GRID = TimeGrid(dt=0.05, n_steps=120, n_transient=20)
+# stiff, non-normal pairs du/dt + K u = 0: K's eigenvalues 50 and 0.5 with
+# a coupling 800 times the smaller one, and a growing pair whose eigenvalue
+# -10 makes the fixed-point adjoint diverge at dt = 1
+STIFF_PAIR = LinearModel(matrix=np.array([[50.0, -400.0], [0.0, 0.5]]), offset=np.zeros(2))
+GROWING_PAIR = LinearModel(matrix=np.array([[-10.0, 40.0], [0.0, -0.5]]), offset=np.zeros(2))
+MODELS = {
+    "van-der-pol-x2": (VanDerPol(output=OutputKind.FIRST_STATE_SQUARED), [1.0], GRID),
+    "forced-oscillator-x2": (ForcedOscillator(output=OutputKind.FIRST_STATE_SQUARED), [0.1],
+                             GRID),
+    "analytic-signal": (AnalyticSignalModel(AnalyticSignal(
+        a0=1.0, a1=np.array([0.0]), amplitude=0.05, quad=5.0, quad_center=np.array([0.3]))),
+        [0.2], GRID),
+    # A_1 = [[1, -1], [-1, 1]] at dt = 1: singular in the Newton limit, and
+    # a stalled step at a finite dtau
+    "singular": (ForcedOscillator(omega=1.0, stiffness0=-1.0, damping0=0.0), [0.0],
+                 TimeGrid(dt=1.0, n_steps=4, n_transient=1)),
+    "stiff-pair": (STIFF_PAIR, [0.0], TimeGrid(dt=0.05, n_steps=60, n_transient=10)),
+}
+# the default budget, and one of two iterations that leaves steps unconverged
+BUDGETS = {"default": {}, "unconverged": {"max_inner": 2, "allow_unconverged": True}}
+
+
+def any_size_kernels(monkeypatch):
+    """Route two-state sweeps through the any-size kernels."""
+    monkeypatch.setattr(primal, "_solve_arrays", _solve2)
+    monkeypatch.setattr(primal, "_TWO_STATE_KERNELS",
+                        primal._ARRAY_KERNELS._replace(solve=_solve2))
+
+    def fixed_point(rows, rhs, ubar, tol, max_inner):
+        v00, v01, v10, v11 = rows
+        r0, r1 = rhs
+
+        def iterate(x):
+            updated = [(v00 * x[0] + v01 * x[1]) + r0, (v10 * x[0] + v11 * x[1]) + r1]
+            return updated, primal._norm_arrays([updated[0] - x[0], updated[1] - x[1]])
+        return adjoint._fixed_point(iterate, ubar, tol, max_inner)
+    monkeypatch.setattr(adjoint, "_fixed_point2", fixed_point)
+
+
+def outcome(run):
+    """run()'s arrays, or its error's type, message and fields."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # "left unconverged"
+            with np.errstate(all="ignore"):
+                return run()
+    except LcoError as exc:
+        return type(exc), str(exc), repr(sorted(vars(exc).items()))
+
+
+def sweeps(model, sigma, grid, cfg, adjoint_cfg):
+    """The march's arrays and the fixed-point adjoint's over it, at adjoint_cfg."""
+    def march():
+        traj = simulate(model, np.array(sigma), grid, cfg)
+        return traj, [traj.states, traj.outputs, traj.inner_iterations, traj.residual_norms,
+                      traj.converged]
+
+    def reverse():
+        sweep = adjoint_sweep(model, np.array(sigma), traj, Window.HANN, adjoint_cfg,
+                              AdjointMode.FIXED_POINT)
+        return [sweep.adjoint_states, sweep.running_design_derivative,
+                sweep.inner_iterations, sweep.residual_norms, sweep.contraction_estimates]
+
+    marched = outcome(march)
+    if not isinstance(marched[0], primal.Trajectory):
+        return [marched]
+    traj, arrays = marched
+    return [arrays, outcome(reverse)]
+
+
+def assert_same(got, expected):
+    assert len(got) == len(expected)
+    for got_part, expected_part in zip(got, expected):
+        if isinstance(expected_part, list):
+            assert isinstance(got_part, list)
+            for got_array, expected_array in zip(got_part, expected_part):
+                assert same_bits(got_array, expected_array)
+        else:
+            assert got_part == expected_part
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("dtau", [math.inf, 1.0, 0.3], ids=["dtau=inf", "dtau=1", "dtau=0.3"])
+@pytest.mark.parametrize("name", MODELS)
+def test_two_state_kernels_equal_the_any_size_ones(name, dtau, budget, monkeypatch):
+    model, sigma, grid = MODELS[name]
+    # the adjoint keeps the default budget, so unconverged marches are swept too
+    cfg, adjoint_cfg = PseudoTimeConfig(dtau=dtau, **BUDGETS[budget]), PseudoTimeConfig(dtau)
+    two_state = sweeps(model, sigma, grid, cfg, adjoint_cfg)
+    any_size_kernels(monkeypatch)
+    assert_same(sweeps(model, sigma, grid, cfg, adjoint_cfg), two_state)
+
+
+@pytest.mark.parametrize("dtau, max_inner", [(0.2, 40), (1.0 / 9.4, 40), (0.2, 3)],
+                         ids=["budget", "growth", "short-budget"])
+def test_two_state_kernels_diverge_alike(dtau, max_inner, monkeypatch):
+    # at dt = 1 the growing pair's step matrices have the eigenvalue -8.5:
+    # with 1/dtau = 5 the fixed-point factor is about -1.43 and the budget
+    # runs out, and with 1/dtau = 9.4 it is about 10.4 and the second change
+    # exceeds ten times the first
+    grid = TimeGrid(dt=1.0, n_steps=4, n_transient=1)
+    adjoint_cfg = PseudoTimeConfig(dtau=dtau, max_inner=max_inner)
+    two_state = sweeps(GROWING_PAIR, [0.0], grid, PseudoTimeConfig(), adjoint_cfg)
+    assert two_state[1][0] is AdjointDivergenceError
+    any_size_kernels(monkeypatch)
+    assert_same(sweeps(GROWING_PAIR, [0.0], grid, PseudoTimeConfig(), adjoint_cfg), two_state)
+
+
+def test_the_cases_reach_every_outcome():
+    # the matrix above meets a singular step, a stalled step, unconverged
+    # marches, a diverging adjoint over one of them, and converged sweeps
+    # over every model but the singular one
+    results = {(name, dtau, budget): sweeps(model, sigma, grid,
+                                            PseudoTimeConfig(dtau=dtau, **BUDGETS[budget]),
+                                            PseudoTimeConfig(dtau))
+               for name, (model, sigma, grid) in MODELS.items()
+               for dtau in (math.inf, 1.0, 0.3) for budget in BUDGETS}
+    errors = {result[-1][0] for result in results.values() if isinstance(result[-1], tuple)}
+    assert errors == {SingularStepError, StepConvergenceError, AdjointDivergenceError}
+    assert any(len(result) == 2 and not result[0][4].all() for result in results.values())
+    swept = {name for (name, _, _), result in results.items() if len(result) == 2}
+    assert swept == set(MODELS)
+    assert all(len(results[name, dtau, "default"]) == 2 for name in MODELS if name != "singular"
+               for dtau in (math.inf, 1.0, 0.3))

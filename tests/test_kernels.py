@@ -272,10 +272,11 @@ def test_march_does_not_write_the_models_jacobian(dtau):
 # linear algebra on Python floats, each operation one IEEE rounding with no
 # fused multiply-add, in the order README states: the solve (_solve2), the
 # norm (_norm2, and for every other size _norm_arrays) and the fixed-point
-# iterate (_fixed_point_iterate).  Each is pinned to its stated formula
-# twice: evaluated in exact rational arithmetic rounded once per operation,
-# which does not depend on the machine, and, to reach NaN, infinities,
-# signed zeros and subnormals, on numpy float64 scalars.  The solve is
+# iterate (one iterate of _fixed_point2).  Each is pinned to its stated
+# formula twice: evaluated in exact rational arithmetic rounded once per
+# operation, which does not depend on the machine, and, to reach NaN,
+# infinities, signed zeros and subnormals, on numpy float64 scalars.  The
+# two-state march step is pinned to the general step.  The solve is
 # also held to LAPACK dgesv's accuracy and to its singular cases.  Other
 # sizes solve through dgesv itself, which the last tests of this section
 # pin.  A NaN result must be NaN on both sides; its sign bit is not pinned.
@@ -286,7 +287,7 @@ from fractions import Fraction
 from scipy.linalg.lapack import dgesv
 
 from lcowind import primal
-from lcowind.adjoint import _fixed_point_iterate
+from lcowind.adjoint import _fixed_point2, _fixed_point_iterate
 from lcowind.primal import _norm2, _solve2, float_kernels, step_coefficients, step_matrices
 
 N_KERNEL_DRAWS = 3000
@@ -473,18 +474,29 @@ def fixed_point_float64(matrix, rhs, ubar):
     return list(map(float, updated)), norm_float64([updated[0] - x0, updated[1] - x1])
 
 
-def check_iterate(expected, iter_matrix, rhs, ubar):
-    updated, norm = _fixed_point_iterate(iter_matrix, rhs)(ubar)
+def check_iterate(expected, got, where):
+    updated, norm = got
     want_updated, want_norm = expected
-    assert same_floats(updated, want_updated), (iter_matrix, rhs, ubar)
-    assert same_float(norm, want_norm), (iter_matrix, rhs, ubar)
+    assert same_floats(updated, want_updated), where
+    assert same_float(norm, want_norm), where
+
+
+def first_iterate2(iter_matrix, rhs, ubar):
+    """The first iterate of _fixed_point2 and its change's norm, from the
+    row-major entries the sweep hands it: one iterate runs whatever the
+    tolerance."""
+    updated, iterations, norm = _fixed_point2(iter_matrix.ravel().tolist(), rhs, ubar,
+                                              0.0, 1)
+    assert iterations == 1
+    return updated, norm
 
 
 @pytest.mark.parametrize("layout", ["transposed", "contiguous"])
 @np.errstate(all="ignore")
 def test_fixed_point_iterate_follows_the_stated_order(layout):
-    # iteration_matrices returns transposed views; any layout of a 2x2
-    # matrix runs the same float iterate
+    # iteration_matrices returns transposed views; the sweep hands the
+    # two-state loop their row-major entries, so any layout of a 2x2 matrix
+    # runs the same float iterate
     def laid_out(matrix):
         return np.ascontiguousarray(matrix.T).T if layout == "transposed" \
             else np.ascontiguousarray(matrix)
@@ -495,12 +507,13 @@ def test_fixed_point_iterate_follows_the_stated_order(layout):
         iter_matrix = laid_out(matrix)
         assert iter_matrix.flags.f_contiguous == (layout == "transposed")
         args = (matrix.tolist(), rhs.tolist(), ubar.tolist())
-        check_iterate(fixed_point_exact(*args), iter_matrix, args[1], args[2])
+        check_iterate(fixed_point_exact(*args), first_iterate2(iter_matrix, *args[1:]), args)
     for entries in itertools.product(SPECIAL[:8], repeat=4):
         matrix = np.array(entries).reshape(2, 2)
         for ubar in ([1.0, -2.0], [0.0, -0.0], [-0.0, -0.0], [1e300, 1e-300]):
             check_iterate(fixed_point_float64(matrix.tolist(), [-0.0, 0.5], ubar),
-                          laid_out(matrix), [-0.0, 0.5], ubar)
+                          first_iterate2(laid_out(matrix), [-0.0, 0.5], ubar),
+                          (entries, ubar))
 
 
 @pytest.mark.parametrize("size", [1, 3])
@@ -511,7 +524,8 @@ def test_other_sizes_iterate_through_matmul(size):
         matrix, rhs, ubar = (kernel_draws(rng, shape) for shape in ((size, size), size, size))
         updated = matrix.T @ ubar + rhs
         check_iterate((updated.tolist(), primal._norm_arrays((updated - ubar).tolist())),
-                      matrix.T, rhs.tolist(), ubar.tolist())
+                      _fixed_point_iterate(matrix.T, rhs.tolist())(ubar.tolist()),
+                      (matrix, rhs, ubar))
 
 
 def check_against_dgesv(matrix, rhs):
@@ -685,33 +699,6 @@ def test_step_entries_equal_the_array_sum(size, dtau):
             assert same_floats(_step_entries(jacobian.tolist(), alpha, inv_dtau), expected)
 
 
-def update_or_singular(update, *args):
-    try:
-        return update(*args)
-    except SingularStepError:
-        return "singular"
-
-
-@np.errstate(all="ignore")
-@pytest.mark.parametrize("dtau", [INF, 1.0], ids=["dtau=inf", "dtau=1"])
-def test_two_state_update_matches_the_general_form(dtau, monkeypatch):
-    # the size-2 kernel writes _step_entries out and solves with _solve2:
-    # it is _update with _solve2 as its solve.  A -0.0 in the residual shows
-    # the sign of a zero off the diagonal, which a march never shows
-    update2 = float_kernels(2).update
-    monkeypatch.setattr(primal, "_solve_arrays", _solve2)
-    inv_dtau = PseudoTimeConfig(dtau=dtau).inv_dtau
-    rng = np.random.default_rng(20)
-    draws = np.concatenate([kernel_draws(rng, (3000, 8)), rng.choice(SPECIAL, (3000, 8))])
-    for n, dt in ((1, 0.05), (2, 0.05)):
-        alpha = step_coefficients(n, dt)[0]
-        for row in draws.tolist():
-            args = (row[:2], row[2:6], row[6:], alpha, inv_dtau, n)
-            got = update_or_singular(update2, *args)
-            expected = update_or_singular(primal._update, *args)
-            assert got == expected == "singular" or same_floats(got, expected)
-
-
 class FixedResidual:
     """A stand-in model whose residual is a given list, whatever the state."""
 
@@ -722,12 +709,47 @@ class FixedResidual:
         return self.values
 
 
+def step_or_singular(step, *args):
+    try:
+        return step(*args)
+    except SingularStepError as exc:
+        return "singular", exc.step
+
+
+@np.errstate(all="ignore")
+@pytest.mark.parametrize("dtau", [INF, 1.0], ids=["dtau=inf", "dtau=1"])
+def test_two_state_step_matches_the_general_form(dtau, monkeypatch):
+    # one physical step with a budget of one update, from drawn histories,
+    # residuals and Jacobian entries: the two-state step writes out _step's
+    # extended residual, _step_entries, the solve and the norm, so it is
+    # _step with _solve2 as its solve.  A -0.0 in the residual shows the
+    # sign of a zero off the diagonal, which a march never shows
+    step2 = float_kernels(2).step
+    monkeypatch.setattr(primal, "_solve_arrays", _solve2)
+    inv_dtau = PseudoTimeConfig(dtau=dtau).inv_dtau
+    rng = np.random.default_rng(20)
+    draws = np.concatenate([kernel_draws(rng, (3000, 10)), rng.choice(SPECIAL, (3000, 10))])
+    for n, dt in ((1, 0.05), (2, 0.05)):
+        alpha, beta, delta = step_coefficients(n, dt)
+        for row in draws.tolist():
+            entries = row[2:6]
+            args = (FixedResidual(row[6:8]), lambda u, sigma, t: entries, None, 0.0, row[:2],
+                    row[8:], alpha, beta, delta, inv_dtau, 0.0, 1, n)
+            got, expected = step_or_singular(step2, *args), step_or_singular(primal._step, *args)
+            if expected[0] == "singular":
+                assert got == expected, row
+            else:
+                assert same_floats(got[0], expected[0]) and got[1] == expected[1], row
+                assert same_float(got[2], expected[2]), row
+
+
 @np.errstate(all="ignore")
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_extended_residuals_match_the_formula(size):
     # alpha u_n + R + beta u_{n-1} + delta u_{n-2}, summed left to right on
-    # numpy scalars, against the general form and the size's kernel
-    from lcowind.primal import _extended_residual, float_kernels
+    # numpy scalars; the two-state step writes the same sums out, and
+    # tests/test_stopping.py holds it to this form over whole marches
+    from lcowind.primal import _extended_residual
 
     rng = np.random.default_rng(10 + size)
     draws = np.concatenate([kernel_draws(rng, (1000, 4, size)),
@@ -737,10 +759,9 @@ def test_extended_residuals_match_the_formula(size):
         for u, r, u_nm1, u_nm2 in draws:
             beta_u_nm1, delta_u_nm2 = beta * u_nm1, delta * u_nm2
             expected = (alpha * u + r + beta_u_nm1 + delta_u_nm2).tolist()
-            for extended in (_extended_residual, float_kernels(size).extended_residual):
-                got = extended(FixedResidual(r.tolist()), u.tolist(), None, 0.0, alpha,
-                               beta_u_nm1.tolist(), delta_u_nm2.tolist())
-                assert same_floats(got, expected)
+            got = _extended_residual(FixedResidual(r.tolist()), u.tolist(), None, 0.0, alpha,
+                                     beta_u_nm1.tolist(), delta_u_nm2.tolist())
+            assert same_floats(got, expected)
 
 
 @dataclass(frozen=True)

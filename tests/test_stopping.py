@@ -15,11 +15,11 @@ import pytest
 from test_adjoint import StiffDecayModel
 from test_kernels import LinearThreeStateModel
 
-from lcowind import adjoint
 from lcowind.adjoint import AdjointMode, adjoint_sweep
 from lcowind.errors import StepConvergenceError
 from lcowind.models import OutputKind, VanDerPol
-from lcowind.primal import PseudoTimeConfig, TimeGrid, float_kernels, simulate, step_coefficients
+from lcowind.primal import (PseudoTimeConfig, TimeGrid, _extended_residual, float_kernels,
+                            simulate, step_coefficients)
 from lcowind.windows import Window
 
 GRID = TimeGrid(dt=0.05, n_steps=40, n_transient=10)
@@ -49,17 +49,17 @@ def march(name, dtau, budget):
 @pytest.mark.parametrize("name", MODELS)
 def test_the_march_records_the_norm_it_stopped_on(name, dtau, budget):
     model, sigma, cfg, traj = march(name, dtau, budget)
-    kernels = float_kernels(model.d_u)
+    norm_of = float_kernels(model.d_u).norm
     states = traj.states.tolist()
     assert traj.residual_norms[0] == 0.0 and traj.converged[0]
     dt = traj.grid.dt
     for n in range(1, traj.n_steps + 1):
         alpha, beta, delta = step_coefficients(n, dt)
         u_nm2 = states[n - 2] if n >= 2 else states[0]
-        residual = kernels.extended_residual(
+        residual = _extended_residual(
             model, states[n], sigma, n * dt, alpha, [beta * x for x in states[n - 1]],
             [delta * x for x in u_nm2])
-        norm = kernels.norm(residual)
+        norm = norm_of(residual)
         assert np.float64(norm).tobytes() == traj.residual_norms[n].tobytes(), n
         assert traj.converged[n] == (norm <= cfg.tol), n
         # a step stops early only on a converged norm
@@ -70,41 +70,66 @@ def test_the_march_records_the_norm_it_stopped_on(name, dtau, budget):
         assert not traj.converged[1:].all()
 
 
+def norm(r):
+    """The 2-norm, its squares summed left to right from 0.0."""
+    square = 0.0
+    for x in r:
+        square += x * x
+    return math.sqrt(square)
+
+
+def fixed_point_iterate(iter_matrix, rhs, ubar):
+    """One iterate ubar <- V ubar + rhs in the order README states: row i
+    as (v_i0 x0 + v_i1 x1) + r_i for two states, numpy's matmul for any
+    other size."""
+    if len(rhs) != 2:
+        return (iter_matrix @ np.array(ubar) + rhs).tolist()
+    (v00, v01), (v10, v11) = iter_matrix.tolist()
+    (x0, x1), (r0, r1) = ubar, rhs
+    return [(v00 * x0 + v01 * x1) + r0, (v10 * x0 + v11 * x1) + r1]
+
+
 @pytest.mark.parametrize("tol", [None, 5e-15], ids=["tol=cfg", "tol=5e-15"])
 @pytest.mark.parametrize("dtau", [math.inf, 1.0], ids=["dtau=inf", "dtau=1"])
 @pytest.mark.parametrize("name", MODELS)
-def test_the_fixed_point_adjoint_records_the_norm_it_stopped_on(name, dtau, tol,
-                                                               monkeypatch):
-    # every iterate the sweep makes, step by step: the sweep runs from step
-    # N down to step 1 and makes one iterate function per step
-    iterates = []
-
-    def recording(iter_matrix, rhs):
-        iterate, calls = fixed_point_iterate(iter_matrix, rhs), []
-        iterates.append(calls)
-
-        def record(ubar):
-            calls.append(iterate(ubar))
-            return calls[-1]
-        return record
-
-    fixed_point_iterate = adjoint._fixed_point_iterate
-    monkeypatch.setattr(adjoint, "_fixed_point_iterate", recording)
+def test_the_fixed_point_adjoint_records_the_norm_it_stopped_on(name, dtau, tol):
+    # every iterate the sweep makes, replayed step by step from step N down
+    # to step 1: from the warm start, the downstream step's recorded state,
+    # with the step's rhs formed from the recorded states of the two steps
+    # it couples to and the sweep's own iteration matrix
     model, sigma, cfg, traj = march(name, dtau, "converging")
     sweep = adjoint_sweep(model, sigma, traj, Window.HANN, cfg, AdjointMode.FIXED_POINT,
                           tol=tol)
     tol = cfg.tol if tol is None else tol
-    if math.isinf(dtau):
-        # the Newton limit iterates nothing
-        assert iterates == [] and not sweep.residual_norms.any()
-        return
-    assert len(iterates) == traj.n_steps
-    for n, calls in zip(range(traj.n_steps, 0, -1), iterates):
-        norms = [norm for _, norm in calls]
-        assert sweep.inner_iterations[n] == len(calls), n
-        assert all(norm > tol for norm in norms[:-1]) and norms[-1] <= tol, n
-        assert np.float64(norms[-1]).tobytes() == sweep.residual_norms[n].tobytes(), n
-        assert np.array_equal(np.array(calls[-1][0]), sweep.adjoint_states[n]), n
+    n_total, d_u = traj.n_steps, model.d_u
+    solve = float_kernels(d_u).solve
+    _, beta, delta = step_coefficients(2, traj.grid.dt)
+    seeds, states = sweep.seeds.tolist(), sweep.adjoint_states.tolist()
+    lam = [None] * (n_total + 1)
+    for n in range(n_total, 0, -1):
+        if n + 2 <= n_total:
+            rhs = [(s - beta * x) - delta * y
+                   for s, x, y in zip(seeds[n], lam[n + 1], lam[n + 2])]
+        elif n + 1 <= n_total:
+            rhs = [s - beta * x for s, x in zip(seeds[n], lam[n + 1])]
+        else:
+            rhs = seeds[n]
+        iter_matrix = sweep.steps.iteration[n - 1]
+        if math.isinf(dtau):
+            # the Newton limit iterates nothing: the step's state is its rhs
+            assert iter_matrix is None and sweep.residual_norms[n] == 0.0, n
+            assert np.array_equal(np.array(rhs), sweep.adjoint_states[n]), n
+        else:
+            ubar, norms = states[n + 1] if n < n_total else [0.0] * d_u, []
+            while not norms or norms[-1] > tol and len(norms) < cfg.max_inner:
+                updated = fixed_point_iterate(iter_matrix, rhs, ubar)
+                norms.append(norm([y - x for y, x in zip(updated, ubar)]))
+                ubar = updated
+            assert sweep.inner_iterations[n] == len(norms), n
+            assert all(earlier > tol for earlier in norms[:-1]) and norms[-1] <= tol, n
+            assert np.float64(norms[-1]).tobytes() == sweep.residual_norms[n].tobytes(), n
+            assert np.array_equal(np.array(ubar), sweep.adjoint_states[n]), n
+        lam[n] = solve(sweep.steps.m_mats[n - 1].T.ravel().tolist(), states[n], n)
 
 
 @dataclass(frozen=True)
