@@ -159,20 +159,19 @@ def _adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, to
     the Newton limit, and for two states its row-major float entries.  The
     fixed-point route iterates ubar <- iter_matrix ubar + rhs from the float
     list ubar_guess until the norm of the change is at most tol; that norm
-    is the one recorded.  The direct route solves for its limit
-    M_n^T A_n^{-T} rhs and records the norm of one iterate's change from it.
+    is the one recorded.  In the Newton limit the iteration matrix vanishes
+    at the converged state and that route's ubar_n is rhs itself, which
+    adjoint_sweep copies without calling here.  The direct route solves for
+    the limit M_n^T A_n^{-T} rhs and records the norm of one iterate's
+    change from it.
 
     Returns (ubar_n as a float list, iterations, residual norm,
     contraction estimate).
     """
-    if iter_matrix is None:
-        # Newton limit: the iteration matrix vanishes at the converged state
-        ubar = list(rhs) if mode is AdjointMode.FIXED_POINT \
-            else (m_mat.T @ solve_step(a_mat.T, rhs, n)).tolist()
-        return ubar, 1, 0.0, 0.0
-
     if mode is AdjointMode.DIRECT:
         ubar = (m_mat.T @ solve_step(a_mat.T, rhs, n)).tolist()
+        if iter_matrix is None:
+            return ubar, 1, 0.0, 0.0
         norm = _fixed_point2(iter_matrix, rhs, ubar, tol, 1)[2] if len(rhs) == 2 \
             else _fixed_point_iterate(iter_matrix, rhs)(ubar)[1]
         return ubar, 0, norm, contraction
@@ -234,9 +233,7 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     if d_u == 2 and cfg.inv_dtau != 0.0:
         iteration = iteration.reshape(n_total, 4).tolist()
     step_contractions = steps.contractions.tolist()
-    max_inner = cfg.max_inner
     newton_copy = cfg.inv_dtau == 0.0 and mode is AdjointMode.FIXED_POINT
-    fixed_point2 = d_u == 2 and cfg.inv_dtau != 0.0 and mode is AdjointMode.FIXED_POINT
     # row n: step n's (ubar_n, iterations, residual norm, contraction); row 0 stays zero
     records = [([0.0] * d_u, 0, 0.0, 0.0)] * (n_total + 1)
     lam = [None] * (n_total + 1)
@@ -251,19 +248,15 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
             rhs = [s - beta * x for s, x in zip(seed_rows[n], lam[n + 1])]
         else:
             rhs = seed_rows[n]
-        # warm start from the downstream adjoint state
         if newton_copy:
+            # the Newton limit's fixed-point state is its rhs
             ubar_n = rhs
             records[n] = rhs, 1, 0.0, 0.0
-        elif fixed_point2:
-            ubar_n, its, norm = _fixed_point2(iteration[n - 1], rhs, ubar_n, tol, max_inner)
-            if not norm <= tol:
-                raise AdjointDivergenceError(n, its, norm, step_contractions[n - 1])
-            records[n] = ubar_n, its, norm, step_contractions[n - 1]
         else:
+            # warm start from the downstream adjoint state
             records[n] = _adjoint_step(
                 n, steps.a_mats[n - 1], steps.m_mats[n - 1], rhs, ubar_n, iteration[n - 1],
-                step_contractions[n - 1], tol, max_inner, mode)
+                step_contractions[n - 1], tol, cfg.max_inner, mode)
             ubar_n = records[n][0]
         lam[n] = solve(m_transposed[n - 1], ubar_n, n)
     if steps.singular is not None:

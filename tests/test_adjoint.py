@@ -229,13 +229,19 @@ def test_adjoint_step_reproduces_the_sweeps_state(dtau, mode):
     sweep = adjoint_sweep(model, sigma, traj, Window.HANN, cfg=cfg, mode=mode)
     assert not sweep.adjoint_states[-1].any()
     n, steps = traj.n_steps - 1, sweep.steps
-    # two states take the iteration matrix as row-major floats
-    iter_matrix = steps.iteration[n - 1] if math.isinf(dtau) \
-        else steps.iteration[n - 1].ravel().tolist()
-    ubar, iterations, norm, contraction = _adjoint_step(
-        n, steps.a_mats[n - 1], steps.m_mats[n - 1], sweep.seeds[n].tolist(),
-        sweep.adjoint_states[n + 1].tolist(), iter_matrix,
-        float(steps.contractions[n - 1]), cfg.tol, cfg.max_inner, mode)
+    rhs = sweep.seeds[n].tolist()
+    if math.isinf(dtau) and mode is AdjointMode.FIXED_POINT:
+        # the sweep copies the Newton limit's fixed-point state, its rhs,
+        # without calling _adjoint_step
+        ubar, iterations, norm, contraction = list(rhs), 1, 0.0, 0.0
+    else:
+        # two states take the iteration matrix as row-major floats
+        iter_matrix = steps.iteration[n - 1] if math.isinf(dtau) \
+            else steps.iteration[n - 1].ravel().tolist()
+        ubar, iterations, norm, contraction = _adjoint_step(
+            n, steps.a_mats[n - 1], steps.m_mats[n - 1], rhs,
+            sweep.adjoint_states[n + 1].tolist(), iter_matrix,
+            float(steps.contractions[n - 1]), cfg.tol, cfg.max_inner, mode)
     assert isinstance(ubar, list) and len(ubar) == model.d_u
     assert np.array_equal(np.array(ubar), sweep.adjoint_states[n]) and any(ubar)
     assert (iterations, norm, contraction) == (sweep.inner_iterations[n],
