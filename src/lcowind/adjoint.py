@@ -10,7 +10,6 @@ below one whenever the primal inner iteration converged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 from operator import add, sub
 
 import numpy as np
@@ -102,61 +101,16 @@ def _reverse_steps(model, sigma, traj: Trajectory,
                             singular=exc)
 
 
-def _fixed_point_iterate(iter_matrix, rhs):
-    """One fixed-point iterate as a function of ubar, a float list:
-    (iter_matrix @ ubar + rhs, the 2-norm of its change from ubar), through
-    numpy's matmul.  Two states iterate in _fixed_point2 instead."""
-    norm_of = float_kernels(len(rhs)).norm
-
-    def iterate(ubar):
-        updated = (iter_matrix @ np.array(ubar) + rhs).tolist()
-        return updated, norm_of(list(map(sub, updated, ubar)))
-    return iterate
-
-
-def _fixed_point(iterate, ubar, tol, max_inner):
-    """The fixed-point loop of one step: from the float list ubar, apply
-    iterate until the norm of the change is at most tol, exceeds both 1 and
-    ten times the previous change's norm, or max_inner iterates ran.
-    Returns (ubar as a float list, iterations, the last change's norm)."""
-    previous = None  # the change norm of the previous iterate
-    for iteration in range(1, max_inner + 1):
-        ubar, norm = iterate(ubar)
-        if norm <= tol or norm > 1.0 and previous is not None and norm > previous * 10.0:
-            break
-        previous = norm
-    return ubar, iteration, norm
-
-
-def _fixed_point2(rows, rhs, ubar, tol, max_inner):
-    """_fixed_point of two states on local floats, for the iteration
-    matrix's row-major entries rows: row i of the iterate is (v_i0 x0 +
-    v_i1 x1) + r_i, and its change's norm sqrt(c0 c0 + c1 c1)."""
-    v00, v01, v10, v11 = rows
-    r0, r1 = rhs
-    x0, x1 = ubar
-    previous = None
-    for iteration in range(1, max_inner + 1):
-        y0 = (v00 * x0 + v01 * x1) + r0
-        y1 = (v10 * x0 + v11 * x1) + r1
-        c0, c1 = y0 - x0, y1 - x1
-        norm = sqrt(c0 * c0 + c1 * c1)
-        x0, x1 = y0, y1
-        if norm <= tol or norm > 1.0 and previous is not None and norm > previous * 10.0:
-            break
-        previous = norm
-    return [x0, x1], iteration, norm
-
-
 def _adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, tol,
-                  max_inner, mode):
+                  max_inner, mode, fixed_point):
     """Solve the adjoint equation of physical step n.
 
     a_mat is the step matrix A_n = alpha_n I + dR/du, m_mat the pseudo-time
     matrix M_n = A_n + inv_dtau I, and rhs, a float list, the step's seed
-    less its downstream coupling.  iter_matrix is (I - M_n^{-1} A_n)^T and
-    contraction its 2-norm, from iteration_matrices; iter_matrix is None in
-    the Newton limit, and for two states its row-major float entries.  The
+    less its downstream coupling.  iter_matrix is the row-major float
+    entries of (I - M_n^{-1} A_n)^T and contraction its 2-norm, from
+    iteration_matrices; iter_matrix is None in the Newton limit.
+    fixed_point is the state size's kernel from float_kernels.  The
     fixed-point route iterates ubar <- iter_matrix ubar + rhs from the float
     list ubar_guess until the norm of the change is at most tol; that norm
     is the one recorded.  In the Newton limit the iteration matrix vanishes
@@ -172,13 +126,9 @@ def _adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, to
         ubar = (m_mat.T @ solve_step(a_mat.T, rhs, n)).tolist()
         if iter_matrix is None:
             return ubar, 1, 0.0, 0.0
-        norm = _fixed_point2(iter_matrix, rhs, ubar, tol, 1)[2] if len(rhs) == 2 \
-            else _fixed_point_iterate(iter_matrix, rhs)(ubar)[1]
-        return ubar, 0, norm, contraction
+        return ubar, 0, fixed_point(iter_matrix, rhs, ubar, tol, 1)[2], contraction
 
-    ubar, iterations, norm = \
-        _fixed_point2(iter_matrix, rhs, ubar_guess, tol, max_inner) if len(rhs) == 2 \
-        else _fixed_point(_fixed_point_iterate(iter_matrix, rhs), ubar_guess, tol, max_inner)
+    ubar, iterations, norm = fixed_point(iter_matrix, rhs, ubar_guess, tol, max_inner)
     if not norm <= tol:
         raise AdjointDivergenceError(n, iterations, norm, contraction)
     return ubar, iterations, norm, contraction
@@ -223,15 +173,14 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     design_seeds = omega * model.output_design_gradient(states[n_tr:], sigma)
     b_mats = model.jacobian_design(states[1:], sigma, grid.times()[1:])
 
-    # the loop runs on float lists: each step's seed, its M_n^T row-major
-    # for the solve of lambda_n = M_n^{-T} ubar_n, and the lambdas it keeps;
-    # two states take their iteration matrices row-major too
-    solve = float_kernels(d_u).solve
+    # the loop runs on float lists: each step's seed, its M_n^T and its
+    # iteration matrix row-major, and the lambdas it keeps
+    _, solve, fixed_point = float_kernels(d_u)
     seed_rows = seeds.tolist()
     m_transposed = steps.m_mats.transpose(0, 2, 1).reshape(n_total, d_u * d_u).tolist()
     iteration = steps.iteration
-    if d_u == 2 and cfg.inv_dtau != 0.0:
-        iteration = iteration.reshape(n_total, 4).tolist()
+    if cfg.inv_dtau != 0.0:
+        iteration = iteration.reshape(n_total, d_u * d_u).tolist()
     step_contractions = steps.contractions.tolist()
     newton_copy = cfg.inv_dtau == 0.0 and mode is AdjointMode.FIXED_POINT
     # row n: step n's (ubar_n, iterations, residual norm, contraction); row 0 stays zero
@@ -256,7 +205,7 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
             # warm start from the downstream adjoint state
             records[n] = _adjoint_step(
                 n, steps.a_mats[n - 1], steps.m_mats[n - 1], rhs, ubar_n, iteration[n - 1],
-                step_contractions[n - 1], tol, cfg.max_inner, mode)
+                step_contractions[n - 1], tol, cfg.max_inner, mode, fixed_point)
             ubar_n = records[n][0]
         lam[n] = solve(m_transposed[n - 1], ubar_n, n)
     if steps.singular is not None:

@@ -32,6 +32,10 @@ REFERENCE_PERIOD_COUNT = 300.0
 
 NOISE_FLOOR_FACTOR = 100.0
 
+# Relative margin by which a divergence diagnostic's entry must exceed the
+# running maximum of the earlier ones to be flagged as growth.
+GROWTH_MARGIN = 1e-3
+
 
 def windowed_average(outputs, kind: Window, n_tr: int, n_final: int,
                      mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL) -> float:
@@ -113,11 +117,11 @@ def _span_values(series, kinds, n_tr, dt, k_list, period, span_offset, mode):
     in k_list, and per window in kinds, in order, its windowed averages
     over those spans.  Each end step is visited once for all the windows."""
     data = np.asarray(series, dtype=float)
+    if data.ndim != 1:
+        raise ValueError("outputs must be a one-dimensional series")
     if period is None:
         period, _ = estimate_period(data, n_tr, dt)
     ks, ends, realized = _end_steps(k_list, n_tr, dt, period, span_offset, data.size)
-    if data.ndim != 1:
-        raise ValueError("outputs must be a one-dimensional series")
     per_end = [_windowed_sums(data, kinds, n_tr, int(end), mode) for end in ends]
     values = [np.array(column, dtype=float) for column in zip(*per_end)]
     return data, period, ks, ends, realized, values
@@ -209,14 +213,13 @@ def endpoint_shift_robustness(sensitivity_fn, kind: Window, n_tr: int,
 def divergence_diagnostic(series, kinds, n_tr: int, dt: float, k_list,
                           period: float | None = None,
                           span_offset: float = DEFAULT_SPAN_OFFSET,
-                          growth_margin: float = 1e-3,
                           mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL,
                           ) -> list[DivergenceDiagnostic]:
     """Windowed values over growing spans without any convergence claim,
     one diagnostic per window in kinds, in order.
 
     An entry is flagged when its magnitude exceeds the running maximum of
-    all earlier entries by more than the growth margin, the signature of a
+    all earlier entries by more than GROWTH_MARGIN, the signature of a
     diverging windowed quantity.  The diagnostics share their span arrays.
     """
     kinds = tuple(kinds)
@@ -228,7 +231,7 @@ def divergence_diagnostic(series, kinds, n_tr: int, dt: float, k_list,
         running = abs(kind_values[0])
         for i in range(1, ks.size):
             magnitude = abs(kind_values[i])
-            flags[i] = magnitude > running * (1.0 + growth_margin)
+            flags[i] = magnitude > running * (1.0 + GROWTH_MARGIN)
             running = max(running, magnitude)
         diagnostics.append(DivergenceDiagnostic(
             kind=kind, requested_k=ks, end_steps=ends, values=kind_values,

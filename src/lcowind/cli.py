@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .adjoint import AdjointMode, adjoint_sweep
@@ -32,7 +33,7 @@ from .errors import ConfigError, LcoError, PeriodUndetectableError
 from .models import (AnalyticSignal, AnalyticSignalModel, DesignVector,
                      ForcedOscillator, OutputKind, VanDerPol)
 from .optim import DesignProblem, optimize
-from .primal import PseudoTimeConfig, TimeGrid, estimate_period, float_kernels, simulate
+from .primal import PseudoTimeConfig, TimeGrid, _vector_norm, estimate_period, simulate
 from .tangent import tangent_sweep, windowed_tangent_sensitivity
 from .windows import NormalizationMode, Window, discrete_weights
 
@@ -367,11 +368,10 @@ def _cmd_adjoint(cfg: RunConfig, outdir: Path):
     header = (["step", "time", "adjoint_norm", "seed_norm",
                "inner_iterations", "residual_norm", "contraction"]
               + [f"running_derivative_{i}" for i in range(n_design)])
-    norm = float_kernels(cfg.model.d_u).norm
     adjoint_rows, seed_rows = sweep.adjoint_states.tolist(), sweep.seeds.tolist()
     rows = []
     for n in range(traj.n_steps + 1):
-        rows.append([n, times[n], norm(adjoint_rows[n]), norm(seed_rows[n]),
+        rows.append([n, times[n], _vector_norm(adjoint_rows[n]), _vector_norm(seed_rows[n]),
                      sweep.inner_iterations[n], sweep.residual_norms[n],
                      sweep.contraction_estimates[n],
                      *sweep.running_design_derivative[n]])
@@ -593,7 +593,7 @@ def main(argv=None) -> int:
                     "lcowind": __version__,
                     "python": sys.version.split()[0],
                     "numpy": np.__version__,
-                    "scipy": _scipy_version(),
+                    "scipy": scipy.__version__,
                 },
                 "wall_time_s": time.perf_counter() - started,
                 "timestamp_utc": datetime.now(timezone.utc).isoformat(),
@@ -614,11 +614,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         _report_error(exc, 4)
         return 4
-
-
-def _scipy_version() -> str:
-    import scipy
-    return scipy.__version__
 
 
 _ERROR_FIELDS = ("step", "iterations", "residual_norm", "floor", "contraction",

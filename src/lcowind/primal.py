@@ -4,7 +4,9 @@ Each physical step solves the extended residual equation R*(u^n) = 0 by
 implicit-Euler pseudo-time smoothing of the linearized update; an infinite
 pseudo-time step reduces the update to a plain Newton step.  The first
 physical step is bootstrapped with BDF1 since no second history level
-exists yet.
+exists yet.  The float kernels of each state size live here too, the
+adjoint's fixed-point loop among them, so float_kernels alone chooses by
+size.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from math import sqrt
-from operator import sub
+from operator import mul, sub
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -173,21 +175,16 @@ def _solve2(entries, rhs, step=None) -> list[float]:
     return [(b1 - a12 * x2) / a11, x2]
 
 
-def _norm2(r) -> float:
-    """The 2-norm sqrt(r0 r0 + r1 r1)."""
-    r0, r1 = r
-    return math.sqrt(r0 * r0 + r1 * r1)
-
-
 def _solve_arrays(entries, rhs, step=None) -> list[float]:
     d_u = len(rhs)
     return solve_step(np.array(entries).reshape(d_u, d_u), np.array(rhs), step).tolist()
 
 
-def _norm_arrays(r) -> float:
+def _vector_norm(r) -> float:
     """The 2-norm of a vector of any length, its squares summed left to
-    right from 0.0.  The loop is written out: sum() compensates float sums
-    from Python 3.12 on, which would round otherwise than _norm2."""
+    right from 0.0.  For two entries that is sqrt(r0 r0 + r1 r1), as a
+    square is never -0.0.  The loop is written out: sum() compensates float
+    sums from Python 3.12 on, which would round otherwise."""
     square = 0.0
     for x in r:
         square += x * x
@@ -212,12 +209,12 @@ def _step(model, jacobian, sigma, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau,
     beta_u_nm1, delta_u_nm2 = [beta * x for x in u_nm1], [delta * x for x in u_nm2]
     u = list(u_nm1)
     residual = _extended_residual(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
-    norm = _norm_arrays(residual)
+    norm = _vector_norm(residual)
     its = 0
     while norm > tol and its < max_inner:
         u = _update(u, jacobian(u, sigma, t), residual, alpha, inv_dtau, n)
         residual = _extended_residual(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
-        norm = _norm_arrays(residual)
+        norm = _vector_norm(residual)
         its += 1
     return u, its, norm
 
@@ -225,7 +222,7 @@ def _step(model, jacobian, sigma, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau,
 def _step2(model, jacobian, sigma, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau, tol,
            max_inner, n):
     """_step of two states on local floats, with the extended residual,
-    _step_entries, _solve2 and _norm2 written out in their order.  The
+    _step_entries, _solve2 and _vector_norm written out in their order.  The
     model's residual and the Jacobian reader are called once per
     evaluation, with the iterate as a float list."""
     residual = model.residual
@@ -271,7 +268,53 @@ def _roundoff_floor(model, u, sigma, t, alpha, beta, delta, u_nm1, u_nm2) -> flo
     not be met.  One more residual evaluation, taken only for the error."""
     terms = [abs(alpha * x) + abs(r) + abs(beta * y) + abs(delta * z)
              for x, r, y, z in zip(u, model.residual(u, sigma, t), u_nm1, u_nm2)]
-    return math.ulp(1.0) * _norm_arrays(terms)
+    return math.ulp(1.0) * _vector_norm(terms)
+
+
+def _fixed_point(rows, rhs, ubar, tol, max_inner):
+    """The fixed-point loop of one adjoint step, for the iteration matrix's
+    row-major entries rows: from the float list ubar, iterate ubar <- V ubar
+    + rhs until the norm of the change is at most tol, exceeds both 1 and
+    ten times the previous change's norm, or max_inner iterates ran.  Row i
+    of the iterate is (v_i0 x0 + v_i1 x1 + ...) + r_i, its products summed
+    left to right from the first, and the change's norm is _vector_norm's.
+    Returns (ubar as a float list, iterations, the last change's norm)."""
+    d_u = len(rhs)
+    matrix = [rows[i:i + d_u] for i in range(0, d_u * d_u, d_u)]
+    previous = None  # the change norm of the previous iterate
+    for iteration in range(1, max_inner + 1):
+        updated = []
+        for row, r in zip(matrix, rhs):
+            products = map(mul, row, ubar)
+            y = next(products)
+            for product in products:
+                y += product
+            updated.append(y + r)
+        norm = _vector_norm(list(map(sub, updated, ubar)))
+        ubar = updated
+        if norm <= tol or norm > 1.0 and previous is not None and norm > previous * 10.0:
+            break
+        previous = norm
+    return ubar, iteration, norm
+
+
+def _fixed_point2(rows, rhs, ubar, tol, max_inner):
+    """_fixed_point of two states on local floats: row i of the iterate is
+    (v_i0 x0 + v_i1 x1) + r_i, and its change's norm sqrt(c0 c0 + c1 c1)."""
+    v00, v01, v10, v11 = rows
+    r0, r1 = rhs
+    x0, x1 = ubar
+    previous = None
+    for iteration in range(1, max_inner + 1):
+        y0 = (v00 * x0 + v01 * x1) + r0
+        y1 = (v10 * x0 + v11 * x1) + r1
+        c0, c1 = y0 - x0, y1 - x1
+        norm = sqrt(c0 * c0 + c1 * c1)
+        x0, x1 = y0, y1
+        if norm <= tol or norm > 1.0 and previous is not None and norm > previous * 10.0:
+            break
+        previous = norm
+    return [x0, x1], iteration, norm
 
 
 class FloatKernels(NamedTuple):
@@ -279,23 +322,26 @@ class FloatKernels(NamedTuple):
 
     step takes the arguments of _step and runs one physical step's whole
     inner iteration; solve takes a step matrix's row-major entries, the
-    right-hand side and the step; norm takes a vector.
+    right-hand side and the step; fixed_point takes the arguments of
+    _fixed_point and runs one adjoint step's whole fixed-point loop.
     """
 
     step: Callable
     solve: Callable
-    norm: Callable
+    fixed_point: Callable
 
 
-# two states, every model in lcowind: the physical step written out
-_TWO_STATE_KERNELS = FloatKernels(_step2, _solve2, _norm2)
-_ARRAY_KERNELS = FloatKernels(_step, _solve_arrays, _norm_arrays)
+# two states, every model in lcowind: the physical step and the adjoint's
+# fixed-point loop written out
+_TWO_STATE_KERNELS = FloatKernels(_step2, _solve2, _fixed_point2)
+_ARRAY_KERNELS = FloatKernels(_step, _solve_arrays, _fixed_point)
 
 
 def float_kernels(d_u) -> FloatKernels:
-    """The kernels of a step system of size d_u.  Two states solve on
-    Python floats; any other size goes through dgesv.  Every size takes
-    its norms on Python floats."""
+    """The kernels of a step system of size d_u, the one place that chooses
+    by size.  Two states solve on Python floats; any other size goes
+    through dgesv.  Every size takes its norms and its fixed-point iterates
+    on Python floats, in the same stated order."""
     return _TWO_STATE_KERNELS if d_u == 2 else _ARRAY_KERNELS
 
 

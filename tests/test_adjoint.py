@@ -12,7 +12,7 @@ from lcowind.analysis import windowed_average
 from lcowind.errors import AdjointDivergenceError, SingularStepError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
                             OutputKind, VanDerPol)
-from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate
+from lcowind.primal import PseudoTimeConfig, TimeGrid, float_kernels, simulate
 from lcowind.tangent import tangent_sweep, windowed_tangent_sensitivity
 from lcowind.windows import NormalizationMode, Window, discrete_weights
 
@@ -235,13 +235,15 @@ def test_adjoint_step_reproduces_the_sweeps_state(dtau, mode):
         # without calling _adjoint_step
         ubar, iterations, norm, contraction = list(rhs), 1, 0.0, 0.0
     else:
-        # two states take the iteration matrix as row-major floats
+        # the iteration matrix goes in as row-major floats, with the
+        # kernel of the model's state size
         iter_matrix = steps.iteration[n - 1] if math.isinf(dtau) \
             else steps.iteration[n - 1].ravel().tolist()
         ubar, iterations, norm, contraction = _adjoint_step(
             n, steps.a_mats[n - 1], steps.m_mats[n - 1], rhs,
             sweep.adjoint_states[n + 1].tolist(), iter_matrix,
-            float(steps.contractions[n - 1]), cfg.tol, cfg.max_inner, mode)
+            float(steps.contractions[n - 1]), cfg.tol, cfg.max_inner, mode,
+            float_kernels(model.d_u).fixed_point)
     assert isinstance(ubar, list) and len(ubar) == model.d_u
     assert np.array_equal(np.array(ubar), sweep.adjoint_states[n]) and any(ubar)
     assert (iterations, norm, contraction) == (sweep.inner_iterations[n],
@@ -339,11 +341,11 @@ def test_singular_step_matrices_raise_with_step():
     # (a_mat, m_mat, iter_matrix, mode): the Newton-limit direct solve and
     # the finite-dtau direct solve
     cases = [(a_singular, a_singular, None, AdjointMode.DIRECT),
-             (a_singular, a_singular + np.eye(2), np.eye(2), AdjointMode.DIRECT)]
+             (a_singular, a_singular + np.eye(2), [1.0, 0.0, 0.0, 1.0], AdjointMode.DIRECT)]
     for a_mat, m_mat, iter_matrix, mode in cases:
         with pytest.raises(SingularStepError) as excinfo:
             _adjoint_step(7, a_mat, m_mat, rhs, [0.0, 0.0], iter_matrix, 0.5, 1e-12,
-                          50, mode)
+                          50, mode, float_kernels(2).fixed_point)
         assert excinfo.value.step == 7
 
     # the iteration matrix's M_n solve, batched over steps 1..8 with M_3 and

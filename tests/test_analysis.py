@@ -206,6 +206,18 @@ def test_study_input_validation():
                 study(series, [Window.HANN], N_TR, DT, [2, 1e300], period=PERIOD, **extra)
 
 
+@pytest.mark.parametrize("period", [None, PERIOD], ids=["estimated", "given"])
+@pytest.mark.parametrize("study", [convergence_study, divergence_diagnostic])
+def test_studies_reject_a_series_of_columns(study, period):
+    # without a period, a series of two columns once reached estimate_period
+    # before the shape check and raised numpy's broadcast error there
+    series = signal_series(8)
+    extra = {"reference": MEAN} if study is convergence_study else {}
+    with pytest.raises(ValueError, match="one-dimensional"):
+        study(np.stack([series, series], 1), [Window.HANN], N_TR, DT, [2, 4], period=period,
+              **extra)
+
+
 @pytest.mark.parametrize("k_list", [[0, 1], [-2, 4], [np.nan, 4], [2, np.inf]],
                          ids=["zero", "negative", "nan", "inf"])
 @pytest.mark.parametrize("study", [convergence_study, divergence_diagnostic])

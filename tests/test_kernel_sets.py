@@ -3,16 +3,15 @@
 The march runs a physical step of two states in one written-out kernel,
 _step2, and the fixed-point adjoint iterates a two-state step in
 _fixed_point2; every other size runs _step, a loop over _extended_residual,
-_update and _norm_arrays, and the loop _fixed_point over one iterate
-function.  Here each sweep runs twice, once through the two-state kernels
-and once through the any-size ones, and the two must agree in every bit:
-every array, and on failure the error's type, message and fields.
+_update and _vector_norm, and the any-size loop _fixed_point.  Here each
+sweep runs twice, once through the two-state kernels and once through the
+any-size ones, and the two must agree in every bit: every array, and on
+failure the error's type, message and fields.
 
 The any-size kernels solve through dgesv, which rounds a 2x2 system
 otherwise than the stated order, so the any-size run solves with _solve2.
-Their iterate is numpy's matmul, which rounds a 2x2 product otherwise
-too, so the any-size loop iterates the stated order, (v_i0 x0 + v_i1 x1) +
-r_i, transcribed here.
+Both fixed-point loops iterate in the stated order, so that one is the
+any-size kernel itself.
 """
 
 import math
@@ -23,7 +22,7 @@ import pytest
 from test_kernels import same_bits
 from test_primal import LinearModel
 
-from lcowind import adjoint, primal
+from lcowind import primal
 from lcowind.adjoint import AdjointMode, adjoint_sweep
 from lcowind.errors import (AdjointDivergenceError, LcoError, SingularStepError,
                             StepConvergenceError)
@@ -60,16 +59,6 @@ def any_size_kernels(monkeypatch):
     monkeypatch.setattr(primal, "_solve_arrays", _solve2)
     monkeypatch.setattr(primal, "_TWO_STATE_KERNELS",
                         primal._ARRAY_KERNELS._replace(solve=_solve2))
-
-    def fixed_point(rows, rhs, ubar, tol, max_inner):
-        v00, v01, v10, v11 = rows
-        r0, r1 = rhs
-
-        def iterate(x):
-            updated = [(v00 * x[0] + v01 * x[1]) + r0, (v10 * x[0] + v11 * x[1]) + r1]
-            return updated, primal._norm_arrays([updated[0] - x[0], updated[1] - x[1]])
-        return adjoint._fixed_point(iterate, ubar, tol, max_inner)
-    monkeypatch.setattr(adjoint, "_fixed_point2", fixed_point)
 
 
 def outcome(run):

@@ -268,11 +268,11 @@ def test_march_does_not_write_the_models_jacobian(dtau):
 
 # --- the float step kernels ---------------------------------------------
 #
-# The march, the tangent and the adjoint's fixed-point loop do their 2x2
+# The march, the tangent and the adjoint's fixed-point loop do their small
 # linear algebra on Python floats, each operation one IEEE rounding with no
-# fused multiply-add, in the order README states: the solve (_solve2), the
-# norm (_norm2, and for every other size _norm_arrays) and the fixed-point
-# iterate (one iterate of _fixed_point2).  Each is pinned to its stated
+# fused multiply-add, in the order README states: the solve (_solve2), and
+# for every size the norm (_vector_norm) and the fixed-point iterate (one
+# iterate of float_kernels(d_u).fixed_point).  Each is pinned to its stated
 # formula twice: evaluated in exact rational arithmetic rounded once per
 # operation, which does not depend on the machine, and, to reach NaN,
 # infinities, signed zeros and subnormals, on numpy float64 scalars.  The
@@ -287,8 +287,7 @@ from fractions import Fraction
 from scipy.linalg.lapack import dgesv
 
 from lcowind import primal
-from lcowind.adjoint import _fixed_point2, _fixed_point_iterate
-from lcowind.primal import _norm2, _solve2, float_kernels, step_coefficients, step_matrices
+from lcowind.primal import _solve2, float_kernels, step_coefficients, step_matrices
 
 N_KERNEL_DRAWS = 3000
 NAN, INF = math.nan, math.inf
@@ -447,31 +446,39 @@ def norm_float64(r):
 @pytest.mark.parametrize("size", [1, 2, 3])
 @np.errstate(all="ignore")
 def test_norms_follow_the_stated_order(size):
-    norm = float_kernels(size).norm
+    norm = primal._vector_norm
     rng = np.random.default_rng(7411 + size)
     for r in kernel_draws(rng, (N_KERNEL_DRAWS, size)).tolist():
         assert same_float(norm(r), norm_exact(r)), r
-        if size == 2:
-            assert same_float(_norm2(r), primal._norm_arrays(r)), r
     for r in itertools.product(SPECIAL, repeat=size):
         assert same_float(norm(list(r)), norm_float64(r)), r
 
 
 def fixed_point_exact(matrix, rhs, ubar):
-    """The stated 2x2 iterate (v_i0 x0 + v_i1 x1) + r_i and the norm of its
+    """The stated iterate, row i (v_i0 x0 + v_i1 x1 + ...) + r_i with its
+    products summed left to right from the first, and the norm of its
     change, each operation exact and rounded once."""
     x = [Fraction(v) for v in ubar]
-    updated = [rounded(rounded(rounded(Fraction(v0) * x[0]) + rounded(Fraction(v1) * x[1]))
-                       + Fraction(r)) for (v0, v1), r in zip(matrix, rhs)]
+    updated = []
+    for row, r in zip(matrix, rhs):
+        products = [rounded(Fraction(v) * xk) for v, xk in zip(row, x)]
+        y = products[0]
+        for product in products[1:]:
+            y = rounded(y + product)
+        updated.append(rounded(y + Fraction(r)))
     change = [float(rounded(y - v)) for y, v in zip(updated, x)]
     return list(map(float, updated)), norm_exact(change)
 
 
 def fixed_point_float64(matrix, rhs, ubar):
-    x0, x1 = map(np.float64, ubar)
-    updated = [(np.float64(v0) * x0 + np.float64(v1) * x1) + np.float64(r)
-               for (v0, v1), r in zip(matrix, rhs)]
-    return list(map(float, updated)), norm_float64([updated[0] - x0, updated[1] - x1])
+    x = list(map(np.float64, ubar))
+    updated = []
+    for row, r in zip(matrix, rhs):
+        y = np.float64(row[0]) * x[0]
+        for v, xk in zip(row[1:], x[1:]):
+            y = y + np.float64(v) * xk
+        updated.append(y + np.float64(r))
+    return list(map(float, updated)), norm_float64([y - v for y, v in zip(updated, x)])
 
 
 def check_iterate(expected, got, where):
@@ -481,51 +488,53 @@ def check_iterate(expected, got, where):
     assert same_float(norm, want_norm), where
 
 
-def first_iterate2(iter_matrix, rhs, ubar):
-    """The first iterate of _fixed_point2 and its change's norm, from the
+def first_iterates(iter_matrix, rhs, ubar):
+    """The first iterate and its change's norm from the kernel float_kernels
+    gives for the size and from the any-size _fixed_point, each handed the
     row-major entries the sweep hands it: one iterate runs whatever the
     tolerance."""
-    updated, iterations, norm = _fixed_point2(iter_matrix.ravel().tolist(), rhs, ubar,
-                                              0.0, 1)
-    assert iterations == 1
-    return updated, norm
+    for fixed_point in (float_kernels(len(rhs)).fixed_point, primal._fixed_point):
+        updated, iterations, norm = fixed_point(iter_matrix.ravel().tolist(), rhs, ubar,
+                                                0.0, 1)
+        assert iterations == 1
+        yield updated, norm
 
 
 @pytest.mark.parametrize("layout", ["transposed", "contiguous"])
+@pytest.mark.parametrize("size", [1, 2, 3])
 @np.errstate(all="ignore")
-def test_fixed_point_iterate_follows_the_stated_order(layout):
+def test_fixed_point_iterate_follows_the_stated_order(size, layout):
     # iteration_matrices returns transposed views; the sweep hands the
-    # two-state loop their row-major entries, so any layout of a 2x2 matrix
-    # runs the same float iterate
+    # kernels their row-major entries, so any layout runs the same float
+    # iterate.  Two states run _fixed_point2 and every other size the
+    # any-size _fixed_point, which must round two states alike
     def laid_out(matrix):
         return np.ascontiguousarray(matrix.T).T if layout == "transposed" \
             else np.ascontiguousarray(matrix)
 
-    rng = np.random.default_rng(8101)
+    def check(matrix, rhs, ubar, expected):
+        for got in first_iterates(laid_out(matrix), rhs, ubar):
+            check_iterate(expected, got, (matrix.tolist(), rhs, ubar))
+
+    rng = np.random.default_rng(8101 + size)
     for _ in range(N_KERNEL_DRAWS):
-        matrix, rhs, ubar = (kernel_draws(rng, shape, 70.0) for shape in ((2, 2), 2, 2))
-        iter_matrix = laid_out(matrix)
-        assert iter_matrix.flags.f_contiguous == (layout == "transposed")
+        matrix, rhs, ubar = (kernel_draws(rng, shape, 70.0)
+                             for shape in ((size, size), size, size))
+        assert laid_out(matrix).flags.f_contiguous == (layout == "transposed" or size == 1)
         args = (matrix.tolist(), rhs.tolist(), ubar.tolist())
-        check_iterate(fixed_point_exact(*args), first_iterate2(iter_matrix, *args[1:]), args)
-    for entries in itertools.product(SPECIAL[:8], repeat=4):
-        matrix = np.array(entries).reshape(2, 2)
-        for ubar in ([1.0, -2.0], [0.0, -0.0], [-0.0, -0.0], [1e300, 1e-300]):
-            check_iterate(fixed_point_float64(matrix.tolist(), [-0.0, 0.5], ubar),
-                          first_iterate2(laid_out(matrix), [-0.0, 0.5], ubar),
-                          (entries, ubar))
-
-
-@pytest.mark.parametrize("size", [1, 3])
-@np.errstate(all="ignore")
-def test_other_sizes_iterate_through_matmul(size):
-    rng = np.random.default_rng(8200 + size)
-    for _ in range(300):
-        matrix, rhs, ubar = (kernel_draws(rng, shape) for shape in ((size, size), size, size))
-        updated = matrix.T @ ubar + rhs
-        check_iterate((updated.tolist(), primal._norm_arrays((updated - ubar).tolist())),
-                      _fixed_point_iterate(matrix.T, rhs.tolist())(ubar.tolist()),
-                      (matrix, rhs, ubar))
+        check(matrix, *args[1:], fixed_point_exact(*args))
+    # special values: every matrix of the first eight for one and two
+    # states, and draws of them for three; a row of -0.0 products plus
+    # r_i = -0.0 stays -0.0, which a sum started from 0.0 would turn into 0.0
+    matrices = [np.array(entries).reshape(size, size) for entries in
+                (itertools.product(SPECIAL[:8], repeat=size * size) if size < 3
+                 else rng.choice(SPECIAL, (2000, size * size)).tolist())]
+    rhs = [-0.0, 0.5, -0.0][:size]
+    for matrix in matrices:
+        for ubar in ([1.0, -2.0, 3.0], [0.0, -0.0, 0.0], [-0.0] * 3, [1e300, 1e-300, -1e300]):
+            ubar = ubar[:size]
+            check(matrix, rhs, ubar, fixed_point_float64(matrix.tolist(), rhs, ubar))
+    check(np.ones((size, size)), [-0.0] * size, [-0.0] * size, ([-0.0] * size, 0.0))
 
 
 def check_against_dgesv(matrix, rhs):

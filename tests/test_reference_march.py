@@ -4,10 +4,10 @@ The reference builds every matrix where it is used: per inner iterate the
 extended residual in numpy arrays and np.eye shifts; per tangent step the
 output sensitivity g @ udot; per adjoint step one np.linalg.solve for the
 iteration matrix and np.linalg.norm(., 2) for its contraction.  Its 2x2
-solve, its norm and its 2x2 fixed-point product are transcribed here from
-the operation order README states, and systems of other sizes go to
-np.linalg.solve.  The library hoists and batches the same operations and
-runs them on Python floats, so the two must agree exactly, not to a
+solve, its norm and its fixed-point product of every size are transcribed
+here from the operation order README states, and systems of other sizes
+go to np.linalg.solve.  The library hoists and batches the same operations
+and runs them on Python floats, so the two must agree exactly, not to a
 tolerance.
 """
 
@@ -84,13 +84,15 @@ def norm(r):
 
 
 def fixed_point_product(iter_matrix, value, rhs):
-    """iter_matrix @ value + rhs, row i of a 2x2 product as
-    (v_i0 x0 + v_i1 x1) + r_i."""
-    if iter_matrix.shape != (2, 2):
-        return iter_matrix @ value + rhs
-    (v00, v01), (v10, v11) = iter_matrix.tolist()
-    (x0, x1), (r0, r1) = value.tolist(), rhs.tolist()
-    return np.array([(v00 * x0 + v01 * x1) + r0, (v10 * x0 + v11 * x1) + r1])
+    """iter_matrix @ value + rhs, row i as (v_i0 x0 + v_i1 x1 + ...) + r_i,
+    its products summed left to right from the first."""
+    value, updated = value.tolist(), []
+    for row, r in zip(iter_matrix.tolist(), rhs.tolist()):
+        y = row[0] * value[0]
+        for v, x in zip(row[1:], value[1:]):
+            y = y + v * x
+        updated.append(y + r)
+    return np.array(updated)
 
 
 def reference_simulate(model, sigma, grid, cfg):
