@@ -10,13 +10,12 @@ below one whenever the primal inner iteration converged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
 
 import numpy as np
 
-from .errors import AdjointDivergenceError, SingularStepError
+from .errors import SingularStepError
 from .models import check_inputs
-from .primal import (PseudoTimeConfig, Trajectory, float_kernels, solve_step,
+from .primal import (PseudoTimeConfig, Trajectory, _fixed_point, float_kernels, solve_step,
                      step_coefficients, step_matrices)
 from .windows import NamedEnum, NormalizationMode, Window, discrete_weights
 
@@ -101,37 +100,24 @@ def _reverse_steps(model, sigma, traj: Trajectory,
                             singular=exc)
 
 
-def _adjoint_step(n, a_mat, m_mat, rhs, ubar_guess, iter_matrix, contraction, tol,
-                  max_inner, mode, fixed_point):
-    """Solve the adjoint equation of physical step n.
+def _adjoint_step(n, a_mat, m_mat, rhs, iter_matrix):
+    """Solve the direct mode's adjoint equation of physical step n.
 
     a_mat is the step matrix A_n = alpha_n I + dR/du, m_mat the pseudo-time
-    matrix M_n = A_n + inv_dtau I, and rhs, a float list, the step's seed
-    less its downstream coupling.  iter_matrix is the row-major float
-    entries of (I - M_n^{-1} A_n)^T and contraction its 2-norm, from
-    iteration_matrices; iter_matrix is None in the Newton limit.
-    fixed_point is the state size's kernel from float_kernels.  The
-    fixed-point route iterates ubar <- iter_matrix ubar + rhs from the float
-    list ubar_guess until the norm of the change is at most tol; that norm
-    is the one recorded.  In the Newton limit the iteration matrix vanishes
-    at the converged state and that route's ubar_n is rhs itself, which
-    adjoint_sweep copies without calling here.  The direct route solves for
-    the limit M_n^T A_n^{-T} rhs and records the norm of one iterate's
-    change from it.
+    matrix M_n = A_n + inv_dtau I, rhs, a float list, the step's seed less
+    its downstream coupling, and iter_matrix the row-major float entries of
+    (I - M_n^{-1} A_n)^T from iteration_matrices, or None in the Newton
+    limit.  dgesv solves for the fixed-point iteration's limit M_n^T
+    A_n^{-T} rhs, and at a finite dtau the step records the norm of one
+    iterate's change from it, taken by _fixed_point, which rounds every
+    size as the reverse kernels do.
 
-    Returns (ubar_n as a float list, iterations, residual norm,
-    contraction estimate).
+    Returns (ubar_n as a float list, iterations, residual norm).
     """
-    if mode is AdjointMode.DIRECT:
-        ubar = (m_mat.T @ solve_step(a_mat.T, rhs, n)).tolist()
-        if iter_matrix is None:
-            return ubar, 1, 0.0, 0.0
-        return ubar, 0, fixed_point(iter_matrix, rhs, ubar, tol, 1)[2], contraction
-
-    ubar, iterations, norm = fixed_point(iter_matrix, rhs, ubar_guess, tol, max_inner)
-    if not norm <= tol:
-        raise AdjointDivergenceError(n, iterations, norm, contraction)
-    return ubar, iterations, norm, contraction
+    ubar = (m_mat.T @ solve_step(a_mat.T, rhs, n)).tolist()
+    if iter_matrix is None:
+        return ubar, 1, 0.0
+    return ubar, 0, _fixed_point(iter_matrix, rhs, ubar, 0.0, 1)[2]
 
 
 def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
@@ -173,64 +159,52 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     design_seeds = omega * model.output_design_gradient(states[n_tr:], sigma)
     b_mats = model.jacobian_design(states[1:], sigma, grid.times()[1:])
 
-    # the loop runs on float lists: each step's seed, its M_n^T and its
-    # iteration matrix row-major, and the lambdas it keeps
-    _, solve, fixed_point = float_kernels(d_u)
+    # the reverse loop runs on float lists: each step's seed, its M_n^T and
+    # its iteration matrix row-major, and its contraction estimate
     seed_rows = seeds.tolist()
     m_transposed = steps.m_mats.transpose(0, 2, 1).reshape(n_total, d_u * d_u).tolist()
     iteration = steps.iteration
     if cfg.inv_dtau != 0.0:
         iteration = iteration.reshape(n_total, d_u * d_u).tolist()
-    step_contractions = steps.contractions.tolist()
-    newton_copy = cfg.inv_dtau == 0.0 and mode is AdjointMode.FIXED_POINT
-    # row n: step n's (ubar_n, iterations, residual norm, contraction); row 0 stays zero
-    records = [([0.0] * d_u, 0, 0.0, 0.0)] * (n_total + 1)
-    lam = [None] * (n_total + 1)
-    ubar_n = [0.0] * d_u  # the warm start of the last step
+    direct = None
+    if mode is AdjointMode.DIRECT:
+        def direct(n, rhs):
+            return _adjoint_step(n, steps.a_mats[n - 1], steps.m_mats[n - 1], rhs,
+                                 iteration[n - 1])
     # steps n + 1 and n + 2, which step n couples to, are BDF2 steps
     _, beta, delta = step_coefficients(2, dt)
-    for n in range(n_total, last, -1):
-        if n + 2 <= n_total:
-            rhs = [(s - beta * x) - delta * y
-                   for s, x, y in zip(seed_rows[n], lam[n + 1], lam[n + 2])]
-        elif n + 1 <= n_total:
-            rhs = [s - beta * x for s, x in zip(seed_rows[n], lam[n + 1])]
-        else:
-            rhs = seed_rows[n]
-        if newton_copy:
-            # the Newton limit's fixed-point state is its rhs
-            ubar_n = rhs
-            records[n] = rhs, 1, 0.0, 0.0
-        else:
-            # warm start from the downstream adjoint state
-            records[n] = _adjoint_step(
-                n, steps.a_mats[n - 1], steps.m_mats[n - 1], rhs, ubar_n, iteration[n - 1],
-                step_contractions[n - 1], tol, cfg.max_inner, mode, fixed_point)
-            ubar_n = records[n][0]
-        lam[n] = solve(m_transposed[n - 1], ubar_n, n)
+    ubar, inner, norms, lambdas = float_kernels(d_u).reverse(
+        seed_rows, m_transposed, iteration, steps.contractions.tolist(), beta, delta, last,
+        tol, cfg.max_inner, direct)
     if steps.singular is not None:
         raise steps.singular
-    # the loop's float lists go before the design sum builds its own, so the
-    # iteration matrices' rows add nothing to the sweep's peak memory
+    # the loop's float lists go before the design sum builds its arrays, so
+    # the iteration matrices' rows add nothing to the sweep's peak memory
     del iteration, m_transposed, seed_rows
-    ubar, inner, norms, contractions = (np.array(column) for column in zip(*records))
 
     # The design derivative runs back from step N: step n subtracts
     # lambda_n B_n and, from the transient cutoff on, adds its design seed.
-    # The products are one batched matmul, with the bits of one per step;
-    # the sums run on Python floats, from +0.0 as np.zeros starts them.
-    coupling = np.matmul(np.array(lam[1:])[:, None, :], b_mats)[:, 0].tolist()
-    design_rows = design_seeds.tolist()
-    running = [None] * (n_total + 1)
-    total = [0.0] * model.n_design
-    for n in range(n_total, 0, -1):
-        total = list(map(sub, total, coupling[n - 1]))
-        if n >= n_tr:
-            total = list(map(add, total, design_rows[n - n_tr]))
-        running[n] = total
-    running[0] = total  # step 0 carries no constraint and zero weight
-    running = np.array(running)
-    return AdjointSweep(adjoint_states=ubar, seeds=seeds, design_derivative=running[0].copy(),
-                        running_design_derivative=running, inner_iterations=inner,
-                        residual_norms=norms, contraction_estimates=contractions,
+    # The products are one batched matmul, with the bits of one per step.
+    # One accumulate sums, from +0.0, a column that interleaves minus each
+    # step's product with its design seed, or -0.0 before the cutoff.  a - b
+    # is a + (-b) in IEEE arithmetic, x + (-0.0) is x, and accumulate adds
+    # in sequence, so every sum rounds as a loop on Python floats would; only
+    # a NaN product comes out with its sign bit flipped, which no output
+    # shows.
+    n_design = model.n_design
+    coupling = np.matmul(np.array(lambdas).reshape(n_total, 1, d_u), b_mats)[:, 0]
+    terms = np.full((2 * n_total + 1, n_design), -0.0)
+    terms[0] = 0.0
+    terms[1::2] = -coupling[::-1]
+    seeded = n_total - max(n_tr, 1) + 1  # steps N down to max(n_tr, 1)
+    terms[2:2 * seeded + 1:2] = design_seeds[::-1][:seeded]
+    with np.errstate(all="ignore"):
+        tail = np.add.accumulate(terms, axis=0)[:0:-2]  # the sums after steps 1..N
+    # step 0 carries no constraint and zero weight
+    running = np.concatenate((tail[:1], tail))
+    return AdjointSweep(adjoint_states=np.array(ubar).reshape(n_total + 1, d_u), seeds=seeds,
+                        design_derivative=running[0].copy(),
+                        running_design_derivative=running, inner_iterations=np.array(inner),
+                        residual_norms=np.array(norms),
+                        contraction_estimates=np.concatenate(([0.0], steps.contractions)),
                         steps=steps)

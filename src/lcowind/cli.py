@@ -228,9 +228,11 @@ class RunConfig:
         if self.design.n_design != self.model.n_design:
             raise ConfigError(f"design has {self.design.n_design} values but the "
                               f"model expects {self.model.n_design}")
-        # a design outside the model's domain fails here, not mid-run
+        # a design outside the model's domain fails here, not mid-run; the
+        # state goes in as floats, as the march passes it, so an overflow
+        # gives inf or nan without a numpy warning
         with _blame("[design] values"):
-            self.model.residual(self.model.initial_state(self.design.values),
+            self.model.residual(self.model.initial_state(self.design.values).tolist(),
                                 self.design.values)
         with _blame("[grid]"):
             self.grid = TimeGrid(**self._fields(TimeGrid))

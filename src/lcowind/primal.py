@@ -5,8 +5,7 @@ implicit-Euler pseudo-time smoothing of the linearized update; an infinite
 pseudo-time step reduces the update to a plain Newton step.  The first
 physical step is bootstrapped with BDF1 since no second history level
 exists yet.  The float kernels of each state size live here too, the
-adjoint's fixed-point loop among them, so float_kernels alone chooses by
-size.
+adjoint's reverse loop among them, so float_kernels alone chooses by size.
 """
 from __future__ import annotations
 
@@ -20,8 +19,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dgesv
 
-from .errors import (InvalidSpanError, PeriodUndetectableError, SingularStepError,
-                     StepConvergenceError)
+from .errors import (AdjointDivergenceError, InvalidSpanError, PeriodUndetectableError,
+                     SingularStepError, StepConvergenceError)
 from .models import check_inputs, jacobian_entries_of
 
 __all__ = [
@@ -147,7 +146,9 @@ def step_matrices(model, sigma, traj: Trajectory) -> np.ndarray:
     n = 1..N, stacked with shape (N, d_u, d_u); entry n - 1 is step n."""
     dt, d_u = traj.grid.dt, model.d_u
     steps = range(1, traj.n_steps + 1)
-    alphas = np.array([step_coefficients(n, dt)[0] for n in steps])
+    # step 1 is BDF1, every later step BDF2
+    alphas = np.full(traj.n_steps, step_coefficients(2, dt)[0])
+    alphas[0] = step_coefficients(1, dt)[0]
     jacobian = jacobian_entries_of(model)
     jacobians = np.array([jacobian(u, sigma, n * dt)
                           for n, u in zip(steps, traj.states[1:].tolist())])
@@ -298,23 +299,123 @@ def _fixed_point(rows, rhs, ubar, tol, max_inner):
     return ubar, iteration, norm
 
 
-def _fixed_point2(rows, rhs, ubar, tol, max_inner):
-    """_fixed_point of two states on local floats: row i of the iterate is
-    (v_i0 x0 + v_i1 x1) + r_i, and its change's norm sqrt(c0 c0 + c1 c1)."""
-    v00, v01, v10, v11 = rows
-    r0, r1 = rhs
-    x0, x1 = ubar
-    previous = None
-    for iteration in range(1, max_inner + 1):
-        y0 = (v00 * x0 + v01 * x1) + r0
-        y1 = (v10 * x0 + v11 * x1) + r1
-        c0, c1 = y0 - x0, y1 - x1
-        norm = sqrt(c0 * c0 + c1 * c1)
-        x0, x1 = y0, y1
-        if norm <= tol or norm > 1.0 and previous is not None and norm > previous * 10.0:
-            break
-        previous = norm
-    return [x0, x1], iteration, norm
+def _reverse(seeds, m_rows, iteration, contractions, beta, delta, last, tol, max_inner,
+             direct):
+    """The reverse loop of one adjoint sweep, on float lists, for steps n
+    from N = len(m_rows) down to last + 1.
+
+    seeds holds step n's seed at row n; entry n - 1 of m_rows holds the
+    row-major entries of M_n^T, of iteration those of step n's iteration
+    matrix (I - M_n^{-1} A_n)^T, or None in the Newton limit, and of
+    contractions its contraction estimate; beta and delta are the BDF2
+    coefficients that couple step n to steps n + 1 and n + 2.  Each step
+    forms its right-hand side (s - beta lambda_{n+1}) - delta lambda_{n+2},
+    leaving out the terms of steps beyond N, and sets ubar_n: through
+    direct(n, rhs), the direct mode's step, if given; else as rhs itself in
+    the Newton limit, with one iteration and a zero norm; else by
+    _fixed_point warm-started from ubar_{n+1}, raising
+    AdjointDivergenceError unless its norm is at most tol.  It keeps
+    lambda_n = M_n^{-T} ubar_n, solved by _solve_arrays, for the two
+    earlier steps.
+
+    Returns (ubar, iterations, norms, lambdas): ubar row-major with a zero
+    row 0, the iterations and norms per step with step 0's zero, and
+    lambda_n row-major at row n - 1, each a flat list.
+    """
+    n_total, d_u = len(m_rows), len(seeds[0])
+    ubar = [0.0] * (d_u * (n_total + 1))
+    inner = [0] * (n_total + 1)
+    norms = [0.0] * (n_total + 1)
+    lambdas = [0.0] * (d_u * n_total)
+    ubar_n = [0.0] * d_u  # the warm start of the last step
+    lam1 = lam2 = None  # lambda_{n+1} and lambda_{n+2}
+    for n in range(n_total, last, -1):
+        if n + 2 <= n_total:
+            rhs = [(s - beta * x) - delta * y for s, x, y in zip(seeds[n], lam1, lam2)]
+        elif n + 1 <= n_total:
+            rhs = [s - beta * x for s, x in zip(seeds[n], lam1)]
+        else:
+            rhs = seeds[n]
+        rows = iteration[n - 1]
+        if direct is not None:
+            ubar_n, inner[n], norms[n] = direct(n, rhs)
+        elif rows is None:
+            ubar_n, inner[n] = rhs, 1
+        else:
+            ubar_n, its, norm = _fixed_point(rows, rhs, ubar_n, tol, max_inner)
+            if not norm <= tol:
+                raise AdjointDivergenceError(n, its, norm, contractions[n - 1])
+            inner[n], norms[n] = its, norm
+        lam1, lam2 = _solve_arrays(m_rows[n - 1], ubar_n, n), lam1
+        ubar[n * d_u:(n + 1) * d_u] = ubar_n
+        lambdas[(n - 1) * d_u:n * d_u] = lam1
+    return ubar, inner, norms, lambdas
+
+
+def _reverse2(seeds, m_rows, iteration, contractions, beta, delta, last, tol, max_inner,
+              direct):
+    """_reverse of two states on local floats, with the right-hand side,
+    _fixed_point and _solve2 written out in their order: row i of a
+    fixed-point iterate is (v_i0 x0 + v_i1 x1) + r_i, and its change's norm
+    sqrt(c0 c0 + c1 c1).  ubar_{n+1}, lambda_{n+1} and lambda_{n+2} stay
+    local floats from one step to the next."""
+    n_total = len(m_rows)
+    ubar = [0.0] * (2 * n_total + 2)
+    inner = [0] * (n_total + 1)
+    norms = [0.0] * (n_total + 1)
+    lambdas = [0.0] * (2 * n_total)
+    x0 = x1 = 0.0  # the warm start of the last step
+    p0 = p1 = q0 = q1 = 0.0  # lambda_{n+1} and lambda_{n+2}
+    for n in range(n_total, last, -1):
+        s0, s1 = seeds[n]
+        if n + 2 <= n_total:
+            r0 = (s0 - beta * p0) - delta * q0
+            r1 = (s1 - beta * p1) - delta * q1
+        elif n + 1 <= n_total:
+            r0 = s0 - beta * p0
+            r1 = s1 - beta * p1
+        else:
+            r0, r1 = s0, s1
+        rows = iteration[n - 1]
+        if direct is not None:
+            (x0, x1), its, norm = direct(n, [r0, r1])
+        elif rows is None:
+            x0, x1, its, norm = r0, r1, 1, 0.0
+        else:
+            v00, v01, v10, v11 = rows
+            previous = None  # the change norm of the previous iterate
+            for its in range(1, max_inner + 1):
+                y0 = (v00 * x0 + v01 * x1) + r0
+                y1 = (v10 * x0 + v11 * x1) + r1
+                c0, c1 = y0 - x0, y1 - x1
+                norm = sqrt(c0 * c0 + c1 * c1)
+                x0, x1 = y0, y1
+                if norm <= tol or norm > 1.0 and previous is not None and norm > previous * 10.0:
+                    break
+                previous = norm
+            if not norm <= tol:
+                raise AdjointDivergenceError(n, its, norm, contractions[n - 1])
+        a11, a12, a21, a22 = m_rows[n - 1]
+        b1, b2 = x0, x1
+        if abs(a21) > abs(a11):
+            a11, a12, a21, a22, b1, b2 = a21, a22, a11, a12, b2, b1
+        if a11 == 0.0:
+            raise SingularStepError(n)
+        l = a21 / a11
+        u22 = a22 - l * a12
+        if u22 == 0.0:
+            raise SingularStepError(n)
+        q0, q1 = p0, p1
+        p1 = (b2 - l * b1) / u22
+        p0 = (b1 - a12 * p1) / a11
+        i = 2 * n
+        ubar[i] = x0
+        ubar[i + 1] = x1
+        lambdas[i - 2] = p0
+        lambdas[i - 1] = p1
+        inner[n] = its
+        norms[n] = norm
+    return ubar, inner, norms, lambdas
 
 
 class FloatKernels(NamedTuple):
@@ -322,19 +423,19 @@ class FloatKernels(NamedTuple):
 
     step takes the arguments of _step and runs one physical step's whole
     inner iteration; solve takes a step matrix's row-major entries, the
-    right-hand side and the step; fixed_point takes the arguments of
-    _fixed_point and runs one adjoint step's whole fixed-point loop.
+    right-hand side and the step; reverse takes the arguments of _reverse
+    and runs one adjoint sweep's whole reverse loop.
     """
 
     step: Callable
     solve: Callable
-    fixed_point: Callable
+    reverse: Callable
 
 
 # two states, every model in lcowind: the physical step and the adjoint's
-# fixed-point loop written out
-_TWO_STATE_KERNELS = FloatKernels(_step2, _solve2, _fixed_point2)
-_ARRAY_KERNELS = FloatKernels(_step, _solve_arrays, _fixed_point)
+# reverse loop written out
+_TWO_STATE_KERNELS = FloatKernels(_step2, _solve2, _reverse2)
+_ARRAY_KERNELS = FloatKernels(_step, _solve_arrays, _reverse)
 
 
 def float_kernels(d_u) -> FloatKernels:

@@ -1,6 +1,7 @@
 """Tests for the discrete adjoint sweep and its diagnostics."""
 
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -12,7 +13,7 @@ from lcowind.analysis import windowed_average
 from lcowind.errors import AdjointDivergenceError, SingularStepError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
                             OutputKind, VanDerPol)
-from lcowind.primal import PseudoTimeConfig, TimeGrid, float_kernels, simulate
+from lcowind.primal import PseudoTimeConfig, TimeGrid, _fixed_point, float_kernels, simulate
 from lcowind.tangent import tangent_sweep, windowed_tangent_sensitivity
 from lcowind.windows import NormalizationMode, Window, discrete_weights
 
@@ -223,27 +224,28 @@ def test_growing_fixed_point_raises_before_the_budget():
 def test_adjoint_step_reproduces_the_sweeps_state(dtau, mode):
     # the window's zero weight at the last step leaves its adjoint state
     # zero, so the step before it couples to nothing: its rhs is its seed,
-    # and the sweep warm-starts it from the last step's state
+    # and the fixed-point mode warm-starts it from the last step's state
     cfg = PseudoTimeConfig(dtau=dtau, tol=1e-12, max_inner=200)
     model, sigma, traj = make_vdp_setup(n_steps=80, n_transient=20, cfg=cfg)
     sweep = adjoint_sweep(model, sigma, traj, Window.HANN, cfg=cfg, mode=mode)
     assert not sweep.adjoint_states[-1].any()
     n, steps = traj.n_steps - 1, sweep.steps
     rhs = sweep.seeds[n].tolist()
-    if math.isinf(dtau) and mode is AdjointMode.FIXED_POINT:
-        # the sweep copies the Newton limit's fixed-point state, its rhs,
-        # without calling _adjoint_step
-        ubar, iterations, norm, contraction = list(rhs), 1, 0.0, 0.0
+    # the iteration matrix goes in as row-major floats
+    iter_matrix = steps.iteration[n - 1] if math.isinf(dtau) \
+        else steps.iteration[n - 1].ravel().tolist()
+    if mode is AdjointMode.DIRECT:
+        ubar, iterations, norm = _adjoint_step(n, steps.a_mats[n - 1], steps.m_mats[n - 1],
+                                               rhs, iter_matrix)
+    elif math.isinf(dtau):
+        # the reverse kernel copies the Newton limit's fixed-point state, its rhs
+        ubar, iterations, norm = list(rhs), 1, 0.0
     else:
-        # the iteration matrix goes in as row-major floats, with the
-        # kernel of the model's state size
-        iter_matrix = steps.iteration[n - 1] if math.isinf(dtau) \
-            else steps.iteration[n - 1].ravel().tolist()
-        ubar, iterations, norm, contraction = _adjoint_step(
-            n, steps.a_mats[n - 1], steps.m_mats[n - 1], rhs,
-            sweep.adjoint_states[n + 1].tolist(), iter_matrix,
-            float(steps.contractions[n - 1]), cfg.tol, cfg.max_inner, mode,
-            float_kernels(model.d_u).fixed_point)
+        # the reverse kernel's fixed-point loop rounds as the any-size one
+        ubar, iterations, norm = _fixed_point(iter_matrix, rhs,
+                                              sweep.adjoint_states[n + 1].tolist(), cfg.tol,
+                                              cfg.max_inner)
+    contraction = 0.0 if math.isinf(dtau) else steps.contractions[n - 1]
     assert isinstance(ubar, list) and len(ubar) == model.d_u
     assert np.array_equal(np.array(ubar), sweep.adjoint_states[n]) and any(ubar)
     assert (iterations, norm, contraction) == (sweep.inner_iterations[n],
@@ -261,6 +263,94 @@ def test_running_derivative_terminates_at_total():
     # tail sums change monotonically in index only where seeds are active;
     # the pre-transient entries still move through the design Jacobian term
     assert sweep.running_design_derivative.shape == (81, 1)
+
+
+@dataclass(frozen=True)
+class ThreeDesignVanDerPol(VanDerPol):
+    """Van der Pol with three design variables, of which only mu moves the
+    state: the design Jacobian's second column is signed zeros and its third
+    holds -inf and +inf at two interior steps, and the output's design
+    gradient is 0.0, -0.0, and x with -inf and +inf in two interior rows of
+    the stack, whose endpoint rows the window weighs zero.  The first row's
+    -0.0 is NaN instead, which a zero weight keeps: the transient cutoff's
+    design seed is NaN."""
+
+    n_design = 3
+
+    def jacobian_design(self, u, sigma, t=0.0):
+        jac = np.zeros(np.shape(u) + (3,))
+        jac[..., 0] = super().jacobian_design(u, sigma, t)[..., 0]
+        jac[..., 0, 1] = -0.0
+        jac[..., 1, 1] = np.where(u[..., 0] > 0.0, 0.0, -0.0)
+        jac[..., 1, 2] = 0.25
+        count = len(jac)
+        jac[count // 3, 0, 2] = -math.inf
+        jac[count // 2, 1, 2] = math.inf
+        return jac
+
+    def output_design_gradient(self, u, sigma):
+        grad = np.zeros(np.shape(u)[:-1] + (3,))
+        grad[..., 1] = -0.0
+        grad[0, 1] = math.nan
+        grad[..., 2] = u[..., 0]
+        count = len(grad)
+        grad[count // 4, 2] = -math.inf
+        grad[count // 2 + 1, 2] = math.inf
+        return grad
+
+
+def same_sums(got, expected):
+    """Equal bits, signed zeros and infinities included; a NaN must be NaN
+    on both sides, its sign bit not pinned."""
+    nan = np.isnan(expected)
+    return (got.shape == expected.shape and np.array_equal(np.isnan(got), nan)
+            and np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, expected).tobytes())
+
+
+@pytest.mark.parametrize("n_transient", [0, 1, 50])
+def test_running_derivative_is_the_tail_sum_loop(n_transient):
+    # the sweep sums its design derivative in one accumulate; a loop on
+    # Python floats from +0.0 over steps N..1, each step subtracting
+    # lambda_n B_n and, from the cutoff on, adding its design seed, must
+    # give the same bits.  Step 0's design seed is never added.
+    model = ThreeDesignVanDerPol(output=OutputKind.FIRST_STATE_SQUARED)
+    sigma = np.array([1.0, 0.5, -2.0])
+    grid = TimeGrid(dt=0.05, n_steps=120, n_transient=n_transient)
+    traj = simulate(model, sigma, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweep = adjoint_sweep(model, sigma, traj, Window.HANN)
+        n_total = grid.n_steps
+        solve = float_kernels(model.d_u).solve
+        lam = [solve(sweep.steps.m_mats[n - 1].T.ravel().tolist(),
+                     sweep.adjoint_states[n].tolist(), n) for n in range(1, n_total + 1)]
+        coupling = np.matmul(np.array(lam)[:, None, :],
+                             model.jacobian_design(traj.states[1:], sigma,
+                                                   grid.times()[1:]))[:, 0].tolist()
+    omega = discrete_weights(Window.HANN, n_transient, n_total) / (n_total - n_transient)
+    design_rows = (omega[:, None]
+                   * model.output_design_gradient(traj.states[n_transient:], sigma)).tolist()
+    running = [None] * (n_total + 1)
+    total = [0.0] * 3
+    for n in range(n_total, 0, -1):
+        total = [x - c for x, c in zip(total, coupling[n - 1])]
+        if n >= n_transient:
+            total = [x + d for x, d in zip(total, design_rows[n - n_transient])]
+        running[n] = total
+    running[0] = total
+    running = np.array(running)
+    # the terms reach both signed zeros and both infinities, and the sums
+    # infinities and NaN
+    terms = np.concatenate((coupling, design_rows))
+    assert {math.copysign(1.0, x) for x in terms[:, 1] if x == 0.0} == {-1.0, 1.0}
+    assert {-math.inf, math.inf} <= set(terms[:, 2].tolist())
+    assert np.isinf(running[:, 2]).any() and np.isnan(running[:, 2]).any()
+    # the cutoff's NaN seed reaches the sums from its step down, unless the
+    # cutoff is step 0
+    assert np.isnan(running[:, 1]).tolist() == [n_transient > 0 and n <= n_transient
+                                                 for n in range(n_total + 1)]
+    assert same_sums(sweep.running_design_derivative, running)
+    assert same_sums(sweep.design_derivative, running[0])
 
 
 @dataclass(frozen=True)
@@ -338,14 +428,13 @@ def test_singular_step_matrices_raise_with_step():
 
     a_singular = np.array([[1.0, -1.0], [-1.0, 1.0]])
     rhs = [1.0, 1.0]
-    # (a_mat, m_mat, iter_matrix, mode): the Newton-limit direct solve and
-    # the finite-dtau direct solve
-    cases = [(a_singular, a_singular, None, AdjointMode.DIRECT),
-             (a_singular, a_singular + np.eye(2), [1.0, 0.0, 0.0, 1.0], AdjointMode.DIRECT)]
-    for a_mat, m_mat, iter_matrix, mode in cases:
+    # (a_mat, m_mat, iter_matrix): the Newton-limit direct solve and the
+    # finite-dtau direct solve
+    cases = [(a_singular, a_singular, None),
+             (a_singular, a_singular + np.eye(2), [1.0, 0.0, 0.0, 1.0])]
+    for a_mat, m_mat, iter_matrix in cases:
         with pytest.raises(SingularStepError) as excinfo:
-            _adjoint_step(7, a_mat, m_mat, rhs, [0.0, 0.0], iter_matrix, 0.5, 1e-12,
-                          50, mode, float_kernels(2).fixed_point)
+            _adjoint_step(7, a_mat, m_mat, rhs, iter_matrix)
         assert excinfo.value.step == 7
 
     # the iteration matrix's M_n solve, batched over steps 1..8 with M_3 and

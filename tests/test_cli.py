@@ -716,3 +716,28 @@ def test_module_entry_point_missing_config_exits_2(tmp_path):
     assert record["error"] == "ConfigError" and record["exit_code"] == 2
     # neither the named directory nor a default one was created
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", ["van-der-pol", "forced-oscillator"])
+def test_an_overflowing_design_writes_one_json_line(tmp_path, name):
+    # the design-domain check evaluates the residual at the initial state,
+    # where mu = 1e308 or k = 55 (1 + 1e308) overflows: the march's step 1
+    # stalls on a nan residual, and numpy must print no warning before the
+    # record
+    config = write_config(tmp_path, f"""\
+        [model]
+        name = {name}
+
+        [design]
+        values = 1e308
+
+        [grid]
+        dt = 0.05
+        n_steps = 40
+        """)
+    proc = run_lcowind("simulate", config, "--output-dir", str(tmp_path / "out"),
+                       cwd=tmp_path)
+    assert proc.returncode == 3
+    (line,) = proc.stderr.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "StepConvergenceError" and record["exit_code"] == 3

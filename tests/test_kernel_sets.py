@@ -1,17 +1,17 @@
 """The two-state kernels against the any-size ones, over whole sweeps.
 
 The march runs a physical step of two states in one written-out kernel,
-_step2, and the fixed-point adjoint iterates a two-state step in
-_fixed_point2; every other size runs _step, a loop over _extended_residual,
-_update and _vector_norm, and the any-size loop _fixed_point.  Here each
-sweep runs twice, once through the two-state kernels and once through the
-any-size ones, and the two must agree in every bit: every array, and on
-failure the error's type, message and fields.
+_step2, and the adjoint runs a two-state sweep's whole reverse loop in
+_reverse2; every other size runs _step, a loop over _extended_residual,
+_update and _vector_norm, and the list loop _reverse over _fixed_point and
+the solve.  Here each sweep runs twice, once through the two-state kernels
+and once through the any-size ones, and the two must agree in every bit:
+every array, and on failure the error's type, message and fields.
 
 The any-size kernels solve through dgesv, which rounds a 2x2 system
 otherwise than the stated order, so the any-size run solves with _solve2.
-Both fixed-point loops iterate in the stated order, so that one is the
-any-size kernel itself.
+Both reverse loops iterate their fixed points in the stated order, so that
+loop is the any-size kernel itself.
 """
 
 import math
@@ -55,7 +55,8 @@ BUDGETS = {"default": {}, "unconverged": {"max_inner": 2, "allow_unconverged": T
 
 
 def any_size_kernels(monkeypatch):
-    """Route two-state sweeps through the any-size kernels."""
+    """Route two-state sweeps through the any-size kernels: the march's
+    step and the adjoint's whole reverse loop."""
     monkeypatch.setattr(primal, "_solve_arrays", _solve2)
     monkeypatch.setattr(primal, "_TWO_STATE_KERNELS",
                         primal._ARRAY_KERNELS._replace(solve=_solve2))
@@ -72,16 +73,15 @@ def outcome(run):
         return type(exc), str(exc), repr(sorted(vars(exc).items()))
 
 
-def sweeps(model, sigma, grid, cfg, adjoint_cfg):
-    """The march's arrays and the fixed-point adjoint's over it, at adjoint_cfg."""
+def sweeps(model, sigma, grid, cfg, adjoint_cfg, mode=AdjointMode.FIXED_POINT):
+    """The march's arrays and the adjoint's over it, at adjoint_cfg."""
     def march():
         traj = simulate(model, np.array(sigma), grid, cfg)
         return traj, [traj.states, traj.outputs, traj.inner_iterations, traj.residual_norms,
                       traj.converged]
 
     def reverse():
-        sweep = adjoint_sweep(model, np.array(sigma), traj, Window.HANN, adjoint_cfg,
-                              AdjointMode.FIXED_POINT)
+        sweep = adjoint_sweep(model, np.array(sigma), traj, Window.HANN, adjoint_cfg, mode)
         return [sweep.adjoint_states, sweep.running_design_derivative,
                 sweep.inner_iterations, sweep.residual_norms, sweep.contraction_estimates]
 
@@ -128,6 +128,107 @@ def test_two_state_kernels_diverge_alike(dtau, max_inner, monkeypatch):
     assert two_state[1][0] is AdjointDivergenceError
     any_size_kernels(monkeypatch)
     assert_same(sweeps(GROWING_PAIR, [0.0], grid, PseudoTimeConfig(), adjoint_cfg), two_state)
+
+
+@pytest.mark.parametrize("mode", list(AdjointMode), ids=str)
+@pytest.mark.parametrize("name, dtau", [("stiff-pair", math.inf), ("stiff-pair", 0.3),
+                                        ("singular", 1.0), ("singular", 0.3)],
+                         ids=["stiff-pair-dtau=inf", "stiff-pair-dtau=0.3",
+                              "singular-dtau=1", "singular-dtau=0.3"])
+def test_both_adjoint_modes_reverse_alike(name, dtau, mode, monkeypatch):
+    # the direct mode's steps go through _adjoint_step from either reverse
+    # loop.  The unconverged budget lets the singular model's stalled march
+    # finish, and the adjoint over it stops on a diverging fixed point or,
+    # in the direct mode, on the singular A_1
+    model, sigma, grid = MODELS[name]
+    cfg, adjoint_cfg = PseudoTimeConfig(dtau=dtau, **BUDGETS["unconverged"]), \
+        PseudoTimeConfig(dtau)
+    two_state = sweeps(model, sigma, grid, cfg, adjoint_cfg, mode)
+    assert len(two_state) == 2
+    any_size_kernels(monkeypatch)
+    assert_same(sweeps(model, sigma, grid, cfg, adjoint_cfg, mode), two_state)
+
+
+@pytest.mark.parametrize("mode", list(AdjointMode), ids=str)
+@pytest.mark.parametrize("dtau, stiffness", [(math.inf, -1.0), (4.0, -1.5625)],
+                         ids=["dtau=inf", "dtau=4"])
+def test_two_state_kernels_meet_a_singular_step_alike(dtau, stiffness, mode, monkeypatch):
+    # at dt = 1, k = stiffness and c = 0, M_1 is [[1, -1], [-1, 1]] in the
+    # Newton limit and [[1.25, -1], [-1.5625, 1.25]] at dtau = 4, both
+    # singular, while the BDF2 steps' fixed points contract by 1/2.  The
+    # Newton limit meets M_1 in the loop, where the solve of lambda_1 or, in
+    # the direct mode, dgesv raises; a finite dtau meets it in the batched
+    # build, which stops the loop after step 2
+    grid = TimeGrid(dt=1.0, n_steps=4, n_transient=1)
+    traj = simulate(ForcedOscillator(), np.array([0.0]), grid)
+    model = ForcedOscillator(omega=1.0, stiffness0=stiffness, damping0=0.0)
+
+    def reverse():
+        sweep = adjoint_sweep(model, np.array([0.0]), traj, Window.HANN,
+                              PseudoTimeConfig(dtau), mode)
+        return [sweep.adjoint_states]
+
+    two_state = outcome(reverse)
+    assert two_state[0] is SingularStepError and "'step', 1" in two_state[2]
+    any_size_kernels(monkeypatch)
+    assert outcome(reverse) == two_state
+
+
+def drawn_reverse_inputs(rng, newton):
+    """Arguments of a reverse kernel for two states: seeds with signed
+    zeros, infinities, NaN and subnormals, step matrices with zero entries
+    (zero pivots among them) and pivot ties |a21| = |a11|, and iteration
+    matrices that contract or grow."""
+    n_total = int(rng.integers(1, 9))
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]
+    seeds = rng.normal(size=(n_total + 1, 2))
+    where = rng.random(seeds.shape) < 0.15
+    seeds[where] = rng.choice(special, where.sum())
+    m_rows = rng.normal(size=(n_total, 4))
+    m_rows[rng.random(m_rows.shape) < 0.1] = 0.0
+    ties = rng.random(n_total) < 0.2
+    m_rows[ties, 2] = rng.choice([-1.0, 1.0], ties.sum()) * m_rows[ties, 0]
+    iteration = ([None] * n_total if newton else
+                 (rng.choice([0.2, 0.6, 2.0]) * rng.normal(size=(n_total, 4))).tolist())
+    _, beta, delta = primal.step_coefficients(2, float(rng.choice([0.05, 1.0])))
+    return (seeds.tolist(), m_rows.tolist(), iteration, rng.random(n_total).tolist(), beta,
+            delta, int(rng.integers(0, n_total)), float(rng.choice([1e-12, 1e-6, math.inf])),
+            int(rng.choice([1, 3, 50])))
+
+
+def direct_step(n, rhs):
+    """A stand-in for the direct mode's step, any function of n and rhs."""
+    return [0.5 * rhs[0] - rhs[1], rhs[1] + n], 0, abs(rhs[0])
+
+
+@pytest.mark.parametrize("newton", [True, False], ids=["newton", "fixed-point"])
+@pytest.mark.parametrize("direct", [None, direct_step], ids=["fixed-point-mode", "direct-mode"])
+def test_reverse_kernels_agree_on_drawn_inputs(newton, direct, monkeypatch):
+    # the loop's own arithmetic, away from any model: the right-hand side,
+    # the Newton copy, the fixed-point loop and its divergence rule, the
+    # pivoting solve and its singular cases, and where the loop stops
+    def run(reverse, args):
+        try:
+            with np.errstate(all="ignore"):
+                return [np.array(part) for part in reverse(*args, direct)]
+        except LcoError as exc:
+            return type(exc), str(exc), repr(sorted(vars(exc).items()))
+
+    rng = np.random.default_rng(4111 + 2 * newton + (direct is None))
+    cases = [drawn_reverse_inputs(rng, newton) for _ in range(400)]
+    two_state = [run(primal._reverse2, args) for args in cases]
+    monkeypatch.setattr(primal, "_solve_arrays", _solve2)
+    for args, expected in zip(cases, two_state):
+        got = run(primal._reverse, args)
+        if isinstance(expected, tuple):
+            assert got == expected, args
+        else:
+            assert all(map(same_bits, got, expected)), args
+    # the draws reach finished loops and, without the direct mode's
+    # stand-in, every error
+    outcomes = {result[0] if isinstance(result, tuple) else list for result in two_state}
+    assert list in outcomes and SingularStepError in outcomes
+    assert (AdjointDivergenceError in outcomes) == (direct is None and not newton)
 
 
 def test_the_cases_reach_every_outcome():

@@ -268,15 +268,16 @@ def test_march_does_not_write_the_models_jacobian(dtau):
 
 # --- the float step kernels ---------------------------------------------
 #
-# The march, the tangent and the adjoint's fixed-point loop do their small
+# The march, the tangent and the adjoint's reverse loop do their small
 # linear algebra on Python floats, each operation one IEEE rounding with no
 # fused multiply-add, in the order README states: the solve (_solve2), and
 # for every size the norm (_vector_norm) and the fixed-point iterate (one
-# iterate of float_kernels(d_u).fixed_point).  Each is pinned to its stated
-# formula twice: evaluated in exact rational arithmetic rounded once per
-# operation, which does not depend on the machine, and, to reach NaN,
-# infinities, signed zeros and subnormals, on numpy float64 scalars.  The
-# two-state march step is pinned to the general step.  The solve is
+# iterate of _fixed_point).  Each is pinned to its stated formula twice:
+# evaluated in exact rational arithmetic rounded once per operation, which
+# does not depend on the machine, and, to reach NaN, infinities, signed
+# zeros and subnormals, on numpy float64 scalars.  The two-state march step
+# is pinned to the general step here, and the two-state reverse loop to
+# the general one in tests/test_kernel_sets.py.  The solve is
 # also held to LAPACK dgesv's accuracy and to its singular cases.  Other
 # sizes solve through dgesv itself, which the last tests of this section
 # pin.  A NaN result must be NaN on both sides; its sign bit is not pinned.
@@ -488,16 +489,14 @@ def check_iterate(expected, got, where):
     assert same_float(norm, want_norm), where
 
 
-def first_iterates(iter_matrix, rhs, ubar):
-    """The first iterate and its change's norm from the kernel float_kernels
-    gives for the size and from the any-size _fixed_point, each handed the
+def first_iterate(iter_matrix, rhs, ubar):
+    """The first iterate of _fixed_point and its change's norm, handed the
     row-major entries the sweep hands it: one iterate runs whatever the
     tolerance."""
-    for fixed_point in (float_kernels(len(rhs)).fixed_point, primal._fixed_point):
-        updated, iterations, norm = fixed_point(iter_matrix.ravel().tolist(), rhs, ubar,
-                                                0.0, 1)
-        assert iterations == 1
-        yield updated, norm
+    updated, iterations, norm = primal._fixed_point(iter_matrix.ravel().tolist(), rhs, ubar,
+                                                    0.0, 1)
+    assert iterations == 1
+    return updated, norm
 
 
 @pytest.mark.parametrize("layout", ["transposed", "contiguous"])
@@ -506,15 +505,14 @@ def first_iterates(iter_matrix, rhs, ubar):
 def test_fixed_point_iterate_follows_the_stated_order(size, layout):
     # iteration_matrices returns transposed views; the sweep hands the
     # kernels their row-major entries, so any layout runs the same float
-    # iterate.  Two states run _fixed_point2 and every other size the
-    # any-size _fixed_point, which must round two states alike
+    # iterate
     def laid_out(matrix):
         return np.ascontiguousarray(matrix.T).T if layout == "transposed" \
             else np.ascontiguousarray(matrix)
 
     def check(matrix, rhs, ubar, expected):
-        for got in first_iterates(laid_out(matrix), rhs, ubar):
-            check_iterate(expected, got, (matrix.tolist(), rhs, ubar))
+        check_iterate(expected, first_iterate(laid_out(matrix), rhs, ubar),
+                      (matrix.tolist(), rhs, ubar))
 
     rng = np.random.default_rng(8101 + size)
     for _ in range(N_KERNEL_DRAWS):
