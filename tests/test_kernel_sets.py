@@ -103,16 +103,18 @@ def assert_same(got, expected):
             assert got_part == expected_part
 
 
+@pytest.mark.parametrize("mode", list(AdjointMode), ids=str)
 @pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("dtau", [math.inf, 1.0, 0.3], ids=["dtau=inf", "dtau=1", "dtau=0.3"])
 @pytest.mark.parametrize("name", MODELS)
-def test_two_state_kernels_equal_the_any_size_ones(name, dtau, budget, monkeypatch):
+def test_two_state_kernels_equal_the_any_size_ones(name, dtau, budget, mode, monkeypatch):
     model, sigma, grid = MODELS[name]
-    # the adjoint keeps the default budget, so unconverged marches are swept too
+    # the adjoint keeps the default budget, so unconverged marches are swept
+    # too; the direct mode's steps go through _adjoint_step from either loop
     cfg, adjoint_cfg = PseudoTimeConfig(dtau=dtau, **BUDGETS[budget]), PseudoTimeConfig(dtau)
-    two_state = sweeps(model, sigma, grid, cfg, adjoint_cfg)
+    two_state = sweeps(model, sigma, grid, cfg, adjoint_cfg, mode)
     any_size_kernels(monkeypatch)
-    assert_same(sweeps(model, sigma, grid, cfg, adjoint_cfg), two_state)
+    assert_same(sweeps(model, sigma, grid, cfg, adjoint_cfg, mode), two_state)
 
 
 @pytest.mark.parametrize("dtau, max_inner", [(0.2, 40), (1.0 / 9.4, 40), (0.2, 3)],
@@ -128,25 +130,6 @@ def test_two_state_kernels_diverge_alike(dtau, max_inner, monkeypatch):
     assert two_state[1][0] is AdjointDivergenceError
     any_size_kernels(monkeypatch)
     assert_same(sweeps(GROWING_PAIR, [0.0], grid, PseudoTimeConfig(), adjoint_cfg), two_state)
-
-
-@pytest.mark.parametrize("mode", list(AdjointMode), ids=str)
-@pytest.mark.parametrize("name, dtau", [("stiff-pair", math.inf), ("stiff-pair", 0.3),
-                                        ("singular", 1.0), ("singular", 0.3)],
-                         ids=["stiff-pair-dtau=inf", "stiff-pair-dtau=0.3",
-                              "singular-dtau=1", "singular-dtau=0.3"])
-def test_both_adjoint_modes_reverse_alike(name, dtau, mode, monkeypatch):
-    # the direct mode's steps go through _adjoint_step from either reverse
-    # loop.  The unconverged budget lets the singular model's stalled march
-    # finish, and the adjoint over it stops on a diverging fixed point or,
-    # in the direct mode, on the singular A_1
-    model, sigma, grid = MODELS[name]
-    cfg, adjoint_cfg = PseudoTimeConfig(dtau=dtau, **BUDGETS["unconverged"]), \
-        PseudoTimeConfig(dtau)
-    two_state = sweeps(model, sigma, grid, cfg, adjoint_cfg, mode)
-    assert len(two_state) == 2
-    any_size_kernels(monkeypatch)
-    assert_same(sweeps(model, sigma, grid, cfg, adjoint_cfg, mode), two_state)
 
 
 @pytest.mark.parametrize("mode", list(AdjointMode), ids=str)

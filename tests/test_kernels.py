@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from lcowind.errors import SingularStepError
+from lcowind.errors import AdjointDivergenceError, SingularStepError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
                             OutputKind, VanDerPol)
 from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate, solve_step
@@ -272,7 +272,8 @@ def test_march_does_not_write_the_models_jacobian(dtau):
 # linear algebra on Python floats, each operation one IEEE rounding with no
 # fused multiply-add, in the order README states: the solve (_solve2), and
 # for every size the norm (_vector_norm) and the fixed-point iterate (one
-# iterate of _fixed_point).  Each is pinned to its stated formula twice:
+# iterate of _fixed_point, and for two states of the reverse loop
+# _reverse2).  Each is pinned to its stated formula twice:
 # evaluated in exact rational arithmetic rounded once per operation, which
 # does not depend on the machine, and, to reach NaN, infinities, signed
 # zeros and subnormals, on numpy float64 scalars.  The two-state march step
@@ -499,20 +500,46 @@ def first_iterate(iter_matrix, rhs, ubar):
     return updated, norm
 
 
+def reverse_iterate(iter_matrix, rhs, ubar):
+    """The first iterate of the two-state reverse loop, _reverse2, and its
+    change's norm, or None and the norm where a NaN norm stops the loop.
+    Step 2 copies its seed ubar in the Newton limit, and step 1 iterates
+    once from it.  M_2 = diag(sign ubar) makes lambda_2 = |ubar|, so with
+    beta = 0 step 1's right-hand side is rhs itself."""
+    m_2 = [math.copysign(1.0, ubar[0]), 0.0, 0.0, math.copysign(1.0, ubar[1])]
+    try:
+        states, iterations, norms, _ = primal._reverse2(
+            [[0.0, 0.0], rhs, ubar], [[1.0, 0.0, 0.0, 1.0], m_2],
+            [iter_matrix.ravel().tolist(), None], [0.0, 0.0], 0.0, 0.0, 0, INF, 1, None)
+    except AdjointDivergenceError as exc:
+        assert (exc.step, exc.iterations) == (1, 1)
+        return None, exc.residual_norm
+    assert iterations[1] == 1
+    return states[2:4], norms[1]
+
+
 @pytest.mark.parametrize("layout", ["transposed", "contiguous"])
 @pytest.mark.parametrize("size", [1, 2, 3])
 @np.errstate(all="ignore")
 def test_fixed_point_iterate_follows_the_stated_order(size, layout):
     # iteration_matrices returns transposed views; the sweep hands the
     # kernels their row-major entries, so any layout runs the same float
-    # iterate
+    # iterate.  Two states also run it inside _reverse2, the loop every
+    # model here uses, where a NaN norm stops the loop before its iterate
+    # is kept
     def laid_out(matrix):
         return np.ascontiguousarray(matrix.T).T if layout == "transposed" \
             else np.ascontiguousarray(matrix)
 
     def check(matrix, rhs, ubar, expected):
-        check_iterate(expected, first_iterate(laid_out(matrix), rhs, ubar),
-                      (matrix.tolist(), rhs, ubar))
+        where = (matrix.tolist(), rhs, ubar)
+        check_iterate(expected, first_iterate(laid_out(matrix), rhs, ubar), where)
+        if size == 2:
+            updated, norm = reverse_iterate(laid_out(matrix), rhs, ubar)
+            if updated is None:
+                assert math.isnan(norm) and math.isnan(expected[1]), where
+            else:
+                check_iterate(expected, (updated, norm), where)
 
     rng = np.random.default_rng(8101 + size)
     for _ in range(N_KERNEL_DRAWS):
