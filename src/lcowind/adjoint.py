@@ -4,8 +4,10 @@ The adjoint variables satisfy a backward recurrence whose per-step equation
 can be solved either by the same pseudo-time fixed-point iteration the
 primal uses (transposed), or by a direct dense solve of the equivalent
 linear system.  Both give identical design derivatives; the fixed-point
-route additionally reports its contraction factor per step, which stays
-below one whenever the primal inner iteration converged.
+route additionally reports per step the 2-norm of its iteration matrix as
+a contraction estimate.  That norm bounds the iteration's spectral radius
+from above, so it can exceed one at a step whose iteration still
+converges, as the primal's inner iteration did there.
 """
 from __future__ import annotations
 
@@ -13,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularStepError
 from .models import check_inputs
-from .primal import (PseudoTimeConfig, Trajectory, _fixed_point, float_kernels, solve_step,
-                     step_coefficients, step_matrices)
+from .primal import (PseudoTimeConfig, Trajectory, float_kernels, solve_step, step_coefficients,
+                     step_matrices)
 from .windows import NamedEnum, NormalizationMode, Window, discrete_weights
 
-__all__ = ["AdjointMode", "AdjointSweep", "ReverseSteps", "adjoint_sweep",
-           "iteration_matrices"]
+__all__ = ["AdjointMode", "AdjointSweep", "ReverseSteps", "adjoint_sweep"]
 
 
 class AdjointMode(NamedEnum, label="adjoint mode"):
@@ -33,22 +33,16 @@ class ReverseSteps:
     """Every step's matrices of one trajectory, built before a reverse sweep.
 
     Entry n - 1 belongs to physical step n: the step matrix A_n = alpha_n I
-    + dR/du, the pseudo-time matrix M_n = A_n + inv_dtau I and, at finite
-    dtau, the fixed-point iteration matrix (I - M_n^{-1} A_n)^T with its
-    2-norm, the step's contraction estimate.  In the Newton limit the
-    iteration matrix vanishes at the converged state: its entries are None
-    and the contractions zero.
-
-    singular is the SingularStepError of the latest step whose M_n is
-    singular, if any; a sweep raises it on reaching that step, so a failure
-    at a later step, which the sweep meets first, still wins.
+    + dR/du, the pseudo-time matrix M_n = A_n + inv_dtau I and the step's
+    contraction estimate, the 2-norm inv_dtau / sigma_min(M_n) of the
+    fixed-point iteration matrix (I - M_n^{-1} A_n)^T = inv_dtau M_n^{-T}:
+    zero in the Newton limit, and inf where M_n is singular, a step the
+    sweep raises SingularStepError on when it reaches it.
     """
 
     a_mats: np.ndarray
     m_mats: np.ndarray
-    iteration: np.ndarray | list
     contractions: np.ndarray
-    singular: SingularStepError | None = None
 
 
 @dataclass
@@ -65,59 +59,28 @@ class AdjointSweep:
     steps: ReverseSteps               # reusable by another sweep over the trajectory
 
 
-def iteration_matrices(a_mats, m_mats):
-    """Fixed-point iteration matrices (I - M_n^{-1} A_n)^T of the stacked
-    steps n = 1..N and their 2-norms, the steps' contraction estimates.
-
-    A singular M_n raises SingularStepError naming the latest such step,
-    the first one a reverse sweep meets.
-    """
-    try:
-        solved = np.linalg.solve(m_mats, a_mats)
-    except np.linalg.LinAlgError:
-        for n in range(len(m_mats), 0, -1):
-            solve_step(m_mats[n - 1], a_mats[n - 1], n)
-        raise
-    iteration = np.swapaxes(np.eye(a_mats.shape[-1]) - solved, 1, 2)
-    return iteration, np.linalg.norm(iteration, 2, axis=(1, 2))
-
-
 def _reverse_steps(model, sigma, traj: Trajectory,
                    cfg: PseudoTimeConfig) -> ReverseSteps:
-    """Build the matrices of every step of traj for a reverse sweep."""
+    """Build the matrices of every step of traj for a reverse sweep, and
+    their contraction estimates from one batched SVD."""
     a_mats = step_matrices(model, sigma, traj)
-    identity = np.eye(model.d_u)
-    m_mats = a_mats + cfg.inv_dtau * identity
+    m_mats = a_mats + cfg.inv_dtau * np.eye(model.d_u)
     if cfg.inv_dtau == 0.0:
-        return ReverseSteps(a_mats, m_mats, [None] * len(a_mats), np.zeros(len(a_mats)))
-    try:
-        return ReverseSteps(a_mats, m_mats, *iteration_matrices(a_mats, m_mats))
-    except SingularStepError as exc:
-        # the sweep stops at exc.step; a regular M_n below it changes nothing
-        regular = m_mats.copy()
-        regular[:exc.step] = identity
-        return ReverseSteps(a_mats, m_mats, *iteration_matrices(a_mats, regular),
-                            singular=exc)
+        return ReverseSteps(a_mats, m_mats, np.zeros(len(a_mats)))
+    with np.errstate(divide="ignore"):
+        contractions = cfg.inv_dtau / np.linalg.svd(m_mats, compute_uv=False)[:, -1]
+    return ReverseSteps(a_mats, m_mats, contractions)
 
 
-def _adjoint_step(n, a_mat, m_mat, rhs, iter_matrix):
+def _adjoint_step(n, a_mat, m_mat, rhs):
     """Solve the direct mode's adjoint equation of physical step n.
 
     a_mat is the step matrix A_n = alpha_n I + dR/du, m_mat the pseudo-time
-    matrix M_n = A_n + inv_dtau I, rhs, a float list, the step's seed less
-    its downstream coupling, and iter_matrix the row-major float entries of
-    (I - M_n^{-1} A_n)^T from iteration_matrices, or None in the Newton
-    limit.  dgesv solves for the fixed-point iteration's limit M_n^T
-    A_n^{-T} rhs, and at a finite dtau the step records the norm of one
-    iterate's change from it, taken by _fixed_point, which rounds every
-    size as the reverse kernels do.
-
-    Returns (ubar_n as a float list, iterations, residual norm).
+    matrix M_n = A_n + inv_dtau I and rhs, a float list, the step's seed
+    less its downstream coupling.  dgesv solves for the fixed-point
+    iteration's limit M_n^T A_n^{-T} rhs, returned as a float list.
     """
-    ubar = (m_mat.T @ solve_step(a_mat.T, rhs, n)).tolist()
-    if iter_matrix is None:
-        return ubar, 1, 0.0
-    return ubar, 0, _fixed_point(iter_matrix, rhs, ubar, 0.0, 1)[2]
+    return (m_mat.T @ solve_step(a_mat.T, rhs, n)).tolist()
 
 
 def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
@@ -151,7 +114,6 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     states = traj.states
     if steps is None:
         steps = _reverse_steps(model, sigma, traj, cfg)
-    last = 0 if steps.singular is None else steps.singular.step
 
     omega = (discrete_weights(kind, n_tr, n_total, normalization) / (n_total - n_tr))[:, None]
     seeds = np.zeros((n_total + 1, d_u))
@@ -159,28 +121,21 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     design_seeds = omega * model.output_design_gradient(states[n_tr:], sigma)
     b_mats = model.jacobian_design(states[1:], sigma, grid.times()[1:])
 
-    # the reverse loop runs on float lists: each step's seed, its M_n^T and
-    # its iteration matrix row-major, and its contraction estimate
+    # the reverse loop runs on float lists: each step's seed, its M_n^T
+    # row-major, and its contraction estimate
     seed_rows = seeds.tolist()
     m_transposed = steps.m_mats.transpose(0, 2, 1).reshape(n_total, d_u * d_u).tolist()
-    iteration = steps.iteration
-    if cfg.inv_dtau != 0.0:
-        iteration = iteration.reshape(n_total, d_u * d_u).tolist()
     direct = None
     if mode is AdjointMode.DIRECT:
         def direct(n, rhs):
-            return _adjoint_step(n, steps.a_mats[n - 1], steps.m_mats[n - 1], rhs,
-                                 iteration[n - 1])
+            return _adjoint_step(n, steps.a_mats[n - 1], steps.m_mats[n - 1], rhs)
     # steps n + 1 and n + 2, which step n couples to, are BDF2 steps
     _, beta, delta = step_coefficients(2, dt)
     ubar, inner, norms, lambdas = float_kernels(d_u).reverse(
-        seed_rows, m_transposed, iteration, steps.contractions.tolist(), beta, delta, last,
-        tol, cfg.max_inner, direct)
-    if steps.singular is not None:
-        raise steps.singular
-    # the loop's float lists go before the design sum builds its arrays, so
-    # the iteration matrices' rows add nothing to the sweep's peak memory
-    del iteration, m_transposed, seed_rows
+        seed_rows, m_transposed, steps.contractions.tolist(), cfg.inv_dtau, beta, delta, tol,
+        cfg.max_inner, direct)
+    # the loop's float lists go before the design sum builds its arrays
+    del m_transposed, seed_rows
 
     # The design derivative runs back from step N: step n subtracts
     # lambda_n B_n and, from the transient cutoff on, adds its design seed.

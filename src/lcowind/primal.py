@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from math import sqrt
-from operator import mul, sub
+from operator import sub
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -272,51 +272,30 @@ def _roundoff_floor(model, u, sigma, t, alpha, beta, delta, u_nm1, u_nm2) -> flo
     return math.ulp(1.0) * _vector_norm(terms)
 
 
-def _fixed_point(rows, rhs, ubar, tol, max_inner):
-    """The fixed-point loop of one adjoint step, for the iteration matrix's
-    row-major entries rows: from the float list ubar, iterate ubar <- V ubar
-    + rhs until the norm of the change is at most tol, exceeds both 1 and
-    ten times the previous change's norm, or max_inner iterates ran.  Row i
-    of the iterate is (v_i0 x0 + v_i1 x1 + ...) + r_i, its products summed
-    left to right from the first, and the change's norm is _vector_norm's.
-    Returns (ubar as a float list, iterations, the last change's norm)."""
-    d_u = len(rhs)
-    matrix = [rows[i:i + d_u] for i in range(0, d_u * d_u, d_u)]
-    previous = None  # the change norm of the previous iterate
-    for iteration in range(1, max_inner + 1):
-        updated = []
-        for row, r in zip(matrix, rhs):
-            products = map(mul, row, ubar)
-            y = next(products)
-            for product in products:
-                y += product
-            updated.append(y + r)
-        norm = _vector_norm(list(map(sub, updated, ubar)))
-        ubar = updated
-        if norm <= tol or norm > 1.0 and previous is not None and norm > previous * 10.0:
-            break
-        previous = norm
-    return ubar, iteration, norm
-
-
-def _reverse(seeds, m_rows, iteration, contractions, beta, delta, last, tol, max_inner,
-             direct):
+def _reverse(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner, direct):
     """The reverse loop of one adjoint sweep, on float lists, for steps n
-    from N = len(m_rows) down to last + 1.
+    from N = len(m_rows) down to 1.
 
     seeds holds step n's seed at row n; entry n - 1 of m_rows holds the
-    row-major entries of M_n^T, of iteration those of step n's iteration
-    matrix (I - M_n^{-1} A_n)^T, or None in the Newton limit, and of
-    contractions its contraction estimate; beta and delta are the BDF2
+    row-major entries of M_n^T and of contractions step n's contraction
+    estimate; inv_dtau is 1/dtau, and beta and delta are the BDF2
     coefficients that couple step n to steps n + 1 and n + 2.  Each step
     forms its right-hand side (s - beta lambda_{n+1}) - delta lambda_{n+2},
     leaving out the terms of steps beyond N, and sets ubar_n: through
     direct(n, rhs), the direct mode's step, if given; else as rhs itself in
-    the Newton limit, with one iteration and a zero norm; else by
-    _fixed_point warm-started from ubar_{n+1}, raising
-    AdjointDivergenceError unless its norm is at most tol.  It keeps
-    lambda_n = M_n^{-T} ubar_n, solved by _solve_arrays, for the two
-    earlier steps.
+    the Newton limit; else by the fixed-point loop warm-started from
+    ubar_{n+1}.  M_n - A_n = I/dtau makes the iteration matrix (I - M_n^{-1}
+    A_n)^T equal to inv_dtau M_n^{-T}, so from lambda = M_n^{-T} ubar each
+    iterate is ubar <- rhs + inv_dtau lambda, row i r_i + inv_dtau lambda_i,
+    followed by the solve of the new lambda.  The loop stops when the norm
+    of the change is at most tol, exceeds both 1 and ten times the previous
+    change's norm, or max_inner iterates ran, and raises
+    AdjointDivergenceError unless that norm is at most tol.  The Newton
+    limit records one iteration and a zero norm; the direct mode at a finite
+    dtau records no iteration and the norm of one iterate's change from its
+    ubar_n.  Every lambda_n = M_n^{-T} ubar_n is solved by _solve_arrays,
+    which raises SingularStepError at the first step whose M_n is singular,
+    and kept for the two earlier steps.
 
     Returns (ubar, iterations, norms, lambdas): ubar row-major with a zero
     row 0, the iterations and norms per step with step 0's zero, and
@@ -327,46 +306,63 @@ def _reverse(seeds, m_rows, iteration, contractions, beta, delta, last, tol, max
     inner = [0] * (n_total + 1)
     norms = [0.0] * (n_total + 1)
     lambdas = [0.0] * (d_u * n_total)
+    iterate = direct is None and inv_dtau != 0.0
     ubar_n = [0.0] * d_u  # the warm start of the last step
     lam1 = lam2 = None  # lambda_{n+1} and lambda_{n+2}
-    for n in range(n_total, last, -1):
+    for n in range(n_total, 0, -1):
         if n + 2 <= n_total:
             rhs = [(s - beta * x) - delta * y for s, x, y in zip(seeds[n], lam1, lam2)]
         elif n + 1 <= n_total:
             rhs = [s - beta * x for s, x in zip(seeds[n], lam1)]
         else:
             rhs = seeds[n]
-        rows = iteration[n - 1]
+        entries = m_rows[n - 1]
         if direct is not None:
-            ubar_n, inner[n], norms[n] = direct(n, rhs)
-        elif rows is None:
-            ubar_n, inner[n] = rhs, 1
-        else:
-            ubar_n, its, norm = _fixed_point(rows, rhs, ubar_n, tol, max_inner)
+            ubar_n = direct(n, rhs)
+        elif not iterate:
+            ubar_n = rhs
+        lam = _solve_arrays(entries, ubar_n, n)
+        if iterate:
+            previous = None  # the change norm of the previous iterate
+            for its in range(1, max_inner + 1):
+                updated = [r + inv_dtau * x for r, x in zip(rhs, lam)]
+                norm = _vector_norm(list(map(sub, updated, ubar_n)))
+                ubar_n = updated
+                lam = _solve_arrays(entries, ubar_n, n)
+                if norm <= tol or norm > 1.0 and previous is not None and norm > previous * 10.0:
+                    break
+                previous = norm
             if not norm <= tol:
                 raise AdjointDivergenceError(n, its, norm, contractions[n - 1])
-            inner[n], norms[n] = its, norm
-        lam1, lam2 = _solve_arrays(m_rows[n - 1], ubar_n, n), lam1
+        elif inv_dtau == 0.0:
+            its, norm = 1, 0.0
+        else:  # the direct mode at a finite dtau: one iterate's change
+            its = 0
+            norm = _vector_norm([(r + inv_dtau * x) - u for r, x, u in zip(rhs, lam, ubar_n)])
+        inner[n], norms[n] = its, norm
+        lam1, lam2 = lam, lam1
         ubar[n * d_u:(n + 1) * d_u] = ubar_n
-        lambdas[(n - 1) * d_u:n * d_u] = lam1
+        lambdas[(n - 1) * d_u:n * d_u] = lam
     return ubar, inner, norms, lambdas
 
 
-def _reverse2(seeds, m_rows, iteration, contractions, beta, delta, last, tol, max_inner,
-              direct):
+def _reverse2(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner, direct):
     """_reverse of two states on local floats, with the right-hand side,
-    _fixed_point and _solve2 written out in their order: row i of a
-    fixed-point iterate is (v_i0 x0 + v_i1 x1) + r_i, and its change's norm
-    sqrt(c0 c0 + c1 c1).  ubar_{n+1}, lambda_{n+1} and lambda_{n+2} stay
-    local floats from one step to the next."""
+    the iterate and _solve2 written out in their order: each step factors
+    M_n^T once, the row swap, l and u22 with their zero tests, and solves
+    every lambda from those factors.  Row i of a fixed-point iterate is
+    r_i + inv_dtau lambda_i, and its change's norm sqrt(c0 c0 + c1 c1).
+    ubar_{n+1}, lambda_{n+1} and lambda_{n+2} stay local floats from one
+    step to the next."""
     n_total = len(m_rows)
     ubar = [0.0] * (2 * n_total + 2)
     inner = [0] * (n_total + 1)
     norms = [0.0] * (n_total + 1)
     lambdas = [0.0] * (2 * n_total)
+    iterate = direct is None and inv_dtau != 0.0
     x0 = x1 = 0.0  # the warm start of the last step
     p0 = p1 = q0 = q1 = 0.0  # lambda_{n+1} and lambda_{n+2}
-    for n in range(n_total, last, -1):
+    for n in range(n_total, 0, -1):
         s0, s1 = seeds[n]
         if n + 2 <= n_total:
             r0 = (s0 - beta * p0) - delta * q0
@@ -376,38 +372,46 @@ def _reverse2(seeds, m_rows, iteration, contractions, beta, delta, last, tol, ma
             r1 = s1 - beta * p1
         else:
             r0, r1 = s0, s1
-        rows = iteration[n - 1]
-        if direct is not None:
-            (x0, x1), its, norm = direct(n, [r0, r1])
-        elif rows is None:
-            x0, x1, its, norm = r0, r1, 1, 0.0
-        else:
-            v00, v01, v10, v11 = rows
-            previous = None  # the change norm of the previous iterate
-            for its in range(1, max_inner + 1):
-                y0 = (v00 * x0 + v01 * x1) + r0
-                y1 = (v10 * x0 + v11 * x1) + r1
-                c0, c1 = y0 - x0, y1 - x1
-                norm = sqrt(c0 * c0 + c1 * c1)
-                x0, x1 = y0, y1
-                if norm <= tol or norm > 1.0 and previous is not None and norm > previous * 10.0:
-                    break
-                previous = norm
-            if not norm <= tol:
-                raise AdjointDivergenceError(n, its, norm, contractions[n - 1])
         a11, a12, a21, a22 = m_rows[n - 1]
-        b1, b2 = x0, x1
-        if abs(a21) > abs(a11):
-            a11, a12, a21, a22, b1, b2 = a21, a22, a11, a12, b2, b1
+        swap = abs(a21) > abs(a11)
+        if swap:
+            a11, a12, a21, a22 = a21, a22, a11, a12
         if a11 == 0.0:
             raise SingularStepError(n)
         l = a21 / a11
         u22 = a22 - l * a12
         if u22 == 0.0:
             raise SingularStepError(n)
+        if direct is not None:
+            x0, x1 = direct(n, [r0, r1])
+        elif not iterate:
+            x0, x1 = r0, r1
         q0, q1 = p0, p1
+        b1, b2 = (x1, x0) if swap else (x0, x1)
         p1 = (b2 - l * b1) / u22
         p0 = (b1 - a12 * p1) / a11
+        if iterate:
+            previous = None  # the change norm of the previous iterate
+            for its in range(1, max_inner + 1):
+                y0 = r0 + inv_dtau * p0
+                y1 = r1 + inv_dtau * p1
+                c0, c1 = y0 - x0, y1 - x1
+                norm = sqrt(c0 * c0 + c1 * c1)
+                x0, x1 = y0, y1
+                b1, b2 = (x1, x0) if swap else (x0, x1)
+                p1 = (b2 - l * b1) / u22
+                p0 = (b1 - a12 * p1) / a11
+                if norm <= tol or norm > 1.0 and previous is not None and norm > previous * 10.0:
+                    break
+                previous = norm
+            if not norm <= tol:
+                raise AdjointDivergenceError(n, its, norm, contractions[n - 1])
+        elif inv_dtau == 0.0:
+            its, norm = 1, 0.0
+        else:  # the direct mode at a finite dtau: one iterate's change
+            c0 = (r0 + inv_dtau * p0) - x0
+            c1 = (r1 + inv_dtau * p1) - x1
+            its, norm = 0, sqrt(c0 * c0 + c1 * c1)
         i = 2 * n
         ubar[i] = x0
         ubar[i + 1] = x1

@@ -8,12 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from lcowind.adjoint import AdjointMode, _adjoint_step, adjoint_sweep, iteration_matrices
+from lcowind import adjoint, primal
+from lcowind.adjoint import AdjointMode, _adjoint_step, adjoint_sweep
 from lcowind.analysis import windowed_average
 from lcowind.errors import AdjointDivergenceError, SingularStepError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
                             OutputKind, VanDerPol)
-from lcowind.primal import PseudoTimeConfig, TimeGrid, _fixed_point, float_kernels, simulate
+from lcowind.primal import PseudoTimeConfig, TimeGrid, float_kernels, simulate
 from lcowind.tangent import tangent_sweep, windowed_tangent_sensitivity
 from lcowind.windows import NormalizationMode, Window, discrete_weights
 
@@ -159,9 +160,48 @@ def test_fixed_point_and_direct_modes_agree():
     # the fixed point iterates, the direct mode solves outright
     assert fp.inner_iterations[1:].min() >= 1
     assert np.all(direct.inner_iterations[1:] == 0)
-    # contraction stays below one whenever the primal inner loop converged
+    # on this march every step's contraction estimate is below one; that
+    # need not hold (see the test below)
     assert fp.contraction_estimates[1:].max() < 1.0
     assert fp.contraction_estimates[1:].max() > 0.0
+
+
+def test_contraction_estimate_may_exceed_one_where_the_iteration_converges():
+    # the estimate is the iteration matrix's 2-norm, inv_dtau / sigma_min(M_n),
+    # which bounds its spectral radius from above.  On this stiff Van der Pol
+    # every step of the march converges and so does the fixed-point sweep,
+    # which matches the tangent, yet one step's estimate is about 1.038
+    model, sigma = VanDerPol(), np.array([8.0])
+    cfg = PseudoTimeConfig(dtau=0.1, max_inner=500)
+    traj = simulate(model, sigma, TimeGrid(dt=0.05, n_steps=200, n_transient=20), cfg)
+    assert traj.converged.all() and traj.inner_iterations.max() <= 28
+    sweep = adjoint_sweep(model, sigma, traj, Window.HANN, cfg)
+    estimates = sweep.contraction_estimates
+    assert np.flatnonzero(estimates > 1.0).tolist() == [151]
+    assert estimates[151] == pytest.approx(1.038, abs=5e-4)
+    assert np.all(sweep.residual_norms <= cfg.tol)
+    m_mat = sweep.steps.m_mats[150]
+    assert cfg.inv_dtau * np.abs(1.0 / np.linalg.eigvals(m_mat)).max() < 1.0
+    tangent = windowed_tangent_sensitivity(tangent_sweep(model, sigma, traj), Window.HANN,
+                                           20, 200)
+    assert sweep.design_derivative[0] == pytest.approx(tangent[0], rel=1e-10)
+
+
+@pytest.mark.parametrize("name", DUALITY_MODELS)
+def test_contraction_is_the_iteration_matrix_norm(name):
+    # M_n - A_n = I / dtau makes (I - M_n^{-1} A_n)^T = inv_dtau M_n^{-T}, so
+    # the estimate inv_dtau / sigma_min(M_n) is that matrix's 2-norm
+    model, sigma = DUALITY_MODELS[name]
+    traj = simulate(model, sigma, TimeGrid(dt=0.05, n_steps=120, n_transient=20))
+    for dtau in (1.0, 0.3):
+        cfg = PseudoTimeConfig(dtau)
+        steps = adjoint_sweep(model, sigma, traj, Window.HANN, cfg).steps
+        iteration = np.swapaxes(np.eye(model.d_u) - np.linalg.solve(steps.m_mats, steps.a_mats),
+                                1, 2)
+        assert np.allclose(iteration, cfg.inv_dtau * np.linalg.inv(steps.m_mats).swapaxes(1, 2),
+                           rtol=1e-13, atol=1e-15)
+        assert np.allclose(steps.contractions, np.linalg.norm(iteration, 2, axis=(1, 2)),
+                           rtol=1e-13, atol=0.0)
 
 
 def test_newton_limit_shortcut():
@@ -201,7 +241,7 @@ def test_divergent_fixed_point_raises():
     # the budget's error carries the last exact residual, bit for bit
     error = excinfo.value
     assert (error.step, error.iterations, error.residual_norm, error.contraction) \
-        == (3, 40, 549726.2098820913, 1.4285714285714284)
+        == (3, 40, 549726.2098820935, 1.4285714285714286)
 
 
 def test_growing_fixed_point_raises_before_the_budget():
@@ -231,20 +271,30 @@ def test_adjoint_step_reproduces_the_sweeps_state(dtau, mode):
     assert not sweep.adjoint_states[-1].any()
     n, steps = traj.n_steps - 1, sweep.steps
     rhs = sweep.seeds[n].tolist()
-    # the iteration matrix goes in as row-major floats
-    iter_matrix = steps.iteration[n - 1] if math.isinf(dtau) \
-        else steps.iteration[n - 1].ravel().tolist()
+    m_rows = steps.m_mats[n - 1].T.ravel().tolist()
+
+    def iterate(ubar):
+        # one fixed-point iterate r_i + inv_dtau lambda_i, lambda = M_n^{-T}
+        # ubar, and the norm of its change
+        lam = float_kernels(model.d_u).solve(m_rows, ubar, n)
+        updated = [r + cfg.inv_dtau * x for r, x in zip(rhs, lam)]
+        c0, c1 = (y - x for y, x in zip(updated, ubar))
+        return updated, math.sqrt(c0 * c0 + c1 * c1)
+
     if mode is AdjointMode.DIRECT:
-        ubar, iterations, norm = _adjoint_step(n, steps.a_mats[n - 1], steps.m_mats[n - 1],
-                                               rhs, iter_matrix)
+        ubar = _adjoint_step(n, steps.a_mats[n - 1], steps.m_mats[n - 1], rhs)
+        iterations, norm = (1, 0.0) if math.isinf(dtau) else (0, iterate(ubar)[1])
     elif math.isinf(dtau):
         # the reverse kernel copies the Newton limit's fixed-point state, its rhs
         ubar, iterations, norm = list(rhs), 1, 0.0
     else:
-        # the reverse kernel's fixed-point loop rounds as the any-size one
-        ubar, iterations, norm = _fixed_point(iter_matrix, rhs,
-                                              sweep.adjoint_states[n + 1].tolist(), cfg.tol,
-                                              cfg.max_inner)
+        # the fixed-point loop, warm-started from the last step's state
+        ubar, iterations = sweep.adjoint_states[n + 1].tolist(), 0
+        while True:
+            ubar, norm = iterate(ubar)
+            iterations += 1
+            if norm <= cfg.tol or iterations == cfg.max_inner:
+                break
     contraction = 0.0 if math.isinf(dtau) else steps.contractions[n - 1]
     assert isinstance(ubar, list) and len(ubar) == model.d_u
     assert np.array_equal(np.array(ubar), sweep.adjoint_states[n]) and any(ubar)
@@ -412,7 +462,19 @@ def test_mode_from_name():
         AdjointMode.from_name("reverse")
 
 
-def test_singular_step_matrices_raise_with_step():
+@dataclass(frozen=True)
+class SingularAtStepsOscillator(ForcedOscillator):
+    """The forced oscillator with the state Jacobian diag(-2.5, 1) at
+    t = 3 and t = 7: at dt = 1 and dtau = 1, alpha = 1.5 makes M_3 and M_7
+    diag(0, 3.5), singular, while A_3 and A_7 stay regular."""
+
+    def jacobian_state(self, u, sigma, t=0.0):
+        if t in (3.0, 7.0):
+            return np.array([[-2.5, 0.0], [0.0, 1.0]])
+        return super().jacobian_state(u, sigma, t)
+
+
+def test_singular_step_matrices_raise_with_step(monkeypatch):
     # k = -1, c = 0 and dt = 1 make A_1 = [[1, -1], [-1, 1]] singular; the
     # BDF2 steps (alpha = 1.5) stay regular, so only step 1 fails
     singular = ForcedOscillator(omega=1.0, stiffness0=-1.0, damping0=0.0)
@@ -426,25 +488,26 @@ def test_singular_step_matrices_raise_with_step():
         assert excinfo.value.step == 1
         assert "step 1" in str(excinfo.value)
 
+    # the direct mode's dgesv solve of A_n^T, whatever M_n
     a_singular = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    rhs = [1.0, 1.0]
-    # (a_mat, m_mat, iter_matrix): the Newton-limit direct solve and the
-    # finite-dtau direct solve
-    cases = [(a_singular, a_singular, None),
-             (a_singular, a_singular + np.eye(2), [1.0, 0.0, 0.0, 1.0])]
-    for a_mat, m_mat, iter_matrix in cases:
+    for m_mat in (a_singular, a_singular + np.eye(2)):
         with pytest.raises(SingularStepError) as excinfo:
-            _adjoint_step(7, a_mat, m_mat, rhs, iter_matrix)
+            _adjoint_step(7, a_singular, m_mat, [1.0, 1.0])
         assert excinfo.value.step == 7
 
-    # the iteration matrix's M_n solve, batched over steps 1..8 with M_3 and
-    # M_7 singular: the error names step 7, the first the reverse sweep meets
-    a_mats = np.tile(-np.eye(2), (8, 1, 1))
-    m_mats = np.tile(np.eye(2), (8, 1, 1))
-    m_mats[[2, 6]] = 0.0
-    with pytest.raises(SingularStepError) as excinfo:
-        iteration_matrices(a_mats, m_mats)
-    assert excinfo.value.step == 7
+    # M_3 and M_7 singular at a finite dtau: their contraction estimates are
+    # inf, and the reverse loop meets step 7 first and raises there, in both
+    # modes and through both kernel sets
+    traj = simulate(ForcedOscillator(), sigma, TimeGrid(dt=1.0, n_steps=10, n_transient=1))
+    model, cfg = SingularAtStepsOscillator(), PseudoTimeConfig(dtau=1.0)
+    steps = adjoint._reverse_steps(model, sigma, traj, cfg)
+    assert np.flatnonzero(np.isinf(steps.contractions)).tolist() == [2, 6]
+    for kernels in (primal._TWO_STATE_KERNELS, primal._ARRAY_KERNELS):
+        monkeypatch.setattr(primal, "_TWO_STATE_KERNELS", kernels)
+        for mode in AdjointMode:
+            with pytest.raises(SingularStepError) as excinfo:
+                adjoint_sweep(model, sigma, traj, Window.HANN, cfg, mode)
+            assert excinfo.value.step == 7, (kernels, mode)
 
 
 @dataclass(frozen=True)
@@ -461,7 +524,7 @@ class SingularFirstStepModel(StiffDecayModel):
 @pytest.mark.parametrize("dtau, error, step", [(0.2, AdjointDivergenceError, 3),
                                                (1.0, SingularStepError, 1)])
 def test_singular_step_surfaces_in_reverse_order(dtau, error, step):
-    # the batched build finds M_1 singular before the sweep starts.  At
+    # the reverse loop meets a singular M_1 at step 1, its last.  At
     # dtau = 0.2 the later steps diverge (factor 5 / -3.5) and, being met
     # first, must win (step 4 has a zero seed, so step 3 fails); at dtau = 1
     # they converge (factor 1 / -7.5) and the sweep stops at step 1

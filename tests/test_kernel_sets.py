@@ -3,15 +3,15 @@
 The march runs a physical step of two states in one written-out kernel,
 _step2, and the adjoint runs a two-state sweep's whole reverse loop in
 _reverse2; every other size runs _step, a loop over _extended_residual,
-_update and _vector_norm, and the list loop _reverse over _fixed_point and
-the solve.  Here each sweep runs twice, once through the two-state kernels
+_update and _vector_norm, and the list loop _reverse over the solve.  Here each sweep runs twice, once through the two-state kernels
 and once through the any-size ones, and the two must agree in every bit:
 every array, and on failure the error's type, message and fields.
 
 The any-size kernels solve through dgesv, which rounds a 2x2 system
 otherwise than the stated order, so the any-size run solves with _solve2.
-Both reverse loops iterate their fixed points in the stated order, so that
-loop is the any-size kernel itself.
+Both reverse loops iterate their fixed points in the stated order, each
+iterate followed by the solve of its lambda, so that loop is the any-size
+kernel itself.
 """
 
 import math
@@ -138,10 +138,10 @@ def test_two_state_kernels_diverge_alike(dtau, max_inner, monkeypatch):
 def test_two_state_kernels_meet_a_singular_step_alike(dtau, stiffness, mode, monkeypatch):
     # at dt = 1, k = stiffness and c = 0, M_1 is [[1, -1], [-1, 1]] in the
     # Newton limit and [[1.25, -1], [-1.5625, 1.25]] at dtau = 4, both
-    # singular, while the BDF2 steps' fixed points contract by 1/2.  The
-    # Newton limit meets M_1 in the loop, where the solve of lambda_1 or, in
-    # the direct mode, dgesv raises; a finite dtau meets it in the batched
-    # build, which stops the loop after step 2
+    # singular, while the BDF2 steps' fixed points contract by 1/2.  Every
+    # case meets M_1 in the loop at step 1, where the two-state kernel's
+    # factoring of M_1^T raises, and the any-size one's solve of lambda_1
+    # or, in the direct mode in the Newton limit, dgesv
     grid = TimeGrid(dt=1.0, n_steps=4, n_transient=1)
     traj = simulate(ForcedOscillator(), np.array([0.0]), grid)
     model = ForcedOscillator(omega=1.0, stiffness0=stiffness, damping0=0.0)
@@ -160,8 +160,8 @@ def test_two_state_kernels_meet_a_singular_step_alike(dtau, stiffness, mode, mon
 def drawn_reverse_inputs(rng, newton):
     """Arguments of a reverse kernel for two states: seeds with signed
     zeros, infinities, NaN and subnormals, step matrices with zero entries
-    (zero pivots among them) and pivot ties |a21| = |a11|, and iteration
-    matrices that contract or grow."""
+    (zero pivots among them) and pivot ties |a21| = |a11|, and values of
+    inv_dtau whose fixed-point iterations contract or grow."""
     n_total = int(rng.integers(1, 9))
     special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]
     seeds = rng.normal(size=(n_total + 1, 2))
@@ -171,17 +171,15 @@ def drawn_reverse_inputs(rng, newton):
     m_rows[rng.random(m_rows.shape) < 0.1] = 0.0
     ties = rng.random(n_total) < 0.2
     m_rows[ties, 2] = rng.choice([-1.0, 1.0], ties.sum()) * m_rows[ties, 0]
-    iteration = ([None] * n_total if newton else
-                 (rng.choice([0.2, 0.6, 2.0]) * rng.normal(size=(n_total, 4))).tolist())
+    inv_dtau = 0.0 if newton else float(rng.choice([0.2, 0.6, 2.0]))
     _, beta, delta = primal.step_coefficients(2, float(rng.choice([0.05, 1.0])))
-    return (seeds.tolist(), m_rows.tolist(), iteration, rng.random(n_total).tolist(), beta,
-            delta, int(rng.integers(0, n_total)), float(rng.choice([1e-12, 1e-6, math.inf])),
-            int(rng.choice([1, 3, 50])))
+    return (seeds.tolist(), m_rows.tolist(), rng.random(n_total).tolist(), inv_dtau, beta,
+            delta, float(rng.choice([1e-12, 1e-6, math.inf])), int(rng.choice([1, 3, 50])))
 
 
 def direct_step(n, rhs):
     """A stand-in for the direct mode's step, any function of n and rhs."""
-    return [0.5 * rhs[0] - rhs[1], rhs[1] + n], 0, abs(rhs[0])
+    return [0.5 * rhs[0] - rhs[1], rhs[1] + n]
 
 
 @pytest.mark.parametrize("newton", [True, False], ids=["newton", "fixed-point"])
@@ -189,7 +187,8 @@ def direct_step(n, rhs):
 def test_reverse_kernels_agree_on_drawn_inputs(newton, direct, monkeypatch):
     # the loop's own arithmetic, away from any model: the right-hand side,
     # the Newton copy, the fixed-point loop and its divergence rule, the
-    # pivoting solve and its singular cases, and where the loop stops
+    # direct mode's recorded norm, the pivoting solve and its singular
+    # cases, and where the loop stops
     def run(reverse, args):
         try:
             with np.errstate(all="ignore"):

@@ -272,8 +272,8 @@ def test_march_does_not_write_the_models_jacobian(dtau):
 # linear algebra on Python floats, each operation one IEEE rounding with no
 # fused multiply-add, in the order README states: the solve (_solve2), and
 # for every size the norm (_vector_norm) and the fixed-point iterate (one
-# iterate of _fixed_point, and for two states of the reverse loop
-# _reverse2).  Each is pinned to its stated formula twice:
+# iterate of the reverse loops _reverse2 and _reverse).  Each is pinned to
+# its stated formula twice:
 # evaluated in exact rational arithmetic rounded once per operation, which
 # does not depend on the machine, and, to reach NaN, infinities, signed
 # zeros and subnormals, on numpy float64 scalars.  The two-state march step
@@ -456,31 +456,20 @@ def test_norms_follow_the_stated_order(size):
         assert same_float(norm(list(r)), norm_float64(r)), r
 
 
-def fixed_point_exact(matrix, rhs, ubar):
-    """The stated iterate, row i (v_i0 x0 + v_i1 x1 + ...) + r_i with its
-    products summed left to right from the first, and the norm of its
-    change, each operation exact and rounded once."""
-    x = [Fraction(v) for v in ubar]
-    updated = []
-    for row, r in zip(matrix, rhs):
-        products = [rounded(Fraction(v) * xk) for v, xk in zip(row, x)]
-        y = products[0]
-        for product in products[1:]:
-            y = rounded(y + product)
-        updated.append(rounded(y + Fraction(r)))
-    change = [float(rounded(y - v)) for y, v in zip(updated, x)]
+def iterate_exact(lam, rhs, ubar, inv_dtau):
+    """The stated iterate from lambda = M^{-T} ubar: row i r_i + inv_dtau
+    lambda_i, and the norm of its change, each operation exact and rounded
+    once."""
+    updated = [rounded(Fraction(r) + rounded(Fraction(inv_dtau) * Fraction(x)))
+               for r, x in zip(rhs, lam)]
+    change = [float(rounded(y - Fraction(v))) for y, v in zip(updated, ubar)]
     return list(map(float, updated)), norm_exact(change)
 
 
-def fixed_point_float64(matrix, rhs, ubar):
-    x = list(map(np.float64, ubar))
-    updated = []
-    for row, r in zip(matrix, rhs):
-        y = np.float64(row[0]) * x[0]
-        for v, xk in zip(row[1:], x[1:]):
-            y = y + np.float64(v) * xk
-        updated.append(y + np.float64(r))
-    return list(map(float, updated)), norm_float64([y - v for y, v in zip(updated, x)])
+def iterate_float64(lam, rhs, ubar, inv_dtau):
+    updated = [np.float64(r) + np.float64(inv_dtau) * np.float64(x) for r, x in zip(rhs, lam)]
+    return (list(map(float, updated)),
+            norm_float64([y - np.float64(v) for y, v in zip(updated, ubar)]))
 
 
 def check_iterate(expected, got, where):
@@ -490,76 +479,76 @@ def check_iterate(expected, got, where):
     assert same_float(norm, want_norm), where
 
 
-def first_iterate(iter_matrix, rhs, ubar):
-    """The first iterate of _fixed_point and its change's norm, handed the
-    row-major entries the sweep hands it: one iterate runs whatever the
-    tolerance."""
-    updated, iterations, norm = primal._fixed_point(iter_matrix.ravel().tolist(), rhs, ubar,
-                                                    0.0, 1)
-    assert iterations == 1
-    return updated, norm
-
-
-def reverse_iterate(iter_matrix, rhs, ubar):
-    """The first iterate of the two-state reverse loop, _reverse2, and its
-    change's norm, or None and the norm where a NaN norm stops the loop.
-    Step 2 copies its seed ubar in the Newton limit, and step 1 iterates
-    once from it.  M_2 = diag(sign ubar) makes lambda_2 = |ubar|, so with
-    beta = 0 step 1's right-hand side is rhs itself."""
-    m_2 = [math.copysign(1.0, ubar[0]), 0.0, 0.0, math.copysign(1.0, ubar[1])]
+def reverse_iterate(reverse, m_rows, rhs, ubar, inv_dtau):
+    """The first fixed-point iterate of the reverse loop reverse at step 1,
+    warm-started from ubar, and its change's norm; None and the norm where
+    a NaN norm stops the loop, and None twice where M_1 is singular.  Step 2
+    iterates once from the zero warm start with ubar as its seed:
+    M_2 = diag(sign ubar) makes that start's lambda zeros with ubar's signs,
+    which leave the seed's bits, and lambda_2 = |ubar|, so with beta = 0
+    step 1's right-hand side is rhs itself."""
+    size = len(rhs)
+    m_2 = np.diag([math.copysign(1.0, x) for x in ubar]).ravel().tolist()
     try:
-        states, iterations, norms, _ = primal._reverse2(
-            [[0.0, 0.0], rhs, ubar], [[1.0, 0.0, 0.0, 1.0], m_2],
-            [iter_matrix.ravel().tolist(), None], [0.0, 0.0], 0.0, 0.0, 0, INF, 1, None)
+        states, iterations, norms, _ = reverse([[0.0] * size, rhs, ubar], [m_rows, m_2],
+                                               [0.0, 0.0], inv_dtau, 0.0, 0.0, INF, 1, None)
     except AdjointDivergenceError as exc:
         assert (exc.step, exc.iterations) == (1, 1)
         return None, exc.residual_norm
-    assert iterations[1] == 1
-    return states[2:4], norms[1]
+    except SingularStepError as exc:
+        assert exc.step == 1
+        return None, None
+    assert iterations[1:] == [1, 1] and same_floats(states[2 * size:], ubar)
+    return states[size:2 * size], norms[1]
 
 
-@pytest.mark.parametrize("layout", ["transposed", "contiguous"])
-@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("kernel, size", [("two-state", 2), ("any-size", 1), ("any-size", 2),
+                                          ("any-size", 3)])
 @np.errstate(all="ignore")
-def test_fixed_point_iterate_follows_the_stated_order(size, layout):
-    # iteration_matrices returns transposed views; the sweep hands the
-    # kernels their row-major entries, so any layout runs the same float
-    # iterate.  Two states also run it inside _reverse2, the loop every
-    # model here uses, where a NaN norm stops the loop before its iterate
-    # is kept
-    def laid_out(matrix):
-        return np.ascontiguousarray(matrix.T).T if layout == "transposed" \
-            else np.ascontiguousarray(matrix)
+def test_fixed_point_iterate_follows_the_stated_order(kernel, size):
+    # one iterate ubar <- rhs + inv_dtau lambda, lambda = M^{-T} ubar from
+    # the warm start ubar, run through the reverse loop itself: _reverse2,
+    # whose lambda is the stated solve, or _reverse, whose lambda is
+    # _solve_arrays'.  A NaN norm stops the loop before its iterate is kept
+    reverse = primal._reverse2 if kernel == "two-state" else primal._reverse
 
-    def check(matrix, rhs, ubar, expected):
-        where = (matrix.tolist(), rhs, ubar)
-        check_iterate(expected, first_iterate(laid_out(matrix), rhs, ubar), where)
-        if size == 2:
-            updated, norm = reverse_iterate(laid_out(matrix), rhs, ubar)
-            if updated is None:
-                assert math.isnan(norm) and math.isnan(expected[1]), where
-            else:
-                check_iterate(expected, (updated, norm), where)
+    def solved(m_rows, ubar, exact):
+        if kernel == "any-size":
+            return solve_or_singular(primal._solve_arrays, m_rows, ubar)
+        return solve2_exact(m_rows, ubar) if exact else solve2_float64(m_rows, ubar)
 
-    rng = np.random.default_rng(8101 + size)
+    def check(m_rows, rhs, ubar, inv_dtau, exact):
+        where = (m_rows, rhs, ubar, inv_dtau)
+        lam = solved(m_rows, ubar, exact)
+        updated, norm = reverse_iterate(reverse, m_rows, rhs, ubar, inv_dtau)
+        if lam is None:
+            assert updated is None and norm is None, where
+            return None
+        expected = (iterate_exact if exact else iterate_float64)(lam, rhs, ubar, inv_dtau)
+        if updated is None:
+            assert math.isnan(norm) and math.isnan(expected[1]), where
+        else:
+            check_iterate(expected, (updated, norm), where)
+        return expected
+
+    rng = np.random.default_rng(8101 + size + 4 * (kernel == "two-state"))
     for _ in range(N_KERNEL_DRAWS):
-        matrix, rhs, ubar = (kernel_draws(rng, shape, 70.0)
-                             for shape in ((size, size), size, size))
-        assert laid_out(matrix).flags.f_contiguous == (layout == "transposed" or size == 1)
-        args = (matrix.tolist(), rhs.tolist(), ubar.tolist())
-        check(matrix, *args[1:], fixed_point_exact(*args))
+        m_rows, rhs, ubar = (kernel_draws(rng, shape, 70.0).tolist()
+                             for shape in (size * size, size, size))
+        check(m_rows, rhs, ubar, 10.0 ** rng.uniform(-3.0, 3.0), exact=True)
     # special values: every matrix of the first eight for one and two
-    # states, and draws of them for three; a row of -0.0 products plus
-    # r_i = -0.0 stays -0.0, which a sum started from 0.0 would turn into 0.0
-    matrices = [np.array(entries).reshape(size, size) for entries in
-                (itertools.product(SPECIAL[:8], repeat=size * size) if size < 3
-                 else rng.choice(SPECIAL, (2000, size * size)).tolist())]
+    # states, and draws of them for three, with signed-zero warm starts; an
+    # r_i = -0.0 plus an inv_dtau lambda_i = -0.0 stays -0.0, which a sum
+    # started from 0.0 would turn into 0.0
+    matrices = (itertools.product(SPECIAL[:8], repeat=size * size) if size < 3
+                else rng.choice(SPECIAL, (2000, size * size)).tolist())
     rhs = [-0.0, 0.5, -0.0][:size]
-    for matrix in matrices:
+    negative_zeros = 0
+    for m_rows in matrices:
         for ubar in ([1.0, -2.0, 3.0], [0.0, -0.0, 0.0], [-0.0] * 3, [1e300, 1e-300, -1e300]):
-            ubar = ubar[:size]
-            check(matrix, rhs, ubar, fixed_point_float64(matrix.tolist(), rhs, ubar))
-    check(np.ones((size, size)), [-0.0] * size, [-0.0] * size, ([-0.0] * size, 0.0))
+            expected = check(list(m_rows), rhs, ubar[:size], 0.5, exact=False)
+            negative_zeros += expected is not None and same_float(expected[0][0], -0.0)
+    assert negative_zeros > 0
 
 
 def check_against_dgesv(matrix, rhs):

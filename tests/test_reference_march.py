@@ -2,11 +2,12 @@
 
 The reference builds every matrix where it is used: per inner iterate the
 extended residual in numpy arrays and np.eye shifts; per tangent step the
-output sensitivity g @ udot; per adjoint step one np.linalg.solve for the
-iteration matrix and np.linalg.norm(., 2) for its contraction.  Its 2x2
-solve, its norm and its fixed-point product of every size are transcribed
-here from the operation order README states, and systems of other sizes
-go to np.linalg.solve.  The library hoists and batches the same operations
+output sensitivity g @ udot; per adjoint step the step's own singular
+values for its contraction inv_dtau / sigma_min(M_n), and per fixed-point
+iterate ubar <- rhs + inv_dtau M_n^{-T} ubar a fresh solve of M_n^T.  Its
+2x2 solve, its norm and its iterate are transcribed here from the
+operation order README states, and systems of other sizes go to
+np.linalg.solve.  The library hoists and batches the same operations
 and runs them on Python floats, so the two must agree exactly, not to a
 tolerance.
 """
@@ -81,18 +82,6 @@ def norm(r):
     for x in np.asarray(r).tolist():
         square = square + x * x
     return math.sqrt(square)
-
-
-def fixed_point_product(iter_matrix, value, rhs):
-    """iter_matrix @ value + rhs, row i as (v_i0 x0 + v_i1 x1 + ...) + r_i,
-    its products summed left to right from the first."""
-    value, updated = value.tolist(), []
-    for row, r in zip(iter_matrix.tolist(), rhs.tolist()):
-        y = row[0] * value[0]
-        for v, x in zip(row[1:], value[1:]):
-            y = y + v * x
-        updated.append(y + r)
-    return np.array(updated)
 
 
 def reference_simulate(model, sigma, grid, cfg):
@@ -175,15 +164,15 @@ def reference_adjoint(model, sigma, states, grid, kind, cfg, mode):
                 else m_mat.T @ np.linalg.solve(a_mat.T, rhs)
             inner[n] = 1
         else:
-            iter_matrix = (np.eye(d_u) - np.linalg.solve(m_mat, a_mat)).T
-            contractions[n] = float(np.linalg.norm(iter_matrix, 2))
+            # (I - M_n^{-1} A_n)^T = inv_dtau M_n^{-T}, as M_n - A_n = I / dtau
+            contractions[n] = cfg.inv_dtau / np.linalg.svd(m_mat, compute_uv=False)[-1]
             if mode is AdjointMode.DIRECT:
                 ubar[n] = m_mat.T @ np.linalg.solve(a_mat.T, rhs)
-                norms[n] = norm(fixed_point_product(iter_matrix, ubar[n], rhs) - ubar[n])
+                norms[n] = norm(rhs + cfg.inv_dtau * solve(m_mat.T, ubar[n]) - ubar[n])
             else:
                 value = ubar[n + 1].copy() if n + 1 <= n_total else np.zeros(d_u)
                 while inner[n] < cfg.max_inner:
-                    updated = fixed_point_product(iter_matrix, value, rhs)
+                    updated = rhs + cfg.inv_dtau * solve(m_mat.T, value)
                     norms[n] = norm(updated - value)
                     value = updated
                     inner[n] += 1

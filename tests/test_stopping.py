@@ -77,17 +77,11 @@ def norm(r):
     return math.sqrt(square)
 
 
-def fixed_point_iterate(iter_matrix, rhs, ubar):
-    """One iterate ubar <- V ubar + rhs in the order README states: row i
-    as (v_i0 x0 + v_i1 x1 + ...) + r_i, its products summed left to right
-    from the first."""
-    updated = []
-    for row, r in zip(iter_matrix.tolist(), rhs):
-        y = row[0] * ubar[0]
-        for v, x in zip(row[1:], ubar[1:]):
-            y = y + v * x
-        updated.append(y + r)
-    return updated
+def fixed_point_iterate(solve, m_rows, inv_dtau, rhs, ubar, n):
+    """One iterate ubar <- rhs + inv_dtau M_n^{-T} ubar in the order README
+    states: lambda = M_n^{-T} ubar by the kernels' solve of the row-major
+    entries of M_n^T, then row i as r_i + inv_dtau lambda_i."""
+    return [r + inv_dtau * x for r, x in zip(rhs, solve(m_rows, ubar, n))]
 
 
 @pytest.mark.parametrize("tol", [None, 5e-15], ids=["tol=cfg", "tol=5e-15"])
@@ -97,7 +91,7 @@ def test_the_fixed_point_adjoint_records_the_norm_it_stopped_on(name, dtau, tol)
     # every iterate the sweep makes, replayed step by step from step N down
     # to step 1: from the warm start, the downstream step's recorded state,
     # with the step's rhs formed from the recorded states of the two steps
-    # it couples to and the sweep's own iteration matrix
+    # it couples to and the sweep's own M_n
     model, sigma, cfg, traj = march(name, dtau, "converging")
     sweep = adjoint_sweep(model, sigma, traj, Window.HANN, cfg, AdjointMode.FIXED_POINT,
                           tol=tol)
@@ -115,22 +109,22 @@ def test_the_fixed_point_adjoint_records_the_norm_it_stopped_on(name, dtau, tol)
             rhs = [s - beta * x for s, x in zip(seeds[n], lam[n + 1])]
         else:
             rhs = seeds[n]
-        iter_matrix = sweep.steps.iteration[n - 1]
+        m_rows = sweep.steps.m_mats[n - 1].T.ravel().tolist()
         if math.isinf(dtau):
             # the Newton limit iterates nothing: the step's state is its rhs
-            assert iter_matrix is None and sweep.residual_norms[n] == 0.0, n
+            assert sweep.residual_norms[n] == 0.0, n
             assert np.array_equal(np.array(rhs), sweep.adjoint_states[n]), n
         else:
             ubar, norms = states[n + 1] if n < n_total else [0.0] * d_u, []
             while not norms or norms[-1] > tol and len(norms) < cfg.max_inner:
-                updated = fixed_point_iterate(iter_matrix, rhs, ubar)
+                updated = fixed_point_iterate(solve, m_rows, cfg.inv_dtau, rhs, ubar, n)
                 norms.append(norm([y - x for y, x in zip(updated, ubar)]))
                 ubar = updated
             assert sweep.inner_iterations[n] == len(norms), n
             assert all(earlier > tol for earlier in norms[:-1]) and norms[-1] <= tol, n
             assert np.float64(norms[-1]).tobytes() == sweep.residual_norms[n].tobytes(), n
             assert np.array_equal(np.array(ubar), sweep.adjoint_states[n]), n
-        lam[n] = solve(sweep.steps.m_mats[n - 1].T.ravel().tolist(), states[n], n)
+        lam[n] = solve(m_rows, states[n], n)
 
 
 @dataclass(frozen=True)
