@@ -1,13 +1,15 @@
 """Discrete adjoint of the implicit BDF2 march with windowed objectives.
 
 The adjoint variables satisfy a backward recurrence whose per-step equation
-can be solved either by the same pseudo-time fixed-point iteration the
-primal uses (transposed), or by a direct dense solve of the equivalent
-linear system.  Both give identical design derivatives; the fixed-point
-route additionally reports per step the 2-norm of its iteration matrix as
-a contraction estimate.  That norm bounds the iteration's spectral radius
-from above, so it can exceed one at a step whose iteration still
-converges, as the primal's inner iteration did there.
+is the fixed point of the transposed pseudo-time update, ubar = rhs +
+(1/dtau) M_n^{-T} ubar.  The fixed-point mode iterates it, as the primal's
+inner iteration does, and reports per step the 2-norm of its iteration
+matrix as a contraction estimate.  That norm bounds the iteration's spectral
+radius from above, so it can exceed one at a step whose iteration still
+converges, as the primal's inner iteration did there.  The direct mode
+solves A_n^T lambda_n = rhs in the reverse loop's Newton limit, as
+M_n^T - A_n^T = I/dtau, and sets ubar_n = rhs + lambda_n / dtau.  The two
+modes agree to roundoff.
 """
 from __future__ import annotations
 
@@ -16,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import check_inputs
-from .primal import (PseudoTimeConfig, Trajectory, float_kernels, solve_step, step_coefficients,
-                     step_matrices)
+from .primal import PseudoTimeConfig, Trajectory, float_kernels, step_coefficients, step_matrices
 from .windows import NamedEnum, NormalizationMode, Window, discrete_weights
 
 __all__ = ["AdjointMode", "AdjointSweep", "ReverseSteps", "adjoint_sweep"]
@@ -72,15 +73,18 @@ def _reverse_steps(model, sigma, traj: Trajectory,
     return ReverseSteps(a_mats, m_mats, contractions)
 
 
-def _adjoint_step(n, a_mat, m_mat, rhs):
-    """Solve the direct mode's adjoint equation of physical step n.
-
-    a_mat is the step matrix A_n = alpha_n I + dR/du, m_mat the pseudo-time
-    matrix M_n = A_n + inv_dtau I and rhs, a float list, the step's seed
-    less its downstream coupling.  dgesv solves for the fixed-point
-    iteration's limit M_n^T A_n^{-T} rhs, returned as a float list.
-    """
-    return (m_mat.T @ solve_step(a_mat.T, rhs, n)).tolist()
+def _solve_residual_norms(a_transposed, lam, rhs):
+    """||A_n^T lambda_n - rhs_n|| of every step, from the stacks of A_n^T,
+    lambda_n and rhs_n: each row's products summed over the columns j in
+    order, then the squares summed left to right, as _vector_norm does.
+    All of it is elementwise, so no BLAS build changes its bits."""
+    product = a_transposed[:, :, 0] * lam[:, :1]
+    for j in range(1, lam.shape[1]):
+        product = product + a_transposed[:, :, j] * lam[:, j:j + 1]
+    square = 0.0
+    for column in (product - rhs).T:
+        square = square + column * column
+    return np.sqrt(square)
 
 
 def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
@@ -99,7 +103,8 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     matrices of all steps are built at once too, or taken from steps, the
     `steps` of an earlier sweep with the same dynamics, trajectory and cfg.
     Each step keeps lambda_n = M_n^{-T} ubar_n, which couples it to steps
-    n - 1 and n - 2 and carries its design derivative term.  All primal
+    n - 1 and n - 2 and carries its design derivative term; the direct
+    mode solves it as A_n^{-T} rhs, M_n^T - A_n^T being I/dtau.  All primal
     states are held in memory, so no recomputation is needed.  The design
     and the states' shape are checked once, here.
     """
@@ -122,20 +127,26 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     b_mats = model.jacobian_design(states[1:], sigma, grid.times()[1:])
 
     # the reverse loop runs on float lists: each step's seed, its M_n^T
-    # row-major, and its contraction estimate
-    seed_rows = seeds.tolist()
-    m_transposed = steps.m_mats.transpose(0, 2, 1).reshape(n_total, d_u * d_u).tolist()
-    direct = None
-    if mode is AdjointMode.DIRECT:
-        def direct(n, rhs):
-            return _adjoint_step(n, steps.a_mats[n - 1], steps.m_mats[n - 1], rhs)
+    # row-major, and its contraction estimate.  The direct mode hands A_n^T
+    # at inv_dtau = 0.0 instead, so the loop's Newton limit copies each
+    # step's right-hand side into ubar_n and solves A_n^T lambda_n = rhs
+    direct = mode is AdjointMode.DIRECT
+    transposed = (steps.a_mats if direct else steps.m_mats).transpose(0, 2, 1)
     # steps n + 1 and n + 2, which step n couples to, are BDF2 steps
     _, beta, delta = step_coefficients(2, dt)
     ubar, inner, norms, lambdas = float_kernels(d_u).reverse(
-        seed_rows, m_transposed, steps.contractions.tolist(), cfg.inv_dtau, beta, delta, tol,
-        cfg.max_inner, direct)
-    # the loop's float lists go before the design sum builds its arrays
-    del m_transposed, seed_rows
+        seeds.tolist(), transposed.reshape(n_total, d_u * d_u).tolist(),
+        steps.contractions.tolist(), 0.0 if direct else cfg.inv_dtau, beta, delta, tol,
+        cfg.max_inner)
+    ubar = np.array(ubar).reshape(n_total + 1, d_u)
+    lam = np.array(lambdas).reshape(n_total, d_u)
+    if direct:
+        # ubar_n = rhs + inv_dtau lambda_n, row i r_i + inv_dtau lambda_i as an iterate
+        # forms it, and the solve's residual norm; neither warns, as Python floats do not
+        with np.errstate(all="ignore"):
+            norms = np.concatenate(([0.0], _solve_residual_norms(transposed, lam, ubar[1:])))
+            if cfg.inv_dtau != 0.0:
+                ubar[1:] += cfg.inv_dtau * lam
 
     # The design derivative runs back from step N: step n subtracts
     # lambda_n B_n and, from the transient cutoff on, adds its design seed.
@@ -147,7 +158,7 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     # a NaN product comes out with its sign bit flipped, which no output
     # shows.
     n_design = model.n_design
-    coupling = np.matmul(np.array(lambdas).reshape(n_total, 1, d_u), b_mats)[:, 0]
+    coupling = np.matmul(lam.reshape(n_total, 1, d_u), b_mats)[:, 0]
     terms = np.full((2 * n_total + 1, n_design), -0.0)
     terms[0] = 0.0
     terms[1::2] = -coupling[::-1]
@@ -157,7 +168,7 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
         tail = np.add.accumulate(terms, axis=0)[:0:-2]  # the sums after steps 1..N
     # step 0 carries no constraint and zero weight
     running = np.concatenate((tail[:1], tail))
-    return AdjointSweep(adjoint_states=np.array(ubar).reshape(n_total + 1, d_u), seeds=seeds,
+    return AdjointSweep(adjoint_states=ubar, seeds=seeds,
                         design_derivative=running[0].copy(),
                         running_design_derivative=running, inner_iterations=np.array(inner),
                         residual_norms=np.array(norms),

@@ -272,7 +272,7 @@ def _roundoff_floor(model, u, sigma, t, alpha, beta, delta, u_nm1, u_nm2) -> flo
     return math.ulp(1.0) * _vector_norm(terms)
 
 
-def _reverse(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner, direct):
+def _reverse(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner):
     """The reverse loop of one adjoint sweep, on float lists, for steps n
     from N = len(m_rows) down to 1.
 
@@ -281,21 +281,20 @@ def _reverse(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner,
     estimate; inv_dtau is 1/dtau, and beta and delta are the BDF2
     coefficients that couple step n to steps n + 1 and n + 2.  Each step
     forms its right-hand side (s - beta lambda_{n+1}) - delta lambda_{n+2},
-    leaving out the terms of steps beyond N, and sets ubar_n: through
-    direct(n, rhs), the direct mode's step, if given; else as rhs itself in
-    the Newton limit; else by the fixed-point loop warm-started from
-    ubar_{n+1}.  M_n - A_n = I/dtau makes the iteration matrix (I - M_n^{-1}
-    A_n)^T equal to inv_dtau M_n^{-T}, so from lambda = M_n^{-T} ubar each
-    iterate is ubar <- rhs + inv_dtau lambda, row i r_i + inv_dtau lambda_i,
-    followed by the solve of the new lambda.  The loop stops when the norm
-    of the change is at most tol, exceeds both 1 and ten times the previous
-    change's norm, or max_inner iterates ran, and raises
+    leaving out the terms of steps beyond N, and sets ubar_n: as rhs itself
+    in the Newton limit, inv_dtau = 0.0, else by the fixed-point loop
+    warm-started from ubar_{n+1}.  M_n - A_n = I/dtau makes the iteration
+    matrix (I - M_n^{-1} A_n)^T equal to inv_dtau M_n^{-T}, so from lambda =
+    M_n^{-T} ubar each iterate is ubar <- rhs + inv_dtau lambda, row i r_i +
+    inv_dtau lambda_i, followed by the solve of the new lambda.  The loop
+    stops when the norm of the change is at most tol, exceeds both 1 and ten
+    times the previous change's norm, or max_inner iterates ran, and raises
     AdjointDivergenceError unless that norm is at most tol.  The Newton
-    limit records one iteration and a zero norm; the direct mode at a finite
-    dtau records no iteration and the norm of one iterate's change from its
-    ubar_n.  Every lambda_n = M_n^{-T} ubar_n is solved by _solve_arrays,
-    which raises SingularStepError at the first step whose M_n is singular,
-    and kept for the two earlier steps.
+    limit records one iteration and a zero norm.  Every lambda_n = M_n^{-T}
+    ubar_n is solved by _solve_arrays, which raises SingularStepError at the
+    first step whose M_n is singular, and kept for the two earlier steps.
+    The direct adjoint hands the rows of A_n^T in m_rows and inv_dtau = 0.0,
+    so the Newton limit's lambda_n solves A_n^T lambda_n = rhs.
 
     Returns (ubar, iterations, norms, lambdas): ubar row-major with a zero
     row 0, the iterations and norms per step with step 0's zero, and
@@ -306,7 +305,7 @@ def _reverse(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner,
     inner = [0] * (n_total + 1)
     norms = [0.0] * (n_total + 1)
     lambdas = [0.0] * (d_u * n_total)
-    iterate = direct is None and inv_dtau != 0.0
+    iterate = inv_dtau != 0.0
     ubar_n = [0.0] * d_u  # the warm start of the last step
     lam1 = lam2 = None  # lambda_{n+1} and lambda_{n+2}
     for n in range(n_total, 0, -1):
@@ -317,9 +316,7 @@ def _reverse(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner,
         else:
             rhs = seeds[n]
         entries = m_rows[n - 1]
-        if direct is not None:
-            ubar_n = direct(n, rhs)
-        elif not iterate:
+        if not iterate:
             ubar_n = rhs
         lam = _solve_arrays(entries, ubar_n, n)
         if iterate:
@@ -334,11 +331,8 @@ def _reverse(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner,
                 previous = norm
             if not norm <= tol:
                 raise AdjointDivergenceError(n, its, norm, contractions[n - 1])
-        elif inv_dtau == 0.0:
+        else:
             its, norm = 1, 0.0
-        else:  # the direct mode at a finite dtau: one iterate's change
-            its = 0
-            norm = _vector_norm([(r + inv_dtau * x) - u for r, x, u in zip(rhs, lam, ubar_n)])
         inner[n], norms[n] = its, norm
         lam1, lam2 = lam, lam1
         ubar[n * d_u:(n + 1) * d_u] = ubar_n
@@ -346,7 +340,7 @@ def _reverse(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner,
     return ubar, inner, norms, lambdas
 
 
-def _reverse2(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner, direct):
+def _reverse2(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner):
     """_reverse of two states on local floats, with the right-hand side,
     the iterate and _solve2 written out in their order: each step factors
     M_n^T once, the row swap, l and u22 with their zero tests, and solves
@@ -359,7 +353,7 @@ def _reverse2(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner
     inner = [0] * (n_total + 1)
     norms = [0.0] * (n_total + 1)
     lambdas = [0.0] * (2 * n_total)
-    iterate = direct is None and inv_dtau != 0.0
+    iterate = inv_dtau != 0.0
     x0 = x1 = 0.0  # the warm start of the last step
     p0 = p1 = q0 = q1 = 0.0  # lambda_{n+1} and lambda_{n+2}
     for n in range(n_total, 0, -1):
@@ -382,9 +376,7 @@ def _reverse2(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner
         u22 = a22 - l * a12
         if u22 == 0.0:
             raise SingularStepError(n)
-        if direct is not None:
-            x0, x1 = direct(n, [r0, r1])
-        elif not iterate:
+        if not iterate:
             x0, x1 = r0, r1
         q0, q1 = p0, p1
         b1, b2 = (x1, x0) if swap else (x0, x1)
@@ -406,12 +398,8 @@ def _reverse2(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner
                 previous = norm
             if not norm <= tol:
                 raise AdjointDivergenceError(n, its, norm, contractions[n - 1])
-        elif inv_dtau == 0.0:
+        else:
             its, norm = 1, 0.0
-        else:  # the direct mode at a finite dtau: one iterate's change
-            c0 = (r0 + inv_dtau * p0) - x0
-            c1 = (r1 + inv_dtau * p1) - x1
-            its, norm = 0, sqrt(c0 * c0 + c1 * c1)
         i = 2 * n
         ubar[i] = x0
         ubar[i + 1] = x1

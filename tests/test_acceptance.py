@@ -401,3 +401,50 @@ def test_criterion_11_determinism(tmp_path):
         print(f"criterion 11: {subcommand} -> {artifact} "
               f"({len(body_a)} bytes) identical: {body_a == body_b}")
         assert body_a == body_b
+
+
+def test_criterion_13_limit_cycle_sensitivity_orders():
+    # The paper's gradient-convergence claim on a limit cycle the solver
+    # simulates, whose period moves with the design: Van der Pol's windowed
+    # x^2, differentiated by the discrete adjoint through the Newton-limit
+    # march.  Each span's error is the largest relative one over three
+    # designs, as a single design's error swings with the phase at which the
+    # span ends.  The reference is the bump window's derivative over 12000
+    # steps, cross-checked by hann-square's over the same span.
+    started = time.perf_counter()
+    model = VanDerPol(output=OutputKind.FIRST_STATE_SQUARED)
+    n_tr, dt, spans, reference_span = 300, 0.05, [600, 1200, 2400, 4800], 12000
+    errors = {kind: np.zeros(len(spans)) for kind in Window}
+    for mu in (0.8, 1.2, 1.6):
+        sigma = np.array([mu])
+
+        def derivatives(span, kinds):
+            traj = simulate(model, sigma, TimeGrid(dt=dt, n_steps=n_tr + span, n_transient=n_tr))
+            first = adjoint_sweep(model, sigma, traj, kinds[0])
+            # the other windows' sweeps reuse the first one's step matrices
+            return [first.design_derivative[0]] + [
+                adjoint_sweep(model, sigma, traj, kind, steps=first.steps).design_derivative[0]
+                for kind in kinds[1:]]
+
+        reference, cross = derivatives(reference_span, [Window.BUMP, Window.HANN_SQUARE])
+        cross_check = abs(cross - reference) / abs(reference)
+        print(f"criterion 13: mu={mu} reference {reference:.12f}, hann-square "
+              f"over the same span differs by {cross_check:.1e} relative")
+        assert cross_check <= 1e-7
+        for i, span in enumerate(spans):
+            for kind, value in zip(Window, derivatives(span, list(Window))):
+                errors[kind][i] = max(errors[kind][i], abs(value - reference) / abs(reference))
+    orders = {kind: -np.polyfit(np.log(spans), np.log(errors[kind]), 1)[0] for kind in Window}
+    for kind in Window:
+        listed = ", ".join(f"{error:.1e}" for error in errors[kind])
+        print(f"criterion 13: {kind.value} largest errors {listed}, order {orders[kind]:.2f}")
+    square = errors[Window.SQUARE]
+    assert abs(orders[Window.HANN] - 2.0) <= 0.4
+    assert abs(orders[Window.HANN_SQUARE] - 4.0) <= 0.4
+    assert orders[Window.BUMP] > orders[Window.HANN_SQUARE] + 0.4
+    # the square window's gradient does not converge: O(1) at every span
+    assert abs(orders[Window.SQUARE]) < 0.3
+    assert square.min() / square.max() >= 0.1 and square.min() >= 0.5
+    elapsed = time.perf_counter() - started
+    print(f"criterion 13: runtime {elapsed:.2f} s")
+    assert elapsed < 5.0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lcowind import adjoint, primal
-from lcowind.adjoint import AdjointMode, _adjoint_step, adjoint_sweep
+from lcowind.adjoint import AdjointMode, adjoint_sweep
 from lcowind.analysis import windowed_average
 from lcowind.errors import AdjointDivergenceError, SingularStepError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
@@ -157,9 +157,9 @@ def test_fixed_point_and_direct_modes_agree():
                            mode=AdjointMode.DIRECT, tol=5e-15)
     assert fp.design_derivative[0] == pytest.approx(direct.design_derivative[0],
                                                     rel=1e-10)
-    # the fixed point iterates, the direct mode solves outright
+    # the fixed point iterates, the direct mode solves once per step
     assert fp.inner_iterations[1:].min() >= 1
-    assert np.all(direct.inner_iterations[1:] == 0)
+    assert np.all(direct.inner_iterations[1:] == 1)
     # on this march every step's contraction estimate is below one; that
     # need not hold (see the test below)
     assert fp.contraction_estimates[1:].max() < 1.0
@@ -259,15 +259,14 @@ def test_growing_fixed_point_raises_before_the_budget():
         == (3, 2, 5.222222222222221, 10.444444444444441)
 
 
-@pytest.mark.parametrize("mode", list(AdjointMode))
 @pytest.mark.parametrize("dtau", [math.inf, 1.0], ids=["dtau=inf", "dtau=1"])
-def test_adjoint_step_reproduces_the_sweeps_state(dtau, mode):
+def test_fixed_point_step_reproduces_the_sweeps_state(dtau):
     # the window's zero weight at the last step leaves its adjoint state
     # zero, so the step before it couples to nothing: its rhs is its seed,
     # and the fixed-point mode warm-starts it from the last step's state
     cfg = PseudoTimeConfig(dtau=dtau, tol=1e-12, max_inner=200)
     model, sigma, traj = make_vdp_setup(n_steps=80, n_transient=20, cfg=cfg)
-    sweep = adjoint_sweep(model, sigma, traj, Window.HANN, cfg=cfg, mode=mode)
+    sweep = adjoint_sweep(model, sigma, traj, Window.HANN, cfg=cfg)
     assert not sweep.adjoint_states[-1].any()
     n, steps = traj.n_steps - 1, sweep.steps
     rhs = sweep.seeds[n].tolist()
@@ -281,10 +280,7 @@ def test_adjoint_step_reproduces_the_sweeps_state(dtau, mode):
         c0, c1 = (y - x for y, x in zip(updated, ubar))
         return updated, math.sqrt(c0 * c0 + c1 * c1)
 
-    if mode is AdjointMode.DIRECT:
-        ubar = _adjoint_step(n, steps.a_mats[n - 1], steps.m_mats[n - 1], rhs)
-        iterations, norm = (1, 0.0) if math.isinf(dtau) else (0, iterate(ubar)[1])
-    elif math.isinf(dtau):
+    if math.isinf(dtau):
         # the reverse kernel copies the Newton limit's fixed-point state, its rhs
         ubar, iterations, norm = list(rhs), 1, 0.0
     else:
@@ -301,6 +297,85 @@ def test_adjoint_step_reproduces_the_sweeps_state(dtau, mode):
     assert (iterations, norm, contraction) == (sweep.inner_iterations[n],
                                                sweep.residual_norms[n],
                                                sweep.contraction_estimates[n])
+
+
+def direct_transcription(sweep, cfg, dt):
+    """The direct mode's states and norms from the sweep's own seeds and
+    steps, one step at a time on Python floats: rhs_n = (s_n - beta
+    lambda_{n+1}) - delta lambda_{n+2}, lambda_n solved from A_n^T's rows,
+    ubar_n = rhs_n + inv_dtau lambda_n row by row, or rhs_n in the Newton
+    limit, and the norm of A_n^T lambda_n - rhs_n, each row's products
+    summed over the columns in order and the squares left to right."""
+    _, beta, delta = primal.step_coefficients(2, dt)
+    n_total, d_u = len(sweep.steps.a_mats), sweep.seeds.shape[1]
+    solve = float_kernels(d_u).solve
+    ubar, norms, lambdas, bounds = [[0.0] * d_u], [0.0], {}, []
+    for n in range(n_total, 0, -1):
+        rhs = sweep.seeds[n].tolist()
+        if n + 1 <= n_total:
+            rhs = [r - beta * x for r, x in zip(rhs, lambdas[n + 1])]
+        if n + 2 <= n_total:
+            rhs = [r - delta * x for r, x in zip(rhs, lambdas[n + 2])]
+        a_t = sweep.steps.a_mats[n - 1].T.tolist()
+        lam = lambdas[n] = solve([x for row in a_t for x in row], rhs, n)
+        ubar.insert(1, rhs if cfg.inv_dtau == 0.0 else
+                    [r + cfg.inv_dtau * x for r, x in zip(rhs, lam)])
+        residual = []
+        for row, r in zip(a_t, rhs):
+            product = row[0] * lam[0]
+            for a, x in zip(row[1:], lam[1:]):
+                product = product + a * x
+            residual.append(product - r)
+        norms.insert(1, primal._vector_norm(residual))
+        # the roundoff bound of a backward-stable solve's residual
+        bounds.insert(0, np.finfo(float).eps * (np.linalg.norm(a_t, 2) * np.linalg.norm(lam)
+                                                 + np.linalg.norm(rhs)))
+    return np.array(ubar), np.array(norms), np.array(bounds)
+
+
+@pytest.mark.parametrize("name", DUALITY_MODELS)
+@pytest.mark.parametrize("dtau", [math.inf, 1.0, 0.3], ids=["dtau=inf", "dtau=1", "dtau=0.3"])
+def test_direct_mode_state_is_the_newton_limit_solve(name, dtau):
+    # the direct mode solves A_n^T lambda_n = rhs_n in the reverse kernel's
+    # Newton limit and sets ubar_n = rhs_n + inv_dtau lambda_n; it records
+    # one iteration per step and the solve's residual norm
+    model, sigma = DUALITY_MODELS[name]
+    cfg = PseudoTimeConfig(dtau)
+    traj = simulate(model, sigma, TimeGrid(dt=0.05, n_steps=300, n_transient=60), cfg)
+    sweep = adjoint_sweep(model, sigma, traj, Window.BUMP, cfg, AdjointMode.DIRECT)
+    ubar, norms, bounds = direct_transcription(sweep, cfg, traj.grid.dt)
+    assert sweep.adjoint_states.tobytes() == ubar.tobytes()
+    assert sweep.residual_norms.tobytes() == norms.tobytes()
+    assert sweep.inner_iterations.tolist() == [0] + [1] * traj.n_steps
+    # a small multiple of eps (||A_n|| ||lambda_n|| + ||rhs_n||) bounds
+    # every step's residual, and roundoff leaves some of them nonzero
+    assert np.all(sweep.residual_norms[1:] <= 2.0 * bounds)
+    assert sweep.residual_norms.max() > 0.0
+
+
+NEWTON_LIMIT_MODELS = {**DUALITY_MODELS,
+                       "van-der-pol-x": (VanDerPol(output=OutputKind.FIRST_STATE),
+                                         np.array([1.0]))}
+
+
+@pytest.mark.parametrize("name", NEWTON_LIMIT_MODELS)
+def test_modes_agree_bit_for_bit_in_the_newton_limit(name):
+    # at dtau = inf both modes copy each step's right-hand side in the
+    # reverse kernel's Newton limit, on M_n^T = (A_n + 0.0 I)^T and on
+    # A_n^T, which differ in signed zeros alone.  After 340 steps Van der
+    # Pol's x_N is negative, so step N's x^2 seed, the window's zero end
+    # weight times 2 x_N, is -0.0: the copy keeps it, where adding
+    # 0.0 lambda_N would make it +0.0
+    model, sigma = NEWTON_LIMIT_MODELS[name]
+    for n_steps in (300, 340):
+        traj = simulate(model, sigma, TimeGrid(dt=0.05, n_steps=n_steps, n_transient=60))
+        fixed, direct = (adjoint_sweep(model, sigma, traj, Window.BUMP, mode=mode)
+                         for mode in AdjointMode)
+        assert fixed.adjoint_states.tobytes() == direct.adjoint_states.tobytes()
+        assert np.all(fixed.design_derivative == direct.design_derivative)
+        assert np.all(fixed.running_design_derivative == direct.running_design_derivative)
+    if name == "van-der-pol-x2":
+        assert direct.adjoint_states[-1, 0] == 0.0 and np.signbit(direct.adjoint_states[-1, 0])
 
 
 def test_running_derivative_terminates_at_total():
@@ -488,26 +563,34 @@ def test_singular_step_matrices_raise_with_step(monkeypatch):
         assert excinfo.value.step == 1
         assert "step 1" in str(excinfo.value)
 
-    # the direct mode's dgesv solve of A_n^T, whatever M_n
-    a_singular = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    for m_mat in (a_singular, a_singular + np.eye(2)):
-        with pytest.raises(SingularStepError) as excinfo:
-            _adjoint_step(7, a_singular, m_mat, [1.0, 1.0])
-        assert excinfo.value.step == 7
-
     # M_3 and M_7 singular at a finite dtau: their contraction estimates are
-    # inf, and the reverse loop meets step 7 first and raises there, in both
-    # modes and through both kernel sets
+    # inf, and the fixed-point mode's reverse loop meets step 7 first and
+    # raises there, through both kernel sets.  The direct mode solves with
+    # A_n alone, which stays regular, so it finishes
     traj = simulate(ForcedOscillator(), sigma, TimeGrid(dt=1.0, n_steps=10, n_transient=1))
     model, cfg = SingularAtStepsOscillator(), PseudoTimeConfig(dtau=1.0)
     steps = adjoint._reverse_steps(model, sigma, traj, cfg)
     assert np.flatnonzero(np.isinf(steps.contractions)).tolist() == [2, 6]
     for kernels in (primal._TWO_STATE_KERNELS, primal._ARRAY_KERNELS):
         monkeypatch.setattr(primal, "_TWO_STATE_KERNELS", kernels)
-        for mode in AdjointMode:
-            with pytest.raises(SingularStepError) as excinfo:
-                adjoint_sweep(model, sigma, traj, Window.HANN, cfg, mode)
-            assert excinfo.value.step == 7, (kernels, mode)
+        with pytest.raises(SingularStepError) as excinfo:
+            adjoint_sweep(model, sigma, traj, Window.HANN, cfg)
+        assert excinfo.value.step == 7, kernels
+        direct = adjoint_sweep(model, sigma, traj, Window.HANN, cfg, AdjointMode.DIRECT)
+        assert np.isfinite(direct.design_derivative).all() and direct.adjoint_states[7].any()
+        assert np.isinf(direct.contraction_estimates[[3, 7]]).all()
+
+    # a singular A_n with a regular M_n stops the direct mode at step n,
+    # where its loop meets it, through both kernel sets
+    a_mats = steps.a_mats.copy()
+    a_mats[4] = [[1.0, -1.0], [-1.0, 1.0]]
+    singular_a = adjoint.ReverseSteps(a_mats, a_mats + np.eye(2), np.ones(10))
+    for kernels in (primal._TWO_STATE_KERNELS, primal._ARRAY_KERNELS):
+        monkeypatch.setattr(primal, "_TWO_STATE_KERNELS", kernels)
+        with pytest.raises(SingularStepError) as excinfo:
+            adjoint_sweep(model, sigma, traj, Window.HANN, cfg, AdjointMode.DIRECT,
+                          steps=singular_a)
+        assert excinfo.value.step == 5, kernels
 
 
 @dataclass(frozen=True)

@@ -491,7 +491,7 @@ def reverse_iterate(reverse, m_rows, rhs, ubar, inv_dtau):
     m_2 = np.diag([math.copysign(1.0, x) for x in ubar]).ravel().tolist()
     try:
         states, iterations, norms, _ = reverse([[0.0] * size, rhs, ubar], [m_rows, m_2],
-                                               [0.0, 0.0], inv_dtau, 0.0, 0.0, INF, 1, None)
+                                               [0.0, 0.0], inv_dtau, 0.0, 0.0, INF, 1)
     except AdjointDivergenceError as exc:
         assert (exc.step, exc.iterations) == (1, 1)
         return None, exc.residual_norm

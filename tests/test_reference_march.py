@@ -4,10 +4,11 @@ The reference builds every matrix where it is used: per inner iterate the
 extended residual in numpy arrays and np.eye shifts; per tangent step the
 output sensitivity g @ udot; per adjoint step the step's own singular
 values for its contraction inv_dtau / sigma_min(M_n), and per fixed-point
-iterate ubar <- rhs + inv_dtau M_n^{-T} ubar a fresh solve of M_n^T.  Its
-2x2 solve, its norm and its iterate are transcribed here from the
-operation order README states, and systems of other sizes go to
-np.linalg.solve.  The library hoists and batches the same operations
+iterate ubar <- rhs + inv_dtau M_n^{-T} ubar a fresh solve of M_n^T; in
+the direct mode, one solve of A_n^T lambda_n = rhs, the state rhs +
+inv_dtau lambda_n and the solve's residual norm.  Its 2x2 solve, its norm
+and its iterate are transcribed here from the operation order README
+states, and systems of other sizes go to np.linalg.solve.  The library hoists and batches the same operations
 and runs them on Python floats, so the two must agree exactly, not to a
 tolerance.
 """
@@ -159,16 +160,24 @@ def reference_adjoint(model, sigma, states, grid, kind, cfg, mode):
             rhs -= step_coefficients(n + 1, dt)[1] * lam[n + 1]
         if n + 2 <= n_total:
             rhs -= step_coefficients(n + 2, dt)[2] * lam[n + 2]
-        if cfg.inv_dtau == 0.0:
-            ubar[n] = rhs if mode is AdjointMode.FIXED_POINT \
-                else m_mat.T @ np.linalg.solve(a_mat.T, rhs)
-            inner[n] = 1
-        else:
+        if cfg.inv_dtau != 0.0:
             # (I - M_n^{-1} A_n)^T = inv_dtau M_n^{-T}, as M_n - A_n = I / dtau
             contractions[n] = cfg.inv_dtau / np.linalg.svd(m_mat, compute_uv=False)[-1]
-            if mode is AdjointMode.DIRECT:
-                ubar[n] = m_mat.T @ np.linalg.solve(a_mat.T, rhs)
-                norms[n] = norm(rhs + cfg.inv_dtau * solve(m_mat.T, ubar[n]) - ubar[n])
+        if mode is AdjointMode.DIRECT:
+            # the fixed point's lambda_n solves A_n^T lambda_n = rhs, as
+            # M_n^T - A_n^T = I / dtau, and its state is rhs + inv_dtau lambda_n;
+            # the norm is the solve's residual, summed over the columns in order
+            lam[n] = solve(a_mat.T, rhs)
+            ubar[n] = rhs if cfg.inv_dtau == 0.0 else rhs + cfg.inv_dtau * lam[n]
+            product = a_mat[0] * lam[n][0]
+            for j in range(1, d_u):
+                product = product + a_mat[j] * lam[n][j]
+            norms[n] = norm(product - rhs)
+            inner[n] = 1
+        else:
+            if cfg.inv_dtau == 0.0:
+                ubar[n] = rhs
+                inner[n] = 1
             else:
                 value = ubar[n + 1].copy() if n + 1 <= n_total else np.zeros(d_u)
                 while inner[n] < cfg.max_inner:
@@ -179,7 +188,7 @@ def reference_adjoint(model, sigma, states, grid, kind, cfg, mode):
                     if norms[n] <= cfg.tol:
                         break
                 ubar[n] = value
-        lam[n] = solve(m_mat.T, ubar[n])
+            lam[n] = solve(m_mat.T, ubar[n])
         total = total - lam[n] @ model.jacobian_design(states[n], sigma, t)
         if n >= n_tr:
             total = total + omega[n - n_tr] * model.output_design_gradient(states[n], sigma)
