@@ -2,14 +2,14 @@
 
 The adjoint variables satisfy a backward recurrence whose per-step equation
 is the fixed point of the transposed pseudo-time update, ubar = rhs +
-(1/dtau) M_n^{-T} ubar.  The fixed-point mode iterates it, as the primal's
-inner iteration does, and reports per step the 2-norm of its iteration
-matrix as a contraction estimate.  That norm bounds the iteration's spectral
-radius from above, so it can exceed one at a step whose iteration still
-converges, as the primal's inner iteration did there.  The direct mode
-solves A_n^T lambda_n = rhs in the reverse loop's Newton limit, as
-M_n^T - A_n^T = I/dtau, and sets ubar_n = rhs + lambda_n / dtau.  The two
-modes agree to roundoff.
+(1/dtau) M_n^{-T} ubar, M_n = A_n + I/dtau, on the stack of step matrices
+A_n that step_matrices gives the primal's and the tangent's steps too.  The
+fixed-point mode iterates it, as the primal's inner iteration does.
+contraction_estimates gives per step the 2-norm of its iteration matrix, an
+upper bound of its spectral radius, so it can exceed one at a step whose
+iteration still converges.  The direct mode solves A_n^T lambda_n = rhs in
+the reverse loop's Newton limit, as M_n^T - A_n^T = I/dtau, and sets ubar_n
+= rhs + lambda_n / dtau.  The two modes agree to roundoff.
 """
 from __future__ import annotations
 
@@ -17,33 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import AdjointDivergenceError
 from .models import check_inputs
 from .primal import PseudoTimeConfig, Trajectory, float_kernels, step_coefficients, step_matrices
 from .windows import NamedEnum, NormalizationMode, Window, discrete_weights
 
-__all__ = ["AdjointMode", "AdjointSweep", "ReverseSteps", "adjoint_sweep"]
+__all__ = ["AdjointMode", "AdjointSweep", "adjoint_sweep", "contraction_estimates"]
 
 
 class AdjointMode(NamedEnum, label="adjoint mode"):
     FIXED_POINT = "fixed-point"
     DIRECT = "direct"
-
-
-@dataclass(frozen=True)
-class ReverseSteps:
-    """Every step's matrices of one trajectory, built before a reverse sweep.
-
-    Entry n - 1 belongs to physical step n: the step matrix A_n = alpha_n I
-    + dR/du, the pseudo-time matrix M_n = A_n + inv_dtau I and the step's
-    contraction estimate, the 2-norm inv_dtau / sigma_min(M_n) of the
-    fixed-point iteration matrix (I - M_n^{-1} A_n)^T = inv_dtau M_n^{-T}:
-    zero in the Newton limit, and inf where M_n is singular, a step the
-    sweep raises SingularStepError on when it reaches it.
-    """
-
-    a_mats: np.ndarray
-    m_mats: np.ndarray
-    contractions: np.ndarray
 
 
 @dataclass
@@ -56,21 +40,22 @@ class AdjointSweep:
     running_design_derivative: np.ndarray  # (n_steps + 1, n_design), tail sums
     inner_iterations: np.ndarray      # (n_steps + 1,) int
     residual_norms: np.ndarray        # (n_steps + 1,)
-    contraction_estimates: np.ndarray  # (n_steps + 1,)
-    steps: ReverseSteps               # reusable by another sweep over the trajectory
+    steps: np.ndarray                 # (n_steps, d_u, d_u) A_n, for any sweep over the trajectory
 
 
-def _reverse_steps(model, sigma, traj: Trajectory,
-                   cfg: PseudoTimeConfig) -> ReverseSteps:
-    """Build the matrices of every step of traj for a reverse sweep, and
-    their contraction estimates from one batched SVD."""
-    a_mats = step_matrices(model, sigma, traj)
-    m_mats = a_mats + cfg.inv_dtau * np.eye(model.d_u)
-    if cfg.inv_dtau == 0.0:
-        return ReverseSteps(a_mats, m_mats, np.zeros(len(a_mats)))
-    with np.errstate(divide="ignore"):
-        contractions = cfg.inv_dtau / np.linalg.svd(m_mats, compute_uv=False)[:, -1]
-    return ReverseSteps(a_mats, m_mats, contractions)
+def contraction_estimates(steps: np.ndarray, cfg: PseudoTimeConfig) -> np.ndarray:
+    """Each step's contraction estimate of the fixed-point adjoint at cfg's
+    dtau, from steps, the A_n stack of step_matrices: step 0's zero, then
+    the 2-norm inv_dtau / sigma_min(M_n) of the iteration matrix (I -
+    M_n^{-1} A_n)^T = inv_dtau M_n^{-T}, M_n = A_n + inv_dtau I, from one
+    batched SVD.  Zero in the Newton limit, and inf where M_n is singular,
+    a step the fixed-point sweep raises SingularStepError on."""
+    estimates = np.zeros(len(steps) + 1)
+    if cfg.inv_dtau != 0.0:
+        shifted = steps + cfg.inv_dtau * np.eye(steps.shape[1])  # every M_n
+        with np.errstate(divide="ignore"):
+            estimates[1:] = cfg.inv_dtau / np.linalg.svd(shifted, compute_uv=False)[:, -1]
+    return estimates
 
 
 def _solve_residual_norms(a_transposed, lam, rhs):
@@ -92,7 +77,7 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
                   mode: AdjointMode = AdjointMode.FIXED_POINT,
                   normalization: NormalizationMode = NormalizationMode.PAPER_FAITHFUL,
                   tol: float | None = None,
-                  steps: ReverseSteps | None = None) -> AdjointSweep:
+                  steps: np.ndarray | None = None) -> AdjointSweep:
     """March the adjoint from the final step to the first and accumulate
     the design derivative of the windowed objective.
 
@@ -100,13 +85,15 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     weight over the span, nonzero only from the transient cutoff on.  The
     seeds, the design Jacobians and the output design gradients of all
     steps are formed before the reverse loop, one model call each.  The
-    matrices of all steps are built at once too, or taken from steps, the
-    `steps` of an earlier sweep with the same dynamics, trajectory and cfg.
-    Each step keeps lambda_n = M_n^{-T} ubar_n, which couples it to steps
-    n - 1 and n - 2 and carries its design derivative term; the direct
-    mode solves it as A_n^{-T} rhs, M_n^T - A_n^T being I/dtau.  All primal
-    states are held in memory, so no recomputation is needed.  The design
-    and the states' shape are checked once, here.
+    step matrices A_n of all steps are stacked at once too, or taken from
+    steps, the `steps` of an earlier sweep over the same dynamics and
+    trajectory, at any dtau and in either mode.  Each step keeps lambda_n =
+    M_n^{-T} ubar_n, which couples it to steps n - 1 and n - 2 and carries
+    its design derivative term; the direct mode solves it as A_n^{-T} rhs,
+    M_n^T - A_n^T being I/dtau.  All primal states are held in memory, so no
+    recomputation is needed.  The design and the states' shape are checked
+    once, here.  A diverging step's AdjointDivergenceError carries its
+    contraction estimate.
     """
     sigma = check_inputs(model, sigma, traj.states, traj.n_steps)
     cfg = cfg or PseudoTimeConfig()
@@ -118,7 +105,7 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     d_u = model.d_u
     states = traj.states
     if steps is None:
-        steps = _reverse_steps(model, sigma, traj, cfg)
+        steps = step_matrices(model, sigma, traj)
 
     omega = (discrete_weights(kind, n_tr, n_total, normalization) / (n_total - n_tr))[:, None]
     seeds = np.zeros((n_total + 1, d_u))
@@ -126,18 +113,22 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     design_seeds = omega * model.output_design_gradient(states[n_tr:], sigma)
     b_mats = model.jacobian_design(states[1:], sigma, grid.times()[1:])
 
-    # the reverse loop runs on float lists: each step's seed, its M_n^T
-    # row-major, and its contraction estimate.  The direct mode hands A_n^T
-    # at inv_dtau = 0.0 instead, so the loop's Newton limit copies each
-    # step's right-hand side into ubar_n and solves A_n^T lambda_n = rhs
+    # the reverse loop runs on float lists: each step's seed and its A_n^T
+    # row-major, to whose diagonal it adds inv_dtau.  The direct mode hands
+    # inv_dtau = 0.0, so the loop's Newton limit copies each step's
+    # right-hand side into ubar_n and solves A_n^T lambda_n = rhs
     direct = mode is AdjointMode.DIRECT
-    transposed = (steps.a_mats if direct else steps.m_mats).transpose(0, 2, 1)
+    transposed = steps.transpose(0, 2, 1)
     # steps n + 1 and n + 2, which step n couples to, are BDF2 steps
     _, beta, delta = step_coefficients(2, dt)
-    ubar, inner, norms, lambdas = float_kernels(d_u).reverse(
-        seeds.tolist(), transposed.reshape(n_total, d_u * d_u).tolist(),
-        steps.contractions.tolist(), 0.0 if direct else cfg.inv_dtau, beta, delta, tol,
-        cfg.max_inner)
+    try:
+        ubar, inner, norms, lambdas = float_kernels(d_u).reverse(
+            seeds.tolist(), transposed.reshape(n_total, d_u * d_u).tolist(),
+            0.0 if direct else cfg.inv_dtau, beta, delta, tol, cfg.max_inner)
+    except AdjointDivergenceError as exc:
+        contraction = float(contraction_estimates(steps, cfg)[exc.step])
+        raise AdjointDivergenceError(exc.step, exc.iterations, exc.residual_norm,
+                                     contraction) from None
     ubar = np.array(ubar).reshape(n_total + 1, d_u)
     lam = np.array(lambdas).reshape(n_total, d_u)
     if direct:
@@ -171,6 +162,4 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     return AdjointSweep(adjoint_states=ubar, seeds=seeds,
                         design_derivative=running[0].copy(),
                         running_design_derivative=running, inner_iterations=np.array(inner),
-                        residual_norms=np.array(norms),
-                        contraction_estimates=np.concatenate(([0.0], steps.contractions)),
-                        steps=steps)
+                        residual_norms=np.array(norms), steps=steps)

@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .adjoint import AdjointMode, adjoint_sweep
+from .adjoint import AdjointMode, adjoint_sweep, contraction_estimates
 from .analysis import (DEFAULT_SPAN_OFFSET, convergence_study, windowed_average)
 from .errors import ConfigError, LcoError, PeriodUndetectableError
 from .models import (AnalyticSignal, AnalyticSignalModel, DesignVector,
@@ -228,12 +228,14 @@ class RunConfig:
         if self.design.n_design != self.model.n_design:
             raise ConfigError(f"design has {self.design.n_design} values but the "
                               f"model expects {self.model.n_design}")
-        # a design outside the model's domain fails here, not mid-run; the
-        # state goes in as floats, as the march passes it, so an overflow
-        # gives inf or nan without a numpy warning
+        # a design outside the model's domain fails here, not mid-run: the
+        # residual and the output at the initial state.  The residual takes
+        # the state as floats, as the march passes it, so an overflow gives
+        # inf or nan without a numpy warning
         with _blame("[design] values"):
-            self.model.residual(self.model.initial_state(self.design.values).tolist(),
-                                self.design.values)
+            u0 = self.model.initial_state(self.design.values)
+            self.model.residual(u0.tolist(), self.design.values)
+            self.model.output_value(u0, self.design.values)
         with _blame("[grid]"):
             self.grid = TimeGrid(**self._fields(TimeGrid))
         self.pseudo = PseudoTimeConfig(**self._fields(PseudoTimeConfig))
@@ -365,6 +367,7 @@ def _cmd_adjoint(cfg: RunConfig, outdir: Path):
     sweep = adjoint_sweep(cfg.model, cfg.design.values, traj, cfg.window,
                           cfg.pseudo, cfg.adjoint_mode, cfg.normalization,
                           tol=cfg.adjoint_tol)
+    contractions = contraction_estimates(sweep.steps, cfg.pseudo)
     times = cfg.grid.times()
     n_design = cfg.model.n_design
     header = (["step", "time", "adjoint_norm", "seed_norm",
@@ -375,7 +378,7 @@ def _cmd_adjoint(cfg: RunConfig, outdir: Path):
     for n in range(traj.n_steps + 1):
         rows.append([n, times[n], _vector_norm(adjoint_rows[n]), _vector_norm(seed_rows[n]),
                      sweep.inner_iterations[n], sweep.residual_norms[n],
-                     sweep.contraction_estimates[n],
+                     contractions[n],
                      *sweep.running_design_derivative[n]])
     _write_csv(outdir / "adjoint.csv", header, rows)
     value = windowed_average(traj.outputs, cfg.window, cfg.grid.n_transient,
@@ -384,7 +387,7 @@ def _cmd_adjoint(cfg: RunConfig, outdir: Path):
                "windowed_average": value, "window": cfg.window.value,
                "mode": cfg.adjoint_mode.value}
     diag = _primal_diagnostics(traj)
-    diag["max_contraction"] = float(sweep.contraction_estimates.max())
+    diag["max_contraction"] = float(contractions.max())
     diag["max_adjoint_inner_iterations"] = int(sweep.inner_iterations.max())
     return ["adjoint.csv"], results, diag
 

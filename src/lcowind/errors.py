@@ -46,14 +46,15 @@ class StepConvergenceError(LcoError):
 class AdjointDivergenceError(LcoError):
     """Adjoint fixed-point iteration failed to contract on a step."""
 
-    def __init__(self, step, iterations, residual_norm, contraction):
+    def __init__(self, step, iterations, residual_norm, contraction=None):
         self.step = step
         self.iterations = iterations
         self.residual_norm = residual_norm
         self.contraction = contraction
+        estimate = "" if contraction is None else f", contraction estimate {contraction:.3f}"
         super().__init__(
             f"adjoint step {step}: no convergence after {iterations} iterations "
-            f"(residual norm {residual_norm:.3e}, contraction estimate {contraction:.3f})"
+            f"(residual norm {residual_norm:.3e}{estimate})"
         )
 
 

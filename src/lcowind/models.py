@@ -168,10 +168,13 @@ class AnalyticSignal:
 
     def mean(self, sigma) -> float:
         sigma = _sigma_values(sigma)
-        value = self.a0 + float(self.a1 @ sigma)
-        if self.quad != 0.0:
-            center = self.quad_center if self.quad_center is not None else np.zeros_like(sigma)
-            value += self.quad * float(((sigma - center) ** 2).sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = self.a0 + float(self.a1 @ sigma)
+            if self.quad != 0.0:
+                center = self.quad_center if self.quad_center is not None else np.zeros_like(sigma)
+                value += self.quad * float(((sigma - center) ** 2).sum())
+        if not math.isfinite(value):
+            raise DesignDomainError(f"design drives the mean out of range ({value})")
         return value
 
     def mean_design_gradient(self, sigma) -> np.ndarray:
@@ -184,9 +187,14 @@ class AnalyticSignal:
 
     def period(self, sigma) -> float:
         sigma = _sigma_values(sigma)
-        period = self.base_period * (1.0 + sigma[0])
+        with np.errstate(over="ignore"):
+            period = self.base_period * (1.0 + sigma[0])
         if not period > 0.0:
             raise DesignDomainError(f"design drives the period non-positive ({period})")
+        # dOmega/dsigma_1 divides by the period's square
+        if not math.isfinite(float(period) * float(period)):
+            raise DesignDomainError(f"design drives the period out of range ({period}): "
+                                    f"its square overflows")
         return period
 
     def output(self, t, sigma):

@@ -29,7 +29,6 @@ __all__ = [
     "Trajectory",
     "step_coefficients",
     "step_matrices",
-    "solve_step",
     "simulate",
     "estimate_period",
 ]
@@ -177,8 +176,14 @@ def _solve2(entries, rhs, step=None) -> list[float]:
 
 
 def _solve_arrays(entries, rhs, step=None) -> list[float]:
+    """Solve the system with row-major entries through LAPACK dgesv, the
+    routine np.linalg.solve calls, without numpy's generic wrapper; info > 0
+    raises SingularStepError."""
     d_u = len(rhs)
-    return solve_step(np.array(entries).reshape(d_u, d_u), np.array(rhs), step).tolist()
+    _, _, solution, info = dgesv(np.array(entries).reshape(d_u, d_u), np.array(rhs))
+    if info > 0:
+        raise SingularStepError(step)
+    return solution.tolist()
 
 
 def _vector_norm(r) -> float:
@@ -272,35 +277,35 @@ def _roundoff_floor(model, u, sigma, t, alpha, beta, delta, u_nm1, u_nm2) -> flo
     return math.ulp(1.0) * _vector_norm(terms)
 
 
-def _reverse(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner):
+def _reverse(seeds, a_rows, inv_dtau, beta, delta, tol, max_inner):
     """The reverse loop of one adjoint sweep, on float lists, for steps n
-    from N = len(m_rows) down to 1.
+    from N = len(a_rows) down to 1.
 
-    seeds holds step n's seed at row n; entry n - 1 of m_rows holds the
-    row-major entries of M_n^T and of contractions step n's contraction
-    estimate; inv_dtau is 1/dtau, and beta and delta are the BDF2
-    coefficients that couple step n to steps n + 1 and n + 2.  Each step
-    forms its right-hand side (s - beta lambda_{n+1}) - delta lambda_{n+2},
-    leaving out the terms of steps beyond N, and sets ubar_n: as rhs itself
-    in the Newton limit, inv_dtau = 0.0, else by the fixed-point loop
-    warm-started from ubar_{n+1}.  M_n - A_n = I/dtau makes the iteration
-    matrix (I - M_n^{-1} A_n)^T equal to inv_dtau M_n^{-T}, so from lambda =
-    M_n^{-T} ubar each iterate is ubar <- rhs + inv_dtau lambda, row i r_i +
-    inv_dtau lambda_i, followed by the solve of the new lambda.  The loop
-    stops when the norm of the change is at most tol, exceeds both 1 and ten
-    times the previous change's norm, or max_inner iterates ran, and raises
-    AdjointDivergenceError unless that norm is at most tol.  The Newton
-    limit records one iteration and a zero norm.  Every lambda_n = M_n^{-T}
-    ubar_n is solved by _solve_arrays, which raises SingularStepError at the
-    first step whose M_n is singular, and kept for the two earlier steps.
-    The direct adjoint hands the rows of A_n^T in m_rows and inv_dtau = 0.0,
-    so the Newton limit's lambda_n solves A_n^T lambda_n = rhs.
+    seeds holds step n's seed at row n; entry n - 1 of a_rows holds the
+    row-major entries of A_n^T; inv_dtau is 1/dtau, and beta and delta are
+    the BDF2 coefficients that couple step n to steps n + 1 and n + 2.  Each
+    step forms M_n^T's diagonal as a_ii + inv_dtau, leaving the entries off
+    it as given, and its right-hand side (s - beta lambda_{n+1}) - delta
+    lambda_{n+2}, leaving out the terms of steps beyond N, and sets ubar_n:
+    as rhs itself in the Newton limit, inv_dtau = 0.0, else by the
+    fixed-point loop warm-started from ubar_{n+1}.  M_n - A_n = I/dtau makes
+    the iteration matrix (I - M_n^{-1} A_n)^T equal to inv_dtau M_n^{-T}, so
+    from lambda = M_n^{-T} ubar each iterate is ubar <- rhs + inv_dtau
+    lambda, row i r_i + inv_dtau lambda_i, followed by the solve of the new
+    lambda.  The loop stops when the norm of the change is at most tol,
+    exceeds both 1 and ten times the previous change's norm, or max_inner
+    iterates ran, and raises AdjointDivergenceError, with no contraction
+    estimate, unless that norm is at most tol.  The Newton limit records one iteration and a zero norm.
+    Every lambda_n = M_n^{-T} ubar_n is solved by _solve_arrays, which
+    raises SingularStepError at the first step whose M_n is singular, and
+    kept for the two earlier steps.  The direct adjoint hands inv_dtau =
+    0.0, so the Newton limit's lambda_n solves A_n^T lambda_n = rhs.
 
     Returns (ubar, iterations, norms, lambdas): ubar row-major with a zero
     row 0, the iterations and norms per step with step 0's zero, and
     lambda_n row-major at row n - 1, each a flat list.
     """
-    n_total, d_u = len(m_rows), len(seeds[0])
+    n_total, d_u = len(a_rows), len(seeds[0])
     ubar = [0.0] * (d_u * (n_total + 1))
     inner = [0] * (n_total + 1)
     norms = [0.0] * (n_total + 1)
@@ -315,7 +320,9 @@ def _reverse(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner)
             rhs = [s - beta * x for s, x in zip(seeds[n], lam1)]
         else:
             rhs = seeds[n]
-        entries = m_rows[n - 1]
+        entries = list(a_rows[n - 1])
+        for i in range(0, d_u * d_u, d_u + 1):
+            entries[i] += inv_dtau
         if not iterate:
             ubar_n = rhs
         lam = _solve_arrays(entries, ubar_n, n)
@@ -330,7 +337,7 @@ def _reverse(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner)
                     break
                 previous = norm
             if not norm <= tol:
-                raise AdjointDivergenceError(n, its, norm, contractions[n - 1])
+                raise AdjointDivergenceError(n, its, norm)
         else:
             its, norm = 1, 0.0
         inner[n], norms[n] = its, norm
@@ -340,15 +347,16 @@ def _reverse(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner)
     return ubar, inner, norms, lambdas
 
 
-def _reverse2(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner):
+def _reverse2(seeds, a_rows, inv_dtau, beta, delta, tol, max_inner):
     """_reverse of two states on local floats, with the right-hand side,
-    the iterate and _solve2 written out in their order: each step factors
-    M_n^T once, the row swap, l and u22 with their zero tests, and solves
-    every lambda from those factors.  Row i of a fixed-point iterate is
-    r_i + inv_dtau lambda_i, and its change's norm sqrt(c0 c0 + c1 c1).
-    ubar_{n+1}, lambda_{n+1} and lambda_{n+2} stay local floats from one
-    step to the next."""
-    n_total = len(m_rows)
+    the iterate and _solve2 written out in their order: each step forms
+    M_n^T's diagonal a11 + inv_dtau and a22 + inv_dtau, factors M_n^T once,
+    the row swap, l and u22 with their zero tests, and solves every lambda
+    from those factors.  Row i of a fixed-point iterate is r_i + inv_dtau
+    lambda_i, and its change's norm sqrt(c0 c0 + c1 c1).  ubar_{n+1},
+    lambda_{n+1} and lambda_{n+2} stay local floats from one step to the
+    next."""
+    n_total = len(a_rows)
     ubar = [0.0] * (2 * n_total + 2)
     inner = [0] * (n_total + 1)
     norms = [0.0] * (n_total + 1)
@@ -366,7 +374,9 @@ def _reverse2(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner
             r1 = s1 - beta * p1
         else:
             r0, r1 = s0, s1
-        a11, a12, a21, a22 = m_rows[n - 1]
+        a11, a12, a21, a22 = a_rows[n - 1]
+        a11 += inv_dtau
+        a22 += inv_dtau
         swap = abs(a21) > abs(a11)
         if swap:
             a11, a12, a21, a22 = a21, a22, a11, a12
@@ -397,7 +407,7 @@ def _reverse2(seeds, m_rows, contractions, inv_dtau, beta, delta, tol, max_inner
                     break
                 previous = norm
             if not norm <= tol:
-                raise AdjointDivergenceError(n, its, norm, contractions[n - 1])
+                raise AdjointDivergenceError(n, its, norm)
         else:
             its, norm = 1, 0.0
         i = 2 * n
@@ -436,19 +446,6 @@ def float_kernels(d_u) -> FloatKernels:
     through dgesv.  Every size takes its norms and its fixed-point iterates
     on Python floats, in the same stated order."""
     return _TWO_STATE_KERNELS if d_u == 2 else _ARRAY_KERNELS
-
-
-def solve_step(matrix, rhs, step=None):
-    """Solve a step's linear system, raising SingularStepError if it has none.
-
-    LAPACK dgesv solves it, the routine np.linalg.solve calls, without
-    numpy's generic wrapper; rhs is a vector or a matrix of columns, and
-    neither input is overwritten.
-    """
-    _, _, solution, info = dgesv(matrix, rhs)
-    if info > 0:
-        raise SingularStepError(step)
-    return solution
 
 
 def simulate(model, sigma, grid: TimeGrid,

@@ -8,13 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from lcowind import adjoint, primal
-from lcowind.adjoint import AdjointMode, adjoint_sweep
+from lcowind import primal
+from lcowind.adjoint import AdjointMode, adjoint_sweep, contraction_estimates
 from lcowind.analysis import windowed_average
 from lcowind.errors import AdjointDivergenceError, SingularStepError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
                             OutputKind, VanDerPol)
-from lcowind.primal import PseudoTimeConfig, TimeGrid, float_kernels, simulate
+from lcowind.primal import PseudoTimeConfig, TimeGrid, float_kernels, simulate, step_matrices
 from lcowind.tangent import tangent_sweep, windowed_tangent_sensitivity
 from lcowind.windows import NormalizationMode, Window, discrete_weights
 
@@ -162,8 +162,9 @@ def test_fixed_point_and_direct_modes_agree():
     assert np.all(direct.inner_iterations[1:] == 1)
     # on this march every step's contraction estimate is below one; that
     # need not hold (see the test below)
-    assert fp.contraction_estimates[1:].max() < 1.0
-    assert fp.contraction_estimates[1:].max() > 0.0
+    estimates = contraction_estimates(fp.steps, cfg)
+    assert estimates[1:].max() < 1.0
+    assert estimates[1:].max() > 0.0
 
 
 def test_contraction_estimate_may_exceed_one_where_the_iteration_converges():
@@ -176,11 +177,11 @@ def test_contraction_estimate_may_exceed_one_where_the_iteration_converges():
     traj = simulate(model, sigma, TimeGrid(dt=0.05, n_steps=200, n_transient=20), cfg)
     assert traj.converged.all() and traj.inner_iterations.max() <= 28
     sweep = adjoint_sweep(model, sigma, traj, Window.HANN, cfg)
-    estimates = sweep.contraction_estimates
+    estimates = contraction_estimates(sweep.steps, cfg)
     assert np.flatnonzero(estimates > 1.0).tolist() == [151]
     assert estimates[151] == pytest.approx(1.038, abs=5e-4)
     assert np.all(sweep.residual_norms <= cfg.tol)
-    m_mat = sweep.steps.m_mats[150]
+    m_mat = sweep.steps[150] + cfg.inv_dtau * np.eye(2)
     assert cfg.inv_dtau * np.abs(1.0 / np.linalg.eigvals(m_mat)).max() < 1.0
     tangent = windowed_tangent_sensitivity(tangent_sweep(model, sigma, traj), Window.HANN,
                                            20, 200)
@@ -196,11 +197,13 @@ def test_contraction_is_the_iteration_matrix_norm(name):
     for dtau in (1.0, 0.3):
         cfg = PseudoTimeConfig(dtau)
         steps = adjoint_sweep(model, sigma, traj, Window.HANN, cfg).steps
-        iteration = np.swapaxes(np.eye(model.d_u) - np.linalg.solve(steps.m_mats, steps.a_mats),
-                                1, 2)
-        assert np.allclose(iteration, cfg.inv_dtau * np.linalg.inv(steps.m_mats).swapaxes(1, 2),
+        m_mats = steps + cfg.inv_dtau * np.eye(model.d_u)
+        iteration = np.swapaxes(np.eye(model.d_u) - np.linalg.solve(m_mats, steps), 1, 2)
+        assert np.allclose(iteration, cfg.inv_dtau * np.linalg.inv(m_mats).swapaxes(1, 2),
                            rtol=1e-13, atol=1e-15)
-        assert np.allclose(steps.contractions, np.linalg.norm(iteration, 2, axis=(1, 2)),
+        estimates = contraction_estimates(steps, cfg)
+        assert estimates[0] == 0.0
+        assert np.allclose(estimates[1:], np.linalg.norm(iteration, 2, axis=(1, 2)),
                            rtol=1e-13, atol=0.0)
 
 
@@ -209,7 +212,7 @@ def test_newton_limit_shortcut():
     sweep = adjoint_sweep(model, sigma, traj, Window.HANN)
     assert np.all(sweep.inner_iterations[1:] == 1)
     assert np.all(sweep.residual_norms == 0.0)
-    assert np.all(sweep.contraction_estimates == 0.0)
+    assert np.all(contraction_estimates(sweep.steps, PseudoTimeConfig()) == 0.0)
 
 
 def test_single_step_span_gives_exact_zero():
@@ -270,7 +273,8 @@ def test_fixed_point_step_reproduces_the_sweeps_state(dtau):
     assert not sweep.adjoint_states[-1].any()
     n, steps = traj.n_steps - 1, sweep.steps
     rhs = sweep.seeds[n].tolist()
-    m_rows = steps.m_mats[n - 1].T.ravel().tolist()
+    m_mat = steps[n - 1] + cfg.inv_dtau * np.eye(model.d_u)
+    m_rows = m_mat.T.ravel().tolist()
 
     def iterate(ubar):
         # one fixed-point iterate r_i + inv_dtau lambda_i, lambda = M_n^{-T}
@@ -291,12 +295,13 @@ def test_fixed_point_step_reproduces_the_sweeps_state(dtau):
             iterations += 1
             if norm <= cfg.tol or iterations == cfg.max_inner:
                 break
-    contraction = 0.0 if math.isinf(dtau) else steps.contractions[n - 1]
+    contraction = 0.0 if math.isinf(dtau) else \
+        cfg.inv_dtau / np.linalg.svd(m_mat, compute_uv=False)[-1]
     assert isinstance(ubar, list) and len(ubar) == model.d_u
     assert np.array_equal(np.array(ubar), sweep.adjoint_states[n]) and any(ubar)
     assert (iterations, norm, contraction) == (sweep.inner_iterations[n],
                                                sweep.residual_norms[n],
-                                               sweep.contraction_estimates[n])
+                                               contraction_estimates(steps, cfg)[n])
 
 
 def direct_transcription(sweep, cfg, dt):
@@ -307,7 +312,7 @@ def direct_transcription(sweep, cfg, dt):
     limit, and the norm of A_n^T lambda_n - rhs_n, each row's products
     summed over the columns in order and the squares left to right."""
     _, beta, delta = primal.step_coefficients(2, dt)
-    n_total, d_u = len(sweep.steps.a_mats), sweep.seeds.shape[1]
+    n_total, d_u = len(sweep.steps), sweep.seeds.shape[1]
     solve = float_kernels(d_u).solve
     ubar, norms, lambdas, bounds = [[0.0] * d_u], [0.0], {}, []
     for n in range(n_total, 0, -1):
@@ -316,7 +321,7 @@ def direct_transcription(sweep, cfg, dt):
             rhs = [r - beta * x for r, x in zip(rhs, lambdas[n + 1])]
         if n + 2 <= n_total:
             rhs = [r - delta * x for r, x in zip(rhs, lambdas[n + 2])]
-        a_t = sweep.steps.a_mats[n - 1].T.tolist()
+        a_t = sweep.steps[n - 1].T.tolist()
         lam = lambdas[n] = solve([x for row in a_t for x in row], rhs, n)
         ubar.insert(1, rhs if cfg.inv_dtau == 0.0 else
                     [r + cfg.inv_dtau * x for r, x in zip(rhs, lam)])
@@ -447,7 +452,8 @@ def test_running_derivative_is_the_tail_sum_loop(n_transient):
         sweep = adjoint_sweep(model, sigma, traj, Window.HANN)
         n_total = grid.n_steps
         solve = float_kernels(model.d_u).solve
-        lam = [solve(sweep.steps.m_mats[n - 1].T.ravel().tolist(),
+        m_mats = sweep.steps + 0.0 * np.eye(model.d_u)  # M_n at dtau = inf
+        lam = [solve(m_mats[n - 1].T.ravel().tolist(),
                      sweep.adjoint_states[n].tolist(), n) for n in range(1, n_total + 1)]
         coupling = np.matmul(np.array(lam)[:, None, :],
                              model.jacobian_design(traj.states[1:], sigma,
@@ -528,6 +534,34 @@ def test_each_step_evaluates_its_residuals_and_jacobian_once():
         model.calls.clear()
         sweep()
         assert model.calls == per_sweep
+    # an adjoint sweep given the steps of an earlier one reads no state Jacobian
+    steps = step_matrices(model, sigma, traj)
+    model.calls.clear()
+    adjoint_sweep(model, sigma, traj, Window.HANN, PseudoTimeConfig(0.3), steps=steps)
+    assert model.calls == per_sweep - Counter(jacobian_state=traj.n_steps)
+
+
+SWEEP_ARRAYS = ("adjoint_states", "seeds", "design_derivative", "running_design_derivative",
+                "inner_iterations", "residual_norms", "steps")
+
+
+@pytest.mark.parametrize("name", DUALITY_MODELS)
+def test_one_steps_stack_serves_every_dtau_and_mode(name):
+    # steps is the A_n stack of step_matrices, which depends on neither dtau
+    # nor the mode: taken from a fixed-point sweep at dtau = 1, it gives a
+    # sweep at dtau = 0.3 and direct sweeps the bits of fresh ones
+    model, sigma = DUALITY_MODELS[name]
+    traj = simulate(model, sigma, TimeGrid(dt=0.05, n_steps=200, n_transient=40))
+    steps = adjoint_sweep(model, sigma, traj, Window.BUMP, PseudoTimeConfig(1.0)).steps
+    assert steps.tobytes() == step_matrices(model, sigma, traj).tobytes()
+    for dtau, mode in [(0.3, AdjointMode.FIXED_POINT), (0.3, AdjointMode.DIRECT),
+                       (1.0, AdjointMode.DIRECT), (math.inf, AdjointMode.DIRECT)]:
+        cfg = PseudoTimeConfig(dtau)
+        fresh = adjoint_sweep(model, sigma, traj, Window.BUMP, cfg, mode)
+        reused = adjoint_sweep(model, sigma, traj, Window.BUMP, cfg, mode, steps=steps)
+        for array in SWEEP_ARRAYS:
+            assert getattr(reused, array).tobytes() == getattr(fresh, array).tobytes(), \
+                (dtau, mode, array)
 
 
 def test_mode_from_name():
@@ -569,8 +603,8 @@ def test_singular_step_matrices_raise_with_step(monkeypatch):
     # A_n alone, which stays regular, so it finishes
     traj = simulate(ForcedOscillator(), sigma, TimeGrid(dt=1.0, n_steps=10, n_transient=1))
     model, cfg = SingularAtStepsOscillator(), PseudoTimeConfig(dtau=1.0)
-    steps = adjoint._reverse_steps(model, sigma, traj, cfg)
-    assert np.flatnonzero(np.isinf(steps.contractions)).tolist() == [2, 6]
+    steps = step_matrices(model, sigma, traj)
+    assert np.flatnonzero(np.isinf(contraction_estimates(steps, cfg))).tolist() == [3, 7]
     for kernels in (primal._TWO_STATE_KERNELS, primal._ARRAY_KERNELS):
         monkeypatch.setattr(primal, "_TWO_STATE_KERNELS", kernels)
         with pytest.raises(SingularStepError) as excinfo:
@@ -578,13 +612,11 @@ def test_singular_step_matrices_raise_with_step(monkeypatch):
         assert excinfo.value.step == 7, kernels
         direct = adjoint_sweep(model, sigma, traj, Window.HANN, cfg, AdjointMode.DIRECT)
         assert np.isfinite(direct.design_derivative).all() and direct.adjoint_states[7].any()
-        assert np.isinf(direct.contraction_estimates[[3, 7]]).all()
 
-    # a singular A_n with a regular M_n stops the direct mode at step n,
-    # where its loop meets it, through both kernel sets
-    a_mats = steps.a_mats.copy()
-    a_mats[4] = [[1.0, -1.0], [-1.0, 1.0]]
-    singular_a = adjoint.ReverseSteps(a_mats, a_mats + np.eye(2), np.ones(10))
+    # a singular A_n with a regular M_n = A_n + I stops the direct mode at
+    # step n, where its loop meets it, through both kernel sets
+    singular_a = steps.copy()
+    singular_a[4] = [[1.0, -1.0], [-1.0, 1.0]]
     for kernels in (primal._TWO_STATE_KERNELS, primal._ARRAY_KERNELS):
         monkeypatch.setattr(primal, "_TWO_STATE_KERNELS", kernels)
         with pytest.raises(SingularStepError) as excinfo:

@@ -182,6 +182,28 @@ def test_design_outside_model_domain_exits_2(tmp_path, capsys):
     assert "period non-positive" in record["message"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("subcommand", ["simulate", "tangent", "adjoint", "optimize"])
+@pytest.mark.parametrize("a1, values, what", [("0.7", "1e308", "period out of range"),
+                                              ("1e300", "1e10", "mean out of range")],
+                         ids=["period", "mean"])
+def test_design_with_an_overflowing_period_or_mean_exits_2(tmp_path, capsys, subcommand, a1,
+                                                           values, what):
+    # a period of 1e308 is finite but its square, in dOmega/dsigma, is not;
+    # 1e300 * 1e10 makes the mean inf.  Either is refused as the config is
+    # read, with one error record and no numpy warning
+    cfg = write_config(tmp_path, ANALYTIC_CONFIG.replace("a1 = 0.7", f"a1 = {a1}").replace(
+        "values = 0.3", f"values = {values}"))
+    outdir = tmp_path / "o"
+    assert main([subcommand, cfg, "--output-dir", str(outdir)]) == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert (record["error"], record["exit_code"]) == ("ConfigError", 2)
+    assert what in record["message"]
+
+
 def test_nan_design_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, VDP_CONFIG.replace("values = 1.0", "values = nan"))
     outdir = tmp_path / "o"

@@ -23,7 +23,7 @@ from test_kernels import same_bits
 from test_primal import LinearModel
 
 from lcowind import primal
-from lcowind.adjoint import AdjointMode, adjoint_sweep
+from lcowind.adjoint import AdjointMode, adjoint_sweep, contraction_estimates
 from lcowind.errors import (AdjointDivergenceError, LcoError, SingularStepError,
                             StepConvergenceError)
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator, OutputKind,
@@ -83,7 +83,8 @@ def sweeps(model, sigma, grid, cfg, adjoint_cfg, mode=AdjointMode.FIXED_POINT):
     def reverse():
         sweep = adjoint_sweep(model, np.array(sigma), traj, Window.HANN, adjoint_cfg, mode)
         return [sweep.adjoint_states, sweep.running_design_derivative,
-                sweep.inner_iterations, sweep.residual_norms, sweep.contraction_estimates]
+                sweep.inner_iterations, sweep.residual_norms,
+                contraction_estimates(sweep.steps, adjoint_cfg)]
 
     marched = outcome(march)
     if not isinstance(marched[0], primal.Trajectory):
@@ -164,22 +165,26 @@ def test_two_state_kernels_meet_a_singular_step_alike(dtau, stiffness, mode, mon
 
 def drawn_reverse_inputs(rng, newton):
     """Arguments of a reverse kernel for two states: seeds with signed
-    zeros, infinities, NaN and subnormals, step matrices with zero entries
-    (zero pivots among them) and pivot ties |a21| = |a11|, and values of
-    inv_dtau whose fixed-point iterations contract or grow."""
+    zeros, infinities, NaN and subnormals, the rows of step matrices A_n^T
+    whose M_n^T = A_n^T + inv_dtau I has zero entries (zero pivots among
+    them) and pivot ties |a21| = |a11 + inv_dtau|, and values of inv_dtau
+    whose fixed-point iterations contract or grow."""
     n_total = int(rng.integers(1, 9))
     special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]
     seeds = rng.normal(size=(n_total + 1, 2))
     where = rng.random(seeds.shape) < 0.15
     seeds[where] = rng.choice(special, where.sum())
-    m_rows = rng.normal(size=(n_total, 4))
-    m_rows[rng.random(m_rows.shape) < 0.1] = 0.0
+    a_rows = rng.normal(size=(n_total, 4))
+    zeros = rng.random(a_rows.shape) < 0.1
     ties = rng.random(n_total) < 0.2
-    m_rows[ties, 2] = rng.choice([-1.0, 1.0], ties.sum()) * m_rows[ties, 0]
     inv_dtau = 0.0 if newton else float(rng.choice([0.2, 0.6, 2.0]))
+    # a zero of M_n^T on the diagonal is a_ii = -inv_dtau, as -x + x is 0.0
+    a_rows[zeros] = 0.0
+    a_rows[:, [0, 3]] = np.where(zeros[:, [0, 3]], 0.0 - inv_dtau, a_rows[:, [0, 3]])
+    a_rows[ties, 2] = rng.choice([-1.0, 1.0], ties.sum()) * (a_rows[ties, 0] + inv_dtau)
     _, beta, delta = primal.step_coefficients(2, float(rng.choice([0.05, 1.0])))
-    return (seeds.tolist(), m_rows.tolist(), rng.random(n_total).tolist(), inv_dtau, beta,
-            delta, float(rng.choice([1e-12, 1e-6, math.inf])), int(rng.choice([1, 3, 50])))
+    return (seeds.tolist(), a_rows.tolist(), inv_dtau, beta, delta,
+            float(rng.choice([1e-12, 1e-6, math.inf])), int(rng.choice([1, 3, 50])))
 
 
 @pytest.mark.parametrize("newton", [True, False], ids=["newton", "fixed-point"])

@@ -7,11 +7,12 @@ numpy-array form it was first written in: the state and the design read
 through np.asarray, every product taken on numpy scalars.  The methods
 that also take a stack of states must return the stack of their
 single-state results, and the per-step ones the same result for a list of
-floats as for an array.  solve_step is compared with np.linalg.solve, which
-the reference march uses for systems of other sizes than two; the float
-step kernels are pinned further down.  All must agree in every bit.  The
-solve_step pin holds for a given pairing of numpy's and scipy's LAPACK
-builds, which is why the CI log prints their build configurations.
+floats as for an array.  The any-size kernels' solve, _solve_arrays, is
+compared with np.linalg.solve, which the reference march uses for systems
+of other sizes than two; the float step kernels are pinned further down.
+All must agree in every bit.  The _solve_arrays pin holds for a given
+pairing of numpy's and scipy's LAPACK builds, which is why the CI log
+prints their build configurations.
 """
 
 import math
@@ -23,7 +24,7 @@ import pytest
 from lcowind.errors import AdjointDivergenceError, SingularStepError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
                             OutputKind, VanDerPol)
-from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate, solve_step
+from lcowind.primal import PseudoTimeConfig, TimeGrid, _solve_arrays, simulate
 
 N_DRAWS = 3000
 # the methods that take one state (d_u,) or a stack of states (N, d_u)
@@ -217,32 +218,29 @@ def test_model_methods_do_not_write_their_inputs():
         assert not np.shares_memory(traj.outputs, traj.states)
 
 
-@pytest.mark.parametrize("n_rhs", [None, 1, 3], ids=["vector", "one-column", "three-columns"])
 @pytest.mark.parametrize("size", [1, 2])
-def test_solve_step_matches_numpy_solve_bit_for_bit(size, n_rhs):
-    rng = np.random.default_rng(size * 10 + (n_rhs or 0))
+def test_solve_arrays_matches_numpy_solve_bit_for_bit(size):
+    rng = np.random.default_rng(size * 10)
     for _ in range(N_DRAWS):
         scale = 10.0 ** rng.uniform(-3.0, 3.0)
         matrix = rng.standard_normal((size, size)) * scale
-        shape = (size,) if n_rhs is None else (size, n_rhs)
-        rhs = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0)
-        # the adjoint solves with transposed views of stored step matrices
+        rhs = rng.standard_normal(size) * 10.0 ** rng.uniform(-3.0, 3.0)
+        # the adjoint solves with the transposes of step matrices
         for system in (matrix, matrix.T):
-            before = (system.copy(), rhs.copy())
-            assert same_bits(solve_step(system, rhs), np.linalg.solve(system, rhs)), \
-                (system, rhs)
-            assert np.array_equal(system, before[0]) and np.array_equal(rhs, before[1])
+            got = _solve_arrays(system.ravel().tolist(), rhs.tolist())
+            assert isinstance(got, list)
+            assert same_bits(np.array(got), np.linalg.solve(system, rhs)), (system, rhs)
 
 
-@pytest.mark.parametrize("rhs", [np.ones(2), np.ones((2, 3))], ids=["vector", "matrix"])
-def test_solve_step_raises_on_singular_matrix(rhs):
+def test_solve_arrays_raises_on_singular_matrix():
+    rhs = np.ones(2)
     for matrix in (np.zeros((2, 2)), np.array([[1.0, -1.0], [-1.0, 1.0]]),
                    np.array([[np.nan, 1.0], [1.0, 1.0]])):
         # np.linalg.solve refuses each of these too
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(matrix, rhs)
         with pytest.raises(SingularStepError) as excinfo:
-            solve_step(matrix, rhs, 5)
+            _solve_arrays(matrix.ravel().tolist(), rhs.tolist(), 5)
         assert excinfo.value.step == 5
 
 
@@ -479,19 +477,29 @@ def check_iterate(expected, got, where):
     assert same_float(norm, want_norm), where
 
 
-def reverse_iterate(reverse, m_rows, rhs, ubar, inv_dtau):
+def m_rows_of(a_rows, inv_dtau):
+    """The row-major entries of M^T = A^T + inv_dtau I from A^T's, as the
+    reverse loops form them: a_ii + inv_dtau on the diagonal, the entries
+    off it as given."""
+    size = math.isqrt(len(a_rows))
+    return [a + inv_dtau if i % (size + 1) == 0 else a for i, a in enumerate(a_rows)]
+
+
+def reverse_iterate(reverse, a_rows, rhs, ubar, inv_dtau):
     """The first fixed-point iterate of the reverse loop reverse at step 1,
-    warm-started from ubar, and its change's norm; None and the norm where
-    a NaN norm stops the loop, and None twice where M_1 is singular.  Step 2
-    iterates once from the zero warm start with ubar as its seed:
-    M_2 = diag(sign ubar) makes that start's lambda zeros with ubar's signs,
-    which leave the seed's bits, and lambda_2 = |ubar|, so with beta = 0
-    step 1's right-hand side is rhs itself."""
+    given A_1^T's rows and warm-started from ubar, and its change's norm;
+    None and the norm where a NaN norm stops the loop, and None twice where
+    M_1 is singular.  Step 2 iterates once from the zero warm start with
+    ubar as its seed: an A_2 whose M_2 = A_2 + inv_dtau I is diagonal with
+    ubar's signs makes that start's lambda zeros with ubar's signs, which
+    leave the seed's bits, and lambda_2 nonnegative, so with beta = 0 step
+    1's right-hand side is rhs itself."""
     size = len(rhs)
-    m_2 = np.diag([math.copysign(1.0, x) for x in ubar]).ravel().tolist()
+    a_2 = np.diag([math.copysign(1.0 + 2.0 * inv_dtau, x) - inv_dtau for x in ubar])
     try:
-        states, iterations, norms, _ = reverse([[0.0] * size, rhs, ubar], [m_rows, m_2],
-                                               [0.0, 0.0], inv_dtau, 0.0, 0.0, INF, 1)
+        states, iterations, norms, _ = reverse([[0.0] * size, rhs, ubar],
+                                               [a_rows, a_2.ravel().tolist()], inv_dtau,
+                                               0.0, 0.0, INF, 1)
     except AdjointDivergenceError as exc:
         assert (exc.step, exc.iterations) == (1, 1)
         return None, exc.residual_norm
@@ -509,7 +517,8 @@ def test_fixed_point_iterate_follows_the_stated_order(kernel, size):
     # one iterate ubar <- rhs + inv_dtau lambda, lambda = M^{-T} ubar from
     # the warm start ubar, run through the reverse loop itself: _reverse2,
     # whose lambda is the stated solve, or _reverse, whose lambda is
-    # _solve_arrays'.  A NaN norm stops the loop before its iterate is kept
+    # _solve_arrays', each of the M^T it forms from A^T.  A NaN norm stops
+    # the loop before its iterate is kept
     reverse = primal._reverse2 if kernel == "two-state" else primal._reverse
 
     def solved(m_rows, ubar, exact):
@@ -517,10 +526,10 @@ def test_fixed_point_iterate_follows_the_stated_order(kernel, size):
             return solve_or_singular(primal._solve_arrays, m_rows, ubar)
         return solve2_exact(m_rows, ubar) if exact else solve2_float64(m_rows, ubar)
 
-    def check(m_rows, rhs, ubar, inv_dtau, exact):
-        where = (m_rows, rhs, ubar, inv_dtau)
-        lam = solved(m_rows, ubar, exact)
-        updated, norm = reverse_iterate(reverse, m_rows, rhs, ubar, inv_dtau)
+    def check(a_rows, rhs, ubar, inv_dtau, exact):
+        where = (a_rows, rhs, ubar, inv_dtau)
+        lam = solved(m_rows_of(a_rows, inv_dtau), ubar, exact)
+        updated, norm = reverse_iterate(reverse, a_rows, rhs, ubar, inv_dtau)
         if lam is None:
             assert updated is None and norm is None, where
             return None
@@ -533,22 +542,24 @@ def test_fixed_point_iterate_follows_the_stated_order(kernel, size):
 
     rng = np.random.default_rng(8101 + size + 4 * (kernel == "two-state"))
     for _ in range(N_KERNEL_DRAWS):
-        m_rows, rhs, ubar = (kernel_draws(rng, shape, 70.0).tolist()
+        a_rows, rhs, ubar = (kernel_draws(rng, shape, 70.0).tolist()
                              for shape in (size * size, size, size))
-        check(m_rows, rhs, ubar, 10.0 ** rng.uniform(-3.0, 3.0), exact=True)
-    # special values: every matrix of the first eight for one and two
-    # states, and draws of them for three, with signed-zero warm starts; an
-    # r_i = -0.0 plus an inv_dtau lambda_i = -0.0 stays -0.0, which a sum
-    # started from 0.0 would turn into 0.0
+        check(a_rows, rhs, ubar, 10.0 ** rng.uniform(-3.0, 3.0), exact=True)
+    # special values: every A^T of the first eight for one and two states,
+    # and draws of them for three, with signed-zero warm starts; an r_i =
+    # -0.0 plus an inv_dtau lambda_i = -0.0 stays -0.0, which a sum started
+    # from 0.0 would turn into 0.0.  At inv_dtau = 1.5, a_ii = -1.5 puts a
+    # zero on M's diagonal, so some of these M are singular
     matrices = (itertools.product(SPECIAL[:8], repeat=size * size) if size < 3
                 else rng.choice(SPECIAL, (2000, size * size)).tolist())
     rhs = [-0.0, 0.5, -0.0][:size]
-    negative_zeros = 0
-    for m_rows in matrices:
+    negative_zeros = singular = 0
+    for a_rows in matrices:
         for ubar in ([1.0, -2.0, 3.0], [0.0, -0.0, 0.0], [-0.0] * 3, [1e300, 1e-300, -1e300]):
-            expected = check(list(m_rows), rhs, ubar[:size], 0.5, exact=False)
+            expected = check(list(a_rows), rhs, ubar[:size], 1.5, exact=False)
             negative_zeros += expected is not None and same_float(expected[0][0], -0.0)
-    assert negative_zeros > 0
+            singular += expected is None
+    assert negative_zeros > 0 and singular > 0
 
 
 def check_against_dgesv(matrix, rhs):
@@ -636,7 +647,7 @@ class LinearThreeStateModel:
 def assert_sweeps_match_reference(model, sigma, grid, cfg):
     from test_reference_march import reference_adjoint, reference_simulate, reference_tangent
 
-    from lcowind.adjoint import AdjointMode, adjoint_sweep
+    from lcowind.adjoint import AdjointMode, adjoint_sweep, contraction_estimates
     from lcowind.tangent import tangent_sweep
     from lcowind.windows import Window
 
@@ -653,7 +664,7 @@ def assert_sweeps_match_reference(model, sigma, grid, cfg):
         sweep = adjoint_sweep(model, sigma, traj, Window.HANN, cfg, mode)
         expected = reference_adjoint(model, sigma, states, grid, Window.HANN, cfg, mode)
         got = (sweep.adjoint_states, sweep.running_design_derivative, sweep.inner_iterations,
-               sweep.residual_norms, sweep.contraction_estimates)
+               sweep.residual_norms, contraction_estimates(sweep.steps, cfg))
         for got_array, expected_array in zip(got, expected):
             assert same_bits(got_array, expected_array), mode
     return traj

@@ -154,6 +154,21 @@ def test_analytic_signal_period_validation():
         sig.period(np.array([-1.0]))
     with pytest.raises(DesignDomainError, match="non-positive"):
         sig.period(np.array([np.nan]))
+    # the largest period is the one whose square, in dOmega/dsigma, is finite
+    assert sig.period(np.array([1e154])) == 1e154
+    with pytest.raises(DesignDomainError, match="period out of range"):
+        sig.period(np.array([1e155]))
+    with pytest.raises(DesignDomainError, match="period out of range"):
+        AnalyticSignal(base_period=1e300).period(np.array([1e10]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_analytic_signal_mean_must_be_finite():
+    assert AnalyticSignal(a1=np.array([1e300])).mean(np.array([1.0])) == 1e300
+    for signal, sigma in ((AnalyticSignal(a1=np.array([1e300])), 1e10),
+                          (AnalyticSignal(quad=1.0), 1e200)):
+        with pytest.raises(DesignDomainError, match="mean out of range"):
+            signal.mean(np.array([sigma]))
     with pytest.raises(ValueError, match="base_period"):
         AnalyticSignal(base_period=0.0)
     with pytest.raises(ValueError, match="quad_center"):

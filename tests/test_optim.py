@@ -242,6 +242,21 @@ def constrained_vdp_problem():
                          bound=3.0, max_iterations=4)
 
 
+def test_optimize_at_a_finite_dtau_takes_no_svd(monkeypatch):
+    # the contraction estimates' SVD runs only where they are read, and the
+    # design loop reads none: its objective and constraint sweeps at dtau = 1
+    # finish with np.linalg.svd unavailable
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the design loop took an SVD")
+
+    problem = dataclasses.replace(constrained_vdp_problem(), pseudo=PseudoTimeConfig(dtau=1.0),
+                                  max_iterations=2)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    history = optimize(problem)
+    assert history.iterations == 2
+    assert all(math.isfinite(record.constraint) for record in history.records)
+
+
 @pytest.mark.parametrize("make_problem, sweeps_per_iterate", [
     (lambda: quadratic_problem(relaxation=1.0, max_iterations=6), 1),
     (constrained_vdp_problem, 2),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from lcowind.adjoint import AdjointMode, adjoint_sweep
+from lcowind.adjoint import AdjointMode, adjoint_sweep, contraction_estimates
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
                             OutputKind, VanDerPol)
 from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate, step_coefficients
@@ -219,7 +219,7 @@ def test_sweeps_match_reference_march_bit_for_bit(name, dtau):
         expected = reference_adjoint(model, sigma, states, GRID, Window.BUMP, cfg, mode)
         got = (sweep.adjoint_states, sweep.running_design_derivative,
                sweep.inner_iterations, sweep.residual_norms,
-               sweep.contraction_estimates)
+               contraction_estimates(sweep.steps, cfg))
         for got_array, expected_array in zip(got, expected):
             assert np.array_equal(got_array, expected_array), mode
 

@@ -91,7 +91,7 @@ def test_the_fixed_point_adjoint_records_the_norm_it_stopped_on(name, dtau, tol)
     # every iterate the sweep makes, replayed step by step from step N down
     # to step 1: from the warm start, the downstream step's recorded state,
     # with the step's rhs formed from the recorded states of the two steps
-    # it couples to and the sweep's own M_n
+    # it couples to and M_n = A_n + inv_dtau I from the sweep's own A_n
     model, sigma, cfg, traj = march(name, dtau, "converging")
     sweep = adjoint_sweep(model, sigma, traj, Window.HANN, cfg, AdjointMode.FIXED_POINT,
                           tol=tol)
@@ -109,7 +109,7 @@ def test_the_fixed_point_adjoint_records_the_norm_it_stopped_on(name, dtau, tol)
             rhs = [s - beta * x for s, x in zip(seeds[n], lam[n + 1])]
         else:
             rhs = seeds[n]
-        m_rows = sweep.steps.m_mats[n - 1].T.ravel().tolist()
+        m_rows = (sweep.steps[n - 1] + cfg.inv_dtau * np.eye(d_u)).T.ravel().tolist()
         if math.isinf(dtau):
             # the Newton limit iterates nothing: the step's state is its rhs
             assert sweep.residual_norms[n] == 0.0, n

@@ -2,7 +2,8 @@
 
 The models' per-step methods do not check the state or the design: simulate,
 tangent_sweep and adjoint_sweep check both once, before any step.  A
-singular step matrix is reported by solve_step with the step it belongs to.
+singular step matrix is reported by the kernels' solve with the step it
+belongs to.
 """
 
 import math
