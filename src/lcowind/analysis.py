@@ -8,6 +8,7 @@ unless the caller supplies it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,16 +47,23 @@ def windowed_average(outputs, kind: Window, n_tr: int, n_final: int,
     return float(_windowed_sums(series, (kind,), n_tr, n_final, mode)[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _windowed_sums(series, kinds, n_tr, n_final, mode):
     """(1/span) sum_i w_i series[n_tr + i] over steps n_tr..n_final, one per
     window in kinds: the windowed average of every column of a series
-    indexed by step first."""
+    indexed by step first.  A sum that is not finite is taken again over
+    the series divided by the span first, so a finite series whose average
+    is finite does not overflow; every finite sum is kept as it is."""
     if n_final > len(series) - 1:
         raise InvalidSpanError(
             f"final step {n_final} exceeds recorded length {len(series) - 1}")
-    window = series[n_tr:n_final + 1]
-    return [weights @ window / (n_final - n_tr)
-            for weights in span_weights(kinds, n_tr, n_final, mode)]
+    window, span = series[n_tr:n_final + 1], n_final - n_tr
+    all_weights = span_weights(kinds, n_tr, n_final, mode)
+    averages = [weights @ window / span for weights in all_weights]
+    if window.ndim == 1 and all(map(math.isfinite, averages)):
+        return averages
+    return [np.where(np.isfinite(average), average, weights @ (window / span))
+            for weights, average in zip(all_weights, averages)]
 
 
 @dataclass

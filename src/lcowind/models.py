@@ -4,18 +4,19 @@ Every ODE model describes dynamics in the form du/dt + R(u, sigma, t) = 0
 and exposes the residual R, its state Jacobian, its design derivative, and
 an instantaneous scalar output g(u, sigma) with its state and design
 gradients.  The residual and the state Jacobian take one state as any
-sequence of d_u floats, and the march passes a list: they run per inner
-iterate.  The residual returns a list of floats, the state Jacobian a new
-(d_u, d_u) array.  The models here write their state Jacobian once, as
-row-major floats in jacobian_entries, and jacobian_state wraps that in an
-array; the march and the step matrices read the floats.  A model that
-defines or overrides jacobian_state is read through it instead, flattened
-by .ravel().tolist(), so the override always wins (jacobian_entries_of
-picks the form).  The design Jacobian and the three output methods take
-one state of shape (d_u,) or a trajectory's stack of shape (N, d_u), as
-float arrays, and return their result for each state, so a sweep calls
-each once.  All methods take the design as a float array and check neither
-it nor the state: check_inputs checks both once, where a march or a sweep
+sequence of d_u floats: they run per inner iterate.  The residual returns a
+list of floats, the state Jacobian a new (d_u, d_u) array.  The models here
+write those two formulas once, as closures over the design's terms that
+_bound(sigma) returns, and derive both methods from them.  A march reads
+them through bind(model, sigma), with the design read once, as
+residual(u, t) -> list and jacobian(u, t) -> row-major list; where a class
+defines or overrides residual or jacobian_state, bind calls that method
+instead, the Jacobian flattened by .ravel().tolist(), so an override wins,
+per function.  The design Jacobian and the three output methods take one
+state of shape (d_u,) or a trajectory's stack of shape (N, d_u), as float
+arrays, and return their result for each state, so a sweep calls each
+once.  All methods take the design as a float array and check neither it
+nor the state: check_inputs checks both once, where a march or a sweep
 starts.
 The analytic signal provides exact values for the limit average and its
 design derivative, which makes it the ground truth for convergence and
@@ -33,7 +34,7 @@ from .windows import NamedEnum
 
 __all__ = [
     "check_inputs",
-    "jacobian_entries_of",
+    "bind",
     "DesignVector",
     "OutputKind",
     "AnalyticSignal",
@@ -112,22 +113,31 @@ def check_inputs(model, sigma, states, n_steps=None) -> np.ndarray:
     return design
 
 
-class _FloatJacobian:
-    """jacobian_state as an array of the model's jacobian_entries, its
-    state Jacobian written once as row-major floats."""
+class _BoundModel:
+    """residual and jacobian_state from the closures residual(u, t) and
+    jacobian(u, t) that the model's _bound(sigma) returns."""
+
+    def residual(self, u, sigma, t=0.0) -> list[float]:
+        return self._bound(sigma)[0](u, t)
 
     def jacobian_state(self, u, sigma, t=0.0) -> np.ndarray:
-        return np.array(self.jacobian_entries(u, sigma, t)).reshape(self.d_u, self.d_u)
+        return np.array(self._bound(sigma)[1](u, t)).reshape(self.d_u, self.d_u)
 
 
-def jacobian_entries_of(model):
-    """The state Jacobian of model as a function (u, sigma, t) -> row-major
-    floats: the model's jacobian_entries when its jacobian_state is the
-    array wrapper of them, else its own jacobian_state flattened."""
-    if type(model).jacobian_state is _FloatJacobian.jacobian_state:
-        return model.jacobian_entries
-    jacobian_state = model.jacobian_state
-    return lambda u, sigma, t: jacobian_state(u, sigma, t).ravel().tolist()
+def bind(model, sigma):
+    """The model's residual and state Jacobian at the design sigma, read
+    once, as residual(u, t) -> list and jacobian(u, t) -> row-major list:
+    the closures of the model's _bound, except where its class defines or
+    overrides residual or jacobian_state, which is then called per
+    evaluation."""
+    residual, jacobian = model._bound(sigma) if isinstance(model, _BoundModel) else (None, None)
+    if type(model).residual is not _BoundModel.residual:
+        residual_method = model.residual
+        residual = lambda u, t: residual_method(u, sigma, t)
+    if type(model).jacobian_state is not _BoundModel.jacobian_state:
+        jacobian_method = model.jacobian_state
+        jacobian = lambda u, t: jacobian_method(u, sigma, t).ravel().tolist()
+    return residual, jacobian
 
 
 @dataclass(frozen=True)
@@ -186,20 +196,18 @@ class AnalyticSignal:
         return grad
 
     def period(self, sigma) -> float:
-        sigma = _sigma_values(sigma)
-        with np.errstate(over="ignore"):
-            period = self.base_period * (1.0 + sigma[0])
+        period = self.base_period * (1.0 + float(sigma[0]))
         if not period > 0.0:
             raise DesignDomainError(f"design drives the period non-positive ({period})")
         # dOmega/dsigma_1 divides by the period's square
-        if not math.isfinite(float(period) * float(period)):
+        if not math.isfinite(period * period):
             raise DesignDomainError(f"design drives the period out of range ({period}): "
                                     f"its square overflows")
         return period
 
     def output(self, t, sigma):
         """Signal value at time t (scalar or array)."""
-        period = self.period(sigma)
+        period = self.period(_sigma_values(sigma))
         return self.mean(sigma) + self.amplitude * np.sin(2.0 * np.pi * np.asarray(t, float) / period)
 
     def output_design_derivative(self, t, sigma) -> np.ndarray:
@@ -225,7 +233,7 @@ class AnalyticSignal:
 
 
 @dataclass(frozen=True)
-class AnalyticSignalModel(_FloatJacobian):
+class AnalyticSignalModel(_BoundModel):
     """Harmonic-oscillator realization of an AnalyticSignal.
 
     States (y, z) trace y(t) = b sin(Omega t) with Omega = 2 pi / T(sigma);
@@ -234,9 +242,6 @@ class AnalyticSignalModel(_FloatJacobian):
     """
 
     signal: AnalyticSignal = field(default_factory=AnalyticSignal)
-    # the design terms of the last design seen, which every step of a march
-    # reads again: "omega" -> (sigma_1, Omega, dOmega/dsigma_1)
-    _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     name = "analytic-signal"
     d_u = 2
@@ -248,30 +253,14 @@ class AnalyticSignalModel(_FloatJacobian):
     def initial_state(self, sigma=None) -> np.ndarray:
         return np.array([0.0, self.signal.amplitude])
 
-    def _omega(self, sigma) -> tuple[float, float]:
-        """Omega and dOmega/dsigma_1 at the design; the period is
-        recomputed, and checked, only when sigma_1 changes."""
-        s = float(sigma[0])
-        last = self._last.get("omega")
-        if last is None or last[0] != s:
-            period = self.signal.period(sigma)
-            # dOmega/dsigma_1 through T(sigma) = T0 (1 + sigma_1)
-            last = (s, float(2.0 * np.pi / period),
-                    float(-2.0 * np.pi * self.signal.base_period / period ** 2))
-            self._last["omega"] = last
-        return last[1], last[2]
-
-    def residual(self, u, sigma, t=0.0) -> list[float]:
-        y, z = u
-        omega = self._omega(sigma)[0]
-        return [-omega * z, omega * y]
-
-    def jacobian_entries(self, u, sigma, t=0.0) -> list[float]:
-        omega = self._omega(sigma)[0]
-        return [0.0, -omega, omega, 0.0]
+    def _bound(self, sigma):
+        omega = 2.0 * math.pi / self.signal.period(sigma)
+        return (lambda u, t: [-omega * u[1], omega * u[0]],
+                lambda u, t: [0.0, -omega, omega, 0.0])
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
-        domega = self._omega(sigma)[1]
+        # dOmega/dsigma_1 through T(sigma) = T0 (1 + sigma_1)
+        domega = -2.0 * math.pi * self.signal.base_period / self.signal.period(sigma) ** 2
         jac = np.zeros(np.shape(u) + (len(sigma),))
         jac[..., 0, 0] = -domega * u[..., 1]
         jac[..., 1, 0] = domega * u[..., 0]
@@ -311,7 +300,7 @@ class _FirstStateOutput:
 
 
 @dataclass(frozen=True)
-class VanDerPol(_FloatJacobian, _FirstStateOutput):
+class VanDerPol(_BoundModel, _FirstStateOutput):
     """Van der Pol oscillator; the single design variable is the damping mu.
 
     Residual convention du/dt + R = 0 with R = (-v, -mu (1 - x^2) v + x),
@@ -328,15 +317,17 @@ class VanDerPol(_FloatJacobian, _FirstStateOutput):
         # close to the limit cycle for every mu in the design box
         return np.array([2.0, 0.0])
 
-    def residual(self, u, sigma, t=0.0) -> list[float]:
-        x, v = u
+    def _bound(self, sigma):
         mu = float(sigma[0])
-        return [-v, -mu * (1.0 - x * x) * v + x]
 
-    def jacobian_entries(self, u, sigma, t=0.0) -> list[float]:
-        x, v = u
-        mu = float(sigma[0])
-        return [0.0, -1.0, 2.0 * mu * x * v + 1.0, -mu * (1.0 - x * x)]
+        def residual(u, t):
+            x, v = u
+            return [-v, -mu * (1.0 - x * x) * v + x]
+
+        def jacobian(u, t):
+            x, v = u
+            return [0.0, -1.0, 2.0 * mu * x * v + 1.0, -mu * (1.0 - x * x)]
+        return residual, jacobian
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
         x, v = u[..., 0], u[..., 1]
@@ -346,7 +337,7 @@ class VanDerPol(_FloatJacobian, _FirstStateOutput):
 
 
 @dataclass(frozen=True)
-class ForcedOscillator(_FloatJacobian, _FirstStateOutput):
+class ForcedOscillator(_BoundModel, _FirstStateOutput):
     """Damped linear oscillator driven at a fixed angular frequency.
 
     x'' + c x' + k x = forcing * sin(omega t), with stiffness and damping
@@ -376,14 +367,14 @@ class ForcedOscillator(_FloatJacobian, _FirstStateOutput):
         """Stiffness and damping (k, c) at sigma_1 = s."""
         return self.stiffness0 * (1.0 + s), self.damping0 * (1.0 + s)
 
-    def residual(self, u, sigma, t=0.0) -> list[float]:
-        x, v = u
+    def _bound(self, sigma):
         k, c = self._coefficients(float(sigma[0]))
-        return [-v, c * v + k * x - self.forcing * math.sin(self.omega * t)]
+        forcing, omega = self.forcing, self.omega
 
-    def jacobian_entries(self, u, sigma, t=0.0) -> list[float]:
-        k, c = self._coefficients(float(sigma[0]))
-        return [0.0, -1.0, k, c]
+        def residual(u, t):
+            x, v = u
+            return [-v, c * v + k * x - forcing * math.sin(omega * t)]
+        return residual, lambda u, t: [0.0, -1.0, k, c]
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
         x, v = u[..., 0], u[..., 1]

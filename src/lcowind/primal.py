@@ -21,7 +21,7 @@ from scipy.linalg.lapack import dgesv
 
 from .errors import (AdjointDivergenceError, InvalidSpanError, PeriodUndetectableError,
                      SingularStepError, StepConvergenceError)
-from .models import check_inputs, jacobian_entries_of
+from .models import bind, check_inputs
 
 __all__ = [
     "TimeGrid",
@@ -117,14 +117,14 @@ def step_coefficients(n: int, dt: float) -> tuple[float, float, float]:
     return 1.5 / dt, -2.0 / dt, 0.5 / dt
 
 
-def _extended_residual(model, u_n, sigma, t, alpha, beta_u_nm1, delta_u_nm2) -> list[float]:
+def _extended_residual(residual, u_n, t, alpha, beta_u_nm1, delta_u_nm2) -> list[float]:
     """Extended residual alpha u_n + R(u_n) + beta u_{n-1} + delta u_{n-2}
-    of the float list u_n, with its history terms beta u_{n-1} and delta
-    u_{n-2} already formed as float lists, as they stay fixed over a
-    physical step.  The sums run on Python floats, in the order of the
-    formula."""
+    of the float list u_n, R the bound residual, with its history terms beta
+    u_{n-1} and delta u_{n-2} already formed as float lists, as they stay
+    fixed over a physical step.  The sums run on Python floats, in the order
+    of the formula."""
     return [alpha * x + r + b + d for x, r, b, d
-            in zip(u_n, model.residual(u_n, sigma, t), beta_u_nm1, delta_u_nm2)]
+            in zip(u_n, residual(u_n, t), beta_u_nm1, delta_u_nm2)]
 
 
 def _step_entries(jacobian, alpha, inv_dtau) -> list[float]:
@@ -148,8 +148,8 @@ def step_matrices(model, sigma, traj: Trajectory) -> np.ndarray:
     # step 1 is BDF1, every later step BDF2
     alphas = np.full(traj.n_steps, step_coefficients(2, dt)[0])
     alphas[0] = step_coefficients(1, dt)[0]
-    jacobian = jacobian_entries_of(model)
-    jacobians = np.array([jacobian(u, sigma, n * dt)
+    jacobian = bind(model, sigma)[1]
+    jacobians = np.array([jacobian(u, n * dt)
                           for n, u in zip(steps, traj.states[1:].tolist())])
     return alphas[:, None, None] * np.eye(d_u) + jacobians.reshape(-1, d_u, d_u)
 
@@ -204,43 +204,41 @@ def _update(u, jacobian, residual, alpha, inv_dtau, step=None) -> list[float]:
     return list(map(sub, u, _solve_arrays(entries, residual, step)))
 
 
-def _step(model, jacobian, sigma, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau, tol,
-          max_inner, n):
-    """The inner iteration of physical step n at time t, from the float
-    lists u_{n-1} and u_{n-2}, with the BDF coefficients alpha, beta and
-    delta: the history terms beta u_{n-1} and delta u_{n-2} once, then from
-    u = u_{n-1} the extended residual, its norm and, while norm > tol and
-    fewer than max_inner iterations ran, one _update.  Returns (u as a float
-    list, iterations, the norm of u's extended residual)."""
+def _step(residual, jacobian, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau, tol, max_inner, n):
+    """The inner iteration of physical step n at time t, with the bound
+    residual and Jacobian, from the float lists u_{n-1} and u_{n-2}, with
+    the BDF coefficients alpha, beta and delta: the history terms beta
+    u_{n-1} and delta u_{n-2} once, then from u = u_{n-1} the extended
+    residual, its norm and, while norm > tol and fewer than max_inner
+    iterations ran, one _update.  Returns (u as a float list, iterations,
+    the norm of u's extended residual)."""
     beta_u_nm1, delta_u_nm2 = [beta * x for x in u_nm1], [delta * x for x in u_nm2]
     u = list(u_nm1)
-    residual = _extended_residual(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
-    norm = _vector_norm(residual)
+    extended = _extended_residual(residual, u, t, alpha, beta_u_nm1, delta_u_nm2)
+    norm = _vector_norm(extended)
     its = 0
     while norm > tol and its < max_inner:
-        u = _update(u, jacobian(u, sigma, t), residual, alpha, inv_dtau, n)
-        residual = _extended_residual(model, u, sigma, t, alpha, beta_u_nm1, delta_u_nm2)
-        norm = _vector_norm(residual)
+        u = _update(u, jacobian(u, t), extended, alpha, inv_dtau, n)
+        extended = _extended_residual(residual, u, t, alpha, beta_u_nm1, delta_u_nm2)
+        norm = _vector_norm(extended)
         its += 1
     return u, its, norm
 
 
-def _step2(model, jacobian, sigma, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau, tol,
-           max_inner, n):
+def _step2(residual, jacobian, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau, tol, max_inner, n):
     """_step of two states on local floats, with the extended residual,
     _step_entries, _solve2 and _vector_norm written out in their order.  The
-    model's residual and the Jacobian reader are called once per
-    evaluation, with the iterate as a float list."""
-    residual = model.residual
+    bound residual and Jacobian are called once per evaluation, with the
+    iterate as a float list and t."""
     h0, h1, g0, g1 = beta * u_nm1[0], beta * u_nm1[1], delta * u_nm2[0], delta * u_nm2[1]
     x0, x1 = u = u_nm1
-    r0, r1 = residual(u, sigma, t)
+    r0, r1 = residual(u, t)
     e0 = alpha * x0 + r0 + h0 + g0
     e1 = alpha * x1 + r1 + h1 + g1
     norm = sqrt(e0 * e0 + e1 * e1)
     its = 0
     while norm > tol and its < max_inner:
-        j11, j12, j21, j22 = jacobian(u, sigma, t)
+        j11, j12, j21, j22 = jacobian(u, t)
         a11 = (alpha + j11) + inv_dtau
         a12 = 0.0 + j12
         a21 = 0.0 + j21
@@ -259,7 +257,7 @@ def _step2(model, jacobian, sigma, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau
         x0 -= (b1 - a12 * s1) / a11
         x1 -= s1
         u = [x0, x1]
-        r0, r1 = residual(u, sigma, t)
+        r0, r1 = residual(u, t)
         e0 = alpha * x0 + r0 + h0 + g0
         e1 = alpha * x1 + r1 + h1 + g1
         norm = sqrt(e0 * e0 + e1 * e1)
@@ -267,13 +265,13 @@ def _step2(model, jacobian, sigma, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau
     return u, its, norm
 
 
-def _roundoff_floor(model, u, sigma, t, alpha, beta, delta, u_nm1, u_nm2) -> float:
+def _roundoff_floor(residual, u, t, alpha, beta, delta, u_nm1, u_nm2) -> float:
     """The extended residual's roundoff floor at u: eps times the norm of
     |alpha u| + |R(u)| + |beta u_{n-1}| + |delta u_{n-2}|, the size of the
     rounding error its four terms can carry, so a tolerance below it may
     not be met.  One more residual evaluation, taken only for the error."""
     terms = [abs(alpha * x) + abs(r) + abs(beta * y) + abs(delta * z)
-             for x, r, y, z in zip(u, model.residual(u, sigma, t), u_nm1, u_nm2)]
+             for x, r, y, z in zip(u, residual(u, t), u_nm1, u_nm2)]
     return math.ulp(1.0) * _vector_norm(terms)
 
 
@@ -463,16 +461,16 @@ def simulate(model, sigma, grid: TimeGrid,
     records.  A step that stops unconverged raises StepConvergenceError
     with the extended residual's roundoff floor at its last iterate.  The
     design and the initial state's shape are checked once, and the
-    pseudo-time constants, the Jacobian reader and the kernels are resolved
-    once per march; the model methods each step calls do not check their
-    inputs again.  The outputs are formed in one call once the march is
-    done.
+    pseudo-time constants, the kernels and the model's residual and
+    Jacobian, bound to the design by bind, are resolved once per march;
+    the bound functions each step calls do not check their inputs again.
+    The outputs are formed in one call once the march is done.
     """
     cfg = cfg or PseudoTimeConfig()
     u0 = np.asarray(model.initial_state(sigma), dtype=float)
     sigma = check_inputs(model, sigma, u0)
     inv_dtau, tol, max_inner = cfg.inv_dtau, cfg.tol, cfg.max_inner
-    jacobian = jacobian_entries_of(model)
+    residual, jacobian = bind(model, sigma)
     step = float_kernels(model.d_u).step
     dt = grid.dt
     # step 1 has no u^{-1}; its BDF1 coefficients give u^{-1} no weight
@@ -482,13 +480,12 @@ def simulate(model, sigma, grid: TimeGrid,
     bdf1, bdf2 = step_coefficients(1, dt), step_coefficients(2, dt)
     for n in range(1, grid.n_steps + 1):
         alpha, beta, delta = bdf2 if n > 1 else bdf1
-        u, its, norm = step(model, jacobian, sigma, n * dt, u_nm1, u_nm2, alpha, beta, delta,
+        u, its, norm = step(residual, jacobian, n * dt, u_nm1, u_nm2, alpha, beta, delta,
                             inv_dtau, tol, max_inner, n)
         ok = norm <= tol
         if not ok:
             if not cfg.allow_unconverged:
-                floor = _roundoff_floor(model, u, sigma, n * dt, alpha, beta, delta,
-                                        u_nm1, u_nm2)
+                floor = _roundoff_floor(residual, u, n * dt, alpha, beta, delta, u_nm1, u_nm2)
                 raise StepConvergenceError(n, its, norm, floor, tol)
             warnings.warn(f"step {n} left unconverged (residual {norm:.3e})",
                           RuntimeWarning, stacklevel=2)
@@ -515,7 +512,10 @@ def estimate_period(outputs, n_transient: int, dt: float) -> tuple[float, float]
     tail = outputs[n_transient:]
     if len(tail) < 3:
         raise PeriodUndetectableError("too few samples after the transient cutoff")
-    mean = tail.mean()
+    with np.errstate(over="ignore"):
+        mean = tail.mean()
+    if not np.isfinite(mean):  # the sum overflowed: average the scaled samples
+        mean = (tail / len(tail)).sum()
     below = tail[:-1] < mean
     at_or_above = tail[1:] >= mean
     idx = np.nonzero(below & at_or_above)[0]

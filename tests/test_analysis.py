@@ -1,16 +1,18 @@
 """Tests for windowed averaging, convergence studies, and diagnostics."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from lcowind import windows
-from lcowind.analysis import (DEFAULT_SPAN_OFFSET, convergence_study,
+from lcowind.analysis import (DEFAULT_SPAN_OFFSET, _windowed_sums, convergence_study,
                               divergence_diagnostic,
                               endpoint_shift_robustness, windowed_average)
 from lcowind.errors import DegenerateFitError, InvalidSpanError
 from lcowind.models import AnalyticSignal
+from lcowind.primal import estimate_period
 from lcowind.windows import NormalizationMode, Window
 
 SIG = AnalyticSignal(a0=2.0, a1=np.array([0.7]), amplitude=0.8, base_period=1.0)
@@ -101,6 +103,37 @@ def test_self_reference_matches_closed_form():
         assert inferred.reference_source.startswith("bump@k=")
         assert inferred.reference == pytest.approx(MEAN, rel=1e-8)
         assert inferred.slope == pytest.approx(explicit.slope, abs=0.05)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", list(Window), ids=lambda kind: kind.value)
+def test_a_series_near_the_float_range_averages_finite(kind):
+    # samples up to 3e306 sum past the largest float over the span; their
+    # average, and the mean estimate_period crosses, do not
+    series = 1e306 * signal_series(8)
+    n_final = len(series) - 1
+    value = windowed_average(series, kind, N_TR, n_final)
+    assert math.isfinite(value)
+    assert value == pytest.approx(1e306 * windowed_average(series / 1e306, kind, N_TR, n_final),
+                                  rel=1e-13)
+    assert estimate_period(series, N_TR, DT)[0] == pytest.approx(PERIOD, rel=1e-3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_only_a_sum_that_overflows_is_taken_again():
+    # of two columns, the second 1e306 times the first, only the second
+    # sum overflows: the first keeps the bits of the plain weighted sum
+    base = signal_series(8)
+    series = np.stack([base, 1e306 * base], axis=1)
+    n_final = len(base) - 1
+    weights = windows.discrete_weights(Window.HANN, N_TR, n_final)
+    got = _windowed_sums(series, (Window.HANN,), N_TR, n_final,
+                         NormalizationMode.PAPER_FAITHFUL)[0]
+    with np.errstate(over="ignore"):
+        plain = weights @ series[N_TR:] / (n_final - N_TR)
+    assert got[0].tobytes() == plain[0].tobytes()
+    assert not math.isfinite(plain[1])
+    assert got[1] == pytest.approx(1e306 * got[0], rel=1e-13)
 
 
 def test_period_is_estimated_when_not_given():

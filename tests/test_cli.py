@@ -204,6 +204,23 @@ def test_design_with_an_overflowing_period_or_mean_exits_2(tmp_path, capsys, sub
     assert what in record["message"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("subcommand, key", [("simulate", "windowed_average"),
+                                             ("tangent", "windowed_sensitivity"),
+                                             ("adjoint", "windowed_average")])
+def test_an_output_mean_near_the_float_range_averages_finite(tmp_path, capsys, subcommand, key):
+    # a mean of 1e306 is finite, but its windowed sum over the span is not:
+    # the average must come out finite, with no numpy warning
+    cfg = write_config(tmp_path, ANALYTIC_CONFIG.replace("a1 = 0.7", "a1 = 1e306").replace(
+        "values = 0.3", "values = 1.0"))
+    outdir = tmp_path / "o"
+    assert main([subcommand, cfg, "--output-dir", str(outdir)]) == 0
+    assert capsys.readouterr().err == ""
+    value = read_manifest(outdir)["results"][key]
+    assert all(isinstance(x, float) and math.isfinite(x)
+               for x in (value if isinstance(value, list) else [value]))
+
+
 def test_nan_design_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, VDP_CONFIG.replace("values = 1.0", "values = nan"))
     outdir = tmp_path / "o"

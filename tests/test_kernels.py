@@ -16,7 +16,8 @@ prints their build configurations.
 """
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -681,6 +682,47 @@ def test_a_jacobian_state_override_wins(dtau):
     assert not np.array_equal(scaled.states, plain.states)
 
 
+@dataclass(frozen=True)
+class ResidualCountingVanDerPol(VanDerPol):
+    """Van der Pol that overrides only residual, with VanDerPol's formula,
+    and counts its calls, the calls of _bound and those of the Jacobian
+    _bound returns: the march must read the residual through the method
+    and the Jacobian from one binding."""
+
+    calls: Counter = field(default_factory=Counter, compare=False)
+
+    def residual(self, u, sigma, t=0.0):
+        self.calls["residual"] += 1
+        x, v = u
+        mu = float(sigma[0])
+        return [-v, -mu * (1.0 - x * x) * v + x]
+
+    def _bound(self, sigma):
+        self.calls["_bound"] += 1
+        jacobian = super()._bound(sigma)[1]
+
+        def counted(u, t):
+            self.calls["bound jacobian"] += 1
+            return jacobian(u, t)
+        return None, counted  # no residual: the march must call the method
+
+
+@pytest.mark.parametrize("dtau", [math.inf, 1.0], ids=["dtau=inf", "dtau=1"])
+def test_a_residual_override_wins(dtau):
+    sigma = np.array([1.2])
+    grid = TimeGrid(dt=0.05, n_steps=120, n_transient=20)
+    cfg = PseudoTimeConfig(dtau=dtau, tol=1e-12, max_inner=200)
+    model = ResidualCountingVanDerPol()
+    traj = simulate(model, sigma, grid, cfg)
+    # one residual at each step's warm start and one per inner iterate,
+    # through the method; one Jacobian per inner iterate, from one binding
+    inner = int(traj.inner_iterations.sum())
+    assert model.calls == Counter({"residual": grid.n_steps + inner, "_bound": 1,
+                                   "bound jacobian": inner})
+    assert same_bits(traj.states, simulate(VanDerPol(), sigma, grid, cfg).states)
+    assert_sweeps_match_reference(model, sigma, grid, cfg)
+
+
 @pytest.mark.parametrize("dtau", [math.inf, 1.0], ids=["dtau=inf", "dtau=1"])
 def test_three_state_model_goes_through_dgesv(dtau):
     cfg = PseudoTimeConfig(dtau=dtau, tol=1e-12, max_inner=200)
@@ -733,14 +775,9 @@ def test_step_entries_equal_the_array_sum(size, dtau):
             assert same_floats(_step_entries(jacobian.tolist(), alpha, inv_dtau), expected)
 
 
-class FixedResidual:
-    """A stand-in model whose residual is a given list, whatever the state."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def residual(self, u, sigma, t=0.0):
-        return self.values
+def fixed_residual(values):
+    """A stand-in bound residual that returns a given list, whatever the state."""
+    return lambda u, t: values
 
 
 def step_or_singular(step, *args):
@@ -767,8 +804,8 @@ def test_two_state_step_matches_the_general_form(dtau, monkeypatch):
         alpha, beta, delta = step_coefficients(n, dt)
         for row in draws.tolist():
             entries = row[2:6]
-            args = (FixedResidual(row[6:8]), lambda u, sigma, t: entries, None, 0.0, row[:2],
-                    row[8:], alpha, beta, delta, inv_dtau, 0.0, 1, n)
+            args = (fixed_residual(row[6:8]), lambda u, t: entries, 0.0, row[:2], row[8:],
+                    alpha, beta, delta, inv_dtau, 0.0, 1, n)
             got, expected = step_or_singular(step2, *args), step_or_singular(primal._step, *args)
             if expected[0] == "singular":
                 assert got == expected, row
@@ -793,7 +830,7 @@ def test_extended_residuals_match_the_formula(size):
         for u, r, u_nm1, u_nm2 in draws:
             beta_u_nm1, delta_u_nm2 = beta * u_nm1, delta * u_nm2
             expected = (alpha * u + r + beta_u_nm1 + delta_u_nm2).tolist()
-            got = _extended_residual(FixedResidual(r.tolist()), u.tolist(), None, 0.0, alpha,
+            got = _extended_residual(fixed_residual(r.tolist()), u.tolist(), 0.0, alpha,
                                      beta_u_nm1.tolist(), delta_u_nm2.tolist())
             assert same_floats(got, expected)
 

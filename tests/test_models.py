@@ -1,6 +1,7 @@
 """Tests for the oscillator models and the analytic test signal."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from lcowind.errors import DesignDomainError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, DesignVector,
                             ForcedOscillator, OutputKind, VanDerPol)
+from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate
 
 
 def fd_jacobian_state(model, u, sigma, t, h=1e-7):
@@ -187,6 +189,28 @@ def test_analytic_signal_model_matches_signal():
                        fd_jacobian_design(model, u, sigma, 0.0), rtol=1e-5, atol=1e-7)
     assert np.allclose(model.output_design_gradient(u, sigma),
                        sig.mean_design_gradient(sigma))
+
+
+@pytest.mark.parametrize("dtau", [math.inf, 1.0], ids=["dtau=inf", "dtau=1"])
+def test_the_analytic_model_keeps_no_state_between_marches(dtau):
+    # one instance marched at two designs in turn gives the bytes of fresh
+    # instances, and is left as it was: equal, and pickled to the same
+    # bytes, which would show any state kept on it (its ndarray field makes
+    # it unhashable)
+    def model():
+        return AnalyticSignalModel(signal=AnalyticSignal(a1=np.array([0.7]), amplitude=0.8))
+
+    shared, grid, cfg = model(), TimeGrid(dt=0.05, n_steps=200), PseudoTimeConfig(dtau=dtau)
+    before = pickle.dumps(shared)
+    for sigma in (0.3, -0.2, 0.3):
+        got = simulate(shared, np.array([sigma]), grid, cfg)
+        expected = simulate(model(), np.array([sigma]), grid, cfg)
+        for name in ("states", "outputs", "inner_iterations", "residual_norms"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+        assert (shared.jacobian_design(got.states, np.array([sigma])).tobytes()
+                == model().jacobian_design(got.states, np.array([sigma])).tobytes())
+    assert shared == model()
+    assert pickle.dumps(shared) == before
 
 
 def test_design_vector_validation_and_projection():

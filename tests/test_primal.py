@@ -9,7 +9,7 @@ import pytest
 from lcowind.errors import (InvalidSpanError, PeriodUndetectableError,
                             StepConvergenceError)
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, OutputKind,
-                            VanDerPol)
+                            VanDerPol, bind)
 from lcowind.primal import (PseudoTimeConfig, TimeGrid, _extended_residual,
                             estimate_period, simulate, step_coefficients)
 
@@ -71,7 +71,7 @@ def test_extended_residual_hand_reference():
     u_nm2 = np.array([0.2, -0.4])
     expected = 1.5 / dt * u_n + model.residual(u_n, sigma) \
         - 2.0 / dt * u_nm1 + 0.5 / dt * u_nm2
-    got = _extended_residual(model, u_n.tolist(), sigma, 0.0, 1.5 / dt,
+    got = _extended_residual(bind(model, sigma)[0], u_n.tolist(), 0.0, 1.5 / dt,
                              (-2.0 / dt * u_nm1).tolist(), (0.5 / dt * u_nm2).tolist())
     assert np.allclose(got, expected, rtol=1e-14, atol=1e-14)
 

@@ -17,7 +17,7 @@ from test_kernels import LinearThreeStateModel
 
 from lcowind.adjoint import AdjointMode, adjoint_sweep
 from lcowind.errors import StepConvergenceError
-from lcowind.models import OutputKind, VanDerPol
+from lcowind.models import OutputKind, VanDerPol, bind
 from lcowind.primal import (PseudoTimeConfig, TimeGrid, _extended_residual, float_kernels,
                             simulate, step_coefficients)
 from lcowind.windows import Window
@@ -52,11 +52,12 @@ def test_the_march_records_the_norm_it_stopped_on(name, dtau, budget):
     states = traj.states.tolist()
     assert traj.residual_norms[0] == 0.0 and traj.converged[0]
     dt = traj.grid.dt
+    bound_residual = bind(model, sigma)[0]
     for n in range(1, traj.n_steps + 1):
         alpha, beta, delta = step_coefficients(n, dt)
         u_nm2 = states[n - 2] if n >= 2 else states[0]
         residual = _extended_residual(
-            model, states[n], sigma, n * dt, alpha, [beta * x for x in states[n - 1]],
+            bound_residual, states[n], n * dt, alpha, [beta * x for x in states[n - 1]],
             [delta * x for x in u_nm2])
         recorded = norm(residual)
         assert np.float64(recorded).tobytes() == traj.residual_norms[n].tobytes(), n
