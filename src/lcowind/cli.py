@@ -238,7 +238,8 @@ class RunConfig:
             self.model.output_value(u0, self.design.values)
         with _blame("[grid]"):
             self.grid = TimeGrid(**self._fields(TimeGrid))
-        self.pseudo = PseudoTimeConfig(**self._fields(PseudoTimeConfig))
+        with _blame("[pseudo_time]"):
+            self.pseudo = PseudoTimeConfig(**self._fields(PseudoTimeConfig))
         if (self.opt_constraint_output is not None
                 and isinstance(self.model, AnalyticSignalModel)):
             raise ConfigError("[optimize] constraint_output: the analytic-signal "

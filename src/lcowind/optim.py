@@ -207,7 +207,8 @@ def optimize(problem: DesignProblem, sigma0=None) -> DesignHistory:
         merit = _merit(problem, objective, constraint, penalty)
         grad = _merit_gradient(problem, constraint, grad_obj, grad_con, penalty)
         projected_step = sigma - design.project(sigma - grad)
-        grad_norm = float(np.linalg.norm(projected_step))
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, with no warning
+            grad_norm = float(np.linalg.norm(projected_step))
 
         record = DesignRecord(iteration=iteration, sigma=sigma.copy(),
                               objective=objective, constraint=constraint,

@@ -5,7 +5,7 @@ implicit-Euler pseudo-time smoothing of the linearized update; an infinite
 pseudo-time step reduces the update to a plain Newton step.  The first
 physical step is bootstrapped with BDF1 since no second history level
 exists yet.  The float kernels of each state size live here too, the
-adjoint's reverse loop among them, so float_kernels alone chooses by size.
+reverse loop of both sweeps among them, so float_kernels alone chooses by size.
 """
 from __future__ import annotations
 
@@ -79,8 +79,8 @@ class PseudoTimeConfig:
     allow_unconverged: bool = False
 
     def __post_init__(self):
-        if not self.dtau > 0.0:
-            raise ValueError("dtau must be positive (inf selects Newton)")
+        if not (self.dtau > 0.0 and math.isfinite(self.inv_dtau)):
+            raise ValueError("dtau must be positive with a finite 1/dtau (inf selects Newton)")
         if not self.tol > 0.0 or self.max_inner < 1:
             raise ValueError("tolerance and max_inner must be positive")
 
@@ -154,31 +154,10 @@ def step_matrices(model, sigma, traj: Trajectory) -> np.ndarray:
     return alphas[:, None, None] * np.eye(d_u) + jacobians.reshape(-1, d_u, d_u)
 
 
-def _solve2(entries, rhs, step=None) -> list[float]:
-    """Solve the 2x2 system with row-major entries by Gaussian elimination
-    with partial pivoting, each operation one rounding of Python floats:
-    the rows swap when |a21| > |a11|, then l = a21 / a11, u22 = a22 - l a12,
-    x2 = (b2 - l b1) / u22 and x1 = (b1 - a12 x2) / a11.  A zero pivot or
-    u22 raises SingularStepError, where dgesv would report info > 0.
-    """
-    a11, a12, a21, a22 = entries
-    b1, b2 = rhs
-    if abs(a21) > abs(a11):
-        a11, a12, a21, a22, b1, b2 = a21, a22, a11, a12, b2, b1
-    if a11 == 0.0:
-        raise SingularStepError(step)
-    l = a21 / a11
-    u22 = a22 - l * a12
-    if u22 == 0.0:
-        raise SingularStepError(step)
-    x2 = (b2 - l * b1) / u22
-    return [(b1 - a12 * x2) / a11, x2]
-
-
 def _solve_arrays(entries, rhs, step=None) -> list[float]:
     """Solve the system with row-major entries through LAPACK dgesv, the
-    routine np.linalg.solve calls, without numpy's generic wrapper; info > 0
-    raises SingularStepError."""
+    routine numpy's linalg solve calls, without its generic wrapper; info >
+    0 raises SingularStepError."""
     d_u = len(rhs)
     _, _, solution, info = dgesv(np.array(entries).reshape(d_u, d_u), np.array(rhs))
     if info > 0:
@@ -227,9 +206,12 @@ def _step(residual, jacobian, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau, tol
 
 def _step2(residual, jacobian, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau, tol, max_inner, n):
     """_step of two states on local floats, with the extended residual,
-    _step_entries, _solve2 and _vector_norm written out in their order.  The
-    bound residual and Jacobian are called once per evaluation, with the
-    iterate as a float list and t."""
+    _step_entries, the solve and _vector_norm written out in their order.
+    The solve pivots, swapping the rows when |a21| > |a11|, then forms l =
+    a21 / a11, u22 = a22 - l a12, x2 = (b2 - l b1) / u22 and x1 = (b1 - a12
+    x2) / a11; a zero pivot or u22 raises SingularStepError.  The bound
+    residual and Jacobian are called once per evaluation, with the iterate
+    as a float list and t."""
     h0, h1, g0, g1 = beta * u_nm1[0], beta * u_nm1[1], delta * u_nm2[0], delta * u_nm2[1]
     x0, x1 = u = u_nm1
     r0, r1 = residual(u, t)
@@ -277,7 +259,8 @@ def _roundoff_floor(residual, u, t, alpha, beta, delta, u_nm1, u_nm2) -> float:
 
 def _reverse(seeds, a_rows, inv_dtau, beta, delta, tol, max_inner):
     """The reverse loop of one adjoint sweep, on float lists, for steps n
-    from N = len(a_rows) down to 1.
+    from N = len(a_rows) down to 1.  The tangent runs it too, in its Newton
+    limit on the rows of A_n, steps reversed (see tangent_sweep).
 
     seeds holds step n's seed at row n; entry n - 1 of a_rows holds the
     row-major entries of A_n^T; inv_dtau is 1/dtau, and beta and delta are
@@ -347,7 +330,7 @@ def _reverse(seeds, a_rows, inv_dtau, beta, delta, tol, max_inner):
 
 def _reverse2(seeds, a_rows, inv_dtau, beta, delta, tol, max_inner):
     """_reverse of two states on local floats, with the right-hand side,
-    the iterate and _solve2 written out in their order: each step forms
+    the iterate and _step2's solve written out in their order: each step forms
     M_n^T's diagonal a11 + inv_dtau and a22 + inv_dtau, factors M_n^T once,
     the row swap, l and u22 with their zero tests, and solves every lambda
     from those factors.  Row i of a fixed-point iterate is r_i + inv_dtau
@@ -422,27 +405,26 @@ class FloatKernels(NamedTuple):
     """The kernels of one state size, on Python floats.
 
     step takes the arguments of _step and runs one physical step's whole
-    inner iteration; solve takes a step matrix's row-major entries, the
-    right-hand side and the step; reverse takes the arguments of _reverse
-    and runs one adjoint sweep's whole reverse loop.
+    inner iteration; reverse takes the arguments of _reverse and runs one
+    sweep's whole reverse loop, the adjoint's and, in its Newton limit, the
+    tangent's.
     """
 
     step: Callable
-    solve: Callable
     reverse: Callable
 
 
-# two states, every model in lcowind: the physical step and the adjoint's
-# reverse loop written out
-_TWO_STATE_KERNELS = FloatKernels(_step2, _solve2, _reverse2)
-_ARRAY_KERNELS = FloatKernels(_step, _solve_arrays, _reverse)
+# two states, every model in lcowind: the physical step and the reverse
+# loop written out
+_TWO_STATE_KERNELS = FloatKernels(_step2, _reverse2)
+_ARRAY_KERNELS = FloatKernels(_step, _reverse)
 
 
 def float_kernels(d_u) -> FloatKernels:
     """The kernels of a step system of size d_u, the one place that chooses
     by size.  Two states solve on Python floats; any other size goes
-    through dgesv.  Every size takes its norms and its fixed-point iterates
-    on Python floats, in the same stated order."""
+    through dgesv, in _solve_arrays.  Every size takes its norms and its
+    fixed-point iterates on Python floats, in the same stated order."""
     return _TWO_STATE_KERNELS if d_u == 2 else _ARRAY_KERNELS
 
 

@@ -2,7 +2,8 @@
 
 The tangent recurrence differentiates the converged step equations, not
 the inner iteration path, so its solution is the exact derivative of the
-discrete trajectory with respect to the design variables.
+discrete trajectory with respect to the design variables.  It is the
+adjoint's recurrence on A_n, run forward, so it runs the reverse kernel.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _windowed_sums
+from .errors import SingularStepError
 from .models import check_inputs
 from .primal import Trajectory, float_kernels, step_coefficients, step_matrices
 from .windows import NormalizationMode, Window
@@ -31,31 +33,32 @@ def tangent_sweep(model, sigma, traj: Trajectory) -> TangentTrajectory:
     """Differentiate a converged trajectory w.r.t. the design variables.
 
     The initial state is design-independent, so the sweep starts from zero
-    sensitivity.  Each step solves A_n udot_n = -beta udot_{n-1} - delta
-    udot_{n-2} - dR/dsigma(u^n) on float lists, one design column at a
-    time through float_kernels(d_u).solve; the design Jacobians and the
-    output gradients are formed once, for the whole trajectory.  The
-    design and the states' shape are checked once, here.
+    sensitivity.  Each step solves A_n udot_n = ((0.0 - dR/dsigma(u^n)) -
+    beta udot_{n-1}) - delta udot_{n-2}: the adjoint's recurrence on A_n,
+    not A_n^T, run forward.  So one Newton-limit call of
+    float_kernels(d_u).reverse per design column runs it, on the rows of A_n
+    and the seeds 0.0 - dR/dsigma, steps reversed: its lambda at reversed
+    step m is udot at step N + 1 - m.  BDF2's beta and delta serve every
+    step, as step 1's BDF1 terms multiply udot_0 = 0, which the kernel
+    leaves out.  The design Jacobians and the output gradients are formed
+    once, and the design and the states' shape are checked once, here.
     """
     sigma = check_inputs(model, sigma, traj.states, traj.n_steps)
-    n_total = traj.n_steps
-    dt = traj.grid.dt
-    states = traj.states
+    n_total, states = traj.n_steps, traj.states
     d_u, n_design = model.d_u, model.n_design
-    solve = float_kernels(d_u).solve
-    # the loop runs on float lists: each step's matrix row-major, and per
-    # design column the design Jacobian's and the sensitivities' columns
-    a_rows = step_matrices(model, sigma, traj).reshape(n_total, d_u * d_u).tolist()
-    b_columns = model.jacobian_design(states[1:], sigma, traj.grid.times()[1:]) \
-        .transpose(0, 2, 1).tolist()
-    udot = [[[0.0] * d_u] * n_design]
-    for n in range(1, n_total + 1):
-        _, beta, delta = step_coefficients(n, dt)
-        udot_nm2 = udot[n - 2] if n >= 2 else udot[0]
-        udot.append([solve(a_rows[n - 1], [(-beta * x - delta * y) - b
-                                           for x, y, b in zip(*columns)], n)
-                     for columns in zip(udot[n - 1], udot_nm2, b_columns[n - 1])])
-    udot = np.ascontiguousarray(np.array(udot).transpose(0, 2, 1))
+    a_rows = step_matrices(model, sigma, traj)[::-1].reshape(n_total, d_u * d_u).tolist()
+    b_mats = model.jacobian_design(states[1:], sigma, traj.grid.times()[1:])
+    seeds = np.zeros((n_design, n_total + 1, d_u))
+    seeds[:, 1:] = 0.0 - b_mats[::-1].transpose(2, 0, 1)
+    _, beta, delta = step_coefficients(2, traj.grid.dt)
+    udot = np.zeros((n_total + 1, d_u, n_design))
+    try:
+        for column, seed in enumerate(seeds.tolist()):
+            # the Newton limit reads neither tol nor max_inner
+            lambdas = float_kernels(d_u).reverse(seed, a_rows, 0.0, beta, delta, 0.0, 1)[3]
+            udot[:0:-1, :, column] = np.reshape(lambdas, (n_total, d_u))
+    except SingularStepError as exc:
+        raise SingularStepError(n_total + 1 - exc.step) from None
     gdot = (model.output_state_gradient(states, sigma)[:, None, :] @ udot)[:, 0] \
         + model.output_design_gradient(states, sigma)
     return TangentTrajectory(state_sensitivities=udot, output_sensitivities=gdot,

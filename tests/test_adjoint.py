@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from test_kernels import stated_solve
 
 from lcowind import primal
 from lcowind.adjoint import AdjointMode, adjoint_sweep, contraction_estimates
@@ -14,7 +15,7 @@ from lcowind.analysis import windowed_average
 from lcowind.errors import AdjointDivergenceError, SingularStepError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
                             OutputKind, VanDerPol)
-from lcowind.primal import PseudoTimeConfig, TimeGrid, float_kernels, simulate, step_matrices
+from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate, step_matrices
 from lcowind.tangent import tangent_sweep, windowed_tangent_sensitivity
 from lcowind.windows import NormalizationMode, Window, discrete_weights
 
@@ -279,7 +280,7 @@ def test_fixed_point_step_reproduces_the_sweeps_state(dtau):
     def iterate(ubar):
         # one fixed-point iterate r_i + inv_dtau lambda_i, lambda = M_n^{-T}
         # ubar, and the norm of its change
-        lam = float_kernels(model.d_u).solve(m_rows, ubar, n)
+        lam = stated_solve(m_rows, ubar, n)
         updated = [r + cfg.inv_dtau * x for r, x in zip(rhs, lam)]
         c0, c1 = (y - x for y, x in zip(updated, ubar))
         return updated, math.sqrt(c0 * c0 + c1 * c1)
@@ -313,7 +314,6 @@ def direct_transcription(sweep, cfg, dt):
     summed over the columns in order and the squares left to right."""
     _, beta, delta = primal.step_coefficients(2, dt)
     n_total, d_u = len(sweep.steps), sweep.seeds.shape[1]
-    solve = float_kernels(d_u).solve
     ubar, norms, lambdas, bounds = [[0.0] * d_u], [0.0], {}, []
     for n in range(n_total, 0, -1):
         rhs = sweep.seeds[n].tolist()
@@ -322,7 +322,7 @@ def direct_transcription(sweep, cfg, dt):
         if n + 2 <= n_total:
             rhs = [r - delta * x for r, x in zip(rhs, lambdas[n + 2])]
         a_t = sweep.steps[n - 1].T.tolist()
-        lam = lambdas[n] = solve([x for row in a_t for x in row], rhs, n)
+        lam = lambdas[n] = stated_solve([x for row in a_t for x in row], rhs, n)
         ubar.insert(1, rhs if cfg.inv_dtau == 0.0 else
                     [r + cfg.inv_dtau * x for r, x in zip(rhs, lam)])
         residual = []
@@ -451,10 +451,9 @@ def test_running_derivative_is_the_tail_sum_loop(n_transient):
         warnings.simplefilter("error")
         sweep = adjoint_sweep(model, sigma, traj, Window.HANN)
         n_total = grid.n_steps
-        solve = float_kernels(model.d_u).solve
         m_mats = sweep.steps + 0.0 * np.eye(model.d_u)  # M_n at dtau = inf
-        lam = [solve(m_mats[n - 1].T.ravel().tolist(),
-                     sweep.adjoint_states[n].tolist(), n) for n in range(1, n_total + 1)]
+        lam = [stated_solve(m_mats[n - 1].T.ravel().tolist(),
+                            sweep.adjoint_states[n].tolist(), n) for n in range(1, n_total + 1)]
         coupling = np.matmul(np.array(lam)[:, None, :],
                              model.jacobian_design(traj.states[1:], sigma,
                                                    grid.times()[1:]))[:, 0].tolist()

@@ -561,6 +561,11 @@ OUT_OF_DOMAIN = [
     (ANALYTIC_CONFIG, "simulate", {("model", "a1"): "0.5, 0.5",
                                    ("model", "quad_center"): "1"}),
     (ANALYTIC_CONFIG, "study", {("study", "k_list"): "0, 1"}),
+    # 1/dtau = inf: the divergence error's contraction estimate, an SVD of
+    # M_n = A_n + inf I, fails to converge
+    (VDP_CONFIG, "adjoint", {("pseudo_time", "allow_unconverged"): "true",
+                             ("pseudo_time", "max_inner"): "2",
+                             ("pseudo_time", "dtau"): "1e-320"}),
     # exit 3, a numerical failure
     (VDP_CONFIG, "simulate", {("grid", "dt"): "nan"}),
     (VDP_CONFIG, "simulate", {("pseudo_time", "dtau"): "nan"}),
@@ -728,12 +733,13 @@ def test_exit_code_contract_holds_for_each_suspect_value(key):
                             {key: raw})
 
 
-def run_lcowind(*args, cwd):
-    """Run `python -m lcowind` in a child process on the imported package."""
+def run_lcowind(*args, cwd, flags=()):
+    """Run `python -m lcowind` in a child process on the imported package,
+    with the interpreter's command-line flags."""
     src = str(Path(lcowind.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-m", "lcowind", *args], cwd=cwd,
+    return subprocess.run([sys.executable, *flags, "-m", "lcowind", *args], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
 
 
@@ -780,3 +786,17 @@ def test_an_overflowing_design_writes_one_json_line(tmp_path, name):
     (line,) = proc.stderr.splitlines()
     record = json.loads(line)
     assert record["error"] == "StepConvergenceError" and record["exit_code"] == 3
+
+
+def test_an_overflowing_projected_gradient_warns_nothing(tmp_path):
+    # at a1 = 1e306 the first projected gradient's norm overflows, and the
+    # first full step drives the period non-positive: under -W
+    # error::RuntimeWarning a numpy warning would end the run in a traceback
+    text = ANALYTIC_CONFIG.replace("a1 = 0.7", "a1 = 1e306").replace("values = 0.3",
+                                                                      "values = 1.0")
+    proc = run_lcowind("optimize", write_config(tmp_path, text), "--output-dir",
+                       str(tmp_path / "out"), cwd=tmp_path, flags=("-W", "error::RuntimeWarning"))
+    assert proc.returncode == 3
+    (line,) = proc.stderr.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "DesignDomainError" and record["exit_code"] == 3

@@ -1,14 +1,16 @@
 """The two-state kernels against the any-size ones, over whole sweeps.
 
 The march runs a physical step of two states in one written-out kernel,
-_step2, and the adjoint runs a two-state sweep's whole reverse loop in
-_reverse2; every other size runs _step, a loop over _extended_residual,
-_update and _vector_norm, and the list loop _reverse over the solve.  Here each sweep runs twice, once through the two-state kernels
+_step2, and the tangent and the adjoint run a two-state sweep's whole
+reverse loop in _reverse2; every other size runs _step, a loop over
+_extended_residual, _update and _vector_norm, and the list loop _reverse
+over the solve.  Here each sweep runs twice, once through the two-state kernels
 and once through the any-size ones, and the two must agree in every bit:
 every array, and on failure the error's type, message and fields.
 
 The any-size kernels solve through dgesv, which rounds a 2x2 system
-otherwise than the stated order, so the any-size run solves with _solve2.
+otherwise than the stated order, so the any-size run solves with the
+stated 2x2 solve, test_kernels.solve2.
 Both reverse loops iterate their fixed points in the stated order, each
 iterate followed by the solve of its lambda, so that loop is the any-size
 kernel itself.
@@ -16,10 +18,11 @@ kernel itself.
 
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from test_kernels import same_bits
+from test_kernels import same_bits, solve2
 from test_primal import LinearModel
 
 from lcowind import primal
@@ -28,7 +31,8 @@ from lcowind.errors import (AdjointDivergenceError, LcoError, SingularStepError,
                             StepConvergenceError)
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator, OutputKind,
                             VanDerPol)
-from lcowind.primal import PseudoTimeConfig, TimeGrid, _solve2, simulate
+from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate
+from lcowind.tangent import tangent_sweep
 from lcowind.windows import Window
 
 GRID = TimeGrid(dt=0.05, n_steps=120, n_transient=20)
@@ -56,10 +60,9 @@ BUDGETS = {"default": {}, "unconverged": {"max_inner": 2, "allow_unconverged": T
 
 def any_size_kernels(monkeypatch):
     """Route two-state sweeps through the any-size kernels: the march's
-    step and the adjoint's whole reverse loop."""
-    monkeypatch.setattr(primal, "_solve_arrays", _solve2)
-    monkeypatch.setattr(primal, "_TWO_STATE_KERNELS",
-                        primal._ARRAY_KERNELS._replace(solve=_solve2))
+    step and the reverse loop of the tangent and the adjoint."""
+    monkeypatch.setattr(primal, "_solve_arrays", solve2)
+    monkeypatch.setattr(primal, "_TWO_STATE_KERNELS", primal._ARRAY_KERNELS)
 
 
 def outcome(run):
@@ -74,11 +77,16 @@ def outcome(run):
 
 
 def sweeps(model, sigma, grid, cfg, adjoint_cfg, mode=AdjointMode.FIXED_POINT):
-    """The march's arrays and the adjoint's over it, at adjoint_cfg."""
+    """The march's arrays, and the tangent's and the adjoint's over it, the
+    adjoint at adjoint_cfg."""
     def march():
         traj = simulate(model, np.array(sigma), grid, cfg)
         return traj, [traj.states, traj.outputs, traj.inner_iterations, traj.residual_norms,
                       traj.converged]
+
+    def forward():
+        tangent = tangent_sweep(model, np.array(sigma), traj)
+        return [tangent.state_sensitivities, tangent.output_sensitivities]
 
     def reverse():
         sweep = adjoint_sweep(model, np.array(sigma), traj, Window.HANN, adjoint_cfg, mode)
@@ -90,7 +98,7 @@ def sweeps(model, sigma, grid, cfg, adjoint_cfg, mode=AdjointMode.FIXED_POINT):
     if not isinstance(marched[0], primal.Trajectory):
         return [marched]
     traj, arrays = marched
-    return [arrays, outcome(reverse)]
+    return [arrays, outcome(forward), outcome(reverse)]
 
 
 def assert_same(got, expected):
@@ -128,7 +136,7 @@ def test_two_state_kernels_diverge_alike(dtau, max_inner, monkeypatch):
     grid = TimeGrid(dt=1.0, n_steps=4, n_transient=1)
     adjoint_cfg = PseudoTimeConfig(dtau=dtau, max_inner=max_inner)
     two_state = sweeps(GROWING_PAIR, [0.0], grid, PseudoTimeConfig(), adjoint_cfg)
-    assert two_state[1][0] is AdjointDivergenceError
+    assert two_state[-1][0] is AdjointDivergenceError
     any_size_kernels(monkeypatch)
     assert_same(sweeps(GROWING_PAIR, [0.0], grid, PseudoTimeConfig(), adjoint_cfg), two_state)
 
@@ -161,6 +169,35 @@ def test_two_state_kernels_meet_a_singular_step_alike(dtau, stiffness, mode, mon
         assert two_state[0] is SingularStepError and "'step', 1" in two_state[2]
     any_size_kernels(monkeypatch)
     assert_same([outcome(reverse)], [two_state])
+
+
+@dataclass(frozen=True)
+class SingularAtThreeOscillator(ForcedOscillator):
+    """The forced oscillator whose state Jacobian is diag(-1.5, 1) at t = 3:
+    at dt = 1 it cancels BDF2's alpha = 1.5 in A_3's first entry, so A_3 =
+    diag(0, 2.5) is singular."""
+
+    def jacobian_state(self, u, sigma, t=0.0):
+        if t == 3.0:
+            return np.diag([-1.5, 1.0])
+        return super().jacobian_state(u, sigma, t)
+
+
+def test_the_tangent_names_a_singular_middle_step(monkeypatch):
+    # the tangent runs the reverse kernel on the steps reversed, so the
+    # kernel meets A_3 at its reversed step N - 2 and the sweep must name
+    # it as step 3, through either kernel set
+    grid = TimeGrid(dt=1.0, n_steps=6, n_transient=1)
+    traj = simulate(ForcedOscillator(), np.array([0.0]), grid)
+
+    def forward():
+        return [tangent_sweep(SingularAtThreeOscillator(), np.array([0.0]), traj)
+                .state_sensitivities]
+
+    two_state = outcome(forward)
+    assert two_state[0] is SingularStepError and "'step', 3" in two_state[2]
+    any_size_kernels(monkeypatch)
+    assert_same([outcome(forward)], [two_state])
 
 
 def drawn_reverse_inputs(rng, newton):
@@ -202,7 +239,7 @@ def test_reverse_kernels_agree_on_drawn_inputs(newton, monkeypatch):
     rng = np.random.default_rng(4112 + 2 * newton)
     cases = [drawn_reverse_inputs(rng, newton) for _ in range(400)]
     two_state = [run(primal._reverse2, args) for args in cases]
-    monkeypatch.setattr(primal, "_solve_arrays", _solve2)
+    monkeypatch.setattr(primal, "_solve_arrays", solve2)
     for args, expected in zip(cases, two_state):
         got = run(primal._reverse, args)
         if isinstance(expected, tuple):
@@ -226,8 +263,8 @@ def test_the_cases_reach_every_outcome():
                for dtau in (math.inf, 1.0, 0.3) for budget in BUDGETS}
     errors = {result[-1][0] for result in results.values() if isinstance(result[-1], tuple)}
     assert errors == {SingularStepError, StepConvergenceError, AdjointDivergenceError}
-    assert any(len(result) == 2 and not result[0][4].all() for result in results.values())
-    swept = {name for (name, _, _), result in results.items() if len(result) == 2}
+    assert any(len(result) == 3 and not result[0][4].all() for result in results.values())
+    swept = {name for (name, _, _), result in results.items() if len(result) == 3}
     assert swept == set(MODELS)
-    assert all(len(results[name, dtau, "default"]) == 2 for name in MODELS if name != "singular"
+    assert all(len(results[name, dtau, "default"]) == 3 for name in MODELS if name != "singular"
                for dtau in (math.inf, 1.0, 0.3))

@@ -269,7 +269,9 @@ def test_march_does_not_write_the_models_jacobian(dtau):
 #
 # The march, the tangent and the adjoint's reverse loop do their small
 # linear algebra on Python floats, each operation one IEEE rounding with no
-# fused multiply-add, in the order README states: the solve (_solve2), and
+# fused multiply-add, in the order README states: the two-state solve,
+# written out in _step2 and _reverse2 and pinned here through one
+# Newton-limit step of _reverse2 against the reference solve2, and
 # for every size the norm (_vector_norm) and the fixed-point iterate (one
 # iterate of the reverse loops _reverse2 and _reverse).  Each is pinned to
 # its stated formula twice:
@@ -288,7 +290,7 @@ from fractions import Fraction
 from scipy.linalg.lapack import dgesv
 
 from lcowind import primal
-from lcowind.primal import _solve2, float_kernels, step_coefficients, step_matrices
+from lcowind.primal import float_kernels, step_coefficients, step_matrices
 
 N_KERNEL_DRAWS = 3000
 NAN, INF = math.nan, math.inf
@@ -351,6 +353,35 @@ def solve2_float64(entries, rhs):
     return [float((b1 - a12 * x2) / a11), float(x2)]
 
 
+def solve2(entries, rhs, step=None):
+    """The stated solve, solve2_float64, with the kernels' signature: the
+    reference for the solve the two-state kernels write out.  A singular
+    system raises SingularStepError for step."""
+    solution = solve2_float64(entries, rhs)
+    if solution is None:
+        raise SingularStepError(step)
+    return solution
+
+
+def stated_solve(entries, rhs, step=None):
+    """The reference solve of the kernels of len(rhs) states: solve2 for
+    two, and dgesv through _solve_arrays for any other size."""
+    return (solve2 if len(rhs) == 2 else primal._solve_arrays)(entries, rhs, step)
+
+
+def kernel_solve(entries, rhs, step=None):
+    """The solve the kernels of len(rhs) states run: lambda of one
+    Newton-limit step of their reverse loop, which solves the system of the
+    row-major entries, 0.0 added to its diagonal; a SingularStepError is
+    re-raised for step."""
+    size = len(rhs)
+    try:
+        return float_kernels(size).reverse([[0.0] * size, rhs], [entries], 0.0, 0.0, 0.0,
+                                           0.0, 1)[3]
+    except SingularStepError:
+        raise SingularStepError(step) from None
+
+
 def solve_or_singular(solve, entries, rhs):
     try:
         return solve(entries, rhs, 9)
@@ -362,12 +393,13 @@ def solve_or_singular(solve, entries, rhs):
 def test_solve2_follows_the_stated_order():
     # normal systems whose solutions stay finite: each shares one scale in
     # 1e-100..1e100 with a spread of 1e3 within it
-    assert float_kernels(2).solve is _solve2
+    assert float_kernels(2).reverse is primal._reverse2
     rng = np.random.default_rng(4817)
     for _ in range(N_KERNEL_DRAWS):
         entries, rhs = ((rng.standard_normal(size) * 10.0 ** rng.uniform(-100.0, 100.0)
                          * 10.0 ** rng.uniform(-3.0, 3.0, size)).tolist() for size in (4, 2))
-        assert same_floats(_solve2(entries, rhs), solve2_exact(entries, rhs)), (entries, rhs)
+        assert same_floats(kernel_solve(entries, rhs), solve2_exact(entries, rhs)), \
+            (entries, rhs)
 
 
 @np.errstate(all="ignore")
@@ -376,7 +408,7 @@ def test_solve2_follows_the_stated_order_on_special_values():
     # pivots, and inf - inf
     for entries in itertools.product(SPECIAL, repeat=4):
         for rhs in ([1.0, -2.0], [NAN, 5e-324]):
-            got = solve_or_singular(_solve2, list(entries), rhs)
+            got = solve_or_singular(kernel_solve, list(entries), rhs)
             expected = solve2_float64(entries, rhs)
             assert got == expected is None or same_floats(got, expected), (entries, rhs)
 
@@ -405,7 +437,7 @@ def test_solve2_is_as_accurate_as_dgesv():
         systems += 1
         matrix = matrix * 10.0 ** rng.uniform(-100.0, 100.0)
         rhs = kernel_draws(rng, 2, 100.0)
-        got = _solve2(matrix.ravel().tolist(), rhs.tolist())
+        got = kernel_solve(matrix.ravel().tolist(), rhs.tolist())
         _, _, expected, info = dgesv(matrix, rhs)
         assert info == 0
         assert backward_error(matrix.tolist(), rhs.tolist(), got) <= 4.0 * U, (matrix, rhs)
@@ -422,7 +454,7 @@ def test_solve2_is_singular_exactly_where_the_matrix_is():
     for entries in itertools.product(map(float, range(-6, 7)), repeat=4):
         a11, a12, a21, a22 = entries
         singular = a11 * a22 == a12 * a21
-        got = solve_or_singular(_solve2, list(entries), [1.0, -2.0])
+        got = solve_or_singular(kernel_solve, list(entries), [1.0, -2.0])
         assert (got is None) == singular, entries
         if dgesv(np.array(entries).reshape(2, 2), np.array([1.0, -2.0]))[3] > 0:
             assert singular, entries
@@ -566,7 +598,7 @@ def test_fixed_point_iterate_follows_the_stated_order(kernel, size):
 def check_against_dgesv(matrix, rhs):
     size = len(rhs)
     _, _, expected, info = dgesv(matrix, np.array(rhs))
-    got = solve_or_singular(float_kernels(size).solve, matrix.ravel().tolist(), rhs)
+    got = solve_or_singular(kernel_solve, matrix.ravel().tolist(), rhs)
     if info > 0:
         assert got is None, (matrix, rhs, got)
     else:
@@ -793,10 +825,10 @@ def test_two_state_step_matches_the_general_form(dtau, monkeypatch):
     # one physical step with a budget of one update, from drawn histories,
     # residuals and Jacobian entries: the two-state step writes out _step's
     # extended residual, _step_entries, the solve and the norm, so it is
-    # _step with _solve2 as its solve.  A -0.0 in the residual shows the
-    # sign of a zero off the diagonal, which a march never shows
+    # _step with the stated solve2 as its solve.  A -0.0 in the residual
+    # shows the sign of a zero off the diagonal, which a march never shows
     step2 = float_kernels(2).step
-    monkeypatch.setattr(primal, "_solve_arrays", _solve2)
+    monkeypatch.setattr(primal, "_solve_arrays", solve2)
     inv_dtau = PseudoTimeConfig(dtau=dtau).inv_dtau
     rng = np.random.default_rng(20)
     draws = np.concatenate([kernel_draws(rng, (3000, 10)), rng.choice(SPECIAL, (3000, 10))])

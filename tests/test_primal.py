@@ -265,8 +265,10 @@ def test_grid_and_pseudo_config_validation():
     lambda: TimeGrid(dt=math.inf, n_steps=10),
     lambda: PseudoTimeConfig(dtau=math.nan),
     lambda: PseudoTimeConfig(tol=math.nan),
-], ids=["dt-nan", "dt-inf", "dtau-nan", "tol-nan"])
+    lambda: PseudoTimeConfig(dtau=1e-320),
+], ids=["dt-nan", "dt-inf", "dtau-nan", "tol-nan", "dtau-tiny"])
 def test_grid_and_pseudo_config_reject_nan_and_inf(build):
-    # a `<= 0` check lets NaN through, and an infinite dt makes the time axis NaN
+    # a `<= 0` check lets NaN through, an infinite dt makes the time axis
+    # NaN, and a positive dtau of 1e-320 has the reciprocal inf
     with pytest.raises(ValueError, match="must be positive"):
         build()

@@ -129,8 +129,8 @@ def reference_tangent(model, sigma, states, dt):
         t = n * dt
         system = alpha * np.eye(model.d_u) + model.jacobian_state(states[n], sigma, t)
         udot_nm2 = udot[n - 2] if n >= 2 else udot[0]
-        rhs = -beta * udot[n - 1] - delta * udot_nm2 \
-            - model.jacobian_design(states[n], sigma, t)
+        rhs = (0.0 - model.jacobian_design(states[n], sigma, t)) - beta * udot[n - 1] \
+            - delta * udot_nm2
         udot[n] = solve(system, rhs)
         gdot[n] = model.output_state_gradient(states[n], sigma) @ udot[n] \
             + model.output_design_gradient(states[n], sigma)

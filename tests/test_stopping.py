@@ -13,13 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from test_adjoint import StiffDecayModel
-from test_kernels import LinearThreeStateModel
+from test_kernels import LinearThreeStateModel, stated_solve
 
 from lcowind.adjoint import AdjointMode, adjoint_sweep
 from lcowind.errors import StepConvergenceError
 from lcowind.models import OutputKind, VanDerPol, bind
-from lcowind.primal import (PseudoTimeConfig, TimeGrid, _extended_residual, float_kernels,
-                            simulate, step_coefficients)
+from lcowind.primal import (PseudoTimeConfig, TimeGrid, _extended_residual, simulate,
+                            step_coefficients)
 from lcowind.windows import Window
 
 GRID = TimeGrid(dt=0.05, n_steps=40, n_transient=10)
@@ -98,7 +98,6 @@ def test_the_fixed_point_adjoint_records_the_norm_it_stopped_on(name, dtau, tol)
                           tol=tol)
     tol = cfg.tol if tol is None else tol
     n_total, d_u = traj.n_steps, model.d_u
-    solve = float_kernels(d_u).solve
     _, beta, delta = step_coefficients(2, traj.grid.dt)
     seeds, states = sweep.seeds.tolist(), sweep.adjoint_states.tolist()
     lam = [None] * (n_total + 1)
@@ -118,14 +117,14 @@ def test_the_fixed_point_adjoint_records_the_norm_it_stopped_on(name, dtau, tol)
         else:
             ubar, norms = states[n + 1] if n < n_total else [0.0] * d_u, []
             while not norms or norms[-1] > tol and len(norms) < cfg.max_inner:
-                updated = fixed_point_iterate(solve, m_rows, cfg.inv_dtau, rhs, ubar, n)
+                updated = fixed_point_iterate(stated_solve, m_rows, cfg.inv_dtau, rhs, ubar, n)
                 norms.append(norm([y - x for y, x in zip(updated, ubar)]))
                 ubar = updated
             assert sweep.inner_iterations[n] == len(norms), n
             assert all(earlier > tol for earlier in norms[:-1]) and norms[-1] <= tol, n
             assert np.float64(norms[-1]).tobytes() == sweep.residual_norms[n].tobytes(), n
             assert np.array_equal(np.array(ubar), sweep.adjoint_states[n]), n
-        lam[n] = solve(m_rows, states[n], n)
+        lam[n] = stated_solve(m_rows, states[n], n)
 
 
 @dataclass(frozen=True)
