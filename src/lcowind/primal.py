@@ -1,10 +1,11 @@
 """Implicit BDF2 time marching driven by a pseudo-time inner iteration.
 
 Each physical step solves the extended residual equation R*(u^n) = 0 by
-implicit-Euler pseudo-time smoothing of the linearized update; an infinite
-pseudo-time step reduces the update to a plain Newton step.  The first
-physical step is bootstrapped with BDF1 since no second history level
-exists yet.  The float kernels of each state size live here too, the
+implicit-Euler pseudo-time smoothing of the linearized update, with the
+step matrix factored once per step (a chord iteration); an infinite
+pseudo-time step reduces the update to a plain Newton step, with the
+Jacobian taken at every iterate.  The first physical step is bootstrapped
+with BDF1 since no second history level exists yet.  The float kernels of each state size live here too, the
 reverse loop of both sweeps among them, so float_kernels alone chooses by size.
 """
 from __future__ import annotations
@@ -17,7 +18,7 @@ from operator import sub
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import (AdjointDivergenceError, InvalidSpanError, PeriodUndetectableError,
                      SingularStepError, StepConvergenceError)
@@ -154,15 +155,17 @@ def step_matrices(model, sigma, traj: Trajectory) -> np.ndarray:
     return alphas[:, None, None] * np.eye(d_u) + jacobians.reshape(-1, d_u, d_u)
 
 
-def _solve_arrays(entries, rhs, step=None) -> list[float]:
-    """Solve the system with row-major entries through LAPACK dgesv, the
-    routine numpy's linalg solve calls, without its generic wrapper; info >
-    0 raises SingularStepError."""
-    d_u = len(rhs)
-    _, _, solution, info = dgesv(np.array(entries).reshape(d_u, d_u), np.array(rhs))
+def _factor(entries, step=None) -> Callable:
+    """The solve of the system with row-major entries, factored once through
+    LAPACK dgetrf: the returned function solves one right-hand side per call
+    through dgetrs and gives the solution as a float list.  dgesv, the
+    routine numpy's linalg solve calls, runs the same two routines, so the
+    bits are dgesv's.  info > 0 raises SingularStepError for step."""
+    d_u = math.isqrt(len(entries))
+    lu, piv, info = dgetrf(np.array(entries).reshape(d_u, d_u))
     if info > 0:
         raise SingularStepError(step)
-    return solution.tolist()
+    return lambda rhs: dgetrs(lu, piv, np.array(rhs))[0].tolist()
 
 
 def _vector_norm(r) -> float:
@@ -176,28 +179,29 @@ def _vector_norm(r) -> float:
     return math.sqrt(square)
 
 
-def _update(u, jacobian, residual, alpha, inv_dtau, step=None) -> list[float]:
-    """One pseudo-time update of the float list u: u minus the solve of the
-    step system with _step_entries' matrix and the extended residual."""
-    entries = _step_entries(jacobian, alpha, inv_dtau)
-    return list(map(sub, u, _solve_arrays(entries, residual, step)))
-
-
 def _step(residual, jacobian, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau, tol, max_inner, n):
     """The inner iteration of physical step n at time t, with the bound
     residual and Jacobian, from the float lists u_{n-1} and u_{n-2}, with
     the BDF coefficients alpha, beta and delta: the history terms beta
-    u_{n-1} and delta u_{n-2} once, then from u = u_{n-1} the extended
-    residual, its norm and, while norm > tol and fewer than max_inner
-    iterations ran, one _update.  Returns (u as a float list, iterations,
-    the norm of u's extended residual)."""
+    u_{n-1} and delta u_{n-2} once, then from the predictor, 2.0 u_{n-1,i}
+    - u_{n-2,i} from step 3 on and u_{n-1} before it, the extended residual,
+    its norm and, while norm > tol and fewer than max_inner iterations ran,
+    one update u - x, x the solve of the step system with _step_entries'
+    matrix and the extended residual.  At a finite dtau the step's first
+    update evaluates the Jacobian and factors the matrix, and every later
+    update of the step reuses those factors (a chord iteration); at
+    inv_dtau = 0.0, the Newton limit, every update evaluates and factors
+    afresh.  Returns (u as a float list, iterations, the norm of u's
+    extended residual)."""
     beta_u_nm1, delta_u_nm2 = [beta * x for x in u_nm1], [delta * x for x in u_nm2]
-    u = list(u_nm1)
+    u = [2.0 * x - y for x, y in zip(u_nm1, u_nm2)] if n > 2 else list(u_nm1)
     extended = _extended_residual(residual, u, t, alpha, beta_u_nm1, delta_u_nm2)
     norm = _vector_norm(extended)
     its = 0
     while norm > tol and its < max_inner:
-        u = _update(u, jacobian(u, t), extended, alpha, inv_dtau, n)
+        if its == 0 or inv_dtau == 0.0:
+            solve = _factor(_step_entries(jacobian(u, t), alpha, inv_dtau), n)
+        u = list(map(sub, u, solve(extended)))
         extended = _extended_residual(residual, u, t, alpha, beta_u_nm1, delta_u_nm2)
         norm = _vector_norm(extended)
         its += 1
@@ -205,36 +209,53 @@ def _step(residual, jacobian, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau, tol
 
 
 def _step2(residual, jacobian, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau, tol, max_inner, n):
-    """_step of two states on local floats, with the extended residual,
-    _step_entries, the solve and _vector_norm written out in their order.
-    The solve pivots, swapping the rows when |a21| > |a11|, then forms l =
-    a21 / a11, u22 = a22 - l a12, x2 = (b2 - l b1) / u22 and x1 = (b1 - a12
-    x2) / a11; a zero pivot or u22 raises SingularStepError.  The bound
-    residual and Jacobian are called once per evaluation, with the iterate
-    as a float list and t."""
-    h0, h1, g0, g1 = beta * u_nm1[0], beta * u_nm1[1], delta * u_nm2[0], delta * u_nm2[1]
-    x0, x1 = u = u_nm1
+    """_step of two states on local floats, with the predictor, the
+    extended residual, _step_entries, the solve and _vector_norm written
+    out in their order.  The factoring pivots, swapping the rows when |a21|
+    > |a11|, then forms l = a21 / a11 and u22 = a22 - l a12, and a zero
+    pivot or u22 raises SingularStepError; the solve swaps the right-hand
+    side alike and forms x2 = (b2 - l b1) / u22 and x1 = (b1 - a12 x2) /
+    a11.  The factors are formed at the step's first update and, at a
+    finite dtau, kept for the rest of the step.  The bound residual and
+    Jacobian are called once per evaluation, with the iterate as a float
+    list and t."""
+    p0, p1 = u_nm1
+    q0, q1 = u_nm2
+    h0 = beta * p0
+    h1 = beta * p1
+    g0 = delta * q0
+    g1 = delta * q1
+    if n > 2:
+        x0 = 2.0 * p0 - q0
+        x1 = 2.0 * p1 - q1
+        u = [x0, x1]
+    else:
+        x0, x1, u = p0, p1, u_nm1
     r0, r1 = residual(u, t)
     e0 = alpha * x0 + r0 + h0 + g0
     e1 = alpha * x1 + r1 + h1 + g1
     norm = sqrt(e0 * e0 + e1 * e1)
     its = 0
     while norm > tol and its < max_inner:
-        j11, j12, j21, j22 = jacobian(u, t)
-        a11 = (alpha + j11) + inv_dtau
-        a12 = 0.0 + j12
-        a21 = 0.0 + j21
-        a22 = (alpha + j22) + inv_dtau
-        b1 = e0
-        b2 = e1
-        if abs(a21) > abs(a11):
-            a11, a12, a21, a22, b1, b2 = a21, a22, a11, a12, b2, b1
-        if a11 == 0.0:
-            raise SingularStepError(n)
-        l = a21 / a11
-        u22 = a22 - l * a12
-        if u22 == 0.0:
-            raise SingularStepError(n)
+        if its == 0 or inv_dtau == 0.0:
+            j11, j12, j21, j22 = jacobian(u, t)
+            a11 = (alpha + j11) + inv_dtau
+            a12 = 0.0 + j12
+            a21 = 0.0 + j21
+            a22 = (alpha + j22) + inv_dtau
+            swap = abs(a21) > abs(a11)
+            if swap:
+                a11, a12, a21, a22 = a21, a22, a11, a12
+            if a11 == 0.0:
+                raise SingularStepError(n)
+            l = a21 / a11
+            u22 = a22 - l * a12
+            if u22 == 0.0:
+                raise SingularStepError(n)
+        if swap:
+            b1, b2 = e1, e0
+        else:
+            b1, b2 = e0, e1
         s1 = (b2 - l * b1) / u22
         x0 -= (b1 - a12 * s1) / a11
         x1 -= s1
@@ -277,9 +298,10 @@ def _reverse(seeds, a_rows, inv_dtau, beta, delta, tol, max_inner):
     exceeds both 1 and ten times the previous change's norm, or max_inner
     iterates ran, and raises AdjointDivergenceError, with no contraction
     estimate, unless that norm is at most tol.  The Newton limit records one iteration and a zero norm.
-    Every lambda_n = M_n^{-T} ubar_n is solved by _solve_arrays, which
-    raises SingularStepError at the first step whose M_n is singular, and
-    kept for the two earlier steps.  The direct adjoint hands inv_dtau =
+    Each step factors M_n^T once, through _factor, which raises
+    SingularStepError at the first step whose M_n is singular, and solves
+    every lambda_n = M_n^{-T} ubar_n from those factors; the last is kept
+    for the two earlier steps.  The direct adjoint hands inv_dtau =
     0.0, so the Newton limit's lambda_n solves A_n^T lambda_n = rhs.
 
     Returns (ubar, iterations, norms, lambdas): ubar row-major with a zero
@@ -304,16 +326,17 @@ def _reverse(seeds, a_rows, inv_dtau, beta, delta, tol, max_inner):
         entries = list(a_rows[n - 1])
         for i in range(0, d_u * d_u, d_u + 1):
             entries[i] += inv_dtau
+        solve = _factor(entries, n)
         if not iterate:
             ubar_n = rhs
-        lam = _solve_arrays(entries, ubar_n, n)
+        lam = solve(ubar_n)
         if iterate:
             previous = None  # the change norm of the previous iterate
             for its in range(1, max_inner + 1):
                 updated = [r + inv_dtau * x for r, x in zip(rhs, lam)]
                 norm = _vector_norm(list(map(sub, updated, ubar_n)))
                 ubar_n = updated
-                lam = _solve_arrays(entries, ubar_n, n)
+                lam = solve(ubar_n)
                 if norm <= tol or norm > 1.0 and previous is not None and norm > previous * 10.0:
                     break
                 previous = norm
@@ -422,9 +445,10 @@ _ARRAY_KERNELS = FloatKernels(_step, _reverse)
 
 def float_kernels(d_u) -> FloatKernels:
     """The kernels of a step system of size d_u, the one place that chooses
-    by size.  Two states solve on Python floats; any other size goes
-    through dgesv, in _solve_arrays.  Every size takes its norms and its
-    fixed-point iterates on Python floats, in the same stated order."""
+    by size.  Two states solve on Python floats; any other size factors
+    through dgetrf and solves through dgetrs, in _factor.  Every size takes
+    its norms and its fixed-point iterates on Python floats, in the same
+    stated order."""
     return _TWO_STATE_KERNELS if d_u == 2 else _ARRAY_KERNELS
 
 
@@ -435,8 +459,12 @@ def simulate(model, sigma, grid: TimeGrid,
     Each physical step drives the inner iteration until the extended
     residual R* is below cfg.tol.  Each inner iteration is one linearized
     implicit-Euler pseudo-time update, u <- u - (alpha I + dR/du +
-    I/dtau)^{-1} R*(u), which at dtau = inf is a Newton step, warm-started
-    from the previous physical state.  One call of the step kernel that
+    I/dtau)^{-1} R*(u).  At dtau = inf it is a Newton step, dR/du taken at
+    every iterate; at a finite dtau dR/du is taken at the step's first
+    iterate and the matrix factored once for the whole step, a chord
+    iteration whose fixed point is the same R* = 0.  Steps 1 and 2 start
+    from the previous physical state, every later step from the linear
+    predictor 2 u_{n-1} - u_{n-2}.  One call of the step kernel that
     float_kernels gives for the model's size runs a physical step's whole
     inner iteration on Python floats.  The norm is taken of every iterate's
     residual, and the norm that stops the step is the one the trajectory
@@ -457,15 +485,15 @@ def simulate(model, sigma, grid: TimeGrid,
     dt = grid.dt
     # step 1 has no u^{-1}; its BDF1 coefficients give u^{-1} no weight
     u_nm1 = u_nm2 = u0.tolist()
-    # per step n: the state, inner iterations, residual norm and converged
-    states, inner, norms, flags = [u_nm1], [0], [0.0], [True]
+    # per step n: the state, inner iterations and residual norm; a step
+    # converged where its norm is at most tol
+    states, inner, norms = [u_nm1], [0], [0.0]
     bdf1, bdf2 = step_coefficients(1, dt), step_coefficients(2, dt)
     for n in range(1, grid.n_steps + 1):
         alpha, beta, delta = bdf2 if n > 1 else bdf1
         u, its, norm = step(residual, jacobian, n * dt, u_nm1, u_nm2, alpha, beta, delta,
                             inv_dtau, tol, max_inner, n)
-        ok = norm <= tol
-        if not ok:
+        if not norm <= tol:
             if not cfg.allow_unconverged:
                 floor = _roundoff_floor(residual, u, n * dt, alpha, beta, delta, u_nm1, u_nm2)
                 raise StepConvergenceError(n, its, norm, floor, tol)
@@ -475,12 +503,11 @@ def simulate(model, sigma, grid: TimeGrid,
         states.append(u)
         inner.append(its)
         norms.append(norm)
-        flags.append(ok)
 
-    states = np.array(states, dtype=float)
+    states, norms = np.array(states, dtype=float), np.array(norms, dtype=float)
     return Trajectory(grid=grid, states=states, outputs=model.output_value(states, sigma),
-                      inner_iterations=np.array(inner), residual_norms=np.array(norms, dtype=float),
-                      converged=np.array(flags))
+                      inner_iterations=np.array(inner), residual_norms=norms,
+                      converged=norms <= tol)
 
 
 def estimate_period(outputs, n_transient: int, dt: float) -> tuple[float, float]:

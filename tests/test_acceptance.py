@@ -410,9 +410,9 @@ def test_criterion_12_smooth_windows_make_the_design_loop_robust():
     # smooth windows' errors shrink fast.  Projected gradient from -0.1 to
     # the optimum 0.3 of 1 + 5 (sigma - 0.3)^2 over three spans.  A sweep of
     # centres {0.1, 0.3, 0.5} and starts {-0.4, -0.1, 0.6} gave: every
-    # smooth window's error at least 4.4 times smaller per doubled span, each
+    # smooth window's error at least 4.3 times smaller per doubled span, each
     # at least 28 times below the square window's at the same span, and the
-    # square window's evaluations over the spans at least 1.84 times each
+    # square window's evaluations over the spans at least 1.82 times each
     # smooth window's
     started = time.perf_counter()
     model = AnalyticSignalModel(AnalyticSignal(a0=1.0, a1=np.array([0.0]), amplitude=0.8,

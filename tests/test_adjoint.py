@@ -150,6 +150,44 @@ def test_adjoint_matches_finite_differences():
     assert a_val == pytest.approx(fd, rel=1e-6)
 
 
+@pytest.mark.parametrize("dtau", [0.3, 1.0, 100.0, 1e6],
+                         ids=["dtau=0.3", "dtau=1", "dtau=100", "dtau=1e6"])
+def test_the_chord_keeps_the_derivatives_where_it_iterates_most(dtau):
+    # at a finite dtau each step keeps the Jacobian of its first iterate,
+    # and Van der Pol at mu = 2 with dt = 0.2 moves it most within a step:
+    # at dtau = 100 and 1e6 the chord takes more than twice Newton's inner
+    # iterations.  The march still stops on the same tolerance, and the
+    # sweeps linearize at its converged states, so the tangent equals both
+    # adjoint modes to roundoff, matches finite differences, and equals the
+    # Newton march's tangent to the march's tolerance
+    model, sigma = VanDerPol(output=OutputKind.FIRST_STATE_SQUARED), np.array([2.0])
+    grid = TimeGrid(dt=0.2, n_steps=300, n_transient=60)
+    cfg = PseudoTimeConfig(dtau, tol=1e-13, max_inner=200)
+    traj = simulate(model, sigma, grid, cfg)
+    newton = simulate(model, sigma, grid, PseudoTimeConfig(tol=1e-13, max_inner=200))
+    assert traj.converged.all()
+    if dtau >= 100.0:
+        assert traj.inner_iterations.sum() > 2 * newton.inner_iterations.sum()
+
+    def tangent(march):
+        return windowed_tangent_sensitivity(tangent_sweep(model, sigma, march), Window.BUMP,
+                                            60, 300)[0]
+
+    t_val = tangent(traj)
+    assert t_val == pytest.approx(tangent(newton), rel=1e-10)
+    for mode in AdjointMode:
+        a_val = adjoint_sweep(model, sigma, traj, Window.BUMP, cfg, mode,
+                              tol=5e-15).design_derivative[0]
+        assert a_val == pytest.approx(t_val, rel=1e-10), mode
+    h = 1e-6
+
+    def objective(mu):
+        return windowed_average(simulate(model, np.array([mu]), grid, cfg).outputs,
+                                Window.BUMP, 60, 300)
+
+    assert t_val == pytest.approx((objective(2.0 + h) - objective(2.0 - h)) / (2 * h), rel=1e-6)
+
+
 def test_fixed_point_and_direct_modes_agree():
     cfg = PseudoTimeConfig(dtau=1.0, tol=1e-13, max_inner=200)
     model, sigma, traj = make_vdp_setup(cfg=cfg)
@@ -514,16 +552,21 @@ class CountingVanDerPol(VanDerPol):
         return super().output_design_gradient(u, sigma)
 
 
-def test_each_step_evaluates_its_residuals_and_jacobian_once():
+@pytest.mark.parametrize("dtau", [math.inf, 1.0], ids=["dtau=inf", "dtau=1"])
+def test_each_step_evaluates_its_residuals_and_jacobian_once(dtau):
     model = CountingVanDerPol(output=OutputKind.FIRST_STATE_SQUARED)
     sigma = np.array([1.0])
-    cfg = PseudoTimeConfig(dtau=1.0, tol=1e-12, max_inner=200)
+    cfg = PseudoTimeConfig(dtau=dtau, tol=1e-12, max_inner=200)
     traj = simulate(model, sigma, TimeGrid(dt=0.05, n_steps=80, n_transient=20), cfg)
-    # one residual at each step's warm start, then one per inner iterate;
-    # the outputs of all states in one call
-    assert model.calls == Counter(
-        residual=traj.n_steps + traj.inner_iterations.sum(),
-        jacobian_state=traj.inner_iterations.sum(), output_value=1)
+    # one residual at each step's predictor, then one per inner iterate; the
+    # state Jacobian once per inner iterate in the Newton limit, and at a
+    # finite dtau once per step that iterates, whose factors the chord
+    # keeps; the outputs of all states in one call
+    inner = traj.inner_iterations
+    jacobians = inner.sum() if math.isinf(dtau) else np.count_nonzero(inner)
+    assert model.calls == Counter(residual=traj.n_steps + inner.sum(),
+                                  jacobian_state=jacobians, output_value=1)
+    assert 0 < np.count_nonzero(inner) < inner.sum()
     # each sweep: one state Jacobian per step, and every other method once
     # for the whole trajectory
     per_sweep = Counter(jacobian_state=traj.n_steps, jacobian_design=1,

@@ -3,14 +3,18 @@
 The march runs a physical step of two states in one written-out kernel,
 _step2, and the tangent and the adjoint run a two-state sweep's whole
 reverse loop in _reverse2; every other size runs _step, a loop over
-_extended_residual, _update and _vector_norm, and the list loop _reverse
-over the solve.  Here each sweep runs twice, once through the two-state kernels
-and once through the any-size ones, and the two must agree in every bit:
-every array, and on failure the error's type, message and fields.
+_extended_residual, the factored solve of _factor and _vector_norm, and
+the list loop _reverse over the same solve.  Here each sweep runs twice,
+once through the two-state kernels and once through the any-size ones, and
+the two must agree in every bit: every array, and on failure the error's
+type, message and fields.
 
-The any-size kernels solve through dgesv, which rounds a 2x2 system
-otherwise than the stated order, so the any-size run solves with the
-stated 2x2 solve, test_kernels.solve2.
+The any-size kernels factor and solve through dgetrf and dgetrs, which
+round a 2x2 system otherwise than the stated order, so the any-size run
+factors and solves with the stated 2x2 solve, test_kernels.factor2.  Both
+sets factor where the same rule says: in the march once per step at a
+finite dtau and at every iterate in the Newton limit, and in the reverse
+loops once per step.
 Both reverse loops iterate their fixed points in the stated order, each
 iterate followed by the solve of its lambda, so that loop is the any-size
 kernel itself.
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from test_kernels import same_bits, solve2
+from test_kernels import factor2, same_bits
 from test_primal import LinearModel
 
 from lcowind import primal
@@ -61,7 +65,7 @@ BUDGETS = {"default": {}, "unconverged": {"max_inner": 2, "allow_unconverged": T
 def any_size_kernels(monkeypatch):
     """Route two-state sweeps through the any-size kernels: the march's
     step and the reverse loop of the tangent and the adjoint."""
-    monkeypatch.setattr(primal, "_solve_arrays", solve2)
+    monkeypatch.setattr(primal, "_factor", factor2)
     monkeypatch.setattr(primal, "_TWO_STATE_KERNELS", primal._ARRAY_KERNELS)
 
 
@@ -239,7 +243,7 @@ def test_reverse_kernels_agree_on_drawn_inputs(newton, monkeypatch):
     rng = np.random.default_rng(4112 + 2 * newton)
     cases = [drawn_reverse_inputs(rng, newton) for _ in range(400)]
     two_state = [run(primal._reverse2, args) for args in cases]
-    monkeypatch.setattr(primal, "_solve_arrays", solve2)
+    monkeypatch.setattr(primal, "_factor", factor2)
     for args, expected in zip(cases, two_state):
         got = run(primal._reverse, args)
         if isinstance(expected, tuple):

@@ -7,10 +7,10 @@ numpy-array form it was first written in: the state and the design read
 through np.asarray, every product taken on numpy scalars.  The methods
 that also take a stack of states must return the stack of their
 single-state results, and the per-step ones the same result for a list of
-floats as for an array.  The any-size kernels' solve, _solve_arrays, is
-compared with np.linalg.solve, which the reference march uses for systems
-of other sizes than two; the float step kernels are pinned further down.
-All must agree in every bit.  The _solve_arrays pin holds for a given
+floats as for an array.  The any-size kernels' factored solve, _factor's,
+is compared with np.linalg.solve, which the reference march uses for
+systems of other sizes than two; the float step kernels are pinned further
+down.  All must agree in every bit.  The _factor pin holds for a given
 pairing of numpy's and scipy's LAPACK builds, which is why the CI log
 prints their build configurations.
 """
@@ -25,7 +25,7 @@ import pytest
 from lcowind.errors import AdjointDivergenceError, SingularStepError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
                             OutputKind, VanDerPol)
-from lcowind.primal import PseudoTimeConfig, TimeGrid, _solve_arrays, simulate
+from lcowind.primal import PseudoTimeConfig, TimeGrid, _factor, simulate
 
 N_DRAWS = 3000
 # the methods that take one state (d_u,) or a stack of states (N, d_u)
@@ -220,20 +220,23 @@ def test_model_methods_do_not_write_their_inputs():
 
 
 @pytest.mark.parametrize("size", [1, 2])
-def test_solve_arrays_matches_numpy_solve_bit_for_bit(size):
+def test_factored_solve_matches_numpy_solve_bit_for_bit(size):
     rng = np.random.default_rng(size * 10)
     for _ in range(N_DRAWS):
         scale = 10.0 ** rng.uniform(-3.0, 3.0)
         matrix = rng.standard_normal((size, size)) * scale
-        rhs = rng.standard_normal(size) * 10.0 ** rng.uniform(-3.0, 3.0)
+        # the chord solves several right-hand sides from one factoring
+        rhs_list = rng.standard_normal((3, size)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 1))
         # the adjoint solves with the transposes of step matrices
         for system in (matrix, matrix.T):
-            got = _solve_arrays(system.ravel().tolist(), rhs.tolist())
-            assert isinstance(got, list)
-            assert same_bits(np.array(got), np.linalg.solve(system, rhs)), (system, rhs)
+            solve = _factor(system.ravel().tolist())
+            for rhs in rhs_list:
+                got = solve(rhs.tolist())
+                assert isinstance(got, list)
+                assert same_bits(np.array(got), np.linalg.solve(system, rhs)), (system, rhs)
 
 
-def test_solve_arrays_raises_on_singular_matrix():
+def test_factoring_raises_on_singular_matrix():
     rhs = np.ones(2)
     for matrix in (np.zeros((2, 2)), np.array([[1.0, -1.0], [-1.0, 1.0]]),
                    np.array([[np.nan, 1.0], [1.0, 1.0]])):
@@ -241,7 +244,7 @@ def test_solve_arrays_raises_on_singular_matrix():
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(matrix, rhs)
         with pytest.raises(SingularStepError) as excinfo:
-            _solve_arrays(matrix.ravel().tolist(), rhs.tolist(), 5)
+            _factor(matrix.ravel().tolist(), 5)
         assert excinfo.value.step == 5
 
 
@@ -281,8 +284,9 @@ def test_march_does_not_write_the_models_jacobian(dtau):
 # is pinned to the general step here, and the two-state reverse loop to
 # the general one in tests/test_kernel_sets.py.  The solve is
 # also held to LAPACK dgesv's accuracy and to its singular cases.  Other
-# sizes solve through dgesv itself, which the last tests of this section
-# pin.  A NaN result must be NaN on both sides; its sign bit is not pinned.
+# sizes factor through dgetrf and solve through dgetrs, the two routines
+# dgesv runs, and the last tests of this section pin them to dgesv itself.
+# A NaN result must be NaN on both sides; its sign bit is not pinned.
 
 import itertools
 from fractions import Fraction
@@ -337,36 +341,52 @@ def solve2_exact(entries, rhs):
     return [float(x1), float(x2)]
 
 
-def solve2_float64(entries, rhs):
-    """The stated solve on numpy float64 scalars; None where it is singular."""
+def factor2(entries, step=None):
+    """The stated solve on numpy float64 scalars, split as _factor splits
+    it: the factoring of the 2x2 system with row-major entries, which
+    raises SingularStepError for step where the system is singular, returns
+    the solve of one right-hand side as a float list.  The reference for
+    the factors and the solve the two-state kernels write out."""
     a11, a12, a21, a22 = map(np.float64, entries)
-    b1, b2 = map(np.float64, rhs)
-    if abs(a21) > abs(a11):
-        a11, a12, b1, a21, a22, b2 = a21, a22, b2, a11, a12, b1
+    swap = abs(a21) > abs(a11)
+    if swap:
+        a11, a12, a21, a22 = a21, a22, a11, a12
     if a11 == 0.0:
-        return None
+        raise SingularStepError(step)
     l = a21 / a11
     u22 = a22 - l * a12
     if u22 == 0.0:
+        raise SingularStepError(step)
+
+    def solve(rhs):
+        b1, b2 = map(np.float64, rhs[::-1] if swap else rhs)
+        x2 = (b2 - l * b1) / u22
+        return [float((b1 - a12 * x2) / a11), float(x2)]
+    return solve
+
+
+def solve2_float64(entries, rhs):
+    """The stated solve through factor2; None where it is singular."""
+    try:
+        return factor2(entries)(rhs)
+    except SingularStepError:
         return None
-    x2 = (b2 - l * b1) / u22
-    return [float((b1 - a12 * x2) / a11), float(x2)]
 
 
 def solve2(entries, rhs, step=None):
-    """The stated solve, solve2_float64, with the kernels' signature: the
-    reference for the solve the two-state kernels write out.  A singular
-    system raises SingularStepError for step."""
-    solution = solve2_float64(entries, rhs)
-    if solution is None:
-        raise SingularStepError(step)
-    return solution
+    """The stated solve with the kernels' signature, through factor2."""
+    return factor2(entries, step)(rhs)
+
+
+def factored_solve(entries, rhs, step=None):
+    """The any-size kernels' solve: _factor's, of one right-hand side."""
+    return primal._factor(entries, step)(rhs)
 
 
 def stated_solve(entries, rhs, step=None):
     """The reference solve of the kernels of len(rhs) states: solve2 for
-    two, and dgesv through _solve_arrays for any other size."""
-    return (solve2 if len(rhs) == 2 else primal._solve_arrays)(entries, rhs, step)
+    two, and dgetrf and dgetrs through _factor for any other size."""
+    return (solve2 if len(rhs) == 2 else factored_solve)(entries, rhs, step)
 
 
 def kernel_solve(entries, rhs, step=None):
@@ -550,13 +570,13 @@ def test_fixed_point_iterate_follows_the_stated_order(kernel, size):
     # one iterate ubar <- rhs + inv_dtau lambda, lambda = M^{-T} ubar from
     # the warm start ubar, run through the reverse loop itself: _reverse2,
     # whose lambda is the stated solve, or _reverse, whose lambda is
-    # _solve_arrays', each of the M^T it forms from A^T.  A NaN norm stops
+    # _factor's, each of the M^T it forms from A^T.  A NaN norm stops
     # the loop before its iterate is kept
     reverse = primal._reverse2 if kernel == "two-state" else primal._reverse
 
     def solved(m_rows, ubar, exact):
         if kernel == "any-size":
-            return solve_or_singular(primal._solve_arrays, m_rows, ubar)
+            return solve_or_singular(factored_solve, m_rows, ubar)
         return solve2_exact(m_rows, ubar) if exact else solve2_float64(m_rows, ubar)
 
     def check(a_rows, rhs, ubar, inv_dtau, exact):
@@ -644,7 +664,8 @@ F3 = np.array([0.0, 1.0, 0.5])
 @dataclass(frozen=True)
 class LinearThreeStateModel:
     """du/dt + (1 + sigma_1) K u - F sin(t) = 0 with a fixed 3x3 K: a d_u
-    the float kernels do not cover, so its steps go through dgesv."""
+    the float kernels do not cover, so its steps factor through dgetrf and
+    solve through dgetrs, with dgesv's bits."""
 
     name = "linear-three-state"
     d_u = 3
@@ -746,11 +767,13 @@ def test_a_residual_override_wins(dtau):
     cfg = PseudoTimeConfig(dtau=dtau, tol=1e-12, max_inner=200)
     model = ResidualCountingVanDerPol()
     traj = simulate(model, sigma, grid, cfg)
-    # one residual at each step's warm start and one per inner iterate,
-    # through the method; one Jacobian per inner iterate, from one binding
+    # one residual at each step's predictor and one per inner iterate,
+    # through the method; from one binding, one Jacobian per inner iterate
+    # in the Newton limit, and one per step that iterates at a finite dtau
     inner = int(traj.inner_iterations.sum())
+    jacobians = inner if math.isinf(dtau) else int((traj.inner_iterations > 0).sum())
     assert model.calls == Counter({"residual": grid.n_steps + inner, "_bound": 1,
-                                   "bound jacobian": inner})
+                                   "bound jacobian": jacobians})
     assert same_bits(traj.states, simulate(VanDerPol(), sigma, grid, cfg).states)
     assert_sweeps_match_reference(model, sigma, grid, cfg)
 
@@ -822,23 +845,34 @@ def step_or_singular(step, *args):
 @np.errstate(all="ignore")
 @pytest.mark.parametrize("dtau", [INF, 1.0], ids=["dtau=inf", "dtau=1"])
 def test_two_state_step_matches_the_general_form(dtau, monkeypatch):
-    # one physical step with a budget of one update, from drawn histories,
-    # residuals and Jacobian entries: the two-state step writes out _step's
-    # extended residual, _step_entries, the solve and the norm, so it is
-    # _step with the stated solve2 as its solve.  A -0.0 in the residual
-    # shows the sign of a zero off the diagonal, which a march never shows
+    # one physical step with a budget of one update, and one of two, from
+    # drawn histories, residuals and Jacobian entries: the two-state step
+    # writes out _step's predictor, extended residual, _step_entries, the
+    # factors, the solve and the norm, so it is _step with the stated
+    # factor2 as its factoring, and it reads the Jacobian as often.  Step 3
+    # starts from the predictor; with two updates the second reuses the
+    # first's factors at a finite dtau.  A -0.0 in the residual shows the
+    # sign of a zero off the diagonal, which a march never shows
     step2 = float_kernels(2).step
-    monkeypatch.setattr(primal, "_solve_arrays", solve2)
+    monkeypatch.setattr(primal, "_factor", factor2)
     inv_dtau = PseudoTimeConfig(dtau=dtau).inv_dtau
     rng = np.random.default_rng(20)
     draws = np.concatenate([kernel_draws(rng, (3000, 10)), rng.choice(SPECIAL, (3000, 10))])
-    for n, dt in ((1, 0.05), (2, 0.05)):
+    for n, dt, max_inner in ((1, 0.05, 1), (2, 0.05, 1), (3, 0.05, 1), (3, 0.05, 2)):
         alpha, beta, delta = step_coefficients(n, dt)
         for row in draws.tolist():
-            entries = row[2:6]
-            args = (fixed_residual(row[6:8]), lambda u, t: entries, 0.0, row[:2], row[8:],
-                    alpha, beta, delta, inv_dtau, 0.0, 1, n)
-            got, expected = step_or_singular(step2, *args), step_or_singular(primal._step, *args)
+            entries, calls = row[2:6], Counter()
+
+            def jacobian(u, t, kernel):
+                calls[kernel] += 1
+                return entries
+
+            results = [step_or_singular(kernel, fixed_residual(row[6:8]),
+                                        lambda u, t: jacobian(u, t, kernel), 0.0, row[:2],
+                                        row[8:], alpha, beta, delta, inv_dtau, 0.0, max_inner, n)
+                       for kernel in (step2, primal._step)]
+            got, expected = results
+            assert calls[step2] == calls[primal._step], row
             if expected[0] == "singular":
                 assert got == expected, row
             else:

@@ -1,8 +1,11 @@
 """The sweeps against a plain reference march, compared bit for bit.
 
-The reference builds every matrix where it is used: per inner iterate the
-extended residual in numpy arrays and np.eye shifts; per tangent step the
-output sensitivity g @ udot; per adjoint step the step's own singular
+The reference builds every matrix where it is used: per step the linear
+predictor 2 u_{n-1} - u_{n-2} from step 3 on, and per inner iterate the
+extended residual in numpy arrays, with the step matrix's np.eye shifts
+built at every iterate in the Newton limit and at the step's first iterate
+alone at a finite dtau, where the step reuses it (a chord); per tangent
+step the output sensitivity g @ udot; per adjoint step the step's own singular
 values for its contraction inv_dtau / sigma_min(M_n), and per fixed-point
 iterate ubar <- rhs + inv_dtau M_n^{-T} ubar a fresh solve of M_n^T; in
 the direct mode, one solve of A_n^T lambda_n = rhs, the state rhs +
@@ -104,13 +107,14 @@ def reference_simulate(model, sigma, grid, cfg):
         u_nm1 = states[n - 1]
         u_nm2 = states[n - 2] if n >= 2 else states[0]
         t = n * dt
-        u = u_nm1.copy()
+        u = 2.0 * u_nm1 - u_nm2 if n >= 3 else u_nm1.copy()
         residual = extended_residual(u, u_nm1, u_nm2, t, coeffs)
         residual_norm = norm(residual)
         while residual_norm > cfg.tol and inner[n] < cfg.max_inner:
-            system = coeffs[0] * np.eye(d_u) + model.jacobian_state(u, sigma, t)
-            if not math.isinf(cfg.dtau):
-                system = system + (1.0 / cfg.dtau) * np.eye(d_u)
+            if math.isinf(cfg.dtau) or inner[n] == 0:
+                system = coeffs[0] * np.eye(d_u) + model.jacobian_state(u, sigma, t)
+                if not math.isinf(cfg.dtau):
+                    system = system + (1.0 / cfg.dtau) * np.eye(d_u)
             u = u - solve(system, residual)
             residual = extended_residual(u, u_nm1, u_nm2, t, coeffs)
             residual_norm = norm(residual)

@@ -160,3 +160,29 @@ def test_an_overflowing_residual_raises_without_a_warning(d_u):
         simulate(DivergingModel(d_u), np.array([0.0]), TimeGrid(dt=1.0, n_steps=3))
     assert excinfo.value.step == 1
     assert not math.isfinite(excinfo.value.residual_norm)
+
+
+@pytest.mark.parametrize("dtau", [0.3, 1.0, 100.0, 1e6, math.inf],
+                         ids=["dtau=0.3", "dtau=1", "dtau=100", "dtau=1e6", "dtau=inf"])
+def test_a_stalled_step_never_returns_silently(dtau):
+    # the stiff decay grows as e^(10 t) until its roundoff floor passes tol:
+    # at a finite dtau every step solves with the factors of its first
+    # iterate, and a step that stalls there must raise StepConvergenceError
+    # with its floor.  With allow_unconverged set, every step left above tol
+    # is flagged and warned of, and every other step's norm is at most tol
+    model, sigma = StiffDecayModel(), np.array([0.0])
+    grid = TimeGrid(dt=0.05, n_steps=40)
+    cfg = PseudoTimeConfig(dtau=dtau)
+    with pytest.raises(StepConvergenceError) as excinfo:
+        simulate(model, sigma, grid, cfg)
+    error = excinfo.value
+    assert error.iterations == cfg.max_inner and error.residual_norm > cfg.tol
+    assert cfg.tol < error.floor < math.inf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = simulate(model, sigma, grid, PseudoTimeConfig(dtau=dtau, allow_unconverged=True))
+    flagged = np.flatnonzero(~traj.converged)
+    assert flagged[0] == error.step
+    assert [str(w.message).split()[1] for w in caught] == [str(n) for n in flagged]
+    assert (traj.residual_norms[traj.converged] <= cfg.tol).all()
+    assert (traj.inner_iterations[flagged] == cfg.max_inner).all()
