@@ -238,6 +238,11 @@ class RunConfig:
             self.model.output_value(u0, self.design.values)
         with _blame("[grid]"):
             self.grid = TimeGrid(**self._fields(TimeGrid))
+        # a forcing term such as sin(omega t) is finite at t = 0 but may have
+        # no value at the last step; past the grid check that time is finite
+        t_final = self.grid.n_steps * self.grid.dt
+        with _blame(f"[model] {self.model.name}: residual at the final time t = {t_final!r}"):
+            self.model.residual(u0.tolist(), self.design.values, t_final)
         with _blame("[pseudo_time]"):
             self.pseudo = PseudoTimeConfig(**self._fields(PseudoTimeConfig))
         if (self.opt_constraint_output is not None

@@ -225,7 +225,10 @@ class AnalyticSignal:
         period_term = -self.amplitude * np.cos(phase) * (2.0 * np.pi * t_arr / period ** 2) \
             * self.base_period
         if self.growth_rate != 0.0:
-            period_term = period_term * np.exp(self.growth_rate * t_arr)
+            # exp overflows for a fast growth over a long series, and
+            # cos(phase) = 0 then gives 0 * inf: inf and nan, not warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                period_term = period_term * np.exp(self.growth_rate * t_arr)
         out[:, 0] += period_term
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return out[0]

@@ -52,6 +52,9 @@ class TimeGrid:
             raise ValueError("dt must be positive and finite")
         if self.n_steps < 1:
             raise ValueError("need at least one physical step")
+        if not math.isfinite(self.n_steps * self.dt):
+            raise ValueError(f"final time n_steps * dt = {self.n_steps} * {self.dt!r} "
+                             "overflows")
         if not 0 <= self.n_transient < self.n_steps:
             raise InvalidSpanError(
                 f"transient cutoff {self.n_transient} must lie in [0, {self.n_steps})")

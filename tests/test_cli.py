@@ -221,6 +221,53 @@ def test_an_output_mean_near_the_float_range_averages_finite(tmp_path, capsys, s
                for x in (value if isinstance(value, list) else [value]))
 
 
+def single_record(err):
+    """The one JSON line of stderr; fails on any other line, a warning too."""
+    (line,) = err.strip().splitlines()
+    return json.loads(line)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_a_forcing_with_no_value_at_the_final_time_exits_2(tmp_path, capsys, subcommand):
+    # omega t is 0 at t = 0 but inf at the final time 4 * 2, where math.sin
+    # raises: the config check must find it, not the march
+    cfg = write_config(tmp_path, """\
+        [model]
+        name = forced-oscillator
+        omega = 1e308
+
+        [design]
+        values = 0.1
+
+        [grid]
+        dt = 2
+        n_steps = 4
+        """)
+    outdir = tmp_path / "o"
+    assert main([subcommand, cfg, "--output-dir", str(outdir)]) == 2
+    assert not outdir.exists()
+    record = single_record(capsys.readouterr().err)
+    assert (record["error"], record["exit_code"]) == ("ConfigError", 2)
+    assert record["message"].startswith("[model] forced-oscillator")
+    assert "final time t = 8.0" in record["message"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("subcommand", ["simulate", "study"])
+def test_a_grid_whose_final_time_overflows_exits_2(tmp_path, capsys, subcommand):
+    # 40 * 1e308 overflows: simulate once wrote inf into the time column
+    # after a numpy warning, and study warned before its exit-3 record
+    cfg = write_config(tmp_path, with_keys(ANALYTIC_CONFIG, {
+        ("grid", "dt"): "1e308", ("grid", "n_steps"): "40", ("grid", "n_transient"): "10"}))
+    outdir = tmp_path / "o"
+    assert main([subcommand, cfg, "--output-dir", str(outdir)]) == 2
+    assert not outdir.exists()
+    record = single_record(capsys.readouterr().err)
+    assert (record["error"], record["exit_code"]) == ("ConfigError", 2)
+    assert record["message"].startswith("[grid]") and "overflows" in record["message"]
+
+
 def test_nan_design_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, VDP_CONFIG.replace("values = 1.0", "values = nan"))
     outdir = tmp_path / "o"
@@ -733,14 +780,19 @@ def test_exit_code_contract_holds_for_each_suspect_value(key):
                             {key: raw})
 
 
-def run_lcowind(*args, cwd, flags=()):
-    """Run `python -m lcowind` in a child process on the imported package,
-    with the interpreter's command-line flags."""
+def run_python(*args, cwd):
+    """Run the interpreter in a child process on the imported package."""
     src = str(Path(lcowind.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, *flags, "-m", "lcowind", *args], cwd=cwd,
+    return subprocess.run([sys.executable, *args], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_lcowind(*args, cwd, flags=()):
+    """Run `python -m lcowind` in a child process on the imported package,
+    with the interpreter's command-line flags."""
+    return run_python(*flags, "-m", "lcowind", *args, cwd=cwd)
 
 
 def test_module_entry_point_reports_its_version(tmp_path):
@@ -800,3 +852,31 @@ def test_an_overflowing_projected_gradient_warns_nothing(tmp_path):
     (line,) = proc.stderr.splitlines()
     record = json.loads(line)
     assert record["error"] == "DesignDomainError" and record["exit_code"] == 3
+
+
+def test_a_sensitivity_study_whose_growth_overflows_writes_one_json_line(tmp_path):
+    # exp(1000 t) overflows long before the series ends: the fit finds too
+    # few spans and exits 3, and numpy must print no warning before the record
+    text = with_keys(ANALYTIC_CONFIG, {("model", "growth_rate"): "1000",
+                                       ("study", "quantity"): "sensitivity",
+                                       ("study", "k_list"): "2, 4, 8"})
+    proc = run_lcowind("study", write_config(tmp_path, text), "--output-dir",
+                       str(tmp_path / "out"), cwd=tmp_path)
+    assert proc.returncode == 3
+    record = single_record(proc.stderr)
+    assert record["error"] == "DegenerateFitError" and record["exit_code"] == 3
+
+
+def test_a_cli_run_leaves_scipy_integrate_unimported(tmp_path):
+    # the bump window's constant is a literal, so no run loads the quadrature
+    # subpackage; simulate averages with the bump window by default
+    argv = ["simulate", write_config(tmp_path, VDP_CONFIG), "--output-dir",
+            str(tmp_path / "out")]
+    proc = run_python("-c", f"""if True:
+        import sys
+        from lcowind.cli import main
+        assert main({argv!r}) == 0
+        assert "scipy.integrate" not in sys.modules, "scipy.integrate was imported"
+        """, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert read_manifest(tmp_path / "out")["results"]["window"] == "bump"

@@ -260,6 +260,16 @@ def test_grid_and_pseudo_config_validation():
     assert PseudoTimeConfig(dtau=2.0).inv_dtau == 0.5
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_grid_rejects_a_final_time_that_overflows():
+    # each factor is finite, but 40 * 1e308 is not: the time axis would
+    # read inf after a numpy overflow warning
+    with pytest.raises(ValueError, match="final time n_steps \\* dt .* overflows"):
+        TimeGrid(dt=1e308, n_steps=40)
+    grid = TimeGrid(dt=1e306, n_steps=40)
+    assert np.all(np.isfinite(grid.times()))
+
+
 @pytest.mark.parametrize("build", [
     lambda: TimeGrid(dt=math.nan, n_steps=10),
     lambda: TimeGrid(dt=math.inf, n_steps=10),

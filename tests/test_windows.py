@@ -15,9 +15,9 @@ from lcowind.windows import (NormalizationMode, Window, bump_normalization,
 
 ALL_WINDOWS = list(Window)
 
-# Normalization constant of the unscaled bump profile exp(-1/(s - s^2)).
-# Frozen from two independent computations: adaptive quadrature at two
-# tolerances, and a 10^6-cell midpoint rule; they agree to 6e-16 relative.
+# Normalization constant of the unscaled bump profile exp(-1/(s - s^2)):
+# the literal the library returns.  Pinned by two independent computations:
+# adaptive quadrature with the settings below, and a midpoint rule.
 BUMP_NORM = 0.0070298584066096565
 
 
@@ -29,7 +29,17 @@ def test_quadrature_is_one(kind):
 
 
 def test_bump_normalization_frozen_constant():
-    assert bump_normalization() == pytest.approx(BUMP_NORM, rel=1e-12)
+    assert bump_normalization() == BUMP_NORM
+
+
+def test_bump_normalization_matches_adaptive_quadrature():
+    # the settings the literal was computed with: a pure relative tolerance
+    # of 1e-12, kept above scipy's floor of about 50 eps
+    rel = max(1e-12, 60.0 * np.finfo(float).eps)
+    value, estimate = quad(lambda s: math.exp(-1.0 / (s - s * s)), 0.0, 1.0,
+                           epsabs=0.0, epsrel=rel, limit=200)
+    assert estimate <= 10.0 * rel * value
+    assert abs(value - bump_normalization()) <= math.ulp(BUMP_NORM)
 
 
 def test_bump_normalization_midpoint_oracle():
