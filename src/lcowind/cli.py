@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .adjoint import AdjointMode, adjoint_sweep, contraction_estimates
@@ -604,7 +603,6 @@ def main(argv=None) -> int:
                     "lcowind": __version__,
                     "python": sys.version.split()[0],
                     "numpy": np.__version__,
-                    "scipy": scipy.__version__,
                 },
                 "wall_time_s": time.perf_counter() - started,
                 "timestamp_utc": datetime.now(timezone.utc).isoformat(),

@@ -200,9 +200,9 @@ class AnalyticSignal:
         if not period > 0.0:
             raise DesignDomainError(f"design drives the period non-positive ({period})")
         # dOmega/dsigma_1 divides by the period's square
-        if not math.isfinite(period * period):
+        if not 0.0 < period * period < math.inf:
             raise DesignDomainError(f"design drives the period out of range ({period}): "
-                                    f"its square overflows")
+                                    f"its square overflows or underflows to 0.0")
         return period
 
     def output(self, t, sigma):

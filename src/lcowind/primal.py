@@ -2,11 +2,12 @@
 
 Each physical step solves the extended residual equation R*(u^n) = 0 by
 implicit-Euler pseudo-time smoothing of the linearized update, with the
-step matrix factored once per step (a chord iteration); an infinite
+step matrix formed once per step (a chord iteration); an infinite
 pseudo-time step reduces the update to a plain Newton step, with the
 Jacobian taken at every iterate.  The first physical step is bootstrapped
-with BDF1 since no second history level exists yet.  The float kernels of each state size live here too, the
-reverse loop of both sweeps among them, so float_kernels alone chooses by size.
+with BDF1 since no second history level exists yet.  The float kernels of
+each state size live here too, the reverse loop of both sweeps among them,
+so float_kernels alone chooses by size.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from operator import sub
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import (AdjointDivergenceError, InvalidSpanError, PeriodUndetectableError,
                      SingularStepError, StepConvergenceError)
@@ -159,16 +159,18 @@ def step_matrices(model, sigma, traj: Trajectory) -> np.ndarray:
 
 
 def _factor(entries, step=None) -> Callable:
-    """The solve of the system with row-major entries, factored once through
-    LAPACK dgetrf: the returned function solves one right-hand side per call
-    through dgetrs and gives the solution as a float list.  dgesv, the
-    routine numpy's linalg solve calls, runs the same two routines, so the
-    bits are dgesv's.  info > 0 raises SingularStepError for step."""
-    d_u = math.isqrt(len(entries))
-    lu, piv, info = dgetrf(np.array(entries).reshape(d_u, d_u))
-    if info > 0:
-        raise SingularStepError(step)
-    return lambda rhs: dgetrs(lu, piv, np.array(rhs))[0].tolist()
+    """The solve of the system with row-major entries: the returned function
+    solves one right-hand side per call through np.linalg.solve, LAPACK
+    dgesv, as a float list, and raises SingularStepError for step where the
+    system is singular; each caller solves as soon as it has the function."""
+    matrix = np.array(entries).reshape(-1, math.isqrt(len(entries)))
+
+    def solve(rhs):
+        try:
+            return np.linalg.solve(matrix, rhs).tolist()
+        except np.linalg.LinAlgError:
+            raise SingularStepError(step) from None
+    return solve
 
 
 def _vector_norm(r) -> float:
@@ -191,9 +193,9 @@ def _step(residual, jacobian, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau, tol
     its norm and, while norm > tol and fewer than max_inner iterations ran,
     one update u - x, x the solve of the step system with _step_entries'
     matrix and the extended residual.  At a finite dtau the step's first
-    update evaluates the Jacobian and factors the matrix, and every later
-    update of the step reuses those factors (a chord iteration); at
-    inv_dtau = 0.0, the Newton limit, every update evaluates and factors
+    update evaluates the Jacobian and forms the matrix, and every later
+    update of the step solves with that matrix (a chord iteration); at
+    inv_dtau = 0.0, the Newton limit, every update evaluates and forms it
     afresh.  Returns (u as a float list, iterations, the norm of u's
     extended residual)."""
     beta_u_nm1, delta_u_nm2 = [beta * x for x in u_nm1], [delta * x for x in u_nm2]
@@ -300,12 +302,12 @@ def _reverse(seeds, a_rows, inv_dtau, beta, delta, tol, max_inner):
     lambda.  The loop stops when the norm of the change is at most tol,
     exceeds both 1 and ten times the previous change's norm, or max_inner
     iterates ran, and raises AdjointDivergenceError, with no contraction
-    estimate, unless that norm is at most tol.  The Newton limit records one iteration and a zero norm.
-    Each step factors M_n^T once, through _factor, which raises
-    SingularStepError at the first step whose M_n is singular, and solves
-    every lambda_n = M_n^{-T} ubar_n from those factors; the last is kept
-    for the two earlier steps.  The direct adjoint hands inv_dtau =
-    0.0, so the Newton limit's lambda_n solves A_n^T lambda_n = rhs.
+    estimate, unless that norm is at most tol.  The Newton limit records
+    one iteration and a zero norm.  Each step forms M_n^T once and solves
+    every lambda_n = M_n^{-T} ubar_n with it through _factor's solve, which
+    raises SingularStepError at the first step whose M_n is singular; the
+    last lambda is kept for the two earlier steps.  The direct adjoint hands
+    inv_dtau = 0.0, so the Newton limit's lambda_n solves A_n^T lambda_n = rhs.
 
     Returns (ubar, iterations, norms, lambdas): ubar row-major with a zero
     row 0, the iterations and norms per step with step 0's zero, and
@@ -448,8 +450,8 @@ _ARRAY_KERNELS = FloatKernels(_step, _reverse)
 
 def float_kernels(d_u) -> FloatKernels:
     """The kernels of a step system of size d_u, the one place that chooses
-    by size.  Two states solve on Python floats; any other size factors
-    through dgetrf and solves through dgetrs, in _factor.  Every size takes
+    by size.  Two states solve on Python floats; any other size solves each
+    right-hand side through np.linalg.solve, in _factor.  Every size takes
     its norms and its fixed-point iterates on Python floats, in the same
     stated order."""
     return _TWO_STATE_KERNELS if d_u == 2 else _ARRAY_KERNELS
@@ -464,7 +466,7 @@ def simulate(model, sigma, grid: TimeGrid,
     implicit-Euler pseudo-time update, u <- u - (alpha I + dR/du +
     I/dtau)^{-1} R*(u).  At dtau = inf it is a Newton step, dR/du taken at
     every iterate; at a finite dtau dR/du is taken at the step's first
-    iterate and the matrix factored once for the whole step, a chord
+    iterate and the matrix formed once for the whole step, a chord
     iteration whose fixed point is the same R* = 0.  Steps 1 and 2 start
     from the previous physical state, every later step from the linear
     predictor 2 u_{n-1} - u_{n-2}.  One call of the step kernel that

@@ -204,6 +204,23 @@ def test_design_with_an_overflowing_period_or_mean_exits_2(tmp_path, capsys, sub
     assert what in record["message"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_design_whose_period_square_underflows_exits_2(tmp_path, capsys, subcommand):
+    # a period of 1.3e-300 is positive, but its square, which dOmega/dsigma
+    # and the sensitivity series divide by, is 0.0: once a ZeroDivisionError
+    # traceback or a numpy warning, now refused as the config is read
+    cfg = write_config(tmp_path, with_keys(ANALYTIC_CONFIG, {
+        ("model", "base_period"): "1e-300", ("study", "quantity"): "sensitivity"}))
+    outdir = tmp_path / "o"
+    assert main([subcommand, cfg, "--output-dir", str(outdir)]) == 2
+    assert not outdir.exists()
+    record = single_record(capsys.readouterr().err)
+    assert (record["error"], record["exit_code"]) == ("ConfigError", 2)
+    assert record["message"].startswith("[design] values")
+    assert "underflows" in record["message"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("subcommand, key", [("simulate", "windowed_average"),
                                              ("tangent", "windowed_sensitivity"),
@@ -867,16 +884,37 @@ def test_a_sensitivity_study_whose_growth_overflows_writes_one_json_line(tmp_pat
     assert record["error"] == "DegenerateFitError" and record["exit_code"] == 3
 
 
-def test_a_cli_run_leaves_scipy_integrate_unimported(tmp_path):
-    # the bump window's constant is a literal, so no run loads the quadrature
-    # subpackage; simulate averages with the bump window by default
-    argv = ["simulate", write_config(tmp_path, VDP_CONFIG), "--output-dir",
+def test_the_library_leaves_scipy_unimported(tmp_path):
+    # numpy is the one runtime dependency: an adjoint run, which averages
+    # with the bump window by default, and a march of three states, which
+    # runs the any-size kernels, load no scipy module
+    argv = ["adjoint", write_config(tmp_path, VDP_CONFIG), "--output-dir",
             str(tmp_path / "out")]
     proc = run_python("-c", f"""if True:
         import sys
+        import numpy as np
         from lcowind.cli import main
+        from lcowind.primal import TimeGrid, simulate
+
+        def scipy_modules():
+            return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+        class ThreeStates:
+            d_u, n_design = 3, 1
+            def initial_state(self, sigma=None):
+                return np.array([1.0, 0.0, -0.5])
+            def residual(self, u, sigma, t=0.0):
+                return [u[0] - u[1], u[0] + u[1], 2.0 * u[2]]
+            def jacobian_state(self, u, sigma, t=0.0):
+                return np.array([[1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+            def output_value(self, u, sigma):
+                return u[..., 0]
+
         assert main({argv!r}) == 0
-        assert "scipy.integrate" not in sys.modules, "scipy.integrate was imported"
+        assert not scipy_modules(), scipy_modules()
+        traj = simulate(ThreeStates(), [0.3], TimeGrid(dt=0.05, n_steps=20))
+        assert traj.converged.all() and traj.states.shape == (21, 3)
+        assert not scipy_modules(), scipy_modules()
         """, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert read_manifest(tmp_path / "out")["results"]["window"] == "bump"

@@ -3,18 +3,18 @@
 The march runs a physical step of two states in one written-out kernel,
 _step2, and the tangent and the adjoint run a two-state sweep's whole
 reverse loop in _reverse2; every other size runs _step, a loop over
-_extended_residual, the factored solve of _factor and _vector_norm, and
-the list loop _reverse over the same solve.  Here each sweep runs twice,
+_extended_residual, the solve of _factor and _vector_norm, and the list
+loop _reverse over the same solve.  Here each sweep runs twice,
 once through the two-state kernels and once through the any-size ones, and
 the two must agree in every bit: every array, and on failure the error's
 type, message and fields.
 
-The any-size kernels factor and solve through dgetrf and dgetrs, which
-round a 2x2 system otherwise than the stated order, so the any-size run
+The any-size kernels solve through np.linalg.solve, LAPACK dgesv, which
+rounds a 2x2 system otherwise than the stated order, so the any-size run
 factors and solves with the stated 2x2 solve, test_kernels.factor2.  Both
-sets factor where the same rule says: in the march once per step at a
-finite dtau and at every iterate in the Newton limit, and in the reverse
-loops once per step.
+sets form their matrices where the same rule says: in the march once per
+step at a finite dtau and at every iterate in the Newton limit, and in
+the reverse loops once per step.
 Both reverse loops iterate their fixed points in the stated order, each
 iterate followed by the solve of its lambda, so that loop is the any-size
 kernel itself.

@@ -7,12 +7,13 @@ numpy-array form it was first written in: the state and the design read
 through np.asarray, every product taken on numpy scalars.  The methods
 that also take a stack of states must return the stack of their
 single-state results, and the per-step ones the same result for a list of
-floats as for an array.  The any-size kernels' factored solve, _factor's,
-is compared with np.linalg.solve, which the reference march uses for
-systems of other sizes than two; the float step kernels are pinned further
-down.  All must agree in every bit.  The _factor pin holds for a given
-pairing of numpy's and scipy's LAPACK builds, which is why the CI log
-prints their build configurations.
+floats as for an array.  The any-size kernels' solve, _factor's, is
+compared with np.linalg.solve, which the reference march uses for systems
+of other sizes than two; the float step kernels are pinned further down.
+All must agree in every bit.  _factor solves through np.linalg.solve
+itself, so that pin holds on any LAPACK build, and the CI log prints
+numpy's build configuration; the pin to scipy's dgesv below holds for a
+given pairing of numpy's and scipy's builds.
 """
 
 import math
@@ -243,8 +244,10 @@ def test_factoring_raises_on_singular_matrix():
         # np.linalg.solve refuses each of these too
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(matrix, rhs)
+        # the singular system is found at the first solve
+        solve = _factor(matrix.ravel().tolist(), 5)
         with pytest.raises(SingularStepError) as excinfo:
-            _factor(matrix.ravel().tolist(), 5)
+            solve(rhs.tolist())
         assert excinfo.value.step == 5
 
 
@@ -284,8 +287,8 @@ def test_march_does_not_write_the_models_jacobian(dtau):
 # is pinned to the general step here, and the two-state reverse loop to
 # the general one in tests/test_kernel_sets.py.  The solve is
 # also held to LAPACK dgesv's accuracy and to its singular cases.  Other
-# sizes factor through dgetrf and solve through dgetrs, the two routines
-# dgesv runs, and the last tests of this section pin them to dgesv itself.
+# sizes solve each right-hand side through np.linalg.solve, which calls
+# dgesv, and the last tests of this section pin them to scipy's dgesv.
 # A NaN result must be NaN on both sides; its sign bit is not pinned.
 
 import itertools
@@ -385,7 +388,7 @@ def factored_solve(entries, rhs, step=None):
 
 def stated_solve(entries, rhs, step=None):
     """The reference solve of the kernels of len(rhs) states: solve2 for
-    two, and dgetrf and dgetrs through _factor for any other size."""
+    two, and np.linalg.solve through _factor for any other size."""
     return (solve2 if len(rhs) == 2 else factored_solve)(entries, rhs, step)
 
 
@@ -664,8 +667,8 @@ F3 = np.array([0.0, 1.0, 0.5])
 @dataclass(frozen=True)
 class LinearThreeStateModel:
     """du/dt + (1 + sigma_1) K u - F sin(t) = 0 with a fixed 3x3 K: a d_u
-    the float kernels do not cover, so its steps factor through dgetrf and
-    solve through dgetrs, with dgesv's bits."""
+    the float kernels do not cover, so its steps solve through
+    np.linalg.solve, LAPACK dgesv."""
 
     name = "linear-three-state"
     d_u = 3

@@ -162,6 +162,10 @@ def test_analytic_signal_period_validation():
         sig.period(np.array([1e155]))
     with pytest.raises(DesignDomainError, match="period out of range"):
         AnalyticSignal(base_period=1e300).period(np.array([1e10]))
+    # and the smallest is the one whose square is not 0.0
+    assert AnalyticSignal(base_period=1e-161).period(np.array([0.0])) == 1e-161
+    with pytest.raises(DesignDomainError, match="period out of range.*underflows"):
+        AnalyticSignal(base_period=1e-162).period(np.array([0.0]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
