@@ -106,8 +106,9 @@ def _end_steps(k_list, n_tr, dt, period, span_offset, length):
     if np.any(np.diff(ks) <= 0.0):
         raise InvalidSpanError("span list must be strictly increasing")
     # checked as floats, so an end step beyond the int range or NaN cannot
-    # wrap in the cast
-    ends = n_tr + np.rint((ks + span_offset) * period / dt)
+    # wrap in the cast; one that overflows is inf, which the check rejects
+    with np.errstate(over="ignore"):
+        ends = n_tr + np.rint((ks + span_offset) * period / dt)
     if not ends[-1] <= length - 1:
         raise InvalidSpanError(
             f"series of length {length} too short for {ks[-1]:g} periods "

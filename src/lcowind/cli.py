@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import json
 import math
@@ -273,25 +272,40 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(parser, str(path))
 
 
-def _fmt(value) -> str:
-    """Serialize one CSV cell; floats keep 17 significant digits."""
-    # most cells are floats, so test for them first; bools and integers are
-    # never float instances, so the order does not change any cell
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def _quoted(text: str) -> str:
+    """One CSV cell as csv's QUOTE_MINIMAL writes it with a "\\n" line end:
+    quoted, its quotes doubled, when it holds a comma, a quote or a newline."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _write_csv(path: Path, header, rows):
+# column dtype kind -> the %-format of its cells; bools and strings arrive
+# as text, so "%d" % True never writes 1
+_CELL_FORMATS = {"f": "%.17g", "i": "%d", "b": "%s", "U": "%s"}
+
+
+def _write_csv(path: Path, header, columns):
+    """Write a table given by columns, each an array, a range or a list of
+    one type: floats with 17 significant digits, integers in decimal, bools
+    as true/false and text quoted by _quoted.  Each column is converted
+    once, every row is formatted by one line format, and a column of
+    another length than the others raises ValueError."""
+    cells, formats = [], []
+    for column in columns:
+        array = np.asarray(column)
+        kind = array.dtype.kind
+        formats.append(_CELL_FORMATS[kind])
+        values = array.tolist()
+        if kind == "b":
+            values = ["true" if v else "false" for v in values]
+        elif kind == "U":
+            values = [_quoted(v) for v in values]
+        cells.append(values)
+    line = ",".join(formats) + "\n"
+    body = "".join([line % row for row in zip(*cells, strict=True)])
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        handle.write(",".join(map(_quoted, header)) + "\n" + body)
 
 
 def _json_ready(value):
@@ -339,10 +353,9 @@ def _cmd_simulate(cfg: RunConfig, outdir: Path):
     d_u = cfg.model.d_u
     header = (["step", "time"] + [f"state_{i}" for i in range(d_u)]
               + ["output", "inner_iterations", "residual_norm", "converged"])
-    rows = [[n, times[n], *traj.states[n], traj.outputs[n],
-             traj.inner_iterations[n], traj.residual_norms[n],
-             traj.converged[n]] for n in range(traj.n_steps + 1)]
-    _write_csv(outdir / "trajectory.csv", header, rows)
+    _write_csv(outdir / "trajectory.csv", header,
+               [range(traj.n_steps + 1), times, *traj.states.T, traj.outputs,
+                traj.inner_iterations, traj.residual_norms, traj.converged])
     value = windowed_average(traj.outputs, cfg.window, cfg.grid.n_transient,
                              cfg.grid.n_steps, cfg.normalization)
     results = {"windowed_average": value, "window": cfg.window.value,
@@ -356,9 +369,8 @@ def _cmd_tangent(cfg: RunConfig, outdir: Path):
     times = cfg.grid.times()
     n_design = cfg.model.n_design
     header = ["step", "time"] + [f"output_sensitivity_{i}" for i in range(n_design)]
-    rows = [[n, times[n], *tangent.output_sensitivities[n]]
-            for n in range(traj.n_steps + 1)]
-    _write_csv(outdir / "tangent.csv", header, rows)
+    _write_csv(outdir / "tangent.csv", header,
+               [range(traj.n_steps + 1), times, *tangent.output_sensitivities.T])
     sens = windowed_tangent_sensitivity(tangent, cfg.window,
                                         cfg.grid.n_transient, cfg.grid.n_steps,
                                         cfg.normalization)
@@ -378,14 +390,12 @@ def _cmd_adjoint(cfg: RunConfig, outdir: Path):
     header = (["step", "time", "adjoint_norm", "seed_norm",
                "inner_iterations", "residual_norm", "contraction"]
               + [f"running_derivative_{i}" for i in range(n_design)])
-    adjoint_rows, seed_rows = sweep.adjoint_states.tolist(), sweep.seeds.tolist()
-    rows = []
-    for n in range(traj.n_steps + 1):
-        rows.append([n, times[n], _vector_norm(adjoint_rows[n]), _vector_norm(seed_rows[n]),
-                     sweep.inner_iterations[n], sweep.residual_norms[n],
-                     contractions[n],
-                     *sweep.running_design_derivative[n]])
-    _write_csv(outdir / "adjoint.csv", header, rows)
+    _write_csv(outdir / "adjoint.csv", header,
+               [range(traj.n_steps + 1), times,
+                [_vector_norm(r) for r in sweep.adjoint_states.tolist()],
+                [_vector_norm(r) for r in sweep.seeds.tolist()],
+                sweep.inner_iterations, sweep.residual_norms, contractions,
+                *sweep.running_design_derivative.T])
     value = windowed_average(traj.outputs, cfg.window, cfg.grid.n_transient,
                              cfg.grid.n_steps, cfg.normalization)
     results = {"design_derivative": sweep.design_derivative,
@@ -402,15 +412,14 @@ def _cmd_average(cfg: RunConfig, outdir: Path):
     weights = discrete_weights(cfg.window, cfg.grid.n_transient,
                                cfg.grid.n_steps, cfg.normalization)
     span = len(weights) - 1
-    header = ["index", "s", "weight"]
-    rows = [[i, i / span, weights[i]] for i in range(span + 1)]
-    _write_csv(outdir / "weights.csv", header, rows)
+    _write_csv(outdir / "weights.csv", ["index", "s", "weight"],
+               [range(span + 1), [i / span for i in range(span + 1)], weights])
     value = windowed_average(traj.outputs, cfg.window, cfg.grid.n_transient,
                              cfg.grid.n_steps, cfg.normalization)
     _write_csv(outdir / "average.csv",
                ["window", "normalization", "n_transient", "n_final", "value"],
-               [[cfg.window.value, cfg.normalization.value,
-                 cfg.grid.n_transient, cfg.grid.n_steps, value]])
+               [[cfg.window.value], [cfg.normalization.value],
+                [cfg.grid.n_transient], [cfg.grid.n_steps], [value]])
     results = {"windowed_average": value, "window": cfg.window.value,
                "weight_sum": float(weights.sum()), "span": span}
     return ["weights.csv", "average.csv"], results, _primal_diagnostics(traj)
@@ -450,26 +459,25 @@ def _study_series(cfg: RunConfig):
 
 def _cmd_study(cfg: RunConfig, outdir: Path):
     series, reference, period = _study_series(cfg)
-    rows = []
-    summary = {}
-    for study in convergence_study(series, cfg.study_windows, cfg.grid.n_transient,
-                                   cfg.grid.dt, cfg.study_k_list,
-                                   reference=reference, period=period,
-                                   span_offset=cfg.study_span_offset,
-                                   mode=cfg.normalization):
-        slope = study.slope if study.slope is not None else math.nan
-        for i, k in enumerate(study.requested_k):
-            rows.append([study.kind.value, k, int(study.end_steps[i]),
-                         study.values[i], study.errors[i], slope])
-        summary[study.kind.value] = {
-            "slope": study.slope,
-            "fit_residual": study.fit_residual,
-            "reference": study.reference,
-            "reference_source": study.reference_source,
-            "period": study.period,
-        }
+    studies = convergence_study(series, cfg.study_windows, cfg.grid.n_transient,
+                                cfg.grid.dt, cfg.study_k_list,
+                                reference=reference, period=period,
+                                span_offset=cfg.study_span_offset,
+                                mode=cfg.normalization)
+    lengths = [len(study.requested_k) for study in studies]
     _write_csv(outdir / "study.csv",
-               ["window", "k", "end_step", "value", "error", "slope"], rows)
+               ["window", "k", "end_step", "value", "error", "slope"],
+               [np.repeat([study.kind.value for study in studies], lengths),
+                *(np.concatenate([getattr(study, name) for study in studies])
+                  for name in ("requested_k", "end_steps", "values", "errors")),
+                np.repeat([math.nan if study.slope is None else study.slope
+                           for study in studies], lengths)])
+    summary = {study.kind.value: {"slope": study.slope,
+                                  "fit_residual": study.fit_residual,
+                                  "reference": study.reference,
+                                  "reference_source": study.reference_source,
+                                  "period": study.period}
+               for study in studies}
     results = {"quantity": cfg.study_quantity, "windows": summary}
     return ["study.csv"], results, {"series_length": int(len(series))}
 
@@ -495,10 +503,13 @@ def _cmd_optimize(cfg: RunConfig, outdir: Path):
     header = (["iteration"] + [f"sigma_{i}" for i in range(n_design)]
               + ["objective", "constraint", "feasible", "grad_norm",
                  "step_size", "penalty", "merit"])
-    rows = [[rec.iteration, *rec.sigma, rec.objective, rec.constraint,
-             rec.feasible, rec.grad_norm, rec.step_size, rec.penalty,
-             rec.merit] for rec in history.records]
-    _write_csv(outdir / "history.csv", header, rows)
+
+    def field(name):
+        return [getattr(rec, name) for rec in history.records]
+    _write_csv(outdir / "history.csv", header,
+               [field("iteration"), *np.array(field("sigma")).T,
+                *map(field, ("objective", "constraint", "feasible", "grad_norm",
+                             "step_size", "penalty", "merit"))])
     results = {"final_design": history.final_design,
                "converged": history.converged,
                "line_search_failed": history.line_search_failed,
@@ -585,8 +596,14 @@ def _output_directory(outdir: Path):
         raise
 
 
+_parser = None  # built by the first main call, not at import
+
+
 def main(argv=None) -> int:
-    args = _build_arg_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_arg_parser()
+    args = _parser.parse_args(argv)
     started = time.perf_counter()
     try:
         cfg = load_config(args.config)

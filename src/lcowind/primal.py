@@ -158,7 +158,7 @@ def step_matrices(model, sigma, traj: Trajectory) -> np.ndarray:
     return alphas[:, None, None] * np.eye(d_u) + jacobians.reshape(-1, d_u, d_u)
 
 
-def _factor(entries, step=None) -> Callable:
+def _solver(entries, step=None) -> Callable:
     """The solve of the system with row-major entries: the returned function
     solves one right-hand side per call through np.linalg.solve, LAPACK
     dgesv, as a float list, and raises SingularStepError for step where the
@@ -205,7 +205,7 @@ def _step(residual, jacobian, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau, tol
     its = 0
     while norm > tol and its < max_inner:
         if its == 0 or inv_dtau == 0.0:
-            solve = _factor(_step_entries(jacobian(u, t), alpha, inv_dtau), n)
+            solve = _solver(_step_entries(jacobian(u, t), alpha, inv_dtau), n)
         u = list(map(sub, u, solve(extended)))
         extended = _extended_residual(residual, u, t, alpha, beta_u_nm1, delta_u_nm2)
         norm = _vector_norm(extended)
@@ -304,7 +304,7 @@ def _reverse(seeds, a_rows, inv_dtau, beta, delta, tol, max_inner):
     iterates ran, and raises AdjointDivergenceError, with no contraction
     estimate, unless that norm is at most tol.  The Newton limit records
     one iteration and a zero norm.  Each step forms M_n^T once and solves
-    every lambda_n = M_n^{-T} ubar_n with it through _factor's solve, which
+    every lambda_n = M_n^{-T} ubar_n with it through _solver's solve, which
     raises SingularStepError at the first step whose M_n is singular; the
     last lambda is kept for the two earlier steps.  The direct adjoint hands
     inv_dtau = 0.0, so the Newton limit's lambda_n solves A_n^T lambda_n = rhs.
@@ -331,7 +331,7 @@ def _reverse(seeds, a_rows, inv_dtau, beta, delta, tol, max_inner):
         entries = list(a_rows[n - 1])
         for i in range(0, d_u * d_u, d_u + 1):
             entries[i] += inv_dtau
-        solve = _factor(entries, n)
+        solve = _solver(entries, n)
         if not iterate:
             ubar_n = rhs
         lam = solve(ubar_n)
@@ -451,7 +451,7 @@ _ARRAY_KERNELS = FloatKernels(_step, _reverse)
 def float_kernels(d_u) -> FloatKernels:
     """The kernels of a step system of size d_u, the one place that chooses
     by size.  Two states solve on Python floats; any other size solves each
-    right-hand side through np.linalg.solve, in _factor.  Every size takes
+    right-hand side through np.linalg.solve, in _solver.  Every size takes
     its norms and its fixed-point iterates on Python floats, in the same
     stated order."""
     return _TWO_STATE_KERNELS if d_u == 2 else _ARRAY_KERNELS

@@ -5,6 +5,7 @@ JSON manifest.  The process-boundary tests at the end run `python -m
 lcowind` in a child process instead.
 """
 
+import argparse
 import configparser
 import contextlib
 import csv
@@ -25,7 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lcowind
-from lcowind.cli import _SCHEMA, SUBCOMMANDS, _fmt, main
+from lcowind import cli
+from lcowind.cli import _SCHEMA, SUBCOMMANDS, _write_csv, main
 from lcowind.models import AnalyticSignal, ForcedOscillator
 
 ANALYTIC_CONFIG = """\
@@ -285,6 +287,22 @@ def test_a_grid_whose_final_time_overflows_exits_2(tmp_path, capsys, subcommand)
     assert record["message"].startswith("[grid]") and "overflows" in record["message"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edits", [{("study", "k_list"): "1e308"},
+                                   {("study", "period"): "1e10", ("grid", "dt"): "1e-300"}],
+                         ids=["k_list", "period"])
+def test_a_study_span_that_overflows_exits_3(tmp_path, capsys, edits):
+    # (k + span_offset) * period / dt overflows: the end step is inf, which
+    # the span check rejects, and numpy must warn nothing before the record
+    cfg = write_config(tmp_path, with_keys(ANALYTIC_CONFIG, edits))
+    outdir = tmp_path / "o"
+    assert main(["study", cfg, "--output-dir", str(outdir)]) == 3
+    assert not outdir.exists()
+    record = single_record(capsys.readouterr().err)
+    assert (record["error"], record["exit_code"]) == ("InvalidSpanError", 3)
+    assert "needs step inf" in record["message"]
+
+
 def test_nan_design_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, VDP_CONFIG.replace("values = 1.0", "values = nan"))
     outdir = tmp_path / "o"
@@ -485,26 +503,88 @@ def test_optimize_reports_an_unreachable_constraint(tmp_path):
     assert diagnostics["final_penalty"] > 100.0
 
 
-def fmt_chain(value):
-    """The CSV cell format as the older chain, with floats tested last."""
+def fmt(value):
+    """One cell as the row writer that _write_csv replaced formatted it."""
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
     return str(value)
 
 
-def test_fmt_floats_first_matches_the_type_chain():
-    floats = [0.0, -0.0, 1.0, -2.5, 0.1, 1 / 3, 1e300, -1e-300, math.nan,
-              math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 1e-310]
-    cells = [*floats, *map(np.float64, floats), 0, -7, 2**70, np.int64(-3),
-             True, False, np.bool_(True), np.bool_(False), "hann", ""]
-    for cell in cells:
-        assert _fmt(cell) == fmt_chain(cell), repr(cell)
-    assert _fmt(np.float64(-0.0)) == "-0" and _fmt(math.nan) == "nan"
-    assert _fmt(np.bool_(True)) == "true" and _fmt(np.int64(-3)) == "-3"
+def write_rows(path, header, rows):
+    """The row writer that _write_csv replaced, kept as the oracle of its
+    bytes: csv.writer over fmt's cells."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(cell) for cell in row])
+
+
+def assert_writes_as_the_row_writer(directory, header, columns):
+    # the rows hold each column's cells as iteration gives them: numpy
+    # scalars from an array, Python values from a list or a range
+    write_rows(directory / "rows.csv", header, zip(*columns))
+    _write_csv(directory / "columns.csv", header, columns)
+    assert ((directory / "columns.csv").read_bytes()
+            == (directory / "rows.csv").read_bytes())
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, -2.5, 0.1, 1 / 3, 1e300, -1e-300, math.nan, -math.nan,
+                  math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 1e-310,
+                  1.7976931348623157e308, -1.7976931348623157e308, 1e16, 123456789012345680.0]
+SPECIAL_TEXTS = ["hann", "", "a,b", 'say "hi"', "two\nlines", " padded ", "'", '"', ",",
+                 "hann-square", "a;b", "tab\there", "\n", '""', "x,\"y\"\nz", "é",
+                 "paper-faithful", "1.5", "nan", "true"]
+
+
+def test_write_csv_matches_the_row_writer(tmp_path):
+    n = len(SPECIAL_FLOATS)
+    assert len(SPECIAL_TEXTS) == n
+    columns = [range(n), np.array(SPECIAL_FLOATS), SPECIAL_FLOATS,
+               np.array([0, 1, -1, 2**62, -2**63, 2**63 - 1, *range(n - 6)], dtype=np.int64),
+               [-7, 0, 2**40, *range(n - 3)],
+               np.arange(n) % 3 == 0, [i % 2 == 0 for i in range(n)],
+               SPECIAL_TEXTS]
+    header = ["step", "a,b", 'say "hi"', "two\nlines", "plain", "", "'", "end"]
+    assert_writes_as_the_row_writer(tmp_path, header, columns)
+    text = (tmp_path / "columns.csv").read_text()
+    assert text.startswith('step,"a,b","say ""hi""","two\nlines",plain,,\',end\n')
+    assert read_csv(tmp_path / "columns.csv")[1:] == [
+        [fmt(cell) for cell in row] for row in zip(*columns)]
+    # a table of one row, as average.csv writes it
+    assert_writes_as_the_row_writer(tmp_path, ["window", "n", "value"],
+                                    [["hann-square"], [60], [np.float64(-0.0)]])
+
+
+# no NUL, which np.str_ drops at the end of a text, and no carriage return,
+# which _quoted leaves bare and whose quoting by csv under a "\n" line end
+# is not pinned across Python versions; no name the CLI writes holds either
+TEXTS = st.text(st.characters(blacklist_characters="\x00\r"))
+
+
+@settings(max_examples=200)
+@given(cells=st.lists(st.tuples(st.floats(), st.integers(-2**63, 2**63 - 1),
+                                st.booleans(), TEXTS), max_size=12))
+def test_write_csv_matches_the_row_writer_on_drawn_cells(cells):
+    columns = [list(column) for column in zip(*cells)] or [[], [], [], []]
+    with tempfile.TemporaryDirectory() as directory:
+        assert_writes_as_the_row_writer(
+            Path(directory), ["f", "i", "b", "s"],
+            [np.array(columns[0], dtype=float), np.array(columns[1], dtype=np.int64),
+             np.array(columns[2], dtype=bool), columns[3]])
+
+
+def test_write_csv_raises_on_a_short_column(tmp_path):
+    path = tmp_path / "short.csv"
+    with pytest.raises(ValueError):
+        _write_csv(path, ["step", "value"], [range(3), np.array([1.0, 2.0])])
+    with pytest.raises(ValueError):
+        _write_csv(path, ["step", "value"], [range(2), np.array([1.0, 2.0, 3.0])])
+    assert not path.exists()
 
 
 def test_constraint_rejected_for_analytic_signal(tmp_path, capsys):
@@ -608,6 +688,36 @@ def test_version_flag_reports_and_exits(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_the_argument_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    # as in a fresh process: the parser is built by the first main call
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cfg = write_config(tmp_path, ANALYTIC_CONFIG)
+    assert main(["simulate", cfg, "--output-dir", str(tmp_path / "a")]) == 0
+    once = len(built)
+    assert once > 0 and built[0] == "lcowind"
+    assert main(["average", cfg, "--output-dir", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["simulate", cfg, "--no-such-flag"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lcowind ")
+    assert "unrecognized arguments: --no-such-flag" in err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--version"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.strip() == lcowind.__version__
+    assert len(built) == once
 
 
 FORCED_CONFIG = VDP_CONFIG.replace("van-der-pol", "forced-oscillator")

@@ -3,7 +3,7 @@
 The march runs a physical step of two states in one written-out kernel,
 _step2, and the tangent and the adjoint run a two-state sweep's whole
 reverse loop in _reverse2; every other size runs _step, a loop over
-_extended_residual, the solve of _factor and _vector_norm, and the list
+_extended_residual, the solve of _solver and _vector_norm, and the list
 loop _reverse over the same solve.  Here each sweep runs twice,
 once through the two-state kernels and once through the any-size ones, and
 the two must agree in every bit: every array, and on failure the error's
@@ -65,7 +65,7 @@ BUDGETS = {"default": {}, "unconverged": {"max_inner": 2, "allow_unconverged": T
 def any_size_kernels(monkeypatch):
     """Route two-state sweeps through the any-size kernels: the march's
     step and the reverse loop of the tangent and the adjoint."""
-    monkeypatch.setattr(primal, "_factor", factor2)
+    monkeypatch.setattr(primal, "_solver", factor2)
     monkeypatch.setattr(primal, "_TWO_STATE_KERNELS", primal._ARRAY_KERNELS)
 
 
@@ -243,7 +243,7 @@ def test_reverse_kernels_agree_on_drawn_inputs(newton, monkeypatch):
     rng = np.random.default_rng(4112 + 2 * newton)
     cases = [drawn_reverse_inputs(rng, newton) for _ in range(400)]
     two_state = [run(primal._reverse2, args) for args in cases]
-    monkeypatch.setattr(primal, "_factor", factor2)
+    monkeypatch.setattr(primal, "_solver", factor2)
     for args, expected in zip(cases, two_state):
         got = run(primal._reverse, args)
         if isinstance(expected, tuple):

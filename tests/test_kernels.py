@@ -7,10 +7,10 @@ numpy-array form it was first written in: the state and the design read
 through np.asarray, every product taken on numpy scalars.  The methods
 that also take a stack of states must return the stack of their
 single-state results, and the per-step ones the same result for a list of
-floats as for an array.  The any-size kernels' solve, _factor's, is
+floats as for an array.  The any-size kernels' solve, _solver's, is
 compared with np.linalg.solve, which the reference march uses for systems
 of other sizes than two; the float step kernels are pinned further down.
-All must agree in every bit.  _factor solves through np.linalg.solve
+All must agree in every bit.  _solver solves through np.linalg.solve
 itself, so that pin holds on any LAPACK build, and the CI log prints
 numpy's build configuration; the pin to scipy's dgesv below holds for a
 given pairing of numpy's and scipy's builds.
@@ -26,7 +26,7 @@ import pytest
 from lcowind.errors import AdjointDivergenceError, SingularStepError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
                             OutputKind, VanDerPol)
-from lcowind.primal import PseudoTimeConfig, TimeGrid, _factor, simulate
+from lcowind.primal import PseudoTimeConfig, TimeGrid, _solver, simulate
 
 N_DRAWS = 3000
 # the methods that take one state (d_u,) or a stack of states (N, d_u)
@@ -221,23 +221,23 @@ def test_model_methods_do_not_write_their_inputs():
 
 
 @pytest.mark.parametrize("size", [1, 2])
-def test_factored_solve_matches_numpy_solve_bit_for_bit(size):
+def test_solver_matches_numpy_solve_bit_for_bit(size):
     rng = np.random.default_rng(size * 10)
     for _ in range(N_DRAWS):
         scale = 10.0 ** rng.uniform(-3.0, 3.0)
         matrix = rng.standard_normal((size, size)) * scale
-        # the chord solves several right-hand sides from one factoring
+        # the chord solves several right-hand sides with one matrix
         rhs_list = rng.standard_normal((3, size)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 1))
         # the adjoint solves with the transposes of step matrices
         for system in (matrix, matrix.T):
-            solve = _factor(system.ravel().tolist())
+            solve = _solver(system.ravel().tolist())
             for rhs in rhs_list:
                 got = solve(rhs.tolist())
                 assert isinstance(got, list)
                 assert same_bits(np.array(got), np.linalg.solve(system, rhs)), (system, rhs)
 
 
-def test_factoring_raises_on_singular_matrix():
+def test_solver_raises_on_singular_matrix():
     rhs = np.ones(2)
     for matrix in (np.zeros((2, 2)), np.array([[1.0, -1.0], [-1.0, 1.0]]),
                    np.array([[np.nan, 1.0], [1.0, 1.0]])):
@@ -245,7 +245,7 @@ def test_factoring_raises_on_singular_matrix():
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(matrix, rhs)
         # the singular system is found at the first solve
-        solve = _factor(matrix.ravel().tolist(), 5)
+        solve = _solver(matrix.ravel().tolist(), 5)
         with pytest.raises(SingularStepError) as excinfo:
             solve(rhs.tolist())
         assert excinfo.value.step == 5
@@ -345,7 +345,7 @@ def solve2_exact(entries, rhs):
 
 
 def factor2(entries, step=None):
-    """The stated solve on numpy float64 scalars, split as _factor splits
+    """The stated solve on numpy float64 scalars, split as _solver splits
     it: the factoring of the 2x2 system with row-major entries, which
     raises SingularStepError for step where the system is singular, returns
     the solve of one right-hand side as a float list.  The reference for
@@ -381,15 +381,15 @@ def solve2(entries, rhs, step=None):
     return factor2(entries, step)(rhs)
 
 
-def factored_solve(entries, rhs, step=None):
-    """The any-size kernels' solve: _factor's, of one right-hand side."""
-    return primal._factor(entries, step)(rhs)
+def any_size_solve(entries, rhs, step=None):
+    """The any-size kernels' solve: _solver's, of one right-hand side."""
+    return primal._solver(entries, step)(rhs)
 
 
 def stated_solve(entries, rhs, step=None):
     """The reference solve of the kernels of len(rhs) states: solve2 for
-    two, and np.linalg.solve through _factor for any other size."""
-    return (solve2 if len(rhs) == 2 else factored_solve)(entries, rhs, step)
+    two, and np.linalg.solve through _solver for any other size."""
+    return (solve2 if len(rhs) == 2 else any_size_solve)(entries, rhs, step)
 
 
 def kernel_solve(entries, rhs, step=None):
@@ -573,13 +573,13 @@ def test_fixed_point_iterate_follows_the_stated_order(kernel, size):
     # one iterate ubar <- rhs + inv_dtau lambda, lambda = M^{-T} ubar from
     # the warm start ubar, run through the reverse loop itself: _reverse2,
     # whose lambda is the stated solve, or _reverse, whose lambda is
-    # _factor's, each of the M^T it forms from A^T.  A NaN norm stops
+    # _solver's, each of the M^T it forms from A^T.  A NaN norm stops
     # the loop before its iterate is kept
     reverse = primal._reverse2 if kernel == "two-state" else primal._reverse
 
     def solved(m_rows, ubar, exact):
         if kernel == "any-size":
-            return solve_or_singular(factored_solve, m_rows, ubar)
+            return solve_or_singular(any_size_solve, m_rows, ubar)
         return solve2_exact(m_rows, ubar) if exact else solve2_float64(m_rows, ubar)
 
     def check(a_rows, rhs, ubar, inv_dtau, exact):
@@ -857,7 +857,7 @@ def test_two_state_step_matches_the_general_form(dtau, monkeypatch):
     # first's factors at a finite dtau.  A -0.0 in the residual shows the
     # sign of a zero off the diagonal, which a march never shows
     step2 = float_kernels(2).step
-    monkeypatch.setattr(primal, "_factor", factor2)
+    monkeypatch.setattr(primal, "_solver", factor2)
     inv_dtau = PseudoTimeConfig(dtau=dtau).inv_dtau
     rng = np.random.default_rng(20)
     draws = np.concatenate([kernel_draws(rng, (3000, 10)), rng.choice(SPECIAL, (3000, 10))])
