@@ -184,37 +184,53 @@ def _vector_norm(r) -> float:
     return math.sqrt(square)
 
 
-def _step(residual, jacobian, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau, tol, max_inner, n):
-    """The inner iteration of physical step n at time t, with the bound
-    residual and Jacobian, from the float lists u_{n-1} and u_{n-2}, with
-    the BDF coefficients alpha, beta and delta: the history terms beta
-    u_{n-1} and delta u_{n-2} once, then from the predictor, 2.0 u_{n-1,i}
-    - u_{n-2,i} from step 3 on and u_{n-1} before it, the extended residual,
-    its norm and, while norm > tol and fewer than max_inner iterations ran,
-    one update u - x, x the solve of the step system with _step_entries'
-    matrix and the extended residual.  At a finite dtau the step's first
-    update evaluates the Jacobian and forms the matrix, and every later
-    update of the step solves with that matrix (a chord iteration); at
-    inv_dtau = 0.0, the Newton limit, every update evaluates and forms it
-    afresh.  Returns (u as a float list, iterations, the norm of u's
-    extended residual)."""
-    beta_u_nm1, delta_u_nm2 = [beta * x for x in u_nm1], [delta * x for x in u_nm2]
-    u = [2.0 * x - y for x, y in zip(u_nm1, u_nm2)] if n > 2 else list(u_nm1)
-    extended = _extended_residual(residual, u, t, alpha, beta_u_nm1, delta_u_nm2)
-    norm = _vector_norm(extended)
-    its = 0
-    while norm > tol and its < max_inner:
-        if its == 0 or inv_dtau == 0.0:
-            solve = _solver(_step_entries(jacobian(u, t), alpha, inv_dtau), n)
-        u = list(map(sub, u, solve(extended)))
+def _march(residual, jacobian, u0, dt, n_steps, inv_dtau, tol, max_inner, allow_unconverged):
+    """Every physical step n = 1..n_steps of a march from the float list u0,
+    at time n dt, with the bound residual and Jacobian: BDF1 at step 1,
+    whose u_{-1} = u0 has no weight, and BDF2 after it.  Per step: the
+    history terms beta u_{n-1} and delta u_{n-2} once, then from the
+    predictor, 2.0 u_{n-1,i} - u_{n-2,i} from step 3 on and u_{n-1} before
+    it, the extended residual, its norm and, while norm > tol and fewer than
+    max_inner iterations ran, one update u - x, x the solve of the step
+    system with _step_entries' matrix and the extended residual.  At a
+    finite dtau the step's first update evaluates the Jacobian and forms the
+    matrix, and every later update of the step solves with that matrix (a
+    chord iteration); at inv_dtau = 0.0, the Newton limit, every update
+    evaluates and forms it afresh.  A step that stops above tol raises
+    StepConvergenceError with the roundoff floor at its last iterate unless
+    allow_unconverged is set; no kernel warns.  Returns (states, iterations,
+    norms): u0..u_N row-major in one flat list, and per step the iterations
+    and the last norm, step 0's zeros first."""
+    u_nm1 = u_nm2 = u0
+    states, inner, norms = list(u0), [0], [0.0]
+    bdf1, bdf2 = step_coefficients(1, dt), step_coefficients(2, dt)
+    for n in range(1, n_steps + 1):
+        alpha, beta, delta = bdf2 if n > 1 else bdf1
+        t = n * dt
+        beta_u_nm1, delta_u_nm2 = [beta * x for x in u_nm1], [delta * x for x in u_nm2]
+        u = [2.0 * x - y for x, y in zip(u_nm1, u_nm2)] if n > 2 else list(u_nm1)
         extended = _extended_residual(residual, u, t, alpha, beta_u_nm1, delta_u_nm2)
         norm = _vector_norm(extended)
-        its += 1
-    return u, its, norm
+        its = 0
+        while norm > tol and its < max_inner:
+            if its == 0 or inv_dtau == 0.0:
+                solve = _solver(_step_entries(jacobian(u, t), alpha, inv_dtau), n)
+            u = list(map(sub, u, solve(extended)))
+            extended = _extended_residual(residual, u, t, alpha, beta_u_nm1, delta_u_nm2)
+            norm = _vector_norm(extended)
+            its += 1
+        if not (norm <= tol or allow_unconverged):
+            floor = _roundoff_floor(residual, u, t, alpha, beta, delta, u_nm1, u_nm2)
+            raise StepConvergenceError(n, its, norm, floor, tol)
+        u_nm1, u_nm2 = u, u_nm1
+        states += u
+        inner.append(its)
+        norms.append(norm)
+    return states, inner, norms
 
 
-def _step2(residual, jacobian, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau, tol, max_inner, n):
-    """_step of two states on local floats, with the predictor, the
+def _march2(residual, jacobian, u0, dt, n_steps, inv_dtau, tol, max_inner, allow_unconverged):
+    """_march of two states on local floats, with the predictor, the
     extended residual, _step_entries, the solve and _vector_norm written
     out in their order.  The factoring pivots, swapping the rows when |a21|
     > |a11|, then forms l = a21 / a11 and u22 = a22 - l a12, and a zero
@@ -223,54 +239,67 @@ def _step2(residual, jacobian, t, u_nm1, u_nm2, alpha, beta, delta, inv_dtau, to
     a11.  The factors are formed at the step's first update and, at a
     finite dtau, kept for the rest of the step.  The bound residual and
     Jacobian are called once per evaluation, with the iterate as a float
-    list and t."""
-    p0, p1 = u_nm1
-    q0, q1 = u_nm2
-    h0 = beta * p0
-    h1 = beta * p1
-    g0 = delta * q0
-    g1 = delta * q1
-    if n > 2:
-        x0 = 2.0 * p0 - q0
-        x1 = 2.0 * p1 - q1
-        u = [x0, x1]
-    else:
-        x0, x1, u = p0, p1, u_nm1
-    r0, r1 = residual(u, t)
-    e0 = alpha * x0 + r0 + h0 + g0
-    e1 = alpha * x1 + r1 + h1 + g1
-    norm = sqrt(e0 * e0 + e1 * e1)
-    its = 0
-    while norm > tol and its < max_inner:
-        if its == 0 or inv_dtau == 0.0:
-            j11, j12, j21, j22 = jacobian(u, t)
-            a11 = (alpha + j11) + inv_dtau
-            a12 = 0.0 + j12
-            a21 = 0.0 + j21
-            a22 = (alpha + j22) + inv_dtau
-            swap = abs(a21) > abs(a11)
-            if swap:
-                a11, a12, a21, a22 = a21, a22, a11, a12
-            if a11 == 0.0:
-                raise SingularStepError(n)
-            l = a21 / a11
-            u22 = a22 - l * a12
-            if u22 == 0.0:
-                raise SingularStepError(n)
-        if swap:
-            b1, b2 = e1, e0
+    list and t.  u_{n-1} and u_{n-2} stay local floats from one step to
+    the next."""
+    p0, p1 = q0, q1 = u0  # u_{n-1} and u_{n-2}
+    states, inner, norms = [p0, p1], [0], [0.0]
+    bdf1, bdf2 = step_coefficients(1, dt), step_coefficients(2, dt)
+    for n in range(1, n_steps + 1):
+        alpha, beta, delta = bdf2 if n > 1 else bdf1
+        t = n * dt
+        h0 = beta * p0
+        h1 = beta * p1
+        g0 = delta * q0
+        g1 = delta * q1
+        if n > 2:
+            x0 = 2.0 * p0 - q0
+            x1 = 2.0 * p1 - q1
         else:
-            b1, b2 = e0, e1
-        s1 = (b2 - l * b1) / u22
-        x0 -= (b1 - a12 * s1) / a11
-        x1 -= s1
+            x0, x1 = p0, p1
         u = [x0, x1]
         r0, r1 = residual(u, t)
         e0 = alpha * x0 + r0 + h0 + g0
         e1 = alpha * x1 + r1 + h1 + g1
         norm = sqrt(e0 * e0 + e1 * e1)
-        its += 1
-    return u, its, norm
+        its = 0
+        while norm > tol and its < max_inner:
+            if its == 0 or inv_dtau == 0.0:
+                j11, j12, j21, j22 = jacobian(u, t)
+                a11 = (alpha + j11) + inv_dtau
+                a12 = 0.0 + j12
+                a21 = 0.0 + j21
+                a22 = (alpha + j22) + inv_dtau
+                swap = abs(a21) > abs(a11)
+                if swap:
+                    a11, a12, a21, a22 = a21, a22, a11, a12
+                if a11 == 0.0:
+                    raise SingularStepError(n)
+                l = a21 / a11
+                u22 = a22 - l * a12
+                if u22 == 0.0:
+                    raise SingularStepError(n)
+            if swap:
+                b1, b2 = e1, e0
+            else:
+                b1, b2 = e0, e1
+            s1 = (b2 - l * b1) / u22
+            x0 -= (b1 - a12 * s1) / a11
+            x1 -= s1
+            u = [x0, x1]
+            r0, r1 = residual(u, t)
+            e0 = alpha * x0 + r0 + h0 + g0
+            e1 = alpha * x1 + r1 + h1 + g1
+            norm = sqrt(e0 * e0 + e1 * e1)
+            its += 1
+        if not (norm <= tol or allow_unconverged):
+            floor = _roundoff_floor(residual, u, t, alpha, beta, delta, [p0, p1], [q0, q1])
+            raise StepConvergenceError(n, its, norm, floor, tol)
+        q0, q1, p0, p1 = p0, p1, x0, x1
+        states.append(x0)
+        states.append(x1)
+        inner.append(its)
+        norms.append(norm)
+    return states, inner, norms
 
 
 def _roundoff_floor(residual, u, t, alpha, beta, delta, u_nm1, u_nm2) -> float:
@@ -358,7 +387,7 @@ def _reverse(seeds, a_rows, inv_dtau, beta, delta, tol, max_inner):
 
 def _reverse2(seeds, a_rows, inv_dtau, beta, delta, tol, max_inner):
     """_reverse of two states on local floats, with the right-hand side,
-    the iterate and _step2's solve written out in their order: each step forms
+    the iterate and _march2's solve written out in their order: each step forms
     M_n^T's diagonal a11 + inv_dtau and a22 + inv_dtau, factors M_n^T once,
     the row swap, l and u22 with their zero tests, and solves every lambda
     from those factors.  Row i of a fixed-point iterate is r_i + inv_dtau
@@ -432,20 +461,20 @@ def _reverse2(seeds, a_rows, inv_dtau, beta, delta, tol, max_inner):
 class FloatKernels(NamedTuple):
     """The kernels of one state size, on Python floats.
 
-    step takes the arguments of _step and runs one physical step's whole
-    inner iteration; reverse takes the arguments of _reverse and runs one
-    sweep's whole reverse loop, the adjoint's and, in its Newton limit, the
-    tangent's.
+    march takes the arguments of _march and runs every physical step of one
+    march, each step's whole inner iteration; reverse takes the arguments of
+    _reverse and runs one sweep's whole reverse loop, the adjoint's and, in
+    its Newton limit, the tangent's.
     """
 
-    step: Callable
+    march: Callable
     reverse: Callable
 
 
-# two states, every model in lcowind: the physical step and the reverse
-# loop written out
-_TWO_STATE_KERNELS = FloatKernels(_step2, _reverse2)
-_ARRAY_KERNELS = FloatKernels(_step, _reverse)
+# two states, every model in lcowind: the march and the reverse loop
+# written out
+_TWO_STATE_KERNELS = FloatKernels(_march2, _reverse2)
+_ARRAY_KERNELS = FloatKernels(_march, _reverse)
 
 
 def float_kernels(d_u) -> FloatKernels:
@@ -469,12 +498,15 @@ def simulate(model, sigma, grid: TimeGrid,
     iterate and the matrix formed once for the whole step, a chord
     iteration whose fixed point is the same R* = 0.  Steps 1 and 2 start
     from the previous physical state, every later step from the linear
-    predictor 2 u_{n-1} - u_{n-2}.  One call of the step kernel that
-    float_kernels gives for the model's size runs a physical step's whole
-    inner iteration on Python floats.  The norm is taken of every iterate's
-    residual, and the norm that stops the step is the one the trajectory
-    records.  A step that stops unconverged raises StepConvergenceError
-    with the extended residual's roundoff floor at its last iterate.  The
+    predictor 2 u_{n-1} - u_{n-2}.  One call of the march kernel that
+    float_kernels gives for the model's size runs every physical step, each
+    step's whole inner iteration, on Python floats.  The norm is taken of
+    every iterate's residual, and the norm that stops the step is the one
+    the trajectory records.  A step that stops unconverged raises
+    StepConvergenceError with the extended residual's roundoff floor at its
+    last iterate, unless cfg.allow_unconverged is set; then the march goes
+    on, and one RuntimeWarning after it names how many steps were left
+    unconverged, the first of them and the largest residual norm.  The
     design and the initial state's shape are checked once, and the
     pseudo-time constants, the kernels and the model's residual and
     Jacobian, bound to the design by bind, are resolved once per march;
@@ -484,35 +516,21 @@ def simulate(model, sigma, grid: TimeGrid,
     cfg = cfg or PseudoTimeConfig()
     u0 = np.asarray(model.initial_state(sigma), dtype=float)
     sigma = check_inputs(model, sigma, u0)
-    inv_dtau, tol, max_inner = cfg.inv_dtau, cfg.tol, cfg.max_inner
     residual, jacobian = bind(model, sigma)
-    step = float_kernels(model.d_u).step
-    dt = grid.dt
-    # step 1 has no u^{-1}; its BDF1 coefficients give u^{-1} no weight
-    u_nm1 = u_nm2 = u0.tolist()
-    # per step n: the state, inner iterations and residual norm; a step
-    # converged where its norm is at most tol
-    states, inner, norms = [u_nm1], [0], [0.0]
-    bdf1, bdf2 = step_coefficients(1, dt), step_coefficients(2, dt)
-    for n in range(1, grid.n_steps + 1):
-        alpha, beta, delta = bdf2 if n > 1 else bdf1
-        u, its, norm = step(residual, jacobian, n * dt, u_nm1, u_nm2, alpha, beta, delta,
-                            inv_dtau, tol, max_inner, n)
-        if not norm <= tol:
-            if not cfg.allow_unconverged:
-                floor = _roundoff_floor(residual, u, n * dt, alpha, beta, delta, u_nm1, u_nm2)
-                raise StepConvergenceError(n, its, norm, floor, tol)
-            warnings.warn(f"step {n} left unconverged (residual {norm:.3e})",
-                          RuntimeWarning, stacklevel=2)
-        u_nm1, u_nm2 = u, u_nm1
-        states.append(u)
-        inner.append(its)
-        norms.append(norm)
-
-    states, norms = np.array(states, dtype=float), np.array(norms, dtype=float)
+    states, inner, norms = float_kernels(model.d_u).march(
+        residual, jacobian, u0.tolist(), grid.dt, grid.n_steps, cfg.inv_dtau, cfg.tol,
+        cfg.max_inner, cfg.allow_unconverged)
+    states = np.array(states, dtype=float).reshape(grid.n_steps + 1, model.d_u)
+    norms = np.array(norms, dtype=float)
+    converged = norms <= cfg.tol
+    if not converged.all():
+        left = np.flatnonzero(~converged)
+        warnings.warn(f"{len(left)} of {grid.n_steps} steps left unconverged, the first at "
+                      f"step {left[0]} (largest residual {norms[left].max():.3e})",
+                      RuntimeWarning, stacklevel=2)
     return Trajectory(grid=grid, states=states, outputs=model.output_value(states, sigma),
                       inner_iterations=np.array(inner), residual_norms=norms,
-                      converged=norms <= tol)
+                      converged=converged)
 
 
 def estimate_period(outputs, n_transient: int, dt: float) -> tuple[float, float]:

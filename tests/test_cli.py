@@ -967,6 +967,20 @@ def test_an_overflowing_design_writes_one_json_line(tmp_path, name):
     assert record["error"] == "StepConvergenceError" and record["exit_code"] == 3
 
 
+def test_an_unconverged_march_warns_once(tmp_path):
+    # one update per step at dtau = 1 leaves all 400 steps above tol: the
+    # run exits 0 with one "left unconverged" warning, not one per step
+    text = with_keys(VDP_CONFIG, {("model", "output"): "x", ("grid", "n_steps"): "400",
+                                  ("grid", "n_transient"): "0", ("pseudo_time", "dtau"): "1",
+                                  ("pseudo_time", "max_inner"): "1",
+                                  ("pseudo_time", "allow_unconverged"): "true"})
+    proc = run_lcowind("simulate", write_config(tmp_path, text), "--output-dir",
+                       str(tmp_path / "out"), cwd=tmp_path)
+    assert proc.returncode == 0
+    (line,) = [line for line in proc.stderr.splitlines() if "left unconverged" in line]
+    assert "RuntimeWarning: 400 of 400 steps left unconverged, the first at step 1" in line
+
+
 def test_an_overflowing_projected_gradient_warns_nothing(tmp_path):
     # at a1 = 1e306 the first projected gradient's norm overflows, and the
     # first full step drives the period non-positive: under -W

@@ -1,8 +1,8 @@
 """The two-state kernels against the any-size ones, over whole sweeps.
 
-The march runs a physical step of two states in one written-out kernel,
-_step2, and the tangent and the adjoint run a two-state sweep's whole
-reverse loop in _reverse2; every other size runs _step, a loop over
+The march runs every physical step of two states in one written-out
+kernel, _march2, and the tangent and the adjoint run a two-state sweep's
+whole reverse loop in _reverse2; every other size runs _march, a loop over
 _extended_residual, the solve of _solver and _vector_norm, and the list
 loop _reverse over the same solve.  Here each sweep runs twice,
 once through the two-state kernels and once through the any-size ones, and
@@ -63,8 +63,8 @@ BUDGETS = {"default": {}, "unconverged": {"max_inner": 2, "allow_unconverged": T
 
 
 def any_size_kernels(monkeypatch):
-    """Route two-state sweeps through the any-size kernels: the march's
-    step and the reverse loop of the tangent and the adjoint."""
+    """Route two-state sweeps through the any-size kernels: the march and
+    the reverse loop of the tangent and the adjoint."""
     monkeypatch.setattr(primal, "_solver", factor2)
     monkeypatch.setattr(primal, "_TWO_STATE_KERNELS", primal._ARRAY_KERNELS)
 

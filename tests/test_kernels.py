@@ -276,15 +276,15 @@ def test_march_does_not_write_the_models_jacobian(dtau):
 # The march, the tangent and the adjoint's reverse loop do their small
 # linear algebra on Python floats, each operation one IEEE rounding with no
 # fused multiply-add, in the order README states: the two-state solve,
-# written out in _step2 and _reverse2 and pinned here through one
+# written out in _march2 and _reverse2 and pinned here through one
 # Newton-limit step of _reverse2 against the reference solve2, and
 # for every size the norm (_vector_norm) and the fixed-point iterate (one
 # iterate of the reverse loops _reverse2 and _reverse).  Each is pinned to
 # its stated formula twice:
 # evaluated in exact rational arithmetic rounded once per operation, which
 # does not depend on the machine, and, to reach NaN, infinities, signed
-# zeros and subnormals, on numpy float64 scalars.  The two-state march step
-# is pinned to the general step here, and the two-state reverse loop to
+# zeros and subnormals, on numpy float64 scalars.  The two-state march is
+# pinned to the general one here, and the two-state reverse loop to
 # the general one in tests/test_kernel_sets.py.  The solve is
 # also held to LAPACK dgesv's accuracy and to its singular cases.  Other
 # sizes solve each right-hand side through np.linalg.solve, which calls
@@ -838,49 +838,62 @@ def fixed_residual(values):
     return lambda u, t: values
 
 
-def step_or_singular(step, *args):
+def march_or_singular(march, *args):
     try:
-        return step(*args)
+        return march(*args)
     except SingularStepError as exc:
         return "singular", exc.step
 
 
 @np.errstate(all="ignore")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("dtau", [INF, 1.0], ids=["dtau=inf", "dtau=1"])
-def test_two_state_step_matches_the_general_form(dtau, monkeypatch):
-    # one physical step with a budget of one update, and one of two, from
-    # drawn histories, residuals and Jacobian entries: the two-state step
-    # writes out _step's predictor, extended residual, _step_entries, the
-    # factors, the solve and the norm, so it is _step with the stated
-    # factor2 as its factoring, and it reads the Jacobian as often.  Step 3
-    # starts from the predictor; with two updates the second reuses the
-    # first's factors at a finite dtau.  A -0.0 in the residual shows the
+def test_two_state_march_matches_the_general_form(dtau, monkeypatch):
+    # three-step marches with a budget of one update per step, and one of
+    # two, from drawn initial states, residuals and Jacobian entries, with
+    # tol = 0.0 so every step spends its budget and goes on unconverged: the
+    # two-state march writes out _march's predictor, extended residual,
+    # _step_entries, the factors, the solve and the norm, so it is _march
+    # with the stated factor2 as its factoring, and it reads the Jacobian as
+    # often.  Step 1 is BDF1 and step 2 BDF2 from u_{n-1}; step 3 starts
+    # from the predictor; with two updates the second reuses the first's
+    # factors at a finite dtau.  A singular step raises at the same step in
+    # both, and neither kernel warns.  A -0.0 in the residual shows the
     # sign of a zero off the diagonal, which a march never shows
-    step2 = float_kernels(2).step
+    assert float_kernels(2).march is primal._march2
     monkeypatch.setattr(primal, "_solver", factor2)
     inv_dtau = PseudoTimeConfig(dtau=dtau).inv_dtau
     rng = np.random.default_rng(20)
-    draws = np.concatenate([kernel_draws(rng, (3000, 10)), rng.choice(SPECIAL, (3000, 10))])
-    for n, dt, max_inner in ((1, 0.05, 1), (2, 0.05, 1), (3, 0.05, 1), (3, 0.05, 2)):
-        alpha, beta, delta = step_coefficients(n, dt)
-        for row in draws.tolist():
+    draws = np.concatenate([kernel_draws(rng, (3000, 8)), rng.choice(SPECIAL, (3000, 8))])
+    # the drawn Jacobians make only step 1 singular; these two make step 2's
+    # matrix, (30 + J_ii) + inv_dtau on its diagonal, [[0, 5], [0, 0]] and
+    # [[1, 1], [1, 1]]
+    shift = -30.0 - inv_dtau
+    step2_singular = [[1.0, -0.5, shift, 5.0, 0.0, shift, 0.3, -0.2],
+                      [1.0, -0.5, shift + 1.0, 1.0, 1.0, shift + 1.0, 0.3, -0.2]]
+    for max_inner in (1, 2):
+        for row in draws.tolist() + step2_singular:
             entries, calls = row[2:6], Counter()
 
             def jacobian(u, t, kernel):
                 calls[kernel] += 1
                 return entries
 
-            results = [step_or_singular(kernel, fixed_residual(row[6:8]),
-                                        lambda u, t: jacobian(u, t, kernel), 0.0, row[:2],
-                                        row[8:], alpha, beta, delta, inv_dtau, 0.0, max_inner, n)
-                       for kernel in (step2, primal._step)]
+            results = [march_or_singular(kernel, fixed_residual(row[6:8]),
+                                         lambda u, t: jacobian(u, t, kernel), row[:2], 0.05, 3,
+                                         inv_dtau, 0.0, max_inner, True)
+                       for kernel in (primal._march2, primal._march)]
             got, expected = results
-            assert calls[step2] == calls[primal._step], row
+            assert calls[primal._march2] == calls[primal._march], row
             if expected[0] == "singular":
                 assert got == expected, row
             else:
                 assert same_floats(got[0], expected[0]) and got[1] == expected[1], row
-                assert same_float(got[2], expected[2]), row
+                assert same_floats(got[2], expected[2]), row
+        for row in step2_singular:
+            args = (fixed_residual(row[6:8]), lambda u, t: row[2:6], row[:2], 0.05, 3, inv_dtau,
+                    0.0, max_inner, True)
+            assert march_or_singular(primal._march2, *args) == ("singular", 2), row
 
 
 @np.errstate(all="ignore")

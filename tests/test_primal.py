@@ -1,6 +1,7 @@
 """Tests for the implicit time marching core."""
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,6 +229,26 @@ def test_allow_unconverged_warns_and_flags():
         traj = simulate(model, np.array([1.0]), grid, cfg)
     assert not traj.converged[1:].any()
     assert traj.inner_iterations[1] == 1
+
+
+@pytest.mark.parametrize("max_inner, n_left", [(1, 400), (8, 34)])
+def test_allow_unconverged_warns_once_per_march(max_inner, n_left):
+    # at dtau = 1 one update leaves every step above tol, and eight leave 34
+    # of the 400: the march warns once, after its last step, and names the
+    # count, the first such step and the largest residual norm that the
+    # trajectory records; stacklevel=2 points the warning at the caller
+    grid = TimeGrid(dt=0.05, n_steps=400)
+    cfg = PseudoTimeConfig(dtau=1.0, max_inner=max_inner, allow_unconverged=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = simulate(VanDerPol(), np.array([1.0]), grid, cfg)
+    (warning,) = caught
+    assert warning.category is RuntimeWarning and warning.filename == __file__
+    left = np.flatnonzero(~traj.converged)
+    assert len(left) == n_left
+    assert str(warning.message) == (
+        f"{n_left} of 400 steps left unconverged, the first at step {left[0]} "
+        f"(largest residual {traj.residual_norms[left].max():.3e})")
 
 
 def test_simulation_is_deterministic():
