@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import AdjointDivergenceError
 from .models import check_inputs
-from .primal import PseudoTimeConfig, Trajectory, float_kernels, step_coefficients, step_matrices
+from .primal import (PseudoTimeConfig, Trajectory, _row_norms, float_kernels,
+                     step_coefficients, step_matrices)
 from .windows import NamedEnum, NormalizationMode, Window, discrete_weights
 
 __all__ = ["AdjointMode", "AdjointSweep", "adjoint_sweep", "contraction_estimates"]
@@ -61,15 +62,12 @@ def contraction_estimates(steps: np.ndarray, cfg: PseudoTimeConfig) -> np.ndarra
 def _solve_residual_norms(a_transposed, lam, rhs):
     """||A_n^T lambda_n - rhs_n|| of every step, from the stacks of A_n^T,
     lambda_n and rhs_n: each row's products summed over the columns j in
-    order, then the squares summed left to right, as _vector_norm does.
-    All of it is elementwise, so no BLAS build changes its bits."""
+    order, then the norms of the rows by _row_norms.  All of it is
+    elementwise, so no BLAS build changes its bits."""
     product = a_transposed[:, :, 0] * lam[:, :1]
     for j in range(1, lam.shape[1]):
         product = product + a_transposed[:, :, j] * lam[:, j:j + 1]
-    square = 0.0
-    for column in (product - rhs).T:
-        square = square + column * column
-    return np.sqrt(square)
+    return _row_norms(product - rhs)
 
 
 def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,

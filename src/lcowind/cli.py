@@ -1,10 +1,11 @@
 """Command-line front end: config-driven runs with CSV and JSON artifacts.
 
 Config files use INI syntax with a fixed schema; unknown sections or keys
-are rejected before any computation or file creation happens.  Every run
-writes one or more CSV files plus a manifest.json tying together the
-config echo, library versions, wall time, and result numbers.  CSV bodies
-are deterministic: identical configs yield byte-identical files.
+are rejected before any computation or file creation happens.  A run
+that succeeds then writes one or more CSV files plus a manifest.json tying
+together the config echo, library versions, wall time, and result numbers;
+a failed run creates no directory.  CSV bodies are deterministic:
+identical configs yield byte-identical files.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ import math
 import os
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from itertools import takewhile
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -31,7 +32,7 @@ from .errors import ConfigError, LcoError, PeriodUndetectableError
 from .models import (AnalyticSignal, AnalyticSignalModel, DesignVector,
                      ForcedOscillator, OutputKind, VanDerPol)
 from .optim import DesignProblem, optimize
-from .primal import PseudoTimeConfig, TimeGrid, _vector_norm, estimate_period, simulate
+from .primal import PseudoTimeConfig, TimeGrid, _row_norms, estimate_period, simulate
 from .tangent import tangent_sweep, windowed_tangent_sensitivity
 from .windows import NormalizationMode, Window, discrete_weights
 
@@ -347,55 +348,50 @@ def _primal_diagnostics(traj) -> dict:
     return diag
 
 
-def _cmd_simulate(cfg: RunConfig, outdir: Path):
+def _cmd_simulate(cfg: RunConfig):
     traj = _run_primal(cfg)
-    times = cfg.grid.times()
     d_u = cfg.model.d_u
     header = (["step", "time"] + [f"state_{i}" for i in range(d_u)]
               + ["output", "inner_iterations", "residual_norm", "converged"])
-    _write_csv(outdir / "trajectory.csv", header,
-               [range(traj.n_steps + 1), times, *traj.states.T, traj.outputs,
-                traj.inner_iterations, traj.residual_norms, traj.converged])
+    tables = {"trajectory.csv": (header, [
+        range(traj.n_steps + 1), cfg.grid.times(), *traj.states.T, traj.outputs,
+        traj.inner_iterations, traj.residual_norms, traj.converged])}
     value = windowed_average(traj.outputs, cfg.window, cfg.grid.n_transient,
                              cfg.grid.n_steps, cfg.normalization)
     results = {"windowed_average": value, "window": cfg.window.value,
                "final_state": traj.states[-1]}
-    return ["trajectory.csv"], results, _primal_diagnostics(traj)
+    return tables, results, _primal_diagnostics(traj)
 
 
-def _cmd_tangent(cfg: RunConfig, outdir: Path):
+def _cmd_tangent(cfg: RunConfig):
     traj = _run_primal(cfg)
     tangent = tangent_sweep(cfg.model, cfg.design.values, traj)
-    times = cfg.grid.times()
     n_design = cfg.model.n_design
     header = ["step", "time"] + [f"output_sensitivity_{i}" for i in range(n_design)]
-    _write_csv(outdir / "tangent.csv", header,
-               [range(traj.n_steps + 1), times, *tangent.output_sensitivities.T])
+    tables = {"tangent.csv": (header, [range(traj.n_steps + 1), cfg.grid.times(),
+                                       *tangent.output_sensitivities.T])}
     sens = windowed_tangent_sensitivity(tangent, cfg.window,
                                         cfg.grid.n_transient, cfg.grid.n_steps,
                                         cfg.normalization)
     results = {"windowed_sensitivity": sens, "window": cfg.window.value,
                "solve_count": tangent.solve_count}
-    return ["tangent.csv"], results, _primal_diagnostics(traj)
+    return tables, results, _primal_diagnostics(traj)
 
 
-def _cmd_adjoint(cfg: RunConfig, outdir: Path):
+def _cmd_adjoint(cfg: RunConfig):
     traj = _run_primal(cfg)
     sweep = adjoint_sweep(cfg.model, cfg.design.values, traj, cfg.window,
                           cfg.pseudo, cfg.adjoint_mode, cfg.normalization,
                           tol=cfg.adjoint_tol)
     contractions = contraction_estimates(sweep.steps, cfg.pseudo)
-    times = cfg.grid.times()
     n_design = cfg.model.n_design
     header = (["step", "time", "adjoint_norm", "seed_norm",
                "inner_iterations", "residual_norm", "contraction"]
               + [f"running_derivative_{i}" for i in range(n_design)])
-    _write_csv(outdir / "adjoint.csv", header,
-               [range(traj.n_steps + 1), times,
-                [_vector_norm(r) for r in sweep.adjoint_states.tolist()],
-                [_vector_norm(r) for r in sweep.seeds.tolist()],
-                sweep.inner_iterations, sweep.residual_norms, contractions,
-                *sweep.running_design_derivative.T])
+    tables = {"adjoint.csv": (header, [
+        range(traj.n_steps + 1), cfg.grid.times(), _row_norms(sweep.adjoint_states),
+        _row_norms(sweep.seeds), sweep.inner_iterations, sweep.residual_norms,
+        contractions, *sweep.running_design_derivative.T])}
     value = windowed_average(traj.outputs, cfg.window, cfg.grid.n_transient,
                              cfg.grid.n_steps, cfg.normalization)
     results = {"design_derivative": sweep.design_derivative,
@@ -404,60 +400,59 @@ def _cmd_adjoint(cfg: RunConfig, outdir: Path):
     diag = _primal_diagnostics(traj)
     diag["max_contraction"] = float(contractions.max())
     diag["max_adjoint_inner_iterations"] = int(sweep.inner_iterations.max())
-    return ["adjoint.csv"], results, diag
+    return tables, results, diag
 
 
-def _cmd_average(cfg: RunConfig, outdir: Path):
+def _cmd_average(cfg: RunConfig):
     traj = _run_primal(cfg)
     weights = discrete_weights(cfg.window, cfg.grid.n_transient,
                                cfg.grid.n_steps, cfg.normalization)
     span = len(weights) - 1
-    _write_csv(outdir / "weights.csv", ["index", "s", "weight"],
-               [range(span + 1), [i / span for i in range(span + 1)], weights])
     value = windowed_average(traj.outputs, cfg.window, cfg.grid.n_transient,
                              cfg.grid.n_steps, cfg.normalization)
-    _write_csv(outdir / "average.csv",
-               ["window", "normalization", "n_transient", "n_final", "value"],
-               [[cfg.window.value], [cfg.normalization.value],
-                [cfg.grid.n_transient], [cfg.grid.n_steps], [value]])
+    tables = {"weights.csv": (["index", "s", "weight"],
+                              [range(span + 1), [i / span for i in range(span + 1)], weights]),
+              "average.csv": (["window", "normalization", "n_transient", "n_final", "value"],
+                              [[cfg.window.value], [cfg.normalization.value],
+                               [cfg.grid.n_transient], [cfg.grid.n_steps], [value]])}
     results = {"windowed_average": value, "window": cfg.window.value,
                "weight_sum": float(weights.sum()), "span": span}
-    return ["weights.csv", "average.csv"], results, _primal_diagnostics(traj)
+    return tables, results, _primal_diagnostics(traj)
 
 
 def _study_series(cfg: RunConfig):
-    """Series, reference, and period for the configured study quantity."""
+    """Series, reference, and period for the configured study quantity.
+    [study] reference and period replace the ones found here, and the
+    period is found only when it is not set."""
     sigma = cfg.design.values
-    if isinstance(cfg.model, AnalyticSignalModel):
+    analytic = isinstance(cfg.model, AnalyticSignalModel)
+    if analytic:
         signal = cfg.model.signal
         times = cfg.grid.times()
-        period = signal.period(sigma)
         if cfg.study_quantity == "average":
             series = np.asarray(signal.output(times, sigma), dtype=float)
             reference = signal.mean(sigma)
         else:
             series = signal.output_design_derivative(times, sigma)[:, 0]
             reference = float(signal.mean_design_gradient(sigma)[0])
-        if cfg.study_reference is not None:
-            reference = cfg.study_reference
-        if cfg.study_period is not None:
-            period = cfg.study_period
-        return series, reference, period
-
-    traj = _run_primal(cfg)
-    if cfg.study_quantity == "average":
-        series = traj.outputs
     else:
-        tangent = tangent_sweep(cfg.model, sigma, traj)
-        series = tangent.output_sensitivities[:, 0]
+        traj = _run_primal(cfg)
+        if cfg.study_quantity == "average":
+            series = traj.outputs
+        else:
+            tangent = tangent_sweep(cfg.model, sigma, traj)
+            series = tangent.output_sensitivities[:, 0]
+        reference = None  # the study extrapolates its own
+    if cfg.study_reference is not None:
+        reference = cfg.study_reference
     period = cfg.study_period
     if period is None:
-        period, _ = estimate_period(traj.outputs, cfg.grid.n_transient,
-                                    cfg.grid.dt)
-    return series, cfg.study_reference, period
+        period = (signal.period(sigma) if analytic else
+                  estimate_period(traj.outputs, cfg.grid.n_transient, cfg.grid.dt)[0])
+    return series, reference, period
 
 
-def _cmd_study(cfg: RunConfig, outdir: Path):
+def _cmd_study(cfg: RunConfig):
     series, reference, period = _study_series(cfg)
     studies = convergence_study(series, cfg.study_windows, cfg.grid.n_transient,
                                 cfg.grid.dt, cfg.study_k_list,
@@ -465,13 +460,12 @@ def _cmd_study(cfg: RunConfig, outdir: Path):
                                 span_offset=cfg.study_span_offset,
                                 mode=cfg.normalization)
     lengths = [len(study.requested_k) for study in studies]
-    _write_csv(outdir / "study.csv",
-               ["window", "k", "end_step", "value", "error", "slope"],
-               [np.repeat([study.kind.value for study in studies], lengths),
-                *(np.concatenate([getattr(study, name) for study in studies])
-                  for name in ("requested_k", "end_steps", "values", "errors")),
-                np.repeat([math.nan if study.slope is None else study.slope
-                           for study in studies], lengths)])
+    tables = {"study.csv": (["window", "k", "end_step", "value", "error", "slope"], [
+        np.repeat([study.kind.value for study in studies], lengths),
+        *(np.concatenate([getattr(study, name) for study in studies])
+          for name in ("requested_k", "end_steps", "values", "errors")),
+        np.repeat([math.nan if study.slope is None else study.slope
+                   for study in studies], lengths)])}
     summary = {study.kind.value: {"slope": study.slope,
                                   "fit_residual": study.fit_residual,
                                   "reference": study.reference,
@@ -479,10 +473,10 @@ def _cmd_study(cfg: RunConfig, outdir: Path):
                                   "period": study.period}
                for study in studies}
     results = {"quantity": cfg.study_quantity, "windows": summary}
-    return ["study.csv"], results, {"series_length": int(len(series))}
+    return tables, results, {"series_length": int(len(series))}
 
 
-def _cmd_optimize(cfg: RunConfig, outdir: Path):
+def _cmd_optimize(cfg: RunConfig):
     constraint_model = (None if cfg.opt_constraint_output is None
                         else dataclasses.replace(cfg.model,
                                                  output=cfg.opt_constraint_output))
@@ -506,10 +500,10 @@ def _cmd_optimize(cfg: RunConfig, outdir: Path):
 
     def field(name):
         return [getattr(rec, name) for rec in history.records]
-    _write_csv(outdir / "history.csv", header,
-               [field("iteration"), *np.array(field("sigma")).T,
-                *map(field, ("objective", "constraint", "feasible", "grad_norm",
-                             "step_size", "penalty", "merit"))])
+    tables = {"history.csv": (header, [
+        field("iteration"), *np.array(field("sigma")).T,
+        *map(field, ("objective", "constraint", "feasible", "grad_norm",
+                     "step_size", "penalty", "merit"))])}
     results = {"final_design": history.final_design,
                "converged": history.converged,
                "line_search_failed": history.line_search_failed,
@@ -519,10 +513,12 @@ def _cmd_optimize(cfg: RunConfig, outdir: Path):
     diagnostics = {"iterations": history.iterations,
                    "final_penalty": history.records[-1].penalty,
                    "feasible_iterates": sum(rec.feasible for rec in history.records)}
-    return ["history.csv"], results, diagnostics
+    return tables, results, diagnostics
 
 
-# subcommand -> (runner, help)
+# subcommand -> (runner, help).  A runner takes the config alone and returns
+# (tables, results, diagnostics), tables mapping each CSV name, in write
+# order, to the (header, columns) that main hands _write_csv after the run.
 _COMMANDS = {
     "simulate": (_cmd_simulate, "march the model and dump the trajectory"),
     "tangent": (_cmd_tangent, "forward sensitivity sweep along the trajectory"),
@@ -568,32 +564,8 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
 
 
 def _resolve_output_dir(cfg: RunConfig, args) -> Path:
-    if args.output_dir:
-        return Path(args.output_dir)
-    if cfg.output_directory:
-        return Path(cfg.output_directory)
-    env = os.environ.get("LCO_OUTPUT_DIR")
-    if env:
-        return Path(env)
-    return Path("lcowind-out")
-
-
-@contextmanager
-def _output_directory(outdir: Path):
-    """Create outdir and its missing parents for the block; if the block
-    fails, remove the ones created here that are still empty."""
-    created = list(takewhile(lambda path: not path.exists(),
-                             (outdir, *outdir.parents)))
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        yield
-    except BaseException:
-        for path in created:
-            try:
-                path.rmdir()
-            except OSError:
-                break
-        raise
+    return Path(args.output_dir or cfg.output_directory
+                or os.environ.get("LCO_OUTPUT_DIR") or "lcowind-out")
 
 
 _parser = None  # built by the first main call, not at import
@@ -606,35 +578,41 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        cfg = load_config(args.config)
-        _apply_overrides(cfg, args)
-        outdir = _resolve_output_dir(cfg, args)
-        with _output_directory(outdir):
+        # a warning goes out as one JSON line; one that the interpreter's
+        # filters raise is caught below as an error
+        with warnings.catch_warnings():
+            warnings.showwarning = _report_warning
+            cfg = load_config(args.config)
+            _apply_overrides(cfg, args)
             run, _ = _COMMANDS[args.subcommand]
-            files, results, diagnostics = run(cfg, outdir)
-            manifest = {
-                "subcommand": args.subcommand,
-                "config_path": cfg.path,
-                "config": cfg.echo,
-                "versions": {
-                    "lcowind": __version__,
-                    "python": sys.version.split()[0],
-                    "numpy": np.__version__,
-                },
-                "wall_time_s": time.perf_counter() - started,
-                "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-                "outputs": files,
-                "diagnostics": _json_ready(diagnostics),
-                "results": _json_ready(results),
-            }
-            with open(outdir / "manifest.json", "w", encoding="utf-8") as handle:
-                json.dump(manifest, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            tables, results, diagnostics = run(cfg)
+        outdir = _resolve_output_dir(cfg, args)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, (header, columns) in tables.items():
+            _write_csv(outdir / name, header, columns)
+        manifest = {
+            "subcommand": args.subcommand,
+            "config_path": cfg.path,
+            "config": cfg.echo,
+            "versions": {
+                "lcowind": __version__,
+                "python": sys.version.split()[0],
+                "numpy": np.__version__,
+            },
+            "wall_time_s": time.perf_counter() - started,
+            "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+            "outputs": list(tables),
+            "diagnostics": _json_ready(diagnostics),
+            "results": _json_ready(results),
+        }
+        with open(outdir / "manifest.json", "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True)
+            handle.write("\n")
         return 0
     except ConfigError as exc:
         _report_error(exc, 2)
         return 2
-    except LcoError as exc:
+    except (LcoError, Warning) as exc:
         _report_error(exc, 3)
         return 3
     except OSError as exc:
@@ -655,6 +633,12 @@ def _report_error(exc: Exception, code: int) -> None:
         if getattr(exc, name, None) is not None:
             record[name] = _json_ready(getattr(exc, name))
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
+
+
+def _report_warning(message, category, filename, lineno, file=None, line=None):
+    """Print one JSON line with the warning's message and category name."""
+    print(json.dumps({"message": str(message), "warning": category.__name__},
+                     sort_keys=True), file=sys.stderr)
 
 
 def console_main() -> None:

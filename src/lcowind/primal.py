@@ -184,6 +184,17 @@ def _vector_norm(r) -> float:
     return math.sqrt(square)
 
 
+def _row_norms(rows) -> np.ndarray:
+    """_vector_norm of every row of a 2-D array, bit for bit: the squares
+    summed column by column from 0.0.  numpy warns on a square that
+    overflows, where Python floats do not, so its warnings are off."""
+    with np.errstate(all="ignore"):
+        square = 0.0
+        for column in rows.T:
+            square = square + column * column
+        return np.sqrt(square)
+
+
 def _march(residual, jacobian, u0, dt, n_steps, inv_dtau, tol, max_inner, allow_unconverged):
     """Every physical step n = 1..n_steps of a march from the float list u0,
     at time n dt, with the bound residual and Jacobian: BDF1 at step 1,

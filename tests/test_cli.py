@@ -403,6 +403,21 @@ def test_study_row_counts_and_slopes(tmp_path):
     assert windows["hann"]["slope"] > 2.0
 
 
+@pytest.mark.parametrize("text", [ANALYTIC_CONFIG, VDP_CONFIG], ids=["analytic", "vdp"])
+def test_study_reference_and_period_overrides(tmp_path, text):
+    # the two keys replace the closed form's values on the analytic signal
+    # and the estimated period and extrapolated reference on a march
+    edits = {("grid", "n_steps"): "1500", ("study", "windows"): "square",
+             ("study", "k_list"): "2, 4", ("study", "reference"): "1.5",
+             ("study", "period"): "1.25"}
+    cfg = write_config(tmp_path, with_keys(text, edits))
+    outdir = tmp_path / "out"
+    assert main(["study", cfg, "--output-dir", str(outdir)]) == 0
+    (study,) = read_manifest(outdir)["results"]["windows"].values()
+    assert study["reference"] == 1.5 and study["reference_source"] == "closed-form"
+    assert study["period"] == 1.25
+
+
 def test_study_window_and_k_overrides(tmp_path):
     cfg = write_config(tmp_path, ANALYTIC_CONFIG)
     outdir = tmp_path / "out"
@@ -651,7 +666,7 @@ def test_singular_step_matrix_exits_3_with_step(tmp_path, capsys):
     assert record["exit_code"] == 3
     assert record["step"] == 1
     assert "singular" in record["message"]
-    # the run created the directory and wrote nothing to it, so it is gone
+    # the run failed before any file work, so it made no directory
     assert not outdir.exists()
 
 
@@ -662,7 +677,7 @@ def test_failed_run_keeps_existing_output_dir(tmp_path, capsys):
     assert main(["simulate", cfg, "--output-dir", str(outdir)]) == 3
     assert last_stderr_json(capsys)["error"] == "SingularStepError"
     assert outdir.is_dir()
-    # a directory the run created, parents included, is removed
+    # nor does a failed run make a directory's missing parents
     nested = tmp_path / "new" / "deeper"
     assert main(["simulate", cfg, "--output-dir", str(nested)]) == 3
     assert not (tmp_path / "new").exists()
@@ -681,6 +696,20 @@ def test_optimizer_leaving_model_domain_exits_3_with_iterate(tmp_path, capsys):
     assert record["design_iterate"] == [-2.0]
     assert "period non-positive" in record["message"]
     assert not outdir.exists()
+
+
+def test_an_output_path_that_cannot_be_made_exits_4(tmp_path, capsys):
+    # the run computes, then making the directory fails: on a regular file
+    # and on a path below one.  The file is left as it was
+    cfg = write_config(tmp_path, ANALYTIC_CONFIG)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    for outdir, error in ((blocker, "FileExistsError"),
+                          (blocker / "below", "NotADirectoryError")):
+        assert main(["simulate", cfg, "--output-dir", str(outdir)]) == 4
+        record = single_record(capsys.readouterr().err)
+        assert record["error"] == error and record["exit_code"] == 4
+        assert blocker.read_text() == "keep\n"
 
 
 def test_version_flag_reports_and_exits(capsys):
@@ -967,18 +996,37 @@ def test_an_overflowing_design_writes_one_json_line(tmp_path, name):
     assert record["error"] == "StepConvergenceError" and record["exit_code"] == 3
 
 
+# one update per step at dtau = 1 leaves all 400 steps above tol
+UNCONVERGED_EDITS = {("model", "output"): "x", ("grid", "n_steps"): "400",
+                     ("grid", "n_transient"): "0", ("pseudo_time", "dtau"): "1",
+                     ("pseudo_time", "max_inner"): "1",
+                     ("pseudo_time", "allow_unconverged"): "true"}
+
+
 def test_an_unconverged_march_warns_once(tmp_path):
-    # one update per step at dtau = 1 leaves all 400 steps above tol: the
-    # run exits 0 with one "left unconverged" warning, not one per step
-    text = with_keys(VDP_CONFIG, {("model", "output"): "x", ("grid", "n_steps"): "400",
-                                  ("grid", "n_transient"): "0", ("pseudo_time", "dtau"): "1",
-                                  ("pseudo_time", "max_inner"): "1",
-                                  ("pseudo_time", "allow_unconverged"): "true"})
+    # the run exits 0 with one warning, not one per step, as one JSON line
+    text = with_keys(VDP_CONFIG, UNCONVERGED_EDITS)
     proc = run_lcowind("simulate", write_config(tmp_path, text), "--output-dir",
                        str(tmp_path / "out"), cwd=tmp_path)
     assert proc.returncode == 0
-    (line,) = [line for line in proc.stderr.splitlines() if "left unconverged" in line]
-    assert "RuntimeWarning: 400 of 400 steps left unconverged, the first at step 1" in line
+    record = single_record(proc.stderr)
+    assert record["warning"] == "RuntimeWarning"
+    assert record["message"].startswith(
+        "400 of 400 steps left unconverged, the first at step 1")
+
+
+def test_an_unconverged_march_under_w_error_exits_3(tmp_path):
+    # the filter -W error raises the same warning, which the CLI reports
+    # as one exit-3 record, not a traceback
+    text = with_keys(VDP_CONFIG, UNCONVERGED_EDITS)
+    outdir = tmp_path / "out"
+    proc = run_lcowind("simulate", write_config(tmp_path, text), "--output-dir",
+                       str(outdir), cwd=tmp_path, flags=("-W", "error"))
+    assert proc.returncode == 3
+    record = single_record(proc.stderr)
+    assert record["error"] == "RuntimeWarning" and record["exit_code"] == 3
+    assert "left unconverged" in record["message"]
+    assert not outdir.exists()
 
 
 def test_an_overflowing_projected_gradient_warns_nothing(tmp_path):

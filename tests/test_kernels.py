@@ -292,6 +292,7 @@ def test_march_does_not_write_the_models_jacobian(dtau):
 # A NaN result must be NaN on both sides; its sign bit is not pinned.
 
 import itertools
+import warnings
 from fractions import Fraction
 
 from scipy.linalg.lapack import dgesv
@@ -508,6 +509,22 @@ def test_norms_follow_the_stated_order(size):
         assert same_float(norm(r), norm_exact(r)), r
     for r in itertools.product(SPECIAL, repeat=size):
         assert same_float(norm(list(r)), norm_float64(r)), r
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_row_norms_are_the_vector_norm_of_each_row(size):
+    # the stacked norm of the CLI's adjoint columns and the direct adjoint's
+    # residual norms, bit for bit, with no warning where a square overflows
+    rng = np.random.default_rng(7511 + size)
+    # rows at one scale, where the order of the sum shows in the last bit
+    rows = np.concatenate((np.array(list(itertools.product(SPECIAL, repeat=size))),
+                           kernel_draws(rng, (N_KERNEL_DRAWS, size)),
+                           rng.standard_normal((N_KERNEL_DRAWS, size))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = primal._row_norms(rows)
+    expected = [primal._vector_norm(r) for r in rows.tolist()]
+    assert np.array_equal(got.view(np.uint64), np.array(expected).view(np.uint64))
 
 
 def iterate_exact(lam, rhs, ubar, inv_dtau):
