@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, InvalidSpanError
 from .primal import estimate_period
-from .windows import NormalizationMode, Window, span_weights
+from .windows import NormalizationMode, Window, iter_span_weights, span_weights
 
 __all__ = ["ConvergenceStudy", "DivergenceDiagnostic", "windowed_average",
            "convergence_study", "endpoint_shift_robustness",
@@ -49,16 +49,21 @@ def windowed_average(outputs, kind: Window, n_tr: int, n_final: int,
 
 @np.errstate(over="ignore", invalid="ignore")
 def _windowed_sums(series, kinds, n_tr, n_final, mode):
-    """(1/span) sum_i w_i series[n_tr + i] over steps n_tr..n_final, one per
-    window in kinds: the windowed average of every column of a series
-    indexed by step first.  A sum that is not finite is taken again over
-    the series divided by the span first, so a finite series whose average
-    is finite does not overflow; every finite sum is kept as it is."""
+    """The windowed average of every column of a series indexed by step
+    first over steps n_tr..n_final, one per window in kinds."""
     if n_final > len(series) - 1:
         raise InvalidSpanError(
             f"final step {n_final} exceeds recorded length {len(series) - 1}")
-    window, span = series[n_tr:n_final + 1], n_final - n_tr
-    all_weights = span_weights(kinds, n_tr, n_final, mode)
+    return _weighted_sums(series[n_tr:n_final + 1], n_final - n_tr,
+                          span_weights(kinds, n_tr, n_final, mode))
+
+
+def _weighted_sums(window, span, all_weights):
+    """(1/span) sum_i w_i window[i], one per weight vector in all_weights.
+    A sum that is not finite is taken again over the window divided by the
+    span first, so a finite series whose average is finite does not
+    overflow; every finite sum is kept as it is.  The caller ignores
+    overflow and invalid values."""
     averages = [weights @ window / span for weights in all_weights]
     if window.ndim == 1 and all(map(math.isfinite, averages)):
         return averages
@@ -124,14 +129,20 @@ def _span_values(series, kinds, n_tr, dt, k_list, period, span_offset, mode):
     """The series as floats, its period (estimated from it unless given),
     the requested period counts, end steps and realized spans of the spans
     in k_list, and per window in kinds, in order, its windowed averages
-    over those spans.  Each end step is visited once for all the windows."""
+    over those spans.  Each end step is visited once for all the windows,
+    whose weights one sampler writes into buffers sized to the largest
+    span."""
     data = np.asarray(series, dtype=float)
     if data.ndim != 1:
         raise ValueError("outputs must be a one-dimensional series")
     if period is None:
         period, _ = estimate_period(data, n_tr, dt)
     ks, ends, realized = _end_steps(k_list, n_tr, dt, period, span_offset, data.size)
-    per_end = [_windowed_sums(data, kinds, n_tr, int(end), mode) for end in ends]
+    end_list = ends.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_end = [_weighted_sums(data[n_tr:end + 1], end - n_tr, weights)
+                   for end, weights in zip(end_list,
+                                           iter_span_weights(kinds, n_tr, end_list, mode))]
     values = [np.array(column, dtype=float) for column in zip(*per_end)]
     return data, period, ks, ends, realized, values
 

@@ -20,6 +20,7 @@ __all__ = [
     "bump_normalization",
     "discrete_weights",
     "span_weights",
+    "iter_span_weights",
 ]
 
 _INF = math.inf
@@ -71,6 +72,11 @@ class Window(NamedEnum, label="window"):
     def order_sensitivity(self) -> float:
         """Convergence order of the windowed design sensitivity in period count."""
         return _ORDER_TABLE[self.value][1]
+
+
+# Window's members in order, as a tuple: iterating the enum class is several
+# times slower, and every weight call iterates them
+_WINDOWS = tuple(Window)
 
 
 class NormalizationMode(NamedEnum, label="normalization"):
@@ -159,39 +165,59 @@ def span_weights(kinds, n_tr: int, n_final: int,
     weight vector per kind, in the order given, as `discrete_weights`
     returns it.
 
-    The grid i/span is built once.  When hann is among the kinds,
+    The one-span case of `iter_span_weights`: its buffers fit the span,
+    so the vectors are returned as they were written.
+    """
+    return next(iter_span_weights(kinds, n_tr, (n_final,), mode))
+
+
+def iter_span_weights(kinds, n_tr: int, ends,
+                      mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL):
+    """Yield `span_weights(kinds, n_tr, end, mode)` for each end step in
+    ends, in order.
+
+    The inputs are checked once, on the first iteration.  One ramp
+    1..span - 1, one grid buffer and one weight vector per window are
+    allocated once, sized to the largest span; each span's grid i/span and
+    samples are written into their prefixes, so a yielded vector is a view
+    that the next span overwrites.  When hann is among the kinds,
     hann-square is made from hann's unscaled samples, the same ufuncs in
     the same order as its own kernel, so the bits are the same.
     """
     kinds = tuple(kinds)
+    ends = tuple(ends)
     if n_tr < 0:
         raise InvalidSpanError(f"transient cutoff must be non-negative, got n_tr={n_tr}")
-    span = n_final - n_tr
-    if span <= 0:
-        raise InvalidSpanError(f"averaging span must be positive, got n_tr={n_tr}, N={n_final}")
+    first = min(ends)
+    if first <= n_tr:
+        raise InvalidSpanError(f"averaging span must be positive, got n_tr={n_tr}, N={first}")
     for kind in kinds:
         if not isinstance(kind, Window):
             raise TypeError(f"not a Window: {kind!r}")
-    # i/span lies strictly inside (0, 1) for 0 < i < span, and the two
-    # endpoint weights are zero for every kind
-    si = np.arange(1, span, dtype=float)
-    si /= span
-    sampled = {}
+    largest = max(ends) - n_tr
+    ramp = np.arange(1, largest, dtype=float)
+    grid = np.empty_like(ramp)
     # in Window's order, so hann is sampled before hann-square
-    for kind in Window:
-        if kind not in kinds:
-            continue
-        values = sampled[kind] = np.zeros(span + 1)
-        hann = sampled.get(Window.HANN)
-        if kind is Window.HANN_SQUARE and hann is not None:
-            _hann_square_from_hann(hann[1:-1], values[1:-1])
-        else:
-            _window_interior(kind, si, values[1:-1])
-    if mode is NormalizationMode.RENORMALIZED:
-        for kind, values in sampled.items():
-            total = values.sum()
-            if total <= 0.0:
-                raise InvalidSpanError(
-                    f"span of {span} steps leaves no interior weight to renormalize")
-            sampled[kind] = values * (span / total)
-    return [sampled[kind] for kind in kinds]
+    buffers = {kind: np.zeros(largest + 1) for kind in _WINDOWS if kind in kinds}
+    hann = buffers.get(Window.HANN)
+    renormalize = mode is NormalizationMode.RENORMALIZED
+    for end in ends:
+        span = end - n_tr
+        # i/span lies strictly inside (0, 1) for 0 < i < span, and the two
+        # endpoint weights are zero for every kind
+        si = np.divide(ramp[:span - 1], span, out=grid[:span - 1])
+        for kind, values in buffers.items():
+            if kind is Window.HANN_SQUARE and hann is not None:
+                _hann_square_from_hann(hann[1:span], values[1:span])
+            else:
+                _window_interior(kind, si, values[1:span])
+            values[span] = 0.0
+        if renormalize:
+            for values in buffers.values():
+                weights = values[:span + 1]
+                total = weights.sum()
+                if total <= 0.0:
+                    raise InvalidSpanError(
+                        f"span of {span} steps leaves no interior weight to renormalize")
+                np.multiply(weights, span / total, out=weights)
+        yield [buffers[kind][:span + 1] for kind in kinds]

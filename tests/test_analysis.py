@@ -1,5 +1,6 @@
 """Tests for windowed averaging, convergence studies, and diagnostics."""
 
+import itertools
 import math
 import warnings
 
@@ -134,6 +135,64 @@ def test_only_a_sum_that_overflows_is_taken_again():
     assert got[0].tobytes() == plain[0].tobytes()
     assert not math.isfinite(plain[1])
     assert got[1] == pytest.approx(1e306 * got[0], rel=1e-13)
+
+
+# every non-empty subset of the four windows, in Window's order
+WINDOW_SUBSETS = [subset for size in range(1, len(Window) + 1)
+                  for subset in itertools.combinations(Window, size)]
+# 4.33 and 4.3301 periods round to the same end step
+REPEATING_KS = [2, 3, 4, 4.33, 4.3301, 8, 16]
+
+
+def oracle_values(series, kind, ends, mode):
+    """The windowed average at each end step, from a fresh weight vector."""
+    return np.array([windows.discrete_weights(kind, N_TR, end, mode) @ series[N_TR:end + 1]
+                     / (end - N_TR) for end in ends.tolist()])
+
+
+@pytest.mark.parametrize("mode", list(NormalizationMode))
+def test_studies_equal_fresh_weight_vectors_bit_for_bit(mode):
+    # every span's weights are written into buffers sized to the largest
+    # span; no sample of a longer or repeated span may leak into a value
+    series = signal_series(16)
+    for kinds in WINDOW_SUBSETS:
+        studies = convergence_study(series, kinds, N_TR, DT, REPEATING_KS, reference=MEAN,
+                                    period=PERIOD, mode=mode)
+        diagnostics = divergence_diagnostic(series, kinds, N_TR, DT, REPEATING_KS,
+                                            period=PERIOD, mode=mode)
+        ends = studies[0].end_steps
+        assert len(set(ends.tolist())) == len(ends) - 1
+        for kind, study, diagnostic in zip(kinds, studies, diagnostics):
+            expected = oracle_values(series, kind, ends, mode).tobytes()
+            assert study.values.tobytes() == expected, (kinds, kind)
+            assert diagnostic.values.tobytes() == expected, (kinds, kind)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", list(NormalizationMode))
+def test_a_study_near_the_float_range_takes_each_overflowing_sum_again(mode):
+    # every windowed sum of 1e306 times the series overflows, and each is
+    # taken again over the samples divided by the span
+    series = signal_series(16)
+    ks = [2, 4, 8, 16]
+    scaled = convergence_study(series, Window, N_TR, DT, ks, reference=MEAN,
+                               period=PERIOD, mode=mode)
+    large = convergence_study(1e306 * series, Window, N_TR, DT, ks, reference=1e306 * MEAN,
+                              period=PERIOD, mode=mode)
+    for small, big in zip(scaled, large):
+        assert np.all(np.isfinite(big.values))
+        assert big.values == pytest.approx(1e306 * small.values, rel=1e-13)
+    # at 1.5e305 only the longer spans overflow: the others keep the bits
+    # of the plain weighted sum
+    series = 1.5e305 * series
+    for diagnostic in divergence_diagnostic(series, Window, N_TR, DT, ks, period=PERIOD,
+                                            mode=mode):
+        with np.errstate(over="ignore"):
+            plain = oracle_values(series, diagnostic.kind, diagnostic.end_steps, mode)
+        finite = np.isfinite(plain)
+        assert 0 < finite.sum() < len(ks)
+        assert diagnostic.values[finite].tobytes() == plain[finite].tobytes()
+        assert np.all(np.isfinite(diagnostic.values))
 
 
 def test_period_is_estimated_when_not_given():

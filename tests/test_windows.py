@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lcowind.analysis import windowed_average
+from lcowind.analysis import convergence_study, windowed_average
 from lcowind.errors import InvalidSpanError
 from lcowind.tangent import TangentTrajectory, windowed_tangent_sensitivity
 from lcowind.windows import (NormalizationMode, Window, bump_normalization,
@@ -252,3 +252,21 @@ def test_span_weights_keep_the_span_checks():
     with pytest.raises(TypeError, match="not a Window"):
         span_weights([Window.HANN, "hann"], 0, 10)
     assert span_weights([], 0, 10) == []
+
+
+@pytest.mark.parametrize("mode", list(NormalizationMode))
+def test_returned_weights_are_writeable_distinct_and_kept(mode):
+    # span_weights returns the sampler's own buffers: each call must make
+    # its own, which no later call or study writes into
+    arrays = [values for kinds in KIND_ORDERS
+              for values in span_weights(kinds, 3, 3 + 40, mode)]
+    arrays += [discrete_weights(kind, 3, 3 + span, mode)
+               for kind in ALL_WINDOWS for span in (2, 40, 900)]
+    assert all(values.flags.writeable for values in arrays)
+    assert not any(np.may_share_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+    kept = [values.tobytes() for values in arrays]
+    span_weights(ALL_WINDOWS, 3, 3 + 40, mode)
+    span_weights(ALL_WINDOWS, 0, 900, mode)
+    series = 2.0 + np.sin(np.arange(3000) * 0.05)
+    convergence_study(series, ALL_WINDOWS, 3, 0.05, [2, 4, 8], reference=2.0, mode=mode)
+    assert [values.tobytes() for values in arrays] == kept
