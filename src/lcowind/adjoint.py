@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import primal
 from .errors import AdjointDivergenceError
 from .models import check_inputs
-from .primal import (PseudoTimeConfig, Trajectory, _row_norms, float_kernels,
-                     step_coefficients, step_matrices)
+from .primal import (PseudoTimeConfig, Trajectory, _row_norms, step_coefficients,
+                     step_matrices)
 from .windows import NamedEnum, NormalizationMode, Window, discrete_weights
 
 __all__ = ["AdjointMode", "AdjointSweep", "adjoint_sweep", "contraction_estimates"]
@@ -120,7 +121,7 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     # steps n + 1 and n + 2, which step n couples to, are BDF2 steps
     _, beta, delta = step_coefficients(2, dt)
     try:
-        ubar, inner, norms, lambdas = float_kernels(d_u).reverse(
+        ubar, inner, norms, lambdas = primal._reverse2(
             seeds.tolist(), transposed.reshape(n_total, d_u * d_u).tolist(),
             0.0 if direct else cfg.inv_dtau, beta, delta, tol, cfg.max_inner)
     except AdjointDivergenceError as exc:

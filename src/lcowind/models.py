@@ -96,11 +96,14 @@ def check_inputs(model, sigma, states, n_steps=None) -> np.ndarray:
     models' per-step methods need not.
 
     states is the initial state, of shape (d_u,), or with n_steps a
-    trajectory's states, of shape (n_steps + 1, d_u).  A wrong shape raises
-    ValueError and a NaN or infinite design DesignDomainError.  Returns the
-    design, given as a DesignVector, an array or a scalar, as a float array
-    of shape (n_design,): the form the model methods read it in.
+    trajectory's states, of shape (n_steps + 1, d_u).  A model whose d_u is
+    not 2, as the march and the sweeps take two states, or a wrong shape
+    raises ValueError, and a NaN or infinite design DesignDomainError.
+    Returns the design, given as a DesignVector, an array or a scalar, as a
+    float array of shape (n_design,): the form the model methods read it in.
     """
+    if model.d_u != 2:
+        raise ValueError(f"lcowind marches two states, got a model of d_u = {model.d_u}")
     design = _sigma_values(sigma)
     if design.shape != (model.n_design,):
         raise ValueError(f"design must have shape ({model.n_design},), got {design.shape}")

@@ -5,9 +5,9 @@ implicit-Euler pseudo-time smoothing of the linearized update, with the
 step matrix formed once per step (a chord iteration); an infinite
 pseudo-time step reduces the update to a plain Newton step, with the
 Jacobian taken at every iterate.  The first physical step is bootstrapped
-with BDF1 since no second history level exists yet.  The float kernels of
-each state size live here too, the reverse loop of both sweeps among them,
-so float_kernels alone chooses by size.
+with BDF1 since no second history level exists yet.  The march runs on
+two states, in one float kernel, and the reverse loop of both sweeps lives
+here too.
 """
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from math import sqrt
-from operator import sub
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -121,29 +119,6 @@ def step_coefficients(n: int, dt: float) -> tuple[float, float, float]:
     return 1.5 / dt, -2.0 / dt, 0.5 / dt
 
 
-def _extended_residual(residual, u_n, t, alpha, beta_u_nm1, delta_u_nm2) -> list[float]:
-    """Extended residual alpha u_n + R(u_n) + beta u_{n-1} + delta u_{n-2}
-    of the float list u_n, R the bound residual, with its history terms beta
-    u_{n-1} and delta u_{n-2} already formed as float lists, as they stay
-    fixed over a physical step.  The sums run on Python floats, in the order
-    of the formula."""
-    return [alpha * x + r + b + d for x, r, b, d
-            in zip(u_n, residual(u_n, t), beta_u_nm1, delta_u_nm2)]
-
-
-def _step_entries(jacobian, alpha, inv_dtau) -> list[float]:
-    """Row-major entries of alpha I + J + inv_dtau I from J's, summed as
-    the arrays alpha * np.eye(d_u) + J + inv_dtau * np.eye(d_u) sum them:
-    (alpha + J_ii) + inv_dtau on the diagonal and 0.0 + J_ij off it, which
-    turns a -0.0 into 0.0.  Adding inv_dtau = 0.0 leaves a sum with alpha
-    > 0 unchanged, so the Newton limit needs no branch."""
-    d_u = math.isqrt(len(jacobian))
-    entries = [0.0 + j for j in jacobian]
-    for i in range(0, d_u * d_u, d_u + 1):
-        entries[i] = (alpha + jacobian[i]) + inv_dtau
-    return entries
-
-
 def step_matrices(model, sigma, traj: Trajectory) -> np.ndarray:
     """Step matrices A_n = alpha_n I + dR/du(u^n) of the trajectory's steps
     n = 1..N, stacked with shape (N, d_u, d_u); entry n - 1 is step n."""
@@ -156,21 +131,6 @@ def step_matrices(model, sigma, traj: Trajectory) -> np.ndarray:
     jacobians = np.array([jacobian(u, n * dt)
                           for n, u in zip(steps, traj.states[1:].tolist())])
     return alphas[:, None, None] * np.eye(d_u) + jacobians.reshape(-1, d_u, d_u)
-
-
-def _solver(entries, step=None) -> Callable:
-    """The solve of the system with row-major entries: the returned function
-    solves one right-hand side per call through np.linalg.solve, LAPACK
-    dgesv, as a float list, and raises SingularStepError for step where the
-    system is singular; each caller solves as soon as it has the function."""
-    matrix = np.array(entries).reshape(-1, math.isqrt(len(entries)))
-
-    def solve(rhs):
-        try:
-            return np.linalg.solve(matrix, rhs).tolist()
-        except np.linalg.LinAlgError:
-            raise SingularStepError(step) from None
-    return solve
 
 
 def _vector_norm(r) -> float:
@@ -195,63 +155,28 @@ def _row_norms(rows) -> np.ndarray:
         return np.sqrt(square)
 
 
-def _march(residual, jacobian, u0, dt, n_steps, inv_dtau, tol, max_inner, allow_unconverged):
-    """Every physical step n = 1..n_steps of a march from the float list u0,
-    at time n dt, with the bound residual and Jacobian: BDF1 at step 1,
-    whose u_{-1} = u0 has no weight, and BDF2 after it.  Per step: the
-    history terms beta u_{n-1} and delta u_{n-2} once, then from the
-    predictor, 2.0 u_{n-1,i} - u_{n-2,i} from step 3 on and u_{n-1} before
-    it, the extended residual, its norm and, while norm > tol and fewer than
-    max_inner iterations ran, one update u - x, x the solve of the step
-    system with _step_entries' matrix and the extended residual.  At a
-    finite dtau the step's first update evaluates the Jacobian and forms the
-    matrix, and every later update of the step solves with that matrix (a
-    chord iteration); at inv_dtau = 0.0, the Newton limit, every update
-    evaluates and forms it afresh.  A step that stops above tol raises
-    StepConvergenceError with the roundoff floor at its last iterate unless
-    allow_unconverged is set; no kernel warns.  Returns (states, iterations,
-    norms): u0..u_N row-major in one flat list, and per step the iterations
-    and the last norm, step 0's zeros first."""
-    u_nm1 = u_nm2 = u0
-    states, inner, norms = list(u0), [0], [0.0]
-    bdf1, bdf2 = step_coefficients(1, dt), step_coefficients(2, dt)
-    for n in range(1, n_steps + 1):
-        alpha, beta, delta = bdf2 if n > 1 else bdf1
-        t = n * dt
-        beta_u_nm1, delta_u_nm2 = [beta * x for x in u_nm1], [delta * x for x in u_nm2]
-        u = [2.0 * x - y for x, y in zip(u_nm1, u_nm2)] if n > 2 else list(u_nm1)
-        extended = _extended_residual(residual, u, t, alpha, beta_u_nm1, delta_u_nm2)
-        norm = _vector_norm(extended)
-        its = 0
-        while norm > tol and its < max_inner:
-            if its == 0 or inv_dtau == 0.0:
-                solve = _solver(_step_entries(jacobian(u, t), alpha, inv_dtau), n)
-            u = list(map(sub, u, solve(extended)))
-            extended = _extended_residual(residual, u, t, alpha, beta_u_nm1, delta_u_nm2)
-            norm = _vector_norm(extended)
-            its += 1
-        if not (norm <= tol or allow_unconverged):
-            floor = _roundoff_floor(residual, u, t, alpha, beta, delta, u_nm1, u_nm2)
-            raise StepConvergenceError(n, its, norm, floor, tol)
-        u_nm1, u_nm2 = u, u_nm1
-        states += u
-        inner.append(its)
-        norms.append(norm)
-    return states, inner, norms
-
-
 def _march2(residual, jacobian, u0, dt, n_steps, inv_dtau, tol, max_inner, allow_unconverged):
-    """_march of two states on local floats, with the predictor, the
-    extended residual, _step_entries, the solve and _vector_norm written
-    out in their order.  The factoring pivots, swapping the rows when |a21|
-    > |a11|, then forms l = a21 / a11 and u22 = a22 - l a12, and a zero
-    pivot or u22 raises SingularStepError; the solve swaps the right-hand
-    side alike and forms x2 = (b2 - l b1) / u22 and x1 = (b1 - a12 x2) /
-    a11.  The factors are formed at the step's first update and, at a
-    finite dtau, kept for the rest of the step.  The bound residual and
-    Jacobian are called once per evaluation, with the iterate as a float
-    list and t.  u_{n-1} and u_{n-2} stay local floats from one step to
-    the next."""
+    """Every physical step n = 1..n_steps of a march of two states from
+    the float pair u0, at time n dt, on local floats: BDF1 at step 1, whose
+    u_{-1} = u0 has no weight, and BDF2 after it.  Per step: the history
+    terms beta u_{n-1} and delta u_{n-2}, then from the predictor, 2.0
+    u_{n-1,i} - u_{n-2,i} from step 3 on and u_{n-1} before it, the
+    extended residual alpha u_i + r_i + beta u_{n-1,i} + delta u_{n-2,i}, its
+    norm sqrt(e0 e0 + e1 e1) and, while norm > tol and fewer than max_inner
+    iterations ran, one update u - x, x the solve of the step system
+    (alpha + J_ii) + inv_dtau on the diagonal, 0.0 + J_ij off it.  The
+    factoring pivots, swapping the rows when |a21| > |a11|, then forms l =
+    a21 / a11 and u22 = a22 - l a12, and a zero pivot or u22 raises
+    SingularStepError; the solve swaps the right-hand side alike and forms
+    x2 = (b2 - l b1) / u22 and x1 = (b1 - a12 x2) / a11.  The Jacobian is
+    evaluated and factored at the step's first update and, at a finite dtau,
+    kept for the rest of the step (a chord iteration); at inv_dtau = 0.0,
+    the Newton limit, at every update.  A step that stops above tol raises
+    StepConvergenceError with the roundoff floor at its last iterate unless
+    allow_unconverged is set; the kernel never warns.  Returns (states,
+    iterations, norms): u0..u_N row-major in one flat list, and per step the
+    iterations and the last norm, step 0's zeros first.  The list loop
+    _march of tests/any_size_kernels.py is its oracle."""
     p0, p1 = q0, q1 = u0  # u_{n-1} and u_{n-2}
     states, inner, norms = [p0, p1], [0], [0.0]
     bdf1, bdf2 = step_coefficients(1, dt), step_coefficients(2, dt)
@@ -323,88 +248,31 @@ def _roundoff_floor(residual, u, t, alpha, beta, delta, u_nm1, u_nm2) -> float:
     return math.ulp(1.0) * _vector_norm(terms)
 
 
-def _reverse(seeds, a_rows, inv_dtau, beta, delta, tol, max_inner):
-    """The reverse loop of one adjoint sweep, on float lists, for steps n
-    from N = len(a_rows) down to 1.  The tangent runs it too, in its Newton
-    limit on the rows of A_n, steps reversed (see tangent_sweep).
-
-    seeds holds step n's seed at row n; entry n - 1 of a_rows holds the
-    row-major entries of A_n^T; inv_dtau is 1/dtau, and beta and delta are
-    the BDF2 coefficients that couple step n to steps n + 1 and n + 2.  Each
-    step forms M_n^T's diagonal as a_ii + inv_dtau, leaving the entries off
-    it as given, and its right-hand side (s - beta lambda_{n+1}) - delta
-    lambda_{n+2}, leaving out the terms of steps beyond N, and sets ubar_n:
-    as rhs itself in the Newton limit, inv_dtau = 0.0, else by the
-    fixed-point loop warm-started from ubar_{n+1}.  M_n - A_n = I/dtau makes
-    the iteration matrix (I - M_n^{-1} A_n)^T equal to inv_dtau M_n^{-T}, so
-    from lambda = M_n^{-T} ubar each iterate is ubar <- rhs + inv_dtau
-    lambda, row i r_i + inv_dtau lambda_i, followed by the solve of the new
-    lambda.  The loop stops when the norm of the change is at most tol,
-    exceeds both 1 and ten times the previous change's norm, or max_inner
-    iterates ran, and raises AdjointDivergenceError, with no contraction
-    estimate, unless that norm is at most tol.  The Newton limit records
-    one iteration and a zero norm.  Each step forms M_n^T once and solves
-    every lambda_n = M_n^{-T} ubar_n with it through _solver's solve, which
-    raises SingularStepError at the first step whose M_n is singular; the
-    last lambda is kept for the two earlier steps.  The direct adjoint hands
-    inv_dtau = 0.0, so the Newton limit's lambda_n solves A_n^T lambda_n = rhs.
-
-    Returns (ubar, iterations, norms, lambdas): ubar row-major with a zero
-    row 0, the iterations and norms per step with step 0's zero, and
-    lambda_n row-major at row n - 1, each a flat list.
-    """
-    n_total, d_u = len(a_rows), len(seeds[0])
-    ubar = [0.0] * (d_u * (n_total + 1))
-    inner = [0] * (n_total + 1)
-    norms = [0.0] * (n_total + 1)
-    lambdas = [0.0] * (d_u * n_total)
-    iterate = inv_dtau != 0.0
-    ubar_n = [0.0] * d_u  # the warm start of the last step
-    lam1 = lam2 = None  # lambda_{n+1} and lambda_{n+2}
-    for n in range(n_total, 0, -1):
-        if n + 2 <= n_total:
-            rhs = [(s - beta * x) - delta * y for s, x, y in zip(seeds[n], lam1, lam2)]
-        elif n + 1 <= n_total:
-            rhs = [s - beta * x for s, x in zip(seeds[n], lam1)]
-        else:
-            rhs = seeds[n]
-        entries = list(a_rows[n - 1])
-        for i in range(0, d_u * d_u, d_u + 1):
-            entries[i] += inv_dtau
-        solve = _solver(entries, n)
-        if not iterate:
-            ubar_n = rhs
-        lam = solve(ubar_n)
-        if iterate:
-            previous = None  # the change norm of the previous iterate
-            for its in range(1, max_inner + 1):
-                updated = [r + inv_dtau * x for r, x in zip(rhs, lam)]
-                norm = _vector_norm(list(map(sub, updated, ubar_n)))
-                ubar_n = updated
-                lam = solve(ubar_n)
-                if norm <= tol or norm > 1.0 and previous is not None and norm > previous * 10.0:
-                    break
-                previous = norm
-            if not norm <= tol:
-                raise AdjointDivergenceError(n, its, norm)
-        else:
-            its, norm = 1, 0.0
-        inner[n], norms[n] = its, norm
-        lam1, lam2 = lam, lam1
-        ubar[n * d_u:(n + 1) * d_u] = ubar_n
-        lambdas[(n - 1) * d_u:n * d_u] = lam
-    return ubar, inner, norms, lambdas
-
-
 def _reverse2(seeds, a_rows, inv_dtau, beta, delta, tol, max_inner):
-    """_reverse of two states on local floats, with the right-hand side,
-    the iterate and _march2's solve written out in their order: each step forms
-    M_n^T's diagonal a11 + inv_dtau and a22 + inv_dtau, factors M_n^T once,
-    the row swap, l and u22 with their zero tests, and solves every lambda
-    from those factors.  Row i of a fixed-point iterate is r_i + inv_dtau
-    lambda_i, and its change's norm sqrt(c0 c0 + c1 c1).  ubar_{n+1},
-    lambda_{n+1} and lambda_{n+2} stay local floats from one step to the
-    next."""
+    """The reverse loop of one sweep of two states, on local floats, for
+    steps n from N = len(a_rows) down to 1: the adjoint's, and the tangent's
+    in its Newton limit on the rows of A_n, steps reversed (tangent_sweep).
+
+    seeds holds step n's seed at row n, entry n - 1 of a_rows A_n^T's
+    row-major entries, and beta and delta couple step n to steps n + 1 and
+    n + 2.  Each step factors M_n^T, A_n^T with a11 + inv_dtau and a22 +
+    inv_dtau on its diagonal, once as _march2 does, raising
+    SingularStepError where it is singular, and solves every lambda_n =
+    M_n^{-T} ubar_n from the factors.  Its right-hand side is (s - beta
+    lambda_{n+1}) - delta lambda_{n+2}, leaving out steps beyond N.  ubar_n
+    is rhs itself in the Newton limit, inv_dtau = 0.0, which records one
+    iteration and a zero norm; else the fixed point warm-started from
+    ubar_{n+1}: M_n - A_n = I/dtau makes the iteration matrix (I - M_n^{-1}
+    A_n)^T equal inv_dtau M_n^{-T}, so each iterate is row i r_i + inv_dtau
+    lambda_i, then the solve of the new lambda.  The loop stops when its
+    change's norm sqrt(c0 c0 + c1 c1) is at most tol, exceeds both 1 and
+    ten times the previous one, or max_inner iterates ran, and raises
+    AdjointDivergenceError, with no contraction estimate, unless the norm is
+    at most tol.  Returns (ubar, iterations, norms, lambdas) as flat lists:
+    ubar row-major with a zero row 0, the iterations and norms per step with
+    step 0's zero, and lambda_n at row n - 1.  The list loop _reverse of
+    tests/any_size_kernels.py is its oracle.
+    """
     n_total = len(a_rows)
     ubar = [0.0] * (2 * n_total + 2)
     inner = [0] * (n_total + 1)
@@ -469,34 +337,6 @@ def _reverse2(seeds, a_rows, inv_dtau, beta, delta, tol, max_inner):
     return ubar, inner, norms, lambdas
 
 
-class FloatKernels(NamedTuple):
-    """The kernels of one state size, on Python floats.
-
-    march takes the arguments of _march and runs every physical step of one
-    march, each step's whole inner iteration; reverse takes the arguments of
-    _reverse and runs one sweep's whole reverse loop, the adjoint's and, in
-    its Newton limit, the tangent's.
-    """
-
-    march: Callable
-    reverse: Callable
-
-
-# two states, every model in lcowind: the march and the reverse loop
-# written out
-_TWO_STATE_KERNELS = FloatKernels(_march2, _reverse2)
-_ARRAY_KERNELS = FloatKernels(_march, _reverse)
-
-
-def float_kernels(d_u) -> FloatKernels:
-    """The kernels of a step system of size d_u, the one place that chooses
-    by size.  Two states solve on Python floats; any other size solves each
-    right-hand side through np.linalg.solve, in _solver.  Every size takes
-    its norms and its fixed-point iterates on Python floats, in the same
-    stated order."""
-    return _TWO_STATE_KERNELS if d_u == 2 else _ARRAY_KERNELS
-
-
 def simulate(model, sigma, grid: TimeGrid,
              cfg: PseudoTimeConfig | None = None) -> Trajectory:
     """March the model over the grid and record states and outputs.
@@ -509,17 +349,17 @@ def simulate(model, sigma, grid: TimeGrid,
     iterate and the matrix formed once for the whole step, a chord
     iteration whose fixed point is the same R* = 0.  Steps 1 and 2 start
     from the previous physical state, every later step from the linear
-    predictor 2 u_{n-1} - u_{n-2}.  One call of the march kernel that
-    float_kernels gives for the model's size runs every physical step, each
-    step's whole inner iteration, on Python floats.  The norm is taken of
+    predictor 2 u_{n-1} - u_{n-2}.  One call of the two-state march kernel
+    _march2 runs every physical step, each step's whole inner iteration, on
+    Python floats.  The norm is taken of
     every iterate's residual, and the norm that stops the step is the one
     the trajectory records.  A step that stops unconverged raises
     StepConvergenceError with the extended residual's roundoff floor at its
     last iterate, unless cfg.allow_unconverged is set; then the march goes
     on, and one RuntimeWarning after it names how many steps were left
     unconverged, the first of them and the largest residual norm.  The
-    design and the initial state's shape are checked once, and the
-    pseudo-time constants, the kernels and the model's residual and
+    model's size, the design and the initial state's shape are checked
+    once, and the pseudo-time constants and the model's residual and
     Jacobian, bound to the design by bind, are resolved once per march;
     the bound functions each step calls do not check their inputs again.
     The outputs are formed in one call once the march is done.
@@ -528,10 +368,10 @@ def simulate(model, sigma, grid: TimeGrid,
     u0 = np.asarray(model.initial_state(sigma), dtype=float)
     sigma = check_inputs(model, sigma, u0)
     residual, jacobian = bind(model, sigma)
-    states, inner, norms = float_kernels(model.d_u).march(
+    states, inner, norms = _march2(
         residual, jacobian, u0.tolist(), grid.dt, grid.n_steps, cfg.inv_dtau, cfg.tol,
         cfg.max_inner, cfg.allow_unconverged)
-    states = np.array(states, dtype=float).reshape(grid.n_steps + 1, model.d_u)
+    states = np.array(states, dtype=float).reshape(grid.n_steps + 1, 2)
     norms = np.array(norms, dtype=float)
     converged = norms <= cfg.tol
     if not converged.all():

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import primal
 from .analysis import _windowed_sums
 from .errors import SingularStepError
 from .models import check_inputs
-from .primal import Trajectory, float_kernels, step_coefficients, step_matrices
+from .primal import Trajectory, step_coefficients, step_matrices
 from .windows import NormalizationMode, Window
 
 __all__ = ["TangentTrajectory", "tangent_sweep", "windowed_tangent_sensitivity"]
@@ -35,12 +36,11 @@ def tangent_sweep(model, sigma, traj: Trajectory) -> TangentTrajectory:
     The initial state is design-independent, so the sweep starts from zero
     sensitivity.  Each step solves A_n udot_n = ((0.0 - dR/dsigma(u^n)) -
     beta udot_{n-1}) - delta udot_{n-2}: the adjoint's recurrence on A_n,
-    not A_n^T, run forward.  So one Newton-limit call of
-    float_kernels(d_u).reverse per design column runs it, on the rows of A_n
-    and the seeds 0.0 - dR/dsigma, steps reversed: its lambda at reversed
-    step m is udot at step N + 1 - m.  BDF2's beta and delta serve every
-    step, as step 1's BDF1 terms multiply udot_0 = 0, which the kernel
-    leaves out.  The design Jacobians and the output gradients are formed
+    not A_n^T, run forward.  So one Newton-limit call of the reverse kernel
+    _reverse2 per design column runs it, on the rows of A_n and the seeds
+    0.0 - dR/dsigma, steps reversed: its lambda at reversed step m is udot
+    at step N + 1 - m.  BDF2's beta and delta serve every step, as step 1's
+    BDF1 terms multiply udot_0 = 0, which the kernel leaves out.  The design Jacobians and the output gradients are formed
     once, and the design and the states' shape are checked once, here.
     """
     sigma = check_inputs(model, sigma, traj.states, traj.n_steps)
@@ -55,7 +55,7 @@ def tangent_sweep(model, sigma, traj: Trajectory) -> TangentTrajectory:
     try:
         for column, seed in enumerate(seeds.tolist()):
             # the Newton limit reads neither tol nor max_inner
-            lambdas = float_kernels(d_u).reverse(seed, a_rows, 0.0, beta, delta, 0.0, 1)[3]
+            lambdas = primal._reverse2(seed, a_rows, 0.0, beta, delta, 0.0, 1)[3]
             udot[:0:-1, :, column] = np.reshape(lambdas, (n_total, d_u))
     except SingularStepError as exc:
         raise SingularStepError(n_total + 1 - exc.step) from None

@@ -176,13 +176,14 @@ def iter_span_weights(kinds, n_tr: int, ends,
     """Yield `span_weights(kinds, n_tr, end, mode)` for each end step in
     ends, in order.
 
-    The inputs are checked once, on the first iteration.  One ramp
-    1..span - 1, one grid buffer and one weight vector per window are
-    allocated once, sized to the largest span; each span's grid i/span and
-    samples are written into their prefixes, so a yielded vector is a view
-    that the next span overwrites.  When hann is among the kinds,
-    hann-square is made from hann's unscaled samples, the same ufuncs in
-    the same order as its own kernel, so the bits are the same.
+    The inputs are checked once, on the first iteration; a repeated kind
+    raises ValueError.  One ramp 1..span - 1, one grid buffer and one
+    weight vector per window are allocated once, sized to the largest span;
+    each span's grid i/span and samples are written into their prefixes, so
+    a yielded vector is a view that the next span overwrites.  When hann is
+    among the kinds, hann-square is made from hann's unscaled samples, the
+    same ufuncs in the same order as its own kernel, so the bits are the
+    same.
     """
     kinds = tuple(kinds)
     ends = tuple(ends)
@@ -194,6 +195,8 @@ def iter_span_weights(kinds, n_tr: int, ends,
     for kind in kinds:
         if not isinstance(kind, Window):
             raise TypeError(f"not a Window: {kind!r}")
+    if len(set(kinds)) < len(kinds):  # one buffer per kind
+        raise ValueError("must not repeat a window")
     largest = max(ends) - n_tr
     ramp = np.arange(1, largest, dtype=float)
     grid = np.empty_like(ramp)

@@ -5,9 +5,10 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
+import any_size_kernels as oracle
 import numpy as np
 import pytest
-from test_kernels import stated_solve
+from test_kernels import solve2
 
 from lcowind import primal
 from lcowind.adjoint import AdjointMode, adjoint_sweep, contraction_estimates
@@ -22,29 +23,37 @@ from lcowind.windows import NormalizationMode, Window, discrete_weights
 
 @dataclass(frozen=True)
 class StiffDecayModel:
-    """One-dimensional du/dt - 10 u = 0; linear, so Newton converges in one solve."""
+    """du/dt - 10 u = 0 in the first state, beside a decoupled second state
+    dv/dt + v = 0 that starts at zero and that neither the design nor the
+    output reads; linear, so Newton converges in one solve.  The second
+    state's regular diagonal and exact zeros leave every norm and every
+    step that fails where the first state alone puts it."""
 
     name = "stiff-decay"
-    d_u = 1
+    d_u = 2
     n_design = 1
 
     def initial_state(self, sigma=None):
-        return np.array([1.0])
+        return np.array([1.0, 0.0])
 
     def residual(self, u, sigma, t=0.0):
-        return np.array([-10.0 * u[0]])
+        return np.array([-10.0 * u[0], u[1]])
 
     def jacobian_state(self, u, sigma, t=0.0):
-        return np.array([[-10.0]])
+        return np.array([[-10.0, 0.0], [0.0, 1.0]])
 
     def jacobian_design(self, u, sigma, t=0.0):
-        return np.ones(np.shape(u) + (1,))
+        jac = np.zeros(np.shape(u) + (1,))
+        jac[..., 0, 0] = 1.0
+        return jac
 
     def output_value(self, u, sigma):
         return u[..., 0].copy()
 
     def output_state_gradient(self, u, sigma):
-        return np.ones(np.shape(u))
+        grad = np.zeros(np.shape(u))
+        grad[..., 0] = 1.0
+        return grad
 
     def output_design_gradient(self, u, sigma):
         return np.zeros(np.shape(u)[:-1] + (1,))
@@ -318,7 +327,7 @@ def test_fixed_point_step_reproduces_the_sweeps_state(dtau):
     def iterate(ubar):
         # one fixed-point iterate r_i + inv_dtau lambda_i, lambda = M_n^{-T}
         # ubar, and the norm of its change
-        lam = stated_solve(m_rows, ubar, n)
+        lam = solve2(m_rows, ubar, n)
         updated = [r + cfg.inv_dtau * x for r, x in zip(rhs, lam)]
         c0, c1 = (y - x for y, x in zip(updated, ubar))
         return updated, math.sqrt(c0 * c0 + c1 * c1)
@@ -360,7 +369,7 @@ def direct_transcription(sweep, cfg, dt):
         if n + 2 <= n_total:
             rhs = [r - delta * x for r, x in zip(rhs, lambdas[n + 2])]
         a_t = sweep.steps[n - 1].T.tolist()
-        lam = lambdas[n] = stated_solve([x for row in a_t for x in row], rhs, n)
+        lam = lambdas[n] = solve2([x for row in a_t for x in row], rhs, n)
         ubar.insert(1, rhs if cfg.inv_dtau == 0.0 else
                     [r + cfg.inv_dtau * x for r, x in zip(rhs, lam)])
         residual = []
@@ -490,8 +499,8 @@ def test_running_derivative_is_the_tail_sum_loop(n_transient):
         sweep = adjoint_sweep(model, sigma, traj, Window.HANN)
         n_total = grid.n_steps
         m_mats = sweep.steps + 0.0 * np.eye(model.d_u)  # M_n at dtau = inf
-        lam = [stated_solve(m_mats[n - 1].T.ravel().tolist(),
-                            sweep.adjoint_states[n].tolist(), n) for n in range(1, n_total + 1)]
+        lam = [solve2(m_mats[n - 1].T.ravel().tolist(),
+                      sweep.adjoint_states[n].tolist(), n) for n in range(1, n_total + 1)]
         coupling = np.matmul(np.array(lam)[:, None, :],
                              model.jacobian_design(traj.states[1:], sigma,
                                                    grid.times()[1:]))[:, 0].tolist()
@@ -641,41 +650,42 @@ def test_singular_step_matrices_raise_with_step(monkeypatch):
 
     # M_3 and M_7 singular at a finite dtau: their contraction estimates are
     # inf, and the fixed-point mode's reverse loop meets step 7 first and
-    # raises there, through both kernel sets.  The direct mode solves with
+    # raises there, through _reverse2 and the oracle's _reverse.  The direct mode solves with
     # A_n alone, which stays regular, so it finishes
     traj = simulate(ForcedOscillator(), sigma, TimeGrid(dt=1.0, n_steps=10, n_transient=1))
     model, cfg = SingularAtStepsOscillator(), PseudoTimeConfig(dtau=1.0)
     steps = step_matrices(model, sigma, traj)
     assert np.flatnonzero(np.isinf(contraction_estimates(steps, cfg))).tolist() == [3, 7]
-    for kernels in (primal._TWO_STATE_KERNELS, primal._ARRAY_KERNELS):
-        monkeypatch.setattr(primal, "_TWO_STATE_KERNELS", kernels)
+    for reverse in (primal._reverse2, oracle._reverse):
+        monkeypatch.setattr(primal, "_reverse2", reverse)
         with pytest.raises(SingularStepError) as excinfo:
             adjoint_sweep(model, sigma, traj, Window.HANN, cfg)
-        assert excinfo.value.step == 7, kernels
+        assert excinfo.value.step == 7, reverse
         direct = adjoint_sweep(model, sigma, traj, Window.HANN, cfg, AdjointMode.DIRECT)
         assert np.isfinite(direct.design_derivative).all() and direct.adjoint_states[7].any()
 
     # a singular A_n with a regular M_n = A_n + I stops the direct mode at
-    # step n, where its loop meets it, through both kernel sets
+    # step n, where its loop meets it, through both reverse loops
     singular_a = steps.copy()
     singular_a[4] = [[1.0, -1.0], [-1.0, 1.0]]
-    for kernels in (primal._TWO_STATE_KERNELS, primal._ARRAY_KERNELS):
-        monkeypatch.setattr(primal, "_TWO_STATE_KERNELS", kernels)
+    for reverse in (primal._reverse2, oracle._reverse):
+        monkeypatch.setattr(primal, "_reverse2", reverse)
         with pytest.raises(SingularStepError) as excinfo:
             adjoint_sweep(model, sigma, traj, Window.HANN, cfg, AdjointMode.DIRECT,
                           steps=singular_a)
-        assert excinfo.value.step == 5, kernels
+        assert excinfo.value.step == 5, reverse
 
 
 @dataclass(frozen=True)
 class SingularFirstStepModel(StiffDecayModel):
-    """StiffDecayModel with Jacobian `first` at t = 1; for dt = 1 and
-    M_1 = 1 + first + 1/dtau, first = -1 - 1/dtau makes M_1 singular."""
+    """StiffDecayModel whose first state's Jacobian is `first` at t = 1;
+    for dt = 1 M_1's first diagonal entry is 1 + first + 1/dtau, so first =
+    -1 - 1/dtau makes M_1 singular."""
 
     first: float = -6.0
 
     def jacobian_state(self, u, sigma, t=0.0):
-        return np.array([[self.first if t == 1.0 else -10.0]])
+        return np.array([[self.first if t == 1.0 else -10.0, 0.0], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize("dtau, error, step", [(0.2, AdjointDivergenceError, 3),

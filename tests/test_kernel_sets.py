@@ -1,29 +1,31 @@
-"""The two-state kernels against the any-size ones, over whole sweeps.
+"""The two-state kernels against the any-size oracle, over whole sweeps.
 
 The march runs every physical step of two states in one written-out
 kernel, _march2, and the tangent and the adjoint run a two-state sweep's
-whole reverse loop in _reverse2; every other size runs _march, a loop over
-_extended_residual, the solve of _solver and _vector_norm, and the list
-loop _reverse over the same solve.  Here each sweep runs twice,
-once through the two-state kernels and once through the any-size ones, and
-the two must agree in every bit: every array, and on failure the error's
-type, message and fields.
+whole reverse loop in _reverse2.  The oracle in tests/any_size_kernels.py
+states the same arithmetic as list loops: _march, a loop over
+_extended_residual, the solve of _solver and _vector_norm, and _reverse
+over the same solve.  Here each sweep runs twice, once through the
+two-state kernels and once through the oracle, and the two must agree in
+every bit: every array, and on failure the error's type, message and
+fields.
 
-The any-size kernels solve through np.linalg.solve, LAPACK dgesv, which
-rounds a 2x2 system otherwise than the stated order, so the any-size run
-factors and solves with the stated 2x2 solve, test_kernels.factor2.  Both
+The oracle solves through np.linalg.solve, LAPACK dgesv, which rounds a
+2x2 system otherwise than the stated order, so the oracle run factors and
+solves with the stated 2x2 solve, test_kernels.factor2.  Both
 sets form their matrices where the same rule says: in the march once per
 step at a finite dtau and at every iterate in the Newton limit, and in
 the reverse loops once per step.
 Both reverse loops iterate their fixed points in the stated order, each
-iterate followed by the solve of its lambda, so that loop is the any-size
-kernel itself.
+iterate followed by the solve of its lambda, so that loop is the oracle's
+itself.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
 
+import any_size_kernels as oracle
 import numpy as np
 import pytest
 from test_kernels import factor2, same_bits
@@ -63,10 +65,11 @@ BUDGETS = {"default": {}, "unconverged": {"max_inner": 2, "allow_unconverged": T
 
 
 def any_size_kernels(monkeypatch):
-    """Route two-state sweeps through the any-size kernels: the march and
-    the reverse loop of the tangent and the adjoint."""
-    monkeypatch.setattr(primal, "_solver", factor2)
-    monkeypatch.setattr(primal, "_TWO_STATE_KERNELS", primal._ARRAY_KERNELS)
+    """Route two-state sweeps through the oracle: the march and the reverse
+    loop of the tangent and the adjoint."""
+    monkeypatch.setattr(oracle, "_solver", factor2)
+    monkeypatch.setattr(primal, "_march2", oracle._march)
+    monkeypatch.setattr(primal, "_reverse2", oracle._reverse)
 
 
 def outcome(run):
@@ -154,7 +157,7 @@ def test_two_state_kernels_meet_a_singular_step_alike(dtau, stiffness, mode, mon
     # singular, while the BDF2 steps' fixed points contract by 1/2.  The
     # fixed-point mode meets M_1 in the loop at step 1, and so does the
     # direct mode in the Newton limit, where A_1 = M_1: the two-state
-    # kernel's factoring raises there, and the any-size one's solve of
+    # kernel's factoring raises there, and the oracle's solve of
     # lambda_1.  At dtau = 4 the direct mode solves with A_1 alone, which is
     # regular, and both kernel sets finish alike
     grid = TimeGrid(dt=1.0, n_steps=4, n_transient=1)
@@ -243,9 +246,9 @@ def test_reverse_kernels_agree_on_drawn_inputs(newton, monkeypatch):
     rng = np.random.default_rng(4112 + 2 * newton)
     cases = [drawn_reverse_inputs(rng, newton) for _ in range(400)]
     two_state = [run(primal._reverse2, args) for args in cases]
-    monkeypatch.setattr(primal, "_solver", factor2)
+    monkeypatch.setattr(oracle, "_solver", factor2)
     for args, expected in zip(cases, two_state):
-        got = run(primal._reverse, args)
+        got = run(oracle._reverse, args)
         if isinstance(expected, tuple):
             assert got == expected, args
         else:

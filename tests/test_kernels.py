@@ -7,26 +7,25 @@ numpy-array form it was first written in: the state and the design read
 through np.asarray, every product taken on numpy scalars.  The methods
 that also take a stack of states must return the stack of their
 single-state results, and the per-step ones the same result for a list of
-floats as for an array.  The any-size kernels' solve, _solver's, is
-compared with np.linalg.solve, which the reference march uses for systems
-of other sizes than two; the float step kernels are pinned further down.
-All must agree in every bit.  _solver solves through np.linalg.solve
-itself, so that pin holds on any LAPACK build, and the CI log prints
-numpy's build configuration; the pin to scipy's dgesv below holds for a
-given pairing of numpy's and scipy's builds.
+floats as for an array.  The solve of the any-size oracle kernels in
+tests/any_size_kernels.py, _solver's, is compared with np.linalg.solve;
+the float step kernels are pinned further down.  All must agree in every
+bit.  _solver solves through np.linalg.solve itself, so that pin holds on
+any LAPACK build.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+import any_size_kernels as oracle
 import numpy as np
 import pytest
 
 from lcowind.errors import AdjointDivergenceError, SingularStepError
 from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
                             OutputKind, VanDerPol)
-from lcowind.primal import PseudoTimeConfig, TimeGrid, _solver, simulate
+from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate
 
 N_DRAWS = 3000
 # the methods that take one state (d_u,) or a stack of states (N, d_u)
@@ -230,7 +229,7 @@ def test_solver_matches_numpy_solve_bit_for_bit(size):
         rhs_list = rng.standard_normal((3, size)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 1))
         # the adjoint solves with the transposes of step matrices
         for system in (matrix, matrix.T):
-            solve = _solver(system.ravel().tolist())
+            solve = oracle._solver(system.ravel().tolist())
             for rhs in rhs_list:
                 got = solve(rhs.tolist())
                 assert isinstance(got, list)
@@ -245,7 +244,7 @@ def test_solver_raises_on_singular_matrix():
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(matrix, rhs)
         # the singular system is found at the first solve
-        solve = _solver(matrix.ravel().tolist(), 5)
+        solve = oracle._solver(matrix.ravel().tolist(), 5)
         with pytest.raises(SingularStepError) as excinfo:
             solve(rhs.tolist())
         assert excinfo.value.step == 5
@@ -277,18 +276,16 @@ def test_march_does_not_write_the_models_jacobian(dtau):
 # linear algebra on Python floats, each operation one IEEE rounding with no
 # fused multiply-add, in the order README states: the two-state solve,
 # written out in _march2 and _reverse2 and pinned here through one
-# Newton-limit step of _reverse2 against the reference solve2, and
-# for every size the norm (_vector_norm) and the fixed-point iterate (one
-# iterate of the reverse loops _reverse2 and _reverse).  Each is pinned to
-# its stated formula twice:
+# Newton-limit step of _reverse2 against the reference solve2, the norm
+# (_vector_norm, for every size) and the fixed-point iterate (one iterate
+# of _reverse2 and of the oracle's list loop _reverse, for every size).
+# Each is pinned to its stated formula twice:
 # evaluated in exact rational arithmetic rounded once per operation, which
 # does not depend on the machine, and, to reach NaN, infinities, signed
 # zeros and subnormals, on numpy float64 scalars.  The two-state march is
-# pinned to the general one here, and the two-state reverse loop to
-# the general one in tests/test_kernel_sets.py.  The solve is
-# also held to LAPACK dgesv's accuracy and to its singular cases.  Other
-# sizes solve each right-hand side through np.linalg.solve, which calls
-# dgesv, and the last tests of this section pin them to scipy's dgesv.
+# pinned to the oracle's list loop _march here, and the two-state reverse
+# loop to its _reverse in tests/test_kernel_sets.py.  The solve is also
+# held to LAPACK dgesv's accuracy and to its singular cases.
 # A NaN result must be NaN on both sides; its sign bit is not pinned.
 
 import itertools
@@ -298,7 +295,7 @@ from fractions import Fraction
 from scipy.linalg.lapack import dgesv
 
 from lcowind import primal
-from lcowind.primal import float_kernels, step_coefficients, step_matrices
+from lcowind.primal import step_coefficients, step_matrices
 
 N_KERNEL_DRAWS = 3000
 NAN, INF = math.nan, math.inf
@@ -346,11 +343,12 @@ def solve2_exact(entries, rhs):
 
 
 def factor2(entries, step=None):
-    """The stated solve on numpy float64 scalars, split as _solver splits
-    it: the factoring of the 2x2 system with row-major entries, which
-    raises SingularStepError for step where the system is singular, returns
-    the solve of one right-hand side as a float list.  The reference for
-    the factors and the solve the two-state kernels write out."""
+    """The stated solve on numpy float64 scalars, split as the oracle's
+    _solver splits it: the factoring of the 2x2 system with row-major
+    entries, which raises SingularStepError for step where the system is
+    singular, returns the solve of one right-hand side as a float list.
+    The reference for the factors and the solve the two-state kernels
+    write out."""
     a11, a12, a21, a22 = map(np.float64, entries)
     swap = abs(a21) > abs(a11)
     if swap:
@@ -383,25 +381,16 @@ def solve2(entries, rhs, step=None):
 
 
 def any_size_solve(entries, rhs, step=None):
-    """The any-size kernels' solve: _solver's, of one right-hand side."""
-    return primal._solver(entries, step)(rhs)
-
-
-def stated_solve(entries, rhs, step=None):
-    """The reference solve of the kernels of len(rhs) states: solve2 for
-    two, and np.linalg.solve through _solver for any other size."""
-    return (solve2 if len(rhs) == 2 else any_size_solve)(entries, rhs, step)
+    """The oracle's solve: _solver's, of one right-hand side."""
+    return oracle._solver(entries, step)(rhs)
 
 
 def kernel_solve(entries, rhs, step=None):
-    """The solve the kernels of len(rhs) states run: lambda of one
-    Newton-limit step of their reverse loop, which solves the system of the
-    row-major entries, 0.0 added to its diagonal; a SingularStepError is
-    re-raised for step."""
-    size = len(rhs)
+    """The solve the two-state kernels run: lambda of one Newton-limit step
+    of _reverse2, which solves the system of the row-major entries, 0.0
+    added to its diagonal; a SingularStepError is re-raised for step."""
     try:
-        return float_kernels(size).reverse([[0.0] * size, rhs], [entries], 0.0, 0.0, 0.0,
-                                           0.0, 1)[3]
+        return primal._reverse2([[0.0, 0.0], rhs], [entries], 0.0, 0.0, 0.0, 0.0, 1)[3]
     except SingularStepError:
         raise SingularStepError(step) from None
 
@@ -417,7 +406,6 @@ def solve_or_singular(solve, entries, rhs):
 def test_solve2_follows_the_stated_order():
     # normal systems whose solutions stay finite: each shares one scale in
     # 1e-100..1e100 with a spread of 1e3 within it
-    assert float_kernels(2).reverse is primal._reverse2
     rng = np.random.default_rng(4817)
     for _ in range(N_KERNEL_DRAWS):
         entries, rhs = ((rng.standard_normal(size) * 10.0 ** rng.uniform(-100.0, 100.0)
@@ -589,10 +577,10 @@ def reverse_iterate(reverse, a_rows, rhs, ubar, inv_dtau):
 def test_fixed_point_iterate_follows_the_stated_order(kernel, size):
     # one iterate ubar <- rhs + inv_dtau lambda, lambda = M^{-T} ubar from
     # the warm start ubar, run through the reverse loop itself: _reverse2,
-    # whose lambda is the stated solve, or _reverse, whose lambda is
-    # _solver's, each of the M^T it forms from A^T.  A NaN norm stops
-    # the loop before its iterate is kept
-    reverse = primal._reverse2 if kernel == "two-state" else primal._reverse
+    # whose lambda is the stated solve, or the oracle's _reverse, whose
+    # lambda is its _solver's, each of the M^T it forms from A^T.  A NaN
+    # norm stops the loop before its iterate is kept
+    reverse = primal._reverse2 if kernel == "two-state" else oracle._reverse
 
     def solved(m_rows, ubar, exact):
         if kernel == "any-size":
@@ -635,36 +623,6 @@ def test_fixed_point_iterate_follows_the_stated_order(kernel, size):
     assert negative_zeros > 0 and singular > 0
 
 
-def check_against_dgesv(matrix, rhs):
-    size = len(rhs)
-    _, _, expected, info = dgesv(matrix, np.array(rhs))
-    got = solve_or_singular(kernel_solve, matrix.ravel().tolist(), rhs)
-    if info > 0:
-        assert got is None, (matrix, rhs, got)
-    else:
-        assert got is not None and same_floats(got, expected.tolist()), \
-            (matrix, rhs, got, expected)
-
-
-@pytest.mark.parametrize("size", [1, 3])
-@np.errstate(all="ignore")
-def test_other_sizes_solve_through_dgesv(size):
-    rng = np.random.default_rng(5233 + size)
-    for _ in range(N_KERNEL_DRAWS // 3):
-        # one scale for the matrix and a spread within it, as a step matrix has
-        scale = 10.0 ** rng.uniform(-150.0, 150.0)
-        matrix = rng.standard_normal((size, size)) * scale \
-            * 10.0 ** rng.uniform(-3, 3, (size, size))
-        # the adjoint solves with the transpose of a stored step matrix
-        for system in (matrix, matrix.T):
-            check_against_dgesv(system, kernel_draws(rng, size).tolist())
-    # systems of special values, and a zero first column: info = 1
-    for entries in rng.choice(SPECIAL, (500, size * size + size)).tolist():
-        check_against_dgesv(np.array(entries[:size * size]).reshape(size, size),
-                            entries[size * size:])
-    check_against_dgesv(np.zeros((size, size)), [1.0] * size)
-
-
 # --- which Jacobian the march reads ---------------------------------------
 
 @dataclass(frozen=True)
@@ -675,47 +633,6 @@ class ScaledJacobianVanDerPol(VanDerPol):
 
     def jacobian_state(self, u, sigma, t=0.0):
         return 1.5 * super().jacobian_state(u, sigma, t)
-
-
-K3 = np.array([[0.2, -1.0, 0.1], [1.0, 0.3, 0.4], [-0.2, -0.4, 0.5]])
-F3 = np.array([0.0, 1.0, 0.5])
-
-
-@dataclass(frozen=True)
-class LinearThreeStateModel:
-    """du/dt + (1 + sigma_1) K u - F sin(t) = 0 with a fixed 3x3 K: a d_u
-    the float kernels do not cover, so its steps solve through
-    np.linalg.solve, LAPACK dgesv."""
-
-    name = "linear-three-state"
-    d_u = 3
-    n_design = 1
-
-    def initial_state(self, sigma=None):
-        return np.array([1.0, 0.0, -0.5])
-
-    def residual(self, u, sigma, t=0.0):
-        return ((1.0 + sigma[0]) * (K3 @ np.asarray(u, dtype=float)) - F3 * math.sin(t)).tolist()
-
-    def jacobian_state(self, u, sigma, t=0.0):
-        return (1.0 + sigma[0]) * K3
-
-    def jacobian_design(self, u, sigma, t=0.0):
-        # K u written out, so one state and a stack of states round alike
-        x, y, z = u[..., 0], u[..., 1], u[..., 2]
-        return np.stack([K3[i, 0] * x + K3[i, 1] * y + K3[i, 2] * z for i in range(3)],
-                        axis=-1)[..., None]
-
-    def output_value(self, u, sigma):
-        return u[..., 0] - u[..., 2]
-
-    def output_state_gradient(self, u, sigma):
-        grad = np.zeros(np.shape(u))
-        grad[..., 0], grad[..., 2] = 1.0, -1.0
-        return grad
-
-    def output_design_gradient(self, u, sigma):
-        return np.zeros(np.shape(u)[:-1] + (1,))
 
 
 def assert_sweeps_match_reference(model, sigma, grid, cfg):
@@ -798,13 +715,6 @@ def test_a_residual_override_wins(dtau):
     assert_sweeps_match_reference(model, sigma, grid, cfg)
 
 
-@pytest.mark.parametrize("dtau", [math.inf, 1.0], ids=["dtau=inf", "dtau=1"])
-def test_three_state_model_goes_through_dgesv(dtau):
-    cfg = PseudoTimeConfig(dtau=dtau, tol=1e-12, max_inner=200)
-    assert_sweeps_match_reference(LinearThreeStateModel(), np.array([0.3]),
-                                  TimeGrid(dt=0.05, n_steps=120, n_transient=20), cfg)
-
-
 @dataclass(frozen=True)
 class SignedZeroJacobianVanDerPol(VanDerPol):
     """Van der Pol whose state Jacobian has -0.0 off its diagonal."""
@@ -815,8 +725,8 @@ class SignedZeroJacobianVanDerPol(VanDerPol):
         return jacobian
 
 
-@pytest.mark.parametrize("model", [SignedZeroJacobianVanDerPol(), VanDerPol(),
-                                   LinearThreeStateModel()], ids=["signed-zero", "vdp", "d_u=3"])
+@pytest.mark.parametrize("model", [SignedZeroJacobianVanDerPol(), VanDerPol()],
+                         ids=["signed-zero", "vdp"])
 def test_step_matrices_equal_the_array_sum(model):
     # alpha * np.eye(d_u) + J: off the diagonal 0.0 + J_ij, which turns -0.0 into 0.0
     sigma = np.array([0.4])
@@ -832,11 +742,9 @@ def test_step_matrices_equal_the_array_sum(model):
 @np.errstate(all="ignore")
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_step_entries_equal_the_array_sum(size, dtau):
-    # the march's step matrix, alpha I + J + inv_dtau I summed as arrays:
-    # -0.0 off the diagonal becomes 0.0, and any special value passes as
-    # numpy adds it
-    from lcowind.primal import _step_entries
-
+    # the oracle march's step matrix, alpha I + J + inv_dtau I summed as
+    # arrays: -0.0 off the diagonal becomes 0.0, and any special value
+    # passes as numpy adds it
     inv_dtau = PseudoTimeConfig(dtau=dtau).inv_dtau
     rng = np.random.default_rng(size)
     entries = np.concatenate([kernel_draws(rng, (500, size * size)),
@@ -847,7 +755,8 @@ def test_step_entries_equal_the_array_sum(size, dtau):
         for jacobian in entries:
             expected = (alpha * identity + jacobian.reshape(size, size)
                         + inv_dtau * identity).ravel().tolist()
-            assert same_floats(_step_entries(jacobian.tolist(), alpha, inv_dtau), expected)
+            assert same_floats(oracle._step_entries(jacobian.tolist(), alpha, inv_dtau),
+                               expected)
 
 
 def fixed_residual(values):
@@ -869,16 +778,15 @@ def test_two_state_march_matches_the_general_form(dtau, monkeypatch):
     # three-step marches with a budget of one update per step, and one of
     # two, from drawn initial states, residuals and Jacobian entries, with
     # tol = 0.0 so every step spends its budget and goes on unconverged: the
-    # two-state march writes out _march's predictor, extended residual,
-    # _step_entries, the factors, the solve and the norm, so it is _march
-    # with the stated factor2 as its factoring, and it reads the Jacobian as
-    # often.  Step 1 is BDF1 and step 2 BDF2 from u_{n-1}; step 3 starts
-    # from the predictor; with two updates the second reuses the first's
-    # factors at a finite dtau.  A singular step raises at the same step in
+    # two-state march writes out the oracle _march's predictor, extended
+    # residual, _step_entries, the factors, the solve and the norm, so it is
+    # _march with the stated factor2 as its factoring, and it reads the
+    # Jacobian as often.  Step 1 is BDF1 and step 2 BDF2 from u_{n-1}; step
+    # 3 starts from the predictor; with two updates the second reuses the
+    # first's factors at a finite dtau.  A singular step raises at the same step in
     # both, and neither kernel warns.  A -0.0 in the residual shows the
     # sign of a zero off the diagonal, which a march never shows
-    assert float_kernels(2).march is primal._march2
-    monkeypatch.setattr(primal, "_solver", factor2)
+    monkeypatch.setattr(oracle, "_solver", factor2)
     inv_dtau = PseudoTimeConfig(dtau=dtau).inv_dtau
     rng = np.random.default_rng(20)
     draws = np.concatenate([kernel_draws(rng, (3000, 8)), rng.choice(SPECIAL, (3000, 8))])
@@ -899,9 +807,9 @@ def test_two_state_march_matches_the_general_form(dtau, monkeypatch):
             results = [march_or_singular(kernel, fixed_residual(row[6:8]),
                                          lambda u, t: jacobian(u, t, kernel), row[:2], 0.05, 3,
                                          inv_dtau, 0.0, max_inner, True)
-                       for kernel in (primal._march2, primal._march)]
+                       for kernel in (primal._march2, oracle._march)]
             got, expected = results
-            assert calls[primal._march2] == calls[primal._march], row
+            assert calls[primal._march2] == calls[oracle._march], row
             if expected[0] == "singular":
                 assert got == expected, row
             else:
@@ -917,10 +825,8 @@ def test_two_state_march_matches_the_general_form(dtau, monkeypatch):
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_extended_residuals_match_the_formula(size):
     # alpha u_n + R + beta u_{n-1} + delta u_{n-2}, summed left to right on
-    # numpy scalars; the two-state step writes the same sums out, and
-    # tests/test_stopping.py holds it to this form over whole marches
-    from lcowind.primal import _extended_residual
-
+    # numpy scalars, in the oracle; the two-state step writes the same sums
+    # out, and tests/test_stopping.py holds it to this form over whole marches
     rng = np.random.default_rng(10 + size)
     draws = np.concatenate([kernel_draws(rng, (1000, 4, size)),
                             rng.choice(SPECIAL, (1000, 4, size))])
@@ -929,8 +835,8 @@ def test_extended_residuals_match_the_formula(size):
         for u, r, u_nm1, u_nm2 in draws:
             beta_u_nm1, delta_u_nm2 = beta * u_nm1, delta * u_nm2
             expected = (alpha * u + r + beta_u_nm1 + delta_u_nm2).tolist()
-            got = _extended_residual(fixed_residual(r.tolist()), u.tolist(), 0.0, alpha,
-                                     beta_u_nm1.tolist(), delta_u_nm2.tolist())
+            got = oracle._extended_residual(fixed_residual(r.tolist()), u.tolist(), 0.0,
+                                            alpha, beta_u_nm1.tolist(), delta_u_nm2.tolist())
             assert same_floats(got, expected)
 
 

@@ -11,9 +11,8 @@ iterate ubar <- rhs + inv_dtau M_n^{-T} ubar a fresh solve of M_n^T; in
 the direct mode, one solve of A_n^T lambda_n = rhs, the state rhs +
 inv_dtau lambda_n and the solve's residual norm.  Its 2x2 solve, its norm
 and its iterate are transcribed here from the operation order README
-states, and systems of other sizes go to np.linalg.solve.  The library hoists and batches the same operations
-and runs them on Python floats, so the two must agree exactly, not to a
-tolerance.
+states.  The library hoists and batches the same operations and runs them
+on Python floats, so the two must agree exactly, not to a tolerance.
 """
 
 import math
@@ -62,12 +61,10 @@ MODELS = {
 
 
 def solve(matrix, rhs):
-    """Solve matrix x = rhs: np.linalg.solve, except that a 2x2 system is
-    solved column by column in the stated order, each operation one
-    rounding: the rows swap when |a21| > |a11|, then l = a21 / a11,
-    u22 = a22 - l a12, x2 = (b2 - l b1) / u22 and x1 = (b1 - a12 x2) / a11."""
-    if matrix.shape != (2, 2):
-        return np.linalg.solve(matrix, rhs)
+    """Solve the 2x2 system matrix x = rhs column by column in the stated
+    order, each operation one rounding: the rows swap when |a21| > |a11|,
+    then l = a21 / a11, u22 = a22 - l a12, x2 = (b2 - l b1) / u22 and x1 =
+    (b1 - a12 x2) / a11."""
     if rhs.ndim == 2:
         return np.stack([solve(matrix, column) for column in rhs.T], axis=1)
     (a11, a12), (a21, a22) = matrix.tolist()

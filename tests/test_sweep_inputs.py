@@ -1,7 +1,8 @@
 """Input checks where the march and the sweeps start, and singular steps.
 
 The models' per-step methods do not check the state or the design: simulate,
-tangent_sweep and adjoint_sweep check both once, before any step.  A
+tangent_sweep and adjoint_sweep check both once, before any step, and
+reject a model of other than two states there too.  A
 singular step matrix is reported by the kernels' solve with the step it
 belongs to.
 """
@@ -89,6 +90,37 @@ def test_wrong_shape_trajectory_states_are_rejected_before_any_step(sweep, state
         SWEEPS[sweep](UncalledVanDerPol(), SIGMA, trajectory(states))
 
 
+@dataclass(frozen=True)
+class OtherSizeModel:
+    """A model of d_u states whose per-step methods fail the test if called."""
+
+    d_u: int
+    name = "other-size"
+    n_design = 1
+
+    def initial_state(self, sigma=None):
+        return np.zeros(self.d_u)
+
+    def _stepped(self, *args):
+        raise AssertionError("a step ran before the model's size was checked")
+
+    residual = jacobian_state = jacobian_design = _stepped
+    output_value = output_state_gradient = output_design_gradient = _stepped
+
+
+@pytest.mark.parametrize("run", ["simulate", *SWEEPS])
+@pytest.mark.parametrize("d_u", [1, 3])
+def test_a_model_of_other_than_two_states_is_rejected_before_any_step(d_u, run):
+    # the march and the sweeps take two states; the error names the size
+    model = OtherSizeModel(d_u)
+    with pytest.raises(ValueError, match=rf"^lcowind marches two states, got a model of "
+                                         rf"d_u = {d_u}$"):
+        if run == "simulate":
+            simulate(model, SIGMA, GRID)
+        else:
+            SWEEPS[run](model, SIGMA, trajectory(np.zeros((GRID.n_steps + 1, d_u))))
+
+
 def test_design_given_as_scalar_or_list_marches_as_the_array():
     # the check reads the design once into the float array the methods take
     expected = simulate(VanDerPol(output=OutputKind.FIRST_STATE_SQUARED), SIGMA, GRID)
@@ -99,24 +131,25 @@ def test_design_given_as_scalar_or_list_marches_as_the_array():
 
 @dataclass(frozen=True)
 class SingularAtModel:
-    """du/dt - 10 u = 0, except that at t = singular_at the state Jacobian is
-    -1.5: with dt = 1 it cancels BDF2's alpha = 1.5, so that step's matrix
-    A_n = alpha + dR/du is singular."""
+    """du/dt - 10 u = 0 beside a decoupled dv/dt + v = 0, except that at t =
+    singular_at the first state's Jacobian is -1.5: with dt = 1 it cancels
+    BDF2's alpha = 1.5, so that step's matrix A_n = alpha I + dR/du is
+    singular, while the second state's diagonal alpha + 1 stays regular."""
 
     singular_at: float = math.nan
 
     name = "singular-at"
-    d_u = 1
+    d_u = 2
     n_design = 1
 
     def initial_state(self, sigma=None):
-        return np.array([1.0])
+        return np.array([1.0, 0.5])
 
     def residual(self, u, sigma, t=0.0):
-        return np.array([-10.0 * u[0]])
+        return np.array([-10.0 * u[0], u[1]])
 
     def jacobian_state(self, u, sigma, t=0.0):
-        return np.array([[-1.5 if t == self.singular_at else -10.0]])
+        return np.array([[-1.5 if t == self.singular_at else -10.0, 0.0], [0.0, 1.0]])
 
     def jacobian_design(self, u, sigma, t=0.0):
         return u[..., None].copy()

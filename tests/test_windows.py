@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lcowind.analysis import convergence_study, windowed_average
+from lcowind.analysis import convergence_study, divergence_diagnostic, windowed_average
 from lcowind.errors import InvalidSpanError
 from lcowind.tangent import TangentTrajectory, windowed_tangent_sensitivity
 from lcowind.windows import (NormalizationMode, Window, bump_normalization,
@@ -252,6 +252,23 @@ def test_span_weights_keep_the_span_checks():
     with pytest.raises(TypeError, match="not a Window"):
         span_weights([Window.HANN, "hann"], 0, 10)
     assert span_weights([], 0, 10) == []
+
+
+def test_span_weights_reject_a_repeated_window():
+    # the sampler keeps one buffer per kind, so a repeated kind would come
+    # back as two views of one buffer
+    with pytest.raises(ValueError, match="^must not repeat a window$"):
+        span_weights([Window.HANN, Window.HANN], 0, 10)
+    with pytest.raises(ValueError, match="^must not repeat a window$"):
+        span_weights([Window.BUMP, Window.SQUARE, Window.BUMP], 3, 40,
+                     NormalizationMode.RENORMALIZED)
+
+
+@pytest.mark.parametrize("study", [convergence_study, divergence_diagnostic])
+def test_studies_reject_a_repeated_window(study):
+    series = 2.0 + np.sin(np.arange(3000) * 0.05)
+    with pytest.raises(ValueError, match="^must not repeat a window$"):
+        study(series, [Window.HANN, Window.BUMP, Window.HANN], 3, 0.05, [2, 4, 8])
 
 
 @pytest.mark.parametrize("mode", list(NormalizationMode))
