@@ -19,7 +19,7 @@ from .primal import (PseudoTimeConfig, TimeGrid, Trajectory, estimate_period, si
                      step_coefficients)
 from .tangent import TangentTrajectory, tangent_sweep, windowed_tangent_sensitivity
 from .windows import (NormalizationMode, Window, bump_normalization, discrete_weights,
-                      iter_span_weights, span_weights, window_value)
+                      iter_span_weights, window_value)
 
 __all__ = [
     "__version__",
@@ -36,5 +36,5 @@ __all__ = [
     "step_coefficients",
     "TangentTrajectory", "tangent_sweep", "windowed_tangent_sensitivity",
     "NormalizationMode", "Window", "bump_normalization", "discrete_weights",
-    "iter_span_weights", "span_weights", "window_value",
+    "iter_span_weights", "window_value",
 ]

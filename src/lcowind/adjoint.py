@@ -60,17 +60,6 @@ def contraction_estimates(steps: np.ndarray, cfg: PseudoTimeConfig) -> np.ndarra
     return estimates
 
 
-def _solve_residual_norms(a_transposed, lam, rhs):
-    """||A_n^T lambda_n - rhs_n|| of every step, from the stacks of A_n^T,
-    lambda_n and rhs_n: each row's products summed over the columns j in
-    order, then the norms of the rows by _row_norms.  All of it is
-    elementwise, so no BLAS build changes its bits."""
-    product = a_transposed[:, :, 0] * lam[:, :1]
-    for j in range(1, lam.shape[1]):
-        product = product + a_transposed[:, :, j] * lam[:, j:j + 1]
-    return _row_norms(product - rhs)
-
-
 def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
                   cfg: PseudoTimeConfig | None = None,
                   mode: AdjointMode = AdjointMode.FIXED_POINT,
@@ -86,7 +75,8 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     steps are formed before the reverse loop, one model call each.  The
     step matrices A_n of all steps are stacked at once too, or taken from
     steps, the `steps` of an earlier sweep over the same dynamics and
-    trajectory, at any dtau and in either mode.  Each step keeps lambda_n =
+    trajectory, at any dtau and in either mode; a stack of another shape
+    than (N, 2, 2) raises ValueError.  Each step keeps lambda_n =
     M_n^{-T} ubar_n, which couples it to steps n - 1 and n - 2 and carries
     its design derivative term; the direct mode solves it as A_n^{-T} rhs,
     M_n^T - A_n^T being I/dtau.  All primal states are held in memory, so no
@@ -105,6 +95,9 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     states = traj.states
     if steps is None:
         steps = step_matrices(model, sigma, traj)
+    elif np.shape(steps) != (n_total, d_u, d_u):
+        raise ValueError(f"steps must have shape {(n_total, d_u, d_u)} for this "
+                         f"trajectory, got {np.shape(steps)}")
 
     omega = (discrete_weights(kind, n_tr, n_total, normalization) / (n_total - n_tr))[:, None]
     seeds = np.zeros((n_total + 1, d_u))
@@ -132,9 +125,13 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     lam = np.array(lambdas).reshape(n_total, d_u)
     if direct:
         # ubar_n = rhs + inv_dtau lambda_n, row i r_i + inv_dtau lambda_i as an iterate
-        # forms it, and the solve's residual norm; neither warns, as Python floats do not
+        # forms it, and the solve's residual norm ||A_n^T lambda_n - rhs_n||, all
+        # elementwise, so no BLAS build changes its bits; neither warns, as Python
+        # floats do not
         with np.errstate(all="ignore"):
-            norms = np.concatenate(([0.0], _solve_residual_norms(transposed, lam, ubar[1:])))
+            residuals = (transposed[:, :, 0] * lam[:, :1]
+                         + transposed[:, :, 1] * lam[:, 1:]) - ubar[1:]
+            norms = np.concatenate(([0.0], _row_norms(residuals)))
             if cfg.inv_dtau != 0.0:
                 ubar[1:] += cfg.inv_dtau * lam
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, InvalidSpanError
 from .primal import estimate_period
-from .windows import NormalizationMode, Window, iter_span_weights, span_weights
+from .windows import NormalizationMode, Window, discrete_weights, iter_span_weights
 
 __all__ = ["ConvergenceStudy", "DivergenceDiagnostic", "windowed_average",
            "convergence_study", "endpoint_shift_robustness",
@@ -44,18 +44,18 @@ def windowed_average(outputs, kind: Window, n_tr: int, n_final: int,
     series = np.asarray(outputs, dtype=float)
     if series.ndim != 1:
         raise ValueError("outputs must be a one-dimensional series")
-    return float(_windowed_sums(series, (kind,), n_tr, n_final, mode)[0])
+    return float(_windowed_sum(series, kind, n_tr, n_final, mode))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _windowed_sums(series, kinds, n_tr, n_final, mode):
+def _windowed_sum(series, kind, n_tr, n_final, mode):
     """The windowed average of every column of a series indexed by step
-    first over steps n_tr..n_final, one per window in kinds."""
+    first over steps n_tr..n_final, with the weights of `discrete_weights`."""
     if n_final > len(series) - 1:
         raise InvalidSpanError(
             f"final step {n_final} exceeds recorded length {len(series) - 1}")
     return _weighted_sums(series[n_tr:n_final + 1], n_final - n_tr,
-                          span_weights(kinds, n_tr, n_final, mode))
+                          [discrete_weights(kind, n_tr, n_final, mode)])[0]
 
 
 def _weighted_sums(window, span, all_weights):

@@ -130,31 +130,33 @@ class _Key(NamedTuple):
 _REQUIRED = object()  # default of a key every config must set
 
 # Every config key.  A default of None leaves the attribute None when the
-# key is absent.  Attributes named after a dataclass field feed that field.
+# key is absent.  Attributes named after a field of a model, TimeGrid,
+# PseudoTimeConfig or DesignProblem feed that field, and their keys hold no
+# default: an absent one leaves the field at its dataclass default.
 _SCHEMA = {
     ("model", "name"): _Key(_one_of(_MODELS), _REQUIRED, "model_class"),
-    ("model", "output"): _Key(OutputKind.from_name, "x", "output"),
-    ("model", "a0"): _Key(_FINITE, "1.0", "a0"),
-    ("model", "a1"): _Key(_FINITES, "0.5", "a1"),
-    ("model", "amplitude"): _Key(_FINITE, "0.5", "amplitude"),
-    ("model", "base_period"): _Key(_POSITIVE, "1.0", "base_period"),
-    ("model", "growth_rate"): _Key(_FINITE, "0.0", "growth_rate"),
-    ("model", "quad"): _Key(_FINITE, "0.0", "quad"),
+    ("model", "output"): _Key(OutputKind.from_name, None, "output"),
+    ("model", "a0"): _Key(_FINITE, None, "a0"),
+    ("model", "a1"): _Key(_FINITES, None, "a1"),
+    ("model", "amplitude"): _Key(_FINITE, None, "amplitude"),
+    ("model", "base_period"): _Key(_POSITIVE, None, "base_period"),
+    ("model", "growth_rate"): _Key(_FINITE, None, "growth_rate"),
+    ("model", "quad"): _Key(_FINITE, None, "quad"),
     ("model", "quad_center"): _Key(_FINITES, None, "quad_center"),
-    ("model", "omega"): _Key(_POSITIVE, str(2.0 * math.pi), "omega"),
-    ("model", "stiffness0"): _Key(_FINITE, "55.0", "stiffness0"),
-    ("model", "damping0"): _Key(_FINITE, "0.5", "damping0"),
-    ("model", "forcing"): _Key(_FINITE, "10.0", "forcing"),
+    ("model", "omega"): _Key(_POSITIVE, None, "omega"),
+    ("model", "stiffness0"): _Key(_FINITE, None, "stiffness0"),
+    ("model", "damping0"): _Key(_FINITE, None, "damping0"),
+    ("model", "forcing"): _Key(_FINITE, None, "forcing"),
     ("design", "values"): _Key(_FINITES, _REQUIRED, "design_values"),
     ("design", "lower"): _Key(_BOUNDS, None, "design_lower"),
     ("design", "upper"): _Key(_BOUNDS, None, "design_upper"),
     ("grid", "dt"): _Key(_POSITIVE, _REQUIRED, "dt"),
     ("grid", "n_steps"): _Key(_integer(1), _REQUIRED, "n_steps"),
-    ("grid", "n_transient"): _Key(_integer(0), "0", "n_transient"),
-    ("pseudo_time", "dtau"): _Key(_DTAU, "inf", "dtau"),
-    ("pseudo_time", "tol"): _Key(_POSITIVE, "1e-12", "tol"),
-    ("pseudo_time", "max_inner"): _Key(_integer(1), "50", "max_inner"),
-    ("pseudo_time", "allow_unconverged"): _Key(_BOOLEAN, "false", "allow_unconverged"),
+    ("grid", "n_transient"): _Key(_integer(0), None, "n_transient"),
+    ("pseudo_time", "dtau"): _Key(_DTAU, None, "dtau"),
+    ("pseudo_time", "tol"): _Key(_POSITIVE, None, "tol"),
+    ("pseudo_time", "max_inner"): _Key(_integer(1), None, "max_inner"),
+    ("pseudo_time", "allow_unconverged"): _Key(_BOOLEAN, None, "allow_unconverged"),
     ("window", "kind"): _Key(Window.from_name, "bump", "window"),
     ("window", "normalization"): _Key(NormalizationMode.from_name, "paper-faithful",
                                       "normalization"),
@@ -168,14 +170,13 @@ _SCHEMA = {
                                    "study_span_offset"),
     ("study", "reference"): _Key(_FINITE, None, "study_reference"),
     ("study", "period"): _Key(_POSITIVE, None, "study_period"),
-    ("optimize", "bound"): _Key(_FINITE, "0.0", "opt_bound"),
-    ("optimize", "constraint_output"): _Key(OutputKind.from_name, None,
-                                            "opt_constraint_output"),
-    ("optimize", "relaxation"): _Key(_FRACTION, "0.1", "opt_relaxation"),
-    ("optimize", "max_iterations"): _Key(_integer(1), "100", "opt_max_iterations"),
-    ("optimize", "penalty"): _Key(_POSITIVE, "100.0", "opt_penalty"),
-    ("optimize", "grad_tolerance"): _Key(_NONNEGATIVE, "1e-8", "opt_grad_tolerance"),
-    ("optimize", "max_backtracks"): _Key(_integer(0), "30", "opt_max_backtracks"),
+    ("optimize", "bound"): _Key(_FINITE, None, "bound"),
+    ("optimize", "constraint_output"): _Key(OutputKind.from_name, None, "constraint_output"),
+    ("optimize", "relaxation"): _Key(_FRACTION, None, "relaxation"),
+    ("optimize", "max_iterations"): _Key(_integer(1), None, "max_iterations"),
+    ("optimize", "penalty"): _Key(_POSITIVE, None, "penalty"),
+    ("optimize", "grad_tolerance"): _Key(_NONNEGATIVE, None, "grad_tolerance"),
+    ("optimize", "max_backtracks"): _Key(_integer(0), None, "max_backtracks"),
     ("output", "directory"): _Key(str.strip, None, "output_directory"),
 }
 
@@ -244,14 +245,17 @@ class RunConfig:
             self.model.residual(u0.tolist(), self.design.values, t_final)
         with _blame("[pseudo_time]"):
             self.pseudo = PseudoTimeConfig(**self._fields(PseudoTimeConfig))
-        if (self.opt_constraint_output is not None
+        if (self.constraint_output is not None
                 and isinstance(self.model, AnalyticSignalModel)):
             raise ConfigError("[optimize] constraint_output: the analytic-signal "
                               "model has no constraint output")
 
     def _fields(self, cls) -> dict:
-        """Keyword arguments for dataclass `cls`, read from same-named attributes."""
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(cls)}
+        """Keyword arguments for dataclass `cls`, read from the same-named
+        attributes that are set: a field whose attribute is missing or None
+        keeps its dataclass default."""
+        fields = {f.name: getattr(self, f.name, None) for f in dataclasses.fields(cls)}
+        return {name: value for name, value in fields.items() if value is not None}
 
     def _build_model(self):
         model = self.model_class(**self._fields(self.model_class))
@@ -477,21 +481,11 @@ def _cmd_study(cfg: RunConfig):
 
 
 def _cmd_optimize(cfg: RunConfig):
-    constraint_model = (None if cfg.opt_constraint_output is None
-                        else dataclasses.replace(cfg.model,
-                                                 output=cfg.opt_constraint_output))
-    problem = DesignProblem(objective_model=cfg.model, design=cfg.design,
-                            grid=cfg.grid, kind=cfg.window,
+    constraint_model = (None if cfg.constraint_output is None
+                        else dataclasses.replace(cfg.model, output=cfg.constraint_output))
+    problem = DesignProblem(objective_model=cfg.model, kind=cfg.window,
                             constraint_model=constraint_model,
-                            bound=cfg.opt_bound,
-                            relaxation=cfg.opt_relaxation,
-                            max_iterations=cfg.opt_max_iterations,
-                            pseudo=cfg.pseudo,
-                            normalization=cfg.normalization,
-                            adjoint_mode=cfg.adjoint_mode,
-                            penalty=cfg.opt_penalty,
-                            grad_tolerance=cfg.opt_grad_tolerance,
-                            max_backtracks=cfg.opt_max_backtracks)
+                            **cfg._fields(DesignProblem))
     history = optimize(problem, cfg.design.values)
     n_design = cfg.model.n_design
     header = (["iteration"] + [f"sigma_{i}" for i in range(n_design)]

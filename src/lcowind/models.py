@@ -199,7 +199,7 @@ class AnalyticSignal:
         return grad
 
     def period(self, sigma) -> float:
-        period = self.base_period * (1.0 + float(sigma[0]))
+        period = self.base_period * (1.0 + float(_sigma_values(sigma)[0]))
         if not period > 0.0:
             raise DesignDomainError(f"design drives the period non-positive ({period})")
         # dOmega/dsigma_1 divides by the period's square
@@ -210,7 +210,7 @@ class AnalyticSignal:
 
     def output(self, t, sigma):
         """Signal value at time t (scalar or array)."""
-        period = self.period(_sigma_values(sigma))
+        period = self.period(sigma)
         return self.mean(sigma) + self.amplitude * np.sin(2.0 * np.pi * np.asarray(t, float) / period)
 
     def output_design_derivative(self, t, sigma) -> np.ndarray:

@@ -192,13 +192,15 @@ def _march2(residual, jacobian, u0, dt, n_steps, inv_dtau, tol, max_inner, allow
             x1 = 2.0 * p1 - q1
         else:
             x0, x1 = p0, p1
-        u = [x0, x1]
-        r0, r1 = residual(u, t)
-        e0 = alpha * x0 + r0 + h0 + g0
-        e1 = alpha * x1 + r1 + h1 + g1
-        norm = sqrt(e0 * e0 + e1 * e1)
         its = 0
-        while norm > tol and its < max_inner:
+        while True:
+            u = [x0, x1]
+            r0, r1 = residual(u, t)
+            e0 = alpha * x0 + r0 + h0 + g0
+            e1 = alpha * x1 + r1 + h1 + g1
+            norm = sqrt(e0 * e0 + e1 * e1)
+            if not (norm > tol and its < max_inner):
+                break
             if its == 0 or inv_dtau == 0.0:
                 j11, j12, j21, j22 = jacobian(u, t)
                 a11 = (alpha + j11) + inv_dtau
@@ -221,11 +223,6 @@ def _march2(residual, jacobian, u0, dt, n_steps, inv_dtau, tol, max_inner, allow
             s1 = (b2 - l * b1) / u22
             x0 -= (b1 - a12 * s1) / a11
             x1 -= s1
-            u = [x0, x1]
-            r0, r1 = residual(u, t)
-            e0 = alpha * x0 + r0 + h0 + g0
-            e1 = alpha * x1 + r1 + h1 + g1
-            norm = sqrt(e0 * e0 + e1 * e1)
             its += 1
         if not (norm <= tol or allow_unconverged):
             floor = _roundoff_floor(residual, u, t, alpha, beta, delta, [p0, p1], [q0, q1])
@@ -389,8 +386,12 @@ def estimate_period(outputs, n_transient: int, dt: float) -> tuple[float, float]
 
     Uses the mean spacing of upward crossings of the post-transient mean,
     with linear interpolation between samples.  Returns (period, span in
-    periods) where the span is (len - 1 - n_transient) * dt / period.
+    periods) where the span is (len - 1 - n_transient) * dt / period.  A
+    negative n_transient raises InvalidSpanError.
     """
+    if n_transient < 0:
+        raise InvalidSpanError(
+            f"transient cutoff must be non-negative, got n_transient={n_transient}")
     outputs = np.asarray(outputs, dtype=float)
     tail = outputs[n_transient:]
     if len(tail) < 3:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import primal
-from .analysis import _windowed_sums
+from .analysis import _windowed_sum
 from .errors import SingularStepError
 from .models import check_inputs
 from .primal import Trajectory, step_coefficients, step_matrices
@@ -70,5 +70,4 @@ def windowed_tangent_sensitivity(tangent: TangentTrajectory, kind: Window,
                                  mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL,
                                  ) -> np.ndarray:
     """Windowed average of the output sensitivity over steps n_transient..n_final."""
-    return _windowed_sums(tangent.output_sensitivities, (kind,), n_transient, n_final,
-                          mode)[0]
+    return _windowed_sum(tangent.output_sensitivities, kind, n_transient, n_final, mode)

@@ -19,7 +19,6 @@ __all__ = [
     "window_value",
     "bump_normalization",
     "discrete_weights",
-    "span_weights",
     "iter_span_weights",
 ]
 
@@ -155,29 +154,22 @@ def window_value(kind: Window, s):
 def discrete_weights(kind: Window, n_tr: int, n_final: int,
                      mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL) -> np.ndarray:
     """Sample a window over steps n_tr..n_final inclusive: the weight
-    vector, whose entry i weights step n_tr + i for i = 0..n_final - n_tr."""
-    return span_weights((kind,), n_tr, n_final, mode)[0]
+    vector, whose entry i weights step n_tr + i for i = 0..n_final - n_tr.
 
-
-def span_weights(kinds, n_tr: int, n_final: int,
-                 mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL) -> list[np.ndarray]:
-    """Sample each window in kinds over steps n_tr..n_final inclusive: one
-    weight vector per kind, in the order given, as `discrete_weights`
-    returns it.
-
-    The one-span case of `iter_span_weights`: its buffers fit the span,
-    so the vectors are returned as they were written.
-    """
-    return next(iter_span_weights(kinds, n_tr, (n_final,), mode))
+    The one-span case of `iter_span_weights`: its buffer fits the span, so
+    the vector is returned as it was written, each call its own."""
+    return next(iter_span_weights((kind,), n_tr, (n_final,), mode))[0]
 
 
 def iter_span_weights(kinds, n_tr: int, ends,
                       mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL):
-    """Yield `span_weights(kinds, n_tr, end, mode)` for each end step in
-    ends, in order.
+    """Yield, for each end step in ends, in order, one weight vector per
+    kind in kinds, in the order given, each as
+    `discrete_weights(kind, n_tr, end, mode)` returns it.
 
-    The inputs are checked once, on the first iteration; a repeated kind
-    raises ValueError.  One ramp 1..span - 1, one grid buffer and one
+    The inputs are checked once, on the first iteration; no end step or a
+    span that is not positive raises InvalidSpanError, and a repeated kind
+    ValueError.  One ramp 1..span - 1, one grid buffer and one
     weight vector per window are allocated once, sized to the largest span;
     each span's grid i/span and samples are written into their prefixes, so
     a yielded vector is a view that the next span overwrites.  When hann is
@@ -189,6 +181,8 @@ def iter_span_weights(kinds, n_tr: int, ends,
     ends = tuple(ends)
     if n_tr < 0:
         raise InvalidSpanError(f"transient cutoff must be non-negative, got n_tr={n_tr}")
+    if not ends:
+        raise InvalidSpanError("no end step given")
     first = min(ends)
     if first <= n_tr:
         raise InvalidSpanError(f"averaging span must be positive, got n_tr={n_tr}, N={first}")

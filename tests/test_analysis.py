@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lcowind import windows
-from lcowind.analysis import (DEFAULT_SPAN_OFFSET, _windowed_sums, convergence_study,
+from lcowind.analysis import (DEFAULT_SPAN_OFFSET, _windowed_sum, convergence_study,
                               divergence_diagnostic,
                               endpoint_shift_robustness, windowed_average)
 from lcowind.errors import DegenerateFitError, InvalidSpanError
@@ -128,8 +128,7 @@ def test_only_a_sum_that_overflows_is_taken_again():
     series = np.stack([base, 1e306 * base], axis=1)
     n_final = len(base) - 1
     weights = windows.discrete_weights(Window.HANN, N_TR, n_final)
-    got = _windowed_sums(series, (Window.HANN,), N_TR, n_final,
-                         NormalizationMode.PAPER_FAITHFUL)[0]
+    got = _windowed_sum(series, Window.HANN, N_TR, n_final, NormalizationMode.PAPER_FAITHFUL)
     with np.errstate(over="ignore"):
         plain = weights @ series[N_TR:] / (n_final - N_TR)
     assert got[0].tobytes() == plain[0].tobytes()

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -28,7 +29,9 @@ from hypothesis import strategies as st
 import lcowind
 from lcowind import cli
 from lcowind.cli import _SCHEMA, SUBCOMMANDS, _write_csv, main
-from lcowind.models import AnalyticSignal, ForcedOscillator
+from lcowind.models import AnalyticSignal, ForcedOscillator, VanDerPol
+from lcowind.optim import DesignProblem
+from lcowind.primal import PseudoTimeConfig, TimeGrid
 
 ANALYTIC_CONFIG = """\
 [model]
@@ -860,12 +863,36 @@ FUZZ_BASES = {name: f"""\
     """ for name, values in (("analytic-signal", 0.2), ("van-der-pol", 1.0),
                              ("forced-oscillator", 0.1))}
 FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "", "text")
-# in-domain values for the keys that have no default
+# in-domain values for the keys that README documents no literal default for
 FUZZ_VALID = {("model", "quad_center"): "0.1", ("design", "lower"): "-2",
               ("design", "upper"): "3", ("adjoint", "tol"): "1e-12",
               ("study", "reference"): "1.5", ("study", "period"): "1.2",
               ("optimize", "constraint_output"): "x2",
               ("output", "directory"): "elsewhere"}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_ROW = re.compile(r"^\| `\[(\w+)\] (\w+)` \| [^|]* \| ([^|]*) \|", re.MULTILINE)
+
+
+def readme_defaults():
+    """Each config key's default as README's config reference documents it,
+    as the raw text a config would set: `-inf` for "`-inf` each", and for a
+    default that names another key, that key's.  A key whose default is
+    "required" or "none" is left out."""
+    documented = {(section, key): default.replace("`", "").strip()
+                  for section, key, default in README_ROW.findall(README.read_text("utf-8"))}
+    defaults = {}
+    for key, text in documented.items():
+        named = re.fullmatch(r"\[(\w+)\] (\w+)", text)
+        if named:
+            text = documented[named.groups()]
+        if text != "required" and not text.startswith("none"):
+            defaults[key] = text.removesuffix(" each")
+    return defaults
+
+
+README_DEFAULTS = readme_defaults()
 
 
 def in_domain(key, raw):
@@ -905,8 +932,10 @@ def fuzz_edits(draw):
     keys = draw(st.lists(st.sampled_from(list(_SCHEMA)), max_size=4, unique=True))
     edits = {}
     for key in keys:
+        # a key whose default a dataclass holds draws README's text for it
         default = _SCHEMA[key].default
-        valid = default if isinstance(default, str) else FUZZ_VALID.get(key)
+        valid = (default if isinstance(default, str)
+                 else FUZZ_VALID.get(key, README_DEFAULTS.get(key)))
         edits[key] = draw(st.sampled_from(FUZZ_VALUES if valid is None
                                           else (valid,) + FUZZ_VALUES))
     return edits
@@ -934,6 +963,80 @@ def test_exit_code_contract_holds_for_each_suspect_value(key):
     for raw in FUZZ_VALUES:
         check_exit_contract(FUZZ_BASES[model], SECTION_RUNS.get(section, "simulate"),
                             {key: raw})
+
+
+# (design, dt, n_steps of a study, n_steps of any other run) per model: a
+# study's default k_list needs 64.25 periods
+DEFAULTS_BASES = {"analytic-signal": (0.2, 0.05, 1600, 40),
+                  "van-der-pol": (1.0, 0.1, 4400, 40),
+                  "forced-oscillator": (0.1, 0.05, 1400, 40)}
+
+
+def run_outputs(subcommand, text):
+    """Exit code, stderr, every CSV file's bytes and the manifest's outputs
+    and results of one run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text(text)
+        outdir = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([subcommand, str(cfg), "--output-dir", str(outdir)])
+        manifest = json.loads((outdir / "manifest.json").read_text()) if code == 0 else {}
+        files = {path.name: path.read_bytes() for path in outdir.glob("*.csv")}
+        return code, err.getvalue(), files, manifest.get("outputs"), manifest.get("results")
+
+
+@pytest.mark.parametrize("model", sorted(DEFAULTS_BASES))
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_readme_defaults_run_as_absent_keys(subcommand, model):
+    # README, the CLI and the library's dataclasses hold one set of defaults
+    values, dt, study_steps, steps = DEFAULTS_BASES[model]
+    base = textwrap.dedent(f"""\
+        [model]
+        name = {model}
+
+        [design]
+        values = {values}
+
+        [grid]
+        dt = {dt}
+        n_steps = {study_steps if subcommand == "study" else steps}
+        """)
+    bare = run_outputs(subcommand, base)
+    assert bare[0] == 0 and bare[2]
+    assert run_outputs(subcommand, with_keys(base, README_DEFAULTS)) == bare
+
+
+def test_readme_documents_every_key():
+    documented = [(section, key) for section, key, _ in
+                  README_ROW.findall(README.read_text("utf-8"))]
+    assert documented == list(_SCHEMA)
+
+
+FIELD_CLASSES = (AnalyticSignal, VanDerPol, ForcedOscillator, TimeGrid, PseudoTimeConfig,
+                 DesignProblem)
+
+
+def test_keys_that_feed_a_dataclass_field_hold_no_default():
+    # an absent key leaves its field at the dataclass default, the one
+    # place that default is written.  [window] normalization and [adjoint]
+    # mode feed DesignProblem too, but every subcommand reads them itself
+    fields = {}
+    for cls in FIELD_CLASSES:
+        for field in dataclasses.fields(cls):
+            fields.setdefault(field.name, field)
+    fed = {(section, name): spec for (section, name), spec in _SCHEMA.items()
+           if spec.attr in fields and section not in ("window", "adjoint")}
+    assert len(fed) == 25
+    assert all(spec.default is None or spec.default is cli._REQUIRED for spec in fed.values())
+    # and README documents that default
+    for key, spec in fed.items():
+        if key in README_DEFAULTS:
+            field = fields[spec.attr]
+            default = (field.default if field.default_factory is dataclasses.MISSING
+                       else field.default_factory())
+            assert np.array_equal(spec.parse(README_DEFAULTS[key]), default), key
 
 
 def run_python(*args, cwd):

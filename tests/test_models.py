@@ -168,6 +168,19 @@ def test_analytic_signal_period_validation():
         AnalyticSignal(base_period=1e-162).period(np.array([0.0]))
 
 
+def test_analytic_signal_reads_a_scalar_an_array_or_a_design_vector():
+    sig = AnalyticSignal(a0=2.0, a1=np.array([0.7]), amplitude=0.8, quad=0.3)
+    times = np.array([0.0, 0.4, 1.9])
+    methods = {"mean": sig.mean, "mean_design_gradient": sig.mean_design_gradient,
+               "period": sig.period, "output": lambda sigma: sig.output(times, sigma),
+               "output_design_derivative":
+                   lambda sigma: sig.output_design_derivative(times, sigma)}
+    designs = (0.3, np.array([0.3]), DesignVector(values=[0.3], lower=[0.0], upper=[1.0]))
+    for name, method in methods.items():
+        results = [np.asarray(method(sigma)).tobytes() for sigma in designs]
+        assert results == results[:1] * 3, name
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_analytic_signal_mean_must_be_finite():
     assert AnalyticSignal(a1=np.array([1e300])).mean(np.array([1.0])) == 1e300

@@ -175,6 +175,17 @@ def test_estimate_period_failure_modes():
         estimate_period(np.ones(500), 10, 0.1)
 
 
+def test_estimate_period_rejects_a_negative_transient_cutoff():
+    # outputs[-500:] would read the last 500 samples, and the span would be
+    # counted from step -500
+    dt = 0.01
+    outputs = AnalyticSignal().output(np.arange(2001) * dt, 0.3)  # period 1.3
+    assert estimate_period(outputs, 0, dt)[1] == pytest.approx(20.0 / 1.3, rel=1e-3)
+    with pytest.raises(InvalidSpanError, match="^transient cutoff must be non-negative, "
+                                               "got n_transient=-500$"):
+        estimate_period(outputs, -500, dt)
+
+
 def test_stalled_step_raises_with_context():
     model = VanDerPol()
     grid = TimeGrid(dt=0.2, n_steps=20, n_transient=0)

@@ -121,6 +121,18 @@ def test_a_model_of_other_than_two_states_is_rejected_before_any_step(d_u, run):
             SWEEPS[run](model, SIGMA, trajectory(np.zeros((GRID.n_steps + 1, d_u))))
 
 
+def test_steps_of_another_trajectory_are_named_by_shape():
+    # a stack from a shorter trajectory is named before numpy's reshape meets it
+    traj = simulate(VanDerPol(), SIGMA, GRID)
+    short = simulate(VanDerPol(), SIGMA, TimeGrid(dt=GRID.dt, n_steps=25, n_transient=5))
+    steps = adjoint_sweep(VanDerPol(), SIGMA, short, Window.BUMP).steps
+    for mode in AdjointMode:
+        with pytest.raises(ValueError, match=r"^steps must have shape \(30, 2, 2\) for this "
+                                             r"trajectory, got \(25, 2, 2\)$"):
+            adjoint_sweep(UncalledVanDerPol(), SIGMA, traj, Window.BUMP, mode=mode,
+                          steps=steps)
+
+
 def test_design_given_as_scalar_or_list_marches_as_the_array():
     # the check reads the design once into the float array the methods take
     expected = simulate(VanDerPol(output=OutputKind.FIRST_STATE_SQUARED), SIGMA, GRID)

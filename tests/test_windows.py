@@ -11,7 +11,7 @@ from lcowind.analysis import convergence_study, divergence_diagnostic, windowed_
 from lcowind.errors import InvalidSpanError
 from lcowind.tangent import TangentTrajectory, windowed_tangent_sensitivity
 from lcowind.windows import (NormalizationMode, Window, bump_normalization,
-                             discrete_weights, span_weights, window_value)
+                             discrete_weights, iter_span_weights, window_value)
 
 ALL_WINDOWS = list(Window)
 
@@ -216,52 +216,66 @@ KIND_ORDERS = [order for size in range(1, len(ALL_WINDOWS) + 1)
                for order in itertools.permutations(ALL_WINDOWS, size)]
 
 
-def assert_span_weights_equal_discrete_weights(orders, span, mode):
+def one_span_weights(kinds, n_tr, n_final, mode=NormalizationMode.PAPER_FAITHFUL):
+    """The sampler's weight vectors over the one span n_tr..n_final."""
+    return next(iter_span_weights(kinds, n_tr, (n_final,), mode))
+
+
+def assert_one_span_weights_equal_discrete_weights(orders, span, mode):
     expected = {kind: discrete_weights(kind, 3, 3 + span, mode).tobytes()
                 for kind in ALL_WINDOWS}
     for kinds in orders:
-        got = span_weights(kinds, 3, 3 + span, mode)
+        got = one_span_weights(kinds, 3, 3 + span, mode)
         assert len(got) == len(kinds)
         for kind, values in zip(kinds, got):
             assert values.tobytes() == expected[kind], (kinds, span)
 
 
 @pytest.mark.parametrize("mode", list(NormalizationMode))
-def test_span_weights_equal_discrete_weights_bit_for_bit(mode):
+def test_one_span_weights_equal_discrete_weights_bit_for_bit(mode):
     # hann-square made from hann's samples must keep its own kernel's bits
     for span in [*range(1, 5001), 9731, 19350]:
         if span == 1 and mode is NormalizationMode.RENORMALIZED:
             continue  # no interior weight; the next test covers it
         orders = KIND_ORDERS if span <= 12 or span > 5000 else (
             tuple(ALL_WINDOWS), (Window.HANN_SQUARE, Window.HANN))
-        assert_span_weights_equal_discrete_weights(orders, span, mode)
+        assert_one_span_weights_equal_discrete_weights(orders, span, mode)
 
 
-def test_span_weights_keep_the_span_checks():
+def test_one_span_weights_keep_the_span_checks():
     with pytest.raises(InvalidSpanError) as single:
         discrete_weights(Window.HANN, 0, 1, NormalizationMode.RENORMALIZED)
     assert str(single.value) == "span of 1 steps leaves no interior weight to renormalize"
     for kinds in KIND_ORDERS:
         with pytest.raises(InvalidSpanError) as several:
-            span_weights(kinds, 0, 1, NormalizationMode.RENORMALIZED)
+            one_span_weights(kinds, 0, 1, NormalizationMode.RENORMALIZED)
         assert str(several.value) == str(single.value)
     with pytest.raises(InvalidSpanError, match="n_tr=-5"):
-        span_weights(ALL_WINDOWS, -5, 10)
+        one_span_weights(ALL_WINDOWS, -5, 10)
     with pytest.raises(InvalidSpanError, match="must be positive"):
-        span_weights(ALL_WINDOWS, 10, 10)
+        one_span_weights(ALL_WINDOWS, 10, 10)
     with pytest.raises(TypeError, match="not a Window"):
-        span_weights([Window.HANN, "hann"], 0, 10)
-    assert span_weights([], 0, 10) == []
+        one_span_weights([Window.HANN, "hann"], 0, 10)
+    assert one_span_weights([], 0, 10) == []
 
 
-def test_span_weights_reject_a_repeated_window():
+def test_the_sampler_names_an_empty_list_of_end_steps():
+    # checked with the other inputs, before min() would meet the empty list
+    for ends in ((), []):
+        with pytest.raises(InvalidSpanError, match="^no end step given$"):
+            next(iter_span_weights(ALL_WINDOWS, 3, ends))
+    with pytest.raises(InvalidSpanError, match="n_tr=-1"):
+        next(iter_span_weights(ALL_WINDOWS, -1, ()))
+
+
+def test_one_span_weights_reject_a_repeated_window():
     # the sampler keeps one buffer per kind, so a repeated kind would come
     # back as two views of one buffer
     with pytest.raises(ValueError, match="^must not repeat a window$"):
-        span_weights([Window.HANN, Window.HANN], 0, 10)
+        one_span_weights([Window.HANN, Window.HANN], 0, 10)
     with pytest.raises(ValueError, match="^must not repeat a window$"):
-        span_weights([Window.BUMP, Window.SQUARE, Window.BUMP], 3, 40,
-                     NormalizationMode.RENORMALIZED)
+        one_span_weights([Window.BUMP, Window.SQUARE, Window.BUMP], 3, 40,
+                         NormalizationMode.RENORMALIZED)
 
 
 @pytest.mark.parametrize("study", [convergence_study, divergence_diagnostic])
@@ -273,17 +287,17 @@ def test_studies_reject_a_repeated_window(study):
 
 @pytest.mark.parametrize("mode", list(NormalizationMode))
 def test_returned_weights_are_writeable_distinct_and_kept(mode):
-    # span_weights returns the sampler's own buffers: each call must make
-    # its own, which no later call or study writes into
+    # a one-span sampler returns its own buffers: each call must make its
+    # own, which no later call or study writes into
     arrays = [values for kinds in KIND_ORDERS
-              for values in span_weights(kinds, 3, 3 + 40, mode)]
+              for values in one_span_weights(kinds, 3, 3 + 40, mode)]
     arrays += [discrete_weights(kind, 3, 3 + span, mode)
                for kind in ALL_WINDOWS for span in (2, 40, 900)]
     assert all(values.flags.writeable for values in arrays)
     assert not any(np.may_share_memory(a, b) for a, b in itertools.combinations(arrays, 2))
     kept = [values.tobytes() for values in arrays]
-    span_weights(ALL_WINDOWS, 3, 3 + 40, mode)
-    span_weights(ALL_WINDOWS, 0, 900, mode)
+    one_span_weights(ALL_WINDOWS, 3, 3 + 40, mode)
+    one_span_weights(ALL_WINDOWS, 0, 900, mode)
     series = 2.0 + np.sin(np.arange(3000) * 0.05)
     convergence_study(series, ALL_WINDOWS, 3, 0.05, [2, 4, 8], reference=2.0, mode=mode)
     assert [values.tobytes() for values in arrays] == kept
