@@ -12,8 +12,7 @@ from .analysis import (ConvergenceStudy, DivergenceDiagnostic, convergence_study
 from .errors import (AdjointDivergenceError, ConfigError, DegenerateFitError,
                      DesignDomainError, InvalidSpanError, LcoError,
                      PeriodUndetectableError, SingularStepError, StepConvergenceError)
-from .models import (AnalyticSignal, AnalyticSignalModel, DesignVector,
-                     ForcedOscillator, OutputKind, VanDerPol)
+from .models import AnalyticSignal, DesignVector, ForcedOscillator, OutputKind, VanDerPol
 from .optim import DesignHistory, DesignProblem, DesignRecord, evaluate_design, optimize
 from .primal import (PseudoTimeConfig, TimeGrid, Trajectory, estimate_period, simulate,
                      step_coefficients)
@@ -29,8 +28,7 @@ __all__ = [
     "AdjointDivergenceError", "ConfigError", "DegenerateFitError",
     "DesignDomainError", "InvalidSpanError", "LcoError", "PeriodUndetectableError",
     "SingularStepError", "StepConvergenceError",
-    "AnalyticSignal", "AnalyticSignalModel", "DesignVector", "ForcedOscillator",
-    "OutputKind", "VanDerPol",
+    "AnalyticSignal", "DesignVector", "ForcedOscillator", "OutputKind", "VanDerPol",
     "DesignHistory", "DesignProblem", "DesignRecord", "evaluate_design", "optimize",
     "PseudoTimeConfig", "TimeGrid", "Trajectory", "estimate_period", "simulate",
     "step_coefficients",

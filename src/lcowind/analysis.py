@@ -54,8 +54,8 @@ def _windowed_sum(series, kind, n_tr, n_final, mode):
     if n_final > len(series) - 1:
         raise InvalidSpanError(
             f"final step {n_final} exceeds recorded length {len(series) - 1}")
-    return _weighted_sums(series[n_tr:n_final + 1], n_final - n_tr,
-                          [discrete_weights(kind, n_tr, n_final, mode)])[0]
+    weights = discrete_weights(kind, n_tr, n_final, mode)  # checks the step indices
+    return _weighted_sums(series[n_tr:n_final + 1], n_final - n_tr, [weights])[0]
 
 
 def _weighted_sums(window, span, all_weights):
@@ -135,6 +135,8 @@ def _span_values(series, kinds, n_tr, dt, k_list, period, span_offset, mode):
     data = np.asarray(series, dtype=float)
     if data.ndim != 1:
         raise ValueError("outputs must be a one-dimensional series")
+    if not 0.0 < dt < math.inf:
+        raise InvalidSpanError(f"time step must be positive and finite, got dt={dt!r}")
     if period is None:
         period, _ = estimate_period(data, n_tr, dt)
     ks, ends, realized = _end_steps(k_list, n_tr, dt, period, span_offset, data.size)

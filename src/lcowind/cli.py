@@ -29,8 +29,7 @@ from . import __version__
 from .adjoint import AdjointMode, adjoint_sweep, contraction_estimates
 from .analysis import (DEFAULT_SPAN_OFFSET, convergence_study, windowed_average)
 from .errors import ConfigError, LcoError, PeriodUndetectableError
-from .models import (AnalyticSignal, AnalyticSignalModel, DesignVector,
-                     ForcedOscillator, OutputKind, VanDerPol)
+from .models import AnalyticSignal, DesignVector, ForcedOscillator, OutputKind, VanDerPol
 from .optim import DesignProblem, optimize
 from .primal import PseudoTimeConfig, TimeGrid, _row_norms, estimate_period, simulate
 from .tangent import tangent_sweep, windowed_tangent_sensitivity
@@ -216,7 +215,7 @@ class RunConfig:
                 setattr(self, spec.attr, None if raw is None else spec.parse(raw))
 
         with _blame("[model]"):
-            self.model = self._build_model()
+            self.model = self.model_class(**self._fields(self.model_class))
         values = np.array(self.design_values)
         with _blame("[design]"):
             self.design = DesignVector(
@@ -233,7 +232,7 @@ class RunConfig:
         # the state as floats, as the march passes it, so an overflow gives
         # inf or nan without a numpy warning
         with _blame("[design] values"):
-            u0 = self.model.initial_state(self.design.values)
+            u0 = self.model.initial_state()
             self.model.residual(u0.tolist(), self.design.values)
             self.model.output_value(u0, self.design.values)
         with _blame("[grid]"):
@@ -245,8 +244,7 @@ class RunConfig:
             self.model.residual(u0.tolist(), self.design.values, t_final)
         with _blame("[pseudo_time]"):
             self.pseudo = PseudoTimeConfig(**self._fields(PseudoTimeConfig))
-        if (self.constraint_output is not None
-                and isinstance(self.model, AnalyticSignalModel)):
+        if self.constraint_output is not None and isinstance(self.model, AnalyticSignal):
             raise ConfigError("[optimize] constraint_output: the analytic-signal "
                               "model has no constraint output")
 
@@ -256,11 +254,6 @@ class RunConfig:
         keeps its dataclass default."""
         fields = {f.name: getattr(self, f.name, None) for f in dataclasses.fields(cls)}
         return {name: value for name, value in fields.items() if value is not None}
-
-    def _build_model(self):
-        model = self.model_class(**self._fields(self.model_class))
-        return (AnalyticSignalModel(model) if isinstance(model, AnalyticSignal)
-                else model)
 
 
 def load_config(path: str) -> RunConfig:
@@ -429,16 +422,15 @@ def _study_series(cfg: RunConfig):
     [study] reference and period replace the ones found here, and the
     period is found only when it is not set."""
     sigma = cfg.design.values
-    analytic = isinstance(cfg.model, AnalyticSignalModel)
+    analytic = isinstance(cfg.model, AnalyticSignal)
     if analytic:
-        signal = cfg.model.signal
         times = cfg.grid.times()
         if cfg.study_quantity == "average":
-            series = np.asarray(signal.output(times, sigma), dtype=float)
-            reference = signal.mean(sigma)
+            series = np.asarray(cfg.model.output(times, sigma), dtype=float)
+            reference = cfg.model.mean(sigma)
         else:
-            series = signal.output_design_derivative(times, sigma)[:, 0]
-            reference = float(signal.mean_design_gradient(sigma)[0])
+            series = cfg.model.output_design_derivative(times, sigma)[:, 0]
+            reference = float(cfg.model.mean_design_gradient(sigma)[0])
     else:
         traj = _run_primal(cfg)
         if cfg.study_quantity == "average":
@@ -451,7 +443,7 @@ def _study_series(cfg: RunConfig):
         reference = cfg.study_reference
     period = cfg.study_period
     if period is None:
-        period = (signal.period(sigma) if analytic else
+        period = (cfg.model.period(sigma) if analytic else
                   estimate_period(traj.outputs, cfg.grid.n_transient, cfg.grid.dt)[0])
     return series, reference, period
 

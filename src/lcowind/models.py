@@ -1,4 +1,4 @@
-"""Oscillator models and the closed-form analytic test signal.
+"""Oscillator models, the closed-form analytic test signal among them.
 
 Every ODE model describes dynamics in the form du/dt + R(u, sigma, t) = 0
 and exposes the residual R, its state Jacobian, its design derivative, and
@@ -18,9 +18,9 @@ arrays, and return their result for each state, so a sweep calls each
 once.  All methods take the design as a float array and check neither it
 nor the state: check_inputs checks both once, where a march or a sweep
 starts.
-The analytic signal provides exact values for the limit average and its
-design derivative, which makes it the ground truth for convergence and
-consistency checks.
+The analytic signal is a closed form and its two-state realization, the
+ground truth for convergence and consistency checks.  initial_state() takes
+no design: the sweeps start from zero sensitivity, with no u_0 term.
 """
 from __future__ import annotations
 
@@ -38,7 +38,6 @@ __all__ = [
     "DesignVector",
     "OutputKind",
     "AnalyticSignal",
-    "AnalyticSignalModel",
     "VanDerPol",
     "ForcedOscillator",
 ]
@@ -144,13 +143,15 @@ def bind(model, sigma):
 
 
 @dataclass(frozen=True)
-class AnalyticSignal:
-    """Closed-form oscillating signal g(t, sigma) = a(sigma) + b sin(2 pi t / T(sigma)).
+class AnalyticSignal(_BoundModel):
+    """Closed-form oscillating signal g(t, sigma) = a(sigma) + b sin(2 pi t / T(sigma)),
+    marched as a harmonic oscillator whose output reproduces it exactly.
 
     The mean map is a(sigma) = a0 + a1 . sigma + quad * |sigma - quad_center|^2
     and the period is T(sigma) = base_period * (1 + sigma_1).  The limit of the
     windowed time average is a(sigma) and its design derivative is the mean
-    gradient, independent of the period map.
+    gradient, independent of the period map.  The states (y, z) trace
+    y(t) = b sin(Omega t), Omega = 2 pi / T(sigma), and the output is a(sigma) + y.
 
     growth_rate > 0 multiplies the period-induced part of the instantaneous
     design derivative by exp(growth_rate * t), modelling sensitivities whose
@@ -165,6 +166,9 @@ class AnalyticSignal:
     quad: float = 0.0
     quad_center: np.ndarray | None = None
 
+    name = "analytic-signal"
+    d_u = 2
+
     def __post_init__(self):
         object.__setattr__(self, "a1", np.atleast_1d(np.asarray(self.a1, dtype=float)))
         if self.quad_center is not None:
@@ -172,8 +176,8 @@ class AnalyticSignal:
             if center.shape != self.a1.shape:
                 raise ValueError("quad_center must match a1 in shape")
             object.__setattr__(self, "quad_center", center)
-        if self.base_period <= 0.0:
-            raise ValueError("base_period must be positive")
+        if not 0.0 < self.base_period < math.inf:
+            raise ValueError(f"base_period must be positive and finite, got {self.base_period!r}")
 
     @property
     def n_design(self) -> int:
@@ -237,43 +241,24 @@ class AnalyticSignal:
             return out[0]
         return out
 
-
-@dataclass(frozen=True)
-class AnalyticSignalModel(_BoundModel):
-    """Harmonic-oscillator realization of an AnalyticSignal.
-
-    States (y, z) trace y(t) = b sin(Omega t) with Omega = 2 pi / T(sigma);
-    the recorded output a(sigma) + y reproduces the analytic signal, so the
-    full solve/differentiate pipeline can be checked against exact values.
-    """
-
-    signal: AnalyticSignal = field(default_factory=AnalyticSignal)
-
-    name = "analytic-signal"
-    d_u = 2
-
-    @property
-    def n_design(self) -> int:
-        return self.signal.n_design
-
-    def initial_state(self, sigma=None) -> np.ndarray:
-        return np.array([0.0, self.signal.amplitude])
+    def initial_state(self) -> np.ndarray:
+        return np.array([0.0, self.amplitude])
 
     def _bound(self, sigma):
-        omega = 2.0 * math.pi / self.signal.period(sigma)
+        omega = 2.0 * math.pi / self.period(sigma)
         return (lambda u, t: [-omega * u[1], omega * u[0]],
                 lambda u, t: [0.0, -omega, omega, 0.0])
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
         # dOmega/dsigma_1 through T(sigma) = T0 (1 + sigma_1)
-        domega = -2.0 * math.pi * self.signal.base_period / self.signal.period(sigma) ** 2
+        domega = -2.0 * math.pi * self.base_period / self.period(sigma) ** 2
         jac = np.zeros(np.shape(u) + (len(sigma),))
         jac[..., 0, 0] = -domega * u[..., 1]
         jac[..., 1, 0] = domega * u[..., 0]
         return jac
 
     def output_value(self, u, sigma):
-        return self.signal.mean(sigma) + u[..., 0]
+        return self.mean(sigma) + u[..., 0]
 
     def output_state_gradient(self, u, sigma) -> np.ndarray:
         grad = np.zeros(np.shape(u))
@@ -282,7 +267,7 @@ class AnalyticSignalModel(_BoundModel):
 
     def output_design_gradient(self, u, sigma) -> np.ndarray:
         grad = np.empty(np.shape(u)[:-1] + (len(sigma),))
-        grad[...] = self.signal.mean_design_gradient(sigma)
+        grad[...] = self.mean_design_gradient(sigma)
         return grad
 
 
@@ -319,7 +304,7 @@ class VanDerPol(_BoundModel, _FirstStateOutput):
     d_u = 2
     n_design = 1
 
-    def initial_state(self, sigma=None) -> np.ndarray:
+    def initial_state(self) -> np.ndarray:
         # close to the limit cycle for every mu in the design box
         return np.array([2.0, 0.0])
 
@@ -366,7 +351,7 @@ class ForcedOscillator(_BoundModel, _FirstStateOutput):
     def period(self) -> float:
         return 2.0 * np.pi / self.omega
 
-    def initial_state(self, sigma=None) -> np.ndarray:
+    def initial_state(self) -> np.ndarray:
         return np.array([0.0, 0.0])
 
     def _coefficients(self, s: float):

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (AdjointDivergenceError, InvalidSpanError, PeriodUndetectableError,
                      SingularStepError, StepConvergenceError)
 from .models import bind, check_inputs
+from .windows import _step_index
 
 __all__ = [
     "TimeGrid",
@@ -46,6 +47,8 @@ class TimeGrid:
     n_transient: int = 0
 
     def __post_init__(self):
+        _step_index(self.n_steps, "n_steps")
+        _step_index(self.n_transient, "n_transient")
         if not 0.0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
         if self.n_steps < 1:
@@ -362,7 +365,7 @@ def simulate(model, sigma, grid: TimeGrid,
     The outputs are formed in one call once the march is done.
     """
     cfg = cfg or PseudoTimeConfig()
-    u0 = np.asarray(model.initial_state(sigma), dtype=float)
+    u0 = np.asarray(model.initial_state(), dtype=float)
     sigma = check_inputs(model, sigma, u0)
     residual, jacobian = bind(model, sigma)
     states, inner, norms = _march2(
@@ -386,9 +389,13 @@ def estimate_period(outputs, n_transient: int, dt: float) -> tuple[float, float]
 
     Uses the mean spacing of upward crossings of the post-transient mean,
     with linear interpolation between samples.  Returns (period, span in
-    periods) where the span is (len - 1 - n_transient) * dt / period.  A
-    negative n_transient raises InvalidSpanError.
+    periods) where the span is (len - 1 - n_transient) * dt / period.  An
+    n_transient that is not an integer raises TypeError; a negative one or
+    a dt that is not positive and finite InvalidSpanError.
     """
+    _step_index(n_transient, "n_transient")
+    if not 0.0 < dt < math.inf:
+        raise InvalidSpanError(f"time step must be positive and finite, got dt={dt!r}")
     if n_transient < 0:
         raise InvalidSpanError(
             f"transient cutoff must be non-negative, got n_transient={n_transient}")

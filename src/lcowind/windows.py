@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 
 import numpy as np
 
@@ -151,6 +152,14 @@ def window_value(kind: Window, s):
     return out
 
 
+def _step_index(value, name: str) -> None:
+    """Raise TypeError, naming the argument, unless value is an integer."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def discrete_weights(kind: Window, n_tr: int, n_final: int,
                      mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL) -> np.ndarray:
     """Sample a window over steps n_tr..n_final inclusive: the weight
@@ -167,10 +176,11 @@ def iter_span_weights(kinds, n_tr: int, ends,
     kind in kinds, in the order given, each as
     `discrete_weights(kind, n_tr, end, mode)` returns it.
 
-    The inputs are checked once, on the first iteration; no end step or a
-    span that is not positive raises InvalidSpanError, and a repeated kind
-    ValueError.  One ramp 1..span - 1, one grid buffer and one
-    weight vector per window are allocated once, sized to the largest span;
+    The inputs are checked once, on the first iteration; a step index that
+    is not an integer raises TypeError, no end step or a span that is not
+    positive InvalidSpanError, and a repeated kind ValueError.  One ramp
+    1..span - 1, one grid buffer and one weight vector per window are
+    allocated once, sized to the largest span;
     each span's grid i/span and samples are written into their prefixes, so
     a yielded vector is a view that the next span overwrites.  When hann is
     among the kinds, hann-square is made from hann's unscaled samples, the
@@ -179,6 +189,9 @@ def iter_span_weights(kinds, n_tr: int, ends,
     """
     kinds = tuple(kinds)
     ends = tuple(ends)
+    _step_index(n_tr, "n_tr")
+    for end in ends:
+        _step_index(end, "each end step")
     if n_tr < 0:
         raise InvalidSpanError(f"transient cutoff must be non-negative, got n_tr={n_tr}")
     if not ends:

@@ -18,8 +18,7 @@ from lcowind.adjoint import AdjointMode, adjoint_sweep, contraction_estimates
 from lcowind.analysis import (convergence_study, divergence_diagnostic,
                               endpoint_shift_robustness, windowed_average)
 from lcowind.cli import main
-from lcowind.models import (AnalyticSignal, AnalyticSignalModel, DesignVector,
-                            ForcedOscillator, OutputKind, VanDerPol)
+from lcowind.models import AnalyticSignal, DesignVector, ForcedOscillator, OutputKind, VanDerPol
 from lcowind.optim import DesignProblem, optimize
 from lcowind.primal import (PseudoTimeConfig, TimeGrid, estimate_period,
                             simulate)
@@ -175,9 +174,8 @@ def test_criterion_03_sensitivity_convergence_orders():
 
 def test_criterion_04_bdf2_temporal_order():
     started = time.perf_counter()
-    signal = AnalyticSignal(a0=0.0, a1=np.array([0.0]), amplitude=1.0,
-                            base_period=1.0)
-    model = AnalyticSignalModel(signal=signal)
+    model = AnalyticSignal(a0=0.0, a1=np.array([0.0]), amplitude=1.0,
+                           base_period=1.0)
     sigma = np.array([0.0])
     t_end = 2.0
     dts = [0.02, 0.01, 0.005, 0.0025]
@@ -325,10 +323,9 @@ def test_criterion_09_divergence_diagnostic():
 
 def test_criterion_10_optimization_sanity():
     started = time.perf_counter()
-    signal = AnalyticSignal(a0=1.0, a1=np.array([0.0]), amplitude=0.05,
-                            base_period=1.0, quad=1.0,
-                            quad_center=np.array([0.3]))
-    model = AnalyticSignalModel(signal=signal)
+    model = AnalyticSignal(a0=1.0, a1=np.array([0.0]), amplitude=0.05,
+                           base_period=1.0, quad=1.0,
+                           quad_center=np.array([0.3]))
     design = DesignVector(values=np.array([0.1]), lower=np.array([-0.5]),
                           upper=np.array([0.9]))
     grid = TimeGrid(dt=0.02, n_steps=720, n_transient=100)
@@ -415,8 +412,8 @@ def test_criterion_12_smooth_windows_make_the_design_loop_robust():
     # square window's evaluations over the spans at least 1.82 times each
     # smooth window's
     started = time.perf_counter()
-    model = AnalyticSignalModel(AnalyticSignal(a0=1.0, a1=np.array([0.0]), amplitude=0.8,
-                                               quad=5.0, quad_center=np.array([0.3])))
+    model = AnalyticSignal(a0=1.0, a1=np.array([0.0]), amplitude=0.8,
+                           quad=5.0, quad_center=np.array([0.3]))
     design = DesignVector(values=np.array([-0.1]), lower=np.array([-0.5]),
                           upper=np.array([0.9]))
     spans = [300, 600, 1200]

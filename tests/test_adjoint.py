@@ -14,8 +14,7 @@ from lcowind import primal
 from lcowind.adjoint import AdjointMode, adjoint_sweep, contraction_estimates
 from lcowind.analysis import windowed_average
 from lcowind.errors import AdjointDivergenceError, SingularStepError
-from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
-                            OutputKind, VanDerPol)
+from lcowind.models import AnalyticSignal, ForcedOscillator, OutputKind, VanDerPol
 from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate, step_matrices
 from lcowind.tangent import tangent_sweep, windowed_tangent_sensitivity
 from lcowind.windows import NormalizationMode, Window, discrete_weights
@@ -33,7 +32,7 @@ class StiffDecayModel:
     d_u = 2
     n_design = 1
 
-    def initial_state(self, sigma=None):
+    def initial_state(self):
         return np.array([1.0, 0.0])
 
     def residual(self, u, sigma, t=0.0):
@@ -89,9 +88,9 @@ DUALITY_MODELS = {
                        np.array([1.0])),
     "forced-oscillator-x2": (ForcedOscillator(output=OutputKind.FIRST_STATE_SQUARED),
                              np.array([0.1])),
-    "analytic-signal": (AnalyticSignalModel(AnalyticSignal(
+    "analytic-signal": (AnalyticSignal(
         a0=1.0, a1=np.array([0.5]), amplitude=0.3, quad=0.8,
-        quad_center=np.array([0.1]))), np.array([0.2])),
+        quad_center=np.array([0.1])), np.array([0.2])),
 }
 DUALITY_SOLVES = [(math.inf, AdjointMode.FIXED_POINT), (1.0, AdjointMode.FIXED_POINT),
                   (1.0, AdjointMode.DIRECT)]
@@ -266,8 +265,7 @@ def test_newton_limit_shortcut():
 def test_single_step_span_gives_exact_zero():
     # a one-step span touches only the two window endpoints, both zero, so
     # nothing seeds the adjoint and the derivative is exactly zero
-    sig = AnalyticSignal(a0=1.0, a1=np.array([0.5]), amplitude=0.3)
-    model = AnalyticSignalModel(signal=sig)
+    model = AnalyticSignal(a0=1.0, a1=np.array([0.5]), amplitude=0.3)
     sigma = np.array([0.2])
     grid = TimeGrid(dt=0.05, n_steps=6, n_transient=5)
     traj = simulate(model, sigma, grid)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -307,6 +308,20 @@ def test_studies_reject_a_series_of_columns(study, period):
     with pytest.raises(ValueError, match="one-dimensional"):
         study(np.stack([series, series], 1), [Window.HANN], N_TR, DT, [2, 4], period=period,
               **extra)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("period", [None, PERIOD], ids=["estimated", "given"])
+@pytest.mark.parametrize("study", [convergence_study, divergence_diagnostic])
+def test_studies_reject_a_time_step_that_is_not_positive_and_finite(study, period, dt):
+    # with dt = -0.01 a whole study runs at period -1.3, and with dt = 0 and
+    # a period the end steps divide by zero, which numpy reports as a warning
+    extra = {"reference": MEAN} if study is convergence_study else {}
+    with pytest.raises(InvalidSpanError, match="^time step must be positive and finite, "
+                                               f"got dt={re.escape(repr(dt))}$"):
+        study(signal_series(8), [Window.BUMP], N_TR, dt, [2, 4, 8], period=period, **extra)
 
 
 @pytest.mark.parametrize("k_list", [[0, 1], [-2, 4], [np.nan, 4], [2, np.inf]],

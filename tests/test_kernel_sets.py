@@ -35,8 +35,7 @@ from lcowind import primal
 from lcowind.adjoint import AdjointMode, adjoint_sweep, contraction_estimates
 from lcowind.errors import (AdjointDivergenceError, LcoError, SingularStepError,
                             StepConvergenceError)
-from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator, OutputKind,
-                            VanDerPol)
+from lcowind.models import AnalyticSignal, ForcedOscillator, OutputKind, VanDerPol
 from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate
 from lcowind.tangent import tangent_sweep
 from lcowind.windows import Window
@@ -51,8 +50,8 @@ MODELS = {
     "van-der-pol-x2": (VanDerPol(output=OutputKind.FIRST_STATE_SQUARED), [1.0], GRID),
     "forced-oscillator-x2": (ForcedOscillator(output=OutputKind.FIRST_STATE_SQUARED), [0.1],
                              GRID),
-    "analytic-signal": (AnalyticSignalModel(AnalyticSignal(
-        a0=1.0, a1=np.array([0.0]), amplitude=0.05, quad=5.0, quad_center=np.array([0.3]))),
+    "analytic-signal": (AnalyticSignal(
+        a0=1.0, a1=np.array([0.0]), amplitude=0.05, quad=5.0, quad_center=np.array([0.3])),
         [0.2], GRID),
     # A_1 = [[1, -1], [-1, 1]] at dt = 1: singular in the Newton limit, and
     # a stalled step at a finite dtau

@@ -23,8 +23,7 @@ import numpy as np
 import pytest
 
 from lcowind.errors import AdjointDivergenceError, SingularStepError
-from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
-                            OutputKind, VanDerPol)
+from lcowind.models import AnalyticSignal, ForcedOscillator, OutputKind, VanDerPol
 from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate
 
 N_DRAWS = 3000
@@ -103,10 +102,8 @@ def forced_oscillator(model):
 
 
 def analytic_signal(model):
-    signal = model.signal
-
     def omega(sigma):
-        return 2.0 * np.pi / signal.period(sigma)
+        return 2.0 * np.pi / model.period(sigma)
 
     def residual(u, sigma, t):
         u = _state(u)
@@ -117,20 +114,20 @@ def analytic_signal(model):
 
     def jacobian_design(u, sigma, t):
         u, sigma = _state(u), _design(sigma)
-        domega = -2.0 * np.pi * signal.base_period / signal.period(sigma) ** 2
+        domega = -2.0 * np.pi * model.base_period / model.period(sigma) ** 2
         jac = np.zeros((2, len(sigma)))
         jac[0, 0] = -domega * u[1]
         jac[1, 0] = domega * u[0]
         return jac
 
     def output_value(u, sigma):
-        return signal.mean(sigma) + _state(u)[0]
+        return model.mean(sigma) + _state(u)[0]
 
     def output_state_gradient(u, sigma):
         return np.array([1.0, 0.0])
 
     def output_design_gradient(u, sigma):
-        return signal.mean_design_gradient(sigma)
+        return model.mean_design_gradient(sigma)
 
     return {"residual": residual, "jacobian_state": jacobian_state,
             "jacobian_design": jacobian_design, "output_value": output_value,
@@ -148,12 +145,12 @@ MODELS = {
                                               forcing=2.5,
                                               output=OutputKind.FIRST_STATE_SQUARED),
                              forced_oscillator, (-0.5, 0.5), 1),
-    "analytic-signal": (AnalyticSignalModel(AnalyticSignal(
+    "analytic-signal": (AnalyticSignal(
         a0=1.0, a1=np.array([0.5]), amplitude=0.3, quad=0.8,
-        quad_center=np.array([0.1]))), analytic_signal, (-0.9, 2.0), 1),
-    "analytic-signal-2": (AnalyticSignalModel(AnalyticSignal(
+        quad_center=np.array([0.1])), analytic_signal, (-0.9, 2.0), 1),
+    "analytic-signal-2": (AnalyticSignal(
         a0=-0.4, a1=np.array([0.5, -1.2]), amplitude=0.7, base_period=2.5, quad=3.0,
-        quad_center=np.array([0.1, -0.3]))), analytic_signal, (-0.9, 2.0), 2),
+        quad_center=np.array([0.1, -0.3])), analytic_signal, (-0.9, 2.0), 2),
 }
 
 

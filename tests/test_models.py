@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from lcowind.errors import DesignDomainError
-from lcowind.models import (AnalyticSignal, AnalyticSignalModel, DesignVector,
-                            ForcedOscillator, OutputKind, VanDerPol)
+from lcowind.models import AnalyticSignal, DesignVector, ForcedOscillator, OutputKind, VanDerPol
 from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate
 
 
@@ -194,18 +193,26 @@ def test_analytic_signal_mean_must_be_finite():
         AnalyticSignal(a1=np.array([1.0]), quad_center=np.array([0.1, 0.2]))
 
 
+@pytest.mark.parametrize("base_period", [math.nan, math.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_analytic_signal_rejects_a_base_period_that_is_not_positive_and_finite(base_period):
+    # NaN fails every comparison, so only the interval the period may take
+    # rejects it; else the first period() call blames the design
+    with pytest.raises(ValueError, match="^base_period must be positive and finite, got "):
+        AnalyticSignal(base_period=base_period)
+
+
 def test_analytic_signal_model_matches_signal():
-    sig = AnalyticSignal(a0=1.5, a1=np.array([0.4]), amplitude=0.3)
-    model = AnalyticSignalModel(signal=sig)
+    model = AnalyticSignal(a0=1.5, a1=np.array([0.4]), amplitude=0.3)
     sigma = np.array([0.2])
     u = np.array([0.11, -0.05])
-    assert model.output_value(u, sigma) == pytest.approx(sig.mean(sigma) + 0.11, rel=1e-14)
+    assert model.output_value(u, sigma) == pytest.approx(model.mean(sigma) + 0.11, rel=1e-14)
     assert np.allclose(model.jacobian_state(u, sigma),
                        fd_jacobian_state(model, u, sigma, 0.0), rtol=1e-6, atol=1e-8)
     assert np.allclose(model.jacobian_design(u, sigma),
                        fd_jacobian_design(model, u, sigma, 0.0), rtol=1e-5, atol=1e-7)
     assert np.allclose(model.output_design_gradient(u, sigma),
-                       sig.mean_design_gradient(sigma))
+                       model.mean_design_gradient(sigma))
 
 
 @pytest.mark.parametrize("dtau", [math.inf, 1.0], ids=["dtau=inf", "dtau=1"])
@@ -215,7 +222,7 @@ def test_the_analytic_model_keeps_no_state_between_marches(dtau):
     # bytes, which would show any state kept on it (its ndarray field makes
     # it unhashable)
     def model():
-        return AnalyticSignalModel(signal=AnalyticSignal(a1=np.array([0.7]), amplitude=0.8))
+        return AnalyticSignal(a1=np.array([0.7]), amplitude=0.8)
 
     shared, grid, cfg = model(), TimeGrid(dt=0.05, n_steps=200), PseudoTimeConfig(dtau=dtau)
     before = pickle.dumps(shared)

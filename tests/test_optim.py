@@ -10,8 +10,7 @@ import pytest
 from lcowind import optim
 from lcowind.adjoint import adjoint_sweep
 from lcowind.errors import StepConvergenceError
-from lcowind.models import (AnalyticSignal, AnalyticSignalModel, DesignVector,
-                            OutputKind, VanDerPol)
+from lcowind.models import AnalyticSignal, DesignVector, OutputKind, VanDerPol
 from lcowind.optim import DesignProblem, evaluate_design, optimize
 from lcowind.primal import PseudoTimeConfig, TimeGrid
 from lcowind.windows import Window
@@ -21,10 +20,9 @@ def quadratic_problem(amplitude=0.05, relaxation=0.1, kind=Window.BUMP,
                       max_iterations=40, max_backtracks=30, n_steps=720):
     # windowed average of this model is 1 + (sigma - 0.3)^2 up to tiny
     # window truncation error, so the box-constrained minimum sits at 0.3
-    signal = AnalyticSignal(a0=1.0, a1=np.array([0.0]), amplitude=amplitude,
-                            base_period=1.0, quad=1.0,
-                            quad_center=np.array([0.3]))
-    model = AnalyticSignalModel(signal=signal)
+    model = AnalyticSignal(a0=1.0, a1=np.array([0.0]), amplitude=amplitude,
+                           base_period=1.0, quad=1.0,
+                           quad_center=np.array([0.3]))
     design = DesignVector(values=np.array([0.1]), lower=np.array([-0.5]),
                           upper=np.array([0.9]))
     grid = TimeGrid(dt=0.02, n_steps=n_steps, n_transient=100)
@@ -178,7 +176,7 @@ def test_loop_stops_when_merit_stops_decreasing():
     signal = AnalyticSignal(a0=1.0, a1=np.array([0.0]), amplitude=0.05, quad=5.0,
                             quad_center=np.array([0.45]))
     problem = DesignProblem(
-        objective_model=AnalyticSignalModel(signal=signal),
+        objective_model=signal,
         design=DesignVector(values=np.array([0.0]), lower=np.array([-0.5]),
                             upper=np.array([0.9])),
         grid=TimeGrid(dt=0.02, n_steps=720, n_transient=100),

@@ -1,6 +1,7 @@
 """Tests for the implicit time marching core."""
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -8,12 +9,13 @@ import numpy as np
 import pytest
 from any_size_kernels import _extended_residual
 
+from lcowind.analysis import windowed_average
 from lcowind.errors import (InvalidSpanError, PeriodUndetectableError,
                             StepConvergenceError)
-from lcowind.models import (AnalyticSignal, AnalyticSignalModel, OutputKind,
-                            VanDerPol, bind)
+from lcowind.models import AnalyticSignal, OutputKind, VanDerPol, bind
 from lcowind.primal import (PseudoTimeConfig, TimeGrid, estimate_period, simulate,
                             step_coefficients)
+from lcowind.windows import Window
 
 # independent reference for the mu = 1 limit-cycle period, computed once with
 # scipy.integrate.solve_ivp (rtol 1e-11) and event-based crossing detection
@@ -31,7 +33,7 @@ class LinearModel:
     d_u = 2
     n_design = 1
 
-    def initial_state(self, sigma=None):
+    def initial_state(self):
         return np.array([1.0, -1.0])
 
     def residual(self, u, sigma, t=0.0):
@@ -134,8 +136,7 @@ def test_bdf_recurrence_holds_along_trajectory():
 
 
 def test_second_order_accuracy_on_harmonic_model():
-    sig = AnalyticSignal(a0=0.0, a1=np.array([0.0]), amplitude=1.0, base_period=1.0)
-    model = AnalyticSignalModel(signal=sig)
+    model = AnalyticSignal(a0=0.0, a1=np.array([0.0]), amplitude=1.0, base_period=1.0)
     sigma = np.array([0.0])
     t_end = 2.0
     dts = [0.02, 0.01, 0.005, 0.0025]
@@ -184,6 +185,27 @@ def test_estimate_period_rejects_a_negative_transient_cutoff():
     with pytest.raises(InvalidSpanError, match="^transient cutoff must be non-negative, "
                                                "got n_transient=-500$"):
         estimate_period(outputs, -500, dt)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_estimate_period_rejects_a_time_step_that_is_not_positive_and_finite(dt):
+    # with dt = -0.01 the period, -1.3, and the span divide to a positive
+    # count of periods, and dt = 0 divides the span by a zero period
+    outputs = AnalyticSignal().output(np.arange(2001) * 0.01, 0.3)
+    with pytest.raises(InvalidSpanError, match="^time step must be positive and finite, "
+                                               f"got dt={re.escape(repr(dt))}$"):
+        estimate_period(outputs, 0, dt)
+
+
+def test_estimate_period_takes_an_integer_transient_cutoff():
+    # the cutoff slices the outputs, whose error for a float names no
+    # argument; numpy's integers slice as Python's do
+    outputs = AnalyticSignal().output(np.arange(2001) * 0.01, 0.3)
+    with pytest.raises(TypeError, match="^n_transient must be an integer, got 1.5$"):
+        estimate_period(outputs, 1.5, 0.01)
+    assert estimate_period(outputs, np.int64(100), 0.01) == estimate_period(outputs, 100, 0.01)
 
 
 def test_stalled_step_raises_with_context():
@@ -291,6 +313,41 @@ def test_grid_and_pseudo_config_validation():
     # Newton is the default inner mode
     assert PseudoTimeConfig().inv_dtau == 0.0
     assert PseudoTimeConfig(dtau=2.0).inv_dtau == 0.5
+
+
+def test_grid_step_counts_must_be_integers():
+    # the march sizes its arrays and loops by the counts, so a float one
+    # fails there with an error that names no argument
+    for counts, name in (({"n_steps": 10.5}, "n_steps"),
+                         ({"n_steps": 10, "n_transient": 2.0}, "n_transient")):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+            TimeGrid(dt=0.1, **counts)
+    # numpy's integers are integers: the same march and average, bit for bit
+    model, sigma = VanDerPol(), np.array([1.0])
+    runs = [simulate(model, sigma, TimeGrid(dt=0.05, n_steps=n(40), n_transient=n(10)))
+            for n in (int, np.int64)]
+    assert runs[0].states.tobytes() == runs[1].states.tobytes()
+    assert runs[0].outputs.tobytes() == runs[1].outputs.tobytes()
+    averages = {windowed_average(traj.outputs, Window.HANN, traj.grid.n_transient,
+                                 traj.grid.n_steps) for traj in runs}
+    assert len(averages) == 1
+
+
+@dataclass(frozen=True)
+class FixedStartVanDerPol(VanDerPol):
+    """Van der Pol whose initial state, as every model's, takes no design."""
+
+    def initial_state(self):
+        return np.array([2.0, 0.0])
+
+
+def test_an_initial_state_that_takes_no_design_marches():
+    # the tangent starts from zero sensitivity and the adjoint has no u_0
+    # term, so simulate reads the initial state without the design
+    grid = TimeGrid(dt=0.05, n_steps=40, n_transient=10)
+    got = simulate(FixedStartVanDerPol(), np.array([1.0]), grid)
+    expected = simulate(VanDerPol(), np.array([1.0]), grid)
+    assert got.states.tobytes() == expected.states.tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from lcowind.adjoint import AdjointMode, adjoint_sweep
 from lcowind.analysis import windowed_average
-from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
-                            OutputKind, VanDerPol)
+from lcowind.models import AnalyticSignal, ForcedOscillator, OutputKind, VanDerPol
 from lcowind.primal import PseudoTimeConfig, TimeGrid, estimate_period, simulate
 from lcowind.tangent import tangent_sweep, windowed_tangent_sensitivity
 from lcowind.windows import NormalizationMode, Window, discrete_weights
@@ -25,9 +24,9 @@ MODELS = [
     (VanDerPol(output=OutputKind.FIRST_STATE_SQUARED), np.array([1.0])),
     (VanDerPol(output=OutputKind.FIRST_STATE), np.array([0.7])),
     (ForcedOscillator(output=OutputKind.FIRST_STATE_SQUARED), np.array([0.1])),
-    (AnalyticSignalModel(AnalyticSignal(
+    (AnalyticSignal(
         a0=1.0, a1=np.array([0.5]), amplitude=0.3, quad=0.8,
-        quad_center=np.array([0.1]))), np.array([0.2])),
+        quad_center=np.array([0.1])), np.array([0.2])),
 ]
 
 

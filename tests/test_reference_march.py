@@ -22,8 +22,7 @@ import numpy as np
 import pytest
 
 from lcowind.adjoint import AdjointMode, adjoint_sweep, contraction_estimates
-from lcowind.models import (AnalyticSignal, AnalyticSignalModel, ForcedOscillator,
-                            OutputKind, VanDerPol)
+from lcowind.models import AnalyticSignal, ForcedOscillator, OutputKind, VanDerPol
 from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate, step_coefficients
 from lcowind.tangent import tangent_sweep
 from lcowind.windows import Window, discrete_weights
@@ -50,13 +49,13 @@ MODELS = {
     "forced-oscillator-x2": (ForcedOscillator(output=OutputKind.FIRST_STATE_SQUARED),
                              np.array([0.1])),
     # the model the signal-design benchmark marches
-    "analytic-signal": (AnalyticSignalModel(AnalyticSignal(
+    "analytic-signal": (AnalyticSignal(
         a0=1.0, a1=np.array([0.0]), amplitude=0.05, quad=5.0,
-        quad_center=np.array([0.3]))), np.array([0.2])),
+        quad_center=np.array([0.3])), np.array([0.2])),
     # two design columns, which the tangent solves one at a time
-    "analytic-signal-2": (AnalyticSignalModel(AnalyticSignal(
+    "analytic-signal-2": (AnalyticSignal(
         a0=-0.4, a1=np.array([0.5, -1.2]), amplitude=0.7, base_period=2.5, quad=3.0,
-        quad_center=np.array([0.1, -0.3]))), np.array([0.2, -0.1])),
+        quad_center=np.array([0.1, -0.3])), np.array([0.2, -0.1])),
 }
 
 
@@ -97,7 +96,7 @@ def reference_simulate(model, sigma, grid, cfg):
     outputs = np.empty(grid.n_steps + 1)
     inner = np.zeros(grid.n_steps + 1, dtype=int)
     norms = np.zeros(grid.n_steps + 1)
-    states[0] = model.initial_state(sigma)
+    states[0] = model.initial_state()
     outputs[0] = model.output_value(states[0], sigma)
     for n in range(1, grid.n_steps + 1):
         coeffs = step_coefficients(n, dt)

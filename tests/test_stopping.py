@@ -140,7 +140,7 @@ class DivergingModel:
     d_u = 2
     n_design = 1
 
-    def initial_state(self, sigma=None):
+    def initial_state(self):
         return np.ones(self.d_u)
 
     def residual(self, u, sigma, t=0.0):

@@ -30,8 +30,8 @@ class UncalledVanDerPol(VanDerPol):
 
     bad_initial_state: bool = False
 
-    def initial_state(self, sigma=None):
-        return np.zeros(3) if self.bad_initial_state else super().initial_state(sigma)
+    def initial_state(self):
+        return np.zeros(3) if self.bad_initial_state else super().initial_state()
 
     def _stepped(self, *args):
         raise AssertionError("a step ran before the inputs were checked")
@@ -98,7 +98,7 @@ class OtherSizeModel:
     name = "other-size"
     n_design = 1
 
-    def initial_state(self, sigma=None):
+    def initial_state(self):
         return np.zeros(self.d_u)
 
     def _stepped(self, *args):
@@ -154,7 +154,7 @@ class SingularAtModel:
     d_u = 2
     n_design = 1
 
-    def initial_state(self, sigma=None):
+    def initial_state(self):
         return np.array([1.0, 0.5])
 
     def residual(self, u, sigma, t=0.0):

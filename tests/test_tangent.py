@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lcowind.errors import InvalidSpanError
-from lcowind.models import AnalyticSignal, AnalyticSignalModel, OutputKind, VanDerPol
+from lcowind.models import AnalyticSignal, OutputKind, VanDerPol
 from lcowind.primal import TimeGrid, simulate
 from lcowind.tangent import tangent_sweep, windowed_tangent_sensitivity
 from lcowind.windows import Window
@@ -31,8 +31,8 @@ class ScaledDesignModel:
     def n_design(self):
         return self.inner.n_design
 
-    def initial_state(self, sigma=None):
-        return self.inner.initial_state(sigma)
+    def initial_state(self):
+        return self.inner.initial_state()
 
     def residual(self, u, sigma, t=0.0):
         return self.inner.residual(u, sigma, t)
@@ -56,8 +56,7 @@ class ScaledDesignModel:
 def test_design_independent_dynamics_give_zero_tangent():
     # zero amplitude keeps the state pinned at the origin, where the design
     # Jacobian vanishes, so every sensitivity must be exactly zero
-    sig = AnalyticSignal(a0=1.0, a1=np.array([0.0]), amplitude=0.0)
-    model = AnalyticSignalModel(signal=sig)
+    model = AnalyticSignal(a0=1.0, a1=np.array([0.0]), amplitude=0.0)
     sigma = np.array([0.2])
     grid = TimeGrid(dt=0.05, n_steps=40, n_transient=0)
     tangent = tangent_sweep(model, sigma, simulate(model, sigma, grid))
@@ -98,25 +97,23 @@ def test_tangent_is_linear_in_design_jacobian():
 
 
 def test_solve_count_and_initial_gradient():
-    sig = AnalyticSignal(a0=1.0, a1=np.array([0.5, -0.2]), amplitude=0.3)
-    model = AnalyticSignalModel(signal=sig)
+    model = AnalyticSignal(a0=1.0, a1=np.array([0.5, -0.2]), amplitude=0.3)
     sigma = np.array([0.1, 0.2])
     grid = TimeGrid(dt=0.02, n_steps=50, n_transient=0)
     tangent = tangent_sweep(model, sigma, simulate(model, sigma, grid))
     assert tangent.solve_count == 50 * 2
     assert np.allclose(tangent.output_sensitivities[0],
-                       sig.mean_design_gradient(sigma))
+                       model.mean_design_gradient(sigma))
 
 
 def test_windowed_sensitivity_converges_to_mean_gradient():
     # twenty-odd periods under a smooth window recover the exact design
     # gradient of the limit average to a few parts in 1e5
-    sig = AnalyticSignal(a0=1.0, a1=np.array([1.0]), amplitude=0.3, base_period=1.0)
-    model = AnalyticSignalModel(signal=sig)
+    model = AnalyticSignal(a0=1.0, a1=np.array([1.0]), amplitude=0.3, base_period=1.0)
     sigma = np.array([0.3])
     dt = 0.01
     n_tr = 100
-    n_final = n_tr + round(20.25 * sig.period(sigma) / dt)
+    n_final = n_tr + round(20.25 * model.period(sigma) / dt)
     grid = TimeGrid(dt=dt, n_steps=n_final, n_transient=n_tr)
     tangent = tangent_sweep(model, sigma, simulate(model, sigma, grid))
     value = windowed_tangent_sensitivity(tangent, Window.HANN, n_tr, n_final)
@@ -124,8 +121,7 @@ def test_windowed_sensitivity_converges_to_mean_gradient():
 
 
 def test_windowed_sensitivity_span_overrun():
-    sig = AnalyticSignal()
-    model = AnalyticSignalModel(signal=sig)
+    model = AnalyticSignal()
     sigma = np.array([0.0])
     grid = TimeGrid(dt=0.1, n_steps=30, n_transient=0)
     tangent = tangent_sweep(model, sigma, simulate(model, sigma, grid))

@@ -268,6 +268,26 @@ def test_the_sampler_names_an_empty_list_of_end_steps():
         next(iter_span_weights(ALL_WINDOWS, -1, ()))
 
 
+def test_step_indices_must_be_integers():
+    # a float index would reach np.zeros, whose error names neither argument
+    tangent = TangentTrajectory(np.zeros((20, 2, 1)), np.zeros((20, 1)), 0)
+    for n_tr, n_final, name in ((0, 10.0, "each end step"), (0.5, 10, "n_tr")):
+        for average in (lambda: discrete_weights(Window.HANN, n_tr, n_final),
+                        lambda: next(iter_span_weights(ALL_WINDOWS, n_tr, (4, n_final))),
+                        lambda: windowed_average(np.arange(20.0), Window.HANN, n_tr, n_final),
+                        lambda: windowed_tangent_sensitivity(tangent, Window.HANN, n_tr,
+                                                             n_final)):
+            with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+                average()
+    # numpy's integers are integers: the same weights, bit for bit
+    for kind in ALL_WINDOWS:
+        assert (discrete_weights(kind, np.int64(3), np.int64(40)).tobytes()
+                == discrete_weights(kind, 3, 40).tobytes())
+    for got, expected in zip(iter_span_weights(ALL_WINDOWS, np.int64(3), np.array([9, 40])),
+                             iter_span_weights(ALL_WINDOWS, 3, [9, 40])):
+        assert [w.tobytes() for w in got] == [w.tobytes() for w in expected]
+
+
 def test_one_span_weights_reject_a_repeated_window():
     # the sampler keeps one buffer per kind, so a repeated kind would come
     # back as two views of one buffer
