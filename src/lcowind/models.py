@@ -9,15 +9,18 @@ list of floats, the state Jacobian a new (d_u, d_u) array.  The models here
 write those two formulas once, as closures over the design's terms that
 _bound(sigma) returns, and derive both methods from them.  A march reads
 them through bind(model, sigma), with the design read once, as
-residual(u, t) -> list and jacobian(u, t) -> row-major list; where a class
-defines or overrides residual or jacobian_state, bind calls that method
-instead, the Jacobian flattened by .ravel().tolist(), so an override wins,
-per function.  The design Jacobian and the three output methods take one
-state of shape (d_u,) or a trajectory's stack of shape (N, d_u), as float
-arrays, and return their result for each state, so a sweep calls each
-once.  All methods take the design as a float array and check neither it
+residual(x, v, t) -> (r0, r1) and jacobian(x, v, t) -> (j11, j12, j21, j22),
+called on the state's two floats, so no list is built per call; where a
+class defines or overrides residual or jacobian_state, bind calls that
+method instead on the list [x, v], the Jacobian flattened by
+.ravel().tolist(), so an override wins, per function.  The design Jacobian
+and the three output methods take one state of shape (d_u,) or a
+trajectory's stack of shape (N, d_u), as float arrays, and return their
+result for each state, so a sweep calls each once.  All methods take the design as a float array and check neither it
 nor the state: check_inputs checks both once, where a march or a sweep
-starts.
+starts.  Each model checks its own fields where it is built: a numeric
+field that is not finite raises ValueError naming it, and an output that
+is not an OutputKind TypeError.
 The analytic signal is a closed form and its two-state realization, the
 ground truth for convergence and consistency checks.  initial_state() takes
 no design: the sweeps start from zero sensitivity, with no u_0 term.
@@ -90,6 +93,15 @@ def _sigma_values(sigma) -> np.ndarray:
     return np.atleast_1d(np.asarray(values, dtype=float))
 
 
+def _check_finite(model, names) -> None:
+    """Raise ValueError naming the first of the model's numeric fields,
+    scalar or array, that holds a NaN or an infinity; None passes."""
+    for name in names:
+        value = getattr(model, name)
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def check_inputs(model, sigma, states, n_steps=None) -> np.ndarray:
     """Check the inputs of a march or a sweep once, where it starts, so the
     models' per-step methods need not.
@@ -116,29 +128,31 @@ def check_inputs(model, sigma, states, n_steps=None) -> np.ndarray:
 
 
 class _BoundModel:
-    """residual and jacobian_state from the closures residual(u, t) and
-    jacobian(u, t) that the model's _bound(sigma) returns."""
+    """residual and jacobian_state from the closures residual(x, v, t) and
+    jacobian(x, v, t) that the model's _bound(sigma) returns, called on the
+    state's two entries."""
 
     def residual(self, u, sigma, t=0.0) -> list[float]:
-        return self._bound(sigma)[0](u, t)
+        return list(self._bound(sigma)[0](*u, t))
 
     def jacobian_state(self, u, sigma, t=0.0) -> np.ndarray:
-        return np.array(self._bound(sigma)[1](u, t)).reshape(self.d_u, self.d_u)
+        return np.array(self._bound(sigma)[1](*u, t)).reshape(self.d_u, self.d_u)
 
 
 def bind(model, sigma):
     """The model's residual and state Jacobian at the design sigma, read
-    once, as residual(u, t) -> list and jacobian(u, t) -> row-major list:
-    the closures of the model's _bound, except where its class defines or
-    overrides residual or jacobian_state, which is then called per
-    evaluation."""
+    once, as residual(x, v, t) -> (r0, r1) and jacobian(x, v, t) -> (j11,
+    j12, j21, j22), row-major, on the state's two floats: the closures of
+    the model's _bound, except where its class defines or overrides
+    residual or jacobian_state, which is then called per evaluation on the
+    list [x, v]."""
     residual, jacobian = model._bound(sigma) if isinstance(model, _BoundModel) else (None, None)
     if type(model).residual is not _BoundModel.residual:
         residual_method = model.residual
-        residual = lambda u, t: residual_method(u, sigma, t)
+        residual = lambda x, v, t: residual_method([x, v], sigma, t)
     if type(model).jacobian_state is not _BoundModel.jacobian_state:
         jacobian_method = model.jacobian_state
-        jacobian = lambda u, t: jacobian_method(u, sigma, t).ravel().tolist()
+        jacobian = lambda x, v, t: jacobian_method([x, v], sigma, t).ravel().tolist()
     return residual, jacobian
 
 
@@ -176,6 +190,7 @@ class AnalyticSignal(_BoundModel):
             if center.shape != self.a1.shape:
                 raise ValueError("quad_center must match a1 in shape")
             object.__setattr__(self, "quad_center", center)
+        _check_finite(self, ("a0", "a1", "amplitude", "growth_rate", "quad", "quad_center"))
         if not 0.0 < self.base_period < math.inf:
             raise ValueError(f"base_period must be positive and finite, got {self.base_period!r}")
 
@@ -246,8 +261,8 @@ class AnalyticSignal(_BoundModel):
 
     def _bound(self, sigma):
         omega = 2.0 * math.pi / self.period(sigma)
-        return (lambda u, t: [-omega * u[1], omega * u[0]],
-                lambda u, t: [0.0, -omega, omega, 0.0])
+        jacobian = (0.0, -omega, omega, 0.0)
+        return lambda y, z, t: (-omega * z, omega * y), lambda y, z, t: jacobian
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
         # dOmega/dsigma_1 through T(sigma) = T0 (1 + sigma_1)
@@ -274,6 +289,12 @@ class AnalyticSignal(_BoundModel):
 class _FirstStateOutput:
     """Output x or x^2 of the first state, chosen by the ``output`` field;
     it does not depend on the design."""
+
+    def __post_init__(self):
+        if not isinstance(self.output, OutputKind):
+            valid = ", ".join(f"OutputKind.{kind.name} ({kind.value!r})" for kind in OutputKind)
+            raise TypeError(f"output must be an OutputKind, one of {valid}; got "
+                            f"{self.output!r} (OutputKind.from_name reads a name)")
 
     def output_value(self, u, sigma):
         x = u[..., 0]
@@ -311,13 +332,11 @@ class VanDerPol(_BoundModel, _FirstStateOutput):
     def _bound(self, sigma):
         mu = float(sigma[0])
 
-        def residual(u, t):
-            x, v = u
-            return [-v, -mu * (1.0 - x * x) * v + x]
+        def residual(x, v, t):
+            return -v, -mu * (1.0 - x * x) * v + x
 
-        def jacobian(u, t):
-            x, v = u
-            return [0.0, -1.0, 2.0 * mu * x * v + 1.0, -mu * (1.0 - x * x)]
+        def jacobian(x, v, t):
+            return 0.0, -1.0, 2.0 * mu * x * v + 1.0, -mu * (1.0 - x * x)
         return residual, jacobian
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
@@ -347,6 +366,10 @@ class ForcedOscillator(_BoundModel, _FirstStateOutput):
     d_u = 2
     n_design = 1
 
+    def __post_init__(self):
+        super().__post_init__()
+        _check_finite(self, ("omega", "stiffness0", "damping0", "forcing"))
+
     @property
     def period(self) -> float:
         return 2.0 * np.pi / self.omega
@@ -362,10 +385,10 @@ class ForcedOscillator(_BoundModel, _FirstStateOutput):
         k, c = self._coefficients(float(sigma[0]))
         forcing, omega = self.forcing, self.omega
 
-        def residual(u, t):
-            x, v = u
-            return [-v, c * v + k * x - forcing * math.sin(omega * t)]
-        return residual, lambda u, t: [0.0, -1.0, k, c]
+        def residual(x, v, t):
+            return -v, c * v + k * x - forcing * math.sin(omega * t)
+        jacobian = (0.0, -1.0, k, c)
+        return residual, lambda x, v, t: jacobian
 
     def jacobian_design(self, u, sigma, t=0.0) -> np.ndarray:
         x, v = u[..., 0], u[..., 1]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from math import sqrt
 
 import numpy as np
@@ -124,15 +125,18 @@ def step_coefficients(n: int, dt: float) -> tuple[float, float, float]:
 
 def step_matrices(model, sigma, traj: Trajectory) -> np.ndarray:
     """Step matrices A_n = alpha_n I + dR/du(u^n) of the trajectory's steps
-    n = 1..N, stacked with shape (N, d_u, d_u); entry n - 1 is step n."""
-    dt, d_u = traj.grid.dt, model.d_u
-    steps = range(1, traj.n_steps + 1)
+    n = 1..N, stacked with shape (N, d_u, d_u); entry n - 1 is step n.  The
+    bound jacobian(x, v, t) runs on the state columns' floats and the time
+    n dt, and its entries go into one flat float array."""
+    dt, d_u, n_steps = traj.grid.dt, model.d_u, traj.n_steps
     # step 1 is BDF1, every later step BDF2
-    alphas = np.full(traj.n_steps, step_coefficients(2, dt)[0])
+    alphas = np.full(n_steps, step_coefficients(2, dt)[0])
     alphas[0] = step_coefficients(1, dt)[0]
     jacobian = bind(model, sigma)[1]
-    jacobians = np.array([jacobian(u, n * dt)
-                          for n, u in zip(steps, traj.states[1:].tolist())])
+    xs, vs = traj.states[1:].T.tolist()
+    times = [n * dt for n in range(1, n_steps + 1)]
+    jacobians = np.fromiter(chain.from_iterable(map(jacobian, xs, vs, times)), float,
+                            count=d_u * d_u * n_steps)
     return alphas[:, None, None] * np.eye(d_u) + jacobians.reshape(-1, d_u, d_u)
 
 
@@ -160,7 +164,9 @@ def _row_norms(rows) -> np.ndarray:
 
 def _march2(residual, jacobian, u0, dt, n_steps, inv_dtau, tol, max_inner, allow_unconverged):
     """Every physical step n = 1..n_steps of a march of two states from
-    the float pair u0, at time n dt, on local floats: BDF1 at step 1, whose
+    the float pair u0, at time n dt, on local floats, with the bound
+    residual(x0, x1, t) -> (r0, r1) and jacobian(x0, x1, t) -> (j11, j12,
+    j21, j22) called on the iterate's two floats: BDF1 at step 1, whose
     u_{-1} = u0 has no weight, and BDF2 after it.  Per step: the history
     terms beta u_{n-1} and delta u_{n-2}, then from the predictor, 2.0
     u_{n-1,i} - u_{n-2,i} from step 3 on and u_{n-1} before it, the
@@ -197,15 +203,14 @@ def _march2(residual, jacobian, u0, dt, n_steps, inv_dtau, tol, max_inner, allow
             x0, x1 = p0, p1
         its = 0
         while True:
-            u = [x0, x1]
-            r0, r1 = residual(u, t)
+            r0, r1 = residual(x0, x1, t)
             e0 = alpha * x0 + r0 + h0 + g0
             e1 = alpha * x1 + r1 + h1 + g1
             norm = sqrt(e0 * e0 + e1 * e1)
             if not (norm > tol and its < max_inner):
                 break
             if its == 0 or inv_dtau == 0.0:
-                j11, j12, j21, j22 = jacobian(u, t)
+                j11, j12, j21, j22 = jacobian(x0, x1, t)
                 a11 = (alpha + j11) + inv_dtau
                 a12 = 0.0 + j12
                 a21 = 0.0 + j21
@@ -228,7 +233,8 @@ def _march2(residual, jacobian, u0, dt, n_steps, inv_dtau, tol, max_inner, allow
             x1 -= s1
             its += 1
         if not (norm <= tol or allow_unconverged):
-            floor = _roundoff_floor(residual, u, t, alpha, beta, delta, [p0, p1], [q0, q1])
+            floor = _roundoff_floor(residual, [x0, x1], t, alpha, beta, delta, [p0, p1],
+                                    [q0, q1])
             raise StepConvergenceError(n, its, norm, floor, tol)
         q0, q1, p0, p1 = p0, p1, x0, x1
         states.append(x0)
@@ -242,9 +248,10 @@ def _roundoff_floor(residual, u, t, alpha, beta, delta, u_nm1, u_nm2) -> float:
     """The extended residual's roundoff floor at u: eps times the norm of
     |alpha u| + |R(u)| + |beta u_{n-1}| + |delta u_{n-2}|, the size of the
     rounding error its four terms can carry, so a tolerance below it may
-    not be met.  One more residual evaluation, taken only for the error."""
+    not be met.  One more residual evaluation, residual(*u, t), taken only
+    for the error."""
     terms = [abs(alpha * x) + abs(r) + abs(beta * y) + abs(delta * z)
-             for x, r, y, z in zip(u, residual(u, t), u_nm1, u_nm2)]
+             for x, r, y, z in zip(u, residual(*u, t), u_nm1, u_nm2)]
     return math.ulp(1.0) * _vector_norm(terms)
 
 
@@ -371,8 +378,9 @@ def simulate(model, sigma, grid: TimeGrid,
     states, inner, norms = _march2(
         residual, jacobian, u0.tolist(), grid.dt, grid.n_steps, cfg.inv_dtau, cfg.tol,
         cfg.max_inner, cfg.allow_unconverged)
-    states = np.array(states, dtype=float).reshape(grid.n_steps + 1, 2)
-    norms = np.array(norms, dtype=float)
+    n_rows = grid.n_steps + 1
+    states = np.fromiter(states, float, count=2 * n_rows).reshape(n_rows, 2)
+    norms = np.fromiter(norms, float, count=n_rows)
     converged = norms <= cfg.tol
     if not converged.all():
         left = np.flatnonzero(~converged)
@@ -380,7 +388,8 @@ def simulate(model, sigma, grid: TimeGrid,
                       f"step {left[0]} (largest residual {norms[left].max():.3e})",
                       RuntimeWarning, stacklevel=2)
     return Trajectory(grid=grid, states=states, outputs=model.output_value(states, sigma),
-                      inner_iterations=np.array(inner), residual_norms=norms,
+                      inner_iterations=np.fromiter(inner, int, count=n_rows),
+                      residual_norms=norms,
                       converged=converged)
 
 

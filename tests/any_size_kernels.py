@@ -23,12 +23,12 @@ from lcowind.primal import _roundoff_floor, _vector_norm, step_coefficients
 
 def _extended_residual(residual, u_n, t, alpha, beta_u_nm1, delta_u_nm2) -> list[float]:
     """Extended residual alpha u_n + R(u_n) + beta u_{n-1} + delta u_{n-2}
-    of the float list u_n, R the bound residual, with its history terms beta
-    u_{n-1} and delta u_{n-2} already formed as float lists, as they stay
-    fixed over a physical step.  The sums run on Python floats, in the order
-    of the formula."""
+    of the float list u_n, R the bound residual called as R(*u_n, t), with
+    its history terms beta u_{n-1} and delta u_{n-2} already formed as float
+    lists, as they stay fixed over a physical step.  The sums run on Python
+    floats, in the order of the formula."""
     return [alpha * x + r + b + d for x, r, b, d
-            in zip(u_n, residual(u_n, t), beta_u_nm1, delta_u_nm2)]
+            in zip(u_n, residual(*u_n, t), beta_u_nm1, delta_u_nm2)]
 
 
 def _step_entries(jacobian, alpha, inv_dtau) -> list[float]:
@@ -63,13 +63,14 @@ def _solver(entries, step=None) -> Callable:
 
 def _march(residual, jacobian, u0, dt, n_steps, inv_dtau, tol, max_inner, allow_unconverged):
     """Every physical step n = 1..n_steps of a march from the float list u0,
-    at time n dt, with the bound residual and Jacobian: BDF1 at step 1,
-    whose u_{-1} = u0 has no weight, and BDF2 after it.  Per step: the
-    history terms beta u_{n-1} and delta u_{n-2} once, then from the
-    predictor, 2.0 u_{n-1,i} - u_{n-2,i} from step 3 on and u_{n-1} before
-    it, the extended residual, its norm and, while norm > tol and fewer than
-    max_inner iterations ran, one update u - x, x the solve of the step
-    system with _step_entries' matrix and the extended residual.  At a
+    at time n dt, with the bound residual and Jacobian, each called on the
+    state's entries and the time: BDF1 at step 1, whose u_{-1} = u0 has no
+    weight, and BDF2 after it.  Per step: the history terms beta u_{n-1}
+    and delta u_{n-2} once, then from the predictor, 2.0 u_{n-1,i} -
+    u_{n-2,i} from step 3 on and u_{n-1} before it, the extended residual,
+    its norm and, while norm > tol and fewer than max_inner iterations ran,
+    one update u - x, x the solve of the step system with _step_entries'
+    matrix and the extended residual.  At a
     finite dtau the step's first update evaluates the Jacobian and forms the
     matrix, and every later update of the step solves with that matrix (a
     chord iteration); at inv_dtau = 0.0, the Newton limit, every update
@@ -91,7 +92,7 @@ def _march(residual, jacobian, u0, dt, n_steps, inv_dtau, tol, max_inner, allow_
         its = 0
         while norm > tol and its < max_inner:
             if its == 0 or inv_dtau == 0.0:
-                solve = _solver(_step_entries(jacobian(u, t), alpha, inv_dtau), n)
+                solve = _solver(_step_entries(jacobian(*u, t), alpha, inv_dtau), n)
             u = list(map(sub, u, solve(extended)))
             extended = _extended_residual(residual, u, t, alpha, beta_u_nm1, delta_u_nm2)
             norm = _vector_norm(extended)

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from lcowind.errors import AdjointDivergenceError, SingularStepError
-from lcowind.models import AnalyticSignal, ForcedOscillator, OutputKind, VanDerPol
+from lcowind.models import AnalyticSignal, ForcedOscillator, OutputKind, VanDerPol, bind
 from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate
 
 N_DRAWS = 3000
@@ -688,9 +688,9 @@ class ResidualCountingVanDerPol(VanDerPol):
         self.calls["_bound"] += 1
         jacobian = super()._bound(sigma)[1]
 
-        def counted(u, t):
+        def counted(x, v, t):
             self.calls["bound jacobian"] += 1
-            return jacobian(u, t)
+            return jacobian(x, v, t)
         return None, counted  # no residual: the march must call the method
 
 
@@ -735,6 +735,53 @@ def test_step_matrices_equal_the_array_sum(model):
     assert same_bits(step_matrices(model, sigma, traj), np.stack(expected))
 
 
+@pytest.mark.parametrize("name", MODELS)
+def test_the_bound_closures_take_two_floats_and_return_tuples(name):
+    # the protocol of bind: residual(x, v, t) -> (r0, r1) and jacobian(x, v,
+    # t) -> (j11, j12, j21, j22), floats whose bits are those of the
+    # methods' results, the Jacobian's row-major
+    model, _, (low, high), n_design = MODELS[name]
+    rng = np.random.default_rng(35)
+    sigma = rng.uniform(low, high, n_design)
+    residual, jacobian = bind(model, sigma)
+    for t in (0.0, 0.05, 1.7, 42.25):
+        x, v = (rng.standard_normal(2) * 10.0 ** rng.uniform(-3.0, 3.0, 2)).tolist()
+        r, j = residual(x, v, t), jacobian(x, v, t)
+        assert type(r) is tuple and len(r) == 2 and type(j) is tuple and len(j) == 4
+        assert all(type(entry) is float for entry in r + j), (r, j)
+        assert same_bits(r, model.residual([x, v], sigma, t)), (x, v, t)
+        assert same_bits(j, model.jacobian_state([x, v], sigma, t).ravel()), (x, v, t)
+
+
+@pytest.mark.parametrize("dtau", [math.inf, 1.0], ids=["dtau=inf", "dtau=1"])
+@pytest.mark.parametrize("name", MODELS)
+def test_the_march_and_the_step_matrices_call_the_closures_on_floats(name, dtau, monkeypatch):
+    # every call of a bound closure receives the two state floats and the
+    # time, so neither the march nor step_matrices builds a list or an
+    # array per call
+    model, _, (low, high), n_design = MODELS[name]
+    sigma = np.full(n_design, 0.5 * (low + high))
+    calls = Counter()
+
+    def recorded(closure, what):
+        def call(*args):
+            calls[what, tuple(type(arg) for arg in args)] += 1
+            return closure(*args)
+        return call
+
+    def recording_bind(model, sigma):
+        residual, jacobian = bind(model, sigma)
+        return recorded(residual, "residual"), recorded(jacobian, "jacobian")
+
+    monkeypatch.setattr(primal, "bind", recording_bind)
+    traj = simulate(model, sigma, TimeGrid(dt=0.05, n_steps=40),
+                    PseudoTimeConfig(dtau=dtau, max_inner=200))
+    step_matrices(model, sigma, traj)
+    floats = (float, float, float)
+    assert set(calls) == {("residual", floats), ("jacobian", floats)}
+    assert calls["jacobian", floats] >= traj.n_steps
+
+
 @pytest.mark.parametrize("dtau", [INF, 1.0, 0.3], ids=["dtau=inf", "dtau=1", "dtau=0.3"])
 @np.errstate(all="ignore")
 @pytest.mark.parametrize("size", [1, 2, 3])
@@ -757,8 +804,9 @@ def test_step_entries_equal_the_array_sum(size, dtau):
 
 
 def fixed_residual(values):
-    """A stand-in bound residual that returns a given list, whatever the state."""
-    return lambda u, t: values
+    """A stand-in bound residual that returns a given list, whatever the
+    state's entries and the time it is called on."""
+    return lambda *state_and_time: values
 
 
 def march_or_singular(march, *args):
@@ -797,12 +845,12 @@ def test_two_state_march_matches_the_general_form(dtau, monkeypatch):
         for row in draws.tolist() + step2_singular:
             entries, calls = row[2:6], Counter()
 
-            def jacobian(u, t, kernel):
+            def jacobian(kernel):
                 calls[kernel] += 1
                 return entries
 
             results = [march_or_singular(kernel, fixed_residual(row[6:8]),
-                                         lambda u, t: jacobian(u, t, kernel), row[:2], 0.05, 3,
+                                         lambda x, v, t: jacobian(kernel), row[:2], 0.05, 3,
                                          inv_dtau, 0.0, max_inner, True)
                        for kernel in (primal._march2, oracle._march)]
             got, expected = results
@@ -813,7 +861,7 @@ def test_two_state_march_matches_the_general_form(dtau, monkeypatch):
                 assert same_floats(got[0], expected[0]) and got[1] == expected[1], row
                 assert same_floats(got[2], expected[2]), row
         for row in step2_singular:
-            args = (fixed_residual(row[6:8]), lambda u, t: row[2:6], row[:2], 0.05, 3, inv_dtau,
+            args = (fixed_residual(row[6:8]), lambda x, v, t: row[2:6], row[:2], 0.05, 3, inv_dtau,
                     0.0, max_inner, True)
             assert march_or_singular(primal._march2, *args) == ("singular", 2), row
 

@@ -1,5 +1,6 @@
 """Tests for the oscillator models and the analytic test signal."""
 
+import dataclasses
 import math
 import pickle
 
@@ -200,6 +201,33 @@ def test_analytic_signal_rejects_a_base_period_that_is_not_positive_and_finite(b
     # rejects it; else the first period() call blames the design
     with pytest.raises(ValueError, match="^base_period must be positive and finite, got "):
         AnalyticSignal(base_period=base_period)
+
+
+# every numeric field of a model, each rejected where the model is built
+# when it is not finite; a1 and quad_center are arrays
+NUMERIC_FIELDS = [(cls, f.name) for cls in (AnalyticSignal, ForcedOscillator)
+                  for f in dataclasses.fields(cls) if f.name != "output"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, name", NUMERIC_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in NUMERIC_FIELDS])
+def test_a_model_rejects_a_field_that_is_not_finite(cls, name, value):
+    # a NaN amplitude or forcing once reached the march as a stalled step
+    field_value = np.array([value]) if name in ("a1", "quad_center") else value
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        cls(**{name: field_value})
+
+
+@pytest.mark.parametrize("cls", [VanDerPol, ForcedOscillator])
+@pytest.mark.parametrize("output", ["x", "x2", None])
+def test_an_output_that_is_not_an_output_kind_raises_where_the_model_is_built(cls, output):
+    # the name "x" once marched as x^2, the other branch of the output
+    expected = (r"^output must be an OutputKind, one of OutputKind.FIRST_STATE \('x'\), "
+                r"OutputKind.FIRST_STATE_SQUARED \('x2'\); got ")
+    with pytest.raises(TypeError, match=expected):
+        cls(output=output)
+    assert cls(output=OutputKind.from_name("x")).output is OutputKind.FIRST_STATE
 
 
 def test_analytic_signal_model_matches_signal():
