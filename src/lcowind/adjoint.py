@@ -13,6 +13,7 @@ the reverse loop's Newton limit, as M_n^T - A_n^T = I/dtau, and sets ubar_n
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,10 @@ def contraction_estimates(steps: np.ndarray, cfg: PseudoTimeConfig) -> np.ndarra
     the 2-norm inv_dtau / sigma_min(M_n) of the iteration matrix (I -
     M_n^{-1} A_n)^T = inv_dtau M_n^{-T}, M_n = A_n + inv_dtau I, from one
     batched SVD.  Zero in the Newton limit, and inf where M_n is singular,
-    a step the fixed-point sweep raises SingularStepError on."""
+    a step the fixed-point sweep raises SingularStepError on.  Only this
+    function takes the SVD, only where an estimate is read: the adjoint
+    subcommand's CSV column and manifest max_contraction, and the error of
+    a diverging step.  The design loop reads none, so it takes none."""
     estimates = np.zeros(len(steps) + 1)
     if cfg.inv_dtau != 0.0:
         shifted = steps + cfg.inv_dtau * np.eye(steps.shape[1])  # every M_n
@@ -76,17 +80,27 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     step matrices A_n of all steps are stacked at once too, or taken from
     steps, the `steps` of an earlier sweep over the same dynamics and
     trajectory, at any dtau and in either mode; a stack of another shape
-    than (N, 2, 2) raises ValueError.  Each step keeps lambda_n =
-    M_n^{-T} ubar_n, which couples it to steps n - 1 and n - 2 and carries
-    its design derivative term; the direct mode solves it as A_n^{-T} rhs,
-    M_n^T - A_n^T being I/dtau.  All primal states are held in memory, so no
-    recomputation is needed.  The design and the states' shape are checked
-    once, here.  A diverging step's AdjointDivergenceError carries its
-    contraction estimate.
+    than (N, 2, 2) raises ValueError naming both shapes.  No M_n is
+    stored: the reverse kernel _reverse2 shifts A_n^T's diagonal itself,
+    and the whole reverse loop, in both modes, is one call of it per sweep.
+    Each step keeps lambda_n = M_n^{-T} ubar_n, which couples it to steps
+    n - 1 and n - 2 and carries its design derivative term.  The direct
+    mode runs the kernel's Newton limit on A_n^T, so each step records one
+    iteration and solves A_n^T lambda_n = rhs, M_n^T - A_n^T being I/dtau;
+    a singular A_n raises SingularStepError for its step, and a singular
+    M_n does not stop it, though its contraction estimate is inf.  At
+    dtau = inf both modes make the same kernel call, so their states are
+    byte-identical and their derivatives equal.  All primal states are held
+    in memory, so no recomputation is needed.  The design, the states'
+    shape and tol, cfg.tol unless given, are checked once, here: tol must
+    be positive and finite (ValueError).  A diverging step's
+    AdjointDivergenceError carries its contraction estimate.
     """
     sigma = check_inputs(model, sigma, traj.states, traj.n_steps)
     cfg = cfg or PseudoTimeConfig()
     tol = cfg.tol if tol is None else tol
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     grid = traj.grid
     n_total = grid.n_steps
     n_tr = grid.n_transient
@@ -143,7 +157,8 @@ def adjoint_sweep(model, sigma, traj: Trajectory, kind: Window,
     # is a + (-b) in IEEE arithmetic, x + (-0.0) is x, and accumulate adds
     # in sequence, so every sum rounds as a loop on Python floats would; only
     # a NaN product comes out with its sign bit flipped, which no output
-    # shows.
+    # shows.  The sum runs under errstate, so an overflow warns no more than
+    # that loop did.
     n_design = model.n_design
     coupling = np.matmul(lam.reshape(n_total, 1, d_u), b_mats)[:, 0]
     terms = np.full((2 * n_total + 1, n_design), -0.0)

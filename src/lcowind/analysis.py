@@ -50,7 +50,10 @@ def windowed_average(outputs, kind: Window, n_tr: int, n_final: int,
 @np.errstate(over="ignore", invalid="ignore")
 def _windowed_sum(series, kind, n_tr, n_final, mode):
     """The windowed average of every column of a series indexed by step
-    first over steps n_tr..n_final, with the weights of `discrete_weights`."""
+    first over steps n_tr..n_final, with the weights of `discrete_weights`.
+    A final step beyond the recorded length raises InvalidSpanError, and the
+    weights are sampled before the series is sliced, so a step index that
+    is not an integer gets the sampler's TypeError."""
     if n_final > len(series) - 1:
         raise InvalidSpanError(
             f"final step {n_final} exceeds recorded length {len(series) - 1}")
@@ -129,9 +132,14 @@ def _span_values(series, kinds, n_tr, dt, k_list, period, span_offset, mode):
     """The series as floats, its period (estimated from it unless given),
     the requested period counts, end steps and realized spans of the spans
     in k_list, and per window in kinds, in order, its windowed averages
-    over those spans.  Each end step is visited once for all the windows,
-    whose weights one sampler writes into buffers sized to the largest
-    span."""
+    over those spans.  The series' shape is checked first, so one that is
+    not one-dimensional raises ValueError before any period estimate; then
+    dt, which must be positive and finite (InvalidSpanError), before any
+    division; the end steps are checked against the series length as
+    floats, before their cast to integers.  Each end step is visited once
+    for all the windows, whose weights one sampler writes into buffers
+    sized to the largest span, and the whole loop runs under one errstate.
+    """
     data = np.asarray(series, dtype=float)
     if data.ndim != 1:
         raise ValueError("outputs must be a one-dimensional series")

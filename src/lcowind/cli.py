@@ -29,7 +29,8 @@ from . import __version__
 from .adjoint import AdjointMode, adjoint_sweep, contraction_estimates
 from .analysis import (DEFAULT_SPAN_OFFSET, convergence_study, windowed_average)
 from .errors import ConfigError, LcoError, PeriodUndetectableError
-from .models import AnalyticSignal, DesignVector, ForcedOscillator, OutputKind, VanDerPol
+from .models import (AnalyticSignal, DesignVector, ForcedOscillator, OutputKind, VanDerPol,
+                     bind)
 from .optim import DesignProblem, optimize
 from .primal import PseudoTimeConfig, TimeGrid, _row_norms, estimate_period, simulate
 from .tangent import tangent_sweep, windowed_tangent_sensitivity
@@ -228,12 +229,13 @@ class RunConfig:
             raise ConfigError(f"design has {self.design.n_design} values but the "
                               f"model expects {self.model.n_design}")
         # a design outside the model's domain fails here, not mid-run: the
-        # residual and the output at the initial state.  The residual takes
-        # the state as floats, as the march passes it, so an overflow gives
-        # inf or nan without a numpy warning
+        # residual and the output at the initial state.  The residual is the
+        # one the march calls, bound once, on the state's two floats, so an
+        # overflow gives inf or nan without a numpy warning
         with _blame("[design] values"):
             u0 = self.model.initial_state()
-            self.model.residual(u0.tolist(), self.design.values)
+            residual = bind(self.model, self.design.values)[0]
+            residual(*u0.tolist(), 0.0)
             self.model.output_value(u0, self.design.values)
         with _blame("[grid]"):
             self.grid = TimeGrid(**self._fields(TimeGrid))
@@ -241,7 +243,7 @@ class RunConfig:
         # no value at the last step; past the grid check that time is finite
         t_final = self.grid.n_steps * self.grid.dt
         with _blame(f"[model] {self.model.name}: residual at the final time t = {t_final!r}"):
-            self.model.residual(u0.tolist(), self.design.values, t_final)
+            residual(*u0.tolist(), t_final)
         with _blame("[pseudo_time]"):
             self.pseudo = PseudoTimeConfig(**self._fields(PseudoTimeConfig))
         if self.constraint_output is not None and isinstance(self.model, AnalyticSignal):
@@ -285,10 +287,13 @@ _CELL_FORMATS = {"f": "%.17g", "i": "%d", "b": "%s", "U": "%s"}
 
 def _write_csv(path: Path, header, columns):
     """Write a table given by columns, each an array, a range or a list of
-    one type: floats with 17 significant digits, integers in decimal, bools
-    as true/false and text quoted by _quoted.  Each column is converted
-    once, every row is formatted by one line format, and a column of
-    another length than the others raises ValueError."""
+    one type: floats as %.17g, so a parsed cell reformats to itself, with
+    nan, inf and -inf as such and -0.0 as -0; integers in decimal, bools
+    as true/false, and text and header cells quoted by _quoted.  Each
+    column is converted once and given one cell format by its dtype, every
+    row is formatted by one line format, the body is written in one join,
+    and a column of another length than the others raises ValueError.
+    tests/test_cli.py pins these bytes to those of csv.writer's rows."""
     cells, formats = [], []
     for column in columns:
         array = np.asarray(column)
@@ -419,6 +424,8 @@ def _cmd_average(cfg: RunConfig):
 
 def _study_series(cfg: RunConfig):
     """Series, reference, and period for the configured study quantity.
+    The analytic signal's series is its closed form on the grid, where
+    every other subcommand marches it; any other model's is marched.
     [study] reference and period replace the ones found here, and the
     period is found only when it is not set."""
     sigma = cfg.design.values

@@ -15,15 +15,18 @@ class defines or overrides residual or jacobian_state, bind calls that
 method instead on the list [x, v], the Jacobian flattened by
 .ravel().tolist(), so an override wins, per function.  The design Jacobian
 and the three output methods take one state of shape (d_u,) or a
-trajectory's stack of shape (N, d_u), as float arrays, and return their
-result for each state, so a sweep calls each once.  All methods take the design as a float array and check neither it
-nor the state: check_inputs checks both once, where a march or a sweep
-starts.  Each model checks its own fields where it is built: a numeric
+trajectory's stack of shape (N, d_u), as float arrays, each formula written
+once over u[..., i], and return their result for each state, so a sweep
+calls each once.  All methods take the design as a float array and check
+neither it nor the state: check_inputs checks both once, where a march or a
+sweep starts.  Each model checks its own fields where it is built: a numeric
 field that is not finite raises ValueError naming it, and an output that
 is not an OutputKind TypeError.
 The analytic signal is a closed form and its two-state realization, the
 ground truth for convergence and consistency checks.  initial_state() takes
-no design: the sweeps start from zero sensitivity, with no u_0 term.
+no design: the sweeps start from zero sensitivity, with no u_0 term, so an
+initial state that depended on the design would get wrong derivatives with
+no error.
 """
 from __future__ import annotations
 
@@ -110,8 +113,9 @@ def check_inputs(model, sigma, states, n_steps=None) -> np.ndarray:
     trajectory's states, of shape (n_steps + 1, d_u).  A model whose d_u is
     not 2, as the march and the sweeps take two states, or a wrong shape
     raises ValueError, and a NaN or infinite design DesignDomainError.
-    Returns the design, given as a DesignVector, an array or a scalar, as a
-    float array of shape (n_design,): the form the model methods read it in.
+    Returns the design, given as a DesignVector, an array, a list or a
+    scalar, as a float array of shape (n_design,): the form the model
+    methods read it in.
     """
     if model.d_u != 2:
         raise ValueError(f"lcowind marches two states, got a model of d_u = {model.d_u}")
@@ -170,6 +174,15 @@ class AnalyticSignal(_BoundModel):
     growth_rate > 0 multiplies the period-induced part of the instantaneous
     design derivative by exp(growth_rate * t), modelling sensitivities whose
     amplitude diverges in time.
+
+    mean, mean_design_gradient, period, output and output_design_derivative
+    take the design as a scalar, an array or a DesignVector.  base_period
+    must be positive and finite (ValueError).  The signal keeps no march
+    state: bind reads its period once, through period(), which raises
+    DesignDomainError where the design makes the period non-positive or its
+    square overflow or underflow to 0.0, so such a design fails where a
+    march or a sweep starts; a design that makes the mean not finite fails
+    where the outputs are formed.
     """
 
     a0: float = 1.0
@@ -288,7 +301,9 @@ class AnalyticSignal(_BoundModel):
 
 class _FirstStateOutput:
     """Output x or x^2 of the first state, chosen by the ``output`` field;
-    it does not depend on the design."""
+    it does not depend on the design.  An output that is not an OutputKind
+    raises TypeError naming the valid ones: the name "x" would otherwise
+    march as x^2."""
 
     def __post_init__(self):
         if not isinstance(self.output, OutputKind):

@@ -59,8 +59,8 @@ class DesignProblem:
             raise ValueError("max_iterations must be at least 1")
         if not 0.0 < self.penalty < math.inf:
             raise ValueError("penalty coefficient must be positive and finite")
-        if not self.grad_tolerance >= 0.0:
-            raise ValueError("grad_tolerance must be non-negative")
+        if not 0.0 <= self.grad_tolerance < math.inf:
+            raise ValueError("grad_tolerance must be non-negative and finite")
         if self.max_backtracks < 0:
             raise ValueError("max_backtracks must be non-negative")
 

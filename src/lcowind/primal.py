@@ -40,7 +40,10 @@ class TimeGrid:
     """Uniform physical time grid with a transient cutoff.
 
     Steps run n = 0..n_steps; windowed averaging uses steps
-    n_transient..n_steps.
+    n_transient..n_steps.  n_steps and n_transient must be integers,
+    numpy's included, or TypeError names either; dt must be positive and
+    finite, n_steps at least 1 and the final time n_steps * dt finite
+    (ValueError), and 0 <= n_transient < n_steps (InvalidSpanError).
     """
 
     dt: float
@@ -76,7 +79,9 @@ class PseudoTimeConfig:
     dtau = inf selects the Newton limit of the pseudo-time update.  A step
     whose residual norm stays above tol after max_inner iterations raises
     StepConvergenceError unless allow_unconverged is set, in which case the
-    step is flagged and the march continues.
+    step is flagged and the march continues.  dtau must lie above 0 with a
+    finite 1/dtau and tol must be positive and finite, or ValueError names
+    the field; max_inner must be an integer (TypeError) of at least 1.
     """
 
     dtau: float = math.inf
@@ -85,10 +90,13 @@ class PseudoTimeConfig:
     allow_unconverged: bool = False
 
     def __post_init__(self):
+        _step_index(self.max_inner, "max_inner")
         if not (self.dtau > 0.0 and math.isfinite(self.inv_dtau)):
             raise ValueError("dtau must be positive with a finite 1/dtau (inf selects Newton)")
-        if not self.tol > 0.0 or self.max_inner < 1:
-            raise ValueError("tolerance and max_inner must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        if self.max_inner < 1:
+            raise ValueError(f"max_inner must be positive, got {self.max_inner}")
 
     @property
     def inv_dtau(self) -> float:
@@ -144,7 +152,8 @@ def _vector_norm(r) -> float:
     """The 2-norm of a vector of any length, its squares summed left to
     right from 0.0.  For two entries that is sqrt(r0 r0 + r1 r1), as a
     square is never -0.0.  The loop is written out: sum() compensates float
-    sums from Python 3.12 on, which would round otherwise."""
+    sums from Python 3.12 on, which would round otherwise.  An overflow
+    gives inf, with no warning."""
     square = 0.0
     for x in r:
         square += x * x
@@ -167,20 +176,26 @@ def _march2(residual, jacobian, u0, dt, n_steps, inv_dtau, tol, max_inner, allow
     the float pair u0, at time n dt, on local floats, with the bound
     residual(x0, x1, t) -> (r0, r1) and jacobian(x0, x1, t) -> (j11, j12,
     j21, j22) called on the iterate's two floats: BDF1 at step 1, whose
-    u_{-1} = u0 has no weight, and BDF2 after it.  Per step: the history
-    terms beta u_{n-1} and delta u_{n-2}, then from the predictor, 2.0
-    u_{n-1,i} - u_{n-2,i} from step 3 on and u_{n-1} before it, the
-    extended residual alpha u_i + r_i + beta u_{n-1,i} + delta u_{n-2,i}, its
-    norm sqrt(e0 e0 + e1 e1) and, while norm > tol and fewer than max_inner
-    iterations ran, one update u - x, x the solve of the step system
-    (alpha + J_ii) + inv_dtau on the diagonal, 0.0 + J_ij off it.  The
-    factoring pivots, swapping the rows when |a21| > |a11|, then forms l =
-    a21 / a11 and u22 = a22 - l a12, and a zero pivot or u22 raises
+    u_{-1} = u0 has no weight, and BDF2 after it.  Each operation is one
+    IEEE rounding, with no fused multiply-add, in this order.  Per step: the
+    history terms h_i = beta u_{n-1,i} and g_i = delta u_{n-2,i}, formed
+    once, and the first iterate, the predictor 2.0 u_{n-1,i} - u_{n-2,i}
+    from step 3 on and u_{n-1} before it.  Then, at one site, the top of the
+    inner loop, the extended residual e_i = ((alpha u_i + r_i) + h_i) + g_i
+    and its norm sqrt(e0 e0 + e1 e1), and, while norm > tol and fewer than
+    max_inner iterations ran, one update u_i - x_i, x the solve of the step
+    system with e as its right-hand side, (alpha + J_ii) + inv_dtau on the
+    diagonal and 0.0 + J_ij off it.  So the norm is taken of every iterate,
+    and the norm a step records is the one that stopped it.  The factoring
+    pivots, swapping the rows when |a21| > |a11|, then forms l = a21 / a11
+    and u22 = a22 - l a12, and a zero pivot or u22 raises
     SingularStepError; the solve swaps the right-hand side alike and forms
     x2 = (b2 - l b1) / u22 and x1 = (b1 - a12 x2) / a11.  The Jacobian is
-    evaluated and factored at the step's first update and, at a finite dtau,
-    kept for the rest of the step (a chord iteration); at inv_dtau = 0.0,
-    the Newton limit, at every update.  A step that stops above tol raises
+    evaluated and factored at the step's first update and, at a finite
+    dtau, kept for the rest of the step: a chord form of dual-time stepping
+    (Jameson, AIAA 91-1596, 1991), one Jacobian per step that iterates.  In
+    the Newton limit, inv_dtau == 0.0, the one test that chooses, it is
+    read and factored at every update.  A step that stops above tol raises
     StepConvergenceError with the roundoff floor at its last iterate unless
     allow_unconverged is set; the kernel never warns.  Returns (states,
     iterations, norms): u0..u_N row-major in one flat list, and per step the
@@ -262,16 +277,22 @@ def _reverse2(seeds, a_rows, inv_dtau, beta, delta, tol, max_inner):
 
     seeds holds step n's seed at row n, entry n - 1 of a_rows A_n^T's
     row-major entries, and beta and delta couple step n to steps n + 1 and
-    n + 2.  Each step factors M_n^T, A_n^T with a11 + inv_dtau and a22 +
-    inv_dtau on its diagonal, once as _march2 does, raising
-    SingularStepError where it is singular, and solves every lambda_n =
-    M_n^{-T} ubar_n from the factors.  Its right-hand side is (s - beta
-    lambda_{n+1}) - delta lambda_{n+2}, leaving out steps beyond N.  ubar_n
-    is rhs itself in the Newton limit, inv_dtau = 0.0, which records one
-    iteration and a zero norm; else the fixed point warm-started from
-    ubar_{n+1}: M_n - A_n = I/dtau makes the iteration matrix (I - M_n^{-1}
-    A_n)^T equal inv_dtau M_n^{-T}, so each iterate is row i r_i + inv_dtau
-    lambda_i, then the solve of the new lambda.  The loop stops when its
+    n + 2.  Each operation is one IEEE rounding, with no fused
+    multiply-add, in the order stated here.  Each step factors M_n^T, A_n^T
+    with a11 + inv_dtau and a22 + inv_dtau on its diagonal and its other
+    entries as given, once as _march2 does; step_matrices writes no -0.0,
+    so that equals the array sum A_n^T + inv_dtau I bit for bit.  A
+    singular M_n^T raises SingularStepError for step n when the loop
+    reaches it, so a later step's, met first, wins.  Every lambda_n =
+    M_n^{-T} ubar_n of the step is solved from the factors.  Its right-hand
+    side is (s_i - beta lambda_{n+1,i}) - delta lambda_{n+2,i}, leaving out
+    steps beyond N, so step N's is its seed.  ubar_n is rhs itself, copied,
+    in the Newton limit, inv_dtau = 0.0, which records one iteration and a
+    zero norm; else the fixed point warm-started from ubar_{n+1}: M_n - A_n
+    = I/dtau makes the iteration matrix (I - M_n^{-1} A_n)^T equal inv_dtau
+    M_n^{-T}, so from lambda = M_n^{-T} ubar_{n+1} each iterate is row i
+    r_i + inv_dtau lambda_i, then the solve of the new lambda, and when the
+    loop stops lambda is already lambda_n.  The loop stops when its
     change's norm sqrt(c0 c0 + c1 c1) is at most tol, exceeds both 1 and
     ten times the previous one, or max_inner iterates ran, and raises
     AdjointDivergenceError, with no contraction estimate, unless the norm is
@@ -369,7 +390,8 @@ def simulate(model, sigma, grid: TimeGrid,
     once, and the pseudo-time constants and the model's residual and
     Jacobian, bound to the design by bind, are resolved once per march;
     the bound functions each step calls do not check their inputs again.
-    The outputs are formed in one call once the march is done.
+    The kernel's flat lists are read with np.fromiter at their known
+    lengths, and the outputs are formed in one call once the march is done.
     """
     cfg = cfg or PseudoTimeConfig()
     u0 = np.asarray(model.initial_state(), dtype=float)
@@ -397,10 +419,12 @@ def estimate_period(outputs, n_transient: int, dt: float) -> tuple[float, float]
     """Estimate the oscillation period from post-transient outputs.
 
     Uses the mean spacing of upward crossings of the post-transient mean,
-    with linear interpolation between samples.  Returns (period, span in
-    periods) where the span is (len - 1 - n_transient) * dt / period.  An
-    n_transient that is not an integer raises TypeError; a negative one or
-    a dt that is not positive and finite InvalidSpanError.
+    with linear interpolation between samples; the mean is taken over the
+    samples divided by their count where their plain sum overflows.  Returns
+    (period, span in periods) where the span is (len - 1 - n_transient) * dt
+    / period.  An n_transient that is not an integer raises TypeError; a
+    negative one or a dt that is not positive and finite InvalidSpanError,
+    before any division.
     """
     _step_index(n_transient, "n_transient")
     if not 0.0 < dt < math.inf:

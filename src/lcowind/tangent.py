@@ -39,9 +39,12 @@ def tangent_sweep(model, sigma, traj: Trajectory) -> TangentTrajectory:
     not A_n^T, run forward.  So one Newton-limit call of the reverse kernel
     _reverse2 per design column runs it, on the rows of A_n and the seeds
     0.0 - dR/dsigma, steps reversed: its lambda at reversed step m is udot
-    at step N + 1 - m.  BDF2's beta and delta serve every step, as step 1's
-    BDF1 terms multiply udot_0 = 0, which the kernel leaves out.  The design Jacobians and the output gradients are formed
-    once, and the design and the states' shape are checked once, here.
+    at step N + 1 - m, and a SingularStepError it raises at reversed step m
+    is raised again for step N + 1 - m.  BDF2's beta and delta serve every
+    step, as step 1's BDF1 terms multiply udot_0 = 0, which the kernel
+    leaves out.  The design Jacobians are formed once, before the kernel,
+    and the output sensitivities from the output gradients once, after it;
+    the design and the states' shape are checked once, here.
     """
     sigma = check_inputs(model, sigma, traj.states, traj.n_steps)
     n_total, states = traj.n_steps, traj.states
@@ -69,5 +72,7 @@ def windowed_tangent_sensitivity(tangent: TangentTrajectory, kind: Window,
                                  n_transient: int, n_final: int,
                                  mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL,
                                  ) -> np.ndarray:
-    """Windowed average of the output sensitivity over steps n_transient..n_final."""
+    """Windowed average of the output sensitivity over steps
+    n_transient..n_final: analysis's windowed sum, every design column at
+    once."""
     return _windowed_sum(tangent.output_sensitivities, kind, n_transient, n_final, mode)

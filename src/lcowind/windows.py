@@ -96,10 +96,10 @@ def bump_normalization() -> float:
     """Normalization constant of the bump window: the integral of
     exp(-1/(s - s^2)) over (0, 1).
 
-    A literal, so no run depends on a quadrature library: the value that
-    adaptive quadrature (QUADPACK through scipy's ``quad``, ``epsabs = 0``,
-    ``epsrel = 1e-12``, 200 subintervals) returns.  A midpoint rule agrees
-    to 1e-10 relative.
+    A literal, so no run depends on a quadrature library and importing the
+    package loads no quadrature code: the value that adaptive quadrature
+    (QUADPACK through scipy's ``quad``, ``epsabs = 0``, ``epsrel = 1e-12``,
+    200 subintervals) returns.  A midpoint rule agrees to 1e-10 relative.
     """
     return 0.0070298584066096565
 
@@ -163,7 +163,8 @@ def _step_index(value, name: str) -> None:
 def discrete_weights(kind: Window, n_tr: int, n_final: int,
                      mode: NormalizationMode = NormalizationMode.PAPER_FAITHFUL) -> np.ndarray:
     """Sample a window over steps n_tr..n_final inclusive: the weight
-    vector, whose entry i weights step n_tr + i for i = 0..n_final - n_tr.
+    vector, whose entry i weights step n_tr + i for i = 0..n_final - n_tr,
+    so the span is its length less one.
 
     The one-span case of `iter_span_weights`: its buffer fits the span, so
     the vector is returned as it was written, each call its own."""
@@ -176,16 +177,19 @@ def iter_span_weights(kinds, n_tr: int, ends,
     kind in kinds, in the order given, each as
     `discrete_weights(kind, n_tr, end, mode)` returns it.
 
-    The inputs are checked once, on the first iteration; a step index that
-    is not an integer raises TypeError, no end step or a span that is not
-    positive InvalidSpanError, and a repeated kind ValueError.  One ramp
+    The inputs are checked once, on the first iteration: a step index that
+    is not an integer (operator.index refuses it) raises TypeError naming
+    it, a negative n_tr, no end step or a span that is not positive
+    InvalidSpanError, a kind that is not a Window TypeError, and a repeated
+    kind ValueError, as its one buffer would come back twice.  One ramp
     1..span - 1, one grid buffer and one weight vector per window are
-    allocated once, sized to the largest span;
-    each span's grid i/span and samples are written into their prefixes, so
-    a yielded vector is a view that the next span overwrites.  When hann is
-    among the kinds, hann-square is made from hann's unscaled samples, the
-    same ufuncs in the same order as its own kernel, so the bits are the
-    same.
+    allocated once, sized to the largest span.  Each span's grid i/span and
+    every window's samples are written into their prefixes, entry span is
+    zeroed, and RENORMALIZED rescales the prefix in place, so no span
+    allocates and a yielded vector is a view that the next span overwrites.
+    When hann is among the kinds, hann-square is made from hann's unscaled
+    samples by the same square and * 2/3 that end its own kernel, so every
+    vector has the bits discrete_weights gives it.
     """
     kinds = tuple(kinds)
     ends = tuple(ends)

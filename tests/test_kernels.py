@@ -271,9 +271,10 @@ def test_march_does_not_write_the_models_jacobian(dtau):
 #
 # The march, the tangent and the adjoint's reverse loop do their small
 # linear algebra on Python floats, each operation one IEEE rounding with no
-# fused multiply-add, in the order README states: the two-state solve,
-# written out in _march2 and _reverse2 and pinned here through one
-# Newton-limit step of _reverse2 against the reference solve2, the norm
+# fused multiply-add, in the order the _march2 and _reverse2 docstrings
+# state: the two-state solve, written out in _march2 and _reverse2 and
+# pinned here through one Newton-limit step of _reverse2 against the
+# reference solve2, the norm
 # (_vector_norm, for every size) and the fixed-point iterate (one iterate
 # of _reverse2 and of the oracle's list loop _reverse, for every size).
 # Each is pinned to its stated formula twice:

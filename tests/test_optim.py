@@ -78,10 +78,12 @@ def test_design_problem_validation():
     ("penalty", math.nan),
     ("grad_tolerance", math.nan),
     ("grad_tolerance", -1.0),
+    ("grad_tolerance", math.inf),
     ("max_backtracks", -1),
 ])
 def test_design_problem_rejects_nan_and_negative_settings(field, value):
-    # max_backtracks = -1 would skip the line search altogether
+    # max_backtracks = -1 would skip the line search altogether, and a
+    # grad_tolerance of inf would stop the loop at its start as converged
     with pytest.raises(ValueError, match=field.replace("_", ".")):
         dataclasses.replace(quadratic_problem(), **{field: value})
 

@@ -365,10 +365,23 @@ def test_grid_rejects_a_final_time_that_overflows():
     lambda: TimeGrid(dt=math.inf, n_steps=10),
     lambda: PseudoTimeConfig(dtau=math.nan),
     lambda: PseudoTimeConfig(tol=math.nan),
+    lambda: PseudoTimeConfig(tol=math.inf),
     lambda: PseudoTimeConfig(dtau=1e-320),
-], ids=["dt-nan", "dt-inf", "dtau-nan", "tol-nan", "dtau-tiny"])
+], ids=["dt-nan", "dt-inf", "dtau-nan", "tol-nan", "tol-inf", "dtau-tiny"])
 def test_grid_and_pseudo_config_reject_nan_and_inf(build):
     # a `<= 0` check lets NaN through, an infinite dt makes the time axis
-    # NaN, and a positive dtau of 1e-320 has the reciprocal inf
+    # NaN, a tol of inf stops every step before its first update, and a
+    # positive dtau of 1e-320 has the reciprocal inf
     with pytest.raises(ValueError, match="must be positive"):
         build()
+
+
+def test_pseudo_config_names_the_field_it_rejects():
+    with pytest.raises(ValueError, match="^tol must be positive and finite, got inf$"):
+        PseudoTimeConfig(tol=math.inf)
+    # the inner budget is an iteration count, checked as TimeGrid's counts are
+    with pytest.raises(TypeError, match="^max_inner must be an integer, got 2.5$"):
+        PseudoTimeConfig(max_inner=2.5)
+    with pytest.raises(ValueError, match="^max_inner must be positive, got 0$"):
+        PseudoTimeConfig(max_inner=0)
+    assert PseudoTimeConfig(max_inner=np.int64(3)).max_inner == 3

@@ -10,9 +10,10 @@ values for its contraction inv_dtau / sigma_min(M_n), and per fixed-point
 iterate ubar <- rhs + inv_dtau M_n^{-T} ubar a fresh solve of M_n^T; in
 the direct mode, one solve of A_n^T lambda_n = rhs, the state rhs +
 inv_dtau lambda_n and the solve's residual norm.  Its 2x2 solve, its norm
-and its iterate are transcribed here from the operation order README
-states.  The library hoists and batches the same operations and runs them
-on Python floats, so the two must agree exactly, not to a tolerance.
+and its iterate are transcribed here from the operation order the
+docstrings of _march2 and _reverse2 state.  The library hoists and
+batches the same operations and runs them on Python floats, so the two
+must agree exactly, not to a tolerance.
 """
 
 import math

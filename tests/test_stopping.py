@@ -81,9 +81,10 @@ def norm(r):
 
 
 def fixed_point_iterate(solve, m_rows, inv_dtau, rhs, ubar, n):
-    """One iterate ubar <- rhs + inv_dtau M_n^{-T} ubar in the order README
-    states: lambda = M_n^{-T} ubar by the kernels' solve of the row-major
-    entries of M_n^T, then row i as r_i + inv_dtau lambda_i."""
+    """One iterate ubar <- rhs + inv_dtau M_n^{-T} ubar in the order the
+    _reverse2 docstring states: lambda = M_n^{-T} ubar by the kernels'
+    solve of the row-major entries of M_n^T, then row i as r_i + inv_dtau
+    lambda_i."""
     return [r + inv_dtau * x for r, x in zip(rhs, solve(m_rows, ubar, n))]
 
 

@@ -8,6 +8,7 @@ belongs to.
 """
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,18 @@ def test_steps_of_another_trajectory_are_named_by_shape():
                                              r"trajectory, got \(25, 2, 2\)$"):
             adjoint_sweep(UncalledVanDerPol(), SIGMA, traj, Window.BUMP, mode=mode,
                           steps=steps)
+
+
+@pytest.mark.parametrize("tol", [math.inf, 0.0, -1.0, math.nan],
+                         ids=["inf", "zero", "negative", "nan"])
+def test_an_adjoint_tol_outside_its_domain_is_rejected_before_any_step(tol):
+    # tol = inf would stop every fixed-point step after one iterate with a
+    # wrong derivative, and a tol no norm can meet would read as a divergence
+    traj = simulate(VanDerPol(), SIGMA, GRID)
+    for mode in AdjointMode:
+        with pytest.raises(ValueError, match=rf"^tol must be positive and finite, "
+                                             rf"got {re.escape(repr(tol))}$"):
+            adjoint_sweep(UncalledVanDerPol(), SIGMA, traj, Window.BUMP, mode=mode, tol=tol)
 
 
 def test_design_given_as_scalar_or_list_marches_as_the_array():
