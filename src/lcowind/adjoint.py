@@ -51,8 +51,9 @@ def contraction_estimates(steps: np.ndarray, cfg: PseudoTimeConfig) -> np.ndarra
     dtau, from steps, the A_n stack of step_matrices: step 0's zero, then
     the 2-norm inv_dtau / sigma_min(M_n) of the iteration matrix (I -
     M_n^{-1} A_n)^T = inv_dtau M_n^{-T}, M_n = A_n + inv_dtau I, from one
-    batched SVD.  Zero in the Newton limit, and inf where M_n is singular,
-    a step the fixed-point sweep raises SingularStepError on.  Only this
+    batched SVD, the sweeps' one LAPACK call (np.linalg.svd).  Zero in the
+    Newton limit, and inf where M_n is singular, a step the fixed-point
+    sweep raises SingularStepError on.  Only this
     function takes the SVD, only where an estimate is read: the adjoint
     subcommand's CSV column and manifest max_contraction, and the error of
     a diverging step.  The design loop reads none, so it takes none."""

@@ -480,10 +480,7 @@ def _cmd_study(cfg: RunConfig):
 
 
 def _cmd_optimize(cfg: RunConfig):
-    constraint_model = (None if cfg.constraint_output is None
-                        else dataclasses.replace(cfg.model, output=cfg.constraint_output))
     problem = DesignProblem(objective_model=cfg.model, kind=cfg.window,
-                            constraint_model=constraint_model,
                             **cfg._fields(DesignProblem))
     history = optimize(problem, cfg.design.values)
     n_design = cfg.model.n_design

@@ -173,7 +173,11 @@ class AnalyticSignal(_BoundModel):
 
     growth_rate > 0 multiplies the period-induced part of the instantaneous
     design derivative by exp(growth_rate * t), modelling sensitivities whose
-    amplitude diverges in time.
+    amplitude diverges in time.  It acts on the closed form alone, in
+    output_design_derivative: the march's residual, Jacobians and outputs
+    do not read it, so a marched signal's tangent and adjoint derivatives
+    are the same at every growth_rate.  Of the CLI's runs only
+    `study --quantity sensitivity`, whose series is the closed form, reads it.
 
     mean, mean_design_gradient, period, output and output_design_derivative
     take the design as a scalar, an array or a DesignVector.  base_period

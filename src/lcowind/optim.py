@@ -7,6 +7,7 @@ cost per iteration is independent of the number of design variables.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -16,9 +17,9 @@ import numpy as np
 from .adjoint import AdjointMode, adjoint_sweep
 from .analysis import windowed_average
 from .errors import LcoError
-from .models import DesignVector
+from .models import DesignVector, OutputKind
 from .primal import PseudoTimeConfig, TimeGrid, simulate
-from .windows import NormalizationMode, Window
+from .windows import NormalizationMode, Window, _step_index
 
 __all__ = ["DesignProblem", "DesignRecord", "DesignHistory",
            "evaluate_design", "optimize"]
@@ -29,17 +30,22 @@ class DesignProblem:
     """A windowed-average design problem over one dynamical model.
 
     The objective is the windowed average of the objective model's output;
-    the optional constraint requires the constraint model's windowed
-    average to stay at or above `bound`.  Both use the same window kind.
-    The constraint model must share the objective model's dynamics; only
-    the recorded output differs.
+    the optional constraint requires the windowed average of another output
+    of the same march, constraint_output, to stay at or above `bound`.  Both
+    use the same window kind.  The constraint model is the objective model
+    with its `output` field set to constraint_output, formed here once, so
+    the two share their dynamics by construction and the constraint sweep
+    may reuse the objective sweep's step matrices; it is None with no
+    constraint.  A constraint_output on a model with no `output` field
+    raises ValueError naming the model, and max_iterations and
+    max_backtracks must be integers (TypeError naming either).
     """
 
     objective_model: object
     design: DesignVector
     grid: TimeGrid
     kind: Window = Window.BUMP
-    constraint_model: object | None = None
+    constraint_output: OutputKind | None = None
     bound: float = 0.0
     relaxation: float = 0.1
     max_iterations: int = 100
@@ -49,11 +55,14 @@ class DesignProblem:
     penalty: float = 100.0
     grad_tolerance: float = 1e-8
     max_backtracks: int = 30
+    constraint_model: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _step_index(self.max_iterations, "max_iterations")
+        _step_index(self.max_backtracks, "max_backtracks")
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError("relaxation factor must lie in (0, 1]")
-        if self.constraint_model is not None and not math.isfinite(self.bound):
+        if self.constraint_output is not None and not math.isfinite(self.bound):
             raise ValueError("constraint bound must be finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
@@ -63,6 +72,15 @@ class DesignProblem:
             raise ValueError("grad_tolerance must be non-negative and finite")
         if self.max_backtracks < 0:
             raise ValueError("max_backtracks must be non-negative")
+        constraint_model = None
+        if self.constraint_output is not None:
+            model = self.objective_model
+            if not (dataclasses.is_dataclass(model)
+                    and "output" in {f.name for f in dataclasses.fields(model)}):
+                raise ValueError(f"constraint_output: the objective model "
+                                 f"{type(model).__name__} has no output field")
+            constraint_model = dataclasses.replace(model, output=self.constraint_output)
+        object.__setattr__(self, "constraint_model", constraint_model)
 
 
 @dataclass

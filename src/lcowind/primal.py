@@ -8,6 +8,14 @@ Jacobian taken at every iterate.  The first physical step is bootstrapped
 with BDF1 since no second history level exists yet.  The march runs on
 two states, in one float kernel, and the reverse loop of both sweeps lives
 here too.
+
+Both kernels, with every step solve, norm and fixed-point iterate, run on
+Python floats, so the march and the sweeps call no LAPACK solve.  The
+library's LAPACK and BLAS are numpy's, and run only in the batched SVD of
+adjoint.contraction_estimates, in the convergence study's np.polyfit,
+whose least-squares fit is np.linalg.lstsq (LAPACK dgelsd), and in numpy's
+products and norms: the sweeps' matmuls, the windowed sums' dot products
+and np.linalg.norm.
 """
 from __future__ import annotations
 
@@ -81,7 +89,9 @@ class PseudoTimeConfig:
     StepConvergenceError unless allow_unconverged is set, in which case the
     step is flagged and the march continues.  dtau must lie above 0 with a
     finite 1/dtau and tol must be positive and finite, or ValueError names
-    the field; max_inner must be an integer (TypeError) of at least 1.
+    the field; max_inner must be an integer (TypeError) of at least 1, and
+    allow_unconverged a bool (TypeError), so a text such as "no" cannot
+    pass as true.
     """
 
     dtau: float = math.inf
@@ -91,6 +101,8 @@ class PseudoTimeConfig:
 
     def __post_init__(self):
         _step_index(self.max_inner, "max_inner")
+        if not isinstance(self.allow_unconverged, (bool, np.bool_)):
+            raise TypeError(f"allow_unconverged must be a bool, got {self.allow_unconverged!r}")
         if not (self.dtau > 0.0 and math.isfinite(self.inv_dtau)):
             raise ValueError("dtau must be positive with a finite 1/dtau (inf selects Newton)")
         if not 0.0 < self.tol < math.inf:

@@ -7,9 +7,13 @@ import pickle
 import numpy as np
 import pytest
 
+from lcowind.adjoint import adjoint_sweep
+from lcowind.analysis import windowed_average
 from lcowind.errors import DesignDomainError
 from lcowind.models import AnalyticSignal, DesignVector, ForcedOscillator, OutputKind, VanDerPol
 from lcowind.primal import PseudoTimeConfig, TimeGrid, simulate
+from lcowind.tangent import tangent_sweep, windowed_tangent_sensitivity
+from lcowind.windows import Window
 
 
 def fd_jacobian_state(model, u, sigma, t, h=1e-7):
@@ -147,6 +151,29 @@ def test_analytic_signal_growth_envelope():
     t = 4.0
     ratio = grown.output_design_derivative(t, sigma)[0] / base.output_design_derivative(t, sigma)[0]
     assert ratio == pytest.approx(math.exp(0.25 * t), rel=1e-12)
+
+
+def test_growth_rate_acts_on_the_closed_form_alone():
+    # the march reads no growth_rate, so its tangent and adjoint derivatives
+    # keep their bits at growth_rate 1, while the closed-form series that
+    # study --quantity sensitivity averages moves from 0.70080 to -30.794
+    sigma, grid = np.array([0.3]), TimeGrid(dt=0.01, n_steps=1500, n_transient=137)
+    derivatives = {}
+    for growth_rate in (0.0, 1.0):
+        model = AnalyticSignal(a1=np.array([0.7]), growth_rate=growth_rate)
+        traj = simulate(model, sigma, grid)
+        tangent = windowed_tangent_sensitivity(tangent_sweep(model, sigma, traj), Window.BUMP,
+                                               137, 1500)[0]
+        adjoint = adjoint_sweep(model, sigma, traj, Window.BUMP).design_derivative[0]
+        closed_form = windowed_average(model.output_design_derivative(grid.times(), sigma)[:, 0],
+                                       Window.BUMP, 137, 1500)
+        derivatives[growth_rate] = (tangent, adjoint, closed_form)
+    (tangent, adjoint, steady), (grown_tangent, grown_adjoint, grown) = derivatives.values()
+    assert (grown_tangent, grown_adjoint) == (tangent, adjoint)
+    assert tangent == pytest.approx(0.70081032, abs=1e-8)
+    assert adjoint == pytest.approx(tangent, rel=1e-12)
+    assert steady == pytest.approx(0.70080, abs=1e-5)
+    assert grown == pytest.approx(-30.794, abs=1e-3)
 
 
 def test_analytic_signal_period_validation():

@@ -10,7 +10,7 @@ import pytest
 from lcowind import optim
 from lcowind.adjoint import adjoint_sweep
 from lcowind.errors import StepConvergenceError
-from lcowind.models import AnalyticSignal, DesignVector, OutputKind, VanDerPol
+from lcowind.models import AnalyticSignal, DesignVector, ForcedOscillator, OutputKind, VanDerPol
 from lcowind.optim import DesignProblem, evaluate_design, optimize
 from lcowind.primal import PseudoTimeConfig, TimeGrid
 from lcowind.windows import Window
@@ -64,7 +64,7 @@ def test_design_problem_validation():
                       grid=base.grid, relaxation=1.5)
     with pytest.raises(ValueError, match="bound must be finite"):
         DesignProblem(objective_model=base.objective_model, design=base.design,
-                      grid=base.grid, constraint_model=base.objective_model,
+                      grid=base.grid, constraint_output=OutputKind.FIRST_STATE,
                       bound=math.inf)
     with pytest.raises(ValueError, match="max_iterations"):
         DesignProblem(objective_model=base.objective_model, design=base.design,
@@ -86,6 +86,37 @@ def test_design_problem_rejects_nan_and_negative_settings(field, value):
     # grad_tolerance of inf would stop the loop at its start as converged
     with pytest.raises(ValueError, match=field.replace("_", ".")):
         dataclasses.replace(quadratic_problem(), **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("max_iterations", 2.5), ("max_backtracks", 1.5)])
+def test_design_problem_requires_integer_counts(field, value):
+    # both are loop counts: a float once ended in range()'s TypeError,
+    # which named no field
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value}$"):
+        dataclasses.replace(quadratic_problem(), **{field: value})
+
+
+def test_the_constraint_is_an_output_of_the_objective_march():
+    # a constraint model given apart could differ in its dynamics, here a
+    # stiffness of 30 against 55, and its sweep, reusing the objective's
+    # step matrices, gave -0.41611 where a central difference gives -0.75541
+    problem = DesignProblem(objective_model=ForcedOscillator(),
+                            design=DesignVector(values=np.array([0.1]), lower=np.array([-0.5]),
+                                                upper=np.array([0.9])),
+                            grid=TimeGrid(dt=0.02, n_steps=600, n_transient=200),
+                            constraint_output=OutputKind.FIRST_STATE_SQUARED, relaxation=1.0)
+    assert problem.constraint_model == ForcedOscillator(output=OutputKind.FIRST_STATE_SQUARED)
+    h = 1e-6
+    constraint_fd = (evaluate_design(problem, np.array([0.1 + h]))[1]
+                     - evaluate_design(problem, np.array([0.1 - h]))[1]) / (2 * h)
+    grad_con = evaluate_design(problem, np.array([0.1]))[3]
+    assert constraint_fd == pytest.approx(-0.75541, abs=1e-5)
+    assert grad_con[0] == pytest.approx(constraint_fd, rel=1e-6)
+
+
+def test_a_constraint_output_needs_a_model_with_an_output_field():
+    with pytest.raises(ValueError, match="^constraint_output: .* AnalyticSignal has no output"):
+        dataclasses.replace(quadratic_problem(), constraint_output=OutputKind.FIRST_STATE)
 
 
 def test_quadratic_toy_converges_to_center():
@@ -135,13 +166,12 @@ def test_sigma0_overrides_design_values():
 
 def test_constrained_run_flags_feasibility():
     objective = VanDerPol(output=OutputKind.FIRST_STATE)
-    constraint = VanDerPol(output=OutputKind.FIRST_STATE_SQUARED)
     design = DesignVector(values=np.array([1.0]), lower=np.array([0.5]),
                           upper=np.array([2.0]))
     grid = TimeGrid(dt=0.05, n_steps=360, n_transient=60)
     problem = DesignProblem(objective_model=objective, design=design,
                             grid=grid, kind=Window.BUMP,
-                            constraint_model=constraint, bound=1.0,
+                            constraint_output=OutputKind.FIRST_STATE_SQUARED, bound=1.0,
                             max_iterations=3)
     history = optimize(problem)
     assert 1 <= history.iterations <= 3
@@ -237,8 +267,7 @@ def constrained_vdp_problem():
                          design=design,
                          grid=TimeGrid(dt=0.05, n_steps=120, n_transient=20),
                          kind=Window.BUMP,
-                         constraint_model=VanDerPol(
-                             output=OutputKind.FIRST_STATE_SQUARED),
+                         constraint_output=OutputKind.FIRST_STATE_SQUARED,
                          bound=3.0, max_iterations=4)
 
 
@@ -299,15 +328,14 @@ class JacobianCountingVanDerPol(VanDerPol):
 
 
 def test_constrained_gradient_builds_step_matrices_once():
-    # both models share their dynamics, so the constraint sweep reuses the
-    # objective sweep's step matrices: one state Jacobian per step in all
+    # the constraint model is the objective model with another output, so
+    # the constraint sweep reuses the objective sweep's step matrices: one
+    # state Jacobian per step in all, counted by the one Counter both share
     calls = Counter()
     problem = dataclasses.replace(
         constrained_vdp_problem(),
         objective_model=JacobianCountingVanDerPol(output=OutputKind.FIRST_STATE,
                                                   calls=calls),
-        constraint_model=JacobianCountingVanDerPol(
-            output=OutputKind.FIRST_STATE_SQUARED, calls=calls),
         pseudo=PseudoTimeConfig(dtau=1.0, tol=1e-12, max_inner=200))
     sigma = problem.design.values
     traj = optim._primal(problem, sigma)[0]

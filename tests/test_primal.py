@@ -385,3 +385,14 @@ def test_pseudo_config_names_the_field_it_rejects():
     with pytest.raises(ValueError, match="^max_inner must be positive, got 0$"):
         PseudoTimeConfig(max_inner=0)
     assert PseudoTimeConfig(max_inner=np.int64(3)).max_inner == 3
+
+
+def test_pseudo_config_takes_only_a_bool_for_allow_unconverged():
+    # the text "no" is truthy: it once let all 40 steps of this march stall
+    # with one warning, where False raises at the first
+    with pytest.raises(TypeError, match="^allow_unconverged must be a bool, got 'no'$"):
+        PseudoTimeConfig(dtau=1.0, max_inner=1, allow_unconverged="no")
+    with pytest.raises(StepConvergenceError):
+        simulate(VanDerPol(), [1.0], TimeGrid(0.05, 40),
+                 PseudoTimeConfig(dtau=1.0, max_inner=1, allow_unconverged=False))
+    assert PseudoTimeConfig(allow_unconverged=np.True_).allow_unconverged
